@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -113,6 +114,8 @@ def _parse_point(text: str, dim: int) -> tuple[float, ...]:
         vals = tuple(float(s) for s in parts)
     except ValueError:
         raise CliInputError(f"--point must be comma-separated numbers, got {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise CliInputError(f"--point must be finite, got {text!r}")
     if len(vals) != dim:
         raise CliInputError(f"--point needs {dim} coordinates, got {len(vals)}")
     return vals
@@ -126,6 +129,8 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
         lo, hi = float(m.group(2)), float(m.group(3))
     except ValueError:
         raise CliInputError(f"bad grid bounds in {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise CliInputError(f"grid bounds must be finite, got {text!r}")
     n = int(m.group(4))
     if n < 1:
         raise CliInputError("grid needs at least one sample")

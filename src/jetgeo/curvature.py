@@ -34,6 +34,7 @@ __all__ = [
     "CurvatureContext",
     "Christoffels",
     "TensorField",
+    "christoffel_terms",
     "DegeneratePlaneError",
     "christoffel",
     "riemann",
@@ -84,16 +85,38 @@ class TensorField:
             out[idx] = v
         return out
 
-    def contract(self, vectors: Sequence[np.ndarray]) -> float:
-        if len(vectors) != self.rank:
-            raise ValueError(f"need {self.rank} vectors, got {len(vectors)}")
-        total = 0.0
-        for idx, v in self.components.items():
-            w = v
-            for s, i in enumerate(idx):
-                w *= vectors[s][i]
-            total += w
-        return total
+
+ChristoffelTerms = dict[tuple[int, int, int], tuple[tuple[int, tuple[int, int], float], ...]]
+
+
+def christoffel_terms(spec: MetricSpec) -> ChristoffelTerms:
+    """First-kind Christoffel symbols of `spec` that can be nonzero, as sums.
+
+    Gamma_abc = 1/2 (d_a g_bc + d_b g_ac - d_c g_ab).  Keys (a, b, c) come in
+    sorted order; each maps to its terms (v, (i, j), h), meaning h d_v g_ij
+    with i <= j, keeping only the terms whose g_ij depends on coordinate v.
+    Dependence is symbolic (`expr.free_vars`), so it holds at every point.
+    """
+    deps: dict[tuple[int, int], frozenset[int]] = {}
+    for i, j in iproduct(range(spec.dim), repeat=2):
+        names = ex.free_vars(spec.components[i][j])
+        if names:
+            deps[(i, j)] = frozenset(spec.coords.index(n) for n in names)
+    keys: set[tuple[int, int, int]] = set()
+    for (i, j), vs in deps.items():
+        for v in vs:
+            keys.update(((v, i, j), (i, v, j), (i, j, v)))
+    out: ChristoffelTerms = {}
+    for a, b, c in sorted(keys):
+        terms = tuple(
+            (v, (min(pair), max(pair)), h)
+            for v, pair, h in ((a, (b, c), 0.5), (b, (a, c), 0.5), (c, (a, b), -0.5))
+            if v in deps.get(pair, ())
+        )
+        # a == c or b == c can leave one derivative twice, with opposite signs
+        if len({t[:2] for t in terms}) > 1 or sum(t[2] for t in terms):
+            out[(a, b, c)] = terms
+    return out
 
 
 class CurvatureContext:
@@ -229,25 +252,17 @@ class CurvatureContext:
         return out
 
     def _christoffel_first(self) -> dict[tuple[int, int, int], Jet]:
-        cand: set[tuple[int, int, int]] = set()
-        for (i, j) in self._g:
-            for v in self.act_idx:
-                cand.add((v, i, j))
-                cand.add((i, v, j))
-                cand.add((i, j, v))
         out: dict[tuple[int, int, int], Jet] = {}
-        for (a, b, c) in cand:
+        for key, terms in christoffel_terms(self.spec).items():
             acc = None
-            for var, pair, sign in ((a, (b, c), 1.0), (b, (a, c), 1.0), (c, (a, b), -1.0)):
-                if var not in self._act_set:
-                    continue
+            for v, pair, h in terms:
                 gj = self._g.get(pair)
                 if gj is None:
                     continue
-                term = gj.deriv(self.coords[var]).scaled(0.5 * sign)
+                term = gj.deriv(self.coords[v]).scaled(h)
                 acc = term if acc is None else acc + term
             if acc is not None and not acc.is_zero():
-                out[(a, b, c)] = acc
+                out[key] = acc
         return out
 
     def _christoffel_second(self) -> dict[tuple[int, int, int], Jet]:

@@ -12,9 +12,12 @@ two-point problem on [0, 1] closes the same way with
 
     v_c(0) = u_c(1) - u_c(0) + int_0^1 (1 - r) G_c(r) dr.
 
-The structural check is conservative on the symbolic side (free-variable
-sets of the metric components) and numeric on the inverse-metric side
-(nonzero pattern and constancy probed at jittered points).
+Both routes and the structural check read the Christoffel symbols from
+`curvature.christoffel_terms`.  The check is symbolic on the metric side
+(which symbols can be nonzero, and the free variables of the components they
+differentiate) and numeric on the inverse-metric side (nonzero pattern and
+constancy probed at jittered points).  A direct solve checks the structure
+and builds its force evaluator once.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import expr as ex
+from .curvature import christoffel_terms
 from .jets import jet_space
 from .metric import MetricSpec
 
@@ -94,94 +98,51 @@ class GeodesicProblem:
 class ChristoffelPointEvaluator:
     """Pointwise geodesic force for a metric.
 
-    Keeps the structurally nonzero first-kind triples; each call evaluates
-    order-1 jets of the varying metric entries and solves g acc = -w with
-    w_d = sum over velocities of du^a du^b Gamma_abd."""
+    Each call evaluates order-1 jets of the varying metric entries, sums the
+    terms of `curvature.christoffel_terms` on their first partials, and
+    solves g G = w with w_c = sum over velocities of du^a du^b Gamma_abc."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
         m = spec.dim
         self.active = spec.active_vars
-        act_pos = {v: i for i, v in enumerate(self.active)}
-        self._act_idx = {spec.coords.index(v): act_pos[v] for v in self.active}
         # Coefficient slot of each first derivative in an order-1 jet; the
         # graded-lex layout does not follow variable order, so look it up.
-        self._grad_slot: dict[int, int] = {}
+        slot: dict[int, int] = {}
         if self.active:
             sp1 = jet_space(self.active, 1)
-            for v, pos in self._act_idx.items():
+            for pos, name in enumerate(self.active):
                 unit = tuple(1 if k == pos else 0 for k in range(sp1.n))
-                self._grad_slot[v] = sp1.rank[unit]
+                slot[spec.coords.index(name)] = sp1.rank[unit]
         zero = ex.Const(0.0)
-        self._entries = []  # (i, j, expr) for i <= j, structurally nonzero
-        fv = {}
-        for i in range(m):
-            for j in range(i, m):
-                e = spec.components[i][j]
-                if e == zero:
-                    continue
-                self._entries.append((i, j, e))
-                fv[(i, j)] = ex.free_vars(e)
-
-        def dep(v: int, pair: tuple[int, int]) -> bool:
-            key = (min(pair), max(pair))
-            return key in fv and spec.coords[v] in fv[key]
-
-        triples = set()
-        for (i, j) in list(fv):
-            for v in self._act_idx:
-                for pair in ((i, j), (j, i)):
-                    triples.add((v, pair[0], pair[1]))
-                    triples.add((pair[0], v, pair[1]))
-                    triples.add((pair[0], pair[1], v))
-        self.triples = tuple(
-            (a, b, d) for (a, b, d) in sorted(triples)
-            if dep(a, (b, d)) or dep(b, (a, d)) or dep(d, (a, b))
-        )
-
-    def metric_and_grad(self, point: Sequence[float]) -> tuple[np.ndarray, dict]:
-        m = self.spec.dim
-        env = self.spec.env_at(point)
-        g = np.zeros((m, m))
-        grad: dict[tuple[int, int, int], float] = {}
-        for i, j, e in self._entries:
-            if ex.free_vars(e):
-                jet = ex.eval_jet(e, env, self.active, 1)
-                g[i, j] = g[j, i] = jet.value()
-                for v, slot in self._grad_slot.items():
-                    c = jet.coef[slot]
-                    if c != 0.0:
-                        grad[(v, i, j)] = grad[(v, j, i)] = c
-            else:
-                g[i, j] = g[j, i] = ex.eval_point(e, env)
-        return g, grad
-
-    def gamma_first(self, point: Sequence[float]) -> dict[tuple[int, int, int], float]:
-        _, grad = self.metric_and_grad(point)
-        out = {}
-        for a, b, d in self.triples:
-            v = 0.5 * (
-                grad.get((a, b, d), 0.0)
-                + grad.get((b, a, d), 0.0)
-                - grad.get((d, a, b), 0.0)
-            )
-            if v != 0.0:
-                out[(a, b, d)] = v
-        return out
+        self._entries = [  # (i, j, expr, varies) for i <= j, structurally nonzero
+            (i, j, e, bool(ex.free_vars(e)))
+            for i in range(m) for j in range(i, m)
+            if (e := spec.components[i][j]) != zero
+        ]
+        self._terms = [
+            (a, b, c, tuple((slot[v], pair, h) for v, pair, h in terms))
+            for (a, b, c), terms in christoffel_terms(spec).items()
+        ]
 
     def force(self, point: Sequence[float], velocity: np.ndarray) -> np.ndarray:
         """G with lower index raised: g^{cd} w_d; acceleration is -G."""
-        g, grad = self.metric_and_grad(point)
-        w = np.zeros(self.spec.dim)
-        for a, b, d in self.triples:
+        m = self.spec.dim
+        env = self.spec.env_at(point)
+        g = np.zeros((m, m))
+        jet1: dict[tuple[int, int], list[float]] = {}  # value, then first partials
+        for i, j, e, varies in self._entries:
+            if varies:
+                coef = ex.eval_jet(e, env, self.active, 1).coef.tolist()
+                jet1[(i, j)] = coef
+                g[i, j] = g[j, i] = coef[0]
+            else:
+                g[i, j] = g[j, i] = ex.eval_point(e, env)
+        w = np.zeros(m)
+        for a, b, c, terms in self._terms:
             vv = velocity[a] * velocity[b]
-            if vv == 0.0:
-                continue
-            w[d] += vv * 0.5 * (
-                grad.get((a, b, d), 0.0)
-                + grad.get((b, a, d), 0.0)
-                - grad.get((d, a, b), 0.0)
-            )
+            if vv != 0.0:
+                w[c] += vv * sum(h * jet1[pair][s] for s, pair, h in terms)
         return np.linalg.solve(g, w)
 
 
@@ -224,35 +185,18 @@ def triangular_report(spec: MetricSpec, point: Sequence[float]) -> TriangularRep
 
     A coordinate is free when no force component can reach it; it is
     admissibly forced when its force involves only free velocities and only
-    free position dependence.  Metric-side dependence is symbolic; the
-    inverse pattern is probed numerically near `point`."""
+    free position dependence.  Metric-side dependence is read from
+    `christoffel_terms`; the inverse pattern is probed numerically near
+    `point`."""
     m = spec.dim
-    zero = ex.Const(0.0)
-    fv: dict[tuple[int, int], frozenset[str]] = {}
-    for i in range(m):
-        for j in range(i, m):
-            e = spec.components[i][j]
-            if e != zero:
-                fv[(i, j)] = ex.free_vars(e)
-                fv[(j, i)] = fv[(i, j)]
-    act = set(spec.coords.index(v) for v in spec.active_vars)
     gamma_nz: dict[int, set[tuple[int, int]]] = {}
     gamma_dep: dict[int, set[str]] = {}
-    for (i, j), names in list(fv.items()):
-        if not names:
-            continue
-        for v in (spec.coords.index(nm) for nm in names):
-            for (a, b, d) in ((v, i, j), (i, v, j), (i, j, v)):
-                gamma_nz.setdefault(d, set()).add((a, b))
-                gamma_dep.setdefault(d, set()).update(
-                    fv.get((b, d), frozenset()),
-                    fv.get((a, d), frozenset()),
-                    fv.get((a, b), frozenset()),
-                )
+    for (a, b, d), terms in christoffel_terms(spec).items():
+        gamma_nz.setdefault(d, set()).add((a, b))
+        dep = gamma_dep.setdefault(d, set())
+        for _, (i, j), _ in terms:
+            dep |= ex.free_vars(spec.components[i][j])
     inv_nonzero, inv_constant = _inverse_probe(spec, point)
-    all_metric_vars: set[str] = set()
-    for names in fv.values():
-        all_metric_vars |= names
 
     force_pairs: dict[int, set[tuple[int, int]]] = {}
     force_dep: dict[int, set[str]] = {}
@@ -264,7 +208,7 @@ def triangular_report(spec: MetricSpec, point: Sequence[float]) -> TriangularRep
             dep = force_dep.setdefault(c, set())
             dep |= gamma_dep[d]
             if not inv_constant[c, d]:
-                dep |= all_metric_vars
+                dep.update(spec.active_vars)
 
     free = [c for c in range(m) if c not in force_pairs]
     free_set = set(free)
@@ -413,26 +357,30 @@ def _cumulative_moments(
     return k1, k2
 
 
-def triangular_ivp(
-    spec: MetricSpec,
-    start: Sequence[float],
-    velocity: Sequence[float],
-    t_end: float = 1.0,
-    n_samples: int = 101,
-    tol: float = 1e-12,
-) -> Trajectory:
-    """Direct-quadrature route; needs the triangular structure to hold."""
+def _direct_setup(
+    spec: MetricSpec, start: Sequence[float]
+) -> tuple[TriangularReport, np.ndarray, ChristoffelPointEvaluator]:
+    """Structure check and force evaluator, once per direct solve."""
     rep = triangular_report(spec, start)
     if not rep.ok:
         raise TriangularStructureError("; ".join(rep.blocking))
-    m = spec.dim
-    u0 = np.asarray(start, dtype=float)
-    v0 = np.asarray(velocity, dtype=float)
     free_idx = np.array([spec.coords.index(v) for v in rep.free], dtype=int)
-    ev = ChristoffelPointEvaluator(spec)
+    return rep, free_idx, ChristoffelPointEvaluator(spec)
+
+
+def _direct_ivp(
+    spec: MetricSpec,
+    ev: ChristoffelPointEvaluator,
+    free_idx: np.ndarray,
+    u0: np.ndarray,
+    v0: np.ndarray,
+    t_end: float,
+    n_samples: int,
+    tol: float,
+) -> Trajectory:
     grid = np.linspace(0.0, float(t_end), n_samples)
     gfun = _forced_force_fn(spec, ev, u0, v0, free_idx)
-    k1, k2 = _cumulative_moments(gfun, grid, m, tol)
+    k1, k2 = _cumulative_moments(gfun, grid, spec.dim, tol)
     # no force reaches free coordinates; drop solve round-off so they stay
     # exactly affine
     k1[:, free_idx] = 0.0
@@ -443,6 +391,22 @@ def triangular_ivp(
     return Trajectory(grid, u, du)
 
 
+def triangular_ivp(
+    spec: MetricSpec,
+    start: Sequence[float],
+    velocity: Sequence[float],
+    t_end: float = 1.0,
+    n_samples: int = 101,
+    tol: float = 1e-12,
+) -> Trajectory:
+    """Direct-quadrature route; raises TriangularStructureError unless the
+    triangular structure holds at `start`."""
+    _, free_idx, ev = _direct_setup(spec, start)
+    u0 = np.asarray(start, dtype=float)
+    v0 = np.asarray(velocity, dtype=float)
+    return _direct_ivp(spec, ev, free_idx, u0, v0, t_end, n_samples, tol)
+
+
 def triangular_bvp(
     spec: MetricSpec,
     start: Sequence[float],
@@ -451,28 +415,22 @@ def triangular_bvp(
     tol: float = 1e-12,
 ) -> Trajectory:
     """Two-point problem on [0, 1]; the forced velocities close in one
-    quadrature because their force involves free coordinates only."""
-    rep = triangular_report(spec, start)
-    if not rep.ok:
-        raise TriangularStructureError("; ".join(rep.blocking))
-    m = spec.dim
+    quadrature because their force involves free coordinates only, and the
+    trajectory then follows from the same direct route as `triangular_ivp`."""
+    rep, free_idx, ev = _direct_setup(spec, start)
     u0 = np.asarray(start, dtype=float)
     u1 = np.asarray(target, dtype=float)
     v0 = u1 - u0  # exact for free coordinates; corrected below for forced
-    free_idx = np.array([spec.coords.index(v) for v in rep.free], dtype=int)
-    ev = ChristoffelPointEvaluator(spec)
     gfun = _forced_force_fn(spec, ev, u0, v0, free_idx)
 
     def fmom(r: float) -> np.ndarray:
         return (1.0 - r) * gfun(r)
 
     corr = adaptive_simpson(fmom, 0.0, 1.0, tol)
-    forced_idx = np.array(
-        [spec.coords.index(v) for v in rep.forced], dtype=int
-    )
+    forced_idx = np.array([spec.coords.index(v) for v in rep.forced], dtype=int)
     if forced_idx.size:
         v0[forced_idx] += corr[forced_idx]
-    return triangular_ivp(spec, u0, v0, 1.0, n_samples, tol)
+    return _direct_ivp(spec, ev, free_idx, u0, v0, 1.0, n_samples, tol)
 
 
 def solve_geodesic(
@@ -482,22 +440,21 @@ def solve_geodesic(
     tol: float = 1e-12,
 ) -> Trajectory:
     """Dispatch a GeodesicProblem to a route; `method` is auto, rk, or
-    triangular (two-point problems always need the triangular route)."""
+    triangular (two-point problems always need the triangular route).  Auto
+    takes the triangular route and falls back to Runge-Kutta when the
+    structure check rejects the metric."""
     if method not in ("auto", "rk", "triangular"):
         raise ValueError(f"unknown method {method!r}")
     if problem.target is not None:
         return triangular_bvp(problem.spec, problem.start, problem.target,
                               n_samples, tol)
-    if method == "rk":
-        return integrate_ivp(problem.spec, problem.start, problem.velocity,
-                             problem.t_end, n_samples)
-    if method == "triangular":
-        return triangular_ivp(problem.spec, problem.start, problem.velocity,
-                              problem.t_end, n_samples, tol)
-    rep = triangular_report(problem.spec, problem.start)
-    if rep.ok:
-        return triangular_ivp(problem.spec, problem.start, problem.velocity,
-                              problem.t_end, n_samples, tol)
+    if method != "rk":
+        try:
+            return triangular_ivp(problem.spec, problem.start, problem.velocity,
+                                  problem.t_end, n_samples, tol)
+        except TriangularStructureError:
+            if method == "triangular":
+                raise
     return integrate_ivp(problem.spec, problem.start, problem.velocity,
                          problem.t_end, n_samples)
 

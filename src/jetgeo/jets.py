@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,14 +25,6 @@ __all__ = [
     "JetOrderError",
     "NonFiniteError",
     "jet_space",
-    "jet_add",
-    "jet_mul",
-    "jet_neg",
-    "jet_pow",
-    "jet_exp",
-    "jet_sin",
-    "jet_cos",
-    "extract_partial",
 ]
 
 
@@ -123,7 +115,7 @@ class JetSpace:
     def _mul(self):
         # Symmetrized pair table: rows with ia < ib contribute
         # a[ia]*b[ib] + a[ib]*b[ia], diagonal rows contribute a[ia]*b[ia].
-        # The symmetry makes jet_mul(a, b) and jet_mul(b, a) bit-identical.
+        # The symmetry makes a * b and b * a bit-identical.
         if self._mul_tables is None:
             off_a: list[int] = []
             off_b: list[int] = []
@@ -331,35 +323,3 @@ class Jet:
     def __repr__(self):
         return f"Jet(vars={self.variables}, order={self.order}, value={self.value()!r})"
 
-
-# Functional aliases for the method API.
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_neg(a: Jet) -> Jet:
-    return -a
-
-
-def jet_pow(a: Jet, exponent: int) -> Jet:
-    return a.pow(exponent)
-
-
-def jet_exp(a: Jet) -> Jet:
-    return a.exp()
-
-
-def jet_sin(a: Jet) -> Jet:
-    return a.sin()
-
-
-def jet_cos(a: Jet) -> Jet:
-    return a.cos()
-
-
-def extract_partial(a: Jet, m: Iterable[int]) -> float:
-    return a.extract(tuple(m))

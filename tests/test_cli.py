@@ -184,6 +184,14 @@ def test_check_degenerate_profile_fails_precondition(capsys):
          "grid over 'z'"),
         (["alpha", "--family", "p=0, f=y^8 + y^9", "--grid", "y=-0.5:0.5:3"],
          "positive at y=-0.5"),
+        (["curvature", "--family", "p=0, f=exp(y)", "--point", "nan,0,0,0,0,0"],
+         "--point must be finite"),
+        (["check", "--family", "p=0, f=exp(y)", "--point", "0,-inf,0,0,0,0"],
+         "--point must be finite"),
+        (["alpha", "--family", "p=0, f=exp(y)", "--grid", "y=0:nan:3"],
+         "grid bounds must be finite"),
+        (["alpha", "--family", "p=0, f=exp(y)", "--grid", "y=-1e400:1:3"],
+         "grid bounds must be finite"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, needle):
@@ -200,3 +208,10 @@ def test_numeric_failure_exits_3(capsys, sphere_path):
     assert code == 3
     assert err.startswith("jetgeo: numeric failure: ")
     assert "degenerate" in err
+
+
+@pytest.mark.parametrize("point", ["inf,0.3", "1e400,0.3"])
+def test_non_finite_point_on_spec_exits_2(capsys, sphere_path, point):
+    code, out, err = run(capsys, ["curvature", "--spec", sphere_path, "--point", point])
+    assert code == 2 and out == ""
+    assert err == f"jetgeo: input error: --point must be finite, got {point!r}\n"

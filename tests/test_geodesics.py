@@ -1,19 +1,16 @@
-"""Geodesics: the per-point Christoffel evaluator, triangular-structure
+"""Geodesics: the per-point geodesic force, triangular-structure
 analysis, dual-route integration with energy conservation, and the
 exp/log boundary maps."""
+import itertools
+
 import numpy as np
 import pytest
 
 from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo import geodesics as geo
-from jetgeo.curvature import CurvatureContext
-from jetgeo.metric import MetricSpec, two_sphere
-
-
-def dict_gap(a, b):
-    keys = set(a) | set(b)
-    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
+from jetgeo.curvature import CurvatureContext, christoffel_terms
+from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
 
 
 def family_setup():
@@ -22,25 +19,80 @@ def family_setup():
     return spec, fam.base_point(params, 0.3, [0.6])
 
 
+def three_metric():
+    spec = metric_from_strings(
+        ("a", "b", "c"),
+        {(0, 0): "exp(2*c)", (1, 1): "1 + b^2", (2, 2): "2 + sin(a)",
+         (0, 1): "0.5*a", (1, 2): "0.25*c"},
+        (0, 3),
+    )
+    return spec, np.array([0.2, -0.3, 0.1])
+
+
 def flat_plane():
     one = ex.parse("1", ("u", "v"))
     return MetricSpec(("u", "v"), {(0, 0): one, (1, 1): one}, (2, 0))
 
 
 # --------------------------------------------------------------- evaluator
-def test_point_evaluator_matches_curvature_context():
-    # same Christoffel symbols from two independent implementations: the
-    # geodesic evaluator works on order-1 jets, the curvature context on
-    # order-2 jets with its own index bookkeeping
-    spec, pt = family_setup()
-    ev = geo.ChristoffelPointEvaluator(spec)
-    ch = CurvatureContext(spec, pt, 0).christoffels()
-    assert dict_gap(ev.gamma_first(pt), ch.first) <= 1e-12
+def test_force_matches_sphere_closed_form():
+    # theta'' = sin cos phi'^2 and phi'' = -2 cot theta' phi'; force is -acc
+    ev = geo.ChristoffelPointEvaluator(two_sphere())
+    for th, ph, dth, dph in ((0.8, 0.1, 0.3, -0.7), (2.1, -1.0, -0.4, 0.5), (1.2, 0.0, 0.0, 1.3)):
+        got = ev.force((th, ph), np.array([dth, dph]))
+        want = [-np.sin(th) * np.cos(th) * dph ** 2, 2.0 * dth * dph / np.tan(th)]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
-    sph = two_sphere()
-    evs = geo.ChristoffelPointEvaluator(sph)
-    chs = CurvatureContext(sph, (0.8, 0.1), 0).christoffels()
-    assert dict_gap(evs.gamma_first((0.8, 0.1)), chs.first) <= 1e-12
+
+def test_force_matches_finite_differences():
+    spec, pt = three_metric()
+    m = 3
+    h = 1e-5
+    dg = np.zeros((m, m, m))  # dg[v, i, j] = d_v g_ij
+    for v in range(m):
+        e = np.zeros(m)
+        e[v] = h
+        dg[v] = (spec.value(pt + e) - spec.value(pt - e)) / (2 * h)
+    first = np.zeros((m, m, m))
+    for a, b, c in itertools.product(range(m), repeat=3):
+        first[a, b, c] = 0.5 * (dg[a, b, c] + dg[b, a, c] - dg[c, a, b])
+    ev = geo.ChristoffelPointEvaluator(spec)
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        vel = rng.standard_normal(m)
+        want = np.linalg.solve(spec.value(pt), np.einsum("a,b,abd->d", vel, vel, first))
+        np.testing.assert_allclose(ev.force(pt, vel), want, rtol=1e-7, atol=1e-8)
+
+
+def test_christoffel_terms_are_the_engine_nonzeros():
+    # symbols the symbolic structure allows are exactly those the curvature
+    # engine finds nonzero at a generic point
+    spec, pt = family_setup()
+    for s, q in ((two_sphere(), (0.8, 0.1)), (spec, pt), three_metric()):
+        terms = christoffel_terms(s)
+        assert list(terms) == sorted(terms)
+        assert set(terms) == set(CurvatureContext(s, q, 0).christoffels().first)
+
+
+def test_direct_route_set_up_once_per_solve(monkeypatch):
+    counts = {"report": 0, "evaluator": 0}
+    report, init = geo.triangular_report, geo.ChristoffelPointEvaluator.__init__
+
+    def counted_report(*args):
+        counts["report"] += 1
+        return report(*args)
+
+    def counted_init(self, *args):
+        counts["evaluator"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(geo, "triangular_report", counted_report)
+    monkeypatch.setattr(geo.ChristoffelPointEvaluator, "__init__", counted_init)
+    spec, pt = family_setup()
+    target = geo.exp_map(spec, pt, (0.1, 0.2, -0.1, 0.3, 0.0, 0.1))
+    counts.update(report=0, evaluator=0)
+    geo.exp_map(spec, pt, geo.log_map(spec, pt, tuple(target)))
+    assert counts == {"report": 2, "evaluator": 2}
 
 
 # ------------------------------------------------------------------ report
