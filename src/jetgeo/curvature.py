@@ -119,6 +119,11 @@ def christoffel_terms(spec: MetricSpec) -> ChristoffelTerms:
     return out
 
 
+def _flush(coef: np.ndarray, scale: float) -> np.ndarray:
+    """`coef` with the entries at machine noise against `scale` set to 0."""
+    return np.where(np.abs(coef) <= 64.0 * np.finfo(float).eps * scale, 0.0, coef)
+
+
 class CurvatureContext:
     """Jets of the curvature hierarchy of `spec` at `point`.
 
@@ -189,9 +194,20 @@ class CurvatureContext:
         With g = g0 + N and N free of constant term, N is nilpotent in the
         truncated algebra, so `order` sweeps of S <- h0 - h0 N S land on the
         exact truncated inverse.
+
+        h0 is `ginv0` with its roundoff images of zero set to exact zeros, by
+        the rule that cleans the result at the end (`_flush`).  An entry the
+        exact inverse has as 0 often comes out of `np.linalg.inv` as about
+        1e-17; through the sweeps it would fill the inverse jets (at p = 5
+        in the family, 16,445 of 19,448 coefficients where 38 are nonzero),
+        and every product with them would be dense.  max|h0| is at most the
+        scale of the end flush, so the seed zeroes only entries that flush
+        deletes from the constant terms anyway.  `ginv0` itself is kept as
+        computed.  Both floors are stopgaps: coefficient error bounds are to
+        replace them (ROADMAP, error-bounded zero decisions).
         """
         m = self.dim
-        h0 = self.ginv0
+        h0 = _flush(self.ginv0, np.max(np.abs(self.ginv0)))
         space = self._space
         nil: dict[tuple[int, int], Jet] = {}
         for (i, j), jet in self._g.items():
@@ -238,13 +254,12 @@ class CurvatureContext:
         # symbols merely tiny, and those breed spurious curvature support that
         # grows exponentially with the derivative level.
         scale = max((np.max(np.abs(j.coef)) for j in s.values()), default=0.0)
-        floor = 64.0 * np.finfo(float).eps * scale
         cleaned: dict[int, Jet | None] = {}
         out: dict[tuple[int, int], Jet] = {}
         for key, jet in s.items():
             mark = id(jet)
             if mark not in cleaned:
-                coef = np.where(np.abs(jet.coef) <= floor, 0.0, jet.coef)
+                coef = _flush(jet.coef, scale)
                 cleaned[mark] = Jet(jet.space, coef) if coef.any() else None
             cj = cleaned[mark]
             if cj is not None:

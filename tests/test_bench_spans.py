@@ -1,5 +1,6 @@
 """The traced benchmark run wraps jetgeo entry points by name
-(`bench/spans.py`); a renamed or deleted entry point must fail here rather
+(`bench/spans.py`) and its wrappers read jetgeo internals such as
+`JetSpace._mul_tables`; a renamed or deleted name must fail here rather
 than only when the benchmark runs with `--trace 1`."""
 import os
 import subprocess
@@ -9,10 +10,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_spans_install_finds_every_wrapped_name():
+def _run_with_spans(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "bench")]))
-    res = subprocess.run(
-        [sys.executable, "-c", "import spans; spans.install(spans.Tracer())"],
+    return subprocess.run(
+        [sys.executable, "-c", code],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
+
+
+def test_spans_install_finds_every_wrapped_name():
+    res = _run_with_spans("import spans; spans.install(spans.Tracer())")
     assert res.returncode == 0, res.stderr
+
+
+TRACED_FAMILY = """
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+tracer.active = True
+from jetgeo import expr, family
+from jetgeo.curvature import CurvatureContext
+params = family.FamilyParams(0, expr.parse("exp(y) + exp(2*y)", ("y",)))
+ctx = CurvatureContext(family.build_metric(params), family.base_point(params, 0.1, [0.2]), 1)
+ctx.curvature(1)
+print(sorted({tracer.names[i] for i in tracer.name}))
+"""
+
+
+def test_traced_family_context_runs():
+    res = _run_with_spans(TRACED_FAMILY)
+    assert res.returncode == 0, res.stderr
+    assert "jets.table_build" in res.stdout and "curvature.context_build" in res.stdout

@@ -18,8 +18,8 @@ from jetgeo.curvature import (
     scalar_curvature,
     skew_curvature_operator,
 )
-from jetgeo.family import FamilyParams, build_metric, base_point
-from jetgeo.jets import JetOrderError
+from jetgeo.family import FamilyParams, alpha_via_jacobi, build_metric, base_point
+from jetgeo.jets import SPARSE_PAIR_COST, JetOrderError, jet_space
 from jetgeo.metric import flat_metric, metric_from_strings, two_sphere
 
 
@@ -217,6 +217,26 @@ def test_curvature_symmetries_family():
             assert comp.get((c, d, a, b) + rest, 0.0) == pytest.approx(v, rel=1e-12)
             cyc = v + comp.get((b, c, a, d) + rest, 0.0) + comp.get((c, a, b, d) + rest, 0.0)
             assert cyc == pytest.approx(0.0, abs=1e-12)
+
+
+def test_family_products_never_build_a_pair_table():
+    # At this point np.linalg.inv(g0) leaves about 2e-17 where the exact
+    # inverse has 0.  Unless the Neumann sweeps start from an exact zero,
+    # that entry fills the inverse jets, the products turn dense and the
+    # route rule builds the pair table of the largest spaces.
+    params = FamilyParams(4, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    pt = base_point(params, 0.28, [-0.43, 0.38, -0.3, -0.2, 0.34])
+    jet_space.cache_clear()  # spaces whose tables other tests built
+    ctx = CurvatureContext(build_metric(params), pt, 7)
+    for k in range(8):
+        ctx.curvature(k)
+    alpha_via_jacobi(params, pt, context=ctx)
+    # the route rule keeps spaces of at most SPARSE_PAIR_COST pairs (here
+    # orders 0 to 3) on the table route
+    spaces = [jet_space(ctx.active, o) for o in range(ctx.order + 1)]
+    can_be_sparse = [sp.order for sp in spaces if sp._pairs > SPARSE_PAIR_COST]
+    assert can_be_sparse == list(range(4, ctx.order + 1))
+    assert [o for o in can_be_sparse if spaces[o]._mul_tables is not None] == []
 
 
 def test_exhaustive_matches_sparse():

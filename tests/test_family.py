@@ -149,6 +149,15 @@ def test_alpha_jacobi_route_matches_closed_form(p):
         assert got == pytest.approx(fam.alpha_closed_form(params, y), rel=1e-12)
 
 
+def test_alpha_jacobi_route_matches_closed_form_at_p6():
+    # dimension 18, jets in 8 variables to order 11: the sparse product
+    # route makes this a routine size
+    params = make_params(6)
+    pt = fam.base_point(params, 0.3, [0.2] * 7)
+    got = fam.alpha_via_jacobi(params, pt)
+    assert got == pytest.approx(fam.alpha_closed_form(params, 0.3), rel=1e-9)
+
+
 def test_alpha_jacobi_auxiliary_product_invariance():
     # the quotient is independent of the auxiliary inner product because the
     # compared vectors are parallel

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetgeo.jets import (
     Jet,
@@ -155,6 +157,71 @@ def test_pow_matches_repeated_product():
     np.testing.assert_allclose(a.pow(3).coef, (a * a * a).coef, rtol=1e-14, atol=1e-14)
     with pytest.raises(ValueError):
         a.pow(-2)
+
+
+# ------------------------------------------------------- product routes
+DENSITIES = (0.0, 0.01, 0.05, 0.2, 0.6, 1.0)
+
+
+def _operand(space, rng, density):
+    # nonzeros over several decades; the zeros are a mix of 0.0 and -0.0
+    keep = rng.random(space.size) < density
+    vals = rng.standard_normal(space.size) * 10.0 ** rng.integers(-8, 9, space.size)
+    zeros = np.where(rng.random(space.size) < 0.5, -0.0, 0.0)
+    return np.where(keep, vals, zeros)
+
+
+@given(
+    n=st.integers(1, 5),
+    order=st.integers(0, 6),
+    dens_a=st.sampled_from(DENSITIES),
+    dens_b=st.sampled_from(DENSITIES),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(n=3, order=6, dens_a=1.0, dens_b=0.01, seed=0)
+@example(n=5, order=5, dens_a=0.01, dens_b=1.0, seed=1)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_product_routes_bit_identical(n, order, dens_a, dens_b, seed):
+    sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
+    rng = np.random.default_rng(seed)
+    a, b = _operand(sp, rng, dens_a), _operand(sp, rng, dens_b)
+    table = sp._accumulate(a, b, *sp._mul())
+    sparse = sp._accumulate(a, b, *sp._sparse_rows(a, b))
+    assert sparse.tobytes() == table.tobytes()
+    assert sp._accumulate(b, a, *sp._sparse_rows(b, a)).tobytes() == sparse.tobytes()
+    assert sp.multiply(a, b).tobytes() == table.tobytes()
+
+
+def test_non_finite_operands_take_the_table_route():
+    # inf * 0 is nan on the table route; the sparse route would skip it
+    sp = jet_space(("a", "b", "c"), 4)
+    a = np.zeros(sp.size)
+    a[sp.rank[(0, 2, 0)]] = math.inf
+    b = np.zeros(sp.size)
+    b[sp.rank[(1, 0, 0)]] = 1.0
+    assert sp._sparse_rows(a, b) is None
+    with np.errstate(invalid="ignore"):
+        out = sp.multiply(a, b)
+        assert out.tobytes() == sp._accumulate(a, b, *sp._mul()).tobytes()
+    assert np.isnan(out[sp.rank[(0, 2, 0)]]) and out[sp.rank[(1, 2, 0)]] == math.inf
+
+
+def test_wide_space_codes_are_python_ints():
+    # (order + 1) ** (n + 1) overflows int64 here, so the codes fall back
+    # to Python integers; layout, derivatives and products still hold
+    sp = jet_space(tuple(f"v{i}" for i in range(40)), 2)
+    assert sp._codes.dtype == object
+    assert sp.size == binom(42, 40)
+    assert all(sp.rank[m] == r for r, m in enumerate(sp.multis))
+    rng = np.random.default_rng(9)
+    x, y = dyadic_jet(sp, rng), dyadic_jet(sp, rng)
+    last = [sp.rank[(0,) * 39 + (k,)] for k in range(3)]  # 1, v39, v39^2
+    assert (x * y).coef[last[2]] == sum(x.coef[last[i]] * y.coef[last[2 - i]] for i in range(3))
+    assert np.array_equal(
+        sp._accumulate(x.coef, y.coef, *sp._sparse_rows(x.coef, y.coef)),
+        sp._accumulate(x.coef, y.coef, *sp._mul()),
+    )
+    assert x.deriv("v39").coef[last[1]] == 2 * x.coef[last[2]]
 
 
 # ----------------------------------------------------------- deriv/extract
