@@ -21,7 +21,7 @@ cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,25 +64,33 @@ class Christoffels:
     second: Mapping[tuple[int, int, int], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TensorField:
-    """Point values of a level-k curvature tensor (4 + k lower slots)."""
+    """Point values of a level-k curvature tensor (4 + k lower slots).
+
+    Row r of `index` is the index tuple of the r-th nonzero component and
+    `values[r]` its value, in the context's level order; zeros are omitted.
+    """
 
     dim: int
     level: int
-    components: Mapping[tuple[int, ...], float]
+    index: np.ndarray  # (nnz, 4 + level) ints
+    values: np.ndarray  # (nnz,) floats
 
     @property
     def rank(self) -> int:
         return 4 + self.level
+
+    @property
+    def components(self) -> dict[tuple[int, ...], float]:
+        return dict(zip(zip(*self.index.T.tolist()), self.values.tolist()))
 
     def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
         n = self.dim ** self.rank
         if n > cap:
             raise ValueError(f"dense tensor would hold {n} entries, cap is {cap}")
         out = np.zeros((self.dim,) * self.rank)
-        for idx, v in self.components.items():
-            out[idx] = v
+        out[tuple(self.index.T)] = self.values
         return out
 
 
@@ -117,6 +125,29 @@ def christoffel_terms(spec: MetricSpec) -> ChristoffelTerms:
         if len({t[:2] for t in terms}) > 1 or sum(t[2] for t in terms):
             out[(a, b, c)] = terms
     return out
+
+
+def _contract(
+    view: TensorField,
+    factors: Sequence[tuple[tuple[int, ...], np.ndarray]],
+    out_slots: tuple[int, ...] = (),
+) -> np.ndarray:
+    """Sum of value * f_1 * ... * f_n over the components of `view`, binned
+    by their indices in `out_slots` (one output axis per out slot).
+
+    A factor (slots, a) reads `a` at the component's indices in `slots`.
+    Each term is the value times the factors in the order given, and
+    `np.bincount` adds the terms in row order, as a loop over the components
+    would, so the sums are those of that loop bit for bit.
+    """
+    w = view.values
+    for slots, a in factors:
+        w = w * np.asarray(a, dtype=float)[tuple(view.index[:, s] for s in slots)]
+    bins = np.zeros(len(w), dtype=np.intp)
+    for s in out_slots:
+        bins = bins * view.dim + view.index[:, s]
+    size = view.dim ** len(out_slots)
+    return np.bincount(bins, weights=w, minlength=size).reshape((view.dim,) * len(out_slots))
 
 
 def _flush(coef: np.ndarray, scale: float) -> np.ndarray:
@@ -186,6 +217,7 @@ class CurvatureContext:
             self._rev.setdefault(c, []).append((a, b))
 
         self._levels: list[dict[tuple[int, ...], Jet]] = []
+        self._views: dict[int, TensorField] = {}
 
     # ------------------------------------------------------------ plumbing
     def _neumann_inverse(self) -> dict[tuple[int, int], Jet]:
@@ -395,20 +427,30 @@ class CurvatureContext:
         return Christoffels(self.dim, first, second)
 
     def curvature(self, k: int = 0) -> TensorField:
-        comp = {idx: j.value() for idx, j in self._level(k).items() if j.value() != 0.0}
-        return TensorField(self.dim, k, comp)
+        """The level-k point values, built once per level.
+
+        This is the one place that decides which components are zero at the
+        point; every contraction reads this view.
+        """
+        view = self._views.get(k)
+        if view is None:
+            level = self._level(k)
+            values = np.array([jet.coef[0] for jet in level.values()], dtype=float)
+            keep = values != 0.0
+            index = np.fromiter(chain.from_iterable(level), np.intp, len(level) * (4 + k))
+            index = index.reshape(-1, 4 + k)[keep]
+            values = values[keep]
+            index.setflags(write=False)
+            values.setflags(write=False)
+            view = self._views[k] = TensorField(self.dim, k, index, values)
+        return view
 
     def support(self, k: int = 0) -> frozenset[tuple[int, ...]]:
         """Index tuples whose level-k jet is not identically zero here."""
         return frozenset(self._level(k))
 
     def ricci(self) -> np.ndarray:
-        rho = np.zeros((self.dim, self.dim))
-        for (i, a, b, j), jet in self._level(0).items():
-            w = self.ginv0[i, j]
-            if w != 0.0:
-                rho[a, b] += w * jet.value()
-        return rho
+        return _contract(self.curvature(0), [((0, 3), self.ginv0)], (1, 2))
 
     def scalar(self) -> float:
         rho = self.ricci()
@@ -418,15 +460,7 @@ class CurvatureContext:
         """Full contraction of the level-k tensor with 4 + k vectors."""
         if len(vectors) != 4 + k:
             raise ValueError(f"need {4 + k} vectors, got {len(vectors)}")
-        total = 0.0
-        for idx, jet in self._level(k).items():
-            w = jet.value()
-            if w == 0.0:
-                continue
-            for s, i in enumerate(idx):
-                w *= vectors[s][i]
-            total += w
-        return total
+        return float(_contract(self.curvature(k), [((s,), v) for s, v in enumerate(vectors)]))
 
     def contract_open(
         self, k: int, vectors: Sequence[np.ndarray | None], open_slot: int
@@ -434,17 +468,8 @@ class CurvatureContext:
         """Contract all slots except `open_slot`; returns a lower-index vector."""
         if len(vectors) != 4 + k:
             raise ValueError(f"need {4 + k} vector entries, got {len(vectors)}")
-        out = np.zeros(self.dim)
-        for idx, jet in self._level(k).items():
-            w = jet.value()
-            if w == 0.0:
-                continue
-            for s, i in enumerate(idx):
-                if s == open_slot:
-                    continue
-                w *= vectors[s][i]
-            out[idx[open_slot]] += w
-        return out
+        factors = [((s,), v) for s, v in enumerate(vectors) if s != open_slot]
+        return _contract(self.curvature(k), factors, (open_slot,))
 
     # --------------------------------------------------- exhaustive oracles
     def level_exhaustive(self, k: int, cap: int = 2_000_000) -> dict[tuple[int, ...], Jet]:
@@ -496,11 +521,7 @@ def jacobi_operator(ctx: CurvatureContext, direction: Sequence[float]) -> np.nda
     x = np.asarray(direction, dtype=float)
     if x.shape != (ctx.dim,):
         raise ValueError(f"direction must have length {ctx.dim}")
-    low = np.zeros((ctx.dim, ctx.dim))
-    for (d, i, j, l), jet in ctx._level(0).items():
-        w = jet.value() * x[i] * x[j]
-        if w != 0.0:
-            low[d, l] += w
+    low = _contract(ctx.curvature(0), [((1,), x), ((2,), x)], (0, 3))
     return ctx.ginv0 @ low.T
 
 
@@ -550,9 +571,5 @@ def skew_curvature_operator(
     """Matrix of v -> metric-dual of R(u1, u2, v, .), with (u1, u2) the
     oriented orthonormalization of the given plane."""
     u1, u2 = _plane_basis(ctx.g0, np.asarray(e1, float), np.asarray(e2, float))
-    low = np.zeros((ctx.dim, ctx.dim))
-    for (i, j, d, l), jet in ctx._level(0).items():
-        w = jet.value() * u1[i] * u2[j]
-        if w != 0.0:
-            low[d, l] += w
+    low = _contract(ctx.curvature(0), [((0,), u1), ((1,), u2)], (2, 3))
     return ctx.ginv0 @ low.T

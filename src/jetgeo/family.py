@@ -90,10 +90,6 @@ def family_coords(p: int) -> tuple[str, ...]:
     return ("x", "y") + zs + ("xbar", "ybar") + tuple(f"zbar{i}" for i in range(p + 1))
 
 
-def _idx(p: int) -> dict[str, int]:
-    return {"x": 0, "y": 1, "xbar": p + 3, "ybar": p + 4}
-
-
 def build_metric(params: FamilyParams) -> MetricSpec:
     p = params.p
     coords = family_coords(p)
@@ -206,7 +202,7 @@ def oracle_delta(
 ) -> float:
     """Largest absolute gap between engine and closed-form level-k components."""
     ctx = context or CurvatureContext(build_metric(params), point, k)
-    engine = {idx: jet.value() for idx, jet in ctx._level(k).items()}
+    engine = ctx.curvature(k).components
     oracle = oracle_nabla_k_r(params, point, k)
     delta = 0.0
     for idx in set(engine) | set(oracle):
@@ -476,9 +472,7 @@ def _frame_components(
     """Transform the sparse level-k tensor into the span of `reps`."""
     q = len(reps)
     pmat = np.asarray(reps, dtype=float)
-    cur: dict[tuple[int, ...], float] = {
-        idx: jet.value() for idx, jet in ctx._level(k).items() if jet.value() != 0.0
-    }
+    cur = ctx.curvature(k).components
     for s in range(4 + k):
         nxt: dict[tuple[int, ...], float] = {}
         for idx, v in cur.items():
@@ -553,10 +547,7 @@ def model_kernel(
     m = ctx.dim
     rows: dict[tuple, np.ndarray] = {}
     for k in range(k_max + 1):
-        for idx, jet in ctx._level(k).items():
-            v = jet.value()
-            if v == 0.0:
-                continue
+        for idx, v in ctx.curvature(k).components.items():
             for s in range(4 + k):
                 key = (k, s, idx[:s] + idx[s + 1:])
                 row = rows.get(key)

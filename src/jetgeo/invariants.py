@@ -15,9 +15,10 @@ emits canonical representatives.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from random import Random
 from typing import Iterable, Sequence
 
@@ -50,6 +51,14 @@ class CapsExceededError(RuntimeError):
 
 def _slots(factors: Sequence[int]) -> int:
     return sum(4 + k for k in factors)
+
+
+def _offsets(factors: Sequence[int]) -> list[int]:
+    """First global slot of each factor."""
+    offs = [0]
+    for k in factors[:-1]:
+        offs.append(offs[-1] + 4 + k)
+    return offs
 
 
 def matching_count(n_slots: int) -> int:
@@ -90,49 +99,29 @@ class ContractionSchema:
 
     def canonical_key(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         """Identity under reordering of equal-level factors."""
-        order = sorted(range(len(self.factors)), key=lambda i: self.factors[i])
-        sorted_factors = tuple(self.factors[i] for i in order)
-        offs_new = [0]
-        for k in sorted_factors[:-1]:
-            offs_new.append(offs_new[-1] + 4 + k)
-        offs_old = [0]
-        for k in self.factors[:-1]:
-            offs_old.append(offs_old[-1] + 4 + k)
-        # group canonical positions by level, permute within each group
+        sorted_factors = tuple(sorted(self.factors))
+        offs_new = _offsets(sorted_factors)
+        offs_old = _offsets(self.factors)
+        # canonical positions by level, and the factors that may fill them
         groups: dict[int, list[int]] = {}
         for pos, k in enumerate(sorted_factors):
             groups.setdefault(k, []).append(pos)
         sources: dict[int, list[int]] = {}
         for i, k in enumerate(self.factors):
             sources.setdefault(k, []).append(i)
-        best: tuple[tuple[int, int], ...] | None = None
         levels = sorted(groups)
-        perms_per_level = [list(permutations(sources[k])) for k in levels]
 
-        def rec(li: int, assign: dict[int, int]):
-            nonlocal best
-            if li == len(levels):
-                remap: dict[int, int] = {}
-                for old_i, new_pos in assign.items():
-                    w = 4 + self.factors[old_i]
-                    for t in range(w):
-                        remap[offs_old[old_i] + t] = offs_new[new_pos] + t
-                pairs = tuple(sorted(
-                    (min(remap[a], remap[b]), max(remap[a], remap[b]))
-                    for a, b in self.pairing
-                ))
-                if best is None or pairs < best:
-                    best = pairs
-                return
-            k = levels[li]
-            for perm in perms_per_level[li]:
-                nxt = dict(assign)
+        def relabelled(perms: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
+            remap: dict[int, int] = {}
+            for k, perm in zip(levels, perms):
                 for old_i, new_pos in zip(perm, groups[k]):
-                    nxt[old_i] = new_pos
-                rec(li + 1, nxt)
+                    for t in range(4 + k):
+                        remap[offs_old[old_i] + t] = offs_new[new_pos] + t
+            return tuple(sorted(
+                (min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in self.pairing
+            ))
 
-        rec(0, {})
-        assert best is not None
+        best = min(map(relabelled, product(*(permutations(sources[k]) for k in levels))))
         return (sorted_factors, best)
 
     def canonical(self) -> "ContractionSchema":
@@ -276,45 +265,45 @@ def evaluate(
     spec: MetricSpec,
     point: Sequence[float],
     context: CurvatureContext | None = None,
-    work_limit: int = WORK_LIMIT,
 ) -> float:
-    """Value of the invariant at `point`, summed over sparse factor supports."""
+    """Value of the invariant at `point`, summed over sparse factor supports.
+
+    The factors are joined one at a time over their level views
+    (`CurvatureContext.curvature`).  A combination is a row of picks, one
+    component of each factor joined so far, and it is dropped as soon as one
+    of its closed pairs meets a zero of `ginv0`.  Each kept term is the
+    product of the factor values and then of the g^ab in pairing order, and
+    the terms are added in the order of nested loops over the factors.
+    """
     ctx = context or CurvatureContext(spec, point, max(schema.factors))
-    comps = []
-    for k in schema.factors:
-        vals = [(idx, jet.value()) for idx, jet in ctx._level(k).items()
-                if jet.value() != 0.0]
-        comps.append(vals)
-    work = 1
-    for vals in comps:
-        work *= max(1, len(vals))
-    if work > work_limit:
+    views = [ctx.curvature(k) for k in schema.factors]
+    work = math.prod(max(1, len(view.values)) for view in views)
+    if work > WORK_LIMIT:
         raise CapsExceededError(f"evaluation needs {work} support combinations")
-    offs = [0]
-    for k in schema.factors[:-1]:
-        offs.append(offs[-1] + 4 + k)
+    owner = [f for f, k in enumerate(schema.factors) for _ in range(4 + k)]
+    offs = _offsets(schema.factors)
     g = ctx.ginv0
-    total = 0.0
+    picks: list[np.ndarray] = []
+    weight = np.ones(1)
 
-    def rec(fi: int, slot_val: list[int], weight: float):
-        nonlocal total
-        if fi == len(comps):
-            w = weight
-            for a, b in schema.pairing:
-                w *= g[slot_val[a], slot_val[b]]
-                if w == 0.0:
-                    return
-            total += w
-            return
-        off = offs[fi]
-        width = 4 + schema.factors[fi]
-        for idx, v in comps[fi]:
-            slot_val[off:off + width] = idx
-            rec(fi + 1, slot_val, weight * v)
+    def at(slot: int) -> np.ndarray:
+        f = owner[slot]
+        return views[f].index[picks[f], slot - offs[f]]
 
-    if all(comps_k for comps_k in comps):
-        rec(0, [0] * schema.n_slots, 1.0)
-    return float(total)
+    for f, view in enumerate(views):
+        n = len(view.values)
+        rows = np.repeat(np.arange(len(weight)), n)
+        picks = [p[rows] for p in picks] + [np.tile(np.arange(n), len(weight))]
+        weight = weight[rows] * view.values[picks[f]]
+        keep = np.ones(len(weight), dtype=bool)
+        for a, b in schema.pairing:
+            if owner[b] == f:  # a < b, so the pair closes with factor f
+                keep &= g[at(a), at(b)] != 0.0
+        picks = [p[keep] for p in picks]
+        weight = weight[keep]
+    for a, b in schema.pairing:
+        weight = weight * g[at(a), at(b)]
+    return float(np.bincount(np.zeros(len(weight), dtype=np.intp), weights=weight, minlength=1)[0])
 
 
 def evaluate_dense(
@@ -330,8 +319,6 @@ def evaluate_dense(
         raise CapsExceededError("too many slots for the dense evaluator")
     letters = "abcdefghijklmnopqrstuvwxyz"
     slot_letter = [letters[i] for i in range(n)]
-    pair_letter = {}
-    li = n
     subs = []
     ops = []
     off = 0
@@ -341,7 +328,6 @@ def evaluate_dense(
         subs.append("".join(slot_letter[off:off + 4 + k]))
         off += 4 + k
     for a, b in schema.pairing:
-        pair_letter[(a, b)] = (slot_letter[a], slot_letter[b])
         ops.append(ctx.ginv0)
         subs.append(slot_letter[a] + slot_letter[b])
     expr_str = ",".join(subs) + "->"

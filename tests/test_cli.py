@@ -215,3 +215,15 @@ def test_non_finite_point_on_spec_exits_2(capsys, sphere_path, point):
     code, out, err = run(capsys, ["curvature", "--spec", sphere_path, "--point", point])
     assert code == 2 and out == ""
     assert err == f"jetgeo: input error: --point must be finite, got {point!r}\n"
+
+
+def test_short_signature_in_spec_exits_2(capsys, tmp_path):
+    path = tmp_path / "short.json"
+    path.write_text(
+        '{"dim": 2, "coords": ["a", "b"], "signature": [0], "components": '
+        '[{"i": 0, "j": 0, "expr": "1"}, {"i": 1, "j": 1, "expr": "1"}]}'
+    )
+    code, out, err = run(capsys, ["curvature", "--spec", str(path), "--point", "1,0"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"jetgeo: input error: bad spec file {path}: ")
+    assert err.count("\n") == 1
