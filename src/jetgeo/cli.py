@@ -457,6 +457,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _NUMERIC_ERRORS as err:
         print(f"jetgeo: numeric failure: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
+    except Exception as err:  # a bug: one line, and never exit 1 ("a check failed")
+        print(f"jetgeo: internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,6 +44,7 @@ __all__ = [
     "free_vars",
     "eval_point",
     "eval_jet",
+    "compile_grad",
 ]
 
 FUNCTION_NAMES = ("exp", "sin", "cos")
@@ -417,3 +418,99 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
     if not np.isfinite(out.coef).all():
         raise NonFiniteError("expression evaluation produced non-finite coefficients")
     return out
+
+
+def _pointwise(fn, v):
+    # math's function value by value, as in `eval_jet`: numpy's exp differs
+    # from math.exp in the last bit for about one argument in twenty
+    return fn(v) if np.ndim(v) == 0 else np.fromiter(map(fn, v.tolist()), float, len(v))
+
+
+def _grad_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _grad_mul(a, b):  # the product rule of an order-1 jet, a0*b' + a'*b0
+    return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
+
+
+# (function, derivative); None: the derivative is the function's value
+_ANALYTIC = {Exp: (math.exp, None), Sin: (math.sin, math.cos),
+             Cos: (math.cos, lambda t: -math.sin(t))}
+
+
+def compile_grad(
+    e: Expr, active: Sequence[str]
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Compile `e` once into a function from an (N, n) array of points
+    (columns in the order of `active`) to the values (N,) and first partials
+    (N, n): forward-mode differentiation over arrays (Griewank and Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM 2008) with the arithmetic of an
+    order-1 `eval_jet`, whose results it equals bit for bit up to the sign of
+    a zero.  Raises NonFiniteError on an exp argument >= 709, a non-finite
+    argument of sin or cos, or a non-finite value or partial, with no numpy
+    warning on the way."""
+    pos = {name: k for k, name in enumerate(active)}
+    zero = np.zeros((len(pos), 1))
+    unit = np.eye(len(pos))[:, :, None]  # unit[k]: the gradient of variable k
+
+    # a node becomes a function of the points, one contiguous row per
+    # variable, to its value (a float or (N,)) and gradient ((n, N), or
+    # (n, 1) to broadcast)
+    def build(node: Expr):
+        if isinstance(node, Const):
+            return lambda x, c=float(node.value): (c, zero)
+        if isinstance(node, Var):
+            if node.name not in pos:
+                raise UnknownVariableError(node.name, 0)
+            k = pos[node.name]
+            return lambda x: (x[k], unit[k])
+        if isinstance(node, (Sum, Prod)):
+            parts = [build(t) for t in (node.terms if isinstance(node, Sum) else node.factors)]
+            step = _grad_add if isinstance(node, Sum) else _grad_mul
+
+            def fold(x):
+                acc = parts[0](x)
+                for f in parts[1:]:
+                    acc = step(acc, f(x))
+                return acc
+            return fold
+        arg = build(node.base if isinstance(node, Pow) else node.arg)
+        if isinstance(node, Pow):
+            def power(x):
+                out, b, k = (1.0, zero), arg(x), node.exponent
+                while k:
+                    if k & 1:
+                        out = _grad_mul(out, b)
+                    k >>= 1
+                    if k:
+                        b = _grad_mul(b, b)
+                return out
+            return power
+        if isinstance(node, Neg):
+            return lambda x: _grad_mul((-1.0, zero), arg(x))
+        fn, slope = _ANALYTIC[type(node)]
+
+        def analytic(x):
+            v, g = arg(x)
+            # a nan argument of exp gives nan, which the final check catches
+            if np.any(v >= 709.0 if fn is math.exp else ~np.isfinite(v)):
+                raise NonFiniteError(f"{fn.__name__} overflow or non-finite argument at {np.max(v)}")
+            out = _pointwise(fn, v)
+            return out, (out if slope is None else _pointwise(slope, v)) * g
+        return analytic
+
+    root = build(e)
+
+    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+        with np.errstate(all="ignore"):
+            v, g = root(x)
+            # adding zeros gives constants and broadcast gradients full shape
+            value = v + np.zeros(x.shape[1])
+            grad = (np.zeros(x.shape) + g).T
+        if not (np.isfinite(value).all() and np.isfinite(grad).all()):
+            raise NonFiniteError("expression evaluation produced a non-finite value or partial")
+        return value, grad
+
+    return evaluate

@@ -18,6 +18,11 @@ Both routes and the structural check read the Christoffel symbols from
 differentiate) and numeric on the inverse-metric side (nonzero pattern and
 constancy probed at jittered points).  A direct solve checks the structure
 and builds its force evaluator once.
+
+The force is one kernel over arrays of points (`expr.compile_grad` gives the
+metric's first partials); Runge-Kutta calls it on one point, and the direct
+route's breadth-first adaptive Simpson rule on all new nodes of a depth.
+Only the Runge-Kutta route imports scipy.
 """
 from __future__ import annotations
 
@@ -25,11 +30,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import expr as ex
 from .curvature import christoffel_terms
-from .jets import jet_space
 from .metric import MetricSpec
 
 __all__ = [
@@ -96,54 +99,54 @@ class GeodesicProblem:
 
 
 class ChristoffelPointEvaluator:
-    """Pointwise geodesic force for a metric.
+    """Geodesic force for a metric, over many points at once.
 
-    Each call evaluates order-1 jets of the varying metric entries, sums the
-    terms of `curvature.christoffel_terms` on their first partials, and
-    solves g G = w with w_c = sum over velocities of du^a du^b Gamma_abc."""
+    Each structurally nonzero metric entry that varies is compiled once
+    (`expr.compile_grad`); a call evaluates the values and first partials
+    of those entries at every point, sums the terms of
+    `curvature.christoffel_terms` on the partials, and solves all the
+    systems g G = w, w_c = sum over velocities of du^a du^b Gamma_abc, in
+    one batched `np.linalg.solve`."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
         m = spec.dim
         self.active = spec.active_vars
-        # Coefficient slot of each first derivative in an order-1 jet; the
-        # graded-lex layout does not follow variable order, so look it up.
-        slot: dict[int, int] = {}
-        if self.active:
-            sp1 = jet_space(self.active, 1)
-            for pos, name in enumerate(self.active):
-                unit = tuple(1 if k == pos else 0 for k in range(sp1.n))
-                slot[spec.coords.index(name)] = sp1.rank[unit]
-        zero = ex.Const(0.0)
-        self._entries = [  # (i, j, expr, varies) for i <= j, structurally nonzero
-            (i, j, e, bool(ex.free_vars(e)))
-            for i in range(m) for j in range(i, m)
-            if (e := spec.components[i][j]) != zero
-        ]
+        self._cols = [spec.coords.index(name) for name in self.active]
+        partial = {c: k for k, c in enumerate(self._cols)}  # coordinate -> partial
+        self._g0 = np.zeros((m, m))  # the constant entries
+        self._entries = []  # (i, j, compiled) for the varying entries, i <= j
+        for i in range(m):
+            for j in range(i, m):
+                e = spec.components[i][j]
+                if ex.free_vars(e):
+                    self._entries.append((i, j, ex.compile_grad(e, self.active)))
+                else:
+                    self._g0[i, j] = self._g0[j, i] = ex.eval_point(e, {})
         self._terms = [
-            (a, b, c, tuple((slot[v], pair, h) for v, pair, h in terms))
+            (a, b, c, tuple((partial[v], pair, h) for v, pair, h in terms))
             for (a, b, c), terms in christoffel_terms(spec).items()
         ]
 
-    def force(self, point: Sequence[float], velocity: np.ndarray) -> np.ndarray:
-        """G with lower index raised: g^{cd} w_d; acceleration is -G."""
-        m = self.spec.dim
-        env = self.spec.env_at(point)
-        g = np.zeros((m, m))
-        jet1: dict[tuple[int, int], list[float]] = {}  # value, then first partials
-        for i, j, e, varies in self._entries:
-            if varies:
-                coef = ex.eval_jet(e, env, self.active, 1).coef.tolist()
-                jet1[(i, j)] = coef
-                g[i, j] = g[j, i] = coef[0]
-            else:
-                g[i, j] = g[j, i] = ex.eval_point(e, env)
-        w = np.zeros(m)
+    def force(self, points: Sequence[float] | np.ndarray, velocities: np.ndarray) -> np.ndarray:
+        """G with lower index raised, g^{cd} w_d, for (N, m) points and
+        velocities, as (N, m); one point and velocity of shape (m,) give
+        (m,).  The acceleration is -G."""
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim == 1
+        pts = np.atleast_2d(pts)
+        vel = np.atleast_2d(np.asarray(velocities, dtype=float))
+        g = np.repeat(self._g0[None], len(pts), axis=0)
+        grads = {}
+        x = pts[:, self._cols]
+        for i, j, compiled in self._entries:
+            g[:, i, j], grads[(i, j)] = compiled(x)
+            g[:, j, i] = g[:, i, j]
+        w = np.zeros(vel.shape)
         for a, b, c, terms in self._terms:
-            vv = velocity[a] * velocity[b]
-            if vv != 0.0:
-                w[c] += vv * sum(h * jet1[pair][s] for s, pair, h in terms)
-        return np.linalg.solve(g, w)
+            w[:, c] += vel[:, a] * vel[:, b] * sum(h * grads[pair][:, s] for s, pair, h in terms)
+        out = np.linalg.solve(g, w[:, :, None])[:, :, 0]
+        return out[0] if single else out
 
 
 # ------------------------------------------------------------ structure
@@ -241,39 +244,62 @@ def triangular_report(spec: MetricSpec, point: Sequence[float]) -> TriangularRep
 
 
 # ------------------------------------------------------------- quadrature
+_BATCH = 256  # nodes per integrand call; bounds the force's working arrays
+
+
+def _nodes(f: Callable[[np.ndarray], np.ndarray], r: np.ndarray) -> np.ndarray:
+    # f's rows at the nodes r, `_BATCH` at a time (an empty r still calls f
+    # once, for the shape of its rows)
+    return np.concatenate([f(r[i:i + _BATCH]) for i in range(0, max(len(r), 1), _BATCH)])
+
+
 def adaptive_simpson(
-    f: Callable[[float], np.ndarray],
-    a: float,
-    b: float,
-    tol: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+    tol: np.ndarray,
     max_depth: int = 28,
 ) -> np.ndarray:
-    """Vector-valued adaptive Simpson integral of f over [a, b]."""
-    fa, fb = f(a), f(b)
+    """Vector-valued adaptive Simpson integrals of f over [a[i], b[i]], each
+    to tolerance tol[i]; f maps an array of nodes to one row per node.
+
+    Breadth first: each depth evaluates the new nodes of every pending
+    interval together (`_BATCH` nodes per call of f).  A pair of halves is
+    accepted, Richardson-corrected, at `max_depth` or when its error is
+    within 15 tol max(1, |s2|), else split with half the tolerance; sums go
+    back up the tree left + right, as in a recursion."""
+    a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
     mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a_, m_, b_, fa_, fm_, fb_, s, tol_, depth):
-        lm = 0.5 * (a_ + m_)
-        rm = 0.5 * (m_ + b_)
-        flm, frm = f(lm), f(rm)
-        left = (m_ - a_) / 6.0 * (fa_ + 4.0 * flm + fm_)
-        right = (b_ - m_) / 6.0 * (fm_ + 4.0 * frm + fb_)
+    fa, fb, fm = np.split(_nodes(f, np.concatenate([a, b, mid])), 3)
+    s = ((b - a) / 6.0)[:, None] * (fa + 4.0 * fm + fb)
+    levels = []  # per depth: the accepted values, and which halves split
+    for depth in range(max_depth + 1):
+        lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
+        flm, frm = np.split(_nodes(f, np.concatenate([lm, rm])), 2)
+        left = ((mid - a) / 6.0)[:, None] * (fa + 4.0 * flm + fm)
+        right = ((b - mid) / 6.0)[:, None] * (fm + 4.0 * frm + fb)
         s2 = left + right
-        err = float(np.max(np.abs(s2 - s)))
+        err = np.max(np.abs(s2 - s), axis=1)
         # tol is relative to the segment magnitude with an absolute floor;
-        # a purely absolute test never terminates on long horizons where the
-        # moment integrands are large
-        scale = max(1.0, float(np.max(np.abs(s2))))
-        if depth >= max_depth or err <= 15.0 * tol_ * scale:
-            return s2 + (s2 - s) / 15.0
-        half = 0.5 * tol_
-        return rec(a_, lm, m_, fa_, flm, fm_, left, half, depth + 1) + rec(
-            m_, rm, b_, fm_, frm, fb_, right, half, depth + 1
-        )
+        # a purely absolute test never terminates on long horizons where
+        # the moment integrands are large
+        scale = np.maximum(1.0, np.max(np.abs(s2), axis=1))
+        split = ~(err <= 15.0 * tol * scale) & (depth < max_depth)
+        levels.append((s2 + (s2 - s) / 15.0, split))
+        if not split.any():
+            break
 
-    return rec(a, mid, b, fa, fm, fb, whole, tol, 0)
+        def halves(lo, hi):  # the split intervals' left and right halves, interleaved
+            return np.stack([lo[split], hi[split]], axis=1).reshape((-1,) + lo.shape[1:])
+
+        a, mid, b = halves(a, mid), halves(lm, rm), halves(mid, b)
+        fa, fm, fb = halves(fa, fm), halves(flm, frm), halves(fm, fb)
+        s, tol = halves(left, right), np.repeat(0.5 * tol[split], 2)
+    out = levels[-1][0]
+    for value, split in reversed(levels[:-1]):
+        value[split] = out[0::2] + out[1::2]
+        out = value
+    return out
 
 
 # ---------------------------------------------------------------- solvers
@@ -287,6 +313,8 @@ def integrate_ivp(
     atol: float = 1e-12,
 ) -> Trajectory:
     """Runge-Kutta route (DOP853) for the geodesic initial-value problem."""
+    from scipy.integrate import solve_ivp  # only this route needs scipy
+
     m = spec.dim
     ev = ChristoffelPointEvaluator(spec)
     u0 = np.asarray(start, dtype=float)
@@ -318,43 +346,38 @@ def _forced_force_fn(
     u0: np.ndarray,
     v0: np.ndarray,
     free_idx: np.ndarray,
-) -> Callable[[float], np.ndarray]:
-    m = spec.dim
+) -> Callable[[np.ndarray], np.ndarray]:
+    vel = np.zeros(spec.dim)
+    vel[free_idx] = v0[free_idx]
 
-    def gfun(r: float) -> np.ndarray:
-        point = u0.copy()  # forced coordinates pinned at start values
-        point[free_idx] = u0[free_idx] + r * v0[free_idx]
-        vel = np.zeros(m)
-        vel[free_idx] = v0[free_idx]
-        return ev.force(point, vel)
+    def gfun(r: np.ndarray) -> np.ndarray:
+        # the force at the nodes r along the affine free line, with the
+        # forced coordinates pinned at their start values
+        points = np.repeat(u0[None], len(r), axis=0)
+        points[:, free_idx] = u0[free_idx] + r[:, None] * v0[free_idx]
+        return ev.force(points, np.repeat(vel[None], len(r), axis=0))
 
     return gfun
 
 
 def _cumulative_moments(
-    gfun: Callable[[float], np.ndarray],
+    gfun: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray,
     m: int,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Running integrals of G and of r G over the sample grid."""
-    n = grid.size
-    k1 = np.zeros((n, m))
-    k2 = np.zeros((n, m))
     span = max(grid[-1] - grid[0], 1e-300)
 
-    def fboth(r: float) -> np.ndarray:
+    def fboth(r: np.ndarray) -> np.ndarray:
         g = gfun(r)
-        return np.concatenate([g, r * g])
+        return np.concatenate([g, r[:, None] * g], axis=1)
 
-    for j in range(1, n):
-        seg = adaptive_simpson(
-            fboth, grid[j - 1], grid[j],
-            tol * max((grid[j] - grid[j - 1]) / span, 1e-6),
-        )
-        k1[j] = k1[j - 1] + seg[:m]
-        k2[j] = k2[j - 1] + seg[m:]
-    return k1, k2
+    seg = adaptive_simpson(
+        fboth, grid[:-1], grid[1:], tol * np.maximum(np.diff(grid) / span, 1e-6)
+    )
+    k = np.cumsum(np.concatenate([np.zeros((1, 2 * m)), seg]), axis=0)
+    return k[:, :m], k[:, m:]
 
 
 def _direct_setup(
@@ -423,10 +446,10 @@ def triangular_bvp(
     v0 = u1 - u0  # exact for free coordinates; corrected below for forced
     gfun = _forced_force_fn(spec, ev, u0, v0, free_idx)
 
-    def fmom(r: float) -> np.ndarray:
-        return (1.0 - r) * gfun(r)
+    def fmom(r: np.ndarray) -> np.ndarray:
+        return (1.0 - r)[:, None] * gfun(r)
 
-    corr = adaptive_simpson(fmom, 0.0, 1.0, tol)
+    corr = adaptive_simpson(fmom, np.zeros(1), np.ones(1), np.full(1, tol))[0]
     forced_idx = np.array([spec.coords.index(v) for v in rep.forced], dtype=int)
     if forced_idx.size:
         v0[forced_idx] += corr[forced_idx]

@@ -227,3 +227,15 @@ def test_short_signature_in_spec_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err.startswith(f"jetgeo: input error: bad spec file {path}: ")
     assert err.count("\n") == 1
+
+
+def test_unexpected_error_exits_3_in_one_line(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("unexpected state")
+
+    monkeypatch.setattr(cli, "cmd_curvature", broken)
+    code, out, err = run(capsys, ["curvature", "--family", "p=0,f=exp(y)", "--point",
+                                  "0,0.1,0.2,0,0,0", "--k", "0"])
+    assert code == 3 and out == ""
+    assert err == "jetgeo: internal error: RuntimeError: unexpected state\n"
+    assert "Traceback" not in err

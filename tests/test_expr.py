@@ -1,5 +1,6 @@
 """Expression DSL: grammar pins, round-trip property, jet evaluation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from jetgeo.expr import (
     Sum,
     UnknownVariableError,
     Var,
+    compile_grad,
     eval_jet,
     eval_point,
     free_vars,
@@ -212,6 +214,37 @@ def test_eval_jet_frozen_variables():
 def test_eval_jet_overflow():
     with pytest.raises(NonFiniteError):
         eval_jet(parse("exp(y)", CHART), {"y": 800.0}, ("y",), 2)
+
+
+@given(exprs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_compile_grad_equals_order_one_jet(e):
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (6, len(CHART)))
+    compiled = compile_grad(e, CHART)
+    try:
+        jets = [eval_jet(e, dict(zip(CHART, p)), CHART, 1) for p in pts]
+    except (NonFiniteError, ValueError):  # ValueError: math.sin(inf)
+        with pytest.raises(NonFiniteError):
+            compiled(pts)
+        return
+    value, grad = compiled(pts)
+    assert value.shape == (6,) and grad.shape == (6, len(CHART))
+    # the arithmetic of an order-1 jet, so equal (up to the sign of zero)
+    units = np.eye(len(CHART), dtype=int)
+    for row, jet in enumerate(jets):
+        assert value[row] == jet.value()
+        assert list(grad[row]) == [jet.extract(u) for u in units]
+
+
+def test_compile_grad_overflow_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for text, y in (("exp(y)", 800.0), ("(1e200*y)^2", 1.0), ("sin(y*1e300*y)", 1e10),
+                        ("z0*exp(y)", 708.0)):
+            with pytest.raises(NonFiniteError):
+                compile_grad(parse(text, CHART), CHART)(np.array([[0.0, 1.0, 0.0], [y, 1e308, 0.5]]))
+    with pytest.raises(UnknownVariableError):
+        compile_grad(parse("y*z1", CHART), ("y",))
 
 
 # ------------------------------------------------- finite-difference oracle

@@ -1,7 +1,13 @@
-"""Geodesics: the per-point geodesic force, triangular-structure
+"""Geodesics: the batched geodesic force, triangular-structure
 analysis, dual-route integration with energy conservation, and the
 exp/log boundary maps."""
+import inspect
 import itertools
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,7 @@ from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo import geodesics as geo
 from jetgeo.curvature import CurvatureContext, christoffel_terms
+from jetgeo.jets import NonFiniteError, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
 
 
@@ -32,6 +39,49 @@ def three_metric():
 def flat_plane():
     one = ex.parse("1", ("u", "v"))
     return MetricSpec(("u", "v"), {(0, 0): one, (1, 1): one}, (2, 0))
+
+
+def reference_force(spec, point, velocity):
+    """The per-point force the batched one replaced: an order-1 `eval_jet`
+    per varying metric entry, the Christoffel terms summed on its
+    coefficients, and one solve."""
+    m = spec.dim
+    env = spec.env_at(point)
+    active = spec.active_vars
+    sp1 = jet_space(active, 1)
+    slot = {spec.coords.index(name): sp1.rank[tuple(int(k == pos) for k in range(sp1.n))]
+            for pos, name in enumerate(active)}
+    g = np.zeros((m, m))
+    jet1 = {}
+    for i in range(m):
+        for j in range(i, m):
+            e = spec.components[i][j]
+            if ex.free_vars(e):
+                jet1[(i, j)] = ex.eval_jet(e, env, active, 1).coef.tolist()
+                g[i, j] = g[j, i] = jet1[(i, j)][0]
+            else:
+                g[i, j] = g[j, i] = ex.eval_point(e, env)
+    w = np.zeros(m)
+    for (a, b, c), terms in christoffel_terms(spec).items():
+        vv = velocity[a] * velocity[b]
+        if vv != 0.0:
+            w[c] += vv * sum(h * jet1[pair][slot[v]] for v, pair, h in terms)
+    return np.linalg.solve(g, w)
+
+
+def force_cases():
+    """(spec, points, velocities): S^2, family p = 0..2 (exp, cos, sin,
+    negation and a zeroth power in the profiles) and the 3-coordinate
+    non-diagonal metric."""
+    rng = np.random.default_rng(17)
+    cases = [(two_sphere(), np.column_stack([rng.uniform(0.3, 2.8, 12),
+                                             rng.uniform(-3, 3, 12)]))]
+    for p, f in enumerate(("exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0")):
+        spec = fam.build_metric(fam.FamilyParams(p, ex.parse(f, ("y",))))
+        cases.append((spec, rng.uniform(-0.8, 0.8, (12, spec.dim))))
+    spec, pt = three_metric()
+    cases.append((spec, pt + rng.uniform(-0.5, 0.5, (12, 3))))
+    return [(s, pts, rng.standard_normal(pts.shape)) for s, pts in cases]
 
 
 # --------------------------------------------------------------- evaluator
@@ -62,6 +112,73 @@ def test_force_matches_finite_differences():
         vel = rng.standard_normal(m)
         want = np.linalg.solve(spec.value(pt), np.einsum("a,b,abd->d", vel, vel, first))
         np.testing.assert_allclose(ev.force(pt, vel), want, rtol=1e-7, atol=1e-8)
+
+
+def test_force_matches_per_point_reference():
+    for spec, pts, vels in force_cases():
+        ev = geo.ChristoffelPointEvaluator(spec)
+        got = ev.force(pts, vels)
+        want = np.array([reference_force(spec, p, v) for p, v in zip(pts, vels)])
+        # the same arithmetic in the same order: equal up to the sign of zero
+        assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_force_batch_invariant():
+    for spec, pts, vels in force_cases():
+        ev = geo.ChristoffelPointEvaluator(spec)
+        batch = ev.force(pts, vels)
+        single = np.array([ev.force(p, v) for p, v in zip(pts, vels)])
+        assert batch.tobytes() == single.tobytes()
+        assert ev.force(tuple(pts[0]), vels[0]).shape == (spec.dim,)
+
+
+def test_exp_overflow_along_path_raises():
+    params = fam.FamilyParams(0, ex.parse("exp(100*y)", ("y",)))
+    spec = fam.build_metric(params)
+    pt = fam.base_point(params, 0.0, [0.0])  # y reaches 7.09 at t = 7.09
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(NonFiniteError):
+            geo.triangular_ivp(spec, pt, (0.0, 1.0, 0.0, 0.1, 0.0, 0.0), t_end=10.0)
+        with pytest.raises(NonFiniteError):
+            geo.ChristoffelPointEvaluator(spec).force(
+                np.array([pt, (0.0, 7.5, 0.0, 0.0, 0.0, 0.0)]), np.ones((2, 6)))
+
+
+def test_direct_route_batches_force_calls(monkeypatch):
+    # the quadrature evaluates every node of one depth together, so a
+    # t_end = 10 solve (about 1,200 nodes) makes a handful of force calls
+    calls = []
+    force = geo.ChristoffelPointEvaluator.force
+
+    def counted(self, points, velocities):
+        calls.append(len(points))
+        return force(self, points, velocities)
+
+    monkeypatch.setattr(geo.ChristoffelPointEvaluator, "force", counted)
+    params = fam.FamilyParams(0, ex.parse("exp(y)", ("y",)))
+    spec = fam.build_metric(params)
+    geo.triangular_ivp(spec, fam.base_point(params, 0.2, [0.3]),
+                       (0.3, -0.15, 0.2, 0.1, 0.05, -0.1), t_end=10.0)
+    max_depth = inspect.signature(geo.adaptive_simpson).parameters["max_depth"].default
+    assert len(calls) <= max_depth + 2
+    assert sum(calls) > 1000
+
+
+def test_import_leaves_scipy_to_the_rk_route():
+    code = (
+        "import sys, jetgeo, jetgeo.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'\n"
+        "from jetgeo import geodesics as geo\n"
+        "from jetgeo.metric import two_sphere\n"
+        "traj = geo.integrate_ivp(two_sphere(), (1.5707963267948966, 0.0), (0.0, 1.0))\n"
+        "assert abs(traj.u[-1, 1] - 1.0) <= 1e-9, traj.u[-1]\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    res = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
 
 
 def test_christoffel_terms_are_the_engine_nonzeros():
@@ -239,7 +356,53 @@ def test_problem_validation():
 
 # --------------------------------------------------------------- quadrature
 def test_adaptive_simpson():
-    got = geo.adaptive_simpson(lambda x: np.array([x**3]), 0.0, 1.0, 1e-12)
+    got = geo.adaptive_simpson(lambda x: x[:, None] ** 3, [0.0], [1.0], [1e-12])[0]
     assert got[0] == pytest.approx(0.25, abs=1e-12)
-    vec = geo.adaptive_simpson(lambda x: np.array([x, x * x]), 0.0, 2.0, 1e-12)
+    vec = geo.adaptive_simpson(
+        lambda x: np.column_stack([x, x * x]), [0.0], [2.0], [1e-12]
+    )[0]
     assert vec == pytest.approx([2.0, 8.0 / 3.0], abs=1e-10)
+
+
+def recursive_simpson(f, a, b, tol, max_depth=28):
+    """The depth-first adaptive Simpson rule the breadth-first one replaced,
+    one node per call of f."""
+    fa, fb, fm = f(a), f(b), f(0.5 * (a + b))
+
+    def rec(a_, m_, b_, fa_, fm_, fb_, s, tol_, depth):
+        lm, rm = 0.5 * (a_ + m_), 0.5 * (m_ + b_)
+        flm, frm = f(lm), f(rm)
+        left = (m_ - a_) / 6.0 * (fa_ + 4.0 * flm + fm_)
+        right = (b_ - m_) / 6.0 * (fm_ + 4.0 * frm + fb_)
+        s2 = left + right
+        err = float(np.max(np.abs(s2 - s)))
+        if depth >= max_depth or err <= 15.0 * tol_ * max(1.0, float(np.max(np.abs(s2)))):
+            return s2 + (s2 - s) / 15.0
+        return rec(a_, lm, m_, fa_, flm, fm_, left, 0.5 * tol_, depth + 1) + rec(
+            m_, rm, b_, fm_, frm, fb_, right, 0.5 * tol_, depth + 1)
+
+    return rec(a, 0.5 * (a + b), b, fa, fm, fb, (b - a) / 6.0 * (fa + 4.0 * fm + fb), tol, 0)
+
+
+def test_adaptive_simpson_many_intervals():
+    # several intervals in one call, each with its own tolerance, on a
+    # steep integrand that forces refinement; each equals the depth-first
+    # rule bit for bit
+    nodes = []
+
+    def steep(x):
+        nodes.append(len(x))
+        return np.exp(30.0 * x)[:, None]
+
+    a = np.array([0.0, -1.0, 0.2, 0.5])
+    b = np.array([1.0, 0.5, 0.3, 0.5])
+    tol = np.array([1e-12, 1e-10, 1e-8, 1e-12])
+    got = geo.adaptive_simpson(steep, a, b, tol)[:, 0]
+    want = (np.exp(30.0 * b) - np.exp(30.0 * a)) / 30.0
+    assert got.shape == (4,)
+    assert np.all(np.abs(got - want) <= 10.0 * tol * np.maximum(np.abs(want), 1.0))
+    assert sum(nodes) > 100 * len(a)  # refined well past the first depth
+    assert max(nodes) <= 256  # the integrand sees bounded batches
+    for i in range(len(a)):
+        one = recursive_simpson(lambda r: np.exp(30.0 * np.array([r])), a[i], b[i], tol[i])
+        assert one[0] == got[i]
