@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, product as iproduct
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -342,8 +342,9 @@ class CurvatureContext:
                 acc = term if acc is None else acc + term
         return acc
 
-    def _riemann_jets(self) -> dict[tuple[int, int, int, int], Jet]:
-        ord0 = self.order - 2
+    def _riemann_candidates(self) -> set[tuple[int, int, int, int]]:
+        """Index tuples a level-0 component can be nonzero at: a Christoffel
+        hook whose derivative or product term can reach them."""
         gamma1_by_mid: dict[int, list[tuple[int, int]]] = {}
         for (a, b, c) in self._gamma1:
             gamma1_by_mid.setdefault(b, []).append((a, c))
@@ -357,6 +358,13 @@ class CurvatureContext:
                 for i, l in gamma1_by_mid.get(m_, ()):
                     cand.add((i, q, k, l))
                     cand.add((q, i, k, l))
+        return cand
+
+    def _riemann_jets(
+        self, cand: Iterable[tuple[int, int, int, int]]
+    ) -> dict[tuple[int, int, int, int], Jet]:
+        """Level-0 jets at the index tuples `cand`, zeros left out."""
+        ord0 = self.order - 2
         out: dict[tuple[int, int, int, int], Jet] = {}
         for (i, j, k, l) in cand:
             a = self._edge_value(i, j, k, l, ord0)
@@ -366,26 +374,6 @@ class CurvatureContext:
             if a is not None and not a.is_zero():
                 out[(i, j, k, l)] = a
         return out
-
-    def _nabla_value(
-        self,
-        prev: Mapping[tuple[int, ...], Jet],
-        base_idx: tuple[int, ...],
-        m_: int,
-        ord_out: int,
-    ) -> Jet | None:
-        acc = None
-        tj = prev.get(base_idx)
-        if tj is not None and m_ in self._act_set:
-            acc = tj.deriv(self.coords[m_])
-        for s, i_s in enumerate(base_idx):
-            for a, gamma2 in self._fwd.get((m_, i_s), ()):
-                rep = prev.get(base_idx[:s] + (a,) + base_idx[s + 1:])
-                if rep is None:
-                    continue
-                term = gamma2.truncated(ord_out) * rep.truncated(ord_out)
-                acc = (-term) if acc is None else acc - term
-        return acc
 
     def _nabla_step(
         self, prev: Mapping[tuple[int, ...], Jet], ord_out: int
@@ -397,11 +385,32 @@ class CurvatureContext:
             for s, a in enumerate(idx):
                 for (m_, i_) in self._rev.get(a, ()):
                     cand.add(idx[:s] + (i_,) + idx[s + 1:] + (m_,))
+        return self._nabla_jets(prev, cand, ord_out)
+
+    def _nabla_jets(
+        self,
+        prev: Mapping[tuple[int, ...], Jet],
+        cand: Iterable[tuple[int, ...]],
+        ord_out: int,
+    ) -> dict[tuple[int, ...], Jet]:
+        """Jets of the level after `prev` at the index tuples `cand`, zeros
+        left out: (nabla T)(i; m) = d_m T(i) - sum_s Gamma_{m i_s}^a T(i, a at s)."""
         out: dict[tuple[int, ...], Jet] = {}
         for full in cand:
-            jet = self._nabla_value(prev, full[:-1], full[-1], ord_out)
-            if jet is not None and not jet.is_zero():
-                out[full] = jet
+            base_idx, m_ = full[:-1], full[-1]
+            acc = None
+            tj = prev.get(base_idx)
+            if tj is not None and m_ in self._act_set:
+                acc = tj.deriv(self.coords[m_])
+            for s, i_s in enumerate(base_idx):
+                for a, gamma2 in self._fwd.get((m_, i_s), ()):
+                    rep = prev.get(base_idx[:s] + (a,) + base_idx[s + 1:])
+                    if rep is None:
+                        continue
+                    term = gamma2.truncated(ord_out) * rep.truncated(ord_out)
+                    acc = (-term) if acc is None else acc - term
+            if acc is not None and not acc.is_zero():
+                out[full] = acc
         return out
 
     def _level(self, k: int) -> dict[tuple[int, ...], Jet]:
@@ -414,7 +423,7 @@ class CurvatureContext:
         while len(self._levels) <= k:
             n = len(self._levels)
             if n == 0:
-                self._levels.append(self._riemann_jets())
+                self._levels.append(self._riemann_jets(self._riemann_candidates()))
             else:
                 ord_out = self.order - 2 - n
                 self._levels.append(self._nabla_step(self._levels[n - 1], ord_out))
@@ -477,27 +486,14 @@ class CurvatureContext:
         propagation, exponential in k."""
         if self.dim ** (4 + k) > cap:
             raise ValueError("exhaustive enumeration over cap")
-        ord0 = self.order - 2
-        full: dict[tuple[int, ...], Jet] = {}
-        for (i, j, p, l) in iproduct(range(self.dim), repeat=4):
-            a = self._edge_value(i, j, p, l, ord0)
-            b = self._edge_value(j, i, p, l, ord0)
-            if b is not None:
-                a = (-b) if a is None else a - b
-            if a is not None and not a.is_zero():
-                full[(i, j, p, l)] = a
+        full = self._riemann_jets(iproduct(range(self.dim), repeat=4))
         for n in range(1, k + 1):
             ord_out = self.order - 2 - n
             if ord_out < 0:
                 raise JetOrderError(
                     f"level {n} needs max_deriv >= {n}, context was built with {self.max_deriv}"
                 )
-            nxt: dict[tuple[int, ...], Jet] = {}
-            for idx in iproduct(range(self.dim), repeat=4 + n):
-                jet = self._nabla_value(full, idx[:-1], idx[-1], ord_out)
-                if jet is not None and not jet.is_zero():
-                    nxt[idx] = jet
-            full = nxt
+            full = self._nabla_jets(full, iproduct(range(self.dim), repeat=4 + n), ord_out)
         return full
 
 

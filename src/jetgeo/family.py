@@ -77,13 +77,6 @@ class FamilyParams:
         if extra:
             raise ex.UnknownVariableError(sorted(extra)[0], 0)
 
-    @staticmethod
-    def from_dict(data: Mapping) -> "FamilyParams":
-        return FamilyParams(int(data["p"]), ex.parse(str(data["f"]), ("y",)))
-
-    def to_dict(self) -> dict:
-        return {"p": self.p, "f": ex.to_text(self.profile)}
-
 
 def family_coords(p: int) -> tuple[str, ...]:
     zs = tuple(f"z{i}" for i in range(p + 1))
@@ -122,13 +115,6 @@ def profile_derivs(params: FamilyParams, y: float, n: int) -> np.ndarray:
     return np.array([jet.extract((k,)) for k in range(n + 1)])
 
 
-def _fall(n: int, j: int) -> float:
-    out = 1.0
-    for t in range(j):
-        out *= n - t
-    return out
-
-
 # ------------------------------------------------------------------ oracles
 def complete_curvature_symmetries(
     roots: Mapping[tuple[int, ...], float]
@@ -161,6 +147,37 @@ def complete_curvature_symmetries(
     return {k2: v2 for k2, v2 in out.items() if v2 != 0.0}
 
 
+def _level_roots(
+    k: int, a_val: float, b_vals: Sequence[float]
+) -> dict[tuple[int, ...], float]:
+    """Level-k components closed from the family's root pattern.
+
+    Index 0 is X, 1 is Y and 2 + i is Z_i, in the chart and in the frame
+    alike.  A sits at (X, Y, Y, X; Y..Y); B_i = b_vals[i] sits at
+    (X, Y, Z_i, X; Y..Y) and at (X, Y, Y, X) with Z_i in one derivative
+    slot.  Zero roots are left out."""
+    roots: dict[tuple[int, ...], float] = {}
+    if a_val != 0.0:
+        roots[(0, 1, 1, 0) + (1,) * k] = a_val
+    for i, b_val in enumerate(b_vals):
+        if b_val == 0.0:
+            continue
+        zi = 2 + i
+        roots[(0, 1, zi, 0) + (1,) * k] = b_val
+        for s in range(k):
+            tail = tuple(zi if t == s else 1 for t in range(k))
+            roots[(0, 1, 1, 0) + tail] = b_val
+    return complete_curvature_symmetries(roots)
+
+
+def _gap(got: Mapping[tuple[int, ...], float], want: Mapping[tuple[int, ...], float]) -> float:
+    """Largest absolute component gap over the union of both supports."""
+    delta = 0.0
+    for idx in set(got) | set(want):
+        delta = max(delta, abs(got.get(idx, 0.0) - want.get(idx, 0.0)))
+    return float(delta)
+
+
 def oracle_nabla_k_r(
     params: FamilyParams, point: Sequence[float], k: int
 ) -> dict[tuple[int, ...], float]:
@@ -172,26 +189,13 @@ def oracle_nabla_k_r(
     y = float(point[1])
     zv = [float(point[2 + i]) for i in range(p + 1)]
     d = profile_derivs(params, y, k + 2)
-    ax, ay = 0, 1
 
     a_val = d[k + 2]
     for i in range(p + 1):
         if i >= k + 1:
-            a_val += _fall(i + 1, k + 2) * y ** (i - k - 1) * zv[i]
-    roots: dict[tuple[int, ...], float] = {}
-    base = (ax, ay, ay, ax) + (ay,) * k
-    if a_val != 0.0:
-        roots[base] = a_val
-    for i in range(p + 1):
-        b_val = _fall(i + 1, k + 1) * (y ** (i - k) if i >= k else 0.0)
-        if b_val == 0.0:
-            continue
-        zi = 2 + i
-        roots[(ax, ay, zi, ax) + (ay,) * k] = b_val
-        for s in range(k):
-            tail = tuple(zi if t == s else ay for t in range(k))
-            roots[(ax, ay, ay, ax) + tail] = b_val
-    return complete_curvature_symmetries(roots)
+            a_val += math.perm(i + 1, k + 2) * y ** (i - k - 1) * zv[i]
+    b_vals = [math.perm(i + 1, k + 1) * (y ** (i - k) if i >= k else 0.0) for i in range(p + 1)]
+    return _level_roots(k, a_val, b_vals)
 
 
 def oracle_delta(
@@ -202,36 +206,32 @@ def oracle_delta(
 ) -> float:
     """Largest absolute gap between engine and closed-form level-k components."""
     ctx = context or CurvatureContext(build_metric(params), point, k)
-    engine = ctx.curvature(k).components
-    oracle = oracle_nabla_k_r(params, point, k)
-    delta = 0.0
-    for idx in set(engine) | set(oracle):
-        delta = max(delta, abs(engine.get(idx, 0.0) - oracle.get(idx, 0.0)))
-    return delta
+    return _gap(ctx.curvature(k).components, oracle_nabla_k_r(params, point, k))
 
 
 # -------------------------------------------------------------------- alpha
-def alpha_closed_form(params: FamilyParams, y: float) -> float:
+def _alpha_derivs(params: FamilyParams, y: float, n: int) -> list[float]:
+    """[f^(p+3)(y), ..., f^(p+3+n)(y)] as Python floats, so that an overflow
+    in the closed forms gives inf or nan without a numpy warning; the first
+    two must be positive."""
     p = params.p
-    d = profile_derivs(params, y, p + 5)
-    a, b, c = d[p + 3], d[p + 4], d[p + 5]
-    if a <= 0.0 or b <= 0.0:
+    d = profile_derivs(params, y, p + 3 + n)[p + 3:].tolist()
+    if d[0] <= 0.0 or d[1] <= 0.0:
         raise PositivityError(
             f"profile needs derivative orders {p + 3} and {p + 4} positive at y={y}"
         )
-    return float(a * c / (b * b))
+    return d
+
+
+def alpha_closed_form(params: FamilyParams, y: float) -> float:
+    a, b, c = _alpha_derivs(params, y, 2)
+    return a * c / (b * b)
 
 
 def alpha_prime(params: FamilyParams, y: float) -> float:
     """dalpha/dy in closed form."""
-    p = params.p
-    d = profile_derivs(params, y, p + 6)
-    a, b, c, e = d[p + 3], d[p + 4], d[p + 5], d[p + 6]
-    if a <= 0.0 or b <= 0.0:
-        raise PositivityError(
-            f"profile needs derivative orders {p + 3} and {p + 4} positive at y={y}"
-        )
-    return float((b * c + a * e) / (b * b) - 2.0 * a * c * c / (b * b * b))
+    a, b, c, e = _alpha_derivs(params, y, 3)
+    return (b * c + a * e) / (b * b) - 2.0 * a * c * c / (b * b * b)
 
 
 def alpha_via_jacobi(
@@ -342,44 +342,35 @@ def normalize_frame(
     xvec[0] = 1.0
     xvec[ixb] = big_f
 
-    a = np.zeros(max(p + 1, 0))
-    bmat = np.zeros((max(p + 1, 0),) * 2)
+    # Y = e_y + sum_k a_k e_{z_k}, with the a_k written into yvec as found
+    yvec = np.zeros(m)
+    yvec[1] = 1.0
+    bmat = np.zeros((p + 1, p + 1))
     if p >= 0:
         ctx = context if context is not None and context.max_deriv >= p else None
         if ctx is None:
-            ctx = CurvatureContext(spec, pt, max(p, 0))
+            ctx = CurvatureContext(spec, pt, p)
 
-        def yvec_with(coeffs: np.ndarray) -> np.ndarray:
-            v = np.zeros(m)
-            v[1] = 1.0
-            for j in range(p + 1):
-                v[2 + j] = coeffs[j]
-            return v
+        def phi(k: int, t: float) -> float:
+            yvec[2 + k] = t
+            return ctx.contract(k, [xvec, yvec, yvec, xvec] + [yvec] * k)
 
         # the vanishing conditions are affine in each a_k once a_{k+1..p}
         # are fixed, so one extra probe extracts the exact slope
         for k in range(p, -1, -1):
-            def phi(t: float) -> float:
-                c = a.copy()
-                c[k] = t
-                yv = yvec_with(c)
-                return ctx.contract(k, [xvec, yv, yv, xvec] + [yv] * k)
-
-            c0 = phi(0.0)
-            slope = phi(1.0) - c0
+            c0 = phi(k, 0.0)
+            slope = phi(k, 1.0) - c0
             if slope == 0.0:
                 raise IllPosedSampleError(
                     f"curvature contraction cannot determine frame coefficient {k}"
                 )
-            a[k] = -c0 / slope
+            yvec[2 + k] = -c0 / slope
 
-        yvec = yvec_with(a)
-        mat = np.zeros((p + 1, p + 1))
-        for k in range(p + 1):
-            for l in range(p + 1):
-                ecol = np.zeros(m)
-                ecol[2 + l] = 1.0
-                mat[k, l] = ctx.contract(k, [xvec, yvec, ecol, xvec] + [yvec] * k)
+        # mat[k, l] = nabla^k R(X, Y, e_{z_l}, X; Y..Y)
+        mat = np.array([
+            ctx.contract_open(k, [xvec, yvec, None, xvec] + [yvec] * k, open_slot=2)[2:p + 3]
+            for k in range(p + 1)
+        ])
         # rows of bmat solve sum_l bmat[j, l] mat[k, l] = delta_jk; mat is
         # upper triangular with nonzero diagonal, back-substitute upward
         for j in range(p + 1):
@@ -392,30 +383,19 @@ def normalize_frame(
                         f"degenerate frame normalization at diagonal {k}"
                     )
                 bmat[j, k] = s / mat[k, k]
-    else:
-        yvec = np.zeros(m)
-        yvec[1] = 1.0
+    a = yvec[2:p + 3].copy()
 
-    zvecs = []
-    for i in range(p + 1):
-        v = np.zeros(m)
-        for l in range(p + 1):
-            v[2 + l] = bmat[i, l]
-        zvecs.append(v)
+    zvecs = np.zeros((p + 1, m))
+    zvecs[:, 2:p + 3] = bmat
 
     xbar = np.zeros(m)
     xbar[ixb] = 1.0
     ybar = np.zeros(m)
     ybar[iyb] = 1.0
-    zbars = []
-    if p >= 0:
-        bhat = np.linalg.inv(bmat)
-        for i in range(p + 1):
-            v = np.zeros(m)
-            v[iyb] = -float(a @ bhat[:, i])
-            for j in range(p + 1):
-                v[p + 5 + j] = bhat[j, i]
-            zbars.append(v)
+    bhat = np.linalg.inv(bmat)
+    zbars = np.zeros((p + 1, m))
+    zbars[:, iyb] = [-float(a @ bhat[:, i]) for i in range(p + 1)]
+    zbars[:, p + 5:] = bhat.T
 
     raw = (xvec, yvec, *zvecs, xbar, ybar, *zbars)
     scaled = [eps0 * xvec, eps1 * yvec]
@@ -450,20 +430,12 @@ def reference_model(p: int, k_max: int | None = None) -> CurvatureModel:
         k_max = p + 2
     if k_max > p + 2:
         raise ValueError(f"reference model is universal only up to level {p + 2}")
-    q = p + 3
-    levels = []
-    for k in range(k_max + 1):
-        roots: dict[tuple[int, ...], float] = {}
-        if k in (p + 1, p + 2):
-            roots[(0, 1, 1, 0) + (1,) * k] = 1.0
-        if 0 <= k <= p:
-            zi = 2 + k
-            roots[(0, 1, zi, 0) + (1,) * k] = 1.0
-            for s in range(k):
-                tail = tuple(zi if t == s else 1 for t in range(k))
-                roots[(0, 1, 1, 0) + tail] = 1.0
-        levels.append(complete_curvature_symmetries(roots))
-    return CurvatureModel(q, tuple(levels))
+    levels = tuple(
+        _level_roots(k, 1.0 if k in (p + 1, p + 2) else 0.0,
+                     [1.0 if i == k else 0.0 for i in range(p + 1)])
+        for k in range(k_max + 1)
+    )
+    return CurvatureModel(p + 3, levels)
 
 
 def _frame_components(
@@ -514,14 +486,7 @@ def model_deviation(got: CurvatureModel, want: CurvatureModel) -> float:
     if got.dim != want.dim:
         raise ValueError("models live on different dimensions")
     n = min(got.max_level, want.max_level)
-    delta = 0.0
-    for k in range(n + 1):
-        for idx in set(got.levels[k]) | set(want.levels[k]):
-            delta = max(
-                delta,
-                abs(got.levels[k].get(idx, 0.0) - want.levels[k].get(idx, 0.0)),
-            )
-    return float(delta)
+    return max((_gap(got.levels[k], want.levels[k]) for k in range(n + 1)), default=0.0)
 
 
 def frame_model_deviation(
@@ -531,11 +496,8 @@ def frame_model_deviation(
     context: CurvatureContext | None = None,
 ) -> float:
     """How far the engine frame components sit from the universal model."""
-    p = params.p
-    if k_max is None:
-        k_max = p + 2
     got = quotient_model(params, point, k_max, context)
-    want = reference_model(p, min(k_max, p + 2))
+    want = reference_model(params.p, min(got.max_level, params.p + 2))
     return model_deviation(got, want)
 
 

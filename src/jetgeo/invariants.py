@@ -15,6 +15,7 @@ emits canonical representatives.
 """
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -197,11 +198,13 @@ class CatalogResult:
     skipped: tuple[tuple[int, ...], ...]  # factor lists past the matching limit
 
 
+@functools.cache
 def catalog(
     max_factors: int, max_deriv: int, exhaustive_limit: int = 1000
 ) -> CatalogResult:
     """All canonical schemas over factor lists whose matching count stays
-    within `exhaustive_limit`; larger factor lists are reported as skipped."""
+    within `exhaustive_limit`; larger factor lists are reported as skipped.
+    Built once per process for each argument list; the result is immutable."""
     if max_factors < 1 or max_factors > MAX_FACTORS:
         raise CapsExceededError(f"max_factors must be in 1..{MAX_FACTORS}")
     if max_deriv < 0 or max_deriv > MAX_DERIV:

@@ -87,18 +87,9 @@ class MetricSpec:
         # chart order, not discovery order
         self.active_vars: tuple[str, ...] = tuple(c for c in self.coords if c in av)
 
-        self._const_matrix: np.ndarray | None = None
-        if not av:
-            g = np.empty((m, m))
-            env: dict[str, float] = {}
-            for i in range(m):
-                for j in range(m):
-                    g[i, j] = ex.eval_point(self.components[i][j], env)
-            self._const_matrix = g
-
     @property
     def is_constant(self) -> bool:
-        return self._const_matrix is not None
+        return not self.active_vars
 
     def env_at(self, point: Sequence[float]) -> dict[str, float]:
         pt = [float(v) for v in point]
@@ -108,9 +99,6 @@ class MetricSpec:
 
     def value(self, point: Sequence[float]) -> np.ndarray:
         """Metric matrix at `point` as an (m, m) float array."""
-        if self._const_matrix is not None:
-            self.env_at(point)  # length check only
-            return self._const_matrix.copy()
         env = self.env_at(point)
         m = self.dim
         g = np.empty((m, m))
@@ -130,7 +118,9 @@ class MetricSpec:
         w = np.linalg.eigvalsh(g)
         scale = float(np.max(np.abs(w)))
         if scale == 0.0 or float(np.min(np.abs(w))) <= tol * scale:
-            raise SingularMetricError(f"metric degenerate at {tuple(point)}: eigenvalues {w}")
+            raise SingularMetricError(
+                f"metric degenerate at {tuple(point)}: eigenvalues {w.tolist()}"
+            )
         neg = int(np.sum(w < 0.0))
         pos = int(np.sum(w > 0.0))
         if (neg, pos) != self.signature:

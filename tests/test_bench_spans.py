@@ -41,3 +41,30 @@ def test_traced_family_context_runs():
     res = _run_with_spans(TRACED_FAMILY)
     assert res.returncode == 0, res.stderr
     assert "jets.table_build" in res.stdout and "curvature.context_build" in res.stdout
+
+
+TRACED_CHECK = """
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+tracer.active = True
+from jetgeo import cli
+rc = cli.main(["check", "--family", "p=0,f=exp(y)", "--seed", "42"])
+metrics = spans.layer_metrics(tracer)
+print("RC", rc)
+for name in ("invariants.catalog_s", "invariants.combinations", "curvature.level.0.support",
+             "curvature.level.2.support", "geodesics.direct_s", "cli.main_s"):
+    print(name, metrics[name][0])
+"""
+
+
+def test_traced_check_runs_in_process():
+    # the check suite through the span wrappers: the level-0 step with its
+    # candidates, the cached catalog, and the combinations hook on evaluate
+    res = _run_with_spans(TRACED_CHECK)
+    assert res.returncode == 0, res.stderr
+    lines = res.stdout.splitlines()
+    start = lines.index("RC 0")
+    figures = dict(line.split() for line in lines[start + 1:])
+    assert lines[start - 1] == "RESULT: PASS"
+    assert all(float(v) > 0 for v in figures.values()), figures

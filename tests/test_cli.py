@@ -1,10 +1,19 @@
 """Command line interface: output formats, verdicts, exit codes, and
 byte-determinism, all driven in-process through main()."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from jetgeo import cli
+from jetgeo.geodesics import triangular_report
 from jetgeo.metric import flat_metric, save_metric, two_sphere
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -155,6 +164,11 @@ def test_check_sphere_controls(capsys, sphere_path):
     # family-only checks are skipped, and skipping does not fail the run
     for name in ("ricci_flat", "nilpotency", "frame_model"):
         assert any(l.startswith(f"{name}: SKIP") for l in lines), name
+    # the direct route's skip detail is the structure report's blocking list
+    blocking = "; ".join(triangular_report(two_sphere(), (0.8, 0.1)).blocking)
+    assert blocking
+    geo_line = [l for l in lines if l.startswith("geodesic_roundtrip: PASS")][0]
+    assert geo_line.endswith(f", direct route skipped: {blocking})")
 
 
 def test_check_degenerate_profile_fails_precondition(capsys):
@@ -192,6 +206,9 @@ def test_check_degenerate_profile_fails_precondition(capsys):
          "grid bounds must be finite"),
         (["alpha", "--family", "p=0, f=exp(y)", "--grid", "y=-1e400:1:3"],
          "grid bounds must be finite"),
+        (["check", "--family", "p=0,f=exp(y)", "--tol", "-1"], "--tol must be finite and >= 0"),
+        (["check", "--family", "p=0,f=exp(y)", "--tol", "nan"], "--tol must be finite and >= 0"),
+        (["check", "--family", "p=0,f=exp(y)", "--tol", "inf"], "--tol must be finite and >= 0"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, needle):
@@ -199,6 +216,34 @@ def test_input_errors_exit_2(capsys, argv, needle):
     assert code == 2
     assert err.startswith("jetgeo: input error: ")
     assert needle in err
+    assert out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--family", "p=0,f=exp(y)", "--point", "0,0,0,0,0,0", "--seed", "3"],
+    ["curvature", "--family", "p=0,f=exp(y)", "--point", "0,0,0,0,0,0", "--tol", "1e-3"],
+    ["alpha", "--family", "p=0,f=exp(y)", "--grid", "y=0:1:3", "--seed", "3"],
+    ["alpha", "--family", "p=0,f=exp(y)", "--grid", "y=0:1:3", "--tol", "1e-3"],
+])
+def test_seed_and_tol_belong_to_check_only(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_alpha_overflow_is_one_stderr_line():
+    # exp(1000 y) overflows the closed forms at y = 0.5 and leaves the metric
+    # numerically degenerate there
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run(
+        [sys.executable, "-m", "jetgeo.cli", "alpha", "--family", "p=0,f=exp(1000*y)",
+         "--grid", "y=0:1:3"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert res.stderr.startswith("jetgeo: numeric failure: SingularMetricError: ")
 
 
 def test_numeric_failure_exits_3(capsys, sphere_path):

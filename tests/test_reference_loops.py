@@ -1,0 +1,347 @@
+"""Family read-outs, the exhaustive curvature oracle and the invariant
+catalog, bit for bit against the plain loops that computed them before they
+were folded into shared helpers.
+
+The reference functions below keep those loops: the frame built with unit
+vectors and per-element assembly, the oracle and reference model each with
+its own root loop, the closed alpha forms in numpy scalars, and the
+exhaustive levels with their own evaluation loops.  Results must agree to the
+last bit (`tobytes()` or pickle), not just to a tolerance.
+"""
+import pickle
+from itertools import product as iproduct
+
+import numpy as np
+import pytest
+
+from jetgeo import expr as ex
+from jetgeo import family as fam
+from jetgeo import invariants as inv
+from jetgeo.curvature import CurvatureContext
+from jetgeo.metric import metric_from_strings, two_sphere
+
+PROFILES = ["exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0"]
+
+
+# ------------------------------------------------------------ reference loops
+def _fall(n, j):
+    out = 1.0
+    for t in range(j):
+        out *= n - t
+    return out
+
+
+def ref_oracle_nabla_k_r(params, point, k):
+    p = params.p
+    y = float(point[1])
+    zv = [float(point[2 + i]) for i in range(p + 1)]
+    d = fam.profile_derivs(params, y, k + 2)
+    ax, ay = 0, 1
+    a_val = d[k + 2]
+    for i in range(p + 1):
+        if i >= k + 1:
+            a_val += _fall(i + 1, k + 2) * y ** (i - k - 1) * zv[i]
+    roots = {}
+    if a_val != 0.0:
+        roots[(ax, ay, ay, ax) + (ay,) * k] = a_val
+    for i in range(p + 1):
+        b_val = _fall(i + 1, k + 1) * (y ** (i - k) if i >= k else 0.0)
+        if b_val == 0.0:
+            continue
+        zi = 2 + i
+        roots[(ax, ay, zi, ax) + (ay,) * k] = b_val
+        for s in range(k):
+            tail = tuple(zi if t == s else ay for t in range(k))
+            roots[(ax, ay, ay, ax) + tail] = b_val
+    return fam.complete_curvature_symmetries(roots)
+
+
+def ref_reference_model(p, k_max):
+    levels = []
+    for k in range(k_max + 1):
+        roots = {}
+        if k in (p + 1, p + 2):
+            roots[(0, 1, 1, 0) + (1,) * k] = 1.0
+        if 0 <= k <= p:
+            zi = 2 + k
+            roots[(0, 1, zi, 0) + (1,) * k] = 1.0
+            for s in range(k):
+                tail = tuple(zi if t == s else 1 for t in range(k))
+                roots[(0, 1, 1, 0) + tail] = 1.0
+        levels.append(fam.complete_curvature_symmetries(roots))
+    return fam.CurvatureModel(p + 3, tuple(levels))
+
+
+def ref_alpha(params, y):
+    p = params.p
+    d = fam.profile_derivs(params, y, p + 6)
+    a, b, c, e = d[p + 3], d[p + 4], d[p + 5], d[p + 6]
+    if a <= 0.0 or b <= 0.0:
+        raise fam.PositivityError(
+            f"profile needs derivative orders {p + 3} and {p + 4} positive at y={y}"
+        )
+    return (float(a * c / (b * b)),
+            float((b * c + a * e) / (b * b) - 2.0 * a * c * c / (b * b * b)))
+
+
+def ref_normalize_frame(params, point):
+    p = params.p
+    spec = fam.build_metric(params)
+    m = spec.dim
+    pt = tuple(float(v) for v in point)
+    env = spec.env_at(pt)
+    y = env["y"]
+    d = fam.profile_derivs(params, y, p + 4)
+    eps1 = float(d[p + 3] / d[p + 4])
+    norm_sq = eps1 ** (p + 3) * float(d[p + 3])
+    if norm_sq <= 0.0:
+        raise fam.PositivityError(
+            f"curvature normalization needs eps1^(p+3) f^(p+3) > 0 at y={y}; got {norm_sq}"
+        )
+    eps0 = norm_sq ** -0.5
+    big_f = d[0] + sum(y ** (i + 1) * env[f"z{i}"] for i in range(p + 1))
+    ixb, iyb = p + 3, p + 4
+    xvec = np.zeros(m)
+    xvec[0] = 1.0
+    xvec[ixb] = big_f
+
+    a = np.zeros(max(p + 1, 0))
+    bmat = np.zeros((max(p + 1, 0),) * 2)
+    yvec = np.zeros(m)
+    yvec[1] = 1.0
+    if p >= 0:
+        ctx = CurvatureContext(spec, pt, p)
+
+        def yvec_with(coeffs):
+            v = np.zeros(m)
+            v[1] = 1.0
+            for j in range(p + 1):
+                v[2 + j] = coeffs[j]
+            return v
+
+        for k in range(p, -1, -1):
+            def phi(t):
+                c = a.copy()
+                c[k] = t
+                yv = yvec_with(c)
+                return ctx.contract(k, [xvec, yv, yv, xvec] + [yv] * k)
+
+            c0 = phi(0.0)
+            a[k] = -c0 / (phi(1.0) - c0)
+
+        yvec = yvec_with(a)
+        mat = np.zeros((p + 1, p + 1))
+        for k in range(p + 1):
+            for l in range(p + 1):
+                ecol = np.zeros(m)
+                ecol[2 + l] = 1.0
+                mat[k, l] = ctx.contract(k, [xvec, yvec, ecol, xvec] + [yvec] * k)
+        for j in range(p + 1):
+            for k in range(p, -1, -1):
+                s = 1.0 if k == j else 0.0
+                for l in range(k + 1, p + 1):
+                    s -= mat[k, l] * bmat[j, l]
+                bmat[j, k] = s / mat[k, k]
+
+    zvecs = []
+    for i in range(p + 1):
+        v = np.zeros(m)
+        for l in range(p + 1):
+            v[2 + l] = bmat[i, l]
+        zvecs.append(v)
+    xbar = np.zeros(m)
+    xbar[ixb] = 1.0
+    ybar = np.zeros(m)
+    ybar[iyb] = 1.0
+    zbars = []
+    if p >= 0:
+        bhat = np.linalg.inv(bmat)
+        for i in range(p + 1):
+            v = np.zeros(m)
+            v[iyb] = -float(a @ bhat[:, i])
+            for j in range(p + 1):
+                v[p + 5 + j] = bhat[j, i]
+            zbars.append(v)
+
+    raw = (xvec, yvec, *zvecs, xbar, ybar, *zbars)
+    scaled = [eps0 * xvec, eps1 * yvec]
+    for i in range(p + 1):
+        scaled.append(eps0 ** -2 * eps1 ** -(i + 1) * zvecs[i])
+    scaled.append(xbar / eps0)
+    scaled.append(ybar / eps1)
+    for i in range(p + 1):
+        scaled.append(eps0 ** 2 * eps1 ** (i + 1) * zbars[i])
+    return fam.Frame(params, pt, a, bmat, eps0, eps1, raw, tuple(scaled))
+
+
+def ref_level_exhaustive(ctx, k):
+    ord0 = ctx.order - 2
+    full = {}
+    for (i, j, p, l) in iproduct(range(ctx.dim), repeat=4):
+        a = ctx._edge_value(i, j, p, l, ord0)
+        b = ctx._edge_value(j, i, p, l, ord0)
+        if b is not None:
+            a = (-b) if a is None else a - b
+        if a is not None and not a.is_zero():
+            full[(i, j, p, l)] = a
+    for n in range(1, k + 1):
+        ord_out = ctx.order - 2 - n
+        nxt = {}
+        for idx in iproduct(range(ctx.dim), repeat=4 + n):
+            base, m_ = idx[:-1], idx[-1]
+            acc = None
+            tj = full.get(base)
+            if tj is not None and m_ in ctx._act_set:
+                acc = tj.deriv(ctx.coords[m_])
+            for s, i_s in enumerate(base):
+                for a, gamma2 in ctx._fwd.get((m_, i_s), ()):
+                    rep = full.get(base[:s] + (a,) + base[s + 1:])
+                    if rep is None:
+                        continue
+                    term = gamma2.truncated(ord_out) * rep.truncated(ord_out)
+                    acc = (-term) if acc is None else acc - term
+            if acc is not None and not acc.is_zero():
+                nxt[idx] = acc
+        full = nxt
+    return full
+
+
+# ------------------------------------------------------------------ helpers
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def same_arrays(got, want):
+    return len(got) == len(want) and all(
+        np.shape(g) == np.shape(w) and bits(g) == bits(w) for g, w in zip(got, want)
+    )
+
+
+def same_frames(got, want):
+    return (
+        got.point == want.point
+        and same_arrays([got.a, got.b], [want.a, want.b])
+        and bits([got.eps0, got.eps1]) == bits([want.eps0, want.eps1])
+        and same_arrays(got.raw, want.raw)
+        and same_arrays(got.rescaled, want.rescaled)
+    )
+
+
+def outcome(fn):
+    """fn's result, or the PositivityError it raised."""
+    try:
+        return fn()
+    except fam.PositivityError as err:
+        return err
+
+
+def same_errors(got, want):
+    return type(got) is type(want) and str(got) == str(want)
+
+
+MEMBERS = [(p, text) for p in range(4) for text in PROFILES]
+IDS = [f"p={p} {text}" for p, text in MEMBERS]
+# a sample of y on which every member has at least two valid frames and two
+# positive alpha denominators, and several invalid ones
+Y_GRID = (-1.5, -0.9, -0.6, -0.3, -0.2, 0.1, 0.4, 0.8, 1.2)
+
+
+def _points(p, text):
+    params = fam.FamilyParams(p, ex.parse(text, ("y",)))
+    for y in Y_GRID:
+        z = [0.1 * (i + 1) * (-1) ** i for i in range(p + 1)]
+        yield params, fam.base_point(params, y, z)
+
+
+# -------------------------------------------------------------------- tests
+@pytest.mark.parametrize("p,text", MEMBERS, ids=IDS)
+def test_frame_and_quotient_model_match_loops(p, text):
+    valid = 0
+    for params, pt in _points(p, text):
+        want = outcome(lambda: ref_normalize_frame(params, pt))
+        got = outcome(lambda: fam.normalize_frame(params, pt))
+        if isinstance(want, Exception):
+            assert same_errors(got, want)
+            continue
+        valid += 1
+        assert same_frames(got, want)
+        ctx = CurvatureContext(fam.build_metric(params), pt, p + 2)
+        reps = want.rescaled[: p + 3]
+        levels = tuple(fam._frame_components(ctx, k, reps) for k in range(p + 3))
+        model = fam.quotient_model(params, pt, context=ctx)
+        assert pickle.dumps(model.levels) == pickle.dumps(levels)
+    assert valid >= 2
+
+
+@pytest.mark.parametrize("p,text", MEMBERS, ids=IDS)
+def test_oracle_and_alpha_match_loops(p, text):
+    valid = 0
+    for params, pt in _points(p, text):
+        for k in range(p + 4):
+            got = fam.oracle_nabla_k_r(params, pt, k)
+            assert pickle.dumps(got) == pickle.dumps(ref_oracle_nabla_k_r(params, pt, k))
+        with np.errstate(all="ignore"):
+            want = outcome(lambda: ref_alpha(params, pt[1]))
+        got = outcome(lambda: (fam.alpha_closed_form(params, pt[1]),
+                               fam.alpha_prime(params, pt[1])))
+        if isinstance(want, Exception):
+            assert same_errors(got, want)
+            continue
+        valid += 1
+        assert bits(got) == bits(want)
+    assert valid >= 2
+
+
+def test_oracle_delta_is_a_python_float():
+    params, pt = next(_points(1, PROFILES[0]))
+    ctx = CurvatureContext(fam.build_metric(params), pt, 2)
+    for k in range(3):
+        assert type(fam.oracle_delta(params, pt, k, context=ctx)) is float
+
+
+@pytest.mark.parametrize("p", range(-1, 5))
+def test_reference_model_matches_loops(p):
+    for k_max in range(p + 3):
+        got = fam.reference_model(p, k_max)
+        assert got.dim == p + 3
+        assert pickle.dumps(got.levels) == pickle.dumps(ref_reference_model(p, k_max).levels)
+
+
+def _exhaustive_cases():
+    yield "S2", CurvatureContext(two_sphere(), (0.8, 0.1), 3), 3
+    spec = metric_from_strings(
+        ("a", "b", "c"),
+        {(0, 0): "exp(2*c)", (1, 1): "1 + b^2", (2, 2): "2 + sin(a)",
+         (0, 1): "0.5*a", (1, 2): "0.25*c"},
+        (0, 3),
+    )
+    yield "non-diagonal", CurvatureContext(spec, (0.2, -0.3, 0.1), 2), 2
+
+
+@pytest.mark.parametrize("name,ctx,k_max", list(_exhaustive_cases()),
+                         ids=["S2", "non-diagonal"])
+def test_level_exhaustive_matches_loops(name, ctx, k_max):
+    for k in range(k_max + 1):
+        got = ctx.level_exhaustive(k)
+        want = ref_level_exhaustive(ctx, k)
+        assert list(got) == list(want)
+        assert all(bits(got[idx].coef) == bits(want[idx].coef) for idx in want)
+
+
+def test_level_exhaustive_does_not_use_propagated_candidates(monkeypatch):
+    # the exhaustive oracle cross-checks candidate generation, so a candidate
+    # lost there must show up as a difference
+    ctx = CurvatureContext(two_sphere(), (0.8, 0.1), 0)
+    cand = ctx._riemann_candidates()
+    lost = (0, 1, 0, 1)
+    assert lost in cand
+    monkeypatch.setattr(ctx, "_riemann_candidates", lambda: cand - {lost})
+    assert lost not in ctx._level(0) and lost in ctx.level_exhaustive(0)
+
+
+def test_catalog_built_once_per_argument_list():
+    assert inv.catalog(3, 2) is inv.catalog(3, 2)
+    assert inv.catalog(2, 1) is inv.catalog(2, 1)
+    assert isinstance(inv.catalog(3, 2).schemas, tuple)
+    with pytest.raises(inv.CapsExceededError):
+        inv.catalog(4, 0)
