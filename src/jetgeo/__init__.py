@@ -13,11 +13,7 @@ from .curvature import (
     CurvatureContext,
     DegeneratePlaneError,
     TensorField,
-    christoffel,
     jacobi_operator,
-    nabla_k_r,
-    riemann,
-    scalar_curvature,
     skew_curvature_operator,
 )
 from .expr import ParseError, UnknownVariableError, parse, to_text
@@ -97,10 +93,6 @@ __all__ = [
     "Christoffels",
     "TensorField",
     "DegeneratePlaneError",
-    "christoffel",
-    "riemann",
-    "nabla_k_r",
-    "scalar_curvature",
     "jacobi_operator",
     "skew_curvature_operator",
     "ContractionSchema",

@@ -36,16 +36,14 @@ __all__ = [
     "TensorField",
     "christoffel_terms",
     "DegeneratePlaneError",
-    "christoffel",
-    "riemann",
-    "nabla_k_r",
-    "scalar_curvature",
     "jacobi_operator",
     "skew_curvature_operator",
     "DENSE_CAP",
 ]
 
 DENSE_CAP = 10_000_000
+_EXHAUSTIVE_CAP = 2_000_000  # index tuples `level_exhaustive` may enumerate
+_PLANE_TOL = 1e-12  # relative size below which `_plane_basis` calls a form zero
 
 
 class DegeneratePlaneError(ValueError):
@@ -481,10 +479,10 @@ class CurvatureContext:
         return _contract(self.curvature(k), factors, (open_slot,))
 
     # --------------------------------------------------- exhaustive oracles
-    def level_exhaustive(self, k: int, cap: int = 2_000_000) -> dict[tuple[int, ...], Jet]:
+    def level_exhaustive(self, k: int) -> dict[tuple[int, ...], Jet]:
         """Recompute level k over every index tuple; cross-check for support
         propagation, exponential in k."""
-        if self.dim ** (4 + k) > cap:
+        if self.dim ** (4 + k) > _EXHAUSTIVE_CAP:
             raise ValueError("exhaustive enumeration over cap")
         full = self._riemann_jets(iproduct(range(self.dim), repeat=4))
         for n in range(1, k + 1):
@@ -495,20 +493,6 @@ class CurvatureContext:
                 )
             full = self._nabla_jets(full, iproduct(range(self.dim), repeat=4 + n), ord_out)
         return full
-
-
-# ------------------------------------------------------------ one-shot API
-def christoffel(spec: MetricSpec, point: Sequence[float]) -> Christoffels:
-    return CurvatureContext(spec, point, 0).christoffels()
-
-def riemann(spec: MetricSpec, point: Sequence[float]) -> TensorField:
-    return CurvatureContext(spec, point, 0).curvature(0)
-
-def nabla_k_r(spec: MetricSpec, point: Sequence[float], k: int) -> TensorField:
-    return CurvatureContext(spec, point, max_deriv=k).curvature(k)
-
-def scalar_curvature(spec: MetricSpec, point: Sequence[float]) -> float:
-    return CurvatureContext(spec, point, 0).scalar()
 
 
 # ------------------------------------------------------------- operators
@@ -522,7 +506,7 @@ def jacobi_operator(ctx: CurvatureContext, direction: Sequence[float]) -> np.nda
 
 
 def _plane_basis(
-    g0: np.ndarray, e1: np.ndarray, e2: np.ndarray, tol: float = 1e-12
+    g0: np.ndarray, e1: np.ndarray, e2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal oriented basis of span{e1, e2}, unit up to sign.
 
@@ -533,11 +517,11 @@ def _plane_basis(
     q22 = float(e2 @ g0 @ e2)
     scale = max(abs(q11), abs(q12), abs(q22))
     det = q11 * q22 - q12 * q12
-    if scale == 0.0 or abs(det) <= tol * scale * scale:
+    if scale == 0.0 or abs(det) <= _PLANE_TOL * scale * scale:
         raise DegeneratePlaneError("degenerate 2-plane for this metric")
     for c1, c2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         q = c1 * c1 * q11 + 2.0 * c1 * c2 * q12 + c2 * c2 * q22
-        if abs(q) > tol * scale:
+        if abs(q) > _PLANE_TOL * scale:
             break
     else:
         raise DegeneratePlaneError("no non-null vector found in the plane")
@@ -551,7 +535,7 @@ def _plane_basis(
     v = w - proj * u1
     b1, b2 = w1 - proj * a1, w2 - proj * a2
     qv = float(v @ g0 @ v)
-    if abs(qv) <= tol * max(1.0, scale):
+    if abs(qv) <= _PLANE_TOL * max(1.0, scale):
         raise DegeneratePlaneError("degenerate 2-plane for this metric")
     s2 = abs(qv) ** 0.5
     u2 = v / s2

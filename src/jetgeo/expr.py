@@ -318,26 +318,25 @@ def to_text(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------- evaluation
+def _children(e: Expr) -> tuple[Expr, ...]:
+    """The operands of `e` in order; none for a constant or a variable."""
+    if isinstance(e, (Const, Var)):
+        return ()
+    if isinstance(e, Sum):
+        return e.terms
+    if isinstance(e, Prod):
+        return e.factors
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Neg, Exp, Sin, Cos)):
+        return (e.arg,)
+    raise TypeError(f"not an Expr node: {e!r}")
+
+
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Const):
-        return frozenset()
     if isinstance(e, Var):
         return frozenset((e.name,))
-    if isinstance(e, Sum):
-        out: frozenset[str] = frozenset()
-        for t in e.terms:
-            out |= free_vars(t)
-        return out
-    if isinstance(e, Prod):
-        out = frozenset()
-        for f in e.factors:
-            out |= free_vars(f)
-        return out
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    if isinstance(e, (Neg, Exp, Sin, Cos)):
-        return free_vars(e.arg)
-    raise TypeError(f"not an Expr node: {e!r}")
+    return frozenset().union(*map(free_vars, _children(e)))
 
 
 def eval_point(e: Expr, env: Mapping[str, float]) -> float:
@@ -466,7 +465,7 @@ def compile_grad(
             k = pos[node.name]
             return lambda x: (x[k], unit[k])
         if isinstance(node, (Sum, Prod)):
-            parts = [build(t) for t in (node.terms if isinstance(node, Sum) else node.factors)]
+            parts = [build(t) for t in _children(node)]
             step = _grad_add if isinstance(node, Sum) else _grad_mul
 
             def fold(x):
@@ -475,7 +474,7 @@ def compile_grad(
                     acc = step(acc, f(x))
                 return acc
             return fold
-        arg = build(node.base if isinstance(node, Pow) else node.arg)
+        arg = build(_children(node)[0])
         if isinstance(node, Pow):
             def power(x):
                 out, b, k = (1.0, zero), arg(x), node.exponent

@@ -54,6 +54,8 @@ __all__ = [
     "model_kernel",
 ]
 
+_RANK_TOL = 1e-12  # singular values at or below this times the largest count as zero
+
 
 class PositivityError(ValueError):
     """Profile derivatives violate the positivity the construction needs."""
@@ -122,23 +124,16 @@ def complete_curvature_symmetries(
     """Close root components under the pair symmetries of the first four
     slots: antisymmetry in (0,1) and in (2,3), symmetry under pair swap.
     Derivative slots are untouched."""
+    # the slots of (i, j, k, l) each image reads, and its sign
+    table = (((0, 1, 2, 3), 1.0), ((0, 1, 3, 2), -1.0), ((1, 0, 2, 3), -1.0),
+             ((1, 0, 3, 2), 1.0), ((2, 3, 0, 1), 1.0), ((2, 3, 1, 0), -1.0),
+             ((3, 2, 0, 1), -1.0), ((3, 2, 1, 0), 1.0))
     out: dict[tuple[int, ...], float] = {}
     for idx, v in roots.items():
-        (i, j, k, l), tail = idx[:4], idx[4:]
-        images = {}
-        for (a, b, c, d), s in (((i, j, k, l), 1.0), ((k, l, i, j), 1.0)):
-            for swap_ab in (False, True):
-                for swap_cd in (False, True):
-                    key = (
-                        (b if swap_ab else a),
-                        (a if swap_ab else b),
-                        (d if swap_cd else c),
-                        (c if swap_cd else d),
-                    )
-                    sign = s * (-1.0 if swap_ab else 1.0) * (-1.0 if swap_cd else 1.0)
-                    images[key] = sign
+        # coinciding images keep the last sign, and dict order the first place
+        images = {tuple(idx[t] for t in slots): sign for slots, sign in table}
         for key, sign in images.items():
-            full = key + tail
+            full = key + idx[4:]
             w = sign * v
             prev = out.get(full)
             if prev is not None and prev != w:
@@ -238,7 +233,6 @@ def alpha_via_jacobi(
     params: FamilyParams,
     point: Sequence[float],
     x_vec: Sequence[float] | None = None,
-    y_vec: Sequence[float] | None = None,
     context: CurvatureContext | None = None,
     aux: np.ndarray | None = None,
 ) -> float:
@@ -250,19 +244,18 @@ def alpha_via_jacobi(
 
         alpha = <J_{p+1} X, J_{p+3} X> / <J_{p+2} X, J_{p+2} X>
 
-    for any positive-definite auxiliary product and generic X, Y.  `aux` is
-    the Gram matrix of that product (identity when omitted)."""
+    for any positive-definite auxiliary product, generic X, and Y = e_y.
+    `aux` is the Gram matrix of that product (identity when omitted)."""
     p = params.p
     ctx = context or CurvatureContext(build_metric(params), point, p + 3)
     m = ctx.dim
     xv = np.zeros(m) if x_vec is None else np.asarray(x_vec, dtype=float)
-    yv = np.zeros(m) if y_vec is None else np.asarray(y_vec, dtype=float)
     if x_vec is None:
         xv[0] = 1.0
-    if y_vec is None:
-        yv[1] = 1.0
-    if xv.shape != (m,) or yv.shape != (m,):
-        raise ValueError(f"vectors must have length {m}")
+    if xv.shape != (m,):
+        raise ValueError(f"x_vec must have length {m}")
+    yv = np.zeros(m)
+    yv[1] = 1.0
     if aux is None:
         h = np.eye(m)
     else:
@@ -462,19 +455,18 @@ def _frame_components(
 def quotient_model(
     params: FamilyParams,
     point: Sequence[float],
-    k_max: int | None = None,
     context: CurvatureContext | None = None,
 ) -> CurvatureModel:
-    """Engine curvature contracted onto the rescaled unbarred frame span.
+    """Engine curvature contracted onto the rescaled unbarred frame span, at
+    the levels k <= p + 2 of `reference_model`.
 
     The barred frame directions insert to zero at every slot, so this is the
     curvature model induced on the quotient by that kernel."""
     p = params.p
-    if k_max is None:
-        k_max = p + 2
+    k_max = p + 2
     ctx = context if context is not None and context.max_deriv >= k_max else None
     if ctx is None:
-        ctx = CurvatureContext(build_metric(params), point, max(k_max, max(p, 0)))
+        ctx = CurvatureContext(build_metric(params), point, k_max)
     frame = normalize_frame(params, point, context=ctx)
     reps = frame.rescaled[: p + 3]
     levels = tuple(_frame_components(ctx, k, reps) for k in range(k_max + 1))
@@ -492,18 +484,14 @@ def model_deviation(got: CurvatureModel, want: CurvatureModel) -> float:
 def frame_model_deviation(
     params: FamilyParams,
     point: Sequence[float],
-    k_max: int | None = None,
     context: CurvatureContext | None = None,
 ) -> float:
     """How far the engine frame components sit from the universal model."""
-    got = quotient_model(params, point, k_max, context)
-    want = reference_model(params.p, min(got.max_level, params.p + 2))
-    return model_deviation(got, want)
+    got = quotient_model(params, point, context)
+    return model_deviation(got, reference_model(params.p))
 
 
-def model_kernel(
-    ctx: CurvatureContext, k_max: int, rank_tol: float = 1e-12
-) -> np.ndarray:
+def model_kernel(ctx: CurvatureContext, k_max: int) -> np.ndarray:
     """Orthonormal basis (columns) of the joint insertion kernel of levels
     0..k_max: vectors giving zero in every slot of every component."""
     m = ctx.dim
@@ -521,5 +509,5 @@ def model_kernel(
         return np.eye(m)
     mat = np.array(list(rows.values()))
     _u, sig, vh = np.linalg.svd(mat)
-    rank = int(np.sum(sig > rank_tol * sig[0]))
+    rank = int(np.sum(sig > _RANK_TOL * sig[0]))
     return vh[rank:].T

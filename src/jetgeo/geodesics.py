@@ -21,7 +21,7 @@ and builds its force evaluator once.
 
 The force is one kernel over arrays of points (`expr.compile_grad` gives the
 metric's first partials); Runge-Kutta calls it on one point, and the direct
-route's breadth-first adaptive Simpson rule on all new nodes of a depth.
+route's breadth-first adaptive Simpson rule once on all new nodes of a depth.
 Only the Runge-Kutta route imports scipy.
 """
 from __future__ import annotations
@@ -53,6 +53,12 @@ __all__ = [
     "adaptive_simpson",
     "trajectory_csv",
 ]
+
+_PROBE_TOL = 1e-11  # `_inverse_probe`: relative size of an inverse entry taken as zero
+_PROBES = 7  # `_inverse_probe`: jittered points sampled besides the given one
+_RK_RTOL = 1e-10  # DOP853 tolerances of the Runge-Kutta route
+_RK_ATOL = 1e-12
+_QUAD_TOL = 1e-12  # adaptive Simpson tolerance of the direct route
 
 
 class StepCollapseError(RuntimeError):
@@ -159,14 +165,14 @@ class TriangularReport:
 
 
 def _inverse_probe(
-    spec: MetricSpec, point: Sequence[float], tol: float = 1e-11, probes: int = 7
+    spec: MetricSpec, point: Sequence[float]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero pattern of the inverse metric and per-entry constancy, from
     jittered samples around `point`.  Numeric, not a proof."""
     rng = np.random.default_rng(20_260_817)
     base = np.asarray(point, dtype=float)
     mats = [np.linalg.inv(spec.value(base))]
-    for _ in range(probes):
+    for _ in range(_PROBES):
         q = base + rng.uniform(0.05, 0.45, size=base.size) * (1.0 + np.abs(base))
         try:
             mats.append(np.linalg.inv(spec.value(q)))
@@ -178,8 +184,8 @@ def _inverse_probe(
         return full, ~full
     stack = np.stack(mats)
     scale = max(float(np.max(np.abs(stack))), 1.0)
-    nonzero = np.max(np.abs(stack), axis=0) > tol * scale
-    constant = np.max(np.abs(stack - stack[0]), axis=0) <= tol * scale
+    nonzero = np.max(np.abs(stack), axis=0) > _PROBE_TOL * scale
+    constant = np.max(np.abs(stack - stack[0]), axis=0) <= _PROBE_TOL * scale
     return nonzero, constant
 
 
@@ -244,15 +250,6 @@ def triangular_report(spec: MetricSpec, point: Sequence[float]) -> TriangularRep
 
 
 # ------------------------------------------------------------- quadrature
-_BATCH = 256  # nodes per integrand call; bounds the force's working arrays
-
-
-def _nodes(f: Callable[[np.ndarray], np.ndarray], r: np.ndarray) -> np.ndarray:
-    # f's rows at the nodes r, `_BATCH` at a time (an empty r still calls f
-    # once, for the shape of its rows)
-    return np.concatenate([f(r[i:i + _BATCH]) for i in range(0, max(len(r), 1), _BATCH)])
-
-
 def adaptive_simpson(
     f: Callable[[np.ndarray], np.ndarray],
     a: np.ndarray,
@@ -264,18 +261,18 @@ def adaptive_simpson(
     to tolerance tol[i]; f maps an array of nodes to one row per node.
 
     Breadth first: each depth evaluates the new nodes of every pending
-    interval together (`_BATCH` nodes per call of f).  A pair of halves is
-    accepted, Richardson-corrected, at `max_depth` or when its error is
-    within 15 tol max(1, |s2|), else split with half the tolerance; sums go
-    back up the tree left + right, as in a recursion."""
+    interval in one call of f.  A pair of halves is accepted,
+    Richardson-corrected, at `max_depth` or when its error is within
+    15 tol max(1, |s2|), else split with half the tolerance; sums go back up
+    the tree left + right, as in a recursion."""
     a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
     mid = 0.5 * (a + b)
-    fa, fb, fm = np.split(_nodes(f, np.concatenate([a, b, mid])), 3)
+    fa, fb, fm = np.split(f(np.concatenate([a, b, mid])), 3)
     s = ((b - a) / 6.0)[:, None] * (fa + 4.0 * fm + fb)
     levels = []  # per depth: the accepted values, and which halves split
     for depth in range(max_depth + 1):
         lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
-        flm, frm = np.split(_nodes(f, np.concatenate([lm, rm])), 2)
+        flm, frm = np.split(f(np.concatenate([lm, rm])), 2)
         left = ((mid - a) / 6.0)[:, None] * (fa + 4.0 * flm + fm)
         right = ((b - mid) / 6.0)[:, None] * (fm + 4.0 * frm + fb)
         s2 = left + right
@@ -309,8 +306,6 @@ def integrate_ivp(
     velocity: Sequence[float],
     t_end: float = 1.0,
     n_samples: int = 101,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
 ) -> Trajectory:
     """Runge-Kutta route (DOP853) for the geodesic initial-value problem."""
     from scipy.integrate import solve_ivp  # only this route needs scipy
@@ -331,8 +326,8 @@ def integrate_ivp(
         np.concatenate([u0, v0]),
         method="DOP853",
         t_eval=grid,
-        rtol=rtol,
-        atol=atol,
+        rtol=_RK_RTOL,
+        atol=_RK_ATOL,
     )
     if not res.success:
         raise StepCollapseError(f"integrator stopped early: {res.message}")
@@ -364,7 +359,6 @@ def _cumulative_moments(
     gfun: Callable[[np.ndarray], np.ndarray],
     grid: np.ndarray,
     m: int,
-    tol: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Running integrals of G and of r G over the sample grid."""
     span = max(grid[-1] - grid[0], 1e-300)
@@ -374,7 +368,7 @@ def _cumulative_moments(
         return np.concatenate([g, r[:, None] * g], axis=1)
 
     seg = adaptive_simpson(
-        fboth, grid[:-1], grid[1:], tol * np.maximum(np.diff(grid) / span, 1e-6)
+        fboth, grid[:-1], grid[1:], _QUAD_TOL * np.maximum(np.diff(grid) / span, 1e-6)
     )
     k = np.cumsum(np.concatenate([np.zeros((1, 2 * m)), seg]), axis=0)
     return k[:, :m], k[:, m:]
@@ -399,11 +393,10 @@ def _direct_ivp(
     v0: np.ndarray,
     t_end: float,
     n_samples: int,
-    tol: float,
 ) -> Trajectory:
     grid = np.linspace(0.0, float(t_end), n_samples)
     gfun = _forced_force_fn(spec, ev, u0, v0, free_idx)
-    k1, k2 = _cumulative_moments(gfun, grid, spec.dim, tol)
+    k1, k2 = _cumulative_moments(gfun, grid, spec.dim)
     # no force reaches free coordinates; drop solve round-off so they stay
     # exactly affine
     k1[:, free_idx] = 0.0
@@ -420,14 +413,13 @@ def triangular_ivp(
     velocity: Sequence[float],
     t_end: float = 1.0,
     n_samples: int = 101,
-    tol: float = 1e-12,
 ) -> Trajectory:
     """Direct-quadrature route; raises TriangularStructureError unless the
     triangular structure holds at `start`."""
     _, free_idx, ev = _direct_setup(spec, start)
     u0 = np.asarray(start, dtype=float)
     v0 = np.asarray(velocity, dtype=float)
-    return _direct_ivp(spec, ev, free_idx, u0, v0, t_end, n_samples, tol)
+    return _direct_ivp(spec, ev, free_idx, u0, v0, t_end, n_samples)
 
 
 def triangular_bvp(
@@ -435,7 +427,6 @@ def triangular_bvp(
     start: Sequence[float],
     target: Sequence[float],
     n_samples: int = 101,
-    tol: float = 1e-12,
 ) -> Trajectory:
     """Two-point problem on [0, 1]; the forced velocities close in one
     quadrature because their force involves free coordinates only, and the
@@ -449,18 +440,17 @@ def triangular_bvp(
     def fmom(r: np.ndarray) -> np.ndarray:
         return (1.0 - r)[:, None] * gfun(r)
 
-    corr = adaptive_simpson(fmom, np.zeros(1), np.ones(1), np.full(1, tol))[0]
+    corr = adaptive_simpson(fmom, np.zeros(1), np.ones(1), np.full(1, _QUAD_TOL))[0]
     forced_idx = np.array([spec.coords.index(v) for v in rep.forced], dtype=int)
     if forced_idx.size:
         v0[forced_idx] += corr[forced_idx]
-    return _direct_ivp(spec, ev, free_idx, u0, v0, 1.0, n_samples, tol)
+    return _direct_ivp(spec, ev, free_idx, u0, v0, 1.0, n_samples)
 
 
 def solve_geodesic(
     problem: GeodesicProblem,
     method: str = "auto",
     n_samples: int = 101,
-    tol: float = 1e-12,
 ) -> Trajectory:
     """Dispatch a GeodesicProblem to a route; `method` is auto, rk, or
     triangular (two-point problems always need the triangular route).  Auto
@@ -470,11 +460,11 @@ def solve_geodesic(
         raise ValueError(f"unknown method {method!r}")
     if problem.target is not None:
         return triangular_bvp(problem.spec, problem.start, problem.target,
-                              n_samples, tol)
+                              n_samples)
     if method != "rk":
         try:
             return triangular_ivp(problem.spec, problem.start, problem.velocity,
-                                  problem.t_end, n_samples, tol)
+                                  problem.t_end, n_samples)
         except TriangularStructureError:
             if method == "triangular":
                 raise
@@ -486,10 +476,9 @@ def exp_map(
     spec: MetricSpec,
     start: Sequence[float],
     velocity: Sequence[float],
-    method: str = "auto",
 ) -> np.ndarray:
     traj = solve_geodesic(
-        GeodesicProblem(spec, tuple(start), velocity=tuple(velocity)), method
+        GeodesicProblem(spec, tuple(start), velocity=tuple(velocity))
     )
     return traj.u[-1].copy()
 

@@ -19,7 +19,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import accumulate, chain, permutations
 from random import Random
 from typing import Iterable, Sequence
 
@@ -52,14 +52,6 @@ class CapsExceededError(RuntimeError):
 
 def _slots(factors: Sequence[int]) -> int:
     return sum(4 + k for k in factors)
-
-
-def _offsets(factors: Sequence[int]) -> list[int]:
-    """First global slot of each factor."""
-    offs = [0]
-    for k in factors[:-1]:
-        offs.append(offs[-1] + 4 + k)
-    return offs
 
 
 def matching_count(n_slots: int) -> int:
@@ -99,31 +91,19 @@ class ContractionSchema:
         return _slots(self.factors)
 
     def canonical_key(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """Identity under reordering of equal-level factors."""
-        sorted_factors = tuple(sorted(self.factors))
-        offs_new = _offsets(sorted_factors)
-        offs_old = _offsets(self.factors)
-        # canonical positions by level, and the factors that may fill them
-        groups: dict[int, list[int]] = {}
-        for pos, k in enumerate(sorted_factors):
-            groups.setdefault(k, []).append(pos)
-        sources: dict[int, list[int]] = {}
-        for i, k in enumerate(self.factors):
-            sources.setdefault(k, []).append(i)
-        levels = sorted(groups)
-
-        def relabelled(perms: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, int], ...]:
-            remap: dict[int, int] = {}
-            for k, perm in zip(levels, perms):
-                for old_i, new_pos in zip(perm, groups[k]):
-                    for t in range(4 + k):
-                        remap[offs_old[old_i] + t] = offs_new[new_pos] + t
-            return tuple(sorted(
-                (min(remap[a], remap[b]), max(remap[a], remap[b])) for a, b in self.pairing
-            ))
-
-        best = min(map(relabelled, product(*(permutations(sources[k]) for k in levels))))
-        return (sorted_factors, best)
+        """Identity under reordering of equal-level factors: the least
+        relabelled pairing over the factor orders that sort the levels."""
+        ends = accumulate(4 + k for k in self.factors)
+        slots = [range(end - 4 - k, end) for k, end in zip(self.factors, ends)]
+        relabelled = []
+        for order in permutations(range(len(self.factors))):
+            if any(self.factors[i] > self.factors[j] for i, j in zip(order, order[1:])):
+                continue
+            new = {old: s for s, old in enumerate(chain.from_iterable(slots[i] for i in order))}
+            relabelled.append(tuple(sorted(
+                (min(new[a], new[b]), max(new[a], new[b])) for a, b in self.pairing
+            )))
+        return (tuple(sorted(self.factors)), min(relabelled))
 
     def canonical(self) -> "ContractionSchema":
         f, p = self.canonical_key()
@@ -198,6 +178,13 @@ class CatalogResult:
     skipped: tuple[tuple[int, ...], ...]  # factor lists past the matching limit
 
 
+def _check_caps(max_factors: int, max_deriv: int) -> None:
+    if max_factors < 1 or max_factors > MAX_FACTORS:
+        raise CapsExceededError(f"max_factors must be in 1..{MAX_FACTORS}")
+    if max_deriv < 0 or max_deriv > MAX_DERIV:
+        raise CapsExceededError(f"max_deriv must be in 0..{MAX_DERIV}")
+
+
 @functools.cache
 def catalog(
     max_factors: int, max_deriv: int, exhaustive_limit: int = 1000
@@ -205,10 +192,7 @@ def catalog(
     """All canonical schemas over factor lists whose matching count stays
     within `exhaustive_limit`; larger factor lists are reported as skipped.
     Built once per process for each argument list; the result is immutable."""
-    if max_factors < 1 or max_factors > MAX_FACTORS:
-        raise CapsExceededError(f"max_factors must be in 1..{MAX_FACTORS}")
-    if max_deriv < 0 or max_deriv > MAX_DERIV:
-        raise CapsExceededError(f"max_deriv must be in 0..{MAX_DERIV}")
+    _check_caps(max_factors, max_deriv)
     if exhaustive_limit < 1 or exhaustive_limit > MAX_EXHAUSTIVE_LIMIT:
         raise CapsExceededError(f"exhaustive_limit must be in 1..{MAX_EXHAUSTIVE_LIMIT}")
     seen: set = set()
@@ -238,10 +222,7 @@ def random_schemas(
 ) -> tuple[ContractionSchema, ...]:
     """Deterministic sample of distinct canonical schemas (may return fewer
     than `count` when the space is small)."""
-    if max_factors < 1 or max_factors > MAX_FACTORS:
-        raise CapsExceededError(f"max_factors must be in 1..{MAX_FACTORS}")
-    if max_deriv < 0 or max_deriv > MAX_DERIV:
-        raise CapsExceededError(f"max_deriv must be in 0..{MAX_DERIV}")
+    _check_caps(max_factors, max_deriv)
     rng = Random(seed)
     pool = [f for f in _factor_lists(max_factors, max_deriv) if _slots(f) % 2 == 0]
     seen: set = set()
@@ -272,11 +253,12 @@ def evaluate(
     """Value of the invariant at `point`, summed over sparse factor supports.
 
     The factors are joined one at a time over their level views
-    (`CurvatureContext.curvature`).  A combination is a row of picks, one
-    component of each factor joined so far, and it is dropped as soon as one
-    of its closed pairs meets a zero of `ginv0`.  Each kept term is the
-    product of the factor values and then of the g^ab in pairing order, and
-    the terms are added in the order of nested loops over the factors.
+    (`CurvatureContext.curvature`).  A combination joins one component of
+    each factor so far, held as one index column per joined slot, and it is
+    dropped as soon as one of its closed pairs meets a zero of `ginv0`.  Each
+    kept term is the product of the factor values and then of the g^ab in
+    pairing order, and the terms are added in the order of nested loops over
+    the factors.
     """
     ctx = context or CurvatureContext(spec, point, max(schema.factors))
     views = [ctx.curvature(k) for k in schema.factors]
@@ -284,28 +266,23 @@ def evaluate(
     if work > WORK_LIMIT:
         raise CapsExceededError(f"evaluation needs {work} support combinations")
     owner = [f for f, k in enumerate(schema.factors) for _ in range(4 + k)]
-    offs = _offsets(schema.factors)
     g = ctx.ginv0
-    picks: list[np.ndarray] = []
+    cols: list[np.ndarray] = []
     weight = np.ones(1)
-
-    def at(slot: int) -> np.ndarray:
-        f = owner[slot]
-        return views[f].index[picks[f], slot - offs[f]]
-
     for f, view in enumerate(views):
         n = len(view.values)
         rows = np.repeat(np.arange(len(weight)), n)
-        picks = [p[rows] for p in picks] + [np.tile(np.arange(n), len(weight))]
-        weight = weight[rows] * view.values[picks[f]]
+        pick = np.tile(np.arange(n), len(weight))
+        cols = [c[rows] for c in cols] + list(view.index[pick].T)
+        weight = weight[rows] * view.values[pick]
         keep = np.ones(len(weight), dtype=bool)
         for a, b in schema.pairing:
             if owner[b] == f:  # a < b, so the pair closes with factor f
-                keep &= g[at(a), at(b)] != 0.0
-        picks = [p[keep] for p in picks]
+                keep &= g[cols[a], cols[b]] != 0.0
+        cols = [c[keep] for c in cols]
         weight = weight[keep]
     for a, b in schema.pairing:
-        weight = weight * g[at(a), at(b)]
+        weight = weight * g[cols[a], cols[b]]
     return float(np.bincount(np.zeros(len(weight), dtype=np.intp), weights=weight, minlength=1)[0])
 
 

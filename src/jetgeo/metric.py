@@ -37,6 +37,7 @@ class SignatureError(ValueError):
 
 
 _ZERO = ex.Const(0.0)
+_SINGULAR_TOL = 1e-10  # eigenvalue ratio at or below which `validate_at` calls g singular
 
 
 class MetricSpec:
@@ -107,17 +108,17 @@ class MetricSpec:
                 g[i, j] = g[j, i] = ex.eval_point(self.components[i][j], env)
         return g
 
-    def validate_at(self, point: Sequence[float], tol: float = 1e-10) -> np.ndarray:
+    def validate_at(self, point: Sequence[float]) -> np.ndarray:
         """Check nondegeneracy and signature at `point`; return eigenvalues.
 
         Raises SingularMetricError when the smallest |eigenvalue| falls below
-        `tol` times the largest, and SignatureError when the sign counts
+        `_SINGULAR_TOL` times the largest, and SignatureError when the sign counts
         disagree with the declared signature.
         """
         g = self.value(point)
         w = np.linalg.eigvalsh(g)
         scale = float(np.max(np.abs(w)))
-        if scale == 0.0 or float(np.min(np.abs(w))) <= tol * scale:
+        if scale == 0.0 or float(np.min(np.abs(w))) <= _SINGULAR_TOL * scale:
             raise SingularMetricError(
                 f"metric degenerate at {tuple(point)}: eigenvalues {w.tolist()}"
             )

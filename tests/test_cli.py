@@ -171,6 +171,17 @@ def test_check_sphere_controls(capsys, sphere_path):
     assert geo_line.endswith(f", direct route skipped: {blocking})")
 
 
+def test_check_flat_spec_skips_weyl_control(capsys, tmp_path):
+    # tau, r2 and ric2 all vanish on a flat metric, so they control nothing
+    path = tmp_path / "flat.json"
+    save_metric(flat_metric(("u", "v", "w"), (1, 2)), str(path))
+    code, out, _ = run(capsys, ["check", "--spec", str(path), "--point", "0.3,0.2,0.1"])
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "RESULT: PASS"
+    assert "weyl_control: SKIP (all three vanish here: tau=0.0, r2=0.0, ric2=0.0)" in lines
+
+
 def test_check_degenerate_profile_fails_precondition(capsys):
     code, out, _ = run(capsys, ["check", "--family", "p=0, f=y^2", "--seed", "42"])
     assert code == 1

@@ -11,11 +11,7 @@ from jetgeo.curvature import (
     CurvatureContext,
     DegeneratePlaneError,
     TensorField,
-    christoffel,
     jacobi_operator,
-    nabla_k_r,
-    riemann,
-    scalar_curvature,
     skew_curvature_operator,
 )
 from jetgeo.family import FamilyParams, alpha_via_jacobi, build_metric, base_point
@@ -84,7 +80,7 @@ def test_christoffels_match_finite_differences():
         fd_first[a, b, c] = 0.5 * (dg[a, b, c] + dg[b, a, c] - dg[c, a, b])
     fd_second = np.einsum("cd,abd->abc", np.linalg.inv(g_at(pt)), fd_first)
 
-    ch = christoffel(spec, pt)
+    ch = CurvatureContext(spec, pt, 0).christoffels()
     for a, b, c in itertools.product(range(m), repeat=3):
         assert ch.first.get((a, b, c), 0.0) == pytest.approx(
             fd_first[a, b, c], rel=1e-7, abs=1e-8
@@ -116,11 +112,11 @@ def test_sphere_curvature_closed_form():
 def test_hyperbolic_surface_closed_form():
     spec = metric_from_strings(("u", "v"), {(0, 0): "exp(2*v)", (1, 1): "1"}, (0, 2))
     pt = (0.3, -0.2)
-    comp = riemann(spec, pt).components
+    comp = CurvatureContext(spec, pt, 0).curvature(0).components
     e2v = math.exp(2 * pt[1])
     assert comp[(0, 1, 0, 1)] == pytest.approx(e2v, rel=1e-14)
     assert comp[(0, 1, 1, 0)] == pytest.approx(-e2v, rel=1e-14)
-    assert scalar_curvature(spec, pt) == pytest.approx(-2.0, rel=1e-14)
+    assert CurvatureContext(spec, pt, 0).scalar() == pytest.approx(-2.0, rel=1e-14)
 
 
 def test_riemann_matches_finite_differences():
@@ -158,7 +154,7 @@ def test_riemann_matches_finite_differences():
         term_j = dgamma2[j, i, k] @ g[:, l] + gamma2[i, k] @ gamma1[j, :, l]
         fd_r[i, j, k, l] = term_i - term_j
 
-    comp = riemann(spec, pt).components
+    comp = CurvatureContext(spec, pt, 0).curvature(0).components
     for idx in itertools.product(range(m), repeat=4):
         assert comp.get(idx, 0.0) == pytest.approx(fd_r[idx], rel=1e-5, abs=1e-6)
 
@@ -169,12 +165,12 @@ def test_flat_metric_has_no_curvature():
     for k in range(3):
         assert ctx.support(k) == frozenset()
         assert ctx.curvature(k).components == {}
-    assert scalar_curvature(fl, (0.0, 0.0, 0.0)) == 0.0
+    assert CurvatureContext(fl, (0.0, 0.0, 0.0), 0).scalar() == 0.0
 
 
 def test_constant_offdiagonal_metric_flat():
     spec = metric_from_strings(("a", "b"), {(0, 1): "1", (0, 0): "1"}, (1, 1))
-    assert riemann(spec, (0.5, 0.7)).components == {}
+    assert CurvatureContext(spec, (0.5, 0.7), 0).curvature(0).components == {}
 
 
 # --------------------------------------------------------- internal algebra
@@ -261,6 +257,18 @@ def test_level_order_guard():
         ctx.curvature(2)
 
 
+@pytest.mark.xfail(strict=True, reason="roundoff images of zero at higher Taylor orders "
+                   "pass the global flush (ROADMAP item 1)")
+def test_locally_symmetric_level_one_support_is_empty_at_every_max_deriv():
+    # nabla R = 0 on H^2 and S^2.  Today H^2's support(1) has 0 entries for
+    # max_deriv <= 5 and 2, 4, 8 for 6, 7, 8 (its view is empty throughout);
+    # S^2's has 6 or 8.
+    h2 = metric_from_strings(("x", "y"), {(0, 0): "1", (1, 1): "exp(2*x)"}, (0, 2))
+    for spec, pt in ((h2, (0.4, 0.1)), (two_sphere(), (0.6, 0.3))):
+        for md in range(1, 9):
+            assert CurvatureContext(spec, pt, md).support(1) == frozenset(), md
+
+
 # ------------------------------------------------------------- contractions
 def test_contract_and_contract_open_consistent():
     params = family_p0()
@@ -284,7 +292,7 @@ def test_contract_arity_checks():
 
 
 def test_tensorfield_dense():
-    t = riemann(two_sphere(), (0.8, 0.1))
+    t = CurvatureContext(two_sphere(), (0.8, 0.1), 0).curvature(0)
     dense = t.dense()
     assert dense.shape == (2, 2, 2, 2)
     for idx, v in t.components.items():
@@ -297,7 +305,7 @@ def test_tensorfield_dense():
 def test_nabla_k_r_wrapper():
     params = family_p0("exp(y)")
     pt = base_point(params, 0.0, [0.0])
-    t = nabla_k_r(build_metric(params), pt, 3)
+    t = CurvatureContext(build_metric(params), pt, 3).curvature(3)
     assert t.level == 3 and t.rank == 7
     assert t.components[(0, 1, 1, 0, 1, 1, 1)] == pytest.approx(1.0, rel=1e-12)
 
