@@ -12,11 +12,17 @@ so the level-k components still hold enough derivative information to feed
 level k + 1.  Truncating both factors of a product to the output order first
 is exact, because multiplication never moves low-order coefficients up.
 
-Component dictionaries are sparse: keys are index tuples, values jets, and
-missing keys are exact zeros.  Support is propagated level to level (a new
-nonzero needs either a derivative of an old one or a Christoffel hook into
-one), and an exhaustive all-indices evaluator is kept alongside as a slow
-cross-check.
+A level is sparse: one coefficient matrix with a row per component that can
+be nonzero, keyed by index tuples, and missing keys are exact zeros.  It
+reads as a dictionary from index tuple to jet (a view of the row).  Support
+is propagated level to level (a new nonzero needs either a derivative of an
+old one or a Christoffel hook into one), and an exhaustive all-indices
+evaluator is kept alongside as a slow cross-check.  Each step after level 0
+evaluates all components of its level at once: derivatives as gathers and
+Christoffel terms as one row-batched jet product (vector-mode Taylor
+propagation: Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM
+2008, ch. 13), summed in the order of a loop over the components, so every
+coefficient is that loop's to the last bit.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jets import Jet, JetOrderError, jet_space
+from .jets import Jet, JetOrderError, _ramps, jet_space
 from . import expr as ex
 from .metric import MetricSpec
 
@@ -148,6 +154,54 @@ def _contract(
     return np.bincount(bins, weights=w, minlength=size).reshape((view.dim,) * len(out_slots))
 
 
+def _runs(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stable order of `key` (values below n), with the start and the
+    length of each value's run in it."""
+    length = np.bincount(key, minlength=n)
+    return np.argsort(key, kind="stable"), np.cumsum(length) - length, length
+
+
+def _expand(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs given by start and length: each member's run, and its position."""
+    return np.repeat(np.arange(len(length)), length), np.repeat(start, length) + _ramps(length)
+
+
+def _digit_weights(dim: int, r: int) -> np.ndarray:
+    """Weights that read an r-index tuple as one base-dim number (Python
+    ints where int64 would overflow)."""
+    wide = np.int64 if dim ** r < 2 ** 63 else object
+    return np.array([dim ** (r - 1 - s) for s in range(r)], dtype=wide)
+
+
+class _Level(dict):
+    """The jets of one curvature level by index tuple, in level order.
+
+    Jet r is a view of row r of `coef`, and row r of `index` is its key.
+    """
+
+    def __init__(self, keys: list, index: np.ndarray, coef: np.ndarray, space):
+        super().__init__(zip(keys, [Jet(space, row) for row in coef]))
+        self.index = index
+        self.coef = coef
+
+    def depends(self, space) -> np.ndarray:
+        """(row, variable) flags: the row has a nonzero coefficient whose
+        exponent of the variable is positive, so its derivative by the
+        variable is not identically zero.  `space` is the rows' space."""
+        row, col = np.nonzero(self.coef)
+        at, var = np.nonzero(space._exps[col] > 0)
+        out = np.zeros((len(self.coef), space.n), dtype=bool)
+        out[row[at], var] = True
+        return out
+
+    @classmethod
+    def of(cls, jets: Mapping[tuple[int, ...], Jet], rank: int, space) -> "_Level":
+        keys = list(jets)
+        index = np.array(keys, dtype=np.intp).reshape(len(keys), rank)
+        coef = np.array([j.coef for j in jets.values()]).reshape(len(keys), space.size)
+        return cls(keys, index, coef, space)
+
+
 def _flush(coef: np.ndarray, scale: float) -> np.ndarray:
     """`coef` with the entries at machine noise against `scale` set to 0."""
     return np.where(np.abs(coef) <= 64.0 * np.finfo(float).eps * scale, 0.0, coef)
@@ -207,14 +261,24 @@ class CurvatureContext:
         self._gamma2 = self._christoffel_second()
 
         # hooks for covariant-derivative terms: fwd[(a, b)] lists (c, jet)
-        # with lower pair (a, b) and upper c; rev[c] lists the pairs.
+        # with lower pair (a, b) and upper c.  The level steps read the same
+        # lists as runs of the keys in `_gamma2` order, grouped stably by
+        # lower pair a * dim + b (`_fwd_*`) and by upper index c (`_rev_*`).
         self._fwd: dict[tuple[int, int], list[tuple[int, Jet]]] = {}
-        self._rev: dict[int, list[tuple[int, int]]] = {}
         for (a, b, c), jet in self._gamma2.items():
             self._fwd.setdefault((a, b), []).append((c, jet))
-            self._rev.setdefault(c, []).append((a, b))
+        keys = np.array(list(self._gamma2), dtype=np.intp).reshape(-1, 3)
+        gammas = list(self._gamma2.values())
+        fwd, self._fwd_start, self._fwd_len = _runs(keys[:, 0] * self.dim + keys[:, 1],
+                                                    self.dim ** 2)
+        self._fwd_upper = keys[fwd, 2]
+        self._fwd_jets = [gammas[h] for h in fwd.tolist()]
+        rev, self._rev_start, self._rev_len = _runs(keys[:, 2], self.dim)
+        self._rev_lower = keys[rev, :2]
+        self._act_pos = np.full(self.dim, -1)
+        self._act_pos[list(self.act_idx)] = np.arange(len(self.act_idx))
 
-        self._levels: list[dict[tuple[int, ...], Jet]] = []
+        self._levels: list[_Level] = []
         self._views: dict[int, TensorField] = {}
 
     # ------------------------------------------------------------ plumbing
@@ -358,9 +422,7 @@ class CurvatureContext:
                     cand.add((q, i, k, l))
         return cand
 
-    def _riemann_jets(
-        self, cand: Iterable[tuple[int, int, int, int]]
-    ) -> dict[tuple[int, int, int, int], Jet]:
+    def _riemann_jets(self, cand: Iterable[tuple[int, int, int, int]]) -> _Level:
         """Level-0 jets at the index tuples `cand`, zeros left out."""
         ord0 = self.order - 2
         out: dict[tuple[int, int, int, int], Jet] = {}
@@ -371,45 +433,121 @@ class CurvatureContext:
                 a = (-b) if a is None else a - b
             if a is not None and not a.is_zero():
                 out[(i, j, k, l)] = a
-        return out
+        return _Level.of(out, 4, jet_space(self.active, ord0))
 
-    def _nabla_step(
-        self, prev: Mapping[tuple[int, ...], Jet], ord_out: int
-    ) -> dict[tuple[int, ...], Jet]:
-        cand: set[tuple[int, ...]] = set()
-        for idx in prev:
-            for m_ in self.act_idx:
-                cand.add(idx + (m_,))
-            for s, a in enumerate(idx):
-                for (m_, i_) in self._rev.get(a, ()):
-                    cand.add(idx[:s] + (i_,) + idx[s + 1:] + (m_,))
-        return self._nabla_jets(prev, cand, ord_out)
+    def _nabla_step(self, prev: _Level, ord_out: int) -> _Level:
+        return self._nabla_jets(prev, self._nabla_candidates(prev.index), ord_out)
 
-    def _nabla_jets(
-        self,
-        prev: Mapping[tuple[int, ...], Jet],
-        cand: Iterable[tuple[int, ...]],
-        ord_out: int,
-    ) -> dict[tuple[int, ...], Jet]:
+    def _nabla_candidates(self, index: np.ndarray) -> set[tuple[int, ...]]:
+        """Index tuples the level after the one keyed by `index` can be
+        nonzero at: a key with a derivative slot appended, or with one slot
+        moved along a Christoffel hook and the hook's lower index appended.
+        They go into the set key by key, derivative slots first and then
+        slot by slot in hook order, which fixes the set's iteration order."""
+        n, r = index.shape
+        # the candidates as base-dim codes of their r + 1 indices
+        weights = _digit_weights(self.dim, r + 1)
+        codes = index @ weights[:-1]
+        act = np.array(self.act_idx, dtype=np.intp)
+        derived = np.repeat(np.arange(n), len(act))
+        # (key, slot) pairs row by row, so the hooks come slot by slot
+        at, h = _expand(self._rev_start[index].ravel(), self._rev_len[index].ravel())
+        hooked, s = np.divmod(at, r)
+        moved = codes[hooked] + (self._rev_lower[h, 1] - index.ravel()[at]) * weights[s]
+        seq = np.concatenate((codes[derived] + np.tile(act, n), moved + self._rev_lower[h, 0]))
+        seq = seq[np.argsort(np.concatenate((derived, hooked)), kind="stable")]
+        # a repeat leaves a set as it was, so only first occurrences go in
+        by_code = np.argsort(seq, kind="stable")
+        first = np.ones(len(seq), dtype=bool)
+        first[1:] = seq[by_code[1:]] != seq[by_code[:-1]]
+        seq = seq[np.sort(by_code[first])]
+        cand = np.empty((len(seq), r + 1), dtype=np.intp)
+        for j in range(r, -1, -1):
+            cand[:, j] = seq % self.dim
+            seq = seq // self.dim
+        return set(map(tuple, cand.tolist()))
+
+    def _hook_terms(self, base, m_, codes, weights, find):
+        """The Christoffel terms of the components (base; m_) as arrays of
+        (component, hook, row of the previous level), in the order of the
+        sum: component by component, slot by slot, then in hook order.
+        `codes` are the bases as base-dim codes and `find` turns a code into
+        its row of the previous level, -1 where it has none."""
+        pair = (m_[:, None] * self.dim + base).ravel()
+        at, hook = _expand(self._fwd_start[pair], self._fwd_len[pair])
+        comp, s = np.divmod(at, base.shape[1])
+        rep = find(codes[comp] + (self._fwd_upper[hook] - base.ravel()[at]) * weights[s])
+        hit = rep >= 0
+        return comp[hit], hook[hit], rep[hit]
+
+    def _nabla_jets(self, prev: _Level, cand: Iterable[tuple[int, ...]], ord_out: int) -> _Level:
         """Jets of the level after `prev` at the index tuples `cand`, zeros
-        left out: (nabla T)(i; m) = d_m T(i) - sum_s Gamma_{m i_s}^a T(i, a at s)."""
-        out: dict[tuple[int, ...], Jet] = {}
-        for full in cand:
-            base_idx, m_ = full[:-1], full[-1]
-            acc = None
-            tj = prev.get(base_idx)
-            if tj is not None and m_ in self._act_set:
-                acc = tj.deriv(self.coords[m_])
-            for s, i_s in enumerate(base_idx):
-                for a, gamma2 in self._fwd.get((m_, i_s), ()):
-                    rep = prev.get(base_idx[:s] + (a,) + base_idx[s + 1:])
-                    if rep is None:
-                        continue
-                    term = gamma2.truncated(ord_out) * rep.truncated(ord_out)
-                    acc = (-term) if acc is None else acc - term
-            if acc is not None and not acc.is_zero():
-                out[full] = acc
-        return out
+        left out: (nabla T)(i; m) = d_m T(i) - sum_s Gamma_{m i_s}^a T(i, a at s).
+
+        All components at once: the derivatives by one gather per variable,
+        the products by one `multiply_rows`.  A component subtracts its
+        products from its derivative in the order of the sum, or starts
+        from minus the first where it has no derivative, so every jet is
+        that of a loop over the components bit for bit.
+        """
+        space = jet_space(self.active, ord_out)
+        cand = list(cand)
+        r = prev.index.shape[1]
+        idx = np.fromiter(chain.from_iterable(cand), np.intp, len(cand) * (r + 1))
+        idx = idx.reshape(-1, r + 1)
+        if not prev:
+            return _Level([], idx[:0], np.zeros((0, space.size)), space)
+        # index tuples as base-dim codes, looked up in prev's sorted codes
+        weights = _digit_weights(self.dim, r)
+        prev_codes = prev.index @ weights
+        by_code = np.argsort(prev_codes, kind="stable")
+        sorted_codes = prev_codes[by_code]
+
+        def find(codes):
+            pos = np.minimum(np.searchsorted(sorted_codes, codes), len(by_code) - 1)
+            return np.where(sorted_codes[pos] == codes, by_code[pos], -1)
+
+        base, m_ = idx[:, :-1], idx[:, -1]
+        codes = base @ weights
+        tj = find(codes)
+        var = self._act_pos[m_]
+        has_d = (tj >= 0) & (var >= 0)
+        comp, hook, rep = self._hook_terms(base, m_, codes, weights, find)
+        n_terms = np.bincount(comp, minlength=len(cand))
+
+        # rows to evaluate: those with a Christoffel term or a derivative
+        # that is not identically zero
+        prev_space = jet_space(self.active, ord_out + 1)
+        live = n_terms > 0
+        live[has_d] |= prev.depends(prev_space)[tj[has_d], var[has_d]]
+        rows = np.flatnonzero(live)
+        acc = np.empty((len(rows), space.size))
+        started = has_d[rows]
+        for v in np.flatnonzero(np.bincount(var[rows[started]], minlength=len(self.act_idx))):
+            _, src, fac = prev_space.deriv_table(self.active[v])
+            at = np.flatnonzero(started & (var[rows] == v))
+            deriv = prev.coef[tj[rows[at]][:, None], src]
+            deriv *= fac
+            acc[at] = deriv
+        if len(comp):
+            gamma = np.array([jet.coef[: space.size] for jet in self._fwd_jets])
+            prods = space.multiply_rows(gamma[hook], prev.coef[rep, : space.size])
+            row = (np.cumsum(live) - 1)[comp]
+            # term t of every component in one step, t = 0, 1, ...
+            nth = _ramps(n_terms[n_terms > 0])
+            by_nth = np.argsort(nth, kind="stable")
+            ends = np.cumsum(np.bincount(nth)).tolist()
+            for t, (start, end) in enumerate(zip([0] + ends, ends)):
+                sel = by_nth[start:end]
+                if t == 0:
+                    fresh = ~started[row[sel]]
+                    acc[row[sel[fresh]]] = -prods[sel[fresh]]
+                    sel = sel[~fresh]
+                acc[row[sel]] -= prods[sel]
+        keep = acc.any(axis=1)
+        if not keep.all():
+            rows, acc = rows[keep], acc[keep]
+        return _Level([cand[i] for i in rows.tolist()], idx[rows], acc, space)
 
     def _level(self, k: int) -> dict[tuple[int, ...], Jet]:
         if k < 0:
@@ -442,11 +580,9 @@ class CurvatureContext:
         view = self._views.get(k)
         if view is None:
             level = self._level(k)
-            values = np.array([jet.coef[0] for jet in level.values()], dtype=float)
-            keep = values != 0.0
-            index = np.fromiter(chain.from_iterable(level), np.intp, len(level) * (4 + k))
-            index = index.reshape(-1, 4 + k)[keep]
-            values = values[keep]
+            keep = level.coef[:, 0] != 0.0
+            index = level.index[keep]
+            values = level.coef[keep, 0]
             index.setflags(write=False)
             values.setflags(write=False)
             view = self._views[k] = TensorField(self.dim, k, index, values)

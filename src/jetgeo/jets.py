@@ -38,6 +38,10 @@ and a * b and b * a are bit-identical on either.  (A non-finite coefficient
 would break this: the table route forms inf * 0 = nan where the sparse route
 forms nothing, so such operands always take the table route.)
 
+`multiply_rows` multiplies many pairs of jets in one call, each row bit for
+bit as `multiply` would: the table route gathers every jet's pairs at once
+and bins jet r's sums apart from the others' in the one `bincount`.
+
 `multiply` takes the sparse route when nnz(a) * nnz(b) * SPARSE_PAIR_COST is
 below the table's row count.  A space with at most SPARSE_PAIR_COST rows
 always takes the table route without counting nonzeros, and b is not counted
@@ -103,6 +107,11 @@ def _multi_indices(n: int, order: int) -> np.ndarray:
         room = order + 1 - m.sum(axis=1)
         m = np.column_stack((np.repeat(m, room, axis=0), _ramps(room)))
     return m
+
+
+def _check_differentiable(order: int) -> None:
+    if order == 0:
+        raise JetOrderError("cannot differentiate an order-0 jet")
 
 
 @lru_cache(maxsize=None)
@@ -204,15 +213,22 @@ class JetSpace:
 
     @staticmethod
     def _accumulate(a, b, ia, ib, io, idg, idg_o) -> np.ndarray:
+        # a and b hold one jet, or one jet a column of a (size, jets) array
+        # where every jet takes the same pair rows: bin o of jet r is then
+        # o * jets + r, and each bin still sums its rows in table order
+        if a.ndim > 1:
+            jets = np.arange(a.shape[1])
+            io = (io[:, None] * len(jets) + jets).ravel()
+            idg_o = (idg_o[:, None] * len(jets) + jets).ravel()
         if len(io):
             w = a[ia] * b[ib] + a[ib] * b[ia]
-            out = np.bincount(io, weights=w, minlength=len(a))
+            out = np.bincount(io, weights=w.ravel(), minlength=a.size)
         else:
-            out = np.zeros(len(a))
+            out = np.zeros(a.size)
         if len(idg_o):
             wd = a[idg] * b[idg]
-            out += np.bincount(idg_o, weights=wd, minlength=len(a))
-        return out
+            out += np.bincount(idg_o, weights=wd.ravel(), minlength=a.size)
+        return out.reshape(a.shape)
 
     def _sparse_rows(self, a: np.ndarray, b: np.ndarray):
         # the pair-table rows that reach a nonzero coefficient of each
@@ -223,7 +239,11 @@ class JetSpace:
             return None
         i, j = np.nonzero(self._deg[ia][:, None] + self._deg[ib] <= self.order)
         i, j = ia[i], ib[j]
-        rows = np.unique(np.minimum(i, j) * self.size + np.maximum(i, j))
+        # sorted and deduplicated by hand: np.unique would import numpy.ma
+        rows = np.sort(np.minimum(i, j) * self.size + np.maximum(i, j))
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = rows[1:] != rows[:-1]
+        rows = rows[first]
         lo, hi = np.divmod(rows, self.size)
         ro = np.searchsorted(self._codes, self._codes[lo] + self._codes[hi])
         diag = lo == hi
@@ -240,10 +260,39 @@ class JetSpace:
                     return self._accumulate(a, b, *rows)
         return self._accumulate(a, b, *self._mul())
 
+    def multiply_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row r is `multiply(a[r], b[r])` bit for bit, for (rows, size) operands.
+
+        The route rule is `multiply`'s summed over the rows: the sparse
+        route when sum nnz(a[r]) * nnz(b[r]) * SPARSE_PAIR_COST is below
+        rows * pairs.  The sparse route lists each row's pairs at an offset
+        of r * size, the table route applies the one table to every row, and
+        either sums all rows in one `_accumulate`.  Rows go in blocks of
+        SPARSE_PAIR_COST ** 2 table pairs, which bounds the temporaries while
+        a block's fixed cost (some hundred pairs' worth, see
+        SPARSE_PAIR_COST) stays below a hundredth of its work.
+        """
+        out = np.empty((len(a), self.size))
+        step = max(1, SPARSE_PAIR_COST ** 2 // self._pairs)
+        for r0 in range(0, len(a), step):
+            x, y = a[r0:r0 + step], b[r0:r0 + step]
+            sums = None
+            if self._pairs > SPARSE_PAIR_COST:
+                work = np.count_nonzero(x, axis=1) @ np.count_nonzero(y, axis=1)
+                if work * SPARSE_PAIR_COST < len(x) * self._pairs:
+                    listed = [self._sparse_rows(xr, yr) for xr, yr in zip(x, y)]
+                    if None not in listed:
+                        at = range(0, x.size, self.size)
+                        rows = [np.concatenate([t + o for t, o in zip(ts, at)]) for ts in zip(*listed)]
+                        sums = self._accumulate(x.ravel(), y.ravel(), *rows).reshape(x.shape)
+            if sums is None:
+                sums = self._accumulate(x.T, y.T, *self._mul()).T
+            out[r0:r0 + len(x)] = sums
+        return out
+
     def deriv_table(self, name: str):
         if name not in self._deriv_tables:
-            if self.order == 0:
-                raise JetOrderError("cannot differentiate an order-0 jet")
+            _check_differentiable(self.order)
             target = jet_space(self.variables, self.order - 1)
             v = self._var_pos[name]
             # the target's multi-indices are this space's first target.size
@@ -332,6 +381,7 @@ class Jet:
     def deriv(self, name: str) -> "Jet":
         """Partial derivative; one order lower.  Zero for foreign variables."""
         if name not in self.space._var_pos:
+            _check_differentiable(self.order)
             return jet_space(self.variables, self.order - 1).zero()
         target, src, fac = self.space.deriv_table(name)
         return Jet(target, self.coef[src] * fac)

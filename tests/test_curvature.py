@@ -15,7 +15,7 @@ from jetgeo.curvature import (
     skew_curvature_operator,
 )
 from jetgeo.family import FamilyParams, alpha_via_jacobi, build_metric, base_point
-from jetgeo.jets import SPARSE_PAIR_COST, JetOrderError, jet_space
+from jetgeo.jets import SPARSE_PAIR_COST, Jet, JetOrderError, JetSpace, jet_space
 from jetgeo.metric import flat_metric, metric_from_strings, two_sphere
 
 
@@ -233,6 +233,33 @@ def test_family_products_never_build_a_pair_table():
     can_be_sparse = [sp.order for sp in spaces if sp._pairs > SPARSE_PAIR_COST]
     assert can_be_sparse == list(range(4, ctx.order + 1))
     assert [o for o in can_be_sparse if spaces[o]._mul_tables is not None] == []
+
+
+def test_level_steps_take_no_per_component_products(monkeypatch):
+    # levels k >= 1 take all their Christoffel products in one batched call
+    # a level; a product per component there is a silent fallback
+    u = "(0.31*x^2 - 0.12*x*y + 0.07*y^2 + 0.22*x - 0.18*y)"
+    conformal = f"exp(2.0*{u})"
+    spec = metric_from_strings(("x", "y"), {(0, 0): conformal, (1, 1): conformal}, (0, 2))
+    ctx = CurvatureContext(spec, (0.2, -0.35), 6)
+    ctx._level(0)
+    calls = {"jet": 0, "multiply": 0, "rows": 0}
+
+    def counted(owner, attr, key):
+        orig = getattr(owner, attr)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return orig(*args)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counted(Jet, "__mul__", "jet")
+    counted(JetSpace, "multiply", "multiply")
+    counted(JetSpace, "multiply_rows", "rows")
+    for k in range(1, 7):
+        assert ctx._level(k)
+    assert calls == {"jet": 0, "multiply": 0, "rows": 6}
 
 
 def test_exhaustive_matches_sparse():

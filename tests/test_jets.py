@@ -15,6 +15,7 @@ from jetgeo.jets import (
     Jet,
     JetMismatchError,
     JetOrderError,
+    JetSpace,
     NonFiniteError,
     jet_space,
 )
@@ -192,6 +193,44 @@ def test_product_routes_bit_identical(n, order, dens_a, dens_b, seed):
     assert sp.multiply(a, b).tobytes() == table.tobytes()
 
 
+ROWS = st.lists(st.tuples(st.sampled_from(DENSITIES), st.sampled_from(DENSITIES)),
+                max_size=6)
+
+
+@given(n=st.integers(0, 5), order=st.integers(0, 6), rows=ROWS, seed=st.integers(0, 2**32 - 1))
+@example(n=3, order=6, rows=[(1.0, 1.0), (0.0, 0.6), (0.2, 0.0)], seed=0)  # table route
+@example(n=5, order=5, rows=[(0.01, 0.01), (0.0, 0.0), (0.01, 0.05)], seed=1)  # sparse
+@example(n=2, order=4, rows=[], seed=2)
+@example(n=0, order=3, rows=[(1.0, 1.0), (0.0, 1.0)], seed=3)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_batched_product_rows_match_multiply(n, order, rows, seed):
+    sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
+    rng = np.random.default_rng(seed)
+    a = np.array([_operand(sp, rng, da) for da, _ in rows]).reshape(len(rows), sp.size)
+    b = np.array([_operand(sp, rng, db) for _, db in rows]).reshape(len(rows), sp.size)
+    out = sp.multiply_rows(a, b)
+    assert out.shape == (len(rows), sp.size)
+    for r in range(len(rows)):
+        assert out[r].tobytes() == sp.multiply(a[r], b[r]).tobytes()
+
+
+def test_batched_product_takes_both_routes(monkeypatch):
+    # the examples above reach each route; this pins which one they take
+    listed = []
+    sparse_rows = JetSpace._sparse_rows
+    monkeypatch.setattr(JetSpace, "_sparse_rows",
+                        lambda self, a, b: listed.append(1) or sparse_rows(self, a, b))
+    rng = np.random.default_rng(1)
+    sparse = jet_space(tuple(f"v{i}" for i in range(5)), 5)
+    a = np.array([_operand(sparse, rng, 0.01) for _ in range(3)])
+    sparse.multiply_rows(a, a[::-1].copy())
+    assert len(listed) == 3
+    dense = jet_space(tuple(f"v{i}" for i in range(3)), 6)
+    a = np.array([_operand(dense, rng, 1.0) for _ in range(3)])
+    dense.multiply_rows(a, a)
+    assert len(listed) == 3
+
+
 def test_non_finite_operands_take_the_table_route():
     # inf * 0 is nan on the table route; the sparse route would skip it
     sp = jet_space(("a", "b", "c"), 4)
@@ -240,6 +279,14 @@ def test_deriv_foreign_variable_is_zero():
     sp = jet_space(("a",), 2)
     x = sp.variable("a", 1.0)
     assert x.deriv("q").is_zero()
+
+
+def test_order_zero_deriv_message():
+    # a variable of the space and a foreign one fail alike
+    x = jet_space(("a",), 0).constant(1.0)
+    for name in ("a", "q"):
+        with pytest.raises(JetOrderError, match="^cannot differentiate an order-0 jet$"):
+            x.deriv(name)
 
 
 def test_extract_examples():

@@ -1,14 +1,16 @@
-"""Family read-outs, the exhaustive curvature oracle and the invariant
-catalog, bit for bit against the plain loops that computed them before they
-were folded into shared helpers.
+"""Family read-outs, the curvature levels, the exhaustive curvature oracle
+and the invariant catalog, bit for bit against the plain loops that computed
+them before they were folded into shared helpers.
 
 The reference functions below keep those loops: the frame built with unit
 vectors and per-element assembly, the oracle and reference model each with
-its own root loop, the closed alpha forms in numpy scalars, and the
-exhaustive levels with their own evaluation loops.  Results must agree to the
-last bit (`tobytes()` or pickle), not just to a tolerance.
+its own root loop, the closed alpha forms in numpy scalars, the level steps
+one component and one Christoffel term at a time, and the exhaustive levels
+with their own evaluation loops.  Results must agree to the last bit
+(`tobytes()` or pickle), not just to a tolerance.
 """
 import pickle
+from itertools import chain
 from itertools import product as iproduct
 
 import numpy as np
@@ -206,6 +208,53 @@ def ref_level_exhaustive(ctx, k):
     return full
 
 
+def ref_nabla_step(ctx, prev, ord_out):
+    # the component loop of the level steps: candidates added to a set
+    # key by key, then each component's terms one Jet product at a time
+    rev = {}
+    for (a, b, c) in ctx._gamma2:
+        rev.setdefault(c, []).append((a, b))
+    cand = set()
+    for idx in prev:
+        for m_ in ctx.act_idx:
+            cand.add(idx + (m_,))
+        for s, a in enumerate(idx):
+            for (m_, i_) in rev.get(a, ()):
+                cand.add(idx[:s] + (i_,) + idx[s + 1:] + (m_,))
+    out = {}
+    for full in cand:
+        base_idx, m_ = full[:-1], full[-1]
+        acc = None
+        tj = prev.get(base_idx)
+        if tj is not None and m_ in ctx._act_set:
+            acc = tj.deriv(ctx.coords[m_])
+        for s, i_s in enumerate(base_idx):
+            for a, gamma2 in ctx._fwd.get((m_, i_s), ()):
+                rep = prev.get(base_idx[:s] + (a,) + base_idx[s + 1:])
+                if rep is None:
+                    continue
+                term = gamma2.truncated(ord_out) * rep.truncated(ord_out)
+                acc = (-term) if acc is None else acc - term
+        if acc is not None and not acc.is_zero():
+            out[full] = acc
+    return out
+
+
+def ref_levels(ctx, k_max):
+    levels = [dict(ctx._riemann_jets(ctx._riemann_candidates()))]
+    for n in range(1, k_max + 1):
+        levels.append(ref_nabla_step(ctx, levels[-1], ctx.order - 2 - n))
+    return levels
+
+
+def ref_view(level, k):
+    # the point-value view: values and index tuples in level order, zeros out
+    values = np.array([jet.coef[0] for jet in level.values()], dtype=float)
+    keep = values != 0.0
+    index = np.fromiter(chain.from_iterable(level), np.intp, len(level) * (4 + k))
+    return index.reshape(-1, 4 + k)[keep], values[keep]
+
+
 # ------------------------------------------------------------------ helpers
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
@@ -326,6 +375,69 @@ def test_level_exhaustive_matches_loops(name, ctx, k_max):
         want = ref_level_exhaustive(ctx, k)
         assert list(got) == list(want)
         assert all(bits(got[idx].coef) == bits(want[idx].coef) for idx in want)
+
+
+def _conformal(x, y, q, scale=""):
+    u = f"({q[0]}*{x}^2 + {q[1]}*{x}*{y} + {q[2]}*{y}^2 + {q[3]}*{x} + {q[4]}*{y})"
+    return (x, y), (f"{scale}exp(2.0*{u})",) * 2
+
+
+def _diagonal(*blocks):
+    # block-diagonal metric from (coordinates, diagonal entries) blocks
+    coords = [c for names, _ in blocks for c in names]
+    entries = [e for _, diag in blocks for e in diag]
+    return metric_from_strings(coords, {(i, i): e for i, e in enumerate(entries)},
+                               (0, len(coords)))
+
+
+SPHERE = (("theta", "phi"), ("1.0", "sin(theta)^2"))
+H2 = (("x", "y"), ("1.0", "exp(2.0*x)"))
+CONFORMAL = _conformal("x", "y", (0.31, -0.12, 0.07, 0.22, -0.18))
+CONFORMAL_ST = _conformal("s", "t", (0.2, 0.15, -0.05, -0.1, 0.25))
+
+
+def _level_cases():
+    yield "S2", _diagonal(SPHERE), (1.1, 0.4), 6
+    yield "H2", _diagonal(H2), (-0.1, 0.3), 6  # roundoff images of zero from k = 1 on
+    yield "conformal", _diagonal(CONFORMAL), (0.2, -0.35), 6
+    yield "S2 x conformal", _diagonal(SPHERE, CONFORMAL_ST), (0.9, -1.2, 0.3, 0.1), 4
+    # the benchmark's block-scaled product, whose levels k >= 2 drift from
+    # its small block alone: the drift must stay as it is
+    small = _conformal("s", "t", (0.3, 0.2, -0.25, 0.1, -0.2), "1e-08*")
+    warped = (("x", "w"), ("1.0", "exp(0.001*x^2)"))
+    yield "block-scaled product", _diagonal(small, warped), (0.1, 0.2, 0.7, 0.4), 4
+    yield "non-diagonal", metric_from_strings(
+        ("a", "b", "c"),
+        {(0, 0): "exp(2*c)", (1, 1): "1 + b^2", (2, 2): "2 + sin(a)",
+         (0, 1): "0.5*a", (1, 2): "0.25*c"},
+        (0, 3),
+    ), (0.2, -0.3, 0.1), 3
+    # levels k >= 1 are empty on these two
+    yield "flat", _diagonal((("a", "b", "c"), ("1.0", "2.0", "3.0"))), (0.1, 0.2, 0.3), 3
+    yield "H2 x line", _diagonal((("x", "y", "z"), ("1.0", "exp(2.0*x)", "1.0"))), \
+        (0.4, 0.1, -0.2), 3
+    for p in range(4):
+        params, pt = next(_points(p, PROFILES[p % len(PROFILES)]))
+        yield f"family p={p}", fam.build_metric(params), pt, p + 3
+
+
+LEVEL_CASES = list(_level_cases())
+
+
+@pytest.mark.parametrize("name,spec,pt,k_max", LEVEL_CASES, ids=[c[0] for c in LEVEL_CASES])
+def test_levels_match_component_loop(name, spec, pt, k_max):
+    ctx = CurvatureContext(spec, pt, k_max)
+    want = ref_levels(ctx, k_max)
+    for k in range(k_max + 1):
+        got = ctx._level(k)
+        assert list(got) == list(want[k])
+        assert all(bits(got[idx].coef) == bits(jet.coef) for idx, jet in want[k].items())
+        view = ctx.curvature(k)
+        index, values = ref_view(want[k], k)
+        assert view.index.dtype == index.dtype and view.index.shape == index.shape
+        assert view.index.tobytes() == index.tobytes() and bits(view.values) == bits(values)
+    if name in ("flat", "H2 x line"):
+        assert all(not ctx._level(k) for k in range(1, k_max + 1))
 
 
 def test_level_exhaustive_does_not_use_propagated_candidates(monkeypatch):
