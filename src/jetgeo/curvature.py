@@ -17,12 +17,12 @@ be nonzero, keyed by index tuples, and missing keys are exact zeros.  It
 reads as a dictionary from index tuple to jet (a view of the row).  Support
 is propagated level to level (a new nonzero needs either a derivative of an
 old one or a Christoffel hook into one), and an exhaustive all-indices
-evaluator is kept alongside as a slow cross-check.  Each step after level 0
-evaluates all components of its level at once: derivatives as gathers and
-Christoffel terms as one row-batched jet product (vector-mode Taylor
-propagation: Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM
-2008, ch. 13), summed in the order of a loop over the components, so every
-coefficient is that loop's to the last bit.
+evaluator is kept alongside as a slow cross-check.  Every sum of jets in the
+context (Neumann inverse, Christoffel symbols, level 0, level steps) is one
+ordered step, `_ordered_sum`: terms from row-batched products and derivative
+gathers (vector-mode Taylor propagation: Griewank and Walther, Evaluating
+Derivatives, 2nd ed., SIAM 2008, ch. 13), added in the order of a loop over
+them, so every coefficient is that loop's to the last bit.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jets import Jet, JetOrderError, _ramps, jet_space
+from .jets import SPARSE_PAIR_COST, Jet, JetOrderError, _ramps, jet_space
 from . import expr as ex
 from .metric import MetricSpec
 
@@ -173,33 +173,58 @@ def _digit_weights(dim: int, r: int) -> np.ndarray:
     return np.array([dim ** (r - 1 - s) for s in range(r)], dtype=wide)
 
 
-class _Level(dict):
-    """The jets of one curvature level by index tuple, in level order.
+class _Jets(dict):
+    """Jets by index tuple, as the rows of one coefficient matrix, zero rows
+    left out: jet r is a view of row r of `coef`, and row r of `index` its key."""
 
-    Jet r is a view of row r of `coef`, and row r of `index` is its key.
-    """
-
-    def __init__(self, keys: list, index: np.ndarray, coef: np.ndarray, space):
-        super().__init__(zip(keys, [Jet(space, row) for row in coef]))
+    def __init__(self, index: np.ndarray, coef: np.ndarray, space):
+        keep = coef.any(axis=1)
+        if not keep.all():
+            index, coef = index[keep], coef[keep]
+        super().__init__(zip(map(tuple, index.tolist()), [Jet(space, row) for row in coef]))
         self.index = index
         self.coef = coef
+        self.space = space
 
-    def depends(self, space) -> np.ndarray:
-        """(row, variable) flags: the row has a nonzero coefficient whose
-        exponent of the variable is positive, so its derivative by the
-        variable is not identically zero.  `space` is the rows' space."""
-        row, col = np.nonzero(self.coef)
-        at, var = np.nonzero(space._exps[col] > 0)
-        out = np.zeros((len(self.coef), space.n), dtype=bool)
-        out[row[at], var] = True
-        return out
 
-    @classmethod
-    def of(cls, jets: Mapping[tuple[int, ...], Jet], rank: int, space) -> "_Level":
-        keys = list(jets)
-        index = np.array(keys, dtype=np.intp).reshape(len(keys), rank)
-        coef = np.array([j.coef for j in jets.values()]).reshape(len(keys), space.size)
-        return cls(keys, index, coef, space)
+def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each code's place among the distinct codes in order of first
+    appearance, and the distinct codes in that order."""
+    by_code = np.argsort(codes, kind="stable")
+    new = np.ones(len(codes), dtype=bool)
+    new[1:] = codes[by_code[1:]] != codes[by_code[:-1]]
+    first = by_code[new]
+    order = np.argsort(first)
+    place = np.empty(len(codes), dtype=np.intp)
+    place[by_code] = np.argsort(order)[np.cumsum(new) - 1]
+    return place, codes[first[order]]
+
+
+def _ordered_sum(acc: np.ndarray, row: np.ndarray, terms, sign: int = 1, started=None) -> None:
+    """Add term t, of the terms that `terms(ts)` gives for the slice ts, to
+    row[t] of `acc`, each row in the order of `row` as `acc = acc + term`
+    (`acc - term` for sign -1) would: a `started` row goes on from what
+    `acc` holds, any other begins with its first term, or minus it.  The
+    n-th terms of all rows go in one vector step, n = 0, 1, ..., in blocks
+    of SPARSE_PAIR_COST ** 2 coefficients that bound the temporaries."""
+    fresh = np.ones(len(acc), dtype=bool) if started is None else ~started
+    nth = np.empty(len(row), dtype=np.intp)
+    nth[np.argsort(row, kind="stable")] = _ramps(np.bincount(row))
+    add = np.subtract if sign < 0 else np.add
+    step = max(1, SPARSE_PAIR_COST ** 2 // acc.shape[1])
+    for t0 in range(0, len(row), step):
+        ts = slice(t0, t0 + step)
+        vals, n, rows = terms(ts), nth[ts], row[ts]
+        by_n = np.argsort(n, kind="stable")
+        ends = np.cumsum(np.bincount(n)).tolist()
+        for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            sel = by_n[lo:hi]
+            r = rows[sel]
+            if k == 0:
+                new = fresh[r]
+                acc[r[new]] = -vals[sel[new]] if sign < 0 else vals[sel[new]]
+                sel, r = sel[~new], r[~new]
+            acc[r] = add(acc[r], vals[sel])
 
 
 def _flush(coef: np.ndarray, scale: float) -> np.ndarray:
@@ -225,69 +250,62 @@ class CurvatureContext:
         self.dim = spec.dim
         self.coords = spec.coords
 
-        env = spec.env_at(point)
         self.active = spec.active_vars
         self.act_idx = tuple(self.coords.index(v) for v in self.active)
-        self._act_set = frozenset(self.act_idx)
         self._space = jet_space(self.active, self.order)
+        self._act_pos = np.full(self.dim, -1)
+        self._act_pos[list(self.act_idx)] = np.arange(len(self.act_idx))
 
-        # metric jets, both index orders sharing one object
+        # metric jets: the upper triangle row by row as `_g_rows`, and by
+        # index pair in both orders (one jet for both) as `_g`
+        self._g_rows = self._metric_rows(spec.env_at(point))
         self._g: dict[tuple[int, int], Jet] = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                e = spec.components[i][j]
-                if isinstance(e, ex.Const) and e.value == 0.0:
-                    continue
-                jet = ex.eval_jet(e, env, self.active, self.order)
-                if jet.is_zero():
-                    continue
-                self._g[(i, j)] = jet
-                self._g[(j, i)] = jet
-        self._g_by_row: dict[int, list[tuple[int, Jet]]] = {}
-        for (i, j), jet in self._g.items():
-            self._g_by_row.setdefault(i, []).append((j, jet))
+        self._g_row = np.full((self.dim, self.dim), -1)
+        for r, ((i, j), jet) in enumerate(self._g_rows.items()):
+            self._g[(i, j)] = self._g[(j, i)] = jet
+            self._g_row[i, j] = self._g_row[j, i] = r
 
         # constant part taken from the jets themselves so that the Neumann
         # inverse is exact against them, not against a reevaluation
-        g0 = np.zeros((self.dim, self.dim))
-        for (i, j), jet in self._g.items():
-            g0[i, j] = jet.value()
-        self.g0 = g0
-        h0 = np.linalg.inv(g0)
+        self.g0 = np.where(self._g_row >= 0, self._g_rows.coef[self._g_row, 0], 0.0)
+        h0 = np.linalg.inv(self.g0)
         self.ginv0 = 0.5 * (h0 + h0.T)
 
         self._ginv = self._neumann_inverse()
         self._gamma1 = self._christoffel_first()
+        self._gamma1_row = np.full((self.dim,) * 3, -1)
+        self._gamma1_row[tuple(self._gamma1.index.T)] = np.arange(len(self._gamma1))
         self._gamma2 = self._christoffel_second()
 
-        # hooks for covariant-derivative terms: fwd[(a, b)] lists (c, jet)
-        # with lower pair (a, b) and upper c.  The level steps read the same
-        # lists as runs of the keys in `_gamma2` order, grouped stably by
-        # lower pair a * dim + b (`_fwd_*`) and by upper index c (`_rev_*`).
-        self._fwd: dict[tuple[int, int], list[tuple[int, Jet]]] = {}
-        for (a, b, c), jet in self._gamma2.items():
-            self._fwd.setdefault((a, b), []).append((c, jet))
-        keys = np.array(list(self._gamma2), dtype=np.intp).reshape(-1, 3)
-        gammas = list(self._gamma2.values())
-        fwd, self._fwd_start, self._fwd_len = _runs(keys[:, 0] * self.dim + keys[:, 1],
-                                                    self.dim ** 2)
-        self._fwd_upper = keys[fwd, 2]
-        self._fwd_jets = [gammas[h] for h in fwd.tolist()]
+        # hooks for covariant-derivative terms: the rows of `_gamma2` as
+        # runs grouped stably by lower pair a * dim + b (`_fwd_*`, with the
+        # upper index and the row of each) and by upper index c (`_rev_*`)
+        keys = self._gamma2.index
+        self._fwd_row, self._fwd_start, self._fwd_len = _runs(keys[:, 0] * self.dim + keys[:, 1],
+                                                              self.dim ** 2)
+        self._fwd_upper = keys[self._fwd_row, 2]
         rev, self._rev_start, self._rev_len = _runs(keys[:, 2], self.dim)
         self._rev_lower = keys[rev, :2]
-        self._act_pos = np.full(self.dim, -1)
-        self._act_pos[list(self.act_idx)] = np.arange(len(self.act_idx))
 
-        self._levels: list[_Level] = []
+        self._levels: list[_Jets] = []
         self._views: dict[int, TensorField] = {}
 
     # ------------------------------------------------------------ plumbing
-    def _neumann_inverse(self) -> dict[tuple[int, int], Jet]:
+    def _metric_rows(self, env) -> _Jets:
+        """The metric jets of the upper triangle row by row, zeros left out."""
+        jets = {(i, j): ex.eval_jet(self.spec.components[i][j], env, self.active, self.order).coef
+                for i in range(self.dim) for j in range(i, self.dim)
+                if self.spec.components[i][j] != ex.Const(0.0)}
+        # not empty: `validate_at` has ruled out a zero metric
+        return _Jets(np.array([*jets], dtype=np.intp), np.array([*jets.values()]), self._space)
+
+    def _neumann_inverse(self) -> _Jets:
         """Inverse-metric jets at full order.
 
         With g = g0 + N and N free of constant term, N is nilpotent in the
         truncated algebra, so `order` sweeps of S <- h0 - h0 N S land on the
-        exact truncated inverse.
+        exact truncated inverse.  A sweep sums t = N S over b ascending, then
+        S from h0 (or from nothing) less h0 t in the order t's entries arise.
 
         h0 is `ginv0` with its roundoff images of zero set to exact zeros, by
         the rule that cleans the result at the end (`_flush`).  An entry the
@@ -303,139 +321,163 @@ class CurvatureContext:
         m = self.dim
         h0 = _flush(self.ginv0, np.max(np.abs(self.ginv0)))
         space = self._space
-        nil: dict[tuple[int, int], Jet] = {}
-        for (i, j), jet in self._g.items():
-            if i > j:
-                continue
-            c = jet.coef.copy()
-            c[0] = 0.0
-            if not c.any():
-                continue
-            nj = Jet(space, c)
-            nil[(i, j)] = nj
-            if i != j:
-                nil[(j, i)] = nj
-        base: dict[tuple[int, int], Jet] = {}
-        for i in range(m):
-            for j in range(m):
-                if h0[i, j] != 0.0:
-                    base[(i, j)] = space.constant(h0[i, j])
-        if not nil:
-            return base
-        s = dict(base)
+        # N's entries (a, b): each upper metric entry with a nonconstant
+        # part, as (i, j) and then (j, i), with their rows of `nil`
+        live = self._g_rows.coef[:, 1:].any(axis=1)
+        nil = self._g_rows.coef[live]
+        nil[:, 0] = 0.0
+        src, nil_a, nil_b = np.array(
+            [(r, *pair) for r, (i, j) in enumerate(self._g_rows.index[live].tolist())
+             for pair in dict.fromkeys([(i, j), (j, i)])], dtype=np.intp).reshape(-1, 3).T
+        # S and t as rows keyed a * m + b; S starts from h0
+        base = np.flatnonzero(h0)
+        keys, s, stale = base, np.zeros((len(base), space.size)), True
+        s[:, 0] = h0.flat[base]
         for _ in range(self.order):
-            t: dict[tuple[int, int], Jet] = {}
-            for (a, b), nj in nil.items():
-                for c in range(m):
-                    sj = s.get((b, c))
-                    if sj is None:
-                        continue
-                    term = nj * sj
-                    prev = t.get((a, c))
-                    t[(a, c)] = term if prev is None else prev + term
-            nxt = dict(base)
-            for (a, c), tj in t.items():
-                for i in range(m):
-                    if h0[i, a] == 0.0:
-                        continue
-                    term = tj.scaled(h0[i, a])
-                    prev = nxt.get((i, c))
-                    nxt[(i, c)] = (-term) if prev is None else prev - term
-            s = nxt
+            if stale:  # the terms of a sweep depend on the keys of S only
+                pos = np.full((m, m), -1)
+                pos.flat[keys] = np.arange(len(keys))
+                at, c = np.nonzero(pos[nil_b] >= 0)
+                t_row, t_keys = _first_seen(nil_a[at] * m + c)
+                ta, tc = np.divmod(t_keys, m)
+                tr, i = np.nonzero(h0[:, ta].T != 0.0)
+                s_row, new = _first_seen(np.concatenate((base, i * m + tc[tr])))
+            t = np.empty((len(t_keys), space.size))
+            _ordered_sum(t, t_row, lambda ts: space.multiply_rows(
+                nil[src[at[ts]]], s[pos[nil_b[at[ts]], c[ts]]]))
+            last, s = s, np.zeros((len(new), space.size))
+            s[: len(base), 0] = h0.flat[base]
+            _ordered_sum(s, s_row[len(base):], lambda ts: t[tr[ts]] * h0[i[ts], ta[tr[ts]], None],
+                         -1, np.arange(len(new)) < len(base))
+            stale = not np.array_equal(new, keys)
+            keys = new
+            # a sweep that repeats the last to the bit is a fixed point
+            if not stale and np.array_equal(s.view(np.int64), last.view(np.int64)):
+                break
         # The sweeps are exact in exact arithmetic, so coefficients at machine
         # noise relative to the whole inverse are roundoff images of structural
         # zeros.  Left in place they make mathematically-zero Christoffel
         # symbols merely tiny, and those breed spurious curvature support that
         # grows exponentially with the derivative level.
-        scale = max((np.max(np.abs(j.coef)) for j in s.values()), default=0.0)
-        cleaned: dict[int, Jet | None] = {}
-        out: dict[tuple[int, int], Jet] = {}
-        for key, jet in s.items():
-            mark = id(jet)
-            if mark not in cleaned:
-                coef = _flush(jet.coef, scale)
-                cleaned[mark] = Jet(jet.space, coef) if coef.any() else None
-            cj = cleaned[mark]
-            if cj is not None:
-                out[key] = cj
-        return out
+        s = _flush(s, np.max(np.abs(s), initial=0.0))
+        return _Jets(np.column_stack(np.divmod(keys, m)), s, space)
 
-    def _christoffel_first(self) -> dict[tuple[int, int, int], Jet]:
-        out: dict[tuple[int, int, int], Jet] = {}
-        for key, terms in christoffel_terms(self.spec).items():
-            acc = None
-            for v, pair, h in terms:
-                gj = self._g.get(pair)
-                if gj is None:
-                    continue
-                term = gj.deriv(self.coords[v]).scaled(h)
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero():
-                out[key] = acc
-        return out
+    def _christoffel_first(self) -> _Jets:
+        """Gamma_abc as the sums of `christoffel_terms`, in their order."""
+        space = jet_space(self.active, self.order - 1)
+        terms = [(key, self._g_row[pair], self._act_pos[v], h)
+                 for key, sums in christoffel_terms(self.spec).items()
+                 for v, pair, h in sums if self._g_row[pair] >= 0]
+        weights = _digit_weights(self.dim, 3)
+        keys = np.array([t[0] for t in terms], dtype=np.intp).reshape(-1, 3)
+        row, keys = _first_seen(keys @ weights)
+        g, var = np.array([t[1:3] for t in terms], dtype=np.intp).reshape(-1, 2).T
+        h = np.array([t[3] for t in terms])
+        acc = np.empty((len(keys), space.size))
+        _ordered_sum(acc, row, lambda ts: self._derivs(
+            self._g_rows.coef, g[ts], var[ts], self._g_rows.space) * h[ts, None])
+        return _Jets(keys[:, None] // weights % self.dim, acc, space)
 
-    def _christoffel_second(self) -> dict[tuple[int, int, int], Jet]:
-        ord1 = self.order - 1
-        by_col: dict[int, list[tuple[int, Jet]]] = {}
-        for (c, d), jet in self._ginv.items():
-            by_col.setdefault(d, []).append((c, jet.truncated(ord1)))
-        acc: dict[tuple[int, int, int], Jet] = {}
-        for (a, b, d), g1 in self._gamma1.items():
-            for c, hj in by_col.get(d, ()):
-                term = hj * g1
-                key = (a, b, c)
-                prev = acc.get(key)
-                acc[key] = term if prev is None else prev + term
-        return {k: v for k, v in acc.items() if not v.is_zero()}
+    def _christoffel_second(self) -> _Jets:
+        """Gamma_ab^c = sum over d of ginv^cd Gamma_abd, summed key by key
+        of `_gamma1` and then over the inverse's column d in its order."""
+        g1, ginv = self._gamma1, self._ginv
+        space = jet_space(self.active, self.order - 1)
+        by_col, start, length = _runs(ginv.index[:, 1], self.dim)
+        at, h = _expand(start[g1.index[:, 2]], length[g1.index[:, 2]])
+        h = by_col[h]
+        weights = _digit_weights(self.dim, 3)
+        row, keys = _first_seen(np.column_stack((g1.index[at, :2], ginv.index[h, 0])) @ weights)
+        acc = np.empty((len(keys), space.size))
+        _ordered_sum(acc, row, lambda ts: space.multiply_rows(
+            ginv.coef[h[ts], : space.size], g1.coef[at[ts]]))
+        return _Jets(keys[:, None] // weights % self.dim, acc, space)
 
     # ------------------------------------------------------------ curvature
-    def _edge_value(self, i: int, j: int, k: int, l: int, ord0: int) -> Jet | None:
-        # one orientation: (d_i Gamma_jk^m) g_ml + Gamma_jk^m Gamma_iml
-        acc = None
-        for m_, gamma2 in self._fwd.get((j, k), ()):
-            if i in self._act_set:
-                gj = self._g.get((m_, l))
-                if gj is not None:
-                    term = gamma2.deriv(self.coords[i]) * gj.truncated(ord0)
-                    acc = term if acc is None else acc + term
-            g1 = self._gamma1.get((i, m_, l))
-            if g1 is not None:
-                term = gamma2.truncated(ord0) * g1.truncated(ord0)
-                acc = term if acc is None else acc + term
-        return acc
-
     def _riemann_candidates(self) -> set[tuple[int, int, int, int]]:
         """Index tuples a level-0 component can be nonzero at: a Christoffel
         hook whose derivative or product term can reach them."""
-        gamma1_by_mid: dict[int, list[tuple[int, int]]] = {}
-        for (a, b, c) in self._gamma1:
-            gamma1_by_mid.setdefault(b, []).append((a, c))
         cand: set[tuple[int, int, int, int]] = set()
-        for (q, k), lst in self._fwd.items():
-            for m_, _ in lst:
-                for l, _ in self._g_by_row.get(m_, ()):
-                    for i in self.act_idx:
-                        cand.add((i, q, k, l))
-                        cand.add((q, i, k, l))
-                for i, l in gamma1_by_mid.get(m_, ()):
-                    cand.add((i, q, k, l))
-                    cand.add((q, i, k, l))
+        for q, k, m_ in self._gamma2.index[self._fwd_row].tolist():
+            reach = [(i, l) for l in np.flatnonzero(self._g_row[m_] >= 0).tolist()
+                     for i in self.act_idx]
+            for i, l in reach + np.argwhere(self._gamma1_row[:, m_] >= 0).tolist():
+                cand.add((i, q, k, l))
+                cand.add((q, i, k, l))
         return cand
 
-    def _riemann_jets(self, cand: Iterable[tuple[int, int, int, int]]) -> _Level:
-        """Level-0 jets at the index tuples `cand`, zeros left out."""
-        ord0 = self.order - 2
-        out: dict[tuple[int, int, int, int], Jet] = {}
-        for (i, j, k, l) in cand:
-            a = self._edge_value(i, j, k, l, ord0)
-            b = self._edge_value(j, i, k, l, ord0)
-            if b is not None:
-                a = (-b) if a is None else a - b
-            if a is not None and not a.is_zero():
-                out[(i, j, k, l)] = a
-        return _Level.of(out, 4, jet_space(self.active, ord0))
+    def _riemann_jets(self, cand: Iterable[tuple[int, int, int, int]]) -> _Jets:
+        """Level-0 jets at the index tuples `cand`, zeros left out, by blocks
+        (`_riemann_block`) with each candidate next to its swap (j, i, k, l)."""
+        space = jet_space(self.active, self.order - 2)
+        idx = np.fromiter(chain.from_iterable(cand), np.intp).reshape(-1, 4)
+        weights = _digit_weights(self.dim, 4)
+        codes = np.stack((idx @ weights, idx[:, [1, 0, 2, 3]] @ weights))
+        work = np.argsort(codes.min(axis=0), kind="stable")
+        at, coefs = [work[:0]], [np.zeros((0, space.size))]
+        step = max(1, SPARSE_PAIR_COST ** 2 // space.size)
+        for c0 in range(0, len(idx), step):
+            block = work[c0:c0 + step]
+            rows, coef = self._riemann_block(codes[:, block], weights, space)
+            at.append(block[rows])
+            coefs.append(coef)
+        at, coef = np.concatenate(at), np.concatenate(coefs)
+        coefs.clear()  # the blocks go before the reordered copy comes
+        return _Jets(idx[np.sort(at)], coef[np.argsort(at)], space)
 
-    def _nabla_step(self, prev: _Level, ord_out: int) -> _Level:
+    def _riemann_block(self, codes: np.ndarray, weights: np.ndarray, space):
+        """R(i, j, k, l) = edge(i, j, k, l) - edge(j, i, k, l) at the block
+        whose (i, j, k, l) and (j, i, k, l) have the codes `codes` (two rows):
+        the candidates whose jet is not zero, and their jets.  An edge sums
+        over the hooks m of (j, k) in `_gamma2` order (d_i Gamma_jk^m) g_ml
+        and then Gamma_jk^m Gamma_iml, and is evaluated once a block."""
+        place, edges = _first_seen(codes.ravel())
+        i, j, k, l = (edges[:, None] // weights % self.dim).T
+        at, hook = _expand(self._fwd_start[j * self.dim + k], self._fwd_len[j * self.dim + k])
+        m_, i, l = self._fwd_upper[hook], i[at], l[at]
+        # per hook the derivative term, then the product term, -1 if absent
+        right = np.stack((np.where(self._act_pos[i] >= 0, self._g_row[m_, l], -1),
+                          self._gamma1_row[i, m_, l]), axis=1).ravel()
+        t = np.flatnonzero(right >= 0)
+        deriv, right, at, hook = t % 2 == 0, right[t], at[t // 2], self._fwd_row[hook[t // 2]]
+        var = self._act_pos[i[t // 2]]
+        live = np.bincount(at, minlength=len(edges)) > 0
+        row_of = np.where(live, np.cumsum(live) - 1, -1)
+
+        def products(ts):
+            d, h, r = deriv[ts], hook[ts], right[ts]
+            left = self._derivs(self._gamma2.coef, h, np.where(d, var[ts], -1), self._gamma2.space)
+            left[~d] = self._gamma2.coef[h[~d], : space.size]
+            other = np.empty_like(left)
+            other[d] = self._g_rows.coef[r[d], : space.size]
+            other[~d] = self._gamma1.coef[r[~d], : space.size]
+            return space.multiply_rows(left, other)
+
+        edge = np.empty((int(live.sum()), space.size))
+        _ordered_sum(edge, row_of[at], products)
+        a, b = row_of[place].reshape(2, -1)
+        rows = np.flatnonzero((a >= 0) | (b >= 0))
+        a, b = a[rows], b[rows]
+        acc = np.empty((len(rows), space.size))
+        acc[a >= 0] = edge[a[a >= 0]]
+        minus = np.flatnonzero(b >= 0)
+        _ordered_sum(acc, minus, lambda ts: edge[b[minus[ts]]], -1, a >= 0)
+        keep = acc.any(axis=1)
+        return rows[keep], acc[keep]
+
+    def _derivs(self, coef: np.ndarray, rows: np.ndarray, var: np.ndarray, space) -> np.ndarray:
+        """Row rows[n] of `coef`, a jet of `space`, differentiated by active
+        variable var[n] as `Jet.deriv` does; rows with var[n] < 0 are left unset."""
+        out = np.empty((len(rows), space.size_at(space.order - 1)))
+        for v in np.flatnonzero(np.bincount(var[var >= 0], minlength=len(self.act_idx))).tolist():
+            _, src, fac = space.deriv_table(self.active[v])
+            at = np.flatnonzero(var == v)
+            deriv = coef[rows[at, None], src]
+            deriv *= fac
+            out[at] = deriv
+        return out
+
+    def _nabla_step(self, prev: _Jets, ord_out: int) -> _Jets:
         return self._nabla_jets(prev, self._nabla_candidates(prev.index), ord_out)
 
     def _nabla_candidates(self, index: np.ndarray) -> set[tuple[int, ...]]:
@@ -457,46 +499,19 @@ class CurvatureContext:
         seq = np.concatenate((codes[derived] + np.tile(act, n), moved + self._rev_lower[h, 0]))
         seq = seq[np.argsort(np.concatenate((derived, hooked)), kind="stable")]
         # a repeat leaves a set as it was, so only first occurrences go in
-        by_code = np.argsort(seq, kind="stable")
-        first = np.ones(len(seq), dtype=bool)
-        first[1:] = seq[by_code[1:]] != seq[by_code[:-1]]
-        seq = seq[np.sort(by_code[first])]
-        cand = np.empty((len(seq), r + 1), dtype=np.intp)
-        for j in range(r, -1, -1):
-            cand[:, j] = seq % self.dim
-            seq = seq // self.dim
-        return set(map(tuple, cand.tolist()))
+        seq = _first_seen(seq)[1]
+        return set(map(tuple, (seq[:, None] // weights % self.dim).tolist()))
 
-    def _hook_terms(self, base, m_, codes, weights, find):
-        """The Christoffel terms of the components (base; m_) as arrays of
-        (component, hook, row of the previous level), in the order of the
-        sum: component by component, slot by slot, then in hook order.
-        `codes` are the bases as base-dim codes and `find` turns a code into
-        its row of the previous level, -1 where it has none."""
-        pair = (m_[:, None] * self.dim + base).ravel()
-        at, hook = _expand(self._fwd_start[pair], self._fwd_len[pair])
-        comp, s = np.divmod(at, base.shape[1])
-        rep = find(codes[comp] + (self._fwd_upper[hook] - base.ravel()[at]) * weights[s])
-        hit = rep >= 0
-        return comp[hit], hook[hit], rep[hit]
-
-    def _nabla_jets(self, prev: _Level, cand: Iterable[tuple[int, ...]], ord_out: int) -> _Level:
+    def _nabla_jets(self, prev: _Jets, cand: Iterable[tuple[int, ...]], ord_out: int) -> _Jets:
         """Jets of the level after `prev` at the index tuples `cand`, zeros
-        left out: (nabla T)(i; m) = d_m T(i) - sum_s Gamma_{m i_s}^a T(i, a at s).
-
-        All components at once: the derivatives by one gather per variable,
-        the products by one `multiply_rows`.  A component subtracts its
-        products from its derivative in the order of the sum, or starts
-        from minus the first where it has no derivative, so every jet is
-        that of a loop over the components bit for bit.
-        """
+        left out: (nabla T)(i; m) = d_m T(i) - sum_s Gamma_{m i_s}^a T(i, a at s),
+        all at once: the derivatives by gathers, then the Christoffel products
+        subtracted in the order of the sum (`_ordered_sum`)."""
         space = jet_space(self.active, ord_out)
-        cand = list(cand)
         r = prev.index.shape[1]
-        idx = np.fromiter(chain.from_iterable(cand), np.intp, len(cand) * (r + 1))
-        idx = idx.reshape(-1, r + 1)
+        idx = np.fromiter(chain.from_iterable(cand), np.intp).reshape(-1, r + 1)
         if not prev:
-            return _Level([], idx[:0], np.zeros((0, space.size)), space)
+            return _Jets(idx[:0], np.zeros((0, space.size)), space)
         # index tuples as base-dim codes, looked up in prev's sorted codes
         weights = _digit_weights(self.dim, r)
         prev_codes = prev.index @ weights
@@ -512,57 +527,40 @@ class CurvatureContext:
         tj = find(codes)
         var = self._act_pos[m_]
         has_d = (tj >= 0) & (var >= 0)
-        comp, hook, rep = self._hook_terms(base, m_, codes, weights, find)
-        n_terms = np.bincount(comp, minlength=len(cand))
+        # the Christoffel terms as (component, hook, row of prev), in the
+        # order of the sum: component by component, slot by slot, by hook
+        pair = (m_[:, None] * self.dim + base).ravel()
+        at, hook = _expand(self._fwd_start[pair], self._fwd_len[pair])
+        comp, s = np.divmod(at, r)
+        rep = find(codes[comp] + (self._fwd_upper[hook] - base.ravel()[at]) * weights[s])
+        comp, hook, rep = comp[rep >= 0], self._fwd_row[hook[rep >= 0]], rep[rep >= 0]
 
         # rows to evaluate: those with a Christoffel term or a derivative
-        # that is not identically zero
-        prev_space = jet_space(self.active, ord_out + 1)
-        live = n_terms > 0
-        live[has_d] |= prev.depends(prev_space)[tj[has_d], var[has_d]]
+        # that is not identically zero, by a nonzero coefficient with a
+        # positive exponent of the variable
+        live = np.bincount(comp, minlength=len(idx)) > 0
+        row, col = np.nonzero(prev.coef)
+        at, v = np.nonzero(prev.space._exps[col] > 0)
+        depends = np.zeros((len(prev), prev.space.n), dtype=bool)
+        depends[row[at], v] = True
+        live[has_d] |= depends[tj[has_d], var[has_d]]
         rows = np.flatnonzero(live)
-        acc = np.empty((len(rows), space.size))
-        started = has_d[rows]
-        for v in np.flatnonzero(np.bincount(var[rows[started]], minlength=len(self.act_idx))):
-            _, src, fac = prev_space.deriv_table(self.active[v])
-            at = np.flatnonzero(started & (var[rows] == v))
-            deriv = prev.coef[tj[rows[at]][:, None], src]
-            deriv *= fac
-            acc[at] = deriv
-        if len(comp):
-            gamma = np.array([jet.coef[: space.size] for jet in self._fwd_jets])
-            prods = space.multiply_rows(gamma[hook], prev.coef[rep, : space.size])
-            row = (np.cumsum(live) - 1)[comp]
-            # term t of every component in one step, t = 0, 1, ...
-            nth = _ramps(n_terms[n_terms > 0])
-            by_nth = np.argsort(nth, kind="stable")
-            ends = np.cumsum(np.bincount(nth)).tolist()
-            for t, (start, end) in enumerate(zip([0] + ends, ends)):
-                sel = by_nth[start:end]
-                if t == 0:
-                    fresh = ~started[row[sel]]
-                    acc[row[sel[fresh]]] = -prods[sel[fresh]]
-                    sel = sel[~fresh]
-                acc[row[sel]] -= prods[sel]
-        keep = acc.any(axis=1)
-        if not keep.all():
-            rows, acc = rows[keep], acc[keep]
-        return _Level([cand[i] for i in rows.tolist()], idx[rows], acc, space)
+        acc = self._derivs(prev.coef, tj[rows], np.where(has_d[rows], var[rows], -1), prev.space)
+        _ordered_sum(acc, (np.cumsum(live) - 1)[comp], lambda ts: space.multiply_rows(
+            self._gamma2.coef[hook[ts], : space.size], prev.coef[rep[ts], : space.size]), -1,
+            has_d[rows])
+        return _Jets(idx[rows], acc, space)
 
     def _level(self, k: int) -> dict[tuple[int, ...], Jet]:
         if k < 0:
             raise ValueError("level must be >= 0")
         if k > self.max_deriv:
-            raise JetOrderError(
-                f"level {k} needs max_deriv >= {k}, context was built with {self.max_deriv}"
-            )
+            raise JetOrderError(f"level {k} needs max_deriv >= {k}, "
+                                f"context was built with {self.max_deriv}")
         while len(self._levels) <= k:
             n = len(self._levels)
-            if n == 0:
-                self._levels.append(self._riemann_jets(self._riemann_candidates()))
-            else:
-                ord_out = self.order - 2 - n
-                self._levels.append(self._nabla_step(self._levels[n - 1], ord_out))
+            self._levels.append(self._nabla_step(self._levels[-1], self.order - 2 - n) if n
+                                else self._riemann_jets(self._riemann_candidates()))
         return self._levels[k]
 
     # ------------------------------------------------------------- read-out
@@ -620,14 +618,14 @@ class CurvatureContext:
         propagation, exponential in k."""
         if self.dim ** (4 + k) > _EXHAUSTIVE_CAP:
             raise ValueError("exhaustive enumeration over cap")
+        if k > self.max_deriv:
+            n = self.max_deriv + 1
+            raise JetOrderError(f"level {n} needs max_deriv >= {n}, "
+                                f"context was built with {self.max_deriv}")
         full = self._riemann_jets(iproduct(range(self.dim), repeat=4))
         for n in range(1, k + 1):
-            ord_out = self.order - 2 - n
-            if ord_out < 0:
-                raise JetOrderError(
-                    f"level {n} needs max_deriv >= {n}, context was built with {self.max_deriv}"
-                )
-            full = self._nabla_jets(full, iproduct(range(self.dim), repeat=4 + n), ord_out)
+            cand = iproduct(range(self.dim), repeat=4 + n)
+            full = self._nabla_jets(full, cand, self.order - 2 - n)
         return full
 
 

@@ -280,7 +280,8 @@ def alpha_via_jacobi(
 
 def alpha_verdict(values: Sequence[float]) -> str:
     v = np.asarray(values, dtype=float)
-    if v.size == 0 or not np.isfinite(v).all():
+    # one sample has no spread to judge, and a non-finite one no value
+    if v.size < 2 or not np.isfinite(v).all():
         return "UNDETERMINED"
     if float(np.var(v)) <= 1e-20:
         return "CONSTANT"

@@ -140,6 +140,17 @@ def test_alpha_exp_sum_is_non_constant(capsys):
     assert float(mid.split(",")[1]) == pytest.approx(297.0 / 289.0, rel=1e-12)
 
 
+def test_alpha_one_sample_is_undetermined(capsys):
+    # one sample has no spread, so it cannot show alpha constant
+    code, out, _ = run(
+        capsys, ["alpha", "--family", "p=0, f=exp(y) + exp(2*y)", "--grid", "y=0:1:1"]
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert "0.0,1.027681660899654,-0.024424994911459663" in lines
+    assert lines[-1] == "# verdict: UNDETERMINED"
+
+
 # ------------------------------------------------------------------- check
 def test_check_family_all_pass(capsys):
     code, out, _ = run(capsys, ["check", "--family", "p=0, f=exp(y)", "--seed", "42"])

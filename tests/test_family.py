@@ -186,6 +186,7 @@ def test_alpha_verdict():
     assert fam.alpha_verdict([1.0] * 10) == "CONSTANT"
     assert fam.alpha_verdict([1.0, 1.02]) == "NON-CONSTANT"
     assert fam.alpha_verdict([]) == "UNDETERMINED"
+    assert fam.alpha_verdict([1.0]) == "UNDETERMINED"
     assert fam.alpha_verdict([1.0, 1.0 + 5e-6]) == "UNDETERMINED"
     assert fam.alpha_verdict([float("nan"), 1.0]) == "UNDETERMINED"
 

@@ -4,10 +4,12 @@ them before they were folded into shared helpers.
 
 The reference functions below keep those loops: the frame built with unit
 vectors and per-element assembly, the oracle and reference model each with
-its own root loop, the closed alpha forms in numpy scalars, the level steps
-one component and one Christoffel term at a time, and the exhaustive levels
-with their own evaluation loops.  Results must agree to the last bit
-(`tobytes()` or pickle), not just to a tolerance.
+its own root loop, the closed alpha forms in numpy scalars, the Neumann
+inverse sweeps and the second-kind Christoffel sum over dictionaries of jets,
+the level-0 candidates and edge sums and the level steps one component and
+one Christoffel term at a time, and the exhaustive levels with their own
+evaluation loops.  Results must agree to the last bit (`tobytes()` or
+pickle), not just to a tolerance.
 """
 import pickle
 from itertools import chain
@@ -20,6 +22,7 @@ from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo import invariants as inv
 from jetgeo.curvature import CurvatureContext
+from jetgeo.jets import Jet, jet_space
 from jetgeo.metric import metric_from_strings, two_sphere
 
 PROFILES = ["exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0"]
@@ -176,16 +179,145 @@ def ref_normalize_frame(params, point):
     return fam.Frame(params, pt, a, bmat, eps0, eps1, raw, tuple(scaled))
 
 
-def ref_level_exhaustive(ctx, k):
+def ref_flush(coef, scale):
+    return np.where(np.abs(coef) <= 64.0 * np.finfo(float).eps * scale, 0.0, coef)
+
+
+def ref_neumann_inverse(ctx):
+    m = ctx.dim
+    h0 = ref_flush(ctx.ginv0, np.max(np.abs(ctx.ginv0)))
+    space = jet_space(ctx.active, ctx.order)
+    nil = {}
+    for (i, j), jet in ctx._g.items():
+        if i > j:
+            continue
+        c = jet.coef.copy()
+        c[0] = 0.0
+        if not c.any():
+            continue
+        nj = Jet(space, c)
+        nil[(i, j)] = nj
+        if i != j:
+            nil[(j, i)] = nj
+    base = {}
+    for i in range(m):
+        for j in range(m):
+            if h0[i, j] != 0.0:
+                base[(i, j)] = space.constant(h0[i, j])
+    if not nil:
+        return base
+    s = dict(base)
+    for _ in range(ctx.order):
+        t = {}
+        for (a, b), nj in nil.items():
+            for c in range(m):
+                sj = s.get((b, c))
+                if sj is None:
+                    continue
+                term = nj * sj
+                prev = t.get((a, c))
+                t[(a, c)] = term if prev is None else prev + term
+        nxt = dict(base)
+        for (a, c), tj in t.items():
+            for i in range(m):
+                if h0[i, a] == 0.0:
+                    continue
+                term = tj.scaled(h0[i, a])
+                prev = nxt.get((i, c))
+                nxt[(i, c)] = (-term) if prev is None else prev - term
+        s = nxt
+    scale = max((np.max(np.abs(j.coef)) for j in s.values()), default=0.0)
+    cleaned = {}
+    out = {}
+    for key, jet in s.items():
+        mark = id(jet)
+        if mark not in cleaned:
+            coef = ref_flush(jet.coef, scale)
+            cleaned[mark] = Jet(jet.space, coef) if coef.any() else None
+        cj = cleaned[mark]
+        if cj is not None:
+            out[key] = cj
+    return out
+
+
+def ref_christoffel_second(ctx, ginv):
+    ord1 = ctx.order - 1
+    by_col = {}
+    for (c, d), jet in ginv.items():
+        by_col.setdefault(d, []).append((c, jet.truncated(ord1)))
+    acc = {}
+    for (a, b, d), g1 in ctx._gamma1.items():
+        for c, hj in by_col.get(d, ()):
+            term = hj * g1
+            key = (a, b, c)
+            prev = acc.get(key)
+            acc[key] = term if prev is None else prev + term
+    return {k: v for k, v in acc.items() if not v.is_zero()}
+
+
+def ref_fwd(ctx):
+    # hooks for covariant-derivative terms: fwd[(a, b)] lists (c, jet)
+    # with lower pair (a, b) and upper c
+    fwd = {}
+    for (a, b, c), jet in ctx._gamma2.items():
+        fwd.setdefault((a, b), []).append((c, jet))
+    return fwd
+
+
+def ref_edge_value(ctx, fwd, i, j, k, l, ord0):
+    # one orientation: (d_i Gamma_jk^m) g_ml + Gamma_jk^m Gamma_iml
+    acc = None
+    for m_, gamma2 in fwd.get((j, k), ()):
+        if i in ctx.act_idx:
+            gj = ctx._g.get((m_, l))
+            if gj is not None:
+                term = gamma2.deriv(ctx.coords[i]) * gj.truncated(ord0)
+                acc = term if acc is None else acc + term
+        g1 = ctx._gamma1.get((i, m_, l))
+        if g1 is not None:
+            term = gamma2.truncated(ord0) * g1.truncated(ord0)
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def ref_riemann_candidates(ctx):
+    fwd = ref_fwd(ctx)
+    g_by_row = {}
+    for (i, j), jet in ctx._g.items():
+        g_by_row.setdefault(i, []).append((j, jet))
+    gamma1_by_mid = {}
+    for (a, b, c) in ctx._gamma1:
+        gamma1_by_mid.setdefault(b, []).append((a, c))
+    cand = set()
+    for (q, k), lst in fwd.items():
+        for m_, _ in lst:
+            for l, _ in g_by_row.get(m_, ()):
+                for i in ctx.act_idx:
+                    cand.add((i, q, k, l))
+                    cand.add((q, i, k, l))
+            for i, l in gamma1_by_mid.get(m_, ()):
+                cand.add((i, q, k, l))
+                cand.add((q, i, k, l))
+    return cand
+
+
+def ref_riemann_jets(ctx, cand):
+    fwd = ref_fwd(ctx)
     ord0 = ctx.order - 2
-    full = {}
-    for (i, j, p, l) in iproduct(range(ctx.dim), repeat=4):
-        a = ctx._edge_value(i, j, p, l, ord0)
-        b = ctx._edge_value(j, i, p, l, ord0)
+    out = {}
+    for (i, j, k, l) in cand:
+        a = ref_edge_value(ctx, fwd, i, j, k, l, ord0)
+        b = ref_edge_value(ctx, fwd, j, i, k, l, ord0)
         if b is not None:
             a = (-b) if a is None else a - b
         if a is not None and not a.is_zero():
-            full[(i, j, p, l)] = a
+            out[(i, j, k, l)] = a
+    return out
+
+
+def ref_level_exhaustive(ctx, k):
+    fwd = ref_fwd(ctx)
+    full = ref_riemann_jets(ctx, iproduct(range(ctx.dim), repeat=4))
     for n in range(1, k + 1):
         ord_out = ctx.order - 2 - n
         nxt = {}
@@ -193,10 +325,10 @@ def ref_level_exhaustive(ctx, k):
             base, m_ = idx[:-1], idx[-1]
             acc = None
             tj = full.get(base)
-            if tj is not None and m_ in ctx._act_set:
+            if tj is not None and m_ in ctx.act_idx:
                 acc = tj.deriv(ctx.coords[m_])
             for s, i_s in enumerate(base):
-                for a, gamma2 in ctx._fwd.get((m_, i_s), ()):
+                for a, gamma2 in fwd.get((m_, i_s), ()):
                     rep = full.get(base[:s] + (a,) + base[s + 1:])
                     if rep is None:
                         continue
@@ -211,6 +343,7 @@ def ref_level_exhaustive(ctx, k):
 def ref_nabla_step(ctx, prev, ord_out):
     # the component loop of the level steps: candidates added to a set
     # key by key, then each component's terms one Jet product at a time
+    fwd = ref_fwd(ctx)
     rev = {}
     for (a, b, c) in ctx._gamma2:
         rev.setdefault(c, []).append((a, b))
@@ -226,10 +359,10 @@ def ref_nabla_step(ctx, prev, ord_out):
         base_idx, m_ = full[:-1], full[-1]
         acc = None
         tj = prev.get(base_idx)
-        if tj is not None and m_ in ctx._act_set:
+        if tj is not None and m_ in ctx.act_idx:
             acc = tj.deriv(ctx.coords[m_])
         for s, i_s in enumerate(base_idx):
-            for a, gamma2 in ctx._fwd.get((m_, i_s), ()):
+            for a, gamma2 in fwd.get((m_, i_s), ()):
                 rep = prev.get(base_idx[:s] + (a,) + base_idx[s + 1:])
                 if rep is None:
                     continue
@@ -241,7 +374,7 @@ def ref_nabla_step(ctx, prev, ord_out):
 
 
 def ref_levels(ctx, k_max):
-    levels = [dict(ctx._riemann_jets(ctx._riemann_candidates()))]
+    levels = [ref_riemann_jets(ctx, ref_riemann_candidates(ctx))]
     for n in range(1, k_max + 1):
         levels.append(ref_nabla_step(ctx, levels[-1], ctx.order - 2 - n))
     return levels
@@ -264,6 +397,12 @@ def same_arrays(got, want):
     return len(got) == len(want) and all(
         np.shape(g) == np.shape(w) and bits(g) == bits(w) for g, w in zip(got, want)
     )
+
+
+def same_jets(got, want):
+    """Same keys in the same order, and the same coefficients to the bit."""
+    return list(got) == list(want) and all(
+        bits(got[key].coef) == bits(jet.coef) for key, jet in want.items())
 
 
 def same_frames(got, want):
@@ -371,10 +510,7 @@ def _exhaustive_cases():
                          ids=["S2", "non-diagonal"])
 def test_level_exhaustive_matches_loops(name, ctx, k_max):
     for k in range(k_max + 1):
-        got = ctx.level_exhaustive(k)
-        want = ref_level_exhaustive(ctx, k)
-        assert list(got) == list(want)
-        assert all(bits(got[idx].coef) == bits(want[idx].coef) for idx in want)
+        assert same_jets(ctx.level_exhaustive(k), ref_level_exhaustive(ctx, k))
 
 
 def _conformal(x, y, q, scale=""):
@@ -427,11 +563,14 @@ LEVEL_CASES = list(_level_cases())
 @pytest.mark.parametrize("name,spec,pt,k_max", LEVEL_CASES, ids=[c[0] for c in LEVEL_CASES])
 def test_levels_match_component_loop(name, spec, pt, k_max):
     ctx = CurvatureContext(spec, pt, k_max)
+    ginv = ref_neumann_inverse(ctx)
+    assert same_jets(ctx._ginv, ginv)
+    assert same_jets(ctx._gamma2, ref_christoffel_second(ctx, ginv))
+    assert list(ctx._riemann_candidates()) == list(ref_riemann_candidates(ctx))
     want = ref_levels(ctx, k_max)
     for k in range(k_max + 1):
         got = ctx._level(k)
-        assert list(got) == list(want[k])
-        assert all(bits(got[idx].coef) == bits(jet.coef) for idx, jet in want[k].items())
+        assert same_jets(got, want[k])
         view = ctx.curvature(k)
         index, values = ref_view(want[k], k)
         assert view.index.dtype == index.dtype and view.index.shape == index.shape
