@@ -54,6 +54,7 @@ from .invariants import (
     catalog,
     evaluate,
     evaluate_dense,
+    evaluate_many,
     random_schemas,
 )
 from .jets import Jet, JetSpace, NonFiniteError, jet_space
@@ -101,6 +102,7 @@ __all__ = [
     "catalog",
     "random_schemas",
     "evaluate",
+    "evaluate_many",
     "evaluate_dense",
     "FamilyParams",
     "PositivityError",

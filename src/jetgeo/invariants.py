@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .curvature import CurvatureContext
+from .jets import SPARSE_PAIR_COST
 from .metric import MetricSpec
 
 __all__ = [
@@ -36,6 +37,7 @@ __all__ = [
     "CatalogResult",
     "random_schemas",
     "evaluate",
+    "evaluate_many",
     "evaluate_dense",
     "matching_count",
 ]
@@ -104,6 +106,16 @@ class ContractionSchema:
                 (min(new[a], new[b]), max(new[a], new[b])) for a, b in self.pairing
             )))
         return (tuple(sorted(self.factors)), min(relabelled))
+
+    @functools.cached_property
+    def _join_plan(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
+        """For `evaluate_many`: the pairs that close with each factor (with
+        b's factor, as a < b), and the code a * n_slots + b of each pair."""
+        owner = [f for f, k in enumerate(self.factors) for _ in range(4 + k)]
+        closing: list[list[tuple[int, int]]] = [[] for _ in self.factors]
+        for a, b in self.pairing:
+            closing[owner[b]].append((a, b))
+        return tuple(map(tuple, closing)), tuple(a * len(owner) + b for a, b in self.pairing)
 
     def canonical(self) -> "ContractionSchema":
         f, p = self.canonical_key()
@@ -217,11 +229,13 @@ def catalog(
     return CatalogResult(tuple(out), tuple(skipped))
 
 
+@functools.cache
 def random_schemas(
     count: int, max_factors: int, max_deriv: int, seed: int
 ) -> tuple[ContractionSchema, ...]:
     """Deterministic sample of distinct canonical schemas (may return fewer
-    than `count` when the space is small)."""
+    than `count` when the space is small).  Drawn once per process for each
+    argument list; the result is immutable."""
     _check_caps(max_factors, max_deriv)
     rng = Random(seed)
     pool = [f for f in _factor_lists(max_factors, max_deriv) if _slots(f) % 2 == 0]
@@ -244,46 +258,114 @@ def random_schemas(
 
 
 # ------------------------------------------------------------- evaluation
+def evaluate_many(
+    schemas: Sequence[ContractionSchema],
+    spec: MetricSpec,
+    point: Sequence[float],
+    context: CurvatureContext | None = None,
+) -> np.ndarray:
+    """Values of the invariants at `point`, one per schema in input order.
+
+    The factors are joined one at a time over their level views
+    (`CurvatureContext.curvature`).  A combination joins one component of
+    each factor so far, held as one index row per joined slot, and it is
+    dropped as soon as one of its closed pairs meets a zero of `ginv0`.  Each
+    kept term is the product of the factor values and then of the g^ab in
+    pairing order, and each schema's terms are added in the order of nested
+    loops over its factors.
+
+    Schemas with the same factor list share their joins as a trie: those
+    whose pairs close the same way up to factor f share one join and filter
+    through f.  Each trie node joins its last factor once and reads one table
+    g[C[a], C[b]] over its combinations C for every slot pair (a, b) its
+    schemas use; one `bincount` sums the terms of all of them.  A context
+    built here reaches the deepest level of any schema.
+    """
+    ctx = context or CurvatureContext(
+        spec, point, max((k for s in schemas for k in s.factors), default=0))
+    views = {k: ctx.curvature(k) for k in {k for s in schemas for k in s.factors}}
+    by_factors: dict[tuple[int, ...], list] = {}
+    for i, schema in enumerate(schemas):
+        by_factors.setdefault(schema.factors, []).append((i, schema))
+    for factors in by_factors:
+        work = math.prod(max(1, len(views[k].values)) for k in factors)
+        if work > WORK_LIMIT:
+            raise CapsExceededError(f"evaluation needs {work} support combinations")
+    out = np.zeros(len(schemas))
+    for factors, members in by_factors.items():
+        first = views[factors[0]]
+        # 1.0 * value, the first join's weight, is the value itself
+        _join_rest([views[k] for k in factors], ctx.ginv0, 0, first.index.T, first.values,
+                   members, out)
+    return out
+
+
+def _join_rest(views, g, f, combo, weight, members, out) -> None:
+    """Split the combinations of factors 0..f that the schemas of `members`
+    share (`combo`, one row of component indices per joined slot, and
+    `weight`) by the pairs that close at f, and join each part with the next
+    factor; at the last factor, finish them."""
+    if f == len(views) - 1:
+        _finish(g, combo, weight, members, out)
+        return
+    groups: dict[tuple[tuple[int, int], ...], list] = {}
+    for member in members:
+        groups.setdefault(member[1]._join_plan[0][f], []).append(member)
+    view = views[f + 1]
+    nonzero: dict[tuple[int, int], np.ndarray] = {}
+    for pairs, group in groups.items():
+        part, part_weight = combo, weight
+        if pairs:
+            keep = np.ones(len(weight), dtype=bool)
+            for a, b in pairs:
+                if (a, b) not in nonzero:
+                    nonzero[a, b] = g[combo[a], combo[b]] != 0.0
+                keep &= nonzero[a, b]
+            part, part_weight = combo[:, keep], weight[keep]
+        # combination (r, c) joins combination r with component c of the view
+        joined = np.empty((len(part) + view.rank, len(part_weight), len(view.values)), np.intp)
+        joined[:len(part)] = part[:, :, None]
+        joined[len(part):] = view.index.T[:, None, :]
+        _join_rest(views, g, f + 1, joined.reshape(len(joined), -1),
+                   np.multiply.outer(part_weight, view.values).ravel(), group, out)
+
+
+def _finish(g, combo, weight, members, out) -> None:
+    """Values of the schemas of `members` over all their combinations: one
+    table row g[combo[a], combo[b]] per slot pair, found by its code
+    a * n_slots + b.  Blocks of schemas bound the (schemas, pairs,
+    combinations) temporaries by SPARSE_PAIR_COST ** 2 entries, or by one
+    schema's; a schema's terms are summed within one block."""
+    n_slots = len(combo)
+    n_pairs = n_slots // 2
+    step = max(1, SPARSE_PAIR_COST ** 2 // max(1, n_pairs * len(weight)))
+    for lo in range(0, len(members), step):
+        block = members[lo:lo + step]
+        codes = np.array([schema._join_plan[1] for _, schema in block])
+        used = np.zeros(n_slots * n_slots, dtype=bool)
+        used[codes] = True
+        a, b = np.divmod(used.nonzero()[0], n_slots)
+        table = g[combo[a], combo[b]]
+        factors = table[used.cumsum()[codes] - 1]  # (schemas, pairs, combinations)
+        keep = np.logical_and.reduce(factors != 0.0, axis=1)
+        terms = weight * factors[:, 0]
+        for j in range(1, n_pairs):
+            terms *= factors[:, j]
+        sums = np.bincount(keep.nonzero()[0], weights=terms[keep], minlength=len(block))
+        out[[i for i, _ in block]] = sums
+
+
 def evaluate(
     schema: ContractionSchema,
     spec: MetricSpec,
     point: Sequence[float],
     context: CurvatureContext | None = None,
 ) -> float:
-    """Value of the invariant at `point`, summed over sparse factor supports.
-
-    The factors are joined one at a time over their level views
-    (`CurvatureContext.curvature`).  A combination joins one component of
-    each factor so far, held as one index column per joined slot, and it is
-    dropped as soon as one of its closed pairs meets a zero of `ginv0`.  Each
-    kept term is the product of the factor values and then of the g^ab in
-    pairing order, and the terms are added in the order of nested loops over
-    the factors.
-    """
-    ctx = context or CurvatureContext(spec, point, max(schema.factors))
-    views = [ctx.curvature(k) for k in schema.factors]
-    work = math.prod(max(1, len(view.values)) for view in views)
-    if work > WORK_LIMIT:
-        raise CapsExceededError(f"evaluation needs {work} support combinations")
-    owner = [f for f, k in enumerate(schema.factors) for _ in range(4 + k)]
-    g = ctx.ginv0
-    cols: list[np.ndarray] = []
-    weight = np.ones(1)
-    for f, view in enumerate(views):
-        n = len(view.values)
-        rows = np.repeat(np.arange(len(weight)), n)
-        pick = np.tile(np.arange(n), len(weight))
-        cols = [c[rows] for c in cols] + list(view.index[pick].T)
-        weight = weight[rows] * view.values[pick]
-        keep = np.ones(len(weight), dtype=bool)
-        for a, b in schema.pairing:
-            if owner[b] == f:  # a < b, so the pair closes with factor f
-                keep &= g[cols[a], cols[b]] != 0.0
-        cols = [c[keep] for c in cols]
-        weight = weight[keep]
-    for a, b in schema.pairing:
-        weight = weight * g[cols[a], cols[b]]
-    return float(np.bincount(np.zeros(len(weight), dtype=np.intp), weights=weight, minlength=1)[0])
+    """Value of one invariant at `point`, summed over the sparse factor
+    supports: `evaluate_many`'s batched join on a batch of one.  Over one
+    context a schema's value is the same, bit for bit, in any batch: batching
+    shares joins and tables, never a schema's terms or their order."""
+    return float(evaluate_many((schema,), spec, point, context)[0])
 
 
 def evaluate_dense(
@@ -293,19 +375,18 @@ def evaluate_dense(
     context: CurvatureContext | None = None,
 ) -> float:
     """Same invariant through dense arrays and einsum; slow cross-check."""
-    ctx = context or CurvatureContext(spec, point, max(schema.factors))
-    n = schema.n_slots
-    if n + len(schema.pairing) > 26:
+    letters = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"  # einsum's 52
+    if schema.n_slots > len(letters):
         raise CapsExceededError("too many slots for the dense evaluator")
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    slot_letter = [letters[i] for i in range(n)]
+    ctx = context or CurvatureContext(spec, point, max(schema.factors))
+    slot_letter = letters[:schema.n_slots]
     subs = []
     ops = []
     off = 0
     for k in schema.factors:
         t = ctx.curvature(k).dense()
         ops.append(t)
-        subs.append("".join(slot_letter[off:off + 4 + k]))
+        subs.append(slot_letter[off:off + 4 + k])
         off += 4 + k
     for a, b in schema.pairing:
         ops.append(ctx.ginv0)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from jetgeo.metric import save_metric, two_sphere
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -49,6 +51,8 @@ tracer = spans.Tracer()
 spans.install(tracer)
 tracer.active = True
 from jetgeo import cli
+spec_rc = cli.main(["check", "--spec", {sphere!r}, "--point", "0.8,0.1", "--seed", "7"])
+print("SPEC RC", spec_rc)
 rc = cli.main(["check", "--family", "p=0,f=exp(y)", "--seed", "42"])
 metrics = spans.layer_metrics(tracer)
 print("RC", rc)
@@ -58,12 +62,17 @@ for name in ("invariants.catalog_s", "invariants.combinations", "curvature.level
 """
 
 
-def test_traced_check_runs_in_process():
+def test_traced_check_runs_in_process(tmp_path):
     # the check suite through the span wrappers: the level-0 step with its
-    # candidates, the cached catalog, and the combinations hook on evaluate
-    res = _run_with_spans(TRACED_CHECK)
+    # candidates, the cached catalog, and the combinations hook on evaluate,
+    # which the spec check's weyl_control calls (the family check evaluates
+    # its schemas in one evaluate_many call)
+    sphere = tmp_path / "sphere.json"
+    save_metric(two_sphere(), str(sphere))
+    res = _run_with_spans(TRACED_CHECK.format(sphere=str(sphere)))
     assert res.returncode == 0, res.stderr
     lines = res.stdout.splitlines()
+    assert "SPEC RC 0" in lines
     start = lines.index("RC 0")
     figures = dict(line.split() for line in lines[start + 1:])
     assert lines[start - 1] == "RESULT: PASS"

@@ -15,6 +15,7 @@ from jetgeo.invariants import (
     catalog,
     evaluate,
     evaluate_dense,
+    evaluate_many,
     matching_count,
     random_schemas,
 )
@@ -143,6 +144,13 @@ def test_random_schemas_deterministic_and_canonical():
     assert random_schemas(50, 3, 2, seed=1) != random_schemas(50, 3, 2, seed=2)
 
 
+def test_random_schemas_drawn_once_per_argument_list():
+    a = random_schemas(100, 3, 2, 42)
+    assert random_schemas(100, 3, 2, 42) is a
+    assert random_schemas.__wrapped__(100, 3, 2, 42) == a
+    assert isinstance(a, tuple)
+
+
 def test_random_schemas_small_space_returns_fewer():
     got = random_schemas(50, 1, 0, seed=0)
     assert 0 < len(got) <= 3  # only the three level-0 single-factor schemas
@@ -196,12 +204,27 @@ def test_dense_matches_sparse_on_family():
 
 
 def test_evaluate_dense_letter_guard():
+    # 56 slots, past the 52 einsum letters a-z and A-Z
     big = ContractionSchema(
-        (4, 4, 4),
-        tuple((2 * i, 2 * i + 1) for i in range(12)),
+        (4,) * 7,
+        tuple((2 * i, 2 * i + 1) for i in range(28)),
     )
     with pytest.raises(CapsExceededError):
         evaluate_dense(big, two_sphere(), (0.8, 0.1))
+
+
+def test_evaluate_many_matches_dense_on_check_random_schemas():
+    # the check's random draw holds 12 (2,2,2) schemas: 18 slots and 9 pairs
+    params = FamilyParams(0, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    spec = build_metric(params)
+    pt = (0.3, -0.4, 0.5, 0.2, -0.1, 0.6)
+    ctx = CurvatureContext(spec, pt, 2)
+    schemas = random_schemas(100, 3, 2, 42)
+    assert sum(s.factors == (2, 2, 2) for s in schemas) == 12
+    got = evaluate_many(schemas, spec, pt, context=ctx)
+    for schema, value in zip(schemas, got):
+        want = evaluate_dense(schema, spec, pt, context=ctx)
+        assert value == pytest.approx(want, rel=1e-11, abs=1e-11), schema.to_line()
 
 
 def test_evaluate_accepts_prebuilt_context_only_if_deep_enough():

@@ -7,13 +7,15 @@ vectors and per-element assembly, the oracle and reference model each with
 its own root loop, the closed alpha forms in numpy scalars, the Neumann
 inverse sweeps and the second-kind Christoffel sum over dictionaries of jets,
 the level-0 candidates and edge sums and the level steps one component and
-one Christoffel term at a time, and the exhaustive levels with their own
-evaluation loops.  Results must agree to the last bit (`tobytes()` or
+one Christoffel term at a time, the exhaustive levels with their own
+evaluation loops, and the invariants one schema at a time.  Results must agree to the last bit (`tobytes()` or
 pickle), not just to a tolerance.
 """
+import math
 import pickle
 from itertools import chain
 from itertools import product as iproduct
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -22,8 +24,9 @@ from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo import invariants as inv
 from jetgeo.curvature import CurvatureContext
+from jetgeo.invariants import WORK_LIMIT, CapsExceededError, ContractionSchema
 from jetgeo.jets import Jet, jet_space
-from jetgeo.metric import metric_from_strings, two_sphere
+from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
 
 PROFILES = ["exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0"]
 
@@ -388,6 +391,48 @@ def ref_view(level, k):
     return index.reshape(-1, 4 + k)[keep], values[keep]
 
 
+def ref_evaluate(
+    schema: ContractionSchema,
+    spec: MetricSpec,
+    point: Sequence[float],
+    context: CurvatureContext | None = None,
+) -> float:
+    """Value of the invariant at `point`, summed over sparse factor supports.
+
+    The factors are joined one at a time over their level views
+    (`CurvatureContext.curvature`).  A combination joins one component of
+    each factor so far, held as one index column per joined slot, and it is
+    dropped as soon as one of its closed pairs meets a zero of `ginv0`.  Each
+    kept term is the product of the factor values and then of the g^ab in
+    pairing order, and the terms are added in the order of nested loops over
+    the factors.
+    """
+    ctx = context or CurvatureContext(spec, point, max(schema.factors))
+    views = [ctx.curvature(k) for k in schema.factors]
+    work = math.prod(max(1, len(view.values)) for view in views)
+    if work > WORK_LIMIT:
+        raise CapsExceededError(f"evaluation needs {work} support combinations")
+    owner = [f for f, k in enumerate(schema.factors) for _ in range(4 + k)]
+    g = ctx.ginv0
+    cols: list[np.ndarray] = []
+    weight = np.ones(1)
+    for f, view in enumerate(views):
+        n = len(view.values)
+        rows = np.repeat(np.arange(len(weight)), n)
+        pick = np.tile(np.arange(n), len(weight))
+        cols = [c[rows] for c in cols] + list(view.index[pick].T)
+        weight = weight[rows] * view.values[pick]
+        keep = np.ones(len(weight), dtype=bool)
+        for a, b in schema.pairing:
+            if owner[b] == f:  # a < b, so the pair closes with factor f
+                keep &= g[cols[a], cols[b]] != 0.0
+        cols = [c[keep] for c in cols]
+        weight = weight[keep]
+    for a, b in schema.pairing:
+        weight = weight * g[cols[a], cols[b]]
+    return float(np.bincount(np.zeros(len(weight), dtype=np.intp), weights=weight, minlength=1)[0])
+
+
 # ------------------------------------------------------------------ helpers
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
@@ -596,3 +641,91 @@ def test_catalog_built_once_per_argument_list():
     assert isinstance(inv.catalog(3, 2).schemas, tuple)
     with pytest.raises(inv.CapsExceededError):
         inv.catalog(4, 0)
+
+
+# ------------------------------------------------------------------ invariants
+CHECK_SCHEMAS = inv.catalog(3, 2).schemas + inv.random_schemas(100, 3, 2, 42)
+NON_DIAGONAL = metric_from_strings(
+    ("a", "b", "c"),
+    {(0, 0): "exp(2*c)", (1, 1): "1 + b^2", (2, 2): "2 + sin(a)",
+     (0, 1): "0.5*a", (1, 2): "0.25*c"},
+    (0, 3),
+)
+
+
+def _invariant_cases():
+    for p in range(4):
+        params = fam.FamilyParams(p, ex.parse(PROFILES[0], ("y",)))
+        spec = fam.build_metric(params)
+        rng = np.random.default_rng(p)
+        md = max(2, p + 2)  # as `jetgeo check` builds it
+        yield f"family p={p} base", spec, fam.base_point(params, 0.0), md, CHECK_SCHEMAS
+        yield f"family p={p} general", spec, tuple(rng.uniform(-0.7, 0.7, spec.dim)), md, \
+            CHECK_SCHEMAS
+    yield "S2", two_sphere(), (0.8, 0.1), 2, CHECK_SCHEMAS
+    # dense levels (40, 172 and 634 values): every 20th schema keeps it to
+    # about 2 s, and some of those raise CapsExceededError
+    yield "non-diagonal", NON_DIAGONAL, (0.2, -0.3, 0.1), 2, CHECK_SCHEMAS[::20]
+    yield "flat", _diagonal((("a", "b", "c"), ("1.0", "2.0", "3.0"))), (0.1, 0.2, 0.3), 2, \
+        CHECK_SCHEMAS
+
+
+INVARIANT_CASES = list(_invariant_cases())
+
+
+def _ref_values(schemas, spec, pt, ctx):
+    """The loop's value of each schema, or the CapsExceededError it raised."""
+    out = []
+    for schema in schemas:
+        try:
+            out.append(ref_evaluate(schema, spec, pt, context=ctx))
+        except CapsExceededError as err:
+            out.append(err)
+    return out
+
+
+@pytest.mark.parametrize("name,spec,pt,max_deriv,schemas", INVARIANT_CASES,
+                         ids=[c[0] for c in INVARIANT_CASES])
+def test_evaluate_many_matches_schema_loop(name, spec, pt, max_deriv, schemas):
+    ctx = CurvatureContext(spec, pt, max_deriv)
+    want = _ref_values(schemas, spec, pt, ctx)
+    fits = [s for s, w in zip(schemas, want) if not isinstance(w, CapsExceededError)]
+    got = inv.evaluate_many(fits, spec, pt, context=ctx)
+    assert got.dtype == float and got.shape == (len(fits),)
+    assert bits(got) == bits([w for w in want if not isinstance(w, CapsExceededError)])
+    for schema, w in zip(schemas, want):
+        if isinstance(w, CapsExceededError):
+            with pytest.raises(CapsExceededError) as err:
+                inv.evaluate_many((schema,), spec, pt, context=ctx)
+            assert str(err.value) == str(w)
+        else:
+            assert bits(inv.evaluate(schema, spec, pt, context=ctx)) == bits(w)
+    if name == "flat":
+        assert not got.any()
+    if name in ("S2", "non-diagonal"):
+        assert np.count_nonzero(got) > len(fits) // 4
+
+
+def test_evaluate_many_keeps_input_order_and_duplicates():
+    sph, pt = two_sphere(), (0.8, 0.1)
+    ctx = CurvatureContext(sph, pt, 2)
+    named = list(inv.NAMED_SCHEMAS.values())
+    mixed = [named[3], named[0], CHECK_SCHEMAS[700], named[0], CHECK_SCHEMAS[5],
+             named[6], CHECK_SCHEMAS[-1], named[2], CHECK_SCHEMAS[700], named[1]]
+    got = inv.evaluate_many(mixed, sph, pt, context=ctx)
+    assert bits(got) == bits(_ref_values(mixed, sph, pt, ctx))
+    assert got[1] == got[3] and got[2] == got[8]
+    assert len({s.factors for s in mixed}) >= 5
+    assert bits(inv.evaluate_many([], sph, pt, context=ctx)) == b""
+
+
+def test_evaluate_many_caps_error_matches_loop():
+    ctx = CurvatureContext(NON_DIAGONAL, (0.2, -0.3, 0.1), 2)
+    big = next(s for s in CHECK_SCHEMAS if s.factors == (2, 2, 2))
+    with pytest.raises(CapsExceededError) as want:
+        ref_evaluate(big, NON_DIAGONAL, (0.2, -0.3, 0.1), context=ctx)
+    # one schema past the limit fails the whole batch, with the loop's message
+    with pytest.raises(CapsExceededError) as got:
+        inv.evaluate_many((inv.NAMED_SCHEMAS["tau"], big), NON_DIAGONAL, (0.2, -0.3, 0.1),
+                          context=ctx)
+    assert str(got.value) == str(want.value) == "evaluation needs 254840104 support combinations"
