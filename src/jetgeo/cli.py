@@ -378,7 +378,8 @@ def _add_common(p: argparse.ArgumentParser, point: bool, grid: bool, k: bool) ->
     g.add_argument("--family", metavar="p=<int>,f=<expr>", help="family parameters")
     g.add_argument("--spec", metavar="FILE", help="metric spec JSON file")
     if point:
-        p.add_argument("--point", metavar="c1,...,cn", help="evaluation point")
+        p.add_argument("--point", metavar="c1,...,cn",
+                       help="evaluation point; write --point=-0.5,0.1 when it starts with a minus")
     if grid:
         p.add_argument("--grid", metavar="var=lo:hi:n", help="sweep grid")
     if k:

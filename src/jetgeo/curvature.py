@@ -551,12 +551,15 @@ class CurvatureContext:
             has_d[rows])
         return _Jets(idx[rows], acc, space)
 
-    def _level(self, k: int) -> dict[tuple[int, ...], Jet]:
+    def _check_level(self, k: int) -> None:
         if k < 0:
             raise ValueError("level must be >= 0")
         if k > self.max_deriv:
             raise JetOrderError(f"level {k} needs max_deriv >= {k}, "
                                 f"context was built with {self.max_deriv}")
+
+    def _level(self, k: int) -> dict[tuple[int, ...], Jet]:
+        self._check_level(k)
         while len(self._levels) <= k:
             n = len(self._levels)
             self._levels.append(self._nabla_step(self._levels[-1], self.order - 2 - n) if n
@@ -616,12 +619,9 @@ class CurvatureContext:
     def level_exhaustive(self, k: int) -> dict[tuple[int, ...], Jet]:
         """Recompute level k over every index tuple; cross-check for support
         propagation, exponential in k."""
+        self._check_level(k)
         if self.dim ** (4 + k) > _EXHAUSTIVE_CAP:
             raise ValueError("exhaustive enumeration over cap")
-        if k > self.max_deriv:
-            n = self.max_deriv + 1
-            raise JetOrderError(f"level {n} needs max_deriv >= {n}, "
-                                f"context was built with {self.max_deriv}")
         full = self._riemann_jets(iproduct(range(self.dim), repeat=4))
         for n in range(1, k + 1):
             cand = iproduct(range(self.dim), repeat=4 + n)

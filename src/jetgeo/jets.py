@@ -14,39 +14,41 @@ Each multi-index m also has a packed code: the digits |m|, m_1, ..., m_n read
 as one number in base K + 1.  No digit exceeds K below the truncation order,
 so code(m + m') = code(m) + code(m') for every product term that is kept, and
 the codes ascend with the graded-lex rank, so `searchsorted` on them turns a
-code back into a rank.  The space tables are built from the codes: the ranks
-of all multi-indices, the shift m -> m + e_v of a derivative, and the pair
-table below (packed exponents for sparse polynomial products: Monagan and
-Pearce, CASC 2007, LNCS 4770).
+code back into a rank (packed exponents for sparse polynomial products:
+Monagan and Pearce, CASC 2007, LNCS 4770).  The derivative shift
+m -> m + e_v and the pair listing below are built from the codes.
 
-A product has two routes, with one summation:
-  * table route: the pair table lists every rank pair (r, s), r <= s, with
-    |r| + |s| <= K, in ascending order, with the rank of r + s.  Row (r, s)
-    weighs a[r]*b[s] + a[s]*b[r] off the diagonal and a[r]*b[r] on it;
-    off-diagonal rows are summed into the output ranks by one `bincount`,
-    diagonal rows by a second, added in that order.  The table has
-    sum_r max(0, size_at(K - |r|) - r) rows, about a million at 7 variables
-    and order 10, and is built the first time this route runs in a space.
-  * sparse route: only the pairs of nonzero(a) x nonzero(b) within the
-    degree bound, folded to their (min, max) rows, in ascending order, then
-    weighed and summed exactly as the table route does.
-The rows the sparse route leaves out are those where a[r] or b[s], and a[s]
-or b[r], are zero; with finite operands each weighs +-0.0, and adding +-0.0
-to a bin changes no bit (the bins start at +0.0).  The rows it keeps are
-summed in the table's order, so the two routes give bit-identical products,
-and a * b and b * a are bit-identical on either.  (A non-finite coefficient
-would break this: the table route forms inf * 0 = nan where the sparse route
-forms nothing, so such operands always take the table route.)
+A product sums pair terms, and one listing gives the pairs: for a set of
+ranks, every pair (r, s), r <= s, of them with |r| + |s| <= K, in ascending
+order, with the rank of r + s.  The ranks are graded, so the partners of r
+are one run of the set: from r up to size_at(K - |r|).  Pair (r, s) weighs
+a[r]*b[s] + a[s]*b[r] off the diagonal and a[r]*b[r] on it; off-diagonal
+pairs are summed into the output ranks by one `bincount`, diagonal pairs by
+a second, added in that order.  A product has two routes through it:
+  * table route: the pair table is the listing of every rank, cached in the
+    space the first time this route runs there.  It has
+    sum_r max(0, size_at(K - |r|) - r) pairs, about a million at 7 variables
+    and order 10.
+  * sparse route: the listing of the ranks where a or b is nonzero.
+In every pair the sparse route leaves out, and in every pair it lists beyond
+nonzero(a) x nonzero(b), a[r] or b[s], and a[s] or b[r], are zero; with
+finite operands such a pair weighs +-0.0, and adding +-0.0 to a bin changes
+no bit (the bins start at +0.0).  Both routes sum in the one ascending
+order, so they give bit-identical products, and a * b and b * a are
+bit-identical on either.  (A non-finite coefficient would break this: the
+table route forms inf * 0 = nan where the sparse route forms nothing, so such
+operands always take the table route.)
 
 `multiply_rows` multiplies many pairs of jets in one call, each row bit for
-bit as `multiply` would: the table route gathers every jet's pairs at once
-and bins jet r's sums apart from the others' in the one `bincount`.
+bit as `multiply` would: the sparse route lists every row of a block in one
+call, as flat indices into the block, and the table route bins row r's sums
+at an offset of r * size; either sums the block in one `bincount` pair.
 
 `multiply` takes the sparse route when nnz(a) * nnz(b) * SPARSE_PAIR_COST is
-below the table's row count.  A space with at most SPARSE_PAIR_COST rows
-always takes the table route without counting nonzeros, and b is not counted
-when nnz(a) * SPARSE_PAIR_COST alone reaches the row count (a zero b then
-takes the table route, for the same bits).
+below the table's pair count and every coefficient is finite.  A space with
+at most SPARSE_PAIR_COST pairs always takes the table route without counting
+nonzeros, and b is not counted when nnz(a) * SPARSE_PAIR_COST alone reaches
+the pair count (a zero b then takes the table route, for the same bits).
 """
 from __future__ import annotations
 
@@ -109,6 +111,11 @@ def _multi_indices(n: int, order: int) -> np.ndarray:
     return m
 
 
+def _finite(a: np.ndarray, b: np.ndarray) -> bool:
+    # the sparse route's condition: the table's inf * 0 is nan
+    return bool(np.isfinite(a).all() and np.isfinite(b).all())
+
+
 def _check_differentiable(order: int) -> None:
     if order == 0:
         raise JetOrderError("cannot differentiate an order-0 jet")
@@ -130,10 +137,11 @@ class JetSpace:
     `multis[r]` is the multi-index of rank r and `rank` inverts it.
     `_codes[r]` packs multis[r] as described in the module docstring (int64,
     or Python ints where (K + 1) ** (n + 1) would overflow it), and `_deg[r]`
-    is its total degree.  `_pairs` is the pair table's row count, known in
-    closed form before the table exists.  `multiply` picks the table or the
-    sparse route per call from the operands' nonzero counts; `_mul_tables`
-    stays None until the table route first runs.
+    is its total degree.  The ranks s with |r| + |s| <= K are those below
+    `_reach[r]`, and `_pairs` is the pair table's length, known in closed
+    form before the table exists.  `multiply` picks the table or the sparse
+    route per call from the operands' nonzero counts; `_mul_tables` stays
+    None until the table route first runs.
     """
 
     def __init__(self, variables: Sequence[str], order: int):
@@ -161,7 +169,9 @@ class JetSpace:
         self.size = len(self.multis)
         self.rank = dict(zip(self.multis, range(self.size)))
         self._var_pos = {name: i for i, name in enumerate(self.variables)}
-        self._pairs = int(self._pair_rows().sum())
+        top = np.array([self.size_at(self.order - d) for d in range(self.order + 1)])
+        self._reach = top[self._deg]
+        self._pairs = int(np.maximum(self._reach - np.arange(self.size), 0).sum())
         self._mul_tables = None
         self._deriv_tables: dict[str, tuple["JetSpace", np.ndarray, np.ndarray]] = {}
 
@@ -192,102 +202,87 @@ class JetSpace:
         return Jet(self, coef)
 
     # ------------------------------------------------------------- arithmetic
-    def _pair_rows(self) -> np.ndarray:
-        # rows (r, s) of the pair table per rank r: s >= r and |s| <= K - |r|
-        top = np.array([self.size_at(self.order - d) for d in range(self.order + 1)])
-        return np.maximum(top[self._deg] - np.arange(self.size), 0)
+    def _listing(self, live: np.ndarray):
+        """The product pairs of the ranks set in each row of a (rows, size) mask.
+
+        For each row, every pair (r, s), r <= s, of its set ranks with
+        |r| + |s| <= K, row by row in ascending order, as flat indices into
+        the (rows, size) array, with the flat index of rank r + s in the same
+        row: (r, s, out) of the off-diagonal pairs, then (r, out) of the
+        diagonal ones, as `_accumulate` takes them.
+        """
+        flat = np.flatnonzero(live)
+        rank = flat % self.size
+        start = flat - rank
+        # ranks are graded, so the partners of r are one run of set ranks:
+        # from r up to size_at(K - |r|) in r's row
+        stop = np.searchsorted(flat, start + self._reach[rank])
+        lengths = np.maximum(stop - np.arange(len(flat)), 0)
+        i = np.repeat(np.arange(len(flat)), lengths)
+        j = i + _ramps(lengths)
+        out = start[i] + np.searchsorted(self._codes, self._codes[rank[i]] + self._codes[rank[j]])
+        diag = i == j
+        off = ~diag
+        return flat[i[off]], flat[j[off]], out[off], flat[i[diag]], out[diag]
 
     def _mul(self):
-        # Symmetrized pair table: rows with ia < ib contribute
-        # a[ia]*b[ib] + a[ib]*b[ia], diagonal rows contribute a[ia]*b[ia].
-        # The symmetry makes a * b and b * a bit-identical.
+        # the pair table: the listing of one row with every rank set
         if self._mul_tables is None:
-            lengths = self._pair_rows()
-            ra = np.repeat(np.arange(self.size), lengths)
-            rb = ra + _ramps(lengths)
-            ro = np.searchsorted(self._codes, self._codes[ra] + self._codes[rb])
-            diag = ra == rb
-            off = ~diag
-            self._mul_tables = (ra[off], rb[off], ro[off], ra[diag], ro[diag])
+            self._mul_tables = self._listing(np.ones((1, self.size), dtype=bool))
         return self._mul_tables
 
     @staticmethod
     def _accumulate(a, b, ia, ib, io, idg, idg_o) -> np.ndarray:
-        # a and b hold one jet, or one jet a column of a (size, jets) array
-        # where every jet takes the same pair rows: bin o of jet r is then
-        # o * jets + r, and each bin still sums its rows in table order
+        # off-diagonal pair (r, s) weighs a[r]*b[s] + a[s]*b[r], diagonal
+        # pair r weighs a[r]*b[r]; each bin sums its off-diagonal pairs, then
+        # its diagonal ones, in listing order.  (rows, size) operands take
+        # one row's listing each, binned at an offset of r * size for row r.
         if a.ndim > 1:
-            jets = np.arange(a.shape[1])
-            io = (io[:, None] * len(jets) + jets).ravel()
-            idg_o = (idg_o[:, None] * len(jets) + jets).ravel()
+            at = np.arange(0, a.size, a.shape[1])[:, None]
+            io, idg_o = (io + at).ravel(), (idg_o + at).ravel()
+        # (an empty bincount is of integers, hence the length tests)
         if len(io):
-            w = a[ia] * b[ib] + a[ib] * b[ia]
+            w = a.take(ia, -1) * b.take(ib, -1) + a.take(ib, -1) * b.take(ia, -1)
             out = np.bincount(io, weights=w.ravel(), minlength=a.size)
         else:
             out = np.zeros(a.size)
         if len(idg_o):
-            wd = a[idg] * b[idg]
+            wd = a.take(idg, -1) * b.take(idg, -1)
             out += np.bincount(idg_o, weights=wd.ravel(), minlength=a.size)
         return out.reshape(a.shape)
-
-    def _sparse_rows(self, a: np.ndarray, b: np.ndarray):
-        # the pair-table rows that reach a nonzero coefficient of each
-        # operand, in table order and split as `_mul` splits them; None
-        # when a coefficient is not finite (the table's inf * 0 is nan)
-        ia, ib = np.flatnonzero(a), np.flatnonzero(b)
-        if not (np.isfinite(a[ia]).all() and np.isfinite(b[ib]).all()):
-            return None
-        i, j = np.nonzero(self._deg[ia][:, None] + self._deg[ib] <= self.order)
-        i, j = ia[i], ib[j]
-        # sorted and deduplicated by hand: np.unique would import numpy.ma
-        rows = np.sort(np.minimum(i, j) * self.size + np.maximum(i, j))
-        first = np.ones(len(rows), dtype=bool)
-        first[1:] = rows[1:] != rows[:-1]
-        rows = rows[first]
-        lo, hi = np.divmod(rows, self.size)
-        ro = np.searchsorted(self._codes, self._codes[lo] + self._codes[hi])
-        diag = lo == hi
-        off = ~diag
-        return lo[off], hi[off], ro[off], lo[diag], ro[diag]
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         pairs = self._pairs
         if pairs > SPARSE_PAIR_COST:
             cost = np.count_nonzero(a) * SPARSE_PAIR_COST
-            if cost < pairs and cost * np.count_nonzero(b) < pairs:
-                rows = self._sparse_rows(a, b)
-                if rows is not None:
-                    return self._accumulate(a, b, *rows)
+            if cost < pairs and cost * np.count_nonzero(b) < pairs and _finite(a, b):
+                return self._accumulate(a, b, *self._listing(((a != 0) | (b != 0))[None]))
         return self._accumulate(a, b, *self._mul())
 
     def multiply_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Row r is `multiply(a[r], b[r])` bit for bit, for (rows, size) operands.
 
-        The route rule is `multiply`'s summed over the rows: the sparse
+        Rows go in blocks of SPARSE_PAIR_COST ** 2 table pairs, which bounds
+        the temporaries while a block's fixed cost (some hundred pairs'
+        worth, see SPARSE_PAIR_COST) stays below a hundredth of its work.
+        The route rule is `multiply`'s summed over a block's rows: the sparse
         route when sum nnz(a[r]) * nnz(b[r]) * SPARSE_PAIR_COST is below
-        rows * pairs.  The sparse route lists each row's pairs at an offset
-        of r * size, the table route applies the one table to every row, and
-        either sums all rows in one `_accumulate`.  Rows go in blocks of
-        SPARSE_PAIR_COST ** 2 table pairs, which bounds the temporaries while
-        a block's fixed cost (some hundred pairs' worth, see
-        SPARSE_PAIR_COST) stays below a hundredth of its work.
+        rows * pairs and every coefficient is finite.  The sparse route is
+        one listing of the block's nonzero masks, the table route the pair
+        table at an offset of r * size for row r, and either sums the whole
+        block in one `_accumulate`.
         """
         out = np.empty((len(a), self.size))
         step = max(1, SPARSE_PAIR_COST ** 2 // self._pairs)
         for r0 in range(0, len(a), step):
             x, y = a[r0:r0 + step], b[r0:r0 + step]
-            sums = None
-            if self._pairs > SPARSE_PAIR_COST:
-                work = np.count_nonzero(x, axis=1) @ np.count_nonzero(y, axis=1)
-                if work * SPARSE_PAIR_COST < len(x) * self._pairs:
-                    listed = [self._sparse_rows(xr, yr) for xr, yr in zip(x, y)]
-                    if None not in listed:
-                        at = range(0, x.size, self.size)
-                        rows = [np.concatenate([t + o for t, o in zip(ts, at)]) for ts in zip(*listed)]
-                        sums = self._accumulate(x.ravel(), y.ravel(), *rows).reshape(x.shape)
-            if sums is None:
-                sums = self._accumulate(x.T, y.T, *self._mul()).T
-            out[r0:r0 + len(x)] = sums
+            if (self._pairs > SPARSE_PAIR_COST
+                    and (np.count_nonzero(x, axis=1) @ np.count_nonzero(y, axis=1))
+                    * SPARSE_PAIR_COST < len(x) * self._pairs and _finite(x, y)):
+                sums = self._accumulate(x.ravel(), y.ravel(), *self._listing((x != 0) | (y != 0)))
+            else:
+                sums = self._accumulate(x, y, *self._mul())
+            out[r0:r0 + len(x)] = sums.reshape(x.shape)
         return out
 
     def deriv_table(self, name: str):

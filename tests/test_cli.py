@@ -284,6 +284,26 @@ def test_non_finite_point_on_spec_exits_2(capsys, sphere_path, point):
     assert err == f"jetgeo: input error: --point must be finite, got {point!r}\n"
 
 
+@pytest.mark.parametrize("command", ["curvature", "check"])
+def test_negative_point_takes_the_equals_form(capsys, sphere_path, command):
+    # after a space argparse reads "-0.5,0.1" as an option
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--spec", sphere_path, "--point", "-0.5,0.1"])
+    assert exc.value.code == 2
+    assert "argument --point: expected one argument" in capsys.readouterr().err
+    code, out, err = run(capsys, [command, "--spec", sphere_path, "--point=-0.5,0.1"])
+    assert code == 0 and err == ""
+    assert "# point: -0.5,0.1\n" in out
+
+
+@pytest.mark.parametrize("command", ["curvature", "check"])
+def test_point_help_shows_the_equals_form(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert "--point=-0.5,0.1" in capsys.readouterr().out
+
+
 def test_short_signature_in_spec_exits_2(capsys, tmp_path):
     path = tmp_path / "short.json"
     path.write_text(

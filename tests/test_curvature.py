@@ -322,6 +322,19 @@ def test_level_order_guard():
         ctx.curvature(2)
 
 
+def test_exhaustive_level_guard_names_the_level():
+    ctx = sphere_ctx(k=2)
+    for k in (3, 5):
+        for call in (ctx.curvature, ctx.level_exhaustive):
+            with pytest.raises(JetOrderError) as err:
+                call(k)
+            assert str(err.value) == (f"level {k} needs max_deriv >= {k}, "
+                                      "context was built with 2")
+    for call in (ctx.curvature, ctx.level_exhaustive):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            call(-1)
+
+
 @pytest.mark.xfail(strict=True, reason="roundoff images of zero at higher Taylor orders "
                    "pass the global flush (ROADMAP item 1)")
 def test_locally_symmetric_level_one_support_is_empty_at_every_max_deriv():

@@ -16,6 +16,7 @@ from jetgeo.jets import (
     JetMismatchError,
     JetOrderError,
     JetSpace,
+    SPARSE_PAIR_COST,
     NonFiniteError,
     jet_space,
 )
@@ -164,6 +165,11 @@ def test_pow_matches_repeated_product():
 DENSITIES = (0.0, 0.01, 0.05, 0.2, 0.6, 1.0)
 
 
+def _sparse(space, a, b):
+    # the sparse route: the listing of the operands' nonzeros
+    return space._accumulate(a, b, *space._listing(((a != 0) | (b != 0))[None]))
+
+
 def _operand(space, rng, density):
     # nonzeros over several decades; the zeros are a mix of 0.0 and -0.0
     keep = rng.random(space.size) < density
@@ -187,9 +193,9 @@ def test_product_routes_bit_identical(n, order, dens_a, dens_b, seed):
     rng = np.random.default_rng(seed)
     a, b = _operand(sp, rng, dens_a), _operand(sp, rng, dens_b)
     table = sp._accumulate(a, b, *sp._mul())
-    sparse = sp._accumulate(a, b, *sp._sparse_rows(a, b))
+    sparse = _sparse(sp, a, b)
     assert sparse.tobytes() == table.tobytes()
-    assert sp._accumulate(b, a, *sp._sparse_rows(b, a)).tobytes() == sparse.tobytes()
+    assert _sparse(sp, b, a).tobytes() == sparse.tobytes()
     assert sp.multiply(a, b).tobytes() == table.tobytes()
 
 
@@ -215,33 +221,47 @@ def test_batched_product_rows_match_multiply(n, order, rows, seed):
 
 
 def test_batched_product_takes_both_routes(monkeypatch):
-    # the examples above reach each route; this pins which one they take
+    # the examples above reach each route; this pins which one they take:
+    # one listing per block of sparse rows, none past the table's own
     listed = []
-    sparse_rows = JetSpace._sparse_rows
-    monkeypatch.setattr(JetSpace, "_sparse_rows",
-                        lambda self, a, b: listed.append(1) or sparse_rows(self, a, b))
+    listing = JetSpace._listing
+    monkeypatch.setattr(JetSpace, "_listing",
+                        lambda self, live: listed.append(live.shape) or listing(self, live))
     rng = np.random.default_rng(1)
     sparse = jet_space(tuple(f"v{i}" for i in range(5)), 5)
-    a = np.array([_operand(sparse, rng, 0.01) for _ in range(3)])
+    step = SPARSE_PAIR_COST ** 2 // sparse._pairs  # rows a block
+    a = np.zeros((2 * step + 1, sparse.size))  # one nonzero a row
+    a[np.arange(len(a)), rng.integers(0, sparse.size, len(a))] = rng.standard_normal(len(a))
     sparse.multiply_rows(a, a[::-1].copy())
-    assert len(listed) == 3
+    assert listed == [(step, sparse.size), (step, sparse.size), (1, sparse.size)]
     dense = jet_space(tuple(f"v{i}" for i in range(3)), 6)
+    dense._mul()
     a = np.array([_operand(dense, rng, 1.0) for _ in range(3)])
     dense.multiply_rows(a, a)
     assert len(listed) == 3
 
 
-def test_non_finite_operands_take_the_table_route():
+def test_non_finite_operands_take_the_table_route(monkeypatch):
     # inf * 0 is nan on the table route; the sparse route would skip it
-    sp = jet_space(("a", "b", "c"), 4)
+    sp = jet_space(("a", "b", "c"), 6)
     a = np.zeros(sp.size)
-    a[sp.rank[(0, 2, 0)]] = math.inf
+    a[sp.rank[(0, 2, 0)]] = 2.0
     b = np.zeros(sp.size)
     b[sp.rank[(1, 0, 0)]] = 1.0
-    assert sp._sparse_rows(a, b) is None
+    sp._mul()
+    listed = []
+    listing = JetSpace._listing
+    monkeypatch.setattr(JetSpace, "_listing",
+                        lambda self, live: listed.append(live.shape) or listing(self, live))
+    sp.multiply(a, b)
+    sp.multiply_rows(a[None], b[None])
+    assert len(listed) == 2  # finite, these operands go sparse
+    a[sp.rank[(0, 2, 0)]] = math.inf
     with np.errstate(invalid="ignore"):
         out = sp.multiply(a, b)
         assert out.tobytes() == sp._accumulate(a, b, *sp._mul()).tobytes()
+        assert sp.multiply_rows(a[None], b[None])[0].tobytes() == out.tobytes()
+    assert len(listed) == 2
     assert np.isnan(out[sp.rank[(0, 2, 0)]]) and out[sp.rank[(1, 2, 0)]] == math.inf
 
 
@@ -257,7 +277,7 @@ def test_wide_space_codes_are_python_ints():
     last = [sp.rank[(0,) * 39 + (k,)] for k in range(3)]  # 1, v39, v39^2
     assert (x * y).coef[last[2]] == sum(x.coef[last[i]] * y.coef[last[2 - i]] for i in range(3))
     assert np.array_equal(
-        sp._accumulate(x.coef, y.coef, *sp._sparse_rows(x.coef, y.coef)),
+        _sparse(sp, x.coef, y.coef),
         sp._accumulate(x.coef, y.coef, *sp._mul()),
     )
     assert x.deriv("v39").coef[last[1]] == 2 * x.coef[last[2]]

@@ -8,8 +8,10 @@ its own root loop, the closed alpha forms in numpy scalars, the Neumann
 inverse sweeps and the second-kind Christoffel sum over dictionaries of jets,
 the level-0 candidates and edge sums and the level steps one component and
 one Christoffel term at a time, the exhaustive levels with their own
-evaluation loops, and the invariants one schema at a time.  Results must agree to the last bit (`tobytes()` or
-pickle), not just to a tolerance.
+evaluation loops, the invariants one schema at a time, and the jet products
+with the pair table built on its own and the sparse pairs listed row by row
+from nonzero(a) x nonzero(b).  Results must agree to the last bit
+(`tobytes()` or pickle), not just to a tolerance.
 """
 import math
 import pickle
@@ -19,13 +21,15 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo import invariants as inv
 from jetgeo.curvature import CurvatureContext
 from jetgeo.invariants import WORK_LIMIT, CapsExceededError, ContractionSchema
-from jetgeo.jets import Jet, jet_space
+from jetgeo.jets import SPARSE_PAIR_COST, Jet, _ramps, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
 
 PROFILES = ["exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0"]
@@ -433,6 +437,98 @@ def ref_evaluate(
     return float(np.bincount(np.zeros(len(weight), dtype=np.intp), weights=weight, minlength=1)[0])
 
 
+# the jet products: the pair table built apart from the sparse listing, the
+# sparse pairs listed row by row, and the summation in two modes
+def ref_pair_rows(self):
+    # rows (r, s) of the pair table per rank r: s >= r and |s| <= K - |r|
+    top = np.array([self.size_at(self.order - d) for d in range(self.order + 1)])
+    return np.maximum(top[self._deg] - np.arange(self.size), 0)
+
+
+def ref_mul(self):
+    # Symmetrized pair table: rows with ia < ib contribute
+    # a[ia]*b[ib] + a[ib]*b[ia], diagonal rows contribute a[ia]*b[ia].
+    # The symmetry makes a * b and b * a bit-identical.
+    lengths = ref_pair_rows(self)
+    ra = np.repeat(np.arange(self.size), lengths)
+    rb = ra + _ramps(lengths)
+    ro = np.searchsorted(self._codes, self._codes[ra] + self._codes[rb])
+    diag = ra == rb
+    off = ~diag
+    return (ra[off], rb[off], ro[off], ra[diag], ro[diag])
+
+
+def ref_accumulate(a, b, ia, ib, io, idg, idg_o) -> np.ndarray:
+    # a and b hold one jet, or one jet a column of a (size, jets) array
+    # where every jet takes the same pair rows: bin o of jet r is then
+    # o * jets + r, and each bin still sums its rows in table order
+    if a.ndim > 1:
+        jets = np.arange(a.shape[1])
+        io = (io[:, None] * len(jets) + jets).ravel()
+        idg_o = (idg_o[:, None] * len(jets) + jets).ravel()
+    if len(io):
+        w = a[ia] * b[ib] + a[ib] * b[ia]
+        out = np.bincount(io, weights=w.ravel(), minlength=a.size)
+    else:
+        out = np.zeros(a.size)
+    if len(idg_o):
+        wd = a[idg] * b[idg]
+        out += np.bincount(idg_o, weights=wd.ravel(), minlength=a.size)
+    return out.reshape(a.shape)
+
+
+def ref_sparse_rows(self, a: np.ndarray, b: np.ndarray):
+    # the pair-table rows that reach a nonzero coefficient of each
+    # operand, in table order and split as `_mul` splits them; None
+    # when a coefficient is not finite (the table's inf * 0 is nan)
+    ia, ib = np.flatnonzero(a), np.flatnonzero(b)
+    if not (np.isfinite(a[ia]).all() and np.isfinite(b[ib]).all()):
+        return None
+    i, j = np.nonzero(self._deg[ia][:, None] + self._deg[ib] <= self.order)
+    i, j = ia[i], ib[j]
+    # sorted and deduplicated by hand: np.unique would import numpy.ma
+    rows = np.sort(np.minimum(i, j) * self.size + np.maximum(i, j))
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    rows = rows[first]
+    lo, hi = np.divmod(rows, self.size)
+    ro = np.searchsorted(self._codes, self._codes[lo] + self._codes[hi])
+    diag = lo == hi
+    off = ~diag
+    return lo[off], hi[off], ro[off], lo[diag], ro[diag]
+
+
+def ref_multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    pairs = self._pairs
+    if pairs > SPARSE_PAIR_COST:
+        cost = np.count_nonzero(a) * SPARSE_PAIR_COST
+        if cost < pairs and cost * np.count_nonzero(b) < pairs:
+            rows = ref_sparse_rows(self, a, b)
+            if rows is not None:
+                return ref_accumulate(a, b, *rows)
+    return ref_accumulate(a, b, *ref_mul(self))
+
+
+def ref_multiply_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.empty((len(a), self.size))
+    step = max(1, SPARSE_PAIR_COST ** 2 // self._pairs)
+    for r0 in range(0, len(a), step):
+        x, y = a[r0:r0 + step], b[r0:r0 + step]
+        sums = None
+        if self._pairs > SPARSE_PAIR_COST:
+            work = np.count_nonzero(x, axis=1) @ np.count_nonzero(y, axis=1)
+            if work * SPARSE_PAIR_COST < len(x) * self._pairs:
+                listed = [ref_sparse_rows(self, xr, yr) for xr, yr in zip(x, y)]
+                if None not in listed:
+                    at = range(0, x.size, self.size)
+                    rows = [np.concatenate([t + o for t, o in zip(ts, at)]) for ts in zip(*listed)]
+                    sums = ref_accumulate(x.ravel(), y.ravel(), *rows).reshape(x.shape)
+        if sums is None:
+            sums = ref_accumulate(x.T, y.T, *ref_mul(self)).T
+        out[r0:r0 + len(x)] = sums
+    return out
+
+
 # ------------------------------------------------------------------ helpers
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
@@ -729,3 +825,57 @@ def test_evaluate_many_caps_error_matches_loop():
         inv.evaluate_many((inv.NAMED_SCHEMAS["tau"], big), NON_DIAGONAL, (0.2, -0.3, 0.1),
                           context=ctx)
     assert str(got.value) == str(want.value) == "evaluation needs 254840104 support combinations"
+
+
+# --------------------------------------------------------------- jet products
+@pytest.mark.parametrize("n,order", [(0, 3), (1, 0), (1, 7), (2, 8), (3, 6), (5, 5), (40, 2)])
+def test_full_row_listing_is_the_table(n, order):
+    sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
+    want = ref_mul(sp)
+    assert int(ref_pair_rows(sp).sum()) == sp._pairs
+    for got in (sp._listing(np.ones((1, sp.size), dtype=bool)), sp._mul()):
+        assert len(got) == len(want)
+        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+DENSITIES = (0.0, 0.01, 0.05, 0.2, 0.6, 1.0)  # as in tests/test_jets.py
+
+
+def _operand(space, rng, density):
+    # nonzeros over several decades; the zeros are a mix of 0.0 and -0.0
+    keep = rng.random(space.size) < density
+    vals = rng.standard_normal(space.size) * 10.0 ** rng.integers(-8, 9, space.size)
+    zeros = np.where(rng.random(space.size) < 0.5, -0.0, 0.0)
+    return np.where(keep, vals, zeros)
+
+
+ROWS = st.lists(st.tuples(st.sampled_from(DENSITIES), st.sampled_from(DENSITIES)),
+                min_size=1, max_size=6)
+
+
+@given(n=st.integers(0, 5), order=st.integers(0, 6), rows=ROWS, seed=st.integers(0, 2**32 - 1))
+@example(n=3, order=6, rows=[(1.0, 1.0), (0.0, 0.6), (0.2, 0.0)], seed=0)
+@example(n=5, order=5, rows=[(0.01, 0.01), (0.0, 0.0), (0.01, 0.05)], seed=1)
+@example(n=5, order=5, rows=[(1.0, 0.01), (0.01, 1.0)], seed=2)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_products_match_reference_routes(n, order, rows, seed):
+    sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
+    rng = np.random.default_rng(seed)
+    a = np.array([_operand(sp, rng, da) for da, _ in rows])
+    b = np.array([_operand(sp, rng, db) for _, db in rows])
+    assert bits(sp.multiply_rows(a, b)) == bits(ref_multiply_rows(sp, a, b))
+    for x, y in zip(a, b):
+        assert bits(sp.multiply(x, y)) == bits(ref_multiply(sp, x, y))
+        assert bits(sp.multiply(y, x)) == bits(ref_multiply(sp, y, x))
+
+
+def test_non_finite_products_match_reference_routes():
+    sp = jet_space(("a", "b", "c"), 6)
+    rng = np.random.default_rng(4)
+    a = np.array([_operand(sp, rng, 0.05) for _ in range(4)])
+    b = np.array([_operand(sp, rng, 0.05) for _ in range(4)])
+    a[1, 7], b[2, 0], a[3, 30] = math.inf, math.nan, -math.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert bits(sp.multiply_rows(a, b)) == bits(ref_multiply_rows(sp, a, b))
+        for x, y in zip(a, b):
+            assert bits(sp.multiply(x, y)) == bits(ref_multiply(sp, x, y))
