@@ -17,9 +17,10 @@ printer with the round-trip property parse(to_text(e)) == e (structurally).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,7 +45,9 @@ __all__ = [
     "free_vars",
     "eval_point",
     "eval_jet",
-    "compile_grad",
+    "forward_source",
+    "FLOAT_OPS",
+    "ROW_OPS",
 ]
 
 FUNCTION_NAMES = ("exp", "sin", "cos")
@@ -425,91 +428,104 @@ def _pointwise(fn, v):
     return fn(v) if np.ndim(v) == 0 else np.fromiter(map(fn, v.tolist()), float, len(v))
 
 
-def _grad_add(a, b):
-    return a[0] + b[0], a[1] + b[1]
+def _ops(each, bad, finite):
+    """The names `forward_source` code calls: exp(v) gives the value, sin(v)
+    and cos(v) the value and the derivative."""
+    def analytic(fn, slope=None):
+        def run(v):
+            if bad(v, fn is math.exp):  # exp(nan) is nan, which the final check catches
+                raise NonFiniteError(
+                    f"{fn.__name__} overflow or non-finite argument at {np.max(v)}")
+            out = each(fn, v)
+            return out if slope is None else (out, each(slope, v))
+        return run
+    return dict(exp=analytic(math.exp), sin=analytic(math.sin, math.cos),
+                cos=analytic(math.cos, lambda t: -math.sin(t)), finite=finite,
+                NonFiniteError=NonFiniteError)
 
 
-def _grad_mul(a, b):  # the product rule of an order-1 jet, a0*b' + a'*b0
-    return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
+# `forward_source` code runs over Python floats, or over rows of points
+# (numpy arrays, one value per point) with math's functions value by value
+FLOAT_OPS = _ops(lambda fn, v: fn(v), lambda v, exp: v >= 709.0 if exp else not math.isfinite(v),
+                 math.isfinite)
+ROW_OPS = _ops(_pointwise, lambda v, exp: np.any(v >= 709.0 if exp else ~np.isfinite(v)),
+               lambda v: bool(np.isfinite(v).all()))
 
 
-# (function, derivative); None: the derivative is the function's value
-_ANALYTIC = {Exp: (math.exp, None), Sin: (math.sin, math.cos),
-             Cos: (math.cos, lambda t: -math.sin(t))}
-
-
-def compile_grad(
-    e: Expr, active: Sequence[str]
-) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Compile `e` once into a function from an (N, n) array of points
-    (columns in the order of `active`) to the values (N,) and first partials
-    (N, n): forward-mode differentiation over arrays (Griewank and Walther,
-    *Evaluating Derivatives*, 2nd ed., SIAM 2008) with the arithmetic of an
-    order-1 `eval_jet`, whose results it equals bit for bit up to the sign of
-    a zero.  Raises NonFiniteError on an exp argument >= 709, a non-finite
-    argument of sin or cos, or a non-finite value or partial, with no numpy
-    warning on the way."""
+def forward_source(
+    e: Expr, active: Sequence[str], tag: str, lines: list[str]
+) -> tuple[str, list[str]]:
+    """Append to `lines` straight-line Python, run in `FLOAT_OPS` or
+    `ROW_OPS`, for `e` and its first partials in `active`, read from x0, x1,
+    ...; return them as source atoms ("0.0": a structural zero).  Forward
+    mode by source transformation (Griewank and Walther, *Evaluating
+    Derivatives*, 2nd ed., SIAM 2008, ch. 6) with the arithmetic of an order-1
+    `eval_jet` in its order, equal to its coefficients bit for bit up to the
+    sign of a zero.  Raises NonFiniteError on an exp argument >= 709, a
+    non-finite argument of sin or cos, or a non-finite value or partial."""
     pos = {name: k for k, name in enumerate(active)}
-    zero = np.zeros((len(pos), 1))
-    unit = np.eye(len(pos))[:, :, None]  # unit[k]: the gradient of variable k
+    count, memo = itertools.count(), {}
 
-    # a node becomes a function of the points, one contiguous row per
-    # variable, to its value (a float or (N,)) and gradient ((n, N), or
-    # (n, 1) to broadcast)
-    def build(node: Expr):
+    def new(src: str, outs: int = 0) -> str:
+        # temporaries holding src (a call's outs results), once per distinct
+        # src; an atom stays as it is
+        if not outs and " " not in src:
+            return src
+        if src not in memo:
+            memo[src] = ", ".join(f"{tag}_{next(count)}" for _ in range(max(outs, 1)))
+            lines.append(f"{memo[src]} = {src}")
+        return memo[src]
+
+    def times(a: str, b: str) -> str:  # 1.0 * x == x, for every x
+        return b if a == "1.0" else a if b == "1.0" else f"{a} * {b}"
+
+    def add(a, b):
+        (a0, ad), (b0, bd) = a, b
+        return new(f"{a0} + {b0}"), {k: new(" + ".join(d[k] for d in (ad, bd) if k in d))
+                                     for k in sorted(ad.keys() | bd.keys())}
+
+    def mul(a, b):  # the product rule of an order-1 jet, a0*b' + a'*b0
+        (a0, ad), (b0, bd) = a, b
+        return new(times(a0, b0)), {k: new(" + ".join(([times(a0, bd[k])] if k in bd else [])
+                                                     + ([times(ad[k], b0)] if k in ad else [])))
+                                    for k in sorted(ad.keys() | bd.keys())}
+
+    def rec(node: Expr) -> tuple[str, dict[int, str]]:
         if isinstance(node, Const):
-            return lambda x, c=float(node.value): (c, zero)
+            v = float(node.value)
+            return (repr(v) if math.isfinite(v) else f"float('{v!r}')"), {}
         if isinstance(node, Var):
             if node.name not in pos:
                 raise UnknownVariableError(node.name, 0)
-            k = pos[node.name]
-            return lambda x: (x[k], unit[k])
-        if isinstance(node, (Sum, Prod)):
-            parts = [build(t) for t in _children(node)]
-            step = _grad_add if isinstance(node, Sum) else _grad_mul
-
-            def fold(x):
-                acc = parts[0](x)
-                for f in parts[1:]:
-                    acc = step(acc, f(x))
-                return acc
-            return fold
-        arg = build(_children(node)[0])
-        if isinstance(node, Pow):
-            def power(x):
-                out, b, k = (1.0, zero), arg(x), node.exponent
-                while k:
-                    if k & 1:
-                        out = _grad_mul(out, b)
-                    k >>= 1
-                    if k:
-                        b = _grad_mul(b, b)
-                return out
-            return power
+            return f"x{pos[node.name]}", {pos[node.name]: "1.0"}
+        if isinstance(node, (Sum, Prod)):  # folded left, as `eval_jet` folds
+            acc = rec(_children(node)[0])
+            for t in _children(node)[1:]:
+                acc = (add if isinstance(node, Sum) else mul)(acc, rec(t))
+            return acc
+        a0, ad = arg = rec(_children(node)[0])
+        if isinstance(node, Pow):  # by squaring; the base is still evaluated at ^0
+            out, k = None, node.exponent
+            while k:
+                if k & 1:
+                    out = arg if out is None else mul(out, arg)
+                k >>= 1
+                if k:
+                    arg = mul(arg, arg)
+            return out or ("1.0", {})
         if isinstance(node, Neg):
-            return lambda x: _grad_mul((-1.0, zero), arg(x))
-        fn, slope = _ANALYTIC[type(node)]
+            return f"-{a0}", {k: f"-{d}" for k, d in ad.items()}
+        if isinstance(node, Exp):
+            value = slope = new(f"exp({a0})", 1)
+        else:
+            value, slope = new(f"{type(node).__name__.lower()}({a0})", 2).split(", ")
+        return value, {k: new(times(slope, d)) for k, d in ad.items()}
 
-        def analytic(x):
-            v, g = arg(x)
-            # a nan argument of exp gives nan, which the final check catches
-            if np.any(v >= 709.0 if fn is math.exp else ~np.isfinite(v)):
-                raise NonFiniteError(f"{fn.__name__} overflow or non-finite argument at {np.max(v)}")
-            out = _pointwise(fn, v)
-            return out, (out if slope is None else _pointwise(slope, v)) * g
-        return analytic
-
-    root = build(e)
-
-    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.ascontiguousarray(np.asarray(points, dtype=float).T)
-        with np.errstate(all="ignore"):
-            v, g = root(x)
-            # adding zeros gives constants and broadcast gradients full shape
-            value = v + np.zeros(x.shape[1])
-            grad = (np.zeros(x.shape) + g).T
-        if not (np.isfinite(value).all() and np.isfinite(grad).all()):
-            raise NonFiniteError("expression evaluation produced a non-finite value or partial")
-        return value, grad
-
-    return evaluate
+    value, parts = rec(e)
+    # every name (x - x is 0 for finite x, else nan), and no finite literal
+    checked = [a for a in [value, *parts.values()] if a.lstrip("-")[0].isalpha()]
+    if checked:
+        lines.append(f"if not finite({' + '.join(f'{a} - {a}' for a in checked)}): "
+                     "raise NonFiniteError('expression evaluation produced a non-finite value "
+                     "or partial')")
+    return value, [parts.get(k, "0.0") for k in range(len(pos))]

@@ -19,13 +19,18 @@ differentiate) and numeric on the inverse-metric side (nonzero pattern and
 constancy probed at jittered points).  A direct solve checks the structure
 and builds its force evaluator once.
 
-The force is one kernel over arrays of points (`expr.compile_grad` gives the
-metric's first partials); Runge-Kutta calls it on one point, and the direct
-route's breadth-first adaptive Simpson rule once on all new nodes of a depth.
-Only the Runge-Kutta route imports scipy.
+The force comes from one kernel per metric (`_Kernel`), generated on the
+first solve as straight-line Python (each varying metric entry's value and
+first partials from `expr.forward_source`, then the Christoffel sums
+unrolled) and kept while the spec lives, beside the symbolic half of the
+structure check.  One source runs in two forms: over Python floats for the
+Runge-Kutta route's one-point calls, and over numpy rows for the direct
+route's breadth-first adaptive Simpson rule, one call per depth for all its
+new nodes.  Only the Runge-Kutta route imports scipy.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -33,6 +38,7 @@ import numpy as np
 
 from . import expr as ex
 from .curvature import christoffel_terms
+from .jets import NonFiniteError
 from .metric import MetricSpec
 
 __all__ = [
@@ -104,55 +110,89 @@ class GeodesicProblem:
             raise ValueError("t_end must be positive")
 
 
-class ChristoffelPointEvaluator:
-    """Geodesic force for a metric, over many points at once.
-
-    Each structurally nonzero metric entry that varies is compiled once
-    (`expr.compile_grad`); a call evaluates the values and first partials
-    of those entries at every point, sums the terms of
-    `curvature.christoffel_terms` on the partials, and solves all the
-    systems g G = w, w_c = sum over velocities of du^a du^b Gamma_abc, in
-    one batched `np.linalg.solve`."""
+class _Kernel:
+    """A metric's geodesic force as generated straight-line Python, built
+    once per spec (`_kernel`).  `force(u, d)` takes one point and velocity as
+    Python floats, `force_rows` many as rows, one per coordinate.  Both give
+    the varying metric entries (i <= j; at `slots` of the flat g, then of its
+    transpose), their partials in `spec.active_vars`, and w_c = sum of d^a d^b
+    Gamma_abc over `curvature.christoffel_terms` in its order.  `gamma` and
+    `gamma_dep` (the nonzero (a, b) of Gamma_ab^c per c, and their variables)
+    are the symbolic half of `triangular_report`."""
 
     def __init__(self, spec: MetricSpec):
-        self.spec = spec
-        m = spec.dim
-        self.active = spec.active_vars
-        self._cols = [spec.coords.index(name) for name in self.active]
-        partial = {c: k for k, c in enumerate(self._cols)}  # coordinate -> partial
-        self._g0 = np.zeros((m, m))  # the constant entries
-        self._entries = []  # (i, j, compiled) for the varying entries, i <= j
+        m, active = spec.dim, spec.active_vars
+        self.g0 = np.zeros((m, m))  # the constant entries
+        lines = [f"{''.join(f'd{c}, ' for c in range(m))}= d",
+                 *(f"x{k} = u[{spec.coords.index(n)}]" for k, n in enumerate(active))]
+        values, grads = [], {}
         for i in range(m):
             for j in range(i, m):
                 e = spec.components[i][j]
                 if ex.free_vars(e):
-                    self._entries.append((i, j, ex.compile_grad(e, self.active)))
+                    value, grads[(i, j)] = ex.forward_source(e, active, f"g{i}_{j}", lines)
+                    values.append(value)
                 else:
-                    self._g0[i, j] = self._g0[j, i] = ex.eval_point(e, {})
-        self._terms = [
-            (a, b, c, tuple((partial[v], pair, h) for v, pair, h in terms))
-            for (a, b, c), terms in christoffel_terms(spec).items()
-        ]
+                    self.g0[i, j] = self.g0[j, i] = ex.eval_point(e, {})
+        self.slots = [i * m + j for i, j in grads] + [j * m + i for i, j in grads]
+        pos = {spec.coords.index(n): k for k, n in enumerate(active)}
+        w = [["0.0"] for _ in range(m)]
+        self.gamma: dict[int, set[tuple[int, int]]] = {}
+        self.gamma_dep: dict[int, set[str]] = {}
+        for (a, b, c), terms in christoffel_terms(spec).items():
+            gamma_abc = " + ".join(f"{h!r} * {grads[pair][pos[v]]}" for v, pair, h in terms)
+            w[c].append(f"d{a} * d{b} * ({gamma_abc})")
+            self.gamma.setdefault(c, set()).add((a, b))
+            self.gamma_dep.setdefault(c, set()).update(
+                *(ex.free_vars(spec.components[i][j]) for _, (i, j), _ in terms))
+        code = compile("\n    ".join([
+            "def force(u, d):", *lines, f"return [{', '.join(values)}], "
+            f"[{', '.join(p for grad in grads.values() for p in grad)}], "
+            f"[{', '.join(' + '.join(wc) for wc in w)}]"]), f"<geodesic kernel, {spec!r}>", "exec")
+        spaces = [dict(ex.FLOAT_OPS), dict(ex.ROW_OPS)]
+        for space in spaces:
+            exec(code, space)
+        self.force, self._rows = (space["force"] for space in spaces)
+
+    def force_rows(self, u, d):
+        with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
+            return self._rows(u, d)
+
+
+_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kernel(spec: MetricSpec) -> _Kernel:
+    """The spec's kernel, built on first use and kept while the spec lives."""
+    return _KERNELS.get(spec) or _KERNELS.setdefault(spec, _Kernel(spec))
+
+
+class ChristoffelPointEvaluator:
+    """Geodesic force of a metric at one point or many, from the `_Kernel`
+    that every evaluator of the spec shares."""
+
+    def __init__(self, spec: MetricSpec):
+        self.spec = spec
+        self.kernel = _kernel(spec)
 
     def force(self, points: Sequence[float] | np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """G with lower index raised, g^{cd} w_d, for (N, m) points and
-        velocities, as (N, m); one point and velocity of shape (m,) give
-        (m,).  The acceleration is -G."""
-        pts = np.asarray(points, dtype=float)
-        single = pts.ndim == 1
-        pts = np.atleast_2d(pts)
-        vel = np.atleast_2d(np.asarray(velocities, dtype=float))
-        g = np.repeat(self._g0[None], len(pts), axis=0)
-        grads = {}
-        x = pts[:, self._cols]
-        for i, j, compiled in self._entries:
-            g[:, i, j], grads[(i, j)] = compiled(x)
-            g[:, j, i] = g[:, i, j]
-        w = np.zeros(vel.shape)
-        for a, b, c, terms in self._terms:
-            w[:, c] += vel[:, a] * vel[:, b] * sum(h * grads[pair][:, s] for s, pair, h in terms)
-        out = np.linalg.solve(g, w[:, :, None])[:, :, 0]
-        return out[0] if single else out
+        velocities, as (N, m), in one batched solve; one point and velocity
+        of shape (m,) give (m,), computed over Python floats.  The
+        acceleration is -G."""
+        k = self.kernel
+        pts, vel = np.asarray(points, dtype=float), np.asarray(velocities, dtype=float)
+        if pts.ndim == 1:
+            values, _, w = k.force(pts.tolist(), vel.tolist())
+            g = k.g0.copy()
+            g.put(k.slots, values + values)
+            return np.linalg.solve(g, w)
+        values, _, w = k.force_rows(pts.T.copy(), vel.T.copy())
+        n, m = pts.shape
+        g = np.repeat(k.g0.reshape(1, m * m), n, axis=0)
+        cols = np.column_stack(np.broadcast_arrays(pts[:, 0], *values, *values, *w))[:, 1:]
+        g[:, k.slots] = cols[:, :len(k.slots)]
+        return np.linalg.solve(g.reshape(n, m, m), cols[:, len(k.slots):, None])[:, :, 0]
 
 
 # ------------------------------------------------------------ structure
@@ -176,14 +216,14 @@ def _inverse_probe(
         q = base + rng.uniform(0.05, 0.45, size=base.size) * (1.0 + np.abs(base))
         try:
             mats.append(np.linalg.inv(spec.value(q)))
-        except np.linalg.LinAlgError:
-            continue  # probe landed on a degenerate point; skip it
+        except (np.linalg.LinAlgError, NonFiniteError):
+            continue  # probe landed on a degenerate or overflowing point; skip it
     if len(mats) < 3:
         # not enough evidence; report everything as varying and nonzero
         full = np.ones((spec.dim, spec.dim), dtype=bool)
         return full, ~full
     stack = np.stack(mats)
-    scale = max(float(np.max(np.abs(stack))), 1.0)
+    scale = float(np.max(np.abs(stack)))  # relative: the report of c g is that of g
     nonzero = np.max(np.abs(stack), axis=0) > _PROBE_TOL * scale
     constant = np.max(np.abs(stack - stack[0]), axis=0) <= _PROBE_TOL * scale
     return nonzero, constant
@@ -198,55 +238,30 @@ def triangular_report(spec: MetricSpec, point: Sequence[float]) -> TriangularRep
     `christoffel_terms`; the inverse pattern is probed numerically near
     `point`."""
     m = spec.dim
-    gamma_nz: dict[int, set[tuple[int, int]]] = {}
-    gamma_dep: dict[int, set[str]] = {}
-    for (a, b, d), terms in christoffel_terms(spec).items():
-        gamma_nz.setdefault(d, set()).add((a, b))
-        dep = gamma_dep.setdefault(d, set())
-        for _, (i, j), _ in terms:
-            dep |= ex.free_vars(spec.components[i][j])
+    kernel = _kernel(spec)
     inv_nonzero, inv_constant = _inverse_probe(spec, point)
 
     force_pairs: dict[int, set[tuple[int, int]]] = {}
     force_dep: dict[int, set[str]] = {}
-    for d, pairs in gamma_nz.items():
-        for c in range(m):
-            if not inv_nonzero[c, d]:
-                continue
+    for d, pairs in kernel.gamma.items():
+        for c in np.flatnonzero(inv_nonzero[:, d]).tolist():
             force_pairs.setdefault(c, set()).update(pairs)
-            dep = force_dep.setdefault(c, set())
-            dep |= gamma_dep[d]
-            if not inv_constant[c, d]:
-                dep.update(spec.active_vars)
-
+            # the entries of a varying inverse depend on every active variable
+            force_dep.setdefault(c, set()).update(
+                kernel.gamma_dep[d] if inv_constant[c, d] else spec.active_vars)
     free = [c for c in range(m) if c not in force_pairs]
-    free_set = set(free)
     forced = sorted(force_pairs)
-    blocking: list[str] = []
+    blocking = []
     for c in forced:
-        bad_vel = sorted(
-            {a for ab in force_pairs[c] for a in ab} - free_set
-        )
-        if bad_vel:
-            blocking.append(
-                f"force on {spec.coords[c]} involves non-free velocities "
-                + ",".join(spec.coords[a] for a in bad_vel)
-            )
-        bad_pos = sorted(
-            spec.coords.index(nm) for nm in force_dep[c]
-            if spec.coords.index(nm) not in free_set
-        )
-        if bad_pos:
-            blocking.append(
-                f"force on {spec.coords[c]} depends on non-free positions "
-                + ",".join(spec.coords[a] for a in bad_pos)
-            )
-    return TriangularReport(
-        ok=not blocking,
-        free=tuple(spec.coords[c] for c in free),
-        forced=tuple(spec.coords[c] for c in forced),
-        blocking=tuple(blocking),
-    )
+        for what, bad in (
+            ("involves non-free velocities", {a for ab in force_pairs[c] for a in ab}),
+            ("depends on non-free positions", {spec.coords.index(nm) for nm in force_dep[c]}),
+        ):
+            if bad.difference(free):
+                blocking.append(f"force on {spec.coords[c]} {what} "
+                                + ",".join(spec.coords[a] for a in sorted(bad.difference(free))))
+    return TriangularReport(not blocking, tuple(spec.coords[c] for c in free),
+                            tuple(spec.coords[c] for c in forced), tuple(blocking))
 
 
 # ------------------------------------------------------------- quadrature
@@ -300,35 +315,21 @@ def adaptive_simpson(
 
 
 # ---------------------------------------------------------------- solvers
-def integrate_ivp(
-    spec: MetricSpec,
-    start: Sequence[float],
-    velocity: Sequence[float],
-    t_end: float = 1.0,
-    n_samples: int = 101,
-) -> Trajectory:
+def integrate_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[float],
+                  t_end: float = 1.0, n_samples: int = 101) -> Trajectory:
     """Runge-Kutta route (DOP853) for the geodesic initial-value problem."""
     from scipy.integrate import solve_ivp  # only this route needs scipy
 
     m = spec.dim
     ev = ChristoffelPointEvaluator(spec)
-    u0 = np.asarray(start, dtype=float)
-    v0 = np.asarray(velocity, dtype=float)
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         u, du = y[:m], y[m:]
         return np.concatenate([du, -ev.force(u, du)])
 
-    grid = np.linspace(0.0, float(t_end), n_samples)
-    res = solve_ivp(
-        rhs,
-        (0.0, float(t_end)),
-        np.concatenate([u0, v0]),
-        method="DOP853",
-        t_eval=grid,
-        rtol=_RK_RTOL,
-        atol=_RK_ATOL,
-    )
+    res = solve_ivp(rhs, (0.0, float(t_end)), np.array([*start, *velocity], dtype=float),
+                    method="DOP853", t_eval=np.linspace(0.0, float(t_end), n_samples),
+                    rtol=_RK_RTOL, atol=_RK_ATOL)
     if not res.success:
         raise StepCollapseError(f"integrator stopped early: {res.message}")
     y = res.y.T
@@ -407,13 +408,8 @@ def _direct_ivp(
     return Trajectory(grid, u, du)
 
 
-def triangular_ivp(
-    spec: MetricSpec,
-    start: Sequence[float],
-    velocity: Sequence[float],
-    t_end: float = 1.0,
-    n_samples: int = 101,
-) -> Trajectory:
+def triangular_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[float],
+                   t_end: float = 1.0, n_samples: int = 101) -> Trajectory:
     """Direct-quadrature route; raises TriangularStructureError unless the
     triangular structure holds at `start`."""
     _, free_idx, ev = _direct_setup(spec, start)
@@ -422,12 +418,8 @@ def triangular_ivp(
     return _direct_ivp(spec, ev, free_idx, u0, v0, t_end, n_samples)
 
 
-def triangular_bvp(
-    spec: MetricSpec,
-    start: Sequence[float],
-    target: Sequence[float],
-    n_samples: int = 101,
-) -> Trajectory:
+def triangular_bvp(spec: MetricSpec, start: Sequence[float], target: Sequence[float],
+                   n_samples: int = 101) -> Trajectory:
     """Two-point problem on [0, 1]; the forced velocities close in one
     quadrature because their force involves free coordinates only, and the
     trajectory then follows from the same direct route as `triangular_ivp`."""
@@ -447,11 +439,8 @@ def triangular_bvp(
     return _direct_ivp(spec, ev, free_idx, u0, v0, 1.0, n_samples)
 
 
-def solve_geodesic(
-    problem: GeodesicProblem,
-    method: str = "auto",
-    n_samples: int = 101,
-) -> Trajectory:
+def solve_geodesic(problem: GeodesicProblem, method: str = "auto",
+                   n_samples: int = 101) -> Trajectory:
     """Dispatch a GeodesicProblem to a route; `method` is auto, rk, or
     triangular (two-point problems always need the triangular route).  Auto
     takes the triangular route and falls back to Runge-Kutta when the
@@ -472,14 +461,8 @@ def solve_geodesic(
                          problem.t_end, n_samples)
 
 
-def exp_map(
-    spec: MetricSpec,
-    start: Sequence[float],
-    velocity: Sequence[float],
-) -> np.ndarray:
-    traj = solve_geodesic(
-        GeodesicProblem(spec, tuple(start), velocity=tuple(velocity))
-    )
+def exp_map(spec: MetricSpec, start: Sequence[float], velocity: Sequence[float]) -> np.ndarray:
+    traj = solve_geodesic(GeodesicProblem(spec, tuple(start), velocity=tuple(velocity)))
     return traj.u[-1].copy()
 
 

@@ -77,3 +77,33 @@ def test_traced_check_runs_in_process(tmp_path):
     figures = dict(line.split() for line in lines[start + 1:])
     assert lines[start - 1] == "RESULT: PASS"
     assert all(float(v) > 0 for v in figures.values()), figures
+
+
+TRACED_GEODESICS = """
+import spans
+tracer = spans.Tracer()
+spans.install(tracer)
+tracer.active = True
+from jetgeo import expr, family, geodesics
+params = family.FamilyParams(1, expr.parse("exp(y) + exp(2*y)", ("y",)))
+spec = family.build_metric(params)
+prob = geodesics.GeodesicProblem(spec, family.base_point(params, 0.1, [0.2, -0.1]),
+                                 velocity=(0.3, 0.1, -0.1, 0.2, 0.1, 0.3, 0.05, 0.0), t_end=2.0)
+geodesics.solve_geodesic(prob, method="rk")
+rk = {name: v for name, (v, _) in spans.layer_metrics(tracer).items()}
+geodesics.solve_geodesic(prob, method="triangular")
+both = {name: v for name, (v, _) in spans.layer_metrics(tracer).items()}
+for name in ("geodesics.force_calls", "geodesics.force_s", "geodesics.rk_s"):
+    print("rk", name, rk[name])
+for name in ("geodesics.force_calls", "geodesics.force_s", "geodesics.quadrature_s"):
+    print("direct", name, both[name] - rk[name])
+"""
+
+
+def test_traced_geodesic_routes_reach_every_span():
+    # each route must call the evaluator's force through the name the span
+    # wrappers replace; a route that bypasses it reads 0 calls here
+    res = _run_with_spans(TRACED_GEODESICS)
+    assert res.returncode == 0, res.stderr
+    figures = {" ".join(line.split()[:2]): float(line.split()[2]) for line in res.stdout.splitlines()}
+    assert len(figures) == 6 and all(v > 0 for v in figures.values()), figures

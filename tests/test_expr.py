@@ -20,14 +20,15 @@ from jetgeo.expr import (
     Sum,
     UnknownVariableError,
     Var,
-    compile_grad,
     eval_jet,
     eval_point,
     free_vars,
     parse,
     to_text,
 )
+from jetgeo.geodesics import ChristoffelPointEvaluator
 from jetgeo.jets import NonFiniteError
+from jetgeo.metric import MetricSpec
 
 CHART = ("y", "z0", "z1")
 
@@ -216,35 +217,68 @@ def test_eval_jet_overflow():
         eval_jet(parse("exp(y)", CHART), {"y": 800.0}, ("y",), 2)
 
 
+def _kernel(e):
+    """The value and partials of `e` from the geodesic kernel of a metric
+    whose one varying entry g_00 is `e`, over floats (one point) or rows (a
+    point per column), and the positions in CHART of the partials."""
+    spec = MetricSpec(CHART, {(0, 0): e, (1, 1): Const(1.0), (2, 2): Const(1.0)}, (0, 3))
+    kernel = ChristoffelPointEvaluator(spec).kernel
+
+    def floats(u):
+        return kernel.force(u, [0.0] * 3)[:2]
+
+    def rows(u):
+        return kernel.force_rows(u, np.zeros(u.shape))[:2]
+    return floats, rows, [CHART.index(n) for n in spec.active_vars]
+
+
 @given(exprs())
 @settings(max_examples=300, deadline=None, derandomize=True)
-def test_compile_grad_equals_order_one_jet(e):
-    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (6, len(CHART)))
-    compiled = compile_grad(e, CHART)
-    try:
-        jets = [eval_jet(e, dict(zip(CHART, p)), CHART, 1) for p in pts]
-    except (NonFiniteError, ValueError):  # ValueError: math.sin(inf)
-        with pytest.raises(NonFiniteError):
-            compiled(pts)
+def test_kernel_jet_equals_order_one_jet(e):
+    if not free_vars(e):  # a constant entry is evaluated once, not compiled
         return
-    value, grad = compiled(pts)
-    assert value.shape == (6,) and grad.shape == (6, len(CHART))
-    # the arithmetic of an order-1 jet, so equal (up to the sign of zero)
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (6, len(CHART)))
+    floats, rows, cols = _kernel(e)
     units = np.eye(len(CHART), dtype=int)
-    for row, jet in enumerate(jets):
-        assert value[row] == jet.value()
-        assert list(grad[row]) == [jet.extract(u) for u in units]
+    failed = False
+    for p in pts:
+        try:
+            jet = eval_jet(e, dict(zip(CHART, p)), CHART, 1)
+        except (NonFiniteError, ValueError):  # ValueError: math.sin(inf)
+            failed = True
+            with pytest.raises(NonFiniteError):
+                floats(p.tolist())
+            continue
+        # the arithmetic of an order-1 jet, so equal (up to the sign of zero)
+        (value,), grad = floats(p.tolist())
+        want = [jet.extract(u) for u in units]
+        assert type(value) is float and value == jet.value()
+        assert list(grad) == [want[c] for c in cols] and not any(want[c] for c in range(3) if c not in cols)
+    if failed:
+        with pytest.raises(NonFiniteError):
+            rows(pts.T.copy())
+        return
+    value, grad = rows(pts.T.copy())
+    full = np.broadcast_arrays(*value, *grad, pts[:, 0])[:-1]  # a constant stays a float
+    for row, p in enumerate(pts):
+        assert [f[row] for f in full] == sum(floats(p.tolist()), [])
 
 
-def test_compile_grad_overflow_raises_without_warning():
+def test_kernel_jet_overflow_raises_without_warning():
+    pts = np.array([[0.0, 1.0, 0.0], [0.0, 1e308, 0.5]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for text, y in (("exp(y)", 800.0), ("(1e200*y)^2", 1.0), ("sin(y*1e300*y)", 1e10),
                         ("z0*exp(y)", 708.0)):
+            floats, rows, _ = _kernel(parse(text, CHART))
+            pts[1, 0] = y
+            floats(pts[0].tolist())
             with pytest.raises(NonFiniteError):
-                compile_grad(parse(text, CHART), CHART)(np.array([[0.0, 1.0, 0.0], [y, 1e308, 0.5]]))
+                floats(pts[1].tolist())
+            with pytest.raises(NonFiniteError):
+                rows(pts.T.copy())
     with pytest.raises(UnknownVariableError):
-        compile_grad(parse("y*z1", CHART), ("y",))
+        ex.forward_source(parse("y*z1", CHART), ("y",), "t", [])
 
 
 # ------------------------------------------------- finite-difference oracle

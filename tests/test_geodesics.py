@@ -212,6 +212,18 @@ def test_direct_route_set_up_once_per_solve(monkeypatch):
     assert counts == {"report": 2, "evaluator": 2}
 
 
+def test_evaluators_of_one_spec_share_one_kernel():
+    spec, pt = family_setup()
+    assert spec not in geo._KERNELS  # built on the first solve, not with the spec
+    first = geo.ChristoffelPointEvaluator(spec)
+    assert geo.ChristoffelPointEvaluator(spec).kernel is first.kernel
+    geo.integrate_ivp(spec, pt, (0.1, 0.2, -0.1, 0.3, 0.0, 0.1))
+    geo.triangular_report(spec, pt)
+    assert geo._KERNELS[spec] is first.kernel
+    twin, _ = family_setup()
+    assert geo.ChristoffelPointEvaluator(twin).kernel is not first.kernel
+
+
 # ------------------------------------------------------------------ report
 def test_triangular_report_family():
     spec, pt = family_setup()
@@ -406,3 +418,37 @@ def test_adaptive_simpson_many_intervals():
     for i in range(len(a)):
         one = recursive_simpson(lambda r: np.exp(30.0 * np.array([r])), a[i], b[i], tol[i])
         assert one[0] == got[i]
+
+
+def _conformal(rate):
+    return metric_from_strings(("x", "y"), {(0, 0): f"exp({rate}*y)", (1, 1): f"exp({rate}*y)"},
+                               (0, 2))
+
+
+def test_overflowing_probe_points_are_skipped():
+    # the start is finite, but jittered probes reach exp(100 y) with y > 7.09
+    spec = _conformal(100)
+    rep = geo.triangular_report(spec, (0.3, 6.0))
+    assert not rep.ok and rep.free == () and rep.forced == ("x", "y")
+    traj = geo.solve_geodesic(geo.GeodesicProblem(spec, (0.3, 6.0), velocity=(0.1, -0.2)))
+    assert np.isfinite(traj.u).all()
+
+
+def _scaled(spec, lam):
+    return MetricSpec(spec.coords, {
+        (i, j): ex.Prod((ex.Const(lam), spec.components[i][j]))
+        for i in range(spec.dim) for j in range(i, spec.dim)
+        if spec.components[i][j] != ex.Const(0.0)}, spec.signature)
+
+
+def test_triangular_report_is_scale_invariant():
+    # a tiny inverse metric is not a zero one: exp(10 y) g_flat at y = 3
+    # has g^-1 ~ 1e-13, and its direct route must still be refused
+    spec, pt = family_setup()
+    cases = [(_conformal(10), (0.3, 3.0)), (_conformal(10), (0.3, 2.0)), (spec, pt),
+             (two_sphere(), (0.8, 0.1)), (flat_plane(), (0.0, 0.0)), three_metric()]
+    assert not geo.triangular_report(*cases[0]).ok
+    for s, q in cases:
+        want = geo.triangular_report(s, q)
+        for k in range(-20, 21, 4):
+            assert geo.triangular_report(_scaled(s, 10.0 ** k), q) == want, (s, k)

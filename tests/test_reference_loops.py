@@ -8,16 +8,18 @@ its own root loop, the closed alpha forms in numpy scalars, the Neumann
 inverse sweeps and the second-kind Christoffel sum over dictionaries of jets,
 the level-0 candidates and edge sums and the level steps one component and
 one Christoffel term at a time, the exhaustive levels with their own
-evaluation loops, the invariants one schema at a time, and the jet products
+evaluation loops, the invariants one schema at a time, the jet products
 with the pair table built on its own and the sparse pairs listed row by row
-from nonzero(a) x nonzero(b).  Results must agree to the last bit
+from nonzero(a) x nonzero(b), and the geodesic force as a tree of numpy
+closures per metric entry (`compile_grad`) and a loop over the Christoffel
+terms.  Results must agree to the last bit
 (`tobytes()` or pickle), not just to a tolerance.
 """
 import math
 import pickle
 from itertools import chain
 from itertools import product as iproduct
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 import pytest
@@ -26,11 +28,13 @@ from hypothesis import strategies as st
 
 from jetgeo import expr as ex
 from jetgeo import family as fam
+from jetgeo import geodesics as geo
 from jetgeo import invariants as inv
-from jetgeo.curvature import CurvatureContext
+from jetgeo.curvature import CurvatureContext, christoffel_terms
 from jetgeo.invariants import WORK_LIMIT, CapsExceededError, ContractionSchema
 from jetgeo.jets import SPARSE_PAIR_COST, Jet, _ramps, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
+from test_geodesics import force_cases
 
 PROFILES = ["exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0"]
 
@@ -529,6 +533,173 @@ def ref_multiply_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def ref_pointwise(fn, v):
+    # math's function value by value, as in `eval_jet`: numpy's exp differs
+    # from math.exp in the last bit for about one argument in twenty
+    return fn(v) if np.ndim(v) == 0 else np.fromiter(map(fn, v.tolist()), float, len(v))
+
+
+def ref_grad_add(a, b):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def ref_grad_mul(a, b):  # the product rule of an order-1 jet, a0*b' + a'*b0
+    return a[0] * b[0], a[0] * b[1] + a[1] * b[0]
+
+
+# (function, derivative); None: the derivative is the function's value
+REF_ANALYTIC = {ex.Exp: (math.exp, None), ex.Sin: (math.sin, math.cos),
+                ex.Cos: (math.cos, lambda t: -math.sin(t))}
+
+
+def ref_compile_grad(
+    e: ex.Expr, active: Sequence[str]
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Compile `e` once into a function from an (N, n) array of points
+    (columns in the order of `active`) to the values (N,) and first partials
+    (N, n): forward-mode differentiation over arrays (Griewank and Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM 2008) with the arithmetic of an
+    order-1 `eval_jet`, whose results it equals bit for bit up to the sign of
+    a zero.  Raises NonFiniteError on an exp argument >= 709, a non-finite
+    argument of sin or cos, or a non-finite value or partial, with no numpy
+    warning on the way."""
+    pos = {name: k for k, name in enumerate(active)}
+    zero = np.zeros((len(pos), 1))
+    unit = np.eye(len(pos))[:, :, None]  # unit[k]: the gradient of variable k
+
+    # a node becomes a function of the points, one contiguous row per
+    # variable, to its value (a float or (N,)) and gradient ((n, N), or
+    # (n, 1) to broadcast)
+    def build(node: ex.Expr):
+        if isinstance(node, ex.Const):
+            return lambda x, c=float(node.value): (c, zero)
+        if isinstance(node, ex.Var):
+            if node.name not in pos:
+                raise ex.UnknownVariableError(node.name, 0)
+            k = pos[node.name]
+            return lambda x: (x[k], unit[k])
+        if isinstance(node, (ex.Sum, ex.Prod)):
+            parts = [build(t) for t in ex._children(node)]
+            step = ref_grad_add if isinstance(node, ex.Sum) else ref_grad_mul
+
+            def fold(x):
+                acc = parts[0](x)
+                for f in parts[1:]:
+                    acc = step(acc, f(x))
+                return acc
+            return fold
+        arg = build(ex._children(node)[0])
+        if isinstance(node, ex.Pow):
+            def power(x):
+                out, b, k = (1.0, zero), arg(x), node.exponent
+                while k:
+                    if k & 1:
+                        out = ref_grad_mul(out, b)
+                    k >>= 1
+                    if k:
+                        b = ref_grad_mul(b, b)
+                return out
+            return power
+        if isinstance(node, ex.Neg):
+            return lambda x: ref_grad_mul((-1.0, zero), arg(x))
+        fn, slope = REF_ANALYTIC[type(node)]
+
+        def analytic(x):
+            v, g = arg(x)
+            # a nan argument of exp gives nan, which the final check catches
+            if np.any(v >= 709.0 if fn is math.exp else ~np.isfinite(v)):
+                raise ex.NonFiniteError(f"{fn.__name__} overflow or non-finite argument at {np.max(v)}")
+            out = ref_pointwise(fn, v)
+            return out, (out if slope is None else ref_pointwise(slope, v)) * g
+        return analytic
+
+    root = build(e)
+
+    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = np.ascontiguousarray(np.asarray(points, dtype=float).T)
+        with np.errstate(all="ignore"):
+            v, g = root(x)
+            # adding zeros gives constants and broadcast gradients full shape
+            value = v + np.zeros(x.shape[1])
+            grad = (np.zeros(x.shape) + g).T
+        if not (np.isfinite(value).all() and np.isfinite(grad).all()):
+            raise ex.NonFiniteError("expression evaluation produced a non-finite value or partial")
+        return value, grad
+
+    return evaluate
+
+
+class ref_ChristoffelPointEvaluator:
+    """Geodesic force for a metric, over many points at once.
+
+    Each structurally nonzero metric entry that varies is compiled once
+    (`expr.compile_grad`); a call evaluates the values and first partials
+    of those entries at every point, sums the terms of
+    `curvature.christoffel_terms` on the partials, and solves all the
+    systems g G = w, w_c = sum over velocities of du^a du^b Gamma_abc, in
+    one batched `np.linalg.solve`."""
+
+    def __init__(self, spec: MetricSpec):
+        self.spec = spec
+        m = spec.dim
+        self.active = spec.active_vars
+        self._cols = [spec.coords.index(name) for name in self.active]
+        partial = {c: k for k, c in enumerate(self._cols)}  # coordinate -> partial
+        self._g0 = np.zeros((m, m))  # the constant entries
+        self._entries = []  # (i, j, compiled) for the varying entries, i <= j
+        for i in range(m):
+            for j in range(i, m):
+                e = spec.components[i][j]
+                if ex.free_vars(e):
+                    self._entries.append((i, j, ref_compile_grad(e, self.active)))
+                else:
+                    self._g0[i, j] = self._g0[j, i] = ex.eval_point(e, {})
+        self._terms = [
+            (a, b, c, tuple((partial[v], pair, h) for v, pair, h in terms))
+            for (a, b, c), terms in christoffel_terms(spec).items()
+        ]
+
+    def force(self, points: Sequence[float] | np.ndarray, velocities: np.ndarray) -> np.ndarray:
+        """G with lower index raised, g^{cd} w_d, for (N, m) points and
+        velocities, as (N, m); one point and velocity of shape (m,) give
+        (m,).  The acceleration is -G."""
+        pts = np.asarray(points, dtype=float)
+        single = pts.ndim == 1
+        pts = np.atleast_2d(pts)
+        vel = np.atleast_2d(np.asarray(velocities, dtype=float))
+        g = np.repeat(self._g0[None], len(pts), axis=0)
+        grads = {}
+        x = pts[:, self._cols]
+        for i, j, compiled in self._entries:
+            g[:, i, j], grads[(i, j)] = compiled(x)
+            g[:, j, i] = g[:, i, j]
+        w = np.zeros(vel.shape)
+        for a, b, c, terms in self._terms:
+            w[:, c] += vel[:, a] * vel[:, b] * sum(h * grads[pair][:, s] for s, pair, h in terms)
+        out = np.linalg.solve(g, w[:, :, None])[:, :, 0]
+        return out[0] if single else out
+
+
+def ref_force(spec):
+    return ref_ChristoffelPointEvaluator(spec).force
+
+
+def ref_integrate_ivp(spec, start, velocity, t_end, n_samples=101):
+    """`geodesics.integrate_ivp`'s DOP853 solve, driven by `ref_force`."""
+    from scipy.integrate import solve_ivp
+
+    m, force = spec.dim, ref_force(spec)
+
+    def rhs(_t, y):
+        return np.concatenate([y[m:], -force(y[:m], y[m:])])
+
+    res = solve_ivp(rhs, (0.0, float(t_end)), np.concatenate([start, velocity]),
+                    method="DOP853", t_eval=np.linspace(0.0, float(t_end), n_samples),
+                    rtol=geo._RK_RTOL, atol=geo._RK_ATOL)
+    assert res.success
+    return res.t, res.y.T[:, :m], res.y.T[:, m:]
+
+
 # ------------------------------------------------------------------ helpers
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
@@ -879,3 +1050,34 @@ def test_non_finite_products_match_reference_routes():
         assert bits(sp.multiply_rows(a, b)) == bits(ref_multiply_rows(sp, a, b))
         for x, y in zip(a, b):
             assert bits(sp.multiply(x, y)) == bits(ref_multiply(sp, x, y))
+
+
+# -------------------------------------------------------- geodesic kernel
+def test_kernel_force_matches_reference_evaluator():
+    # the kernel's float form for one point, its rows form for many
+    for spec, pts, vels in force_cases():
+        ref = ref_force(spec)
+        ev = geo.ChristoffelPointEvaluator(spec)
+        assert bits(ev.force(pts, vels)) == bits(ref(pts, vels))
+        for p, v in zip(pts, vels):
+            assert bits(ev.force(p, v)) == bits(ref(p, v))
+
+
+def _rk_cases():
+    """Family p = 0..2 at t_end = 10, starts and velocities as in the
+    benchmark's geodesic_routes, and two S^2 great circles."""
+    for p in range(3):
+        params = fam.FamilyParams(p, ex.parse("exp(0.97*y) + exp(1.21*y) + exp(1.5*y)", ("y",)))
+        start = fam.base_point(params, 0.02, [-0.03 + 0.01 * i for i in range(p + 1)])
+        vel = [0.3, 0.12] + [-0.1] * (p + 1) + [0.1, 0.3] + [0.05] * (p + 1)
+        yield fam.build_metric(params), start, vel, 10.0
+    yield two_sphere(), (1.4, 0.3), (0.05, 0.6), 3.0
+    yield two_sphere(), (1.8, -2.9), (-0.08, 0.45), 3.0
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_rk_trajectories_match_reference_force(case):
+    spec, start, vel, t_end = list(_rk_cases())[case]
+    got = geo.integrate_ivp(spec, start, vel, t_end)
+    t, u, du = ref_integrate_ivp(spec, start, vel, t_end)
+    assert same_arrays([got.t, got.u, got.du], [t, u, du])
