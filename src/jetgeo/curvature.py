@@ -20,19 +20,29 @@ old one or a Christoffel hook into one), and an exhaustive all-indices
 evaluator is kept alongside as a slow cross-check.  Every sum of jets in the
 context (Neumann inverse, Christoffel symbols, level 0, level steps) is one
 ordered step, `_ordered_sum`: terms from row-batched products and derivative
-gathers (vector-mode Taylor propagation: Griewank and Walther, Evaluating
+shifts (vector-mode Taylor propagation: Griewank and Walther, Evaluating
 Derivatives, 2nd ed., SIAM 2008, ch. 13), added in the order of a loop over
 them, so every coefficient is that loop's to the last bit.
+
+Each matrix keeps only its live columns: the ranks of its jet space where
+some row is nonzero, shared by all its rows (38 of the 19,448 ranks of the
+inverse at p = 5 in the family).  All arithmetic runs on those columns: a
+product lists the pairs of its operands' joint columns, a derivative sends
+rank m to the rank of m - e_v, and truncation keeps a prefix of the columns.
+A sum's columns are known before it runs, from those of its terms.  Dense
+rows are built only for read-outs that ask for jets.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, product as iproduct
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .jets import SPARSE_PAIR_COST, Jet, JetOrderError, _ramps, jet_space
+from .jets import SPARSE_PAIR_COST, Jet, JetOrderError, NonFiniteError, _distinct, _ramps, jet_space
 from . import expr as ex
 from .metric import MetricSpec
 
@@ -173,18 +183,93 @@ def _digit_weights(dim: int, r: int) -> np.ndarray:
     return np.array([dim ** (r - 1 - s) for s in range(r)], dtype=wide)
 
 
-class _Jets(dict):
-    """Jets by index tuple, as the rows of one coefficient matrix, zero rows
-    left out: jet r is a view of row r of `coef`, and row r of `index` its key."""
+class _Jets(Mapping):
+    """Jets by index tuple, zero rows left out: row r of `index` is a key,
+    and row r of `vals` its jet's coefficients at `cols`, the ascending
+    ranks of `space` where some row is nonzero.  A non-finite coefficient
+    raises NonFiniteError.  The arithmetic reads `cols` and `vals`; the
+    dense `coef` and the jets, views of its rows, are built on demand."""
 
-    def __init__(self, index: np.ndarray, coef: np.ndarray, space):
-        keep = coef.any(axis=1)
+    def __init__(self, index: np.ndarray, cols: np.ndarray, vals: np.ndarray, space):
+        if not np.isfinite(vals).all():
+            raise NonFiniteError("non-finite coefficients in the curvature jets")
+        live = vals != 0.0
+        keep, used = live.any(axis=1), live.any(axis=0)
         if not keep.all():
-            index, coef = index[keep], coef[keep]
-        super().__init__(zip(map(tuple, index.tolist()), [Jet(space, row) for row in coef]))
-        self.index = index
-        self.coef = coef
-        self.space = space
+            index, vals = index[keep], vals[keep]
+        if not used.all():
+            cols, vals = cols[used], vals[:, used]
+        self.index, self.cols, self.vals, self.space = index, cols, vals, space
+
+    @cached_property
+    def coef(self) -> np.ndarray:
+        coef = np.zeros((len(self.vals), self.space.size))
+        coef[:, self.cols] = self.vals
+        return coef
+
+    @cached_property
+    def _row(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(map(tuple, self.index.tolist()), range(len(self.index))))
+
+    def __getitem__(self, key) -> Jet:
+        return Jet(self.space, self.coef[self._row[key]])
+
+    def __iter__(self):
+        return iter(self._row)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def at_point(self) -> np.ndarray:
+        """The order-0 coefficients: the column of rank 0."""
+        return self.vals[:, 0] if self.cols[:1].tolist() == [0] else np.zeros(len(self.vals))
+
+    def cut(self, space) -> tuple[np.ndarray, np.ndarray]:
+        """The columns and values truncated to `space`: a prefix of the columns."""
+        n = np.searchsorted(self.cols, space.size)
+        return self.cols[:n], self.vals[:, :n]
+
+    @cached_property
+    def _shifts(self):
+        # `deriv_cols` at `cols`, and `vals` with a zero column last, which
+        # its position len(cols) picks
+        ranks, pos, fac = self.space.deriv_cols(self.cols)
+        return ranks, pos, fac, np.column_stack((self.vals, np.zeros(len(self.vals))))
+
+    @property
+    def deriv_cols(self) -> np.ndarray:
+        """The ranks where a derivative of these jets can be nonzero."""
+        return self._shifts[0]
+
+    def derivs(self, rows: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`deriv_cols`, and there row rows[n] differentiated by variable
+        var[n] of the space as `Jet.deriv` does, or 0 where var[n] = -1."""
+        ranks, pos, fac, padded = self._shifts
+        return ranks, padded[rows[:, None], pos[var]] * fac[var]
+
+
+def _widen(cols: np.ndarray, vals: np.ndarray, to: np.ndarray) -> np.ndarray:
+    """`vals`, at the ascending ranks `cols`, put at their places among the
+    ascending ranks `to`, a superset, with zeros elsewhere."""
+    if len(cols) == len(to):
+        return vals
+    out = np.zeros((len(vals), len(to)))
+    out[:, np.searchsorted(to, cols)] = vals
+    return out
+
+
+def _union(*cols: np.ndarray) -> np.ndarray:
+    """The union of ascending rank arrays, ascending."""
+    if all(np.array_equal(c, cols[0]) for c in cols[1:]):
+        return cols[0]
+    return _distinct(np.concatenate(cols))
+
+
+def _joint(*mats: tuple[np.ndarray, np.ndarray], also: tuple[np.ndarray, ...] = ()):
+    """Matrices given as (columns, values), put at the union of their
+    columns and those of `also`: that union, and the matrices there."""
+    cols = _union(*[c for c, _ in mats], *also)
+    return cols, [_widen(c, v, cols) for c, v in mats]
 
 
 def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,21 +285,27 @@ def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return place, codes[first[order]]
 
 
-def _ordered_sum(acc: np.ndarray, row: np.ndarray, terms, sign: int = 1, started=None) -> None:
-    """Add term t, of the terms that `terms(ts)` gives for the slice ts, to
-    row[t] of `acc`, each row in the order of `row` as `acc = acc + term`
-    (`acc - term` for sign -1) would: a `started` row goes on from what
-    `acc` holds, any other begins with its first term, or minus it.  The
-    n-th terms of all rows go in one vector step, n = 0, 1, ..., in blocks
-    of SPARSE_PAIR_COST ** 2 coefficients that bound the temporaries."""
+def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign: int = 1,
+                 started=None) -> None:
+    """Add term t, of the terms that `terms(ts)` gives for the slice ts as
+    (ascending ranks, values there), to row[t] of `acc`, a matrix at the
+    ranks `cols` that hold every term's, each row in the order of `row` as
+    `acc = acc + term` (`acc - term` for sign -1) would: a `started` row
+    goes on from what `acc` holds, any other begins with its first term, or
+    minus it.  The n-th terms of all rows go in one vector step,
+    n = 0, 1, ..., in blocks of SPARSE_PAIR_COST ** 2 coefficients that
+    bound the temporaries."""
     fresh = np.ones(len(acc), dtype=bool) if started is None else ~started
     nth = np.empty(len(row), dtype=np.intp)
     nth[np.argsort(row, kind="stable")] = _ramps(np.bincount(row))
     add = np.subtract if sign < 0 else np.add
-    step = max(1, SPARSE_PAIR_COST ** 2 // acc.shape[1])
+    step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(cols)))
     for t0 in range(0, len(row), step):
         ts = slice(t0, t0 + step)
-        vals, n, rows = terms(ts), nth[ts], row[ts]
+        t_cols, vals = terms(ts)
+        if len(t_cols) > len(cols):  # `multiply_rows` met a non-finite operand
+            raise NonFiniteError("non-finite coefficients in the curvature jets")
+        vals, n, rows = _widen(t_cols, vals, cols), nth[ts], row[ts]
         by_n = np.argsort(n, kind="stable")
         ends = np.cumsum(np.bincount(n)).tolist()
         for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
@@ -228,7 +319,10 @@ def _ordered_sum(acc: np.ndarray, row: np.ndarray, terms, sign: int = 1, started
 
 
 def _flush(coef: np.ndarray, scale: float) -> np.ndarray:
-    """`coef` with the entries at machine noise against `scale` set to 0."""
+    """`coef` with the entries at machine noise against `scale` set to 0; a
+    non-finite scale leaves `coef` as it is, for `_Jets` to reject."""
+    if not np.isfinite(scale):
+        return coef
     return np.where(np.abs(coef) <= 64.0 * np.finfo(float).eps * scale, 0.0, coef)
 
 
@@ -256,26 +350,25 @@ class CurvatureContext:
         self._act_pos = np.full(self.dim, -1)
         self._act_pos[list(self.act_idx)] = np.arange(len(self.act_idx))
 
-        # metric jets: the upper triangle row by row as `_g_rows`, and by
-        # index pair in both orders (one jet for both) as `_g`
+        # metric jets: the upper triangle row by row as `_g_rows`, and the
+        # row of each index pair in both orders as `_g_row`
         self._g_rows = self._metric_rows(spec.env_at(point))
-        self._g: dict[tuple[int, int], Jet] = {}
         self._g_row = np.full((self.dim, self.dim), -1)
-        for r, ((i, j), jet) in enumerate(self._g_rows.items()):
-            self._g[(i, j)] = self._g[(j, i)] = jet
+        for r, (i, j) in enumerate(self._g_rows.index.tolist()):
             self._g_row[i, j] = self._g_row[j, i] = r
 
         # constant part taken from the jets themselves so that the Neumann
         # inverse is exact against them, not against a reevaluation
-        self.g0 = np.where(self._g_row >= 0, self._g_rows.coef[self._g_row, 0], 0.0)
+        self.g0 = np.where(self._g_row >= 0, self._g_rows.at_point()[self._g_row], 0.0)
         h0 = np.linalg.inv(self.g0)
         self.ginv0 = 0.5 * (h0 + h0.T)
 
-        self._ginv = self._neumann_inverse()
-        self._gamma1 = self._christoffel_first()
-        self._gamma1_row = np.full((self.dim,) * 3, -1)
-        self._gamma1_row[tuple(self._gamma1.index.T)] = np.arange(len(self._gamma1))
-        self._gamma2 = self._christoffel_second()
+        with np.errstate(all="ignore"):  # a non-finite result raises in `_Jets`
+            self._ginv = self._neumann_inverse()
+            self._gamma1 = self._christoffel_first()
+            self._gamma1_row = np.full((self.dim,) * 3, -1)
+            self._gamma1_row[tuple(self._gamma1.index.T)] = np.arange(len(self._gamma1))
+            self._gamma2 = self._christoffel_second()
 
         # hooks for covariant-derivative terms: the rows of `_gamma2` as
         # runs grouped stably by lower pair a * dim + b (`_fwd_*`, with the
@@ -291,13 +384,22 @@ class CurvatureContext:
         self._views: dict[int, TensorField] = {}
 
     # ------------------------------------------------------------ plumbing
+    @cached_property
+    def _g(self) -> dict[tuple[int, int], Jet]:
+        """The metric jets by index pair in both orders (one jet for both)."""
+        g = {}
+        for (i, j), jet in self._g_rows.items():
+            g[(i, j)] = g[(j, i)] = jet
+        return g
+
     def _metric_rows(self, env) -> _Jets:
         """The metric jets of the upper triangle row by row, zeros left out."""
         jets = {(i, j): ex.eval_jet(self.spec.components[i][j], env, self.active, self.order).coef
                 for i in range(self.dim) for j in range(i, self.dim)
                 if self.spec.components[i][j] != ex.Const(0.0)}
         # not empty: `validate_at` has ruled out a zero metric
-        return _Jets(np.array([*jets], dtype=np.intp), np.array([*jets.values()]), self._space)
+        return _Jets(np.array([*jets], dtype=np.intp), np.arange(self._space.size),
+                     np.array([*jets.values()]), self._space)
 
     def _neumann_inverse(self) -> _Jets:
         """Inverse-metric jets at full order.
@@ -321,18 +423,19 @@ class CurvatureContext:
         m = self.dim
         h0 = _flush(self.ginv0, np.max(np.abs(self.ginv0)))
         space = self._space
+        g = self._g_rows
         # N's entries (a, b): each upper metric entry with a nonconstant
         # part, as (i, j) and then (j, i), with their rows of `nil`
-        live = self._g_rows.coef[:, 1:].any(axis=1)
-        nil = self._g_rows.coef[live]
+        live = g.vals[:, 1:].any(axis=1)  # rank 0 is column 0: g0 is not zero
+        nil = g.vals[live]
         nil[:, 0] = 0.0
+        nil = (g.cols, nil)
         src, nil_a, nil_b = np.array(
-            [(r, *pair) for r, (i, j) in enumerate(self._g_rows.index[live].tolist())
+            [(r, *pair) for r, (i, j) in enumerate(g.index[live].tolist())
              for pair in dict.fromkeys([(i, j), (j, i)])], dtype=np.intp).reshape(-1, 3).T
-        # S and t as rows keyed a * m + b; S starts from h0
+        # S and t as rows keyed a * m + b; S starts from h0, at rank 0
         base = np.flatnonzero(h0)
-        keys, s, stale = base, np.zeros((len(base), space.size)), True
-        s[:, 0] = h0.flat[base]
+        keys, s_cols, s, stale = base, np.zeros(1, dtype=np.intp), h0.flat[base][:, None], True
         for _ in range(self.order):
             if stale:  # the terms of a sweep depend on the keys of S only
                 pos = np.full((m, m), -1)
@@ -342,17 +445,26 @@ class CurvatureContext:
                 ta, tc = np.divmod(t_keys, m)
                 tr, i = np.nonzero(h0[:, ta].T != 0.0)
                 s_row, new = _first_seen(np.concatenate((base, i * m + tc[tr])))
-            t = np.empty((len(t_keys), space.size))
-            _ordered_sum(t, t_row, lambda ts: space.multiply_rows(
-                nil[src[at[ts]]], s[pos[nil_b[at[ts]], c[ts]]]))
-            last, s = s, np.zeros((len(new), space.size))
+            cols, (left, right) = _joint(nil, (s_cols, s))
+            t_cols = space.product_cols(cols)
+            t = np.empty((len(t_keys), len(t_cols)))
+            _ordered_sum(t_cols, t, t_row, lambda ts: space.multiply_rows(
+                cols, left[src[at[ts]]], right[pos[nil_b[at[ts]], c[ts]]]))
+            # rank 0 is in `cols`, so in `t_cols`: h0 goes to column 0
+            last_cols, last, s_cols = s_cols, s, t_cols
+            s = np.zeros((len(new), len(s_cols)))
             s[: len(base), 0] = h0.flat[base]
-            _ordered_sum(s, s_row[len(base):], lambda ts: t[tr[ts]] * h0[i[ts], ta[tr[ts]], None],
+            _ordered_sum(s_cols, s, s_row[len(base):],
+                         lambda ts: (t_cols, t[tr[ts]] * h0[i[ts], ta[tr[ts]], None]),
                          -1, np.arange(len(new)) < len(base))
+            used = (s != 0.0).any(axis=0)
+            if not used.all():
+                s_cols, s = s_cols[used], s[:, used]
             stale = not np.array_equal(new, keys)
             keys = new
             # a sweep that repeats the last to the bit is a fixed point
-            if not stale and np.array_equal(s.view(np.int64), last.view(np.int64)):
+            if (not stale and np.array_equal(s_cols, last_cols)
+                    and np.array_equal(s.view(np.int64), last.view(np.int64))):
                 break
         # The sweeps are exact in exact arithmetic, so coefficients at machine
         # noise relative to the whole inverse are roundoff images of structural
@@ -360,7 +472,7 @@ class CurvatureContext:
         # symbols merely tiny, and those breed spurious curvature support that
         # grows exponentially with the derivative level.
         s = _flush(s, np.max(np.abs(s), initial=0.0))
-        return _Jets(np.column_stack(np.divmod(keys, m)), s, space)
+        return _Jets(np.column_stack(np.divmod(keys, m)), s_cols, s, space)
 
     def _christoffel_first(self) -> _Jets:
         """Gamma_abc as the sums of `christoffel_terms`, in their order."""
@@ -373,10 +485,11 @@ class CurvatureContext:
         row, keys = _first_seen(keys @ weights)
         g, var = np.array([t[1:3] for t in terms], dtype=np.intp).reshape(-1, 2).T
         h = np.array([t[3] for t in terms])
-        acc = np.empty((len(keys), space.size))
-        _ordered_sum(acc, row, lambda ts: self._derivs(
-            self._g_rows.coef, g[ts], var[ts], self._g_rows.space) * h[ts, None])
-        return _Jets(keys[:, None] // weights % self.dim, acc, space)
+        cols = self._g_rows.deriv_cols
+        acc = np.empty((len(keys), len(cols)))
+        _ordered_sum(cols, acc, row, lambda ts: (
+            cols, self._g_rows.derivs(g[ts], var[ts])[1] * h[ts, None]))
+        return _Jets(keys[:, None] // weights % self.dim, cols, acc, space)
 
     def _christoffel_second(self) -> _Jets:
         """Gamma_ab^c = sum over d of ginv^cd Gamma_abd, summed key by key
@@ -388,10 +501,11 @@ class CurvatureContext:
         h = by_col[h]
         weights = _digit_weights(self.dim, 3)
         row, keys = _first_seen(np.column_stack((g1.index[at, :2], ginv.index[h, 0])) @ weights)
-        acc = np.empty((len(keys), space.size))
-        _ordered_sum(acc, row, lambda ts: space.multiply_rows(
-            ginv.coef[h[ts], : space.size], g1.coef[at[ts]]))
-        return _Jets(keys[:, None] // weights % self.dim, acc, space)
+        cols, (left, right) = _joint(ginv.cut(space), (g1.cols, g1.vals))
+        out = space.product_cols(cols)
+        acc = np.empty((len(keys), len(out)))
+        _ordered_sum(out, acc, row, lambda ts: space.multiply_rows(cols, left[h[ts]], right[at[ts]]))
+        return _Jets(keys[:, None] // weights % self.dim, out, acc, space)
 
     # ------------------------------------------------------------ curvature
     def _riemann_candidates(self) -> set[tuple[int, int, int, int]]:
@@ -414,23 +528,30 @@ class CurvatureContext:
         weights = _digit_weights(self.dim, 4)
         codes = np.stack((idx @ weights, idx[:, [1, 0, 2, 3]] @ weights))
         work = np.argsort(codes.min(axis=0), kind="stable")
-        at, coefs = [work[:0]], [np.zeros((0, space.size))]
-        step = max(1, SPARSE_PAIR_COST ** 2 // space.size)
+        # the factors of the edge products at their joint columns: d_i
+        # Gamma_jk^m or Gamma_jk^m on the left, g_ml or Gamma_iml on the right
+        cols, factors = _joint(self._gamma2.cut(space), self._g_rows.cut(space),
+                               self._gamma1.cut(space), also=(self._gamma2.deriv_cols,))
+        out = space.product_cols(cols)
+        at, coefs = [work[:0]], [np.zeros((0, len(out)))]
+        step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(out)))
         for c0 in range(0, len(idx), step):
             block = work[c0:c0 + step]
-            rows, coef = self._riemann_block(codes[:, block], weights, space)
+            rows, coef = self._riemann_block(codes[:, block], weights, space, cols, factors, out)
             at.append(block[rows])
             coefs.append(coef)
         at, coef = np.concatenate(at), np.concatenate(coefs)
         coefs.clear()  # the blocks go before the reordered copy comes
-        return _Jets(idx[np.sort(at)], coef[np.argsort(at)], space)
+        return _Jets(idx[np.sort(at)], out, coef[np.argsort(at)], space)
 
-    def _riemann_block(self, codes: np.ndarray, weights: np.ndarray, space):
+    def _riemann_block(self, codes: np.ndarray, weights: np.ndarray, space, cols, factors, out):
         """R(i, j, k, l) = edge(i, j, k, l) - edge(j, i, k, l) at the block
         whose (i, j, k, l) and (j, i, k, l) have the codes `codes` (two rows):
-        the candidates whose jet is not zero, and their jets.  An edge sums
-        over the hooks m of (j, k) in `_gamma2` order (d_i Gamma_jk^m) g_ml
-        and then Gamma_jk^m Gamma_iml, and is evaluated once a block."""
+        the candidates whose jet is not zero, and their jets at the ranks
+        `out`.  An edge sums over the hooks m of (j, k) in `_gamma2` order
+        (d_i Gamma_jk^m) g_ml and then Gamma_jk^m Gamma_iml, and is
+        evaluated once a block.  `factors` holds Gamma_jk^m, g_ml and
+        Gamma_iml at `cols`, the joint columns of the edge products."""
         place, edges = _first_seen(codes.ravel())
         i, j, k, l = (edges[:, None] // weights % self.dim).T
         at, hook = _expand(self._fwd_start[j * self.dim + k], self._fwd_len[j * self.dim + k])
@@ -443,39 +564,28 @@ class CurvatureContext:
         var = self._act_pos[i[t // 2]]
         live = np.bincount(at, minlength=len(edges)) > 0
         row_of = np.where(live, np.cumsum(live) - 1, -1)
+        g2, g, g1 = factors
 
         def products(ts):
             d, h, r = deriv[ts], hook[ts], right[ts]
-            left = self._derivs(self._gamma2.coef, h, np.where(d, var[ts], -1), self._gamma2.space)
-            left[~d] = self._gamma2.coef[h[~d], : space.size]
+            left = _widen(*self._gamma2.derivs(h, np.where(d, var[ts], -1)), cols)
+            left[~d] = g2[h[~d]]
             other = np.empty_like(left)
-            other[d] = self._g_rows.coef[r[d], : space.size]
-            other[~d] = self._gamma1.coef[r[~d], : space.size]
-            return space.multiply_rows(left, other)
+            other[d] = g[r[d]]
+            other[~d] = g1[r[~d]]
+            return space.multiply_rows(cols, left, other)
 
-        edge = np.empty((int(live.sum()), space.size))
-        _ordered_sum(edge, row_of[at], products)
+        edge = np.empty((int(live.sum()), len(out)))
+        _ordered_sum(out, edge, row_of[at], products)
         a, b = row_of[place].reshape(2, -1)
         rows = np.flatnonzero((a >= 0) | (b >= 0))
         a, b = a[rows], b[rows]
-        acc = np.empty((len(rows), space.size))
+        acc = np.empty((len(rows), len(out)))
         acc[a >= 0] = edge[a[a >= 0]]
         minus = np.flatnonzero(b >= 0)
-        _ordered_sum(acc, minus, lambda ts: edge[b[minus[ts]]], -1, a >= 0)
+        _ordered_sum(out, acc, minus, lambda ts: (out, edge[b[minus[ts]]]), -1, a >= 0)
         keep = acc.any(axis=1)
         return rows[keep], acc[keep]
-
-    def _derivs(self, coef: np.ndarray, rows: np.ndarray, var: np.ndarray, space) -> np.ndarray:
-        """Row rows[n] of `coef`, a jet of `space`, differentiated by active
-        variable var[n] as `Jet.deriv` does; rows with var[n] < 0 are left unset."""
-        out = np.empty((len(rows), space.size_at(space.order - 1)))
-        for v in np.flatnonzero(np.bincount(var[var >= 0], minlength=len(self.act_idx))).tolist():
-            _, src, fac = space.deriv_table(self.active[v])
-            at = np.flatnonzero(var == v)
-            deriv = coef[rows[at, None], src]
-            deriv *= fac
-            out[at] = deriv
-        return out
 
     def _nabla_step(self, prev: _Jets, ord_out: int) -> _Jets:
         return self._nabla_jets(prev, self._nabla_candidates(prev.index), ord_out)
@@ -505,13 +615,13 @@ class CurvatureContext:
     def _nabla_jets(self, prev: _Jets, cand: Iterable[tuple[int, ...]], ord_out: int) -> _Jets:
         """Jets of the level after `prev` at the index tuples `cand`, zeros
         left out: (nabla T)(i; m) = d_m T(i) - sum_s Gamma_{m i_s}^a T(i, a at s),
-        all at once: the derivatives by gathers, then the Christoffel products
-        subtracted in the order of the sum (`_ordered_sum`)."""
+        all at once: the derivatives by column shifts, then the Christoffel
+        products subtracted in the order of the sum (`_ordered_sum`)."""
         space = jet_space(self.active, ord_out)
         r = prev.index.shape[1]
         idx = np.fromiter(chain.from_iterable(cand), np.intp).reshape(-1, r + 1)
         if not prev:
-            return _Jets(idx[:0], np.zeros((0, space.size)), space)
+            return _Jets(idx[:0], np.zeros(0, dtype=np.intp), np.zeros((0, 0)), space)
         # index tuples as base-dim codes, looked up in prev's sorted codes
         weights = _digit_weights(self.dim, r)
         prev_codes = prev.index @ weights
@@ -539,17 +649,20 @@ class CurvatureContext:
         # that is not identically zero, by a nonzero coefficient with a
         # positive exponent of the variable
         live = np.bincount(comp, minlength=len(idx)) > 0
-        row, col = np.nonzero(prev.coef)
-        at, v = np.nonzero(prev.space._exps[col] > 0)
+        row, col = np.nonzero(prev.vals)
+        at, v = np.nonzero(prev.space._exps[prev.cols[col]] > 0)
         depends = np.zeros((len(prev), prev.space.n), dtype=bool)
         depends[row[at], v] = True
         live[has_d] |= depends[tj[has_d], var[has_d]]
         rows = np.flatnonzero(live)
-        acc = self._derivs(prev.coef, tj[rows], np.where(has_d[rows], var[rows], -1), prev.space)
-        _ordered_sum(acc, (np.cumsum(live) - 1)[comp], lambda ts: space.multiply_rows(
-            self._gamma2.coef[hook[ts], : space.size], prev.coef[rep[ts], : space.size]), -1,
-            has_d[rows])
-        return _Jets(idx[rows], acc, space)
+        out, acc = prev.derivs(tj[rows], np.where(has_d[rows], var[rows], -1))
+        if len(comp):
+            cols, (left, right) = _joint(self._gamma2.cut(space), prev.cut(space))
+            d_cols, out = out, _union(out, space.product_cols(cols))
+            acc = _widen(d_cols, acc, out)
+            _ordered_sum(out, acc, (np.cumsum(live) - 1)[comp], lambda ts: space.multiply_rows(
+                cols, left[hook[ts]], right[rep[ts]]), -1, has_d[rows])
+        return _Jets(idx[rows], out, acc, space)
 
     def _check_level(self, k: int) -> None:
         if k < 0:
@@ -558,19 +671,21 @@ class CurvatureContext:
             raise JetOrderError(f"level {k} needs max_deriv >= {k}, "
                                 f"context was built with {self.max_deriv}")
 
-    def _level(self, k: int) -> dict[tuple[int, ...], Jet]:
+    def _level(self, k: int) -> _Jets:
         self._check_level(k)
         while len(self._levels) <= k:
             n = len(self._levels)
-            self._levels.append(self._nabla_step(self._levels[-1], self.order - 2 - n) if n
-                                else self._riemann_jets(self._riemann_candidates()))
+            with np.errstate(all="ignore"):  # a non-finite result raises in `_Jets`
+                self._levels.append(self._nabla_step(self._levels[-1], self.order - 2 - n) if n
+                                    else self._riemann_jets(self._riemann_candidates()))
         return self._levels[k]
 
     # ------------------------------------------------------------- read-out
     def christoffels(self) -> Christoffels:
-        first = {k: j.value() for k, j in self._gamma1.items() if j.value() != 0.0}
-        second = {k: j.value() for k, j in self._gamma2.items() if j.value() != 0.0}
-        return Christoffels(self.dim, first, second)
+        def nonzero(jets: _Jets) -> dict[tuple[int, int, int], float]:
+            return {k: v for k, v in zip(jets, jets.at_point().tolist()) if v != 0.0}
+
+        return Christoffels(self.dim, nonzero(self._gamma1), nonzero(self._gamma2))
 
     def curvature(self, k: int = 0) -> TensorField:
         """The level-k point values, built once per level.
@@ -581,9 +696,10 @@ class CurvatureContext:
         view = self._views.get(k)
         if view is None:
             level = self._level(k)
-            keep = level.coef[:, 0] != 0.0
+            values = level.at_point()
+            keep = values != 0.0
             index = level.index[keep]
-            values = level.coef[keep, 0]
+            values = values[keep]
             index.setflags(write=False)
             values.setflags(write=False)
             view = self._views[k] = TensorField(self.dim, k, index, values)
@@ -622,10 +738,11 @@ class CurvatureContext:
         self._check_level(k)
         if self.dim ** (4 + k) > _EXHAUSTIVE_CAP:
             raise ValueError("exhaustive enumeration over cap")
-        full = self._riemann_jets(iproduct(range(self.dim), repeat=4))
-        for n in range(1, k + 1):
-            cand = iproduct(range(self.dim), repeat=4 + n)
-            full = self._nabla_jets(full, cand, self.order - 2 - n)
+        with np.errstate(all="ignore"):  # a non-finite result raises in `_Jets`
+            full = self._riemann_jets(iproduct(range(self.dim), repeat=4))
+            for n in range(1, k + 1):
+                cand = iproduct(range(self.dim), repeat=4 + n)
+                full = self._nabla_jets(full, cand, self.order - 2 - n)
         return full
 
 

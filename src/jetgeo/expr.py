@@ -416,7 +416,8 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
             return rec(node.arg).cos()
         raise TypeError(f"not an Expr node: {node!r}")
 
-    out = rec(e)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        out = rec(e)
     if not np.isfinite(out.coef).all():
         raise NonFiniteError("expression evaluation produced non-finite coefficients")
     return out

@@ -294,9 +294,11 @@ def evaluate_many(
     out = np.zeros(len(schemas))
     for factors, members in by_factors.items():
         first = views[factors[0]]
-        # 1.0 * value, the first join's weight, is the value itself
-        _join_rest([views[k] for k in factors], ctx.ginv0, 0, first.index.T, first.values,
-                   members, out)
+        # 1.0 * value, the first join's weight, is the value itself; an
+        # overflow shows as an inf or nan value, with no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            _join_rest([views[k] for k in factors], ctx.ginv0, 0, first.index.T, first.values,
+                       members, out)
     return out
 
 

@@ -18,37 +18,36 @@ code back into a rank (packed exponents for sparse polynomial products:
 Monagan and Pearce, CASC 2007, LNCS 4770).  The derivative shift
 m -> m + e_v and the pair listing below are built from the codes.
 
-A product sums pair terms, and one listing gives the pairs: for a set of
-ranks, every pair (r, s), r <= s, of them with |r| + |s| <= K, in ascending
-order, with the rank of r + s.  The ranks are graded, so the partners of r
-are one run of the set: from r up to size_at(K - |r|).  Pair (r, s) weighs
-a[r]*b[s] + a[s]*b[r] off the diagonal and a[r]*b[r] on it; off-diagonal
-pairs are summed into the output ranks by one `bincount`, diagonal pairs by
-a second, added in that order.  A product has two routes through it:
-  * table route: the pair table is the listing of every rank, cached in the
-    space the first time this route runs there.  It has
-    sum_r max(0, size_at(K - |r|) - r) pairs, about a million at 7 variables
-    and order 10.
-  * sparse route: the listing of the ranks where a or b is nonzero.
-In every pair the sparse route leaves out, and in every pair it lists beyond
-nonzero(a) x nonzero(b), a[r] or b[s], and a[s] or b[r], are zero; with
-finite operands such a pair weighs +-0.0, and adding +-0.0 to a bin changes
-no bit (the bins start at +0.0).  Both routes sum in the one ascending
-order, so they give bit-identical products, and a * b and b * a are
-bit-identical on either.  (A non-finite coefficient would break this: the
-table route forms inf * 0 = nan where the sparse route forms nothing, so such
-operands always take the table route.)
+A product sums pair terms, and one listing gives the pairs: for an ascending
+set of ranks, every pair (r, s), r <= s, of them with |r| + |s| <= K, in
+ascending order, with the rank of r + s.  The ranks are graded, so the
+partners of r are one run of the set: from r up to size_at(K - |r|).  Pair
+(r, s) weighs a[r]*b[s] + a[s]*b[r] off the diagonal and a[r]*b[r] on it;
+off-diagonal pairs are summed into the output ranks by one `bincount`,
+diagonal pairs by a second, added in that order.  The pair table, the
+listing of every rank, is cached in the space when first needed; it has
+sum_r max(0, size_at(K - |r|) - r) pairs, about a million at 7 variables and
+order 10.  In every pair a listing of fewer ranks leaves out, and in every
+pair it lists beyond nonzero(a) x nonzero(b), a[r] or b[s], and a[s] or
+b[r], are zero; with finite operands such a pair weighs +-0.0, and adding
++-0.0 to a bin changes no bit (the bins start at +0.0).  So the listing of
+any superset of the operands' nonzeros gives the table's product to the bit,
+and a * b and b * a are bit-identical.  (A non-finite coefficient would break
+this: the table forms inf * 0 = nan where a shorter listing forms nothing,
+so such operands always take the table.)
 
-`multiply_rows` multiplies many pairs of jets in one call, each row bit for
-bit as `multiply` would: the sparse route lists every row of a block in one
-call, as flat indices into the block, and the table route bins row r's sums
-at an offset of r * size; either sums the block in one `bincount` pair.
-
-`multiply` takes the sparse route when nnz(a) * nnz(b) * SPARSE_PAIR_COST is
-below the table's pair count and every coefficient is finite.  A space with
-at most SPARSE_PAIR_COST pairs always takes the table route without counting
+`multiply` lists the operands' nonzeros when nnz(a) * nnz(b) *
+SPARSE_PAIR_COST is below the table's pair count and every coefficient is
+finite (the sparse route), and takes the table otherwise.  A space with at
+most SPARSE_PAIR_COST pairs always takes the table without counting
 nonzeros, and b is not counted when nnz(a) * SPARSE_PAIR_COST alone reaches
-the pair count (a zero b then takes the table route, for the same bits).
+the pair count (a zero b then takes the table, for the same bits).
+
+`multiply_rows` multiplies many pairs of jets bit for bit as `multiply`
+would, given column-compressed: (rows, len(cols)) coefficients at an
+ascending set `cols` of ranks that all rows share.  It lists `cols` once
+(the table, when `cols` is every rank).  `deriv_cols` differentiates such
+rows: rank m goes to the rank of m - e_v, times m_v.
 """
 from __future__ import annotations
 
@@ -141,7 +140,9 @@ class JetSpace:
     `_reach[r]`, and `_pairs` is the pair table's length, known in closed
     form before the table exists.  `multiply` picks the table or the sparse
     route per call from the operands' nonzero counts; `_mul_tables` stays
-    None until the table route first runs.
+    None until the table is first needed.  `_last_listing` keeps the last
+    column set `multiply_rows` listed, and `_deriv_full` the derivative
+    table of every rank; neither changes a result.
     """
 
     def __init__(self, variables: Sequence[str], order: int):
@@ -173,7 +174,8 @@ class JetSpace:
         self._reach = top[self._deg]
         self._pairs = int(np.maximum(self._reach - np.arange(self.size), 0).sum())
         self._mul_tables = None
-        self._deriv_tables: dict[str, tuple["JetSpace", np.ndarray, np.ndarray]] = {}
+        self._last_listing: tuple = (None,)
+        self._deriv_full = None
 
     def size_at(self, order: int) -> int:
         """Number of multi-indices of total degree <= order (a table prefix)."""
@@ -202,99 +204,135 @@ class JetSpace:
         return Jet(self, coef)
 
     # ------------------------------------------------------------- arithmetic
-    def _listing(self, live: np.ndarray):
-        """The product pairs of the ranks set in each row of a (rows, size) mask.
+    def _listing(self, ranks: np.ndarray):
+        """The product pairs of an ascending array of ranks.
 
-        For each row, every pair (r, s), r <= s, of its set ranks with
-        |r| + |s| <= K, row by row in ascending order, as flat indices into
-        the (rows, size) array, with the flat index of rank r + s in the same
-        row: (r, s, out) of the off-diagonal pairs, then (r, out) of the
-        diagonal ones, as `_accumulate` takes them.
+        Every pair (r, s), r <= s, of `ranks` with |r| + |s| <= K, in
+        ascending order, as positions in `ranks`, with the rank of r + s:
+        (r, s, out) of the off-diagonal pairs, then (r, out) of the diagonal
+        ones, as `_accumulate` takes them.
         """
-        flat = np.flatnonzero(live)
-        rank = flat % self.size
-        start = flat - rank
-        # ranks are graded, so the partners of r are one run of set ranks:
-        # from r up to size_at(K - |r|) in r's row
-        stop = np.searchsorted(flat, start + self._reach[rank])
-        lengths = np.maximum(stop - np.arange(len(flat)), 0)
-        i = np.repeat(np.arange(len(flat)), lengths)
+        # ranks are graded, so the partners of r are one run of the set:
+        # from r up to size_at(K - |r|)
+        stop = np.searchsorted(ranks, self._reach[ranks])
+        lengths = np.maximum(stop - np.arange(len(ranks)), 0)
+        i = np.repeat(np.arange(len(ranks)), lengths)
         j = i + _ramps(lengths)
-        out = start[i] + np.searchsorted(self._codes, self._codes[rank[i]] + self._codes[rank[j]])
+        out = np.searchsorted(self._codes, self._codes[ranks[i]] + self._codes[ranks[j]])
         diag = i == j
         off = ~diag
-        return flat[i[off]], flat[j[off]], out[off], flat[i[diag]], out[diag]
+        return i[off], j[off], out[off], i[diag], out[diag]
 
     def _mul(self):
-        # the pair table: the listing of one row with every rank set
+        # the pair table: the listing of every rank
         if self._mul_tables is None:
-            self._mul_tables = self._listing(np.ones((1, self.size), dtype=bool))
+            self._mul_tables = self._listing(np.arange(self.size))
         return self._mul_tables
 
     @staticmethod
-    def _accumulate(a, b, ia, ib, io, idg, idg_o) -> np.ndarray:
+    def _accumulate(a, b, ia, ib, io, idg, idg_o, width: int) -> np.ndarray:
         # off-diagonal pair (r, s) weighs a[r]*b[s] + a[s]*b[r], diagonal
-        # pair r weighs a[r]*b[r]; each bin sums its off-diagonal pairs, then
-        # its diagonal ones, in listing order.  (rows, size) operands take
-        # one row's listing each, binned at an offset of r * size for row r.
+        # pair r weighs a[r]*b[r]; each of `width` bins sums its off-diagonal
+        # pairs, then its diagonal ones, in listing order.  (rows, n)
+        # operands take one listing, binned at an offset of r * width for row r.
         if a.ndim > 1:
-            at = np.arange(0, a.size, a.shape[1])[:, None]
+            at = (np.arange(len(a)) * width)[:, None]
             io, idg_o = (io + at).ravel(), (idg_o + at).ravel()
+        bins = width * (len(a) if a.ndim > 1 else 1)
         # (an empty bincount is of integers, hence the length tests)
         if len(io):
             w = a.take(ia, -1) * b.take(ib, -1) + a.take(ib, -1) * b.take(ia, -1)
-            out = np.bincount(io, weights=w.ravel(), minlength=a.size)
+            out = np.bincount(io, weights=w.ravel(), minlength=bins)
         else:
-            out = np.zeros(a.size)
+            out = np.zeros(bins)
         if len(idg_o):
             wd = a.take(idg, -1) * b.take(idg, -1)
-            out += np.bincount(idg_o, weights=wd.ravel(), minlength=a.size)
-        return out.reshape(a.shape)
+            out += np.bincount(idg_o, weights=wd.ravel(), minlength=bins)
+        return out.reshape(a.shape[:-1] + (width,))
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         pairs = self._pairs
         if pairs > SPARSE_PAIR_COST:
             cost = np.count_nonzero(a) * SPARSE_PAIR_COST
             if cost < pairs and cost * np.count_nonzero(b) < pairs and _finite(a, b):
-                return self._accumulate(a, b, *self._listing(((a != 0) | (b != 0))[None]))
-        return self._accumulate(a, b, *self._mul())
+                nz = np.flatnonzero((a != 0) | (b != 0))
+                return self._accumulate(a[nz], b[nz], *self._listing(nz), self.size)
+        return self._accumulate(a, b, *self._mul(), self.size)
 
-    def multiply_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Row r is `multiply(a[r], b[r])` bit for bit, for (rows, size) operands.
+    def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray):
+        """Products of (rows, len(cols)) operands at the ascending ranks `cols`.
 
-        Rows go in blocks of SPARSE_PAIR_COST ** 2 table pairs, which bounds
-        the temporaries while a block's fixed cost (some hundred pairs'
-        worth, see SPARSE_PAIR_COST) stays below a hundredth of its work.
-        The route rule is `multiply`'s summed over a block's rows: the sparse
-        route when sum nnz(a[r]) * nnz(b[r]) * SPARSE_PAIR_COST is below
-        rows * pairs and every coefficient is finite.  The sparse route is
-        one listing of the block's nonzero masks, the table route the pair
-        table at an offset of r * size for row r, and either sums the whole
-        block in one `_accumulate`.
+        Returns the ascending ranks `out` the listing of `cols` reaches and
+        the (rows, len(out)) sums there: row r, put at `out` in a row of
+        zeros, is `multiply` of row r of a and of b, so put, bit for bit.
+        A full `cols` takes the pair table as it stands.  Operands with a
+        non-finite coefficient are put in full rows first and take the
+        table, so that inf * 0 = nan lands where `multiply` puts it.  Rows
+        go in blocks of SPARSE_PAIR_COST ** 2 listed pairs, which bounds the
+        temporaries.
         """
-        out = np.empty((len(a), self.size))
-        step = max(1, SPARSE_PAIR_COST ** 2 // self._pairs)
+        if len(cols) < self.size and not _finite(a, b):
+            wide = np.zeros((2, len(a), self.size))
+            wide[:, :, cols] = a, b
+            (a, b), cols = wide, np.arange(self.size)
+        listing, out = self._product_listing(cols)
+        sums = np.empty((len(a), len(out)))
+        step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(listing[0]) + len(listing[3])))
         for r0 in range(0, len(a), step):
-            x, y = a[r0:r0 + step], b[r0:r0 + step]
-            if (self._pairs > SPARSE_PAIR_COST
-                    and (np.count_nonzero(x, axis=1) @ np.count_nonzero(y, axis=1))
-                    * SPARSE_PAIR_COST < len(x) * self._pairs and _finite(x, y)):
-                sums = self._accumulate(x.ravel(), y.ravel(), *self._listing((x != 0) | (y != 0)))
-            else:
-                sums = self._accumulate(x, y, *self._mul())
-            out[r0:r0 + len(x)] = sums.reshape(x.shape)
-        return out
+            rows = slice(r0, r0 + step)
+            sums[rows] = self._accumulate(a[rows], b[rows], *listing, len(out))
+        return out, sums
 
-    def deriv_table(self, name: str):
-        if name not in self._deriv_tables:
-            _check_differentiable(self.order)
-            target = jet_space(self.variables, self.order - 1)
-            v = self._var_pos[name]
-            # the target's multi-indices are this space's first target.size
-            src = np.searchsorted(self._codes, self._codes[: target.size] + self._unit_codes[v])
-            fac = (self._exps[: target.size, v] + 1).astype(float)
-            self._deriv_tables[name] = (target, src, fac)
-        return self._deriv_tables[name]
+    def _product_listing(self, cols: np.ndarray):
+        # the listing of `cols` with its output ranks as positions in the
+        # ranks it reaches, and those ranks; the last one is kept, as a sum
+        # asks for it in `product_cols` and then per block of rows, and the
+        # Neumann sweeps for the same columns sweep after sweep
+        if len(cols) == self.size:
+            return self._mul(), cols
+        key = cols.tobytes()
+        if self._last_listing[0] != key:
+            ia, ib, io, idg, idg_o = self._listing(cols)
+            out = _distinct(np.concatenate((io, idg_o)))
+            listing = ia, ib, np.searchsorted(out, io), idg, np.searchsorted(out, idg_o)
+            self._last_listing = key, listing, out
+        return self._last_listing[1:]
+
+    def product_cols(self, cols: np.ndarray) -> np.ndarray:
+        """The ranks `multiply_rows` returns for operands at the ranks `cols`."""
+        return self._product_listing(cols)[1]
+
+    def deriv_cols(self, cols: np.ndarray):
+        """Differentiation at the ascending ranks `cols`: the ranks m - e_v
+        that ranks m of `cols` with m_v > 0 go to, over every v, ascending
+        (in this space and the one an order lower); and for each variable v
+        and each of those ranks r, the position in `cols` of r + e_v and its
+        exponent of v as a float, or len(cols) and 0.0 where r + e_v is not
+        in `cols`.  A last row holds len(cols) and 0.0 throughout, for no
+        derivative.  The result for every rank is kept."""
+        full = len(cols) == self.size
+        if full and self._deriv_full is not None:
+            return self._deriv_full
+        _check_differentiable(self.order)
+        var, at = np.nonzero(self._exps[cols].T > 0)
+        src = cols[at]
+        # code(m - e_v) = code(m) - code(e_v), and codes ascend with rank
+        to = np.searchsorted(self._codes, self._codes[src] - self._unit_codes[var])
+        ranks = _distinct(to)
+        pos = np.full((self.n + 1, len(ranks)), len(cols))
+        fac = np.zeros((self.n + 1, len(ranks)))
+        to = np.searchsorted(ranks, to)
+        pos[var, to], fac[var, to] = at, self._exps[src, var]
+        if full:
+            self._deriv_full = ranks, pos, fac
+        return ranks, pos, fac
+
+
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The distinct entries of `x`, ascending (`np.unique` would import
+    numpy.ma)."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))] if len(x) else x
 
 
 class Jet:
@@ -378,8 +416,9 @@ class Jet:
         if name not in self.space._var_pos:
             _check_differentiable(self.order)
             return jet_space(self.variables, self.order - 1).zero()
-        target, src, fac = self.space.deriv_table(name)
-        return Jet(target, self.coef[src] * fac)
+        _, pos, fac = self.space.deriv_cols(np.arange(self.space.size))
+        v = self.space._var_pos[name]  # every m - e_v has its m here
+        return Jet(jet_space(self.variables, self.order - 1), self.coef[pos[v]] * fac[v])
 
     def extract(self, m: Sequence[int]) -> float:
         """The partial derivative d^m f(base) (coefficient times m!)."""
@@ -416,7 +455,8 @@ class Jet:
         coeffs = [v]
         for j in range(1, self.order + 1):
             coeffs.append(coeffs[-1] / j)
-        out = self._series(coeffs)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = self._series(coeffs)
         if not np.isfinite(out.coef).all():
             raise NonFiniteError("non-finite coefficients in jet exp")
         return out

@@ -1,5 +1,6 @@
 """Command line interface: output formats, verdicts, exit codes, and
 byte-determinism, all driven in-process through main()."""
+import json
 import os
 import subprocess
 import sys
@@ -266,6 +267,51 @@ def test_alpha_overflow_is_one_stderr_line():
     assert res.returncode == 3 and res.stdout == ""
     assert res.stderr.count("\n") == 1
     assert res.stderr.startswith("jetgeo: numeric failure: SingularMetricError: ")
+
+
+def _conformal_exp_spec(tmp_path, rate):
+    # exp(rate * x) (dx^2 + dy^2): flat, and its jets overflow at large x
+    path = tmp_path / f"exp{rate}.json"
+    entry = f"exp({rate}*x)"
+    path.write_text(json.dumps({"dim": 2, "coords": ["x", "y"], "signature": [0, 2],
+                                "components": [{"i": 0, "j": 0, "expr": entry},
+                                               {"i": 1, "j": 1, "expr": entry}]}))
+    return str(path)
+
+
+def _cli_process(*argv):
+    # a process of its own, where numpy warnings reach stderr as they would
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "jetgeo.cli", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_non_finite_curvature_is_one_stderr_line(tmp_path):
+    # the level-0 jets of order 6 overflow here; their point values at
+    # order 0 do not, and levels are built only when asked for
+    spec = _conformal_exp_spec(tmp_path, 300)
+    res = _cli_process("curvature", "--spec", spec, "--point=2.2,0.0", "--k", "6")
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == ("jetgeo: numeric failure: NonFiniteError: "
+                          "non-finite coefficients in the curvature jets\n")
+    res = _cli_process("curvature", "--spec", spec, "--point=2.2,0.0", "--k", "0")
+    assert res.returncode == 0 and res.stderr == ""
+
+
+def test_metric_overflow_is_one_stderr_line(tmp_path):
+    res = _cli_process("curvature", "--spec", _conformal_exp_spec(tmp_path, 700),
+                       "--point=1.0,0.0", "--k", "0")
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == ("jetgeo: numeric failure: NonFiniteError: "
+                          "non-finite coefficients in jet exp\n")
+
+
+def test_overflowing_invariants_print_no_warning(tmp_path):
+    # r2 and ric2 overflow: the control fails, and nothing goes to stderr
+    res = _cli_process("check", "--spec", _conformal_exp_spec(tmp_path, 300), "--point=2.2,0.0")
+    assert res.returncode == 1 and res.stderr == ""
+    assert "weyl_control: FAIL (expected-nonzero control: " in res.stdout
+    assert "r2=inf, ric2=inf)" in res.stdout
 
 
 def test_numeric_failure_exits_3(capsys, sphere_path):

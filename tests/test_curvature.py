@@ -12,11 +12,12 @@ from jetgeo.curvature import (
     CurvatureContext,
     DegeneratePlaneError,
     TensorField,
+    _ordered_sum,
     jacobi_operator,
     skew_curvature_operator,
 )
 from jetgeo.family import FamilyParams, alpha_via_jacobi, build_metric, base_point
-from jetgeo.jets import SPARSE_PAIR_COST, Jet, JetOrderError, JetSpace, jet_space
+from jetgeo.jets import SPARSE_PAIR_COST, Jet, JetOrderError, JetSpace, NonFiniteError, jet_space
 from jetgeo.metric import flat_metric, metric_from_strings, two_sphere
 
 
@@ -277,15 +278,21 @@ def test_level_steps_take_no_per_component_products(monkeypatch):
     assert calls == {"jet": 0, "multiply": 0, "rows": 6}
 
 
-def test_family_context_memory_is_bounded():
-    # Traced peaks at family p = 5, max_deriv 8, on warm spaces.  The
-    # per-pair product loops of the Neumann inverse, the Christoffel symbols
-    # and level 0 measured 9.16 MiB for the context build and 5.20 MiB for
-    # level 0 above what the context holds; each may grow by a quarter.
+def test_family_context_memory_is_bounded(monkeypatch):
+    # Traced peaks at family p = 5, max_deriv 8, on warm spaces.  With every
+    # matrix at its live columns, the context build measured 3.03 MiB (most
+    # of it the dense metric jets of `expr.eval_jet`) and level 0 2.50 MiB
+    # above what the context holds (the product temporaries of one block of
+    # SPARSE_PAIR_COST ** 2 pairs); each may grow by a quarter.  The dense
+    # matrices took 9.16 and 5.20 MiB.  Level 0 is one `_riemann_block`.
     params = FamilyParams(5, ex.parse("exp(y) + exp(2*y)", ("y",)))
     pt = base_point(params, 0.1, [0.1] * 6)
     spec = build_metric(params)
     CurvatureContext(spec, pt, 8)._level(0)
+    blocks = []
+    block = CurvatureContext._riemann_block
+    monkeypatch.setattr(CurvatureContext, "_riemann_block",
+                        lambda self, *args: blocks.append(len(args[0][0])) or block(self, *args))
     tracemalloc.start()
     try:
         ctx = CurvatureContext(spec, pt, 8)
@@ -296,8 +303,22 @@ def test_family_context_memory_is_bounded():
         level0 = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert build <= 1.25 * 9.16 * 2 ** 20
-    assert level0 <= 1.25 * 5.20 * 2 ** 20
+    assert build <= 1.25 * 3.03 * 2 ** 20
+    assert level0 <= 1.25 * 2.50 * 2 ** 20
+    assert len(blocks) == 1 and blocks[0] == len(ctx._riemann_candidates())
+
+
+def test_non_finite_product_in_a_sum_raises():
+    # `multiply_rows` returns a product with a non-finite operand at every
+    # column, wider than the sum's columns: the sum stops with the error
+    # that a non-finite matrix raises
+    space = jet_space(("a", "b"), 4)
+    cols = np.array([0, 1])
+    a = np.array([[1.0, math.inf]])
+    out = space.product_cols(cols)
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+        _ordered_sum(out, np.empty((1, len(out))), np.zeros(1, dtype=np.intp),
+                     lambda ts: space.multiply_rows(cols, a[ts], a[ts]))
 
 
 def test_exhaustive_matches_sparse():

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jetgeo.curvature import _Jets
 from jetgeo.jets import (
     Jet,
     JetMismatchError,
@@ -167,7 +168,12 @@ DENSITIES = (0.0, 0.01, 0.05, 0.2, 0.6, 1.0)
 
 def _sparse(space, a, b):
     # the sparse route: the listing of the operands' nonzeros
-    return space._accumulate(a, b, *space._listing(((a != 0) | (b != 0))[None]))
+    nz = np.flatnonzero((a != 0) | (b != 0))
+    return space._accumulate(a[nz], b[nz], *space._listing(nz), space.size)
+
+
+def _table(space, a, b):
+    return space._accumulate(a, b, *space._mul(), space.size)
 
 
 def _operand(space, rng, density):
@@ -176,6 +182,21 @@ def _operand(space, rng, density):
     vals = rng.standard_normal(space.size) * 10.0 ** rng.integers(-8, 9, space.size)
     zeros = np.where(rng.random(space.size) < 0.5, -0.0, 0.0)
     return np.where(keep, vals, zeros)
+
+
+def _rows_product(space, a, b, cols):
+    """`multiply_rows` of the dense rows a and b taken at the ranks `cols`,
+    with its sums put back at their ranks in rows of zeros."""
+    out, sums = space.multiply_rows(cols, a[:, cols], b[:, cols])
+    assert out.dtype == np.intp and np.all(np.diff(out) > 0) and sums.shape == (len(a), len(out))
+    dense = np.zeros((len(a), space.size))
+    dense[:, out] = sums
+    return dense
+
+
+def _live_cols(a, b):
+    # the ranks where some row of a or of b is nonzero
+    return np.flatnonzero(((a != 0) | (b != 0)).any(axis=0))
 
 
 @given(
@@ -192,7 +213,7 @@ def test_product_routes_bit_identical(n, order, dens_a, dens_b, seed):
     sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
     rng = np.random.default_rng(seed)
     a, b = _operand(sp, rng, dens_a), _operand(sp, rng, dens_b)
-    table = sp._accumulate(a, b, *sp._mul())
+    table = _table(sp, a, b)
     sparse = _sparse(sp, a, b)
     assert sparse.tobytes() == table.tobytes()
     assert _sparse(sp, b, a).tobytes() == sparse.tobytes()
@@ -204,45 +225,52 @@ ROWS = st.lists(st.tuples(st.sampled_from(DENSITIES), st.sampled_from(DENSITIES)
 
 
 @given(n=st.integers(0, 5), order=st.integers(0, 6), rows=ROWS, seed=st.integers(0, 2**32 - 1))
-@example(n=3, order=6, rows=[(1.0, 1.0), (0.0, 0.6), (0.2, 0.0)], seed=0)  # table route
-@example(n=5, order=5, rows=[(0.01, 0.01), (0.0, 0.0), (0.01, 0.05)], seed=1)  # sparse
+@example(n=3, order=6, rows=[(1.0, 1.0), (0.0, 0.6), (0.2, 0.0)], seed=0)  # every column
+@example(n=5, order=5, rows=[(0.01, 0.01), (0.0, 0.0), (0.01, 0.05)], seed=1)  # a few
 @example(n=2, order=4, rows=[], seed=2)
 @example(n=0, order=3, rows=[(1.0, 1.0), (0.0, 1.0)], seed=3)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_batched_product_rows_match_multiply(n, order, rows, seed):
+    # at the rows' live columns, and at every column
     sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
     rng = np.random.default_rng(seed)
     a = np.array([_operand(sp, rng, da) for da, _ in rows]).reshape(len(rows), sp.size)
     b = np.array([_operand(sp, rng, db) for _, db in rows]).reshape(len(rows), sp.size)
-    out = sp.multiply_rows(a, b)
-    assert out.shape == (len(rows), sp.size)
-    for r in range(len(rows)):
-        assert out[r].tobytes() == sp.multiply(a[r], b[r]).tobytes()
+    for cols in (_live_cols(a, b), np.arange(sp.size)):
+        out = _rows_product(sp, a, b, cols)
+        for r in range(len(rows)):
+            assert out[r].tobytes() == sp.multiply(a[r], b[r]).tobytes()
 
 
 def test_batched_product_takes_both_routes(monkeypatch):
-    # the examples above reach each route; this pins which one they take:
-    # one listing per block of sparse rows, none past the table's own
+    # one listing a call, over the joint columns, whatever the number of
+    # row blocks; every column takes the pair table as it stands
     listed = []
     listing = JetSpace._listing
     monkeypatch.setattr(JetSpace, "_listing",
-                        lambda self, live: listed.append(live.shape) or listing(self, live))
+                        lambda self, ranks: listed.append(len(ranks)) or listing(self, ranks))
     rng = np.random.default_rng(1)
     sparse = jet_space(tuple(f"v{i}" for i in range(5)), 5)
-    step = SPARSE_PAIR_COST ** 2 // sparse._pairs  # rows a block
-    a = np.zeros((2 * step + 1, sparse.size))  # one nonzero a row
-    a[np.arange(len(a)), rng.integers(0, sparse.size, len(a))] = rng.standard_normal(len(a))
-    sparse.multiply_rows(a, a[::-1].copy())
-    assert listed == [(step, sparse.size), (step, sparse.size), (1, sparse.size)]
+    cols = np.arange(sparse.size_at(2))  # degree <= 2: 21 of 252 columns
+    pairs = sum(len(x) for x in listing(sparse, cols)[::3])
+    step = SPARSE_PAIR_COST ** 2 // pairs  # rows a block
+    a = np.zeros((2 * step + 1, sparse.size))
+    a[:, cols] = rng.standard_normal((len(a), len(cols)))
+    a[a < 0.5] = 0.0
+    out = _rows_product(sparse, a, a[::-1].copy(), cols)
+    assert listed == [len(cols)]
+    for r in range(len(a)):
+        assert out[r].tobytes() == sparse.multiply(a[r], a[-1 - r]).tobytes()
     dense = jet_space(tuple(f"v{i}" for i in range(3)), 6)
     dense._mul()
     a = np.array([_operand(dense, rng, 1.0) for _ in range(3)])
-    dense.multiply_rows(a, a)
-    assert len(listed) == 3
+    _rows_product(dense, a, a, np.arange(dense.size))
+    assert listed == [len(cols)]
 
 
 def test_non_finite_operands_take_the_table_route(monkeypatch):
-    # inf * 0 is nan on the table route; the sparse route would skip it
+    # inf * 0 is nan on the table route; the sparse route would skip it,
+    # and so would a product at the operands' own columns
     sp = jet_space(("a", "b", "c"), 6)
     a = np.zeros(sp.size)
     a[sp.rank[(0, 2, 0)]] = 2.0
@@ -252,16 +280,17 @@ def test_non_finite_operands_take_the_table_route(monkeypatch):
     listed = []
     listing = JetSpace._listing
     monkeypatch.setattr(JetSpace, "_listing",
-                        lambda self, live: listed.append(live.shape) or listing(self, live))
+                        lambda self, ranks: listed.append(len(ranks)) or listing(self, ranks))
+    cols = _live_cols(a[None], b[None])
     sp.multiply(a, b)
-    sp.multiply_rows(a[None], b[None])
-    assert len(listed) == 2  # finite, these operands go sparse
+    _rows_product(sp, a[None], b[None], cols)
+    assert listed == [2, 2]  # finite, these operands go sparse
     a[sp.rank[(0, 2, 0)]] = math.inf
     with np.errstate(invalid="ignore"):
         out = sp.multiply(a, b)
-        assert out.tobytes() == sp._accumulate(a, b, *sp._mul()).tobytes()
-        assert sp.multiply_rows(a[None], b[None])[0].tobytes() == out.tobytes()
-    assert len(listed) == 2
+        assert out.tobytes() == _table(sp, a, b).tobytes()
+        assert _rows_product(sp, a[None], b[None], cols)[0].tobytes() == out.tobytes()
+    assert listed == [2, 2]
     assert np.isnan(out[sp.rank[(0, 2, 0)]]) and out[sp.rank[(1, 2, 0)]] == math.inf
 
 
@@ -276,11 +305,69 @@ def test_wide_space_codes_are_python_ints():
     x, y = dyadic_jet(sp, rng), dyadic_jet(sp, rng)
     last = [sp.rank[(0,) * 39 + (k,)] for k in range(3)]  # 1, v39, v39^2
     assert (x * y).coef[last[2]] == sum(x.coef[last[i]] * y.coef[last[2 - i]] for i in range(3))
-    assert np.array_equal(
-        _sparse(sp, x.coef, y.coef),
-        sp._accumulate(x.coef, y.coef, *sp._mul()),
-    )
+    assert np.array_equal(_sparse(sp, x.coef, y.coef), _table(sp, x.coef, y.coef))
     assert x.deriv("v39").coef[last[1]] == 2 * x.coef[last[2]]
+
+
+# ----------------------------------------------------------- compact kernels
+COMPACT_SPACES = ((1, 6), (2, 5), (3, 4), (5, 3), (40, 2))  # (40, 2): Python-int codes
+
+
+@given(
+    shape=st.sampled_from(COMPACT_SPACES),
+    kind=st.sampled_from(("empty", "one", "some", "full")),
+    rows=st.integers(1, 40),
+    scale=st.sampled_from((1e-8, 1.0, 1e8)),
+    non_finite=st.sampled_from((None, math.inf, -math.inf, math.nan)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape=(40, 2), kind="some", rows=40, scale=1e8, non_finite=None, seed=0)
+@example(shape=(3, 4), kind="one", rows=3, scale=1.0, non_finite=math.inf, seed=1)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_compact_kernels_match_dense(shape, kind, rows, scale, non_finite, seed):
+    # the products and derivatives at a set of columns, against `multiply`
+    # and `Jet.deriv` of the same rows put in full rows of zeros
+    n, order = shape
+    sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
+    rng = np.random.default_rng(seed)
+    cols = {"empty": np.zeros(0, dtype=np.intp), "full": np.arange(sp.size),
+            "one": rng.integers(0, sp.size, 1),
+            "some": np.flatnonzero(rng.random(sp.size) < 0.2)}[kind]
+
+    def operand():
+        # nonzeros over the scale's decades, zeros a mix of 0.0 and -0.0
+        vals = rng.standard_normal((rows, len(cols))) * scale * 10.0 ** rng.integers(-2, 3)
+        zeros = np.where(rng.random(vals.shape) < 0.5, -0.0, 0.0)
+        return np.where(rng.random(vals.shape) < 0.6, vals, zeros)
+
+    a, b = operand(), operand()
+    if non_finite is not None and len(cols):
+        a[rng.integers(0, rows), rng.integers(0, len(cols))] = non_finite
+    dense_a, dense_b = np.zeros((2, rows, sp.size))
+    dense_a[:, cols], dense_b[:, cols] = a, b
+    with np.errstate(over="ignore", invalid="ignore"):
+        out, sums = sp.multiply_rows(cols, a, b)
+        for r in range(rows):
+            want = sp.multiply(dense_a[r], dense_b[r])
+            got = np.zeros(sp.size)
+            got[out] = sums[r]
+            assert got.tobytes() == want.tobytes()
+    if non_finite is not None and len(cols):
+        with pytest.raises(NonFiniteError):
+            _Jets(np.arange(rows)[:, None], cols, a, sp)
+        return
+    jets = _Jets(np.arange(rows)[:, None], cols, a, sp)
+    var = rng.integers(-1, n, len(jets))
+    if order == 0 or not len(jets):
+        return
+    d_cols, d = jets.derivs(np.arange(len(jets)), var)
+    for r, v in enumerate(var.tolist()):
+        want = np.zeros(sp.size_at(order - 1))
+        if v >= 0:
+            want = Jet(sp, jets.coef[r]).deriv(f"v{v}").coef
+        got = np.zeros(len(want))
+        got[d_cols] = d[r]
+        assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------- deriv/extract

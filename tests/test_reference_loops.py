@@ -712,9 +712,12 @@ def same_arrays(got, want):
 
 
 def same_jets(got, want):
-    """Same keys in the same order, and the same coefficients to the bit."""
+    """Same keys in the same order, and the same coefficients to the bit, up
+    to the sign of a zero: a fresh row of a minus sum in the loops starts
+    from -term, which leaves -0.0 in every column no term touches, and the
+    context keeps no column where all its jets are zero."""
     return list(got) == list(want) and all(
-        bits(got[key].coef) == bits(jet.coef) for key, jet in want.items())
+        bits(got[key].coef + 0.0) == bits(jet.coef + 0.0) for key, jet in want.items())
 
 
 def same_frames(got, want):
@@ -1004,7 +1007,7 @@ def test_full_row_listing_is_the_table(n, order):
     sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
     want = ref_mul(sp)
     assert int(ref_pair_rows(sp).sum()) == sp._pairs
-    for got in (sp._listing(np.ones((1, sp.size), dtype=bool)), sp._mul()):
+    for got in (sp._listing(np.arange(sp.size)), sp._mul()):
         assert len(got) == len(want)
         assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
 
@@ -1018,6 +1021,16 @@ def _operand(space, rng, density):
     vals = rng.standard_normal(space.size) * 10.0 ** rng.integers(-8, 9, space.size)
     zeros = np.where(rng.random(space.size) < 0.5, -0.0, 0.0)
     return np.where(keep, vals, zeros)
+
+
+def rows_product(space, a, b):
+    """`multiply_rows` of the dense rows a and b at their live columns, with
+    its sums put back at their ranks in rows of zeros."""
+    cols = np.flatnonzero(((a != 0) | (b != 0)).any(axis=0))
+    out, sums = space.multiply_rows(cols, a[:, cols], b[:, cols])
+    dense = np.zeros(a.shape)
+    dense[:, out] = sums
+    return dense
 
 
 ROWS = st.lists(st.tuples(st.sampled_from(DENSITIES), st.sampled_from(DENSITIES)),
@@ -1034,7 +1047,7 @@ def test_products_match_reference_routes(n, order, rows, seed):
     rng = np.random.default_rng(seed)
     a = np.array([_operand(sp, rng, da) for da, _ in rows])
     b = np.array([_operand(sp, rng, db) for _, db in rows])
-    assert bits(sp.multiply_rows(a, b)) == bits(ref_multiply_rows(sp, a, b))
+    assert bits(rows_product(sp, a, b)) == bits(ref_multiply_rows(sp, a, b))
     for x, y in zip(a, b):
         assert bits(sp.multiply(x, y)) == bits(ref_multiply(sp, x, y))
         assert bits(sp.multiply(y, x)) == bits(ref_multiply(sp, y, x))
@@ -1047,7 +1060,7 @@ def test_non_finite_products_match_reference_routes():
     b = np.array([_operand(sp, rng, 0.05) for _ in range(4)])
     a[1, 7], b[2, 0], a[3, 30] = math.inf, math.nan, -math.inf
     with np.errstate(invalid="ignore", over="ignore"):
-        assert bits(sp.multiply_rows(a, b)) == bits(ref_multiply_rows(sp, a, b))
+        assert bits(rows_product(sp, a, b)) == bits(ref_multiply_rows(sp, a, b))
         for x, y in zip(a, b):
             assert bits(sp.multiply(x, y)) == bits(ref_multiply(sp, x, y))
 
