@@ -394,12 +394,13 @@ class CurvatureContext:
 
     def _metric_rows(self, env) -> _Jets:
         """The metric jets of the upper triangle row by row, zeros left out."""
-        jets = {(i, j): ex.eval_jet(self.spec.components[i][j], env, self.active, self.order).coef
-                for i in range(self.dim) for j in range(i, self.dim)
-                if self.spec.components[i][j] != ex.Const(0.0)}
+        index = [(i, j) for i in range(self.dim) for j in range(i, self.dim)
+                 if self.spec.components[i][j] != ex.Const(0.0)]
         # not empty: `validate_at` has ruled out a zero metric
-        return _Jets(np.array([*jets], dtype=np.intp), np.arange(self._space.size),
-                     np.array([*jets.values()]), self._space)
+        coef = np.empty((len(index), self._space.size))
+        for row, (i, j) in enumerate(index):
+            coef[row] = ex.eval_jet(self.spec.components[i][j], env, self.active, self.order).coef
+        return _Jets(np.array(index, dtype=np.intp), np.arange(self._space.size), coef, self._space)
 
     def _neumann_inverse(self) -> _Jets:
         """Inverse-metric jets at full order.

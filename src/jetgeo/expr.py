@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jets import Jet, NonFiniteError, jet_space
+from .jets import Jet, JetSpace, NonFiniteError, jet_space
 
 __all__ = [
     "Expr",
@@ -379,45 +379,52 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
 
     Variables outside `active` are frozen at their base values.  The
     coefficient at multi-index m of the result is d^m e(base) / m!.
+
+    Each node is evaluated over the active variables it holds (Taylor
+    propagation restricted to a term's own variables: Griewank and Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  A constant or a
+    frozen variable is a float.  A sum or a product works over the union of
+    its operands' variables and lifts each operand there as the fold reaches
+    it (`JetSpace.lift`; a float becomes a constant there); a unary node
+    stays over its operand's, and only the result is lifted to `active`.
+    A jet lifts bit for bit (see `jets`), so every coefficient is the one of
+    evaluating each node over all of `active`, up to the sign of a zero.
     """
     space = jet_space(tuple(active), order)
-    act = set(space.variables)
 
-    def rec(node: Expr) -> Jet:
+    def lift(v, to: JetSpace) -> Jet:
+        return to.lift(v) if isinstance(v, Jet) else to.constant(v)
+
+    def rec(node: Expr) -> Jet | float:
         if isinstance(node, Const):
-            return space.constant(float(node.value))
+            return float(node.value)
         if isinstance(node, Var):
             try:
                 v = float(base[node.name])
             except KeyError:
                 raise UnknownVariableError(node.name, 0) from None
-            if node.name in act:
-                return space.variable(node.name, v)
-            return space.constant(v)
-        if isinstance(node, Sum):
-            acc = rec(node.terms[0])
-            for t in node.terms[1:]:
-                acc = acc + rec(t)
+            if node.name in space.variables:
+                return jet_space((node.name,), order).variable(node.name, v)
+            return v
+        if isinstance(node, (Sum, Prod)):
+            vals = [rec(t) for t in _children(node)]
+            names = set().union(*(v.variables for v in vals if isinstance(v, Jet)))
+            to = jet_space(tuple(n for n in space.variables if n in names), order)
+            acc = lift(vals[0], to)
+            for v in vals[1:]:
+                acc = acc + lift(v, to) if isinstance(node, Sum) else acc * lift(v, to)
             return acc
-        if isinstance(node, Prod):
-            acc = rec(node.factors[0])
-            for f in node.factors[1:]:
-                acc = acc * rec(f)
-            return acc
-        if isinstance(node, Pow):
-            return rec(node.base).pow(node.exponent)
+        arg = rec(_children(node)[0])
         if isinstance(node, Neg):
-            return -rec(node.arg)
-        if isinstance(node, Exp):
-            return rec(node.arg).exp()
-        if isinstance(node, Sin):
-            return rec(node.arg).sin()
-        if isinstance(node, Cos):
-            return rec(node.arg).cos()
-        raise TypeError(f"not an Expr node: {node!r}")
+            return -arg
+        if not isinstance(arg, Jet):
+            arg = jet_space((), order).constant(arg)
+        if isinstance(node, Pow):
+            return arg.pow(node.exponent)
+        return {Exp: Jet.exp, Sin: Jet.sin, Cos: Jet.cos}[type(node)](arg)
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = rec(e)
+        out = lift(rec(e), space)
     if not np.isfinite(out.coef).all():
         raise NonFiniteError("expression evaluation produced non-finite coefficients")
     return out

@@ -118,7 +118,8 @@ class _Kernel:
     transpose), their partials in `spec.active_vars`, and w_c = sum of d^a d^b
     Gamma_abc over `curvature.christoffel_terms` in its order.  `gamma` and
     `gamma_dep` (the nonzero (a, b) of Gamma_ab^c per c, and their variables)
-    are the symbolic half of `triangular_report`."""
+    are the symbolic half of `triangular_report`, and `report` keeps its last
+    (point, report): the probe's seed is fixed, so a point's report is too."""
 
     def __init__(self, spec: MetricSpec):
         m, active = spec.dim, spec.active_vars
@@ -153,6 +154,7 @@ class _Kernel:
         for space in spaces:
             exec(code, space)
         self.force, self._rows = (space["force"] for space in spaces)
+        self.report: tuple = (None, None)
 
     def force_rows(self, u, d):
         with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
@@ -239,6 +241,9 @@ def triangular_report(spec: MetricSpec, point: Sequence[float]) -> TriangularRep
     `point`."""
     m = spec.dim
     kernel = _kernel(spec)
+    at = tuple(map(float, point))
+    if kernel.report[0] == at:
+        return kernel.report[1]
     inv_nonzero, inv_constant = _inverse_probe(spec, point)
 
     force_pairs: dict[int, set[tuple[int, int]]] = {}
@@ -260,8 +265,10 @@ def triangular_report(spec: MetricSpec, point: Sequence[float]) -> TriangularRep
             if bad.difference(free):
                 blocking.append(f"force on {spec.coords[c]} {what} "
                                 + ",".join(spec.coords[a] for a in sorted(bad.difference(free))))
-    return TriangularReport(not blocking, tuple(spec.coords[c] for c in free),
-                            tuple(spec.coords[c] for c in forced), tuple(blocking))
+    report = TriangularReport(not blocking, tuple(spec.coords[c] for c in free),
+                              tuple(spec.coords[c] for c in forced), tuple(blocking))
+    kernel.report = at, report
+    return report
 
 
 # ------------------------------------------------------------- quadrature

@@ -43,6 +43,16 @@ most SPARSE_PAIR_COST pairs always takes the table without counting
 nonzeros, and b is not counted when nnz(a) * SPARSE_PAIR_COST alone reaches
 the pair count (a zero b then takes the table, for the same bits).
 
+`JetSpace.lift` embeds a jet over a subsequence of the variables, at the
+same order, in the space of all of them: m there is m with zeros added here,
+with code sum_v m_v code(e_v), so one `searchsorted` gives its rank.  The
+graded-lex order of the multi-indices of a subsequence of the variables is
+their order in their own space, so that space's pair table is, pair for
+pair and in order, the listing here of the lifted ranks, a superset of the
+lifted operands' nonzeros.  So the product of lifted jets is the lift of
+their product, to the bit, and sums and the analytic series follow; only a
+sum that held -0.0 off the lifted ranks holds +0.0 there.
+
 `multiply_rows` multiplies many pairs of jets bit for bit as `multiply`
 would, given column-compressed: (rows, len(cols)) coefficients at an
 ascending set `cols` of ranks that all rows share.  It lists `cols` once
@@ -141,8 +151,9 @@ class JetSpace:
     form before the table exists.  `multiply` picks the table or the sparse
     route per call from the operands' nonzero counts; `_mul_tables` stays
     None until the table is first needed.  `_last_listing` keeps the last
-    column set `multiply_rows` listed, and `_deriv_full` the derivative
-    table of every rank; neither changes a result.
+    column set `multiply_rows` listed, `_deriv_full` the derivative table of
+    every rank, and `_lifts` the ranks here of each space lifted from; none
+    changes a result.
     """
 
     def __init__(self, variables: Sequence[str], order: int):
@@ -176,6 +187,7 @@ class JetSpace:
         self._mul_tables = None
         self._last_listing: tuple = (None,)
         self._deriv_full = None
+        self._lifts: dict = {}
 
     def size_at(self, order: int) -> int:
         """Number of multi-indices of total degree <= order (a table prefix)."""
@@ -201,6 +213,24 @@ class JetSpace:
         if self.order >= 1:
             unit = tuple(1 if i == self._var_pos[name] else 0 for i in range(self.n))
             coef[self.rank[unit]] = 1.0
+        return Jet(self, coef)
+
+    def lift(self, jet: "Jet") -> "Jet":
+        """`jet`, of this order over a subsequence of these variables, as a
+        jet of this space: its coefficients put at the ranks of their
+        multi-indices here (see the module docstring)."""
+        small = jet.space
+        if small is self:
+            return jet
+        if small.key() not in self._lifts:
+            if small.order != self.order:
+                raise JetMismatchError(f"cannot lift order {small.order} to {self.order}")
+            pos = [self._var_pos[v] for v in small.variables]
+            # code(m) = sum_v m_v code(e_v), as the degree is sum_v m_v
+            codes = (small._exps * self._unit_codes[pos]).sum(axis=1)
+            self._lifts[small.key()] = np.searchsorted(self._codes, codes)
+        coef = np.zeros(self.size)
+        coef[self._lifts[small.key()]] = jet.coef
         return Jet(self, coef)
 
     # ------------------------------------------------------------- arithmetic

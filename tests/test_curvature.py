@@ -278,16 +278,58 @@ def test_level_steps_take_no_per_component_products(monkeypatch):
     assert calls == {"jet": 0, "multiply": 0, "rows": 6}
 
 
-def test_family_context_memory_is_bounded(monkeypatch):
-    # Traced peaks at family p = 5, max_deriv 8, on warm spaces.  With every
-    # matrix at its live columns, the context build measured 3.03 MiB (most
-    # of it the dense metric jets of `expr.eval_jet`) and level 0 2.50 MiB
-    # above what the context holds (the product temporaries of one block of
-    # SPARSE_PAIR_COST ** 2 pairs); each may grow by a quarter.  The dense
-    # matrices took 9.16 and 5.20 MiB.  Level 0 is one `_riemann_block`.
+def _family_p5():
     params = FamilyParams(5, ex.parse("exp(y) + exp(2*y)", ("y",)))
     pt = base_point(params, 0.1, [0.1] * 6)
-    spec = build_metric(params)
+    return pt, build_metric(params)
+
+
+def test_family_metric_jets_take_their_own_spaces(monkeypatch):
+    # g_00 = -2 (f(y) + sum_i y^(i+1) z_i) at p = 5, max_deriv 8: f's exp
+    # series run over y alone, each term over its own variables, and only
+    # -2 times the sum is a product over all 7
+    pt, spec = _family_p5()
+    ctx = CurvatureContext(spec, pt, 8)
+    exps, products = [], []
+    exp, multiply = Jet.exp, JetSpace.multiply
+    monkeypatch.setattr(Jet, "exp", lambda self: exps.append(self.variables) or exp(self))
+    monkeypatch.setattr(JetSpace, "multiply",
+                        lambda self, a, b: products.append(self.variables) or multiply(self, a, b))
+    rows = ctx._metric_rows(spec.env_at(pt))
+    assert exps == [("y",)] * 2
+    assert len(ctx.active) == 7 and products.count(ctx.active) <= 1
+    assert max(map(len, set(products) - {ctx.active})) == 2
+    assert rows.vals.tobytes() == ctx._g_rows.vals.tobytes()
+
+
+def test_metric_jet_lifts_operands_one_at_a_time():
+    # The peak of evaluating g_00 at p = 5 to order 10 on warm spaces: 633
+    # KiB measured, with the sum's seven terms lifted to all 7 variables as
+    # the fold reaches them; lifting them all up front took 1,372 KiB, and
+    # every node over all 7 variables 1,070 KiB.  It may grow by a quarter.
+    pt, spec = _family_p5()
+    e, env = spec.components[0][0], spec.env_at(pt)
+    want = ex.eval_jet(e, env, spec.active_vars, 10)
+    tracemalloc.start()
+    try:
+        got = ex.eval_jet(e, env, spec.active_vars, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.coef.tobytes() == want.coef.tobytes()
+    assert peak <= 1.25 * 633 * 2 ** 10
+
+
+def test_family_context_memory_is_bounded(monkeypatch):
+    # Traced peaks at family p = 5, max_deriv 8, on warm spaces.  With every
+    # matrix at its live columns, the context build measured 1.96 MiB (most
+    # of it the 9 x 19,448 metric rows `_metric_rows` fills, and the 633 KiB
+    # of evaluating g_00) and level 0 2.50 MiB above what the context holds
+    # (the product temporaries of one block of SPARSE_PAIR_COST ** 2 pairs);
+    # each may grow by a quarter.  The build took 3.03 MiB while the metric
+    # jets were kept apart and then stacked, and 9.16 MiB with dense
+    # matrices, level 0 5.20 MiB.  Level 0 is one `_riemann_block`.
+    pt, spec = _family_p5()
     CurvatureContext(spec, pt, 8)._level(0)
     blocks = []
     block = CurvatureContext._riemann_block
@@ -303,7 +345,7 @@ def test_family_context_memory_is_bounded(monkeypatch):
         level0 = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert build <= 1.25 * 3.03 * 2 ** 20
+    assert build <= 1.25 * 1.96 * 2 ** 20
     assert level0 <= 1.25 * 2.50 * 2 ** 20
     assert len(blocks) == 1 and blocks[0] == len(ctx._riemann_candidates())
 

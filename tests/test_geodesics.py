@@ -452,3 +452,25 @@ def test_triangular_report_is_scale_invariant():
         want = geo.triangular_report(s, q)
         for k in range(-20, 21, 4):
             assert geo.triangular_report(_scaled(s, 10.0 ** k), q) == want, (s, k)
+
+
+def test_triangular_report_probes_once_per_point(monkeypatch):
+    # the report is deterministic (a fixed probe seed), so the kernel keeps
+    # the last one: the direct solve, exp_map and log_map from one start
+    # probe once between them, and a new point probes again
+    spec, pt = family_setup()
+    calls = []
+    value = MetricSpec.value
+    monkeypatch.setattr(MetricSpec, "value", lambda self, q: calls.append(1) or value(self, q))
+    want = geo.triangular_report(spec, pt)
+    probes = len(calls)
+    assert probes > 3
+    vel = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)
+    geo.triangular_ivp(spec, pt, vel)
+    end = geo.exp_map(spec, pt, vel)
+    geo.log_map(spec, list(pt), tuple(end))
+    assert geo.triangular_report(spec, np.array(pt)) is want and len(calls) == probes
+    other = (pt[0], pt[1] + 0.1, *pt[2:])
+    assert geo.triangular_report(spec, other) == want and len(calls) == 2 * probes
+    geo.triangular_report(spec, pt)
+    assert len(calls) == 3 * probes

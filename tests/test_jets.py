@@ -307,6 +307,37 @@ def test_wide_space_codes_are_python_ints():
     assert (x * y).coef[last[2]] == sum(x.coef[last[i]] * y.coef[last[2 - i]] for i in range(3))
     assert np.array_equal(_sparse(sp, x.coef, y.coef), _table(sp, x.coef, y.coef))
     assert x.deriv("v39").coef[last[1]] == 2 * x.coef[last[2]]
+    lifted = sp.lift(jet_space(("v3", "v39"), 2).variable("v39", 0.5))
+    assert lifted.coef.tobytes() == sp.variable("v39", 0.5).coef.tobytes()
+
+
+@given(n=st.integers(0, 4), order=st.integers(0, 6), dens_a=st.sampled_from(DENSITIES),
+       dens_b=st.sampled_from(DENSITIES), seed=st.integers(0, 2**32 - 1))
+@example(n=4, order=6, dens_a=1.0, dens_b=1.0, seed=3)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_lift_keeps_products_to_the_bit(n, order, dens_a, dens_b, seed):
+    # a jet over a subsequence of the variables lifts coefficient by
+    # coefficient, and the product of lifted jets is the lifted product
+    rng = np.random.default_rng(seed)
+    names = tuple(f"v{i}" for i in range(n))
+    sub = tuple(v for v in names if rng.random() < 0.6)
+    big, small = jet_space(names, order), jet_space(sub, order)
+    a, b = (Jet(small, _operand(small, rng, d)) for d in (dens_a, dens_b))
+    la, lb = big.lift(a), big.lift(b)
+    for m, r in small.rank.items():
+        at = big.rank[tuple(m[sub.index(v)] if v in sub else 0 for v in names)]
+        assert la.coef[at].tobytes() == a.coef[r].tobytes()
+    assert np.count_nonzero(la.coef) == np.count_nonzero(a.coef)
+    assert (la * lb).coef.tobytes() == big.lift(a * b).coef.tobytes()
+    assert big.lift(la) is la
+
+
+def test_lift_needs_the_order_and_the_variables():
+    big = jet_space(("a", "b"), 3)
+    with pytest.raises(JetMismatchError):
+        big.lift(jet_space(("a",), 2).variable("a", 1.0))
+    with pytest.raises(KeyError):
+        big.lift(jet_space(("c",), 3).variable("c", 1.0))
 
 
 # ----------------------------------------------------------- compact kernels

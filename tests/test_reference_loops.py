@@ -32,8 +32,10 @@ from jetgeo import geodesics as geo
 from jetgeo import invariants as inv
 from jetgeo.curvature import CurvatureContext, christoffel_terms
 from jetgeo.invariants import WORK_LIMIT, CapsExceededError, ContractionSchema
-from jetgeo.jets import SPARSE_PAIR_COST, Jet, _ramps, jet_space
+from jetgeo.jets import SPARSE_PAIR_COST, Jet, NonFiniteError, _ramps, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
+from test_expr import CHART as EXPR_CHART
+from test_expr import exprs
 from test_geodesics import force_cases
 
 PROFILES = ["exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0"]
@@ -533,6 +535,51 @@ def ref_multiply_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def ref_eval_jet(e: ex.Expr, base, active: Sequence[str], order: int) -> Jet:
+    """`expr.eval_jet` with every node a dense jet over all of `active`."""
+    space = jet_space(tuple(active), order)
+    act = set(space.variables)
+
+    def rec(node: ex.Expr) -> Jet:
+        if isinstance(node, ex.Const):
+            return space.constant(float(node.value))
+        if isinstance(node, ex.Var):
+            try:
+                v = float(base[node.name])
+            except KeyError:
+                raise ex.UnknownVariableError(node.name, 0) from None
+            if node.name in act:
+                return space.variable(node.name, v)
+            return space.constant(v)
+        if isinstance(node, ex.Sum):
+            acc = rec(node.terms[0])
+            for t in node.terms[1:]:
+                acc = acc + rec(t)
+            return acc
+        if isinstance(node, ex.Prod):
+            acc = rec(node.factors[0])
+            for f in node.factors[1:]:
+                acc = acc * rec(f)
+            return acc
+        if isinstance(node, ex.Pow):
+            return rec(node.base).pow(node.exponent)
+        if isinstance(node, ex.Neg):
+            return -rec(node.arg)
+        if isinstance(node, ex.Exp):
+            return rec(node.arg).exp()
+        if isinstance(node, ex.Sin):
+            return rec(node.arg).sin()
+        if isinstance(node, ex.Cos):
+            return rec(node.arg).cos()
+        raise TypeError(f"not an Expr node: {node!r}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = rec(e)
+    if not np.isfinite(out.coef).all():
+        raise NonFiniteError("expression evaluation produced non-finite coefficients")
+    return out
+
+
 def ref_pointwise(fn, v):
     # math's function value by value, as in `eval_jet`: numpy's exp differs
     # from math.exp in the last bit for about one argument in twenty
@@ -740,6 +787,14 @@ def outcome(fn):
 
 def same_errors(got, want):
     return type(got) is type(want) and str(got) == str(want)
+
+
+def jet_outcome(fn):
+    """fn's jet, or the error an overflow raised (ValueError: math.sin(inf))."""
+    try:
+        return fn()
+    except (NonFiniteError, ValueError) as err:
+        return err
 
 
 MEMBERS = [(p, text) for p in range(4) for text in PROFILES]
@@ -1063,6 +1118,51 @@ def test_non_finite_products_match_reference_routes():
         assert bits(rows_product(sp, a, b)) == bits(ref_multiply_rows(sp, a, b))
         for x, y in zip(a, b):
             assert bits(sp.multiply(x, y)) == bits(ref_multiply(sp, x, y))
+
+
+# ------------------------------------------------------ expression jets
+def _same_jet_outcome(e, base, active, order):
+    got = jet_outcome(lambda: ex.eval_jet(e, base, active, order))
+    want = jet_outcome(lambda: ref_eval_jet(e, base, active, order))
+    if isinstance(want, Exception):
+        return same_errors(got, want)
+    return (isinstance(got, Jet) and got.space is want.space
+            and bits(got.coef + 0.0) == bits(want.coef + 0.0))
+
+
+@given(e=exprs(), active=st.lists(st.sampled_from(EXPR_CHART + ("w",)), min_size=1,
+                                  max_size=4, unique=True),
+       order=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_eval_jet_matches_dense_reference(e, active, order, seed):
+    # 1-4 active variables in any order, the chart's others frozen, and w,
+    # which no expression holds; every coefficient byte-equal up to the sign
+    # of a zero, or the same error
+    base = dict(zip(EXPR_CHART + ("w",), np.random.default_rng(seed).uniform(-2.0, 2.0, 4)))
+    assert _same_jet_outcome(e, base, active, order)
+
+
+@pytest.mark.parametrize("text,y", [("exp(y)", 800.0), ("(1e200*y)^2", 1.0),
+                                    ("sin(y*1e300*y)", 1e10), ("z0*exp(y)", 708.0)])
+def test_eval_jet_overflow_matches_dense_reference(text, y):
+    e = ex.parse(text, EXPR_CHART)
+    base = {"y": y, "z0": 1e308, "z1": 0.5}
+    for active in (("y",), ("z0", "y"), EXPR_CHART):
+        for order in (0, 2, 5):
+            want = jet_outcome(lambda: ref_eval_jet(e, base, active, order))
+            assert isinstance(want, Exception) and _same_jet_outcome(e, base, active, order)
+
+
+@pytest.mark.parametrize("p", range(6))
+def test_family_metric_jets_match_dense_reference(p):
+    # every entry at the order a context of max_deriv p + 3 evaluates, bit for bit
+    params = fam.FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    spec = fam.build_metric(params)
+    env = spec.env_at(fam.base_point(params, 0.1, [0.1 * (-1) ** i for i in range(p + 1)]))
+    for row in spec.components:
+        for e in row:
+            got = ex.eval_jet(e, env, spec.active_vars, p + 5)
+            assert bits(got.coef) == bits(ref_eval_jet(e, env, spec.active_vars, p + 5).coef)
 
 
 # -------------------------------------------------------- geodesic kernel
