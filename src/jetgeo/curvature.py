@@ -318,10 +318,11 @@ def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign
             acc[r] = add(acc[r], vals[sel])
 
 
-def _flush(coef: np.ndarray, scale: float) -> np.ndarray:
-    """`coef` with the entries at machine noise against `scale` set to 0; a
-    non-finite scale leaves `coef` as it is, for `_Jets` to reject."""
-    if not np.isfinite(scale):
+def _flush(coef: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """`coef` with the entries at machine noise against `scale` (broadcast to
+    it) set to 0; a non-finite scale leaves `coef` as it is, for `_Jets` to
+    reject."""
+    if not np.isfinite(scale).all():
         return coef
     return np.where(np.abs(coef) <= 64.0 * np.finfo(float).eps * scale, 0.0, coef)
 
@@ -415,14 +416,20 @@ class CurvatureContext:
         exact inverse has as 0 often comes out of `np.linalg.inv` as about
         1e-17; through the sweeps it would fill the inverse jets (at p = 5
         in the family, 16,445 of 19,448 coefficients where 38 are nonzero),
-        and every product with them would be dense.  max|h0| is at most the
-        scale of the end flush, so the seed zeroes only entries that flush
-        deletes from the constant terms anyway.  `ginv0` itself is kept as
-        computed.  Both floors are stopgaps: coefficient error bounds are to
-        replace them (ROADMAP, error-bounded zero decisions).
+        and every product with them would be dense.  Each entry is judged
+        against the scale of its own rows, sqrt(R_i R_j) with R_i the
+        largest |ginv0_ik| (and at the end sqrt(M_a M_b), M_a the largest
+        coefficient of the rows (a, .)), so a block scaled by 1e-8 beside
+        one of order 1 keeps the coefficients it has alone.  R_i is at most
+        M_i (column 0 of the result is h0), so the seed zeroes only entries
+        that the end flush deletes from the constant terms anyway.  `ginv0`
+        itself is kept as computed.  Both floors are stopgaps: coefficient
+        error bounds are to replace them (ROADMAP, error-bounded zero
+        decisions).
         """
         m = self.dim
-        h0 = _flush(self.ginv0, np.max(np.abs(self.ginv0)))
+        size = np.sqrt(np.max(np.abs(self.ginv0), axis=1))
+        h0 = _flush(self.ginv0, np.outer(size, size))
         space = self._space
         g = self._g_rows
         # N's entries (a, b): each upper metric entry with a nonconstant
@@ -468,12 +475,17 @@ class CurvatureContext:
                     and np.array_equal(s.view(np.int64), last.view(np.int64))):
                 break
         # The sweeps are exact in exact arithmetic, so coefficients at machine
-        # noise relative to the whole inverse are roundoff images of structural
+        # noise relative to their rows are roundoff images of structural
         # zeros.  Left in place they make mathematically-zero Christoffel
         # symbols merely tiny, and those breed spurious curvature support that
-        # grows exponentially with the derivative level.
-        s = _flush(s, np.max(np.abs(s), initial=0.0))
-        return _Jets(np.column_stack(np.divmod(keys, m)), s_cols, s, space)
+        # grows exponentially with the derivative level.  The square roots
+        # are taken first, so the scale neither overflows nor underflows.
+        a, b = np.divmod(keys, m)
+        size = np.zeros(m)
+        np.maximum.at(size, a, np.max(np.abs(s), axis=1, initial=0.0))
+        size = np.sqrt(size)
+        s = _flush(s, (size[a] * size[b])[:, None])
+        return _Jets(np.column_stack((a, b)), s_cols, s, space)
 
     def _christoffel_first(self) -> _Jets:
         """Gamma_abc as the sums of `christoffel_terms`, in their order."""

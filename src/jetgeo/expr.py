@@ -46,8 +46,10 @@ __all__ = [
     "eval_point",
     "eval_jet",
     "forward_source",
+    "value_source",
     "FLOAT_OPS",
     "ROW_OPS",
+    "VALUE_OPS",
 ]
 
 FUNCTION_NAMES = ("exp", "sin", "cos")
@@ -342,6 +344,12 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*map(free_vars, _children(e)))
 
 
+def _exp(v: float) -> float:
+    if v >= 709.0:
+        raise NonFiniteError(f"exp overflow at argument {v}")
+    return math.exp(v)
+
+
 def eval_point(e: Expr, env: Mapping[str, float]) -> float:
     """Plain float evaluation at a point (the order-0 jet fast path)."""
     if isinstance(e, Const):
@@ -363,10 +371,7 @@ def eval_point(e: Expr, env: Mapping[str, float]) -> float:
     if isinstance(e, Neg):
         return -eval_point(e.arg, env)
     if isinstance(e, Exp):
-        v = eval_point(e.arg, env)
-        if v >= 709.0:
-            raise NonFiniteError(f"exp overflow at argument {v}")
-        return math.exp(v)
+        return _exp(eval_point(e.arg, env))
     if isinstance(e, Sin):
         return math.sin(eval_point(e.arg, env))
     if isinstance(e, Cos):
@@ -428,6 +433,49 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
     if not np.isfinite(out.coef).all():
         raise NonFiniteError("expression evaluation produced non-finite coefficients")
     return out
+
+
+def _literal(v: float) -> str:
+    return repr(v) if math.isfinite(v) else f"float('{v!r}')"
+
+
+def value_source(e: Expr, names: Sequence[str], lines: list[str], memo: dict[str, str]) -> str:
+    """Append to `lines` straight-line Python, run in `VALUE_OPS`, for
+    `eval_point(e, env)` with `env[names[k]]` read from x0, x1, ...; return
+    the result as a source atom.  The operations are `eval_point`'s in its
+    order: `math.fsum` for a sum, products left to right, `**` for a power
+    and its exp overflow guard; `memo` (source to temporary, shared by the
+    calls for one function) computes a repeated subexpression once.  Only
+    the order of raising can differ: a sum's terms all run before its fsum."""
+    pos = {name: k for k, name in enumerate(names)}
+
+    def rec(node: Expr) -> str:
+        if isinstance(node, Const):
+            return _literal(float(node.value))
+        if isinstance(node, Var):
+            if node.name not in pos:
+                raise UnknownVariableError(node.name, 0)
+            return f"x{pos[node.name]}"
+        args = [rec(c) for c in _children(node)]
+        if isinstance(node, Sum):
+            src = f"fsum([{', '.join(args)}])"
+        elif isinstance(node, Prod):
+            src = " * ".join(args) or "1.0"
+        elif isinstance(node, Pow):
+            src = f"({args[0]}) ** {node.exponent}"
+        elif isinstance(node, Neg):
+            src = f"-({args[0]})"
+        else:
+            src = f"{type(node).__name__.lower()}({args[0]})"
+        if src not in memo:
+            memo[src] = f"v{len(memo)}"
+            lines.append(f"{memo[src]} = {src}")
+        return memo[src]
+
+    return rec(e)
+
+
+VALUE_OPS = dict(fsum=math.fsum, exp=_exp, sin=math.sin, cos=math.cos)
 
 
 def _pointwise(fn, v):
@@ -501,7 +549,7 @@ def forward_source(
     def rec(node: Expr) -> tuple[str, dict[int, str]]:
         if isinstance(node, Const):
             v = float(node.value)
-            return (repr(v) if math.isfinite(v) else f"float('{v!r}')"), {}
+            return _literal(v), {}
         if isinstance(node, Var):
             if node.name not in pos:
                 raise UnknownVariableError(node.name, 0)

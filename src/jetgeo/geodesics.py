@@ -26,7 +26,11 @@ unrolled) and kept while the spec lives, beside the symbolic half of the
 structure check.  One source runs in two forms: over Python floats for the
 Runge-Kutta route's one-point calls, and over numpy rows for the direct
 route's breadth-first adaptive Simpson rule, one call per depth for all its
-new nodes.  Only the Runge-Kutta route imports scipy.
+new nodes.
+
+The Runge-Kutta route is DOP853 (`_dop853`), ported op for op from scipy's
+`solve_ivp(method="DOP853")` with the same numpy calls, so its trajectories
+are scipy's bit for bit and jetgeo needs numpy alone.
 """
 from __future__ import annotations
 
@@ -119,7 +123,9 @@ class _Kernel:
     Gamma_abc over `curvature.christoffel_terms` in its order.  `gamma` and
     `gamma_dep` (the nonzero (a, b) of Gamma_ab^c per c, and their variables)
     are the symbolic half of `triangular_report`, and `report` keeps its last
-    (point, report): the probe's seed is fixed, so a point's report is too."""
+    (point, report): the probe's seed is fixed, so a point's report is too.
+    `value(u)` gives the varying entries alone, as `spec.value` computes
+    them (`expr.value_source`)."""
 
     def __init__(self, spec: MetricSpec):
         m, active = spec.dim, spec.active_vars
@@ -155,6 +161,12 @@ class _Kernel:
             exec(code, space)
         self.force, self._rows = (space["force"] for space in spaces)
         self.report: tuple = (None, None)
+        lines, memo = lines[1:len(active) + 1], {}  # x0, x1, ... read as in `force`
+        values = [ex.value_source(spec.components[i][j], active, lines, memo) for i, j in grads]
+        space = dict(ex.VALUE_OPS)
+        exec(compile("\n    ".join(["def value(u):", *lines, f"return [{', '.join(values)}]"]),
+                     f"<metric values, {spec!r}>", "exec"), space)
+        self.value = space["value"]
 
     def force_rows(self, u, d):
         with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
@@ -197,6 +209,20 @@ class ChristoffelPointEvaluator:
         return np.linalg.solve(g.reshape(n, m, m), cols[:, len(k.slots):, None])[:, :, 0]
 
 
+def _metric_value(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
+    """`spec.value(point)` by the spec's kernel.  Where the kernel raises,
+    `spec.value` does too, and it runs to raise its own error (an overflow,
+    a domain error or a wrong point length)."""
+    k = _kernel(spec)
+    try:
+        values = k.value(list(spec.env_at(point).values()))
+    except (ArithmeticError, ValueError):
+        return spec.value(point)
+    g = k.g0.copy()
+    g.put(k.slots, values + values)
+    return g
+
+
 # ------------------------------------------------------------ structure
 @dataclass(frozen=True)
 class TriangularReport:
@@ -213,11 +239,11 @@ def _inverse_probe(
     jittered samples around `point`.  Numeric, not a proof."""
     rng = np.random.default_rng(20_260_817)
     base = np.asarray(point, dtype=float)
-    mats = [np.linalg.inv(spec.value(base))]
+    mats = [np.linalg.inv(_metric_value(spec, base))]
     for _ in range(_PROBES):
         q = base + rng.uniform(0.05, 0.45, size=base.size) * (1.0 + np.abs(base))
         try:
-            mats.append(np.linalg.inv(spec.value(q)))
+            mats.append(np.linalg.inv(_metric_value(spec, q)))
         except (np.linalg.LinAlgError, NonFiniteError):
             continue  # probe landed on a degenerate or overflowing point; skip it
     if len(mats) < 3:
@@ -321,12 +347,252 @@ def adaptive_simpson(
     return out
 
 
+# ----------------------------------------------------------------- DOP853
+# Dormand and Prince's explicit Runge-Kutta pair of order 8(5,3) with its
+# order-7 dense output, as scipy 1.17.1's `solve_ivp(method="DOP853",
+# t_eval=...)` computes it: `rk_step`, `DOP853._step_impl` and its error norm,
+# `select_initial_step`, `norm`, `Dop853DenseOutput` with its three extra
+# stages, and `solve_ivp`'s `t_eval` loop (scipy/integrate/_ivp: rk.py,
+# common.py, base.py, ivp.py), op for op and with the same numpy calls, so
+# every trajectory is scipy's bit for bit.  The tableau is Hairer's (Hairer,
+# Norsett and Wanner, *Solving Ordinary Differential Equations I*, 2nd ed.,
+# Springer 1993, sections II.5 and II.10), as the doubles of scipy's
+# dop853_coefficients.py.  That code carries this notice:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+
+# stages 0-11 step, stage 12 is the new point (weights B, row 12 of A), and
+# stages 13-15 serve the dense output alone
+_C = np.array([0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+               0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+               0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+               0.7777777777777778])
+_A = np.zeros((16, 16))
+for _s, _row in enumerate([
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0, 0.08876275643042054],
+    [0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242],
+    [0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125],
+    [0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996],
+    [0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+    [0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+     0.04471061572777259],
+    [0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298],
+    [0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987],
+], start=1):
+    _A[_s, :_s] = _row
+_B = _A[12, :12]
+_E3 = np.zeros(13)
+_E3[:-1] = _B.copy()
+_E3[0] -= 0.2440944881889764
+_E3[8] -= 0.7338466882816118
+_E3[11] -= 0.022058823529411766
+_E5 = np.array([0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502,
+                1.6643771824549864, -0.35032884874997366, 0.3341791187130175,
+                0.08192320648511571, -0.022355307863886294, 0])
+_D = np.array([
+    [-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894],
+    [10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408],
+    [19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279],
+    [-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564],
+])
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _rms(x: np.ndarray) -> float:
+    return np.linalg.norm(x) / x.size ** 0.5
+
+
+def _initial_step(rhs, t0, y0, t_bound, f0, direction, rtol, atol):
+    """scipy's `select_initial_step` (Hairer, Norsett and Wanner, II.4) for
+    an error estimator of order 7 and no largest step."""
+    interval_length = abs(t_bound - t0)
+    if interval_length == 0.0:
+        return 0.0
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * direction * f0
+    f1 = rhs(t0 + h0 * direction, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    return min(100 * h0, h1, interval_length, np.inf)
+
+
+def _step(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, K):
+    """One accepted step from (t, y) with y' = f there, as scipy's
+    `RungeKutta._step_impl` for DOP853 takes it, trying h_abs first: the
+    new t, y and f, the next h_abs and the step h.  K (16 rows) receives
+    the stages.  Raises StepCollapseError when the step size falls below
+    ten spacings of the floats at t."""
+    min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    if h_abs < min_step:
+        h_abs = min_step
+    rejected = False
+    while True:
+        if h_abs < min_step:
+            raise StepCollapseError(f"integrator stopped early: {_TOO_SMALL_STEP}")
+        h = h_abs * direction
+        t_new = t + h
+        if direction * (t_new - t_bound) > 0:
+            t_new = t_bound
+        h = t_new - t
+        h_abs = np.abs(h)
+        K[0] = f
+        for s in range(1, 12):
+            dy = np.dot(K[:s].T, _A[s, :s]) * h
+            K[s] = rhs(t + _C[s] * h, y + dy)
+        y_new = y + h * np.dot(K[:12].T, _B)
+        f_new = rhs(t + h, y_new)
+        K[12] = f_new
+        scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+        err5 = np.dot(K[:13].T, _E5) / scale
+        err3 = np.dot(K[:13].T, _E3) / scale
+        err5_norm_2 = np.linalg.norm(err5)**2
+        err3_norm_2 = np.linalg.norm(err3)**2
+        if err5_norm_2 == 0 and err3_norm_2 == 0:
+            error_norm = 0.0
+        else:
+            denom = err5_norm_2 + 0.01 * err3_norm_2
+            error_norm = np.abs(h) * err5_norm_2 / np.sqrt(denom * len(scale))
+        if error_norm < 1:
+            factor = 10 if error_norm == 0 else min(10, 0.9 * error_norm ** -0.125)
+            if rejected:
+                factor = min(1, factor)
+            return t_new, y_new, f_new, h_abs * factor, h
+        h_abs *= max(0.2, 0.9 * error_norm ** -0.125)
+        rejected = True
+
+
+def _dense(rhs, t_old, t, y_old, y, f, h, K, at):
+    """The states at the times `at` within the step from (t_old, y_old) to
+    (t, y) as scipy's `Dop853DenseOutput` gives them, (n, len(at)), after
+    the three extra stages into K."""
+    for s in range(13, 16):
+        dy = np.dot(K[:s].T, _A[s, :s]) * h
+        K[s] = rhs(t_old + _C[s] * h, y_old + dy)
+    F = np.empty((7, len(y_old)))
+    f_old = K[0]
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f + f_old)
+    F[3:] = h * np.dot(_D, K)
+    x = ((at - t_old) / (t - t_old))[:, None]
+    out = np.zeros((len(x), len(y_old)))
+    for i, row in enumerate(reversed(F)):
+        out += row
+        if i % 2 == 0:
+            out *= x
+        else:
+            out *= 1 - x
+    out += y_old
+    return out.T
+
+
+def _dop853(rhs, t0, t_bound, y0, t_eval, rtol, atol):
+    """scipy's `solve_ivp(rhs, (t0, t_bound), y0, method="DOP853",
+    t_eval=t_eval, rtol=rtol, atol=atol)` for a float y0 of one axis: its
+    `t` and `y`, raising StepCollapseError where it fails and its ValueError
+    on a non-finite y0."""
+    if not np.isfinite(y0).all():
+        raise ValueError("All components of the initial state `y0` must be finite.")
+    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
+    t_eval = t_eval if direction > 0 else t_eval[::-1]
+    done, atol = 0 if direction > 0 else len(t_eval), np.asarray(atol)
+    t, y, f = t0, y0, rhs(t0, y0)
+    h_abs = _initial_step(rhs, t0, y0, t_bound, f, direction, rtol, atol)
+    K = np.empty((16, y0.size))
+    ts, ys, finished = [], [], False
+    while not finished:
+        t_old, y_old = t, y
+        if t == t_bound:  # an empty interval: the one state is the answer
+            finished = True
+        else:
+            t, y, f, h_abs, h = _step(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, K)
+            finished = direction * (t - t_bound) >= 0
+        if direction > 0:
+            new = np.searchsorted(t_eval, t, side="right")
+            at = t_eval[done:new]
+        else:
+            new = np.searchsorted(t_eval, t, side="left")
+            at = t_eval[new:done][::-1]
+        if at.size > 0:
+            ts.append(at)
+            ys.append(np.repeat(y[:, None], at.size, axis=1) if t == t_old
+                      else _dense(rhs, t_old, t, y_old, y, f, h, K, at))
+            done = new
+    return np.hstack(ts), np.hstack(ys)
+
+
 # ---------------------------------------------------------------- solvers
 def integrate_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[float],
                   t_end: float = 1.0, n_samples: int = 101) -> Trajectory:
     """Runge-Kutta route (DOP853) for the geodesic initial-value problem."""
-    from scipy.integrate import solve_ivp  # only this route needs scipy
-
     m = spec.dim
     ev = ChristoffelPointEvaluator(spec)
 
@@ -334,13 +600,10 @@ def integrate_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[f
         u, du = y[:m], y[m:]
         return np.concatenate([du, -ev.force(u, du)])
 
-    res = solve_ivp(rhs, (0.0, float(t_end)), np.array([*start, *velocity], dtype=float),
-                    method="DOP853", t_eval=np.linspace(0.0, float(t_end), n_samples),
-                    rtol=_RK_RTOL, atol=_RK_ATOL)
-    if not res.success:
-        raise StepCollapseError(f"integrator stopped early: {res.message}")
-    y = res.y.T
-    return Trajectory(res.t.copy(), y[:, :m].copy(), y[:, m:].copy())
+    t, y = _dop853(rhs, 0.0, float(t_end), np.array([*start, *velocity], dtype=float),
+                   np.linspace(0.0, float(t_end), n_samples), _RK_RTOL, _RK_ATOL)
+    y = y.T
+    return Trajectory(t, y[:, :m].copy(), y[:, m:].copy())
 
 
 def _forced_force_fn(
@@ -482,7 +745,7 @@ def energy_along(spec: MetricSpec, traj: Trajectory) -> np.ndarray:
     """g(du, du) at each sample; constant along exact geodesics."""
     out = np.empty(traj.t.size)
     for j in range(traj.t.size):
-        g = spec.value(traj.u[j])
+        g = _metric_value(spec, traj.u[j])
         out[j] = float(traj.du[j] @ g @ traj.du[j])
     return out
 

@@ -165,14 +165,20 @@ def test_direct_route_batches_force_calls(monkeypatch):
     assert sum(calls) > 1000
 
 
-def test_import_leaves_scipy_to_the_rk_route():
+def test_no_jetgeo_command_imports_scipy():
+    # a family check (Runge-Kutta and direct routes, exp(log)) and a
+    # Runge-Kutta solve load no scipy module
     code = (
-        "import sys, jetgeo, jetgeo.cli\n"
-        "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate imported'\n"
-        "from jetgeo import geodesics as geo\n"
+        "import contextlib, io, sys\n"
+        "from jetgeo import cli, geodesics as geo\n"
         "from jetgeo.metric import two_sphere\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert cli.main(['check', '--family', 'p=2,f=exp(y)+exp(2*y)']) == 0\n"
+        "assert 'geodesic_roundtrip: PASS' in out.getvalue(), out.getvalue()\n"
         "traj = geo.integrate_ivp(two_sphere(), (1.5707963267948966, 0.0), (0.0, 1.0))\n"
         "assert abs(traj.u[-1, 1] - 1.0) <= 1e-9, traj.u[-1]\n"
+        "loaded = sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
     )
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
@@ -460,8 +466,8 @@ def test_triangular_report_probes_once_per_point(monkeypatch):
     # probe once between them, and a new point probes again
     spec, pt = family_setup()
     calls = []
-    value = MetricSpec.value
-    monkeypatch.setattr(MetricSpec, "value", lambda self, q: calls.append(1) or value(self, q))
+    value = geo._metric_value  # the probe's metric values
+    monkeypatch.setattr(geo, "_metric_value", lambda s, q: calls.append(1) or value(s, q))
     want = geo.triangular_report(spec, pt)
     probes = len(calls)
     assert probes > 3

@@ -2,6 +2,8 @@
 dangling export behind."""
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -26,3 +28,14 @@ def test_curvature_aliases_are_gone():
     curvature = importlib.import_module("jetgeo.curvature")
     for name in ("christoffel", "riemann", "nabla_k_r", "scalar_curvature"):
         assert not hasattr(jetgeo, name) and not hasattr(curvature, name), name
+
+
+def test_runtime_dependency_is_numpy_alone():
+    # scipy is the test suite's reference for the Runge-Kutta route, and no
+    # jetgeo module needs it
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
+    assert names == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])

@@ -12,8 +12,9 @@ evaluation loops, the invariants one schema at a time, the jet products
 with the pair table built on its own and the sparse pairs listed row by row
 from nonzero(a) x nonzero(b), and the geodesic force as a tree of numpy
 closures per metric entry (`compile_grad`) and a loop over the Christoffel
-terms.  Results must agree to the last bit
-(`tobytes()` or pickle), not just to a tolerance.
+terms.  The Runge-Kutta route is checked against scipy's `solve_ivp`, the
+code it was ported from.  Results must agree to the last bit (`tobytes()` or
+pickle), not just to a tolerance.
 """
 import math
 import pickle
@@ -731,11 +732,11 @@ def ref_force(spec):
     return ref_ChristoffelPointEvaluator(spec).force
 
 
-def ref_integrate_ivp(spec, start, velocity, t_end, n_samples=101):
-    """`geodesics.integrate_ivp`'s DOP853 solve, driven by `ref_force`."""
-    from scipy.integrate import solve_ivp
-
-    m, force = spec.dim, ref_force(spec)
+def ref_integrate_ivp(spec, start, velocity, t_end, n_samples=101, force=None):
+    """`geodesics.integrate_ivp` as scipy's DOP853 solve, driven by
+    `ref_force` or by `force`."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    m, force = spec.dim, force or ref_force(spec)
 
     def rhs(_t, y):
         return np.concatenate([y[m:], -force(y[:m], y[m:])])
@@ -900,6 +901,8 @@ SPHERE = (("theta", "phi"), ("1.0", "sin(theta)^2"))
 H2 = (("x", "y"), ("1.0", "exp(2.0*x)"))
 CONFORMAL = _conformal("x", "y", (0.31, -0.12, 0.07, 0.22, -0.18))
 CONFORMAL_ST = _conformal("s", "t", (0.2, 0.15, -0.05, -0.1, 0.25))
+BLOCK_SCALED = (_conformal("s", "t", (0.3, 0.2, -0.25, 0.1, -0.2), "1e-08*"),
+                (("x", "w"), ("1.0", "exp(0.001*x^2)")))
 
 
 def _level_cases():
@@ -907,11 +910,10 @@ def _level_cases():
     yield "H2", _diagonal(H2), (-0.1, 0.3), 6  # roundoff images of zero from k = 1 on
     yield "conformal", _diagonal(CONFORMAL), (0.2, -0.35), 6
     yield "S2 x conformal", _diagonal(SPHERE, CONFORMAL_ST), (0.9, -1.2, 0.3, 0.1), 4
-    # the benchmark's block-scaled product, whose levels k >= 2 drift from
-    # its small block alone: the drift must stay as it is
-    small = _conformal("s", "t", (0.3, 0.2, -0.25, 0.1, -0.2), "1e-08*")
-    warped = (("x", "w"), ("1.0", "exp(0.001*x^2)"))
-    yield "block-scaled product", _diagonal(small, warped), (0.1, 0.2, 0.7, 0.4), 4
+    # the benchmark's block-scaled product: `ref_neumann_inverse`'s global
+    # flush cuts its small block's inverse, the context's per-row rule does
+    # not (test_block_scaled_product_is_each_block_alone)
+    yield "block-scaled product", _diagonal(*BLOCK_SCALED), (0.1, 0.2, 0.7, 0.4), 4
     yield "non-diagonal", metric_from_strings(
         ("a", "b", "c"),
         {(0, 0): "exp(2*c)", (1, 1): "1 + b^2", (2, 2): "2 + sin(a)",
@@ -933,8 +935,11 @@ LEVEL_CASES = list(_level_cases())
 @pytest.mark.parametrize("name,spec,pt,k_max", LEVEL_CASES, ids=[c[0] for c in LEVEL_CASES])
 def test_levels_match_component_loop(name, spec, pt, k_max):
     ctx = CurvatureContext(spec, pt, k_max)
-    ginv = ref_neumann_inverse(ctx)
-    assert same_jets(ctx._ginv, ginv)
+    if name == "block-scaled product":  # the loops from here on take the context's inverse
+        ginv = dict(ctx._ginv.items())
+    else:
+        ginv = ref_neumann_inverse(ctx)
+        assert same_jets(ctx._ginv, ginv)
     assert same_jets(ctx._gamma2, ref_christoffel_second(ctx, ginv))
     assert list(ctx._riemann_candidates()) == list(ref_riemann_candidates(ctx))
     want = ref_levels(ctx, k_max)
@@ -947,6 +952,33 @@ def test_levels_match_component_loop(name, spec, pt, k_max):
         assert view.index.tobytes() == index.tobytes() and bits(view.values) == bits(values)
     if name in ("flat", "H2 x line"):
         assert all(not ctx._level(k) for k in range(1, k_max + 1))
+
+
+def test_block_scaled_product_is_each_block_alone():
+    # the inverse's zero decisions judge each entry against its own rows
+    # (`curvature._flush`), so a block scaled by 1e-8 beside a block of
+    # order 1 keeps every jet it has alone: the inverse, the Christoffel
+    # symbols and every level, lifted to the product's variables, bit for bit
+    # up to the sign of a zero, and no jet mixes the blocks
+    pt, k_max = (0.1, 0.2, 0.7, 0.4), 4
+    ctx = CurvatureContext(_diagonal(*BLOCK_SCALED), pt, k_max)
+    blocks = [(CurvatureContext(_diagonal(block), pt[2 * b:2 * b + 2], k_max), (2 * b, 2 * b + 1))
+              for b, block in enumerate(BLOCK_SCALED)]
+
+    def jets(c, what):  # a matrix of the context, or a level
+        return c._level(what) if isinstance(what, int) else getattr(c, what)
+
+    for what in ("_ginv", "_gamma1", "_gamma2", *range(k_max + 1)):
+        got = jets(ctx, what)
+        keys = set(got)
+        for alone, idx in blocks:
+            want = jets(alone, what)
+            for key in want:
+                mine = tuple(idx[i] for i in key)
+                keys.remove(mine)
+                lifted = got[mine].space.lift(want[key])
+                assert bits(got[mine].coef + 0.0) == bits(lifted.coef + 0.0), (what, key)
+        assert not keys, (what, keys)
 
 
 def test_level_exhaustive_does_not_use_propagated_candidates(monkeypatch):
@@ -1194,3 +1226,74 @@ def test_rk_trajectories_match_reference_force(case):
     got = geo.integrate_ivp(spec, start, vel, t_end)
     t, u, du = ref_integrate_ivp(spec, start, vel, t_end)
     assert same_arrays([got.t, got.u, got.du], [t, u, du])
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_dop853_port_matches_scipy(case):
+    # the port against scipy's solve_ivp(method="DOP853") on one force, four
+    # starts of each force case at t_end 1 and 10
+    spec, pts, vels = force_cases()[case]
+    force = geo.ChristoffelPointEvaluator(spec).force
+    for start, vel in zip(pts[:4], vels[:4]):
+        for t_end in (1.0, 10.0):
+            got = geo.integrate_ivp(spec, start, vel, t_end)
+            want = ref_integrate_ivp(spec, start, vel, t_end, force=force)
+            assert same_arrays([got.t, got.u, got.du], want), (start, vel, t_end)
+
+
+def test_dop853_tableau_is_scipys():
+    dc = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    for got, want in ((geo._C, dc.C), (geo._A, dc.A), (geo._B, dc.B), (geo._E3, dc.E3),
+                      (geo._E5, dc.E5), (geo._D, dc.D)):
+        assert got.shape == want.shape and bits(got) == bits(want)
+
+
+def _line():
+    # exp(2x) dx^2: x' = 1 / (t - 1) from x(0) = 0, x'(0) = -1 runs to -inf at t = 1
+    return metric_from_strings(("x",), {(0, 0): "exp(2*x)"}, (0, 1))
+
+
+def test_dop853_failures_are_scipys():
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    spec = _line()
+    force = geo.ChristoffelPointEvaluator(spec).force
+
+    def rhs(_t, y):
+        return np.concatenate([y[1:], -force(y[:1], y[1:])])
+
+    res = solve_ivp(rhs, (0.0, 2.0), np.array([0.0, -1.0]), method="DOP853",
+                    t_eval=np.linspace(0.0, 2.0, 101), rtol=geo._RK_RTOL, atol=geo._RK_ATOL)
+    assert not res.success
+    with pytest.raises(geo.StepCollapseError) as err:
+        geo.integrate_ivp(spec, (0.0,), (-1.0,), 2.0)
+    assert str(err.value) == f"integrator stopped early: {res.message}"
+    assert res.message == "Required step size is less than spacing between numbers."
+    for start, vel in (((math.nan,), (1.0,)), ((0.0,), (math.inf,))):
+        with pytest.raises(ValueError) as want:
+            solve_ivp(rhs, (0.0, 1.0), np.array([*start, *vel]), method="DOP853")
+        with pytest.raises(ValueError) as got:
+            geo.integrate_ivp(spec, start, vel)
+        assert str(got.value) == str(want.value)
+        assert str(want.value) == "All components of the initial state `y0` must be finite."
+
+
+def test_energy_along_matches_tree_walk():
+    # the kernel's value code against `MetricSpec.value` (`expr.eval_point`)
+    for spec, pts, vels in force_cases():
+        traj = geo.integrate_ivp(spec, pts[0], vels[0], 1.0)
+        want = [float(du @ spec.value(u) @ du) for u, du in zip(traj.u, traj.du)]
+        assert bits(geo.energy_along(spec, traj)) == bits(want)
+
+
+def test_metric_value_errors_are_the_tree_walks():
+    # where the kernel's value code raises, the error is `MetricSpec.value`'s;
+    # at x = 1 the tree walk's fsum overflows before it reaches the exp that
+    # the kernel evaluates first
+    spec = metric_from_strings(("x", "y"), {(0, 0): "1e308 + 1e308*x + exp(800*x)",
+                                            (1, 1): "exp(100*y)"}, (0, 2))
+    for point, kind in (((1.0, 0.0), OverflowError), ((0.0, 7.1), NonFiniteError)):
+        with pytest.raises(kind) as want:
+            spec.value(point)
+        with pytest.raises(kind) as got:
+            geo._metric_value(spec, point)
+        assert str(got.value) == str(want.value)
