@@ -258,18 +258,14 @@ def _widen(cols: np.ndarray, vals: np.ndarray, to: np.ndarray) -> np.ndarray:
     return out
 
 
-def _union(*cols: np.ndarray) -> np.ndarray:
-    """The union of ascending rank arrays, ascending."""
-    if all(np.array_equal(c, cols[0]) for c in cols[1:]):
-        return cols[0]
-    return _distinct(np.concatenate(cols))
-
-
 def _joint(*mats: tuple[np.ndarray, np.ndarray], also: tuple[np.ndarray, ...] = ()):
     """Matrices given as (columns, values), put at the union of their
-    columns and those of `also`: that union, and the matrices there."""
-    cols = _union(*[c for c, _ in mats], *also)
-    return cols, [_widen(c, v, cols) for c, v in mats]
+    columns and those of `also`, all ascending ranks: that union, and the
+    matrices there."""
+    cols = [c for c, _ in mats] + list(also)
+    if not all(np.array_equal(c, cols[0]) for c in cols[1:]):
+        cols = [_distinct(np.concatenate(cols))]
+    return cols[0], [_widen(c, v, cols[0]) for c, v in mats]
 
 
 def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -659,20 +655,18 @@ class CurvatureContext:
         comp, hook, rep = comp[rep >= 0], self._fwd_row[hook[rep >= 0]], rep[rep >= 0]
 
         # rows to evaluate: those with a Christoffel term or a derivative
-        # that is not identically zero, by a nonzero coefficient with a
-        # positive exponent of the variable
+        # that is not identically zero.  Row t of prev depends on variable v
+        # where its v-derivative has a nonzero coefficient: where a place
+        # that the shift of v picks holds one
         live = np.bincount(comp, minlength=len(idx)) > 0
-        row, col = np.nonzero(prev.vals)
-        at, v = np.nonzero(prev.space._exps[prev.cols[col]] > 0)
-        depends = np.zeros((len(prev), prev.space.n), dtype=bool)
-        depends[row[at], v] = True
+        _, pos, _, padded = prev._shifts
+        depends = (padded != 0)[:, pos[:-1]].any(axis=2)
         live[has_d] |= depends[tj[has_d], var[has_d]]
         rows = np.flatnonzero(live)
         out, acc = prev.derivs(tj[rows], np.where(has_d[rows], var[rows], -1))
         if len(comp):
             cols, (left, right) = _joint(self._gamma2.cut(space), prev.cut(space))
-            d_cols, out = out, _union(out, space.product_cols(cols))
-            acc = _widen(d_cols, acc, out)
+            out, (acc,) = _joint((out, acc), also=(space.product_cols(cols),))
             _ordered_sum(out, acc, (np.cumsum(live) - 1)[comp], lambda ts: space.multiply_rows(
                 cols, left[hook[ts]], right[rep[ts]]), -1, has_d[rows])
         return _Jets(idx[rows], out, acc, space)

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jets import Jet, JetSpace, NonFiniteError, jet_space
+from .jets import _EXP_LIMIT, Jet, JetSpace, NonFiniteError, jet_space
 
 __all__ = [
     "Expr",
@@ -345,7 +345,7 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 
 def _exp(v: float) -> float:
-    if v >= 709.0:
+    if v >= _EXP_LIMIT:
         raise NonFiniteError(f"exp overflow at argument {v}")
     return math.exp(v)
 
@@ -502,9 +502,9 @@ def _ops(each, bad, finite):
 
 # `forward_source` code runs over Python floats, or over rows of points
 # (numpy arrays, one value per point) with math's functions value by value
-FLOAT_OPS = _ops(lambda fn, v: fn(v), lambda v, exp: v >= 709.0 if exp else not math.isfinite(v),
-                 math.isfinite)
-ROW_OPS = _ops(_pointwise, lambda v, exp: np.any(v >= 709.0 if exp else ~np.isfinite(v)),
+FLOAT_OPS = _ops(lambda fn, v: fn(v),
+                 lambda v, exp: v >= _EXP_LIMIT if exp else not math.isfinite(v), math.isfinite)
+ROW_OPS = _ops(_pointwise, lambda v, exp: np.any(v >= _EXP_LIMIT if exp else ~np.isfinite(v)),
                lambda v: bool(np.isfinite(v).all()))
 
 

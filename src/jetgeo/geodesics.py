@@ -110,8 +110,8 @@ class GeodesicProblem:
                 object.__setattr__(self, name, tuple(float(v) for v in val))
         if self.target is not None and self.t_end != 1.0:
             raise ValueError("two-point problems are posed on [0, 1]")
-        if self.t_end <= 0.0:
-            raise ValueError("t_end must be positive")
+        if not 0.0 < self.t_end < np.inf:
+            raise ValueError("t_end must be positive and finite")
 
 
 class _Kernel:
@@ -459,12 +459,10 @@ def _rms(x: np.ndarray) -> float:
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _initial_step(rhs, t0, y0, t_bound, f0, direction, rtol, atol):
+def _initial_step(rhs, t0, y0, t_bound, f0, rtol, atol):
     """scipy's `select_initial_step` (Hairer, Norsett and Wanner, II.4) for
-    an error estimator of order 7 and no largest step."""
-    interval_length = abs(t_bound - t0)
-    if interval_length == 0.0:
-        return 0.0
+    an error estimator of order 7, no largest step and t_bound > t0."""
+    interval_length = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -473,8 +471,8 @@ def _initial_step(rhs, t0, y0, t_bound, f0, direction, rtol, atol):
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * direction * f0
-    f1 = rhs(t0 + h0 * direction, y1)
+    y1 = y0 + h0 * f0
+    f1 = rhs(t0 + h0, y1)
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -483,22 +481,21 @@ def _initial_step(rhs, t0, y0, t_bound, f0, direction, rtol, atol):
     return min(100 * h0, h1, interval_length, np.inf)
 
 
-def _step(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, K):
+def _step(rhs, t, y, f, h_abs, t_bound, rtol, atol, K):
     """One accepted step from (t, y) with y' = f there, as scipy's
     `RungeKutta._step_impl` for DOP853 takes it, trying h_abs first: the
     new t, y and f, the next h_abs and the step h.  K (16 rows) receives
     the stages.  Raises StepCollapseError when the step size falls below
     ten spacings of the floats at t."""
-    min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
     if h_abs < min_step:
         h_abs = min_step
     rejected = False
     while True:
         if h_abs < min_step:
             raise StepCollapseError(f"integrator stopped early: {_TOO_SMALL_STEP}")
-        h = h_abs * direction
-        t_new = t + h
-        if direction * (t_new - t_bound) > 0:
+        t_new = t + h_abs
+        if t_new > t_bound:
             t_new = t_bound
         h = t_new - t
         h_abs = np.abs(h)
@@ -556,35 +553,25 @@ def _dense(rhs, t_old, t, y_old, y, f, h, K, at):
 
 def _dop853(rhs, t0, t_bound, y0, t_eval, rtol, atol):
     """scipy's `solve_ivp(rhs, (t0, t_bound), y0, method="DOP853",
-    t_eval=t_eval, rtol=rtol, atol=atol)` for a float y0 of one axis: its
-    `t` and `y`, raising StepCollapseError where it fails and its ValueError
-    on a non-finite y0."""
+    t_eval=t_eval, rtol=rtol, atol=atol)` for t_bound > t0, an ascending
+    t_eval and a float y0 of one axis: its `t` and `y`, raising
+    StepCollapseError where it fails and its ValueError on a non-finite y0."""
     if not np.isfinite(y0).all():
         raise ValueError("All components of the initial state `y0` must be finite.")
-    direction = np.sign(t_bound - t0) if t_bound != t0 else 1
-    t_eval = t_eval if direction > 0 else t_eval[::-1]
-    done, atol = 0 if direction > 0 else len(t_eval), np.asarray(atol)
+    done, atol = 0, np.asarray(atol)
     t, y, f = t0, y0, rhs(t0, y0)
-    h_abs = _initial_step(rhs, t0, y0, t_bound, f, direction, rtol, atol)
+    h_abs = _initial_step(rhs, t0, y0, t_bound, f, rtol, atol)
     K = np.empty((16, y0.size))
     ts, ys, finished = [], [], False
     while not finished:
         t_old, y_old = t, y
-        if t == t_bound:  # an empty interval: the one state is the answer
-            finished = True
-        else:
-            t, y, f, h_abs, h = _step(rhs, t, y, f, h_abs, t_bound, direction, rtol, atol, K)
-            finished = direction * (t - t_bound) >= 0
-        if direction > 0:
-            new = np.searchsorted(t_eval, t, side="right")
-            at = t_eval[done:new]
-        else:
-            new = np.searchsorted(t_eval, t, side="left")
-            at = t_eval[new:done][::-1]
+        t, y, f, h_abs, h = _step(rhs, t, y, f, h_abs, t_bound, rtol, atol, K)
+        finished = t >= t_bound
+        new = np.searchsorted(t_eval, t, side="right")
+        at = t_eval[done:new]
         if at.size > 0:
             ts.append(at)
-            ys.append(np.repeat(y[:, None], at.size, axis=1) if t == t_old
-                      else _dense(rhs, t_old, t, y_old, y, f, h, K, at))
+            ys.append(_dense(rhs, t_old, t, y_old, y, f, h, K, at))
             done = new
     return np.hstack(ts), np.hstack(ys)
 
@@ -592,7 +579,10 @@ def _dop853(rhs, t0, t_bound, y0, t_eval, rtol, atol):
 # ---------------------------------------------------------------- solvers
 def integrate_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[float],
                   t_end: float = 1.0, n_samples: int = 101) -> Trajectory:
-    """Runge-Kutta route (DOP853) for the geodesic initial-value problem."""
+    """Runge-Kutta route (DOP853) for the geodesic initial-value problem,
+    forward in time (a nan or infinite t_end would never end it)."""
+    if not 0.0 < t_end < np.inf:
+        raise ValueError("t_end must be positive and finite")
     m = spec.dim
     ev = ChristoffelPointEvaluator(spec)
 

@@ -10,13 +10,16 @@ Coefficients live in a dense table indexed by multi-indices in graded
 lexicographic order.  The grading means the coefficients of order <= q are a
 prefix of the table, so truncation is a slice.
 
-Each multi-index m also has a packed code: the digits |m|, m_1, ..., m_n read
-as one number in base K + 1.  No digit exceeds K below the truncation order,
-so code(m + m') = code(m) + code(m') for every product term that is kept, and
-the codes ascend with the graded-lex rank, so `searchsorted` on them turns a
-code back into a rank (packed exponents for sparse polynomial products:
+A space keeps each multi-index m as its packed code and its row of exponents,
+in arrays by rank; there is no Python object per multi-index.  The code is
+the digits |m|, m_1, ..., m_n read as one number in base K + 1.  No digit
+exceeds K below the truncation order, so code(m + m') = code(m) + code(m')
+for every product term that is kept, code(m) = sum_v m_v code(e_v), and the
+codes ascend with the graded-lex rank, so one `searchsorted` on them turns
+codes back into ranks (packed exponents for sparse polynomial products:
 Monagan and Pearce, CASC 2007, LNCS 4770).  The derivative shift
-m -> m + e_v and the pair listing below are built from the codes.
+m -> m + e_v, the pair listing below, `lift`, `JetSpace.variable` and
+`Jet.extract` all find ranks this way.  Only this module reads those arrays.
 
 A product sums pair terms, and one listing gives the pairs: for an ascending
 set of ranks, every pair (r, s), r <= s, of them with |r| + |s| <= K, in
@@ -105,6 +108,10 @@ class NonFiniteError(ArithmeticError):
 # times sparser than the table, up to that many times slower there.
 SPARSE_PAIR_COST = 256
 
+# every exp in the package, of jets and of floats, raises NonFiniteError from
+# this argument on (a float overflows above log(max float) = 709.78...)
+_EXP_LIMIT = 709.0
+
 
 def _ramps(lengths: np.ndarray) -> np.ndarray:
     """The ranges 0..l-1 for each l in `lengths`, concatenated."""
@@ -143,10 +150,11 @@ class JetSpace:
     (variables, order) pairs share tables, and binary operations accept jets
     whose spaces agree structurally.
 
-    `multis[r]` is the multi-index of rank r and `rank` inverts it.
-    `_codes[r]` packs multis[r] as described in the module docstring (int64,
-    or Python ints where (K + 1) ** (n + 1) would overflow it), and `_deg[r]`
-    is its total degree.  The ranks s with |r| + |s| <= K are those below
+    `_exps[r]` is the multi-index of rank r, `_codes[r]` its packed code as
+    described in the module docstring (int64, or Python ints where
+    (K + 1) ** (n + 1) would overflow it), `_unit_codes[v]` the code of e_v,
+    and `_deg[r]` the total degree; `_rank` turns multi-indices into ranks
+    by their codes.  The ranks s with |r| + |s| <= K are those below
     `_reach[r]`, and `_pairs` is the pair table's length, known in closed
     form before the table exists.  `multiply` picks the table or the sparse
     route per call from the operands' nonzero counts; `_mul_tables` stays
@@ -177,9 +185,7 @@ class JetSpace:
         self._unit_codes = weights[0] + weights[1:]
         self._exps = exps[by_code]
         self._deg = deg[by_code]
-        self.multis: tuple[tuple[int, ...], ...] = tuple(map(tuple, self._exps.tolist()))
-        self.size = len(self.multis)
-        self.rank = dict(zip(self.multis, range(self.size)))
+        self.size = len(codes)
         self._var_pos = {name: i for i, name in enumerate(self.variables)}
         top = np.array([self.size_at(self.order - d) for d in range(self.order + 1)])
         self._reach = top[self._deg]
@@ -211,9 +217,14 @@ class JetSpace:
         coef = np.zeros(self.size)
         coef[0] = base
         if self.order >= 1:
-            unit = tuple(1 if i == self._var_pos[name] else 0 for i in range(self.n))
-            coef[self.rank[unit]] = 1.0
+            coef[self._rank((1,), [self._var_pos[name]])] = 1.0
         return Jet(self, coef)
+
+    def _rank(self, exps, pos=slice(None)):
+        """The ranks of the multi-indices `exps` (one, or one a row) over the
+        variables at positions `pos`: code(m) = sum_v m_v code(e_v), as the
+        degree is sum_v m_v, and codes ascend with rank."""
+        return np.searchsorted(self._codes, exps @ self._unit_codes[pos])
 
     def lift(self, jet: "Jet") -> "Jet":
         """`jet`, of this order over a subsequence of these variables, as a
@@ -226,9 +237,7 @@ class JetSpace:
             if small.order != self.order:
                 raise JetMismatchError(f"cannot lift order {small.order} to {self.order}")
             pos = [self._var_pos[v] for v in small.variables]
-            # code(m) = sum_v m_v code(e_v), as the degree is sum_v m_v
-            codes = (small._exps * self._unit_codes[pos]).sum(axis=1)
-            self._lifts[small.key()] = np.searchsorted(self._codes, codes)
+            self._lifts[small.key()] = self._rank(small._exps, pos)
         coef = np.zeros(self.size)
         coef[self._lifts[small.key()]] = jet.coef
         return Jet(self, coef)
@@ -462,7 +471,7 @@ class Jet:
         fact = 1.0
         for x in m:
             fact *= math.factorial(x)
-        return float(self.coef[self.space.rank[m]] * fact)
+        return float(self.coef[self.space._rank(m)] * fact)
 
     # --------------------------------------------------- analytic primitives
     def _series(self, coeffs: Sequence[float]) -> "Jet":
@@ -479,7 +488,7 @@ class Jet:
         return Jet(space, acc)
 
     def exp(self) -> "Jet":
-        v = math.exp(self.coef[0]) if self.coef[0] < 709.0 else math.inf
+        v = math.exp(self.coef[0]) if self.coef[0] < _EXP_LIMIT else math.inf
         if not math.isfinite(v):
             raise NonFiniteError(f"exp overflow at base value {self.coef[0]}")
         coeffs = [v]

@@ -19,6 +19,7 @@ from jetgeo.curvature import (
 from jetgeo.invariants import NAMED_SCHEMAS, catalog, evaluate, evaluate_many, random_schemas
 from jetgeo.jets import Jet, jet_space
 from jetgeo.metric import two_sphere
+from test_jets import ranked
 
 PROFILES = ("exp(y)", "exp(y) + exp(2*y)", "y^8 + y^9")
 P_VALUES = (-1, 0, 1, 2)
@@ -35,29 +36,44 @@ def basis(i, n):
 
 
 # ------------------------------------------------- 1: oracle equivalence
+def check_closed_forms(p, text, rng, n_points):
+    """The engine's nabla^k R, k <= p + 3, against the closed forms at
+    `n_points` random points of one family member."""
+    params = make_params(p, text)
+    spec = fam.build_metric(params)
+    for _ in range(n_points):
+        y = rng.uniform(0.3, 1.3)
+        z = rng.uniform(-1.0, 1.0, size=p + 1)
+        pt = fam.base_point(params, y, z)
+        ctx = CurvatureContext(spec, pt, p + 3)
+        for k in range(p + 4):
+            delta = fam.oracle_delta(params, pt, k, context=ctx)
+            scale = max(
+                (abs(v) for v in fam.oracle_nabla_k_r(params, pt, k).values()),
+                default=0.0,
+            )
+            assert delta <= 1e-9 * max(scale, 1e-30), (p, text, k)
+
+
 def test_engine_matches_closed_forms_on_family_grid():
     t_start = time.perf_counter()
     rng = np.random.default_rng(20260817)
     points_checked = 0
     for p in P_VALUES:
         for text in PROFILES:
-            params = make_params(p, text)
-            spec = fam.build_metric(params)
-            for _ in range(9):
-                y = rng.uniform(0.3, 1.3)
-                z = rng.uniform(-1.0, 1.0, size=p + 1)
-                pt = fam.base_point(params, y, z)
-                ctx = CurvatureContext(spec, pt, p + 3)
-                for k in range(p + 4):
-                    delta = fam.oracle_delta(params, pt, k, context=ctx)
-                    scale = max(
-                        (abs(v) for v in fam.oracle_nabla_k_r(params, pt, k).values()),
-                        default=0.0,
-                    )
-                    assert delta <= 1e-9 * max(scale, 1e-30), (p, text, k)
-                points_checked += 1
+            check_closed_forms(p, text, rng, 9)
+            points_checked += 9
     assert points_checked >= 100
     assert time.perf_counter() - t_start <= 60.0
+
+
+@pytest.mark.parametrize("p", [6, 7])
+def test_engine_matches_closed_forms_at_high_p(p):
+    # the paper's claims hold for every k >= 2; here up to k = 10, with jet
+    # spaces of 9 variables at order 12 (293,930 multi-indices) at p = 7
+    rng = np.random.default_rng(20261018 + p)
+    for text in PROFILES:
+        check_closed_forms(p, text, rng, 2)
 
 
 # -------------------------------------------------------- 2: pivot values
@@ -331,7 +347,7 @@ def test_jet_coefficients_match_finite_differences():
             point = rng.uniform(-0.7, 0.7, size=3)
             env = dict(zip(chart, point))
             jet = ex.eval_jet(e, env, chart, 3)
-            for m in space.multis:
+            for m in ranked(space):
                 got = jet.extract(m)
                 want = _fd_partial(f, point, m)
                 assert abs(got - want) <= 1e-5 * max(1.0, abs(want)), (text, m)
@@ -346,11 +362,12 @@ def test_leibniz_identity_exact_for_dyadic_jets():
         a = Jet(space, rng.integers(-8, 9, size=space.size) / 8.0)
         b = Jet(space, rng.integers(-8, 9, size=space.size) / 8.0)
         prod = a * b
-        for m in space.multis:
+        rank = ranked(space)
+        for m in rank:
             conv = 0.0
-            for ma in space.multis:
+            for ma in rank:
                 mb = tuple(x - y for x, y in zip(m, ma))
                 if any(x < 0 for x in mb):
                     continue
-                conv += a.coef[space.rank[ma]] * b.coef[space.rank[mb]]
-            assert prod.coef[space.rank[m]] == conv, m
+                conv += a.coef[rank[ma]] * b.coef[rank[mb]]
+            assert prod.coef[rank[m]] == conv, m

@@ -3,6 +3,7 @@ analysis, dual-route integration with energy conservation, and the
 exp/log boundary maps."""
 import inspect
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from jetgeo import geodesics as geo
 from jetgeo.curvature import CurvatureContext, christoffel_terms
 from jetgeo.jets import NonFiniteError, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
+from test_jets import ranked
 
 
 def family_setup():
@@ -49,7 +51,8 @@ def reference_force(spec, point, velocity):
     env = spec.env_at(point)
     active = spec.active_vars
     sp1 = jet_space(active, 1)
-    slot = {spec.coords.index(name): sp1.rank[tuple(int(k == pos) for k in range(sp1.n))]
+    rank = ranked(sp1)
+    slot = {spec.coords.index(name): rank[tuple(int(k == pos) for k in range(sp1.n))]
             for pos, name in enumerate(active)}
     g = np.zeros((m, m))
     jet1 = {}
@@ -370,6 +373,18 @@ def test_problem_validation():
         geo.GeodesicProblem(spec, pt, target=pt, t_end=2.0)
     with pytest.raises(ValueError, match="unknown method"):
         geo.solve_geodesic(geo.GeodesicProblem(spec, pt, velocity=v), method="nope")
+
+
+def test_runge_kutta_route_runs_forward_only():
+    # the route integrates forward over a finite interval, as every problem
+    # does; a nan or infinite end would step forever
+    spec, pt = family_setup()
+    v = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)
+    for t_end in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            geo.integrate_ivp(spec, pt, v, t_end)
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            geo.GeodesicProblem(spec, pt, velocity=v, t_end=t_end)
 
 
 # --------------------------------------------------------------- quadrature

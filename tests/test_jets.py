@@ -5,6 +5,7 @@ independent checks are hand-rolled convolutions and Leibniz sums.
 """
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ def binom(n, k):
     return math.comb(n, k)
 
 
+def ranked(space):
+    """The multi-indices of `space` as tuples in rank order, each mapped to
+    its rank (the space itself keeps them only as arrays)."""
+    return {m: r for r, m in enumerate(map(tuple, space._exps.tolist()))}
+
+
 def dyadic_jet(space, rng):
     # small dyadic coefficients keep every product and sum exact in floats
     return Jet(space, rng.integers(-8, 9, size=space.size) / 8.0)
@@ -37,19 +44,63 @@ def test_space_sizes():
     for n_vars, order in itertools.product((1, 2, 3), (0, 1, 2, 3, 4)):
         sp = jet_space(tuple(f"v{i}" for i in range(n_vars)), order)
         assert sp.size == binom(order + n_vars, n_vars)
-        assert len(sp.multis) == sp.size
-        assert len(set(sp.multis)) == sp.size
+        assert len(ranked(sp)) == sp.size == len(sp._exps)
 
 
 def test_multis_graded_and_ranked():
     sp = jet_space(("a", "b"), 3)
-    degrees = [sum(m) for m in sp.multis]
+    rank = ranked(sp)
+    degrees = [sum(m) for m in rank]
     assert degrees == sorted(degrees)
-    for r, m in enumerate(sp.multis):
-        assert sp.rank[m] == r
+    assert list(rank.values()) == list(range(sp.size))
     # within a degree block the entries are lexicographic
-    block = [m for m in sp.multis if sum(m) == 1]
+    block = [m for m in rank if sum(m) == 1]
     assert block == sorted(block)
+
+
+def graded_lex(n, order):
+    """Every multi-index of n entries and degree <= order, by degree and
+    then lexicographically, mapped to its place in that order."""
+    multis = []
+    for d in range(order + 1):
+        for picks in itertools.combinations_with_replacement(range(n), d):
+            multis.append(tuple(picks.count(v) for v in range(n)))
+    return {m: r for r, m in enumerate(sorted(multis, key=lambda m: (sum(m), m)))}
+
+
+@pytest.mark.parametrize("n, order", [(1, 0), (2, 3), (3, 4), (7, 4), (40, 2)])
+def test_ranks_by_code(n, order):
+    # the packed code of every multi-index finds its own rank, and
+    # `variable` and `extract` use the graded-lex ranks; at 40 variables
+    # the codes are Python ints
+    sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
+    want = graded_lex(n, order)
+    assert ranked(sp) == want
+    digits = [(sum(m),) + m for m in want]
+    codes = [sum(d * (order + 1) ** (n - i) for i, d in enumerate(m)) for m in digits]
+    assert sp._codes.dtype == (object if n == 40 else np.int64)
+    at = np.searchsorted(sp._codes, np.array(codes, dtype=sp._codes.dtype))
+    assert at.tolist() == list(range(sp.size))
+    for v in range(n):
+        unit = tuple(int(i == v) for i in range(n))
+        coef = sp.variable(f"v{v}", 2.0).coef
+        assert np.flatnonzero(coef).tolist() == ([0, want[unit]] if order else [0])
+    x = Jet(sp, np.arange(1.0, sp.size + 1))
+    for m, r in want.items():
+        assert x.extract(m) == (r + 1) * math.prod(map(math.factorial, m))
+
+
+def test_space_keeps_no_object_per_multi_index():
+    # 7 variables at order 10 (19,448 multi-indices, the family's p = 5
+    # top space): codes, exponents, degrees and reaches, about 1.5 MiB
+    tracemalloc.start()
+    try:
+        sp = JetSpace(tuple(f"v{i}" for i in range(7)), 10)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sp.size == 19448
+    assert retained <= 1.25 * 1.49 * 2 ** 20
 
 
 def test_space_cached():
@@ -114,13 +165,14 @@ def test_mul_matches_direct_convolution():
     sp = jet_space(("a", "b"), 3)
     x, y = dyadic_jet(sp, rng), dyadic_jet(sp, rng)
     prod = x * y
-    for m in sp.multis:
+    rank = ranked(sp)
+    for m in rank:
         total = 0.0
-        for ma in sp.multis:
+        for ma in rank:
             if all(a <= t for a, t in zip(ma, m)):
                 mb = tuple(t - a for a, t in zip(ma, m))
-                total += x.coef[sp.rank[ma]] * y.coef[sp.rank[mb]]
-        assert prod.coef[sp.rank[m]] == total
+                total += x.coef[rank[ma]] * y.coef[rank[mb]]
+        assert prod.coef[rank[m]] == total
 
 
 def test_leibniz_exhaustive():
@@ -132,7 +184,7 @@ def test_leibniz_exhaustive():
         sp = jet_space(names, 3)
         a, b = dyadic_jet(sp, rng), dyadic_jet(sp, rng)
         ab = a * b
-        for m in sp.multis:
+        for m in ranked(sp):
             expansion = 0.0
             for s in itertools.product(*(range(mi + 1) for mi in m)):
                 weight = 1.0
@@ -272,10 +324,11 @@ def test_non_finite_operands_take_the_table_route(monkeypatch):
     # inf * 0 is nan on the table route; the sparse route would skip it,
     # and so would a product at the operands' own columns
     sp = jet_space(("a", "b", "c"), 6)
+    rank = ranked(sp)
     a = np.zeros(sp.size)
-    a[sp.rank[(0, 2, 0)]] = 2.0
+    a[rank[(0, 2, 0)]] = 2.0
     b = np.zeros(sp.size)
-    b[sp.rank[(1, 0, 0)]] = 1.0
+    b[rank[(1, 0, 0)]] = 1.0
     sp._mul()
     listed = []
     listing = JetSpace._listing
@@ -285,13 +338,13 @@ def test_non_finite_operands_take_the_table_route(monkeypatch):
     sp.multiply(a, b)
     _rows_product(sp, a[None], b[None], cols)
     assert listed == [2, 2]  # finite, these operands go sparse
-    a[sp.rank[(0, 2, 0)]] = math.inf
+    a[rank[(0, 2, 0)]] = math.inf
     with np.errstate(invalid="ignore"):
         out = sp.multiply(a, b)
         assert out.tobytes() == _table(sp, a, b).tobytes()
         assert _rows_product(sp, a[None], b[None], cols)[0].tobytes() == out.tobytes()
     assert listed == [2, 2]
-    assert np.isnan(out[sp.rank[(0, 2, 0)]]) and out[sp.rank[(1, 2, 0)]] == math.inf
+    assert np.isnan(out[rank[(0, 2, 0)]]) and out[rank[(1, 2, 0)]] == math.inf
 
 
 def test_wide_space_codes_are_python_ints():
@@ -300,10 +353,10 @@ def test_wide_space_codes_are_python_ints():
     sp = jet_space(tuple(f"v{i}" for i in range(40)), 2)
     assert sp._codes.dtype == object
     assert sp.size == binom(42, 40)
-    assert all(sp.rank[m] == r for r, m in enumerate(sp.multis))
+    rank = ranked(sp)
     rng = np.random.default_rng(9)
     x, y = dyadic_jet(sp, rng), dyadic_jet(sp, rng)
-    last = [sp.rank[(0,) * 39 + (k,)] for k in range(3)]  # 1, v39, v39^2
+    last = [rank[(0,) * 39 + (k,)] for k in range(3)]  # 1, v39, v39^2
     assert (x * y).coef[last[2]] == sum(x.coef[last[i]] * y.coef[last[2 - i]] for i in range(3))
     assert np.array_equal(_sparse(sp, x.coef, y.coef), _table(sp, x.coef, y.coef))
     assert x.deriv("v39").coef[last[1]] == 2 * x.coef[last[2]]
@@ -324,8 +377,9 @@ def test_lift_keeps_products_to_the_bit(n, order, dens_a, dens_b, seed):
     big, small = jet_space(names, order), jet_space(sub, order)
     a, b = (Jet(small, _operand(small, rng, d)) for d in (dens_a, dens_b))
     la, lb = big.lift(a), big.lift(b)
-    for m, r in small.rank.items():
-        at = big.rank[tuple(m[sub.index(v)] if v in sub else 0 for v in names)]
+    big_rank = ranked(big)
+    for m, r in ranked(small).items():
+        at = big_rank[tuple(m[sub.index(v)] if v in sub else 0 for v in names)]
         assert la.coef[at].tobytes() == a.coef[r].tobytes()
     assert np.count_nonzero(la.coef) == np.count_nonzero(a.coef)
     assert (la * lb).coef.tobytes() == big.lift(a * b).coef.tobytes()
@@ -408,9 +462,10 @@ def test_deriv_shifts_coefficients():
     x = dyadic_jet(sp, rng)
     d = x.deriv("a")
     assert d.order == 2
-    for m in d.space.multis:
+    rank = ranked(sp)
+    for m, r in ranked(d.space).items():
         up = (m[0] + 1, m[1])
-        assert d.coef[d.space.rank[m]] == x.coef[sp.rank[up]] * (m[0] + 1)
+        assert d.coef[r] == x.coef[rank[up]] * (m[0] + 1)
 
 
 def test_deriv_foreign_variable_is_zero():

@@ -39,3 +39,13 @@ def test_runtime_dependency_is_numpy_alone():
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
     assert names == ["numpy"]
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_jet_space_tables_stay_in_jets():
+    # the multi-index format lives behind jets.py: no other module reads
+    # JetSpace's private tables
+    tables = re.compile(r"\._(codes|exps|deg|reach|unit_codes)\b")
+    reads = [f"{path.name}:{n}"
+             for path in sorted(Path(jetgeo.__file__).parent.glob("*.py")) if path.name != "jets.py"
+             for n, line in enumerate(path.read_text().splitlines(), 1) if tables.search(line)]
+    assert reads == []
