@@ -348,6 +348,8 @@ def _check_suite(
 def cmd_check(args: argparse.Namespace) -> int:
     if not (math.isfinite(args.tol) and args.tol >= 0.0):
         raise CliInputError(f"--tol must be finite and >= 0, got {args.tol!r}")
+    if args.seed < 0:
+        raise CliInputError(f"--seed must be >= 0, got {args.seed}")
     loaded = _load_metric(args)
     spec = loaded.spec
     if args.point is not None:

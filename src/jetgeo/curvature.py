@@ -24,13 +24,14 @@ shifts (vector-mode Taylor propagation: Griewank and Walther, Evaluating
 Derivatives, 2nd ed., SIAM 2008, ch. 13), added in the order of a loop over
 them, so every coefficient is that loop's to the last bit.
 
-Each matrix keeps only its live columns: the ranks of its jet space where
-some row is nonzero, shared by all its rows (38 of the 19,448 ranks of the
-inverse at p = 5 in the family).  All arithmetic runs on those columns: a
-product lists the pairs of its operands' joint columns, a derivative sends
-rank m to the rank of m - e_v, and truncation keeps a prefix of the columns.
-A sum's columns are known before it runs, from those of its terms.  Dense
-rows are built only for read-outs that ask for jets.
+Each matrix keeps its truncation order and only its live columns: the
+packed codes (`jets`) of the context's one jet space, of the top order,
+where some row is nonzero (38 of 19,448 for the inverse at p = 5 in the
+family).  All arithmetic runs on those columns: a product lists the pairs
+of its operands' joint columns, a derivative sends code m to m - code(e_v),
+and truncation keeps a prefix of the columns.  A sum's columns are known
+before it runs, from those of its terms.  Dense rows are built only for
+read-outs that ask for jets.
 """
 from __future__ import annotations
 
@@ -184,13 +185,13 @@ def _digit_weights(dim: int, r: int) -> np.ndarray:
 
 
 class _Jets(Mapping):
-    """Jets by index tuple, zero rows left out: row r of `index` is a key,
-    and row r of `vals` its jet's coefficients at `cols`, the ascending
-    ranks of `space` where some row is nonzero.  A non-finite coefficient
-    raises NonFiniteError.  The arithmetic reads `cols` and `vals`; the
-    dense `coef` and the jets, views of its rows, are built on demand."""
+    """Jets of truncation order `order` by index tuple, zero rows left out:
+    row r of `index` is a key, and row r of `vals` its jet's coefficients at
+    `cols`, the ascending codes of `space` where some row is nonzero.  A
+    non-finite coefficient raises NonFiniteError.  The dense `coef` and the
+    jets, views of its rows, are built on demand."""
 
-    def __init__(self, index: np.ndarray, cols: np.ndarray, vals: np.ndarray, space):
+    def __init__(self, index: np.ndarray, cols: np.ndarray, vals: np.ndarray, space, order: int):
         if not np.isfinite(vals).all():
             raise NonFiniteError("non-finite coefficients in the curvature jets")
         live = vals != 0.0
@@ -199,12 +200,12 @@ class _Jets(Mapping):
             index, vals = index[keep], vals[keep]
         if not used.all():
             cols, vals = cols[used], vals[:, used]
-        self.index, self.cols, self.vals, self.space = index, cols, vals, space
+        self.index, self.cols, self.vals, self.space, self.order = index, cols, vals, space, order
 
     @cached_property
     def coef(self) -> np.ndarray:
-        coef = np.zeros((len(self.vals), self.space.size))
-        coef[:, self.cols] = self.vals
+        coef = np.zeros((len(self.vals), self.space.size_at(self.order)))
+        coef[:, self.space._rank(self.cols)] = self.vals
         return coef
 
     @cached_property
@@ -212,7 +213,7 @@ class _Jets(Mapping):
         return dict(zip(map(tuple, self.index.tolist()), range(len(self.index))))
 
     def __getitem__(self, key) -> Jet:
-        return Jet(self.space, self.coef[self._row[key]])
+        return Jet(jet_space(self.space.variables, self.order), self.coef[self._row[key]])
 
     def __iter__(self):
         return iter(self._row)
@@ -221,12 +222,12 @@ class _Jets(Mapping):
         return len(self.index)
 
     def at_point(self) -> np.ndarray:
-        """The order-0 coefficients: the column of rank 0."""
+        """The order-0 coefficients: the column of code 0."""
         return self.vals[:, 0] if self.cols[:1].tolist() == [0] else np.zeros(len(self.vals))
 
-    def cut(self, space) -> tuple[np.ndarray, np.ndarray]:
-        """The columns and values truncated to `space`: a prefix of the columns."""
-        n = np.searchsorted(self.cols, space.size)
+    def cut(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """The columns and values truncated to `order`: a prefix of the columns."""
+        n = np.searchsorted(self.cols, self.space._stop(order))
         return self.cols[:n], self.vals[:, :n]
 
     @cached_property
@@ -238,7 +239,7 @@ class _Jets(Mapping):
 
     @property
     def deriv_cols(self) -> np.ndarray:
-        """The ranks where a derivative of these jets can be nonzero."""
+        """The codes where a derivative of these jets can be nonzero."""
         return self._shifts[0]
 
     def derivs(self, rows: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -249,8 +250,8 @@ class _Jets(Mapping):
 
 
 def _widen(cols: np.ndarray, vals: np.ndarray, to: np.ndarray) -> np.ndarray:
-    """`vals`, at the ascending ranks `cols`, put at their places among the
-    ascending ranks `to`, a superset, with zeros elsewhere."""
+    """`vals`, at the ascending codes `cols`, put at their places among the
+    ascending codes `to`, a superset, with zeros elsewhere."""
     if len(cols) == len(to):
         return vals
     out = np.zeros((len(vals), len(to)))
@@ -260,7 +261,7 @@ def _widen(cols: np.ndarray, vals: np.ndarray, to: np.ndarray) -> np.ndarray:
 
 def _joint(*mats: tuple[np.ndarray, np.ndarray], also: tuple[np.ndarray, ...] = ()):
     """Matrices given as (columns, values), put at the union of their
-    columns and those of `also`, all ascending ranks: that union, and the
+    columns and those of `also`, all ascending codes: that union, and the
     matrices there."""
     cols = [c for c, _ in mats] + list(also)
     if not all(np.array_equal(c, cols[0]) for c in cols[1:]):
@@ -284,8 +285,8 @@ def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign: int = 1,
                  started=None) -> None:
     """Add term t, of the terms that `terms(ts)` gives for the slice ts as
-    (ascending ranks, values there), to row[t] of `acc`, a matrix at the
-    ranks `cols` that hold every term's, each row in the order of `row` as
+    (ascending codes, values there), to row[t] of `acc`, a matrix at the
+    codes `cols` that hold every term's, each row in the order of `row` as
     `acc = acc + term` (`acc - term` for sign -1) would: a `started` row
     goes on from what `acc` holds, any other begins with its first term, or
     minus it.  The n-th terms of all rows go in one vector step,
@@ -298,10 +299,7 @@ def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign
     step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(cols)))
     for t0 in range(0, len(row), step):
         ts = slice(t0, t0 + step)
-        t_cols, vals = terms(ts)
-        if len(t_cols) > len(cols):  # `multiply_rows` met a non-finite operand
-            raise NonFiniteError("non-finite coefficients in the curvature jets")
-        vals, n, rows = _widen(t_cols, vals, cols), nth[ts], row[ts]
+        vals, n, rows = _widen(*terms(ts), cols), nth[ts], row[ts]
         by_n = np.argsort(n, kind="stable")
         ends = np.cumsum(np.bincount(n)).tolist()
         for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
@@ -397,7 +395,8 @@ class CurvatureContext:
         coef = np.empty((len(index), self._space.size))
         for row, (i, j) in enumerate(index):
             coef[row] = ex.eval_jet(self.spec.components[i][j], env, self.active, self.order).coef
-        return _Jets(np.array(index, dtype=np.intp), np.arange(self._space.size), coef, self._space)
+        return _Jets(np.array(index, dtype=np.intp), *self._space._compact(coef), self._space,
+                     self.order)
 
     def _neumann_inverse(self) -> _Jets:
         """Inverse-metric jets at full order.
@@ -430,14 +429,14 @@ class CurvatureContext:
         g = self._g_rows
         # N's entries (a, b): each upper metric entry with a nonconstant
         # part, as (i, j) and then (j, i), with their rows of `nil`
-        live = g.vals[:, 1:].any(axis=1)  # rank 0 is column 0: g0 is not zero
+        live = g.vals[:, 1:].any(axis=1)  # code 0 is column 0: g0 is not zero
         nil = g.vals[live]
         nil[:, 0] = 0.0
         nil = (g.cols, nil)
         src, nil_a, nil_b = np.array(
             [(r, *pair) for r, (i, j) in enumerate(g.index[live].tolist())
              for pair in dict.fromkeys([(i, j), (j, i)])], dtype=np.intp).reshape(-1, 3).T
-        # S and t as rows keyed a * m + b; S starts from h0, at rank 0
+        # S and t as rows keyed a * m + b; S starts from h0, at code 0
         base = np.flatnonzero(h0)
         keys, s_cols, s, stale = base, np.zeros(1, dtype=np.intp), h0.flat[base][:, None], True
         for _ in range(self.order):
@@ -450,11 +449,11 @@ class CurvatureContext:
                 tr, i = np.nonzero(h0[:, ta].T != 0.0)
                 s_row, new = _first_seen(np.concatenate((base, i * m + tc[tr])))
             cols, (left, right) = _joint(nil, (s_cols, s))
-            t_cols = space.product_cols(cols)
+            t_cols = space.product_cols(cols, self.order)
             t = np.empty((len(t_keys), len(t_cols)))
             _ordered_sum(t_cols, t, t_row, lambda ts: space.multiply_rows(
-                cols, left[src[at[ts]]], right[pos[nil_b[at[ts]], c[ts]]]))
-            # rank 0 is in `cols`, so in `t_cols`: h0 goes to column 0
+                cols, left[src[at[ts]]], right[pos[nil_b[at[ts]], c[ts]]], self.order))
+            # code 0 is in `cols`, so in `t_cols`: h0 goes to column 0
             last_cols, last, s_cols = s_cols, s, t_cols
             s = np.zeros((len(new), len(s_cols)))
             s[: len(base), 0] = h0.flat[base]
@@ -481,11 +480,10 @@ class CurvatureContext:
         np.maximum.at(size, a, np.max(np.abs(s), axis=1, initial=0.0))
         size = np.sqrt(size)
         s = _flush(s, (size[a] * size[b])[:, None])
-        return _Jets(np.column_stack((a, b)), s_cols, s, space)
+        return _Jets(np.column_stack((a, b)), s_cols, s, space, self.order)
 
     def _christoffel_first(self) -> _Jets:
         """Gamma_abc as the sums of `christoffel_terms`, in their order."""
-        space = jet_space(self.active, self.order - 1)
         terms = [(key, self._g_row[pair], self._act_pos[v], h)
                  for key, sums in christoffel_terms(self.spec).items()
                  for v, pair, h in sums if self._g_row[pair] >= 0]
@@ -498,23 +496,24 @@ class CurvatureContext:
         acc = np.empty((len(keys), len(cols)))
         _ordered_sum(cols, acc, row, lambda ts: (
             cols, self._g_rows.derivs(g[ts], var[ts])[1] * h[ts, None]))
-        return _Jets(keys[:, None] // weights % self.dim, cols, acc, space)
+        return _Jets(keys[:, None] // weights % self.dim, cols, acc, self._space, self.order - 1)
 
     def _christoffel_second(self) -> _Jets:
         """Gamma_ab^c = sum over d of ginv^cd Gamma_abd, summed key by key
         of `_gamma1` and then over the inverse's column d in its order."""
         g1, ginv = self._gamma1, self._ginv
-        space = jet_space(self.active, self.order - 1)
+        space, order = self._space, self.order - 1
         by_col, start, length = _runs(ginv.index[:, 1], self.dim)
         at, h = _expand(start[g1.index[:, 2]], length[g1.index[:, 2]])
         h = by_col[h]
         weights = _digit_weights(self.dim, 3)
         row, keys = _first_seen(np.column_stack((g1.index[at, :2], ginv.index[h, 0])) @ weights)
-        cols, (left, right) = _joint(ginv.cut(space), (g1.cols, g1.vals))
-        out = space.product_cols(cols)
+        cols, (left, right) = _joint(ginv.cut(order), (g1.cols, g1.vals))
+        out = space.product_cols(cols, order)
         acc = np.empty((len(keys), len(out)))
-        _ordered_sum(out, acc, row, lambda ts: space.multiply_rows(cols, left[h[ts]], right[at[ts]]))
-        return _Jets(keys[:, None] // weights % self.dim, out, acc, space)
+        _ordered_sum(out, acc, row, lambda ts: space.multiply_rows(
+            cols, left[h[ts]], right[at[ts]], order))
+        return _Jets(keys[:, None] // weights % self.dim, out, acc, space, order)
 
     # ------------------------------------------------------------ curvature
     def _riemann_candidates(self) -> set[tuple[int, int, int, int]]:
@@ -532,35 +531,36 @@ class CurvatureContext:
     def _riemann_jets(self, cand: Iterable[tuple[int, int, int, int]]) -> _Jets:
         """Level-0 jets at the index tuples `cand`, zeros left out, by blocks
         (`_riemann_block`) with each candidate next to its swap (j, i, k, l)."""
-        space = jet_space(self.active, self.order - 2)
+        order = self.order - 2
         idx = np.fromiter(chain.from_iterable(cand), np.intp).reshape(-1, 4)
         weights = _digit_weights(self.dim, 4)
         codes = np.stack((idx @ weights, idx[:, [1, 0, 2, 3]] @ weights))
         work = np.argsort(codes.min(axis=0), kind="stable")
         # the factors of the edge products at their joint columns: d_i
         # Gamma_jk^m or Gamma_jk^m on the left, g_ml or Gamma_iml on the right
-        cols, factors = _joint(self._gamma2.cut(space), self._g_rows.cut(space),
-                               self._gamma1.cut(space), also=(self._gamma2.deriv_cols,))
-        out = space.product_cols(cols)
+        cols, factors = _joint(self._gamma2.cut(order), self._g_rows.cut(order),
+                               self._gamma1.cut(order), also=(self._gamma2.deriv_cols,))
+        out = self._space.product_cols(cols, order)
         at, coefs = [work[:0]], [np.zeros((0, len(out)))]
         step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(out)))
         for c0 in range(0, len(idx), step):
             block = work[c0:c0 + step]
-            rows, coef = self._riemann_block(codes[:, block], weights, space, cols, factors, out)
+            rows, coef = self._riemann_block(codes[:, block], weights, order, cols, factors, out)
             at.append(block[rows])
             coefs.append(coef)
         at, coef = np.concatenate(at), np.concatenate(coefs)
         coefs.clear()  # the blocks go before the reordered copy comes
-        return _Jets(idx[np.sort(at)], out, coef[np.argsort(at)], space)
+        return _Jets(idx[np.sort(at)], out, coef[np.argsort(at)], self._space, order)
 
-    def _riemann_block(self, codes: np.ndarray, weights: np.ndarray, space, cols, factors, out):
+    def _riemann_block(self, codes, weights, order: int, cols, factors, out):
         """R(i, j, k, l) = edge(i, j, k, l) - edge(j, i, k, l) at the block
         whose (i, j, k, l) and (j, i, k, l) have the codes `codes` (two rows):
         the candidates whose jet is not zero, and their jets at the ranks
         `out`.  An edge sums over the hooks m of (j, k) in `_gamma2` order
         (d_i Gamma_jk^m) g_ml and then Gamma_jk^m Gamma_iml, and is
         evaluated once a block.  `factors` holds Gamma_jk^m, g_ml and
-        Gamma_iml at `cols`, the joint columns of the edge products."""
+        Gamma_iml at `cols`, the joint columns of the edge products, which
+        are truncated at `order`."""
         place, edges = _first_seen(codes.ravel())
         i, j, k, l = (edges[:, None] // weights % self.dim).T
         at, hook = _expand(self._fwd_start[j * self.dim + k], self._fwd_len[j * self.dim + k])
@@ -582,7 +582,7 @@ class CurvatureContext:
             other = np.empty_like(left)
             other[d] = g[r[d]]
             other[~d] = g1[r[~d]]
-            return space.multiply_rows(cols, left, other)
+            return self._space.multiply_rows(cols, left, other, order)
 
         edge = np.empty((int(live.sum()), len(out)))
         _ordered_sum(out, edge, row_of[at], products)
@@ -626,11 +626,11 @@ class CurvatureContext:
         left out: (nabla T)(i; m) = d_m T(i) - sum_s Gamma_{m i_s}^a T(i, a at s),
         all at once: the derivatives by column shifts, then the Christoffel
         products subtracted in the order of the sum (`_ordered_sum`)."""
-        space = jet_space(self.active, ord_out)
+        space = self._space
         r = prev.index.shape[1]
         idx = np.fromiter(chain.from_iterable(cand), np.intp).reshape(-1, r + 1)
         if not prev:
-            return _Jets(idx[:0], np.zeros(0, dtype=np.intp), np.zeros((0, 0)), space)
+            return _Jets(idx[:0], np.zeros(0, dtype=np.intp), np.zeros((0, 0)), space, ord_out)
         # index tuples as base-dim codes, looked up in prev's sorted codes
         weights = _digit_weights(self.dim, r)
         prev_codes = prev.index @ weights
@@ -665,11 +665,11 @@ class CurvatureContext:
         rows = np.flatnonzero(live)
         out, acc = prev.derivs(tj[rows], np.where(has_d[rows], var[rows], -1))
         if len(comp):
-            cols, (left, right) = _joint(self._gamma2.cut(space), prev.cut(space))
-            out, (acc,) = _joint((out, acc), also=(space.product_cols(cols),))
+            cols, (left, right) = _joint(self._gamma2.cut(ord_out), prev.cut(ord_out))
+            out, (acc,) = _joint((out, acc), also=(space.product_cols(cols, ord_out),))
             _ordered_sum(out, acc, (np.cumsum(live) - 1)[comp], lambda ts: space.multiply_rows(
-                cols, left[hook[ts]], right[rep[ts]]), -1, has_d[rows])
-        return _Jets(idx[rows], out, acc, space)
+                cols, left[hook[ts]], right[rep[ts]], ord_out), -1, has_d[rows])
+        return _Jets(idx[rows], out, acc, space, ord_out)
 
     def _check_level(self, k: int) -> None:
         if k < 0:

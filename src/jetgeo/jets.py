@@ -10,34 +10,34 @@ Coefficients live in a dense table indexed by multi-indices in graded
 lexicographic order.  The grading means the coefficients of order <= q are a
 prefix of the table, so truncation is a slice.
 
-A space keeps each multi-index m as its packed code and its row of exponents,
-in arrays by rank; there is no Python object per multi-index.  The code is
-the digits |m|, m_1, ..., m_n read as one number in base K + 1.  No digit
-exceeds K below the truncation order, so code(m + m') = code(m) + code(m')
-for every product term that is kept, code(m) = sum_v m_v code(e_v), and the
-codes ascend with the graded-lex rank, so one `searchsorted` on them turns
-codes back into ranks (packed exponents for sparse polynomial products:
-Monagan and Pearce, CASC 2007, LNCS 4770).  The derivative shift
-m -> m + e_v, the pair listing below, `lift`, `JetSpace.variable` and
-`Jet.extract` all find ranks this way.  Only this module reads those arrays.
+A space names each multi-index m by its packed code alone, one sorted array
+with no Python object per multi-index: the digits |m|, m_1, ..., m_n read as
+one number in base K + 1 (packed exponents for sparse polynomial products:
+Monagan and Pearce, CASC 2007, LNCS 4770).  No digit exceeds K below the
+truncation order, so code(m + m') = code(m) + code(m') for every product
+term that is kept, code(m) = sum_v m_v code(e_v), m_v is the digit
+(code // (K + 1)^(n - 1 - v)) % (K + 1), and |m| <= q means
+code(m) < (q + 1) (K + 1)^n.  The codes ascend with the graded-lex rank, so
+one `searchsorted` turns codes into ranks.  Only this module reads them.
 
 A product sums pair terms, and one listing gives the pairs: for an ascending
-set of ranks, every pair (r, s), r <= s, of them with |r| + |s| <= K, in
-ascending order, with the rank of r + s.  The ranks are graded, so the
-partners of r are one run of the set: from r up to size_at(K - |r|).  Pair
-(r, s) weighs a[r]*b[s] + a[s]*b[r] off the diagonal and a[r]*b[r] on it;
-off-diagonal pairs are summed into the output ranks by one `bincount`,
-diagonal pairs by a second, added in that order.  The pair table, the
-listing of every rank, is cached in the space when first needed; it has
-sum_r max(0, size_at(K - |r|) - r) pairs, about a million at 7 variables and
-order 10.  In every pair a listing of fewer ranks leaves out, and in every
-pair it lists beyond nonzero(a) x nonzero(b), a[r] or b[s], and a[s] or
-b[r], are zero; with finite operands such a pair weighs +-0.0, and adding
-+-0.0 to a bin changes no bit (the bins start at +0.0).  So the listing of
-any superset of the operands' nonzeros gives the table's product to the bit,
-and a * b and b * a are bit-identical.  (A non-finite coefficient would break
-this: the table forms inf * 0 = nan where a shorter listing forms nothing,
-so such operands always take the table.)
+set of codes and an order q, every pair (r, s), r <= s, of them with
+|r| + |s| <= q, in ascending order, with the code of r + s.  The codes are
+graded, so the partners of r are one run of the set: from r up to the first
+code of degree q - |r| + 1.  Pair (r, s) weighs a[r]*b[s] + a[s]*b[r] off
+the diagonal and a[r]*b[r] on it; off-diagonal pairs are summed into the
+output by one `bincount`, diagonal pairs by a second, added in that order.
+Dense jets, indexed by rank, use the pair table, the listing of every code,
+cached when first needed: (C(K + 2n, 2n) + C(K // 2 + n, n)) / 2 pairs,
+about a million at 7 variables and order 10.  In every pair a listing of
+fewer multi-indices leaves out, and in every pair it lists beyond
+nonzero(a) x nonzero(b), a[r] or b[s], and a[s] or b[r], are zero; with
+finite operands such a pair weighs +-0.0, and adding +-0.0 to a bin changes
+no bit (the bins start at +0.0).  So the listing of any superset of the
+operands' nonzeros gives the table's product to the bit, and a * b and
+b * a are bit-identical.  (A non-finite coefficient would break this: the
+table forms inf * 0 = nan where a shorter listing forms nothing, so such
+operands always take the table.)
 
 `multiply` lists the operands' nonzeros when nnz(a) * nnz(b) *
 SPARSE_PAIR_COST is below the table's pair count and every coefficient is
@@ -56,16 +56,17 @@ lifted operands' nonzeros.  So the product of lifted jets is the lift of
 their product, to the bit, and sums and the analytic series follow; only a
 sum that held -0.0 off the lifted ranks holds +0.0 there.
 
-`multiply_rows` multiplies many pairs of jets bit for bit as `multiply`
-would, given column-compressed: (rows, len(cols)) coefficients at an
-ascending set `cols` of ranks that all rows share.  It lists `cols` once
-(the table, when `cols` is every rank).  `deriv_cols` differentiates such
-rows: rank m goes to the rank of m - e_v, times m_v.
+Column-compressed jets are keyed by code: (rows, len(cols)) coefficients at
+ascending codes `cols` that all rows share, of an order q <= K.  As the
+codes of degree <= q are a prefix, the space of order K serves every lower
+order.  `multiply_rows` multiplies many pairs of them from one listing of
+`cols`, bit for bit as `multiply` at order q; a non-finite operand raises
+NonFiniteError.  `deriv_cols` sends code m to m - code(e_v), times m_v.
 """
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -118,23 +119,9 @@ def _ramps(lengths: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
 
-def _multi_indices(n: int, order: int) -> np.ndarray:
-    """Every multi-index of n entries and total degree <= order, one a row."""
-    m = np.zeros((1, 0), dtype=np.int64)
-    for _ in range(n):
-        room = order + 1 - m.sum(axis=1)
-        m = np.column_stack((np.repeat(m, room, axis=0), _ramps(room)))
-    return m
-
-
 def _finite(a: np.ndarray, b: np.ndarray) -> bool:
     # the sparse route's condition: the table's inf * 0 is nan
     return bool(np.isfinite(a).all() and np.isfinite(b).all())
-
-
-def _check_differentiable(order: int) -> None:
-    if order == 0:
-        raise JetOrderError("cannot differentiate an order-0 jet")
 
 
 @lru_cache(maxsize=None)
@@ -150,18 +137,16 @@ class JetSpace:
     (variables, order) pairs share tables, and binary operations accept jets
     whose spaces agree structurally.
 
-    `_exps[r]` is the multi-index of rank r, `_codes[r]` its packed code as
-    described in the module docstring (int64, or Python ints where
-    (K + 1) ** (n + 1) would overflow it), `_unit_codes[v]` the code of e_v,
-    and `_deg[r]` the total degree; `_rank` turns multi-indices into ranks
-    by their codes.  The ranks s with |r| + |s| <= K are those below
-    `_reach[r]`, and `_pairs` is the pair table's length, known in closed
-    form before the table exists.  `multiply` picks the table or the sparse
-    route per call from the operands' nonzero counts; `_mul_tables` stays
-    None until the table is first needed.  `_last_listing` keeps the last
-    column set `multiply_rows` listed, `_deriv_full` the derivative table of
-    every rank, and `_lifts` the ranks here of each space lifted from; none
-    changes a result.
+    `_codes[r]` is the packed code of rank r (int64, or Python ints where
+    (K + 1) ** (n + 1) would overflow it), `_grade` the code of the degree
+    digit, (K + 1) ** n, `_places[v]` that of digit m_v, and
+    `_unit_codes[v]` the code of e_v; `_exps[r]`, the multi-index of rank
+    r, is read off the codes when first asked for.  `_pairs` is the pair
+    table's length.  `_mul_tables` stays None until the table is first
+    needed.  `_last_listing` keeps the last column set `multiply_rows`
+    listed at each order, `_deriv_full` the derivative shifts of every code up to a
+    degree, by degree, and `_lifts` the ranks here of each space lifted
+    from; none changes a result.
     """
 
     def __init__(self, variables: Sequence[str], order: int):
@@ -172,27 +157,28 @@ class JetSpace:
             raise ValueError(f"duplicate variables in {self.variables}")
         self.order = int(order)
         self.n = len(self.variables)
-        # digits in base order + 1: the degree first, then the exponents
-        # in variable order; Python ints where int64 would overflow
+        # digits in base order + 1: the exponents, one variable at a time in
+        # lexicographic order, then the degree; Python ints past int64
         base = self.order + 1
         dtype = np.int64 if base ** (self.n + 1) < 2 ** 63 else object
-        weights = np.array([base ** (self.n - d) for d in range(self.n + 1)], dtype=dtype)
-        exps = _multi_indices(self.n, self.order)
-        deg = exps.sum(axis=1)
-        codes = (np.column_stack((deg, exps)).astype(dtype) * weights).sum(axis=1)
-        by_code = np.argsort(codes, kind="stable")
-        self._codes = codes[by_code]
-        self._unit_codes = weights[0] + weights[1:]
-        self._exps = exps[by_code]
-        self._deg = deg[by_code]
-        self.size = len(codes)
+        code, deg = np.zeros(1, dtype=dtype), np.zeros(1, dtype=np.int64)
+        for _ in range(self.n):
+            room = base - deg
+            ramp = _ramps(room)
+            code = np.repeat(code, room) * base + ramp.astype(dtype)
+            deg = np.repeat(deg, room) + ramp
+        self._grade = base ** self.n
+        self._codes = np.sort(deg.astype(dtype) * self._grade + code)
+        self._places = np.array([base ** (self.n - 1 - v) for v in range(self.n)], dtype=dtype)
+        self._unit_codes = self._grade + self._places
+        self.size = len(self._codes)
         self._var_pos = {name: i for i, name in enumerate(self.variables)}
-        top = np.array([self.size_at(self.order - d) for d in range(self.order + 1)])
-        self._reach = top[self._deg]
-        self._pairs = int(np.maximum(self._reach - np.arange(self.size), 0).sum())
+        # ordered pairs of degree sum <= K, and the diagonal ones, halved
+        self._pairs = (math.comb(self.order + 2 * self.n, 2 * self.n)
+                       + math.comb(self.order // 2 + self.n, self.n)) // 2
         self._mul_tables = None
-        self._last_listing: tuple = (None,)
-        self._deriv_full = None
+        self._last_listing: dict = {}
+        self._deriv_full: dict = {}
         self._lifts: dict = {}
 
     def size_at(self, order: int) -> int:
@@ -201,6 +187,10 @@ class JetSpace:
 
     def key(self) -> tuple:
         return (self.variables, self.order)
+
+    @cached_property
+    def _exps(self) -> np.ndarray:
+        return (self._codes[:, None] // self._places % (self.order + 1)).astype(np.int64)
 
     # ------------------------------------------------------------------ build
     def zero(self) -> "Jet":
@@ -217,14 +207,16 @@ class JetSpace:
         coef = np.zeros(self.size)
         coef[0] = base
         if self.order >= 1:
-            coef[self._rank((1,), [self._var_pos[name]])] = 1.0
+            coef[self._rank(self._unit_codes[self._var_pos[name]])] = 1.0
         return Jet(self, coef)
 
-    def _rank(self, exps, pos=slice(None)):
-        """The ranks of the multi-indices `exps` (one, or one a row) over the
-        variables at positions `pos`: code(m) = sum_v m_v code(e_v), as the
-        degree is sum_v m_v, and codes ascend with rank."""
-        return np.searchsorted(self._codes, exps @ self._unit_codes[pos])
+    def _rank(self, codes):
+        """The ranks of packed codes (codes ascend with rank)."""
+        return np.searchsorted(self._codes, codes)
+
+    def _stop(self, order):
+        """The code after every code of degree <= order (elementwise)."""
+        return (order + 1) * self._grade
 
     def lift(self, jet: "Jet") -> "Jet":
         """`jet`, of this order over a subsequence of these variables, as a
@@ -237,35 +229,45 @@ class JetSpace:
             if small.order != self.order:
                 raise JetMismatchError(f"cannot lift order {small.order} to {self.order}")
             pos = [self._var_pos[v] for v in small.variables]
-            self._lifts[small.key()] = self._rank(small._exps, pos)
+            self._lifts[small.key()] = self._rank(small._exps @ self._unit_codes[pos])
         coef = np.zeros(self.size)
         coef[self._lifts[small.key()]] = jet.coef
         return Jet(self, coef)
 
-    # ------------------------------------------------------------- arithmetic
-    def _listing(self, ranks: np.ndarray):
-        """The product pairs of an ascending array of ranks.
+    def _compact(self, coef: np.ndarray):
+        """Full rows of this space as the codes where some row is nonzero,
+        and the rows there."""
+        used = coef.any(axis=0)
+        return self._codes[used], coef[:, used]
 
-        Every pair (r, s), r <= s, of `ranks` with |r| + |s| <= K, in
-        ascending order, as positions in `ranks`, with the rank of r + s:
+    # ------------------------------------------------------------- arithmetic
+    def _listing(self, codes: np.ndarray, order: int):
+        """The product pairs of an ascending array of codes at an order:
+        every pair (r, s), r <= s, of `codes` with |r| + |s| <= order, in
+        ascending order, as positions in `codes`, with the code of r + s:
         (r, s, out) of the off-diagonal pairs, then (r, out) of the diagonal
-        ones, as `_accumulate` takes them.
-        """
-        # ranks are graded, so the partners of r are one run of the set:
-        # from r up to size_at(K - |r|)
-        stop = np.searchsorted(ranks, self._reach[ranks])
-        lengths = np.maximum(stop - np.arange(len(ranks)), 0)
-        i = np.repeat(np.arange(len(ranks)), lengths)
+        ones, as `_accumulate` takes them once `out` is made positions."""
+        # codes are graded, so the partners of r are one run of the set:
+        # from r up to the first code of degree order - |r| + 1
+        stop = np.searchsorted(codes, self._stop(order - codes // self._grade))
+        lengths = np.maximum(stop - np.arange(len(codes)), 0)
+        i = np.repeat(np.arange(len(codes)), lengths)
         j = i + _ramps(lengths)
-        out = np.searchsorted(self._codes, self._codes[ranks[i]] + self._codes[ranks[j]])
+        out = codes[i] + codes[j]
         diag = i == j
         off = ~diag
         return i[off], j[off], out[off], i[diag], out[diag]
 
+    def _ranked_listing(self, ranks: np.ndarray):
+        # the listing of the multi-indices of the ascending `ranks`, with
+        # output ranks, for dense jets
+        ia, ib, io, idg, idg_o = self._listing(self._codes[ranks], self.order)
+        return ia, ib, self._rank(io), idg, self._rank(idg_o)
+
     def _mul(self):
         # the pair table: the listing of every rank
         if self._mul_tables is None:
-            self._mul_tables = self._listing(np.arange(self.size))
+            self._mul_tables = self._ranked_listing(np.arange(self.size))
         return self._mul_tables
 
     @staticmethod
@@ -295,26 +297,22 @@ class JetSpace:
             cost = np.count_nonzero(a) * SPARSE_PAIR_COST
             if cost < pairs and cost * np.count_nonzero(b) < pairs and _finite(a, b):
                 nz = np.flatnonzero((a != 0) | (b != 0))
-                return self._accumulate(a[nz], b[nz], *self._listing(nz), self.size)
+                return self._accumulate(a[nz], b[nz], *self._ranked_listing(nz), self.size)
         return self._accumulate(a, b, *self._mul(), self.size)
 
-    def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray):
-        """Products of (rows, len(cols)) operands at the ascending ranks `cols`.
+    def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray, order: int):
+        """Products of (rows, len(cols)) operands at the ascending codes
+        `cols`, truncated at `order`.
 
-        Returns the ascending ranks `out` the listing of `cols` reaches and
+        Returns the ascending codes `out` the listing of `cols` reaches and
         the (rows, len(out)) sums there: row r, put at `out` in a row of
-        zeros, is `multiply` of row r of a and of b, so put, bit for bit.
-        A full `cols` takes the pair table as it stands.  Operands with a
-        non-finite coefficient are put in full rows first and take the
-        table, so that inf * 0 = nan lands where `multiply` puts it.  Rows
-        go in blocks of SPARSE_PAIR_COST ** 2 listed pairs, which bounds the
-        temporaries.
+        zeros of the space of that order, is `multiply` there of row r of a
+        and of b, so put, bit for bit.  A non-finite operand raises
+        NonFiniteError.  Rows go in blocks of SPARSE_PAIR_COST ** 2 pairs.
         """
-        if len(cols) < self.size and not _finite(a, b):
-            wide = np.zeros((2, len(a), self.size))
-            wide[:, :, cols] = a, b
-            (a, b), cols = wide, np.arange(self.size)
-        listing, out = self._product_listing(cols)
+        if not _finite(a, b):
+            raise NonFiniteError("non-finite coefficients in the curvature jets")
+        listing, out = self._product_listing(cols, order)
         sums = np.empty((len(a), len(out)))
         step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(listing[0]) + len(listing[3])))
         for r0 in range(0, len(a), step):
@@ -322,49 +320,48 @@ class JetSpace:
             sums[rows] = self._accumulate(a[rows], b[rows], *listing, len(out))
         return out, sums
 
-    def _product_listing(self, cols: np.ndarray):
-        # the listing of `cols` with its output ranks as positions in the
-        # ranks it reaches, and those ranks; the last one is kept, as a sum
-        # asks for it in `product_cols` and then per block of rows, and the
-        # Neumann sweeps for the same columns sweep after sweep
-        if len(cols) == self.size:
-            return self._mul(), cols
+    def _product_listing(self, cols: np.ndarray, order: int):
+        # the listing of `cols` with its output codes as positions in the
+        # codes it reaches, and those codes.  The last of each order is kept:
+        # sums ask for it again per block of rows, the Neumann sweeps sweep
+        # after sweep, contexts of one metric context after context.  Python
+        # int codes match by address, and the kept copy keeps them alive
         key = cols.tobytes()
-        if self._last_listing[0] != key:
-            ia, ib, io, idg, idg_o = self._listing(cols)
+        last = self._last_listing.get(order)
+        if last is None or last[0] != key:
+            ia, ib, io, idg, idg_o = self._listing(cols, order)
             out = _distinct(np.concatenate((io, idg_o)))
             listing = ia, ib, np.searchsorted(out, io), idg, np.searchsorted(out, idg_o)
-            self._last_listing = key, listing, out
-        return self._last_listing[1:]
+            last = self._last_listing[order] = key, cols.copy(), listing, out
+        return last[2:]
 
-    def product_cols(self, cols: np.ndarray) -> np.ndarray:
-        """The ranks `multiply_rows` returns for operands at the ranks `cols`."""
-        return self._product_listing(cols)[1]
+    def product_cols(self, cols: np.ndarray, order: int) -> np.ndarray:
+        """The codes `multiply_rows` returns for operands at the codes `cols`."""
+        return self._product_listing(cols, order)[1]
 
     def deriv_cols(self, cols: np.ndarray):
-        """Differentiation at the ascending ranks `cols`: the ranks m - e_v
-        that ranks m of `cols` with m_v > 0 go to, over every v, ascending
-        (in this space and the one an order lower); and for each variable v
-        and each of those ranks r, the position in `cols` of r + e_v and its
-        exponent of v as a float, or len(cols) and 0.0 where r + e_v is not
-        in `cols`.  A last row holds len(cols) and 0.0 throughout, for no
-        derivative.  The result for every rank is kept."""
-        full = len(cols) == self.size
-        if full and self._deriv_full is not None:
-            return self._deriv_full
-        _check_differentiable(self.order)
-        var, at = np.nonzero(self._exps[cols].T > 0)
-        src = cols[at]
-        # code(m - e_v) = code(m) - code(e_v), and codes ascend with rank
-        to = np.searchsorted(self._codes, self._codes[src] - self._unit_codes[var])
-        ranks = _distinct(to)
-        pos = np.full((self.n + 1, len(ranks)), len(cols))
-        fac = np.zeros((self.n + 1, len(ranks)))
-        to = np.searchsorted(ranks, to)
-        pos[var, to], fac[var, to] = at, self._exps[src, var]
+        """Differentiation at the ascending codes `cols`: the codes m - e_v
+        that codes m of `cols` with m_v > 0 go to, over every v, ascending;
+        and for each variable v and each of those codes r, the position in
+        `cols` of r + e_v and its exponent of v as a float, or len(cols) and
+        0.0 where r + e_v is not in `cols`.  A last row holds len(cols) and
+        0.0 throughout, for no derivative.  The result for every code up to
+        a degree is kept."""
+        top = int(cols[-1]) // self._grade if len(cols) else -1
+        full = top >= 0 and len(cols) == self.size_at(top)
+        if full and top in self._deriv_full:
+            return self._deriv_full[top]
+        digit = cols // self._places[:, None] % (self.order + 1)
+        var, at = np.nonzero(digit > 0)
+        to = cols[at] - self._unit_codes[var]
+        codes = _distinct(to)
+        pos = np.full((self.n + 1, len(codes)), len(cols))
+        fac = np.zeros((self.n + 1, len(codes)))
+        to = np.searchsorted(codes, to)
+        pos[var, to], fac[var, to] = at, digit[var, at]
         if full:
-            self._deriv_full = ranks, pos, fac
-        return ranks, pos, fac
+            self._deriv_full[top] = codes, pos, fac
+        return codes, pos, fac
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
@@ -452,12 +449,14 @@ class Jet:
 
     def deriv(self, name: str) -> "Jet":
         """Partial derivative; one order lower.  Zero for foreign variables."""
+        if self.order == 0:
+            raise JetOrderError("cannot differentiate an order-0 jet")
+        lower = jet_space(self.variables, self.order - 1)
         if name not in self.space._var_pos:
-            _check_differentiable(self.order)
-            return jet_space(self.variables, self.order - 1).zero()
-        _, pos, fac = self.space.deriv_cols(np.arange(self.space.size))
-        v = self.space._var_pos[name]  # every m - e_v has its m here
-        return Jet(jet_space(self.variables, self.order - 1), self.coef[pos[v]] * fac[v])
+            return lower.zero()
+        _, pos, fac = self.space.deriv_cols(self.space._codes)
+        v = self.space._var_pos[name]
+        return Jet(lower, self.coef[pos[v]] * fac[v])
 
     def extract(self, m: Sequence[int]) -> float:
         """The partial derivative d^m f(base) (coefficient times m!)."""
@@ -471,7 +470,7 @@ class Jet:
         fact = 1.0
         for x in m:
             fact *= math.factorial(x)
-        return float(self.coef[self.space._rank(m)] * fact)
+        return float(self.coef[self.space._rank(m @ self.space._unit_codes)] * fact)
 
     # --------------------------------------------------- analytic primitives
     def _series(self, coeffs: Sequence[float]) -> "Jet":

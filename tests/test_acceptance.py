@@ -67,10 +67,11 @@ def test_engine_matches_closed_forms_on_family_grid():
     assert time.perf_counter() - t_start <= 60.0
 
 
-@pytest.mark.parametrize("p", [6, 7])
+@pytest.mark.parametrize("p", [6, 7, 8])
 def test_engine_matches_closed_forms_at_high_p(p):
-    # the paper's claims hold for every k >= 2; here up to k = 10, with jet
-    # spaces of 9 variables at order 12 (293,930 multi-indices) at p = 7
+    # the paper's claims hold for every k >= 2; here up to k = 11, with a
+    # jet space of 10 variables at order 13 (1,144,066 multi-indices) at
+    # p = 8, one a context
     rng = np.random.default_rng(20261018 + p)
     for text in PROFILES:
         check_closed_forms(p, text, rng, 2)

@@ -164,6 +164,16 @@ def test_check_family_all_pass(capsys):
     assert not any("SKIP" in l or "FAIL" in l for l in lines[:-1])
 
 
+@pytest.mark.xfail(strict=True, reason="the Runge-Kutta route's error (rtol 1e-10) reaches the "
+                   "fixed 1e-9 route-gap bound: ROADMAP, known defects")
+def test_check_geodesic_roundtrip_passes_on_a_long_trajectory(capsys):
+    # the trajectory reaches |u| = 4.7; against scipy's DOP853 at rtol 1e-13
+    # the direct route is 1.3e-12 off and the Runge-Kutta route 1.18e-9 off,
+    # so the route gap of 1.18e-9 is the Runge-Kutta route's own error
+    code, out, _ = run(capsys, ["check", "--family", "p=0,f=exp(y)+exp(2*y)", "--seed", "7"])
+    assert code == 0, [l for l in out.splitlines() if l.startswith("geodesic_roundtrip")]
+
+
 def test_check_sphere_controls(capsys, sphere_path):
     code, out, _ = run(
         capsys, ["check", "--spec", sphere_path, "--point", "0.8,0.1", "--seed", "7"]
@@ -232,6 +242,7 @@ def test_check_degenerate_profile_fails_precondition(capsys):
         (["check", "--family", "p=0,f=exp(y)", "--tol", "-1"], "--tol must be finite and >= 0"),
         (["check", "--family", "p=0,f=exp(y)", "--tol", "nan"], "--tol must be finite and >= 0"),
         (["check", "--family", "p=0,f=exp(y)", "--tol", "inf"], "--tol must be finite and >= 0"),
+        (["check", "--family", "p=0,f=exp(y)", "--seed", "-1"], "--seed must be >= 0"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, needle):

@@ -302,6 +302,23 @@ def test_family_metric_jets_take_their_own_spaces(monkeypatch):
     assert rows.vals.tobytes() == ctx._g_rows.vals.tobytes()
 
 
+def test_context_builds_one_jet_space_over_its_variables(monkeypatch):
+    # every matrix of the context, at every truncation order, is keyed by
+    # the codes of its top-order space: no space of a lower order over the
+    # active variables is built
+    pt, spec = _family_p5()
+    built = []
+    init = JetSpace.__init__
+    monkeypatch.setattr(JetSpace, "__init__", lambda self, variables, order: built.append(
+        (tuple(variables), order)) or init(self, variables, order))
+    jet_space.cache_clear()
+    ctx = CurvatureContext(spec, pt, 8)
+    for k in range(9):
+        ctx._level(k)
+    assert len(ctx.active) == 7
+    assert [order for variables, order in built if variables == ctx.active] == [10]
+
+
 def test_metric_jet_lifts_operands_one_at_a_time():
     # The peak of evaluating g_00 at p = 5 to order 10 on warm spaces: 633
     # KiB measured, with the sum's seven terms lifted to all 7 variables as
@@ -351,16 +368,15 @@ def test_family_context_memory_is_bounded(monkeypatch):
 
 
 def test_non_finite_product_in_a_sum_raises():
-    # `multiply_rows` returns a product with a non-finite operand at every
-    # column, wider than the sum's columns: the sum stops with the error
-    # that a non-finite matrix raises
+    # `multiply_rows` raises on a non-finite operand, so the sum stops with
+    # the error that a non-finite matrix raises
     space = jet_space(("a", "b"), 4)
-    cols = np.array([0, 1])
+    cols = space._codes[:2]  # ranks 0 and 1
     a = np.array([[1.0, math.inf]])
-    out = space.product_cols(cols)
+    out = space.product_cols(cols, 4)
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
         _ordered_sum(out, np.empty((1, len(out))), np.zeros(1, dtype=np.intp),
-                     lambda ts: space.multiply_rows(cols, a[ts], a[ts]))
+                     lambda ts: space.multiply_rows(cols, a[ts], a[ts], 4))
 
 
 def test_exhaustive_matches_sparse():

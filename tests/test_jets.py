@@ -92,7 +92,8 @@ def test_ranks_by_code(n, order):
 
 def test_space_keeps_no_object_per_multi_index():
     # 7 variables at order 10 (19,448 multi-indices, the family's p = 5
-    # top space): codes, exponents, degrees and reaches, about 1.5 MiB
+    # top space): its sorted codes alone, 155 KiB (1.49 MiB while it kept
+    # exponents, degrees and reaches as well)
     tracemalloc.start()
     try:
         sp = JetSpace(tuple(f"v{i}" for i in range(7)), 10)
@@ -100,7 +101,7 @@ def test_space_keeps_no_object_per_multi_index():
     finally:
         tracemalloc.stop()
     assert sp.size == 19448
-    assert retained <= 1.25 * 1.49 * 2 ** 20
+    assert retained <= 1.25 * 155 * 2 ** 10
 
 
 def test_space_cached():
@@ -221,7 +222,7 @@ DENSITIES = (0.0, 0.01, 0.05, 0.2, 0.6, 1.0)
 def _sparse(space, a, b):
     # the sparse route: the listing of the operands' nonzeros
     nz = np.flatnonzero((a != 0) | (b != 0))
-    return space._accumulate(a[nz], b[nz], *space._listing(nz), space.size)
+    return space._accumulate(a[nz], b[nz], *space._ranked_listing(nz), space.size)
 
 
 def _table(space, a, b):
@@ -237,12 +238,14 @@ def _operand(space, rng, density):
 
 
 def _rows_product(space, a, b, cols):
-    """`multiply_rows` of the dense rows a and b taken at the ranks `cols`,
-    with its sums put back at their ranks in rows of zeros."""
-    out, sums = space.multiply_rows(cols, a[:, cols], b[:, cols])
-    assert out.dtype == np.intp and np.all(np.diff(out) > 0) and sums.shape == (len(a), len(out))
+    """`multiply_rows` of the dense rows a and b taken at the ranks `cols`
+    (at their codes, at the space's order), with its sums put back at their
+    ranks in rows of zeros."""
+    out, sums = space.multiply_rows(space._codes[cols], a[:, cols], b[:, cols], space.order)
+    assert out.dtype == space._codes.dtype and np.all(np.diff(out) > 0)
+    assert sums.shape == (len(a), len(out))
     dense = np.zeros((len(a), space.size))
-    dense[:, out] = sums
+    dense[:, space._rank(out)] = sums
     return dense
 
 
@@ -296,15 +299,15 @@ def test_batched_product_rows_match_multiply(n, order, rows, seed):
 
 def test_batched_product_takes_both_routes(monkeypatch):
     # one listing a call, over the joint columns, whatever the number of
-    # row blocks; every column takes the pair table as it stands
+    # row blocks; every column is listed the same way, with no pair table
     listed = []
     listing = JetSpace._listing
-    monkeypatch.setattr(JetSpace, "_listing",
-                        lambda self, ranks: listed.append(len(ranks)) or listing(self, ranks))
+    monkeypatch.setattr(JetSpace, "_listing", lambda self, codes, order: listed.append(
+        len(codes)) or listing(self, codes, order))
     rng = np.random.default_rng(1)
     sparse = jet_space(tuple(f"v{i}" for i in range(5)), 5)
     cols = np.arange(sparse.size_at(2))  # degree <= 2: 21 of 252 columns
-    pairs = sum(len(x) for x in listing(sparse, cols)[::3])
+    pairs = sum(len(x) for x in listing(sparse, sparse._codes[cols], sparse.order)[::3])
     step = SPARSE_PAIR_COST ** 2 // pairs  # rows a block
     a = np.zeros((2 * step + 1, sparse.size))
     a[:, cols] = rng.standard_normal((len(a), len(cols)))
@@ -313,16 +316,16 @@ def test_batched_product_takes_both_routes(monkeypatch):
     assert listed == [len(cols)]
     for r in range(len(a)):
         assert out[r].tobytes() == sparse.multiply(a[r], a[-1 - r]).tobytes()
-    dense = jet_space(tuple(f"v{i}" for i in range(3)), 6)
-    dense._mul()
+    dense = JetSpace(tuple(f"v{i}" for i in range(3)), 6)  # with no listing kept
     a = np.array([_operand(dense, rng, 1.0) for _ in range(3)])
-    _rows_product(dense, a, a, np.arange(dense.size))
-    assert listed == [len(cols)]
+    full = _rows_product(dense, a, a, np.arange(dense.size))
+    assert listed == [len(cols), dense.size]
+    assert full.tobytes() == np.array([dense.multiply(x, x) for x in a]).tobytes()
 
 
 def test_non_finite_operands_take_the_table_route(monkeypatch):
     # inf * 0 is nan on the table route; the sparse route would skip it,
-    # and so would a product at the operands' own columns
+    # and so would a product at the operands' own columns, which raises
     sp = jet_space(("a", "b", "c"), 6)
     rank = ranked(sp)
     a = np.zeros(sp.size)
@@ -332,8 +335,8 @@ def test_non_finite_operands_take_the_table_route(monkeypatch):
     sp._mul()
     listed = []
     listing = JetSpace._listing
-    monkeypatch.setattr(JetSpace, "_listing",
-                        lambda self, ranks: listed.append(len(ranks)) or listing(self, ranks))
+    monkeypatch.setattr(JetSpace, "_listing", lambda self, codes, order: listed.append(
+        len(codes)) or listing(self, codes, order))
     cols = _live_cols(a[None], b[None])
     sp.multiply(a, b)
     _rows_product(sp, a[None], b[None], cols)
@@ -342,7 +345,8 @@ def test_non_finite_operands_take_the_table_route(monkeypatch):
     with np.errstate(invalid="ignore"):
         out = sp.multiply(a, b)
         assert out.tobytes() == _table(sp, a, b).tobytes()
-        assert _rows_product(sp, a[None], b[None], cols)[0].tobytes() == out.tobytes()
+    with pytest.raises(NonFiniteError):
+        _rows_product(sp, a[None], b[None], cols)
     assert listed == [2, 2]
     assert np.isnan(out[rank[(0, 2, 0)]]) and out[rank[(1, 2, 0)]] == math.inf
 
@@ -426,22 +430,23 @@ def test_compact_kernels_match_dense(shape, kind, rows, scale, non_finite, seed)
         return np.where(rng.random(vals.shape) < 0.6, vals, zeros)
 
     a, b = operand(), operand()
+    codes = sp._codes[cols]
     if non_finite is not None and len(cols):
         a[rng.integers(0, rows), rng.integers(0, len(cols))] = non_finite
+        with pytest.raises(NonFiniteError):
+            sp.multiply_rows(codes, a, b, order)
+        with pytest.raises(NonFiniteError):
+            _Jets(np.arange(rows)[:, None], codes, a, sp, order)
+        return
     dense_a, dense_b = np.zeros((2, rows, sp.size))
     dense_a[:, cols], dense_b[:, cols] = a, b
-    with np.errstate(over="ignore", invalid="ignore"):
-        out, sums = sp.multiply_rows(cols, a, b)
-        for r in range(rows):
-            want = sp.multiply(dense_a[r], dense_b[r])
-            got = np.zeros(sp.size)
-            got[out] = sums[r]
-            assert got.tobytes() == want.tobytes()
-    if non_finite is not None and len(cols):
-        with pytest.raises(NonFiniteError):
-            _Jets(np.arange(rows)[:, None], cols, a, sp)
-        return
-    jets = _Jets(np.arange(rows)[:, None], cols, a, sp)
+    out, sums = sp.multiply_rows(codes, a, b, order)
+    for r in range(rows):
+        want = sp.multiply(dense_a[r], dense_b[r])
+        got = np.zeros(sp.size)
+        got[sp._rank(out)] = sums[r]
+        assert got.tobytes() == want.tobytes()
+    jets = _Jets(np.arange(rows)[:, None], codes, a, sp, order)
     var = rng.integers(-1, n, len(jets))
     if order == 0 or not len(jets):
         return
@@ -451,7 +456,7 @@ def test_compact_kernels_match_dense(shape, kind, rows, scale, non_finite, seed)
         if v >= 0:
             want = Jet(sp, jets.coef[r]).deriv(f"v{v}").coef
         got = np.zeros(len(want))
-        got[d_cols] = d[r]
+        got[sp._rank(d_cols)] = d[r]
         assert got.tobytes() == want.tobytes()
 
 
