@@ -103,6 +103,8 @@ def _load_metric(args: argparse.Namespace) -> LoadedMetric:
         spec = load_metric(path)
     except FileNotFoundError:
         raise CliInputError(f"spec file not found: {path}") from None
+    except OSError as err:
+        raise CliInputError(f"cannot read spec file {path}: {err.strerror}") from None
     except (json.JSONDecodeError, IndexError, KeyError, TypeError, ValueError) as err:
         raise CliInputError(f"bad spec file {path}: {err}") from None
     return LoadedMetric(spec, None, f"spec {path}")
@@ -140,7 +142,10 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
 def _emit(lines: Sequence[str], out: str | None) -> None:
     text = "\n".join(lines) + "\n"
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as err:
+            raise CliInputError(f"cannot write --out {out}: {err.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -424,6 +429,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except _INPUT_ERRORS as err:
         print(f"jetgeo: input error: {err}", file=sys.stderr)
+        return 2
+    except RecursionError:  # only an expression's depth recurses without bound
+        print("jetgeo: input error: expression is nested too deeply", file=sys.stderr)
         return 2
     except _NUMERIC_ERRORS as err:
         print(f"jetgeo: numeric failure: {type(err).__name__}: {err}", file=sys.stderr)

@@ -30,8 +30,8 @@ where some row is nonzero (38 of 19,448 for the inverse at p = 5 in the
 family).  All arithmetic runs on those columns: a product lists the pairs
 of its operands' joint columns, a derivative sends code m to m - code(e_v),
 and truncation keeps a prefix of the columns.  A sum's columns are known
-before it runs, from those of its terms.  Dense rows are built only for
-read-outs that ask for jets.
+before it runs, from those of its terms.  A metric entry's jet is taken over
+its own coordinates, and a row is made dense only when a read-out asks for it.
 """
 from __future__ import annotations
 
@@ -118,13 +118,12 @@ def christoffel_terms(spec: MetricSpec) -> ChristoffelTerms:
     Gamma_abc = 1/2 (d_a g_bc + d_b g_ac - d_c g_ab).  Keys (a, b, c) come in
     sorted order; each maps to its terms (v, (i, j), h), meaning h d_v g_ij
     with i <= j, keeping only the terms whose g_ij depends on coordinate v.
-    Dependence is symbolic (`expr.free_vars`), so it holds at every point.
+    Dependence is symbolic (`MetricSpec.entry_vars`), so it holds at every
+    point.
     """
     deps: dict[tuple[int, int], frozenset[int]] = {}
-    for i, j in iproduct(range(spec.dim), repeat=2):
-        names = ex.free_vars(spec.components[i][j])
-        if names:
-            deps[(i, j)] = frozenset(spec.coords.index(n) for n in names)
+    for (i, j), names in spec.entry_vars.items():
+        deps[(i, j)] = deps[(j, i)] = frozenset(map(spec.coords.index, names))
     keys: set[tuple[int, int, int]] = set()
     for (i, j), vs in deps.items():
         for v in vs:
@@ -188,8 +187,8 @@ class _Jets(Mapping):
     """Jets of truncation order `order` by index tuple, zero rows left out:
     row r of `index` is a key, and row r of `vals` its jet's coefficients at
     `cols`, the ascending codes of `space` where some row is nonzero.  A
-    non-finite coefficient raises NonFiniteError.  The dense `coef` and the
-    jets, views of its rows, are built on demand."""
+    non-finite coefficient raises NonFiniteError.  A jet is built dense, in
+    the space of `order`, when its key is read, and no other row is."""
 
     def __init__(self, index: np.ndarray, cols: np.ndarray, vals: np.ndarray, space, order: int):
         if not np.isfinite(vals).all():
@@ -203,17 +202,13 @@ class _Jets(Mapping):
         self.index, self.cols, self.vals, self.space, self.order = index, cols, vals, space, order
 
     @cached_property
-    def coef(self) -> np.ndarray:
-        coef = np.zeros((len(self.vals), self.space.size_at(self.order)))
-        coef[:, self.space._rank(self.cols)] = self.vals
-        return coef
-
-    @cached_property
     def _row(self) -> dict[tuple[int, ...], int]:
         return dict(zip(map(tuple, self.index.tolist()), range(len(self.index))))
 
     def __getitem__(self, key) -> Jet:
-        return Jet(jet_space(self.space.variables, self.order), self.coef[self._row[key]])
+        coef = np.zeros(self.space.size_at(self.order))
+        coef[self.space._rank(self.cols)] = self.vals[self._row[key]]
+        return Jet(jet_space(self.space.variables, self.order), coef)
 
     def __iter__(self):
         return iter(self._row)
@@ -388,15 +383,18 @@ class CurvatureContext:
         return g
 
     def _metric_rows(self, env) -> _Jets:
-        """The metric jets of the upper triangle row by row, zeros left out."""
-        index = [(i, j) for i in range(self.dim) for j in range(i, self.dim)
-                 if self.spec.components[i][j] != ex.Const(0.0)]
+        """The metric jets of the upper triangle row by row, zeros left out:
+        each entry's jet over its own coordinates, its nonzeros put at their
+        codes here."""
+        rows = []
         # not empty: `validate_at` has ruled out a zero metric
-        coef = np.empty((len(index), self._space.size))
-        for row, (i, j) in enumerate(index):
-            coef[row] = ex.eval_jet(self.spec.components[i][j], env, self.active, self.order).coef
-        return _Jets(np.array(index, dtype=np.intp), *self._space._compact(coef), self._space,
-                     self.order)
+        for (i, j), names in self.spec.entry_vars.items():
+            jet = ex.eval_jet(self.spec.components[i][j], env, names, self.order)
+            nz = np.flatnonzero(jet.coef)
+            rows.append((self._space.codes_of(jet.space)[nz], jet.coef[None, nz]))
+        cols, vals = _joint(*rows)
+        return _Jets(np.array(list(self.spec.entry_vars), dtype=np.intp), cols,
+                     np.concatenate(vals), self._space, self.order)
 
     def _neumann_inverse(self) -> _Jets:
         """Inverse-metric jets at full order.

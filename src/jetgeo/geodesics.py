@@ -133,14 +133,13 @@ class _Kernel:
         lines = [f"{''.join(f'd{c}, ' for c in range(m))}= d",
                  *(f"x{k} = u[{spec.coords.index(n)}]" for k, n in enumerate(active))]
         values, grads = [], {}
-        for i in range(m):
-            for j in range(i, m):
-                e = spec.components[i][j]
-                if ex.free_vars(e):
-                    value, grads[(i, j)] = ex.forward_source(e, active, f"g{i}_{j}", lines)
-                    values.append(value)
-                else:
-                    self.g0[i, j] = self.g0[j, i] = ex.eval_point(e, {})
+        for (i, j), names in spec.entry_vars.items():
+            e = spec.components[i][j]
+            if names:
+                value, grads[(i, j)] = ex.forward_source(e, active, f"g{i}_{j}", lines)
+                values.append(value)
+            else:
+                self.g0[i, j] = self.g0[j, i] = ex.eval_point(e, {})
         self.slots = [i * m + j for i, j in grads] + [j * m + i for i, j in grads]
         pos = {spec.coords.index(n): k for k, n in enumerate(active)}
         w = [["0.0"] for _ in range(m)]
@@ -151,7 +150,7 @@ class _Kernel:
             w[c].append(f"d{a} * d{b} * ({gamma_abc})")
             self.gamma.setdefault(c, set()).add((a, b))
             self.gamma_dep.setdefault(c, set()).update(
-                *(ex.free_vars(spec.components[i][j]) for _, (i, j), _ in terms))
+                *(spec.entry_vars[pair] for _, pair, _ in terms))
         code = compile("\n    ".join([
             "def force(u, d):", *lines, f"return [{', '.join(values)}], "
             f"[{', '.join(p for grad in grads.values() for p in grad)}], "

@@ -48,7 +48,7 @@ the pair count (a zero b then takes the table, for the same bits).
 
 `JetSpace.lift` embeds a jet over a subsequence of the variables, at the
 same order, in the space of all of them: m there is m with zeros added here,
-with code sum_v m_v code(e_v), so one `searchsorted` gives its rank.  The
+at code sum_v m_v code(e_v) (`codes_of`), ranked by one `searchsorted`.  The
 graded-lex order of the multi-indices of a subsequence of the variables is
 their order in their own space, so that space's pair table is, pair for
 pair and in order, the listing here of the lifted ranks, a superset of the
@@ -145,7 +145,7 @@ class JetSpace:
     table's length.  `_mul_tables` stays None until the table is first
     needed.  `_last_listing` keeps the last column set `multiply_rows`
     listed at each order, `_deriv_full` the derivative shifts of every code up to a
-    degree, by degree, and `_lifts` the ranks here of each space lifted
+    degree, by degree, and `_lifts` the codes here of each space lifted
     from; none changes a result.
     """
 
@@ -218,27 +218,27 @@ class JetSpace:
         """The code after every code of degree <= order (elementwise)."""
         return (order + 1) * self._grade
 
+    def codes_of(self, small: "JetSpace") -> np.ndarray:
+        """The codes here of the multi-indices of `small`, a space of this
+        order over a subsequence of these variables, in its rank order."""
+        if small.order != self.order:
+            raise JetMismatchError(f"cannot lift order {small.order} to {self.order}")
+        if small.variables == self.variables:
+            return self._codes
+        if small.variables not in self._lifts:
+            pos = [self._var_pos[v] for v in small.variables]
+            self._lifts[small.variables] = small._exps @ self._unit_codes[pos]
+        return self._lifts[small.variables]
+
     def lift(self, jet: "Jet") -> "Jet":
         """`jet`, of this order over a subsequence of these variables, as a
         jet of this space: its coefficients put at the ranks of their
-        multi-indices here (see the module docstring)."""
-        small = jet.space
-        if small is self:
+        multi-indices here."""
+        if jet.space is self:
             return jet
-        if small.key() not in self._lifts:
-            if small.order != self.order:
-                raise JetMismatchError(f"cannot lift order {small.order} to {self.order}")
-            pos = [self._var_pos[v] for v in small.variables]
-            self._lifts[small.key()] = self._rank(small._exps @ self._unit_codes[pos])
         coef = np.zeros(self.size)
-        coef[self._lifts[small.key()]] = jet.coef
+        coef[self._rank(self.codes_of(jet.space))] = jet.coef
         return Jet(self, coef)
-
-    def _compact(self, coef: np.ndarray):
-        """Full rows of this space as the codes where some row is nonzero,
-        and the rows there."""
-        used = coef.any(axis=0)
-        return self._codes[used], coef[:, used]
 
     # ------------------------------------------------------------- arithmetic
     def _listing(self, codes: np.ndarray, order: int):

@@ -44,7 +44,9 @@ class MetricSpec:
     """Symmetric expression-valued metric on a fixed chart.
 
     `components` maps index pairs to expressions; pairs may be given in
-    either order but at most once, and missing pairs are zero.
+    either order but at most once, and missing pairs are zero.  `entry_vars`
+    maps each (i, j), i <= j, whose component is not `Const(0.0)`, row by
+    row, to the coordinates it depends on, in chart order.
     """
 
     def __init__(
@@ -66,27 +68,25 @@ class MetricSpec:
         self.dim = m
 
         table: list[list[ex.Expr]] = [[_ZERO] * m for _ in range(m)]
-        seen: set[tuple[int, int]] = set()
+        deps: dict[tuple[int, int], frozenset[str]] = {}
         for (i, j), e in components.items():
             if not (0 <= i < m and 0 <= j < m):
                 raise ValueError(f"component index {(i, j)} out of range for dimension {m}")
             key = (min(i, j), max(i, j))
-            if key in seen:
+            if key in deps:
                 raise ValueError(f"component {key} given more than once")
-            seen.add(key)
-            bad = ex.free_vars(e) - set(self.coords)
+            deps[key] = ex.free_vars(e)
+            bad = deps[key] - set(self.coords)
             if bad:
                 raise ex.UnknownVariableError(sorted(bad)[0], 0)
             table[key[0]][key[1]] = e
             table[key[1]][key[0]] = e
         self.components: tuple[tuple[ex.Expr, ...], ...] = tuple(tuple(row) for row in table)
-
-        av: set[str] = set()
-        for i in range(m):
-            for j in range(i, m):
-                av |= ex.free_vars(self.components[i][j])
-        # chart order, not discovery order
-        self.active_vars: tuple[str, ...] = tuple(c for c in self.coords if c in av)
+        self.entry_vars: dict[tuple[int, int], tuple[str, ...]] = {
+            key: tuple(c for c in self.coords if c in deps[key])
+            for key in sorted(deps) if table[key[0]][key[1]] != _ZERO}
+        self.active_vars: tuple[str, ...] = tuple(
+            c for c in self.coords if any(c in names for names in self.entry_vars.values()))
 
     @property
     def is_constant(self) -> bool:
@@ -101,11 +101,9 @@ class MetricSpec:
     def value(self, point: Sequence[float]) -> np.ndarray:
         """Metric matrix at `point` as an (m, m) float array."""
         env = self.env_at(point)
-        m = self.dim
-        g = np.empty((m, m))
-        for i in range(m):
-            for j in range(i, m):
-                g[i, j] = g[j, i] = ex.eval_point(self.components[i][j], env)
+        g = np.zeros((self.dim, self.dim))
+        for i, j in self.entry_vars:
+            g[i, j] = g[j, i] = ex.eval_point(self.components[i][j], env)
         return g
 
     def validate_at(self, point: Sequence[float]) -> np.ndarray:
@@ -146,13 +144,8 @@ def metric_from_strings(
 
 # ------------------------------------------------------------- serialization
 def metric_to_dict(spec: MetricSpec) -> dict:
-    comps = []
-    for i in range(spec.dim):
-        for j in range(i, spec.dim):
-            e = spec.components[i][j]
-            if e == _ZERO:
-                continue
-            comps.append({"i": i, "j": j, "expr": ex.to_text(e)})
+    comps = [{"i": i, "j": j, "expr": ex.to_text(spec.components[i][j])}
+             for i, j in spec.entry_vars]
     return {
         "dim": spec.dim,
         "coords": list(spec.coords),

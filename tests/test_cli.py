@@ -243,6 +243,8 @@ def test_check_degenerate_profile_fails_precondition(capsys):
         (["check", "--family", "p=0,f=exp(y)", "--tol", "nan"], "--tol must be finite and >= 0"),
         (["check", "--family", "p=0,f=exp(y)", "--tol", "inf"], "--tol must be finite and >= 0"),
         (["check", "--family", "p=0,f=exp(y)", "--seed", "-1"], "--seed must be >= 0"),
+        (["curvature", "--family", "p=0,f=" + "(" * 300 + "y" + ")" * 300,
+          "--point", "0,0,0,0,0,0"], "expression is nested too deeply"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, needle):
@@ -250,6 +252,38 @@ def test_input_errors_exit_2(capsys, argv, needle):
     assert code == 2
     assert err.startswith("jetgeo: input error: ")
     assert needle in err
+    assert out == "" and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 3000 + "x" + ")" * 3000,
+    "-" * 3000 + "x",
+    "exp(" * 1200 + "x" + ")" * 1200,
+    # under the parser's own limit, they still run out of stack in it or in
+    # a later walk of the tree
+    "(" * 247 + "x" + ")" * 247,
+    "-" * 990 + "x",
+], ids=["parens-3000", "minus-3000", "exp-1200", "parens-247", "minus-990"])
+def test_deeply_nested_spec_exits_2(capsys, tmp_path, expr):
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps({
+        "dim": 2, "coords": ["x", "y"], "signature": [0, 2],
+        "components": [{"i": 0, "j": 0, "expr": expr}, {"i": 1, "j": 1, "expr": "1"}]}))
+    code, out, err = run(capsys, ["check", "--spec", str(path), "--point", "0.5,0.5"])
+    assert code == 2 and out == ""
+    assert err == "jetgeo: input error: expression is nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv,needle", [
+    (["check", "--spec", "{tmp}", "--point", "0,0"], "cannot read spec file {tmp}"),
+    (["curvature", "--family", "p=0,f=exp(y)", "--point", "0,0,0,0,0,0",
+      "--out", "{tmp}/missing/x.csv"], "cannot write --out {tmp}/missing/x.csv"),
+], ids=["spec-is-a-directory", "out-in-a-missing-directory"])
+def test_bad_paths_exit_2(capsys, tmp_path, argv, needle):
+    code, out, err = run(capsys, [a.format(tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert err.startswith("jetgeo: input error: ")
+    assert needle.format(tmp=tmp_path) in err
     assert out == "" and err.count("\n") == 1
 
 

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 
 from jetgeo import expr as ex
+from jetgeo import geodesics
 from jetgeo.curvature import (
     CurvatureContext,
     DegeneratePlaneError,
     TensorField,
     _ordered_sum,
+    christoffel_terms,
     jacobi_operator,
     skew_curvature_operator,
 )
@@ -339,13 +341,15 @@ def test_metric_jet_lifts_operands_one_at_a_time():
 
 def test_family_context_memory_is_bounded(monkeypatch):
     # Traced peaks at family p = 5, max_deriv 8, on warm spaces.  With every
-    # matrix at its live columns, the context build measured 1.96 MiB (most
-    # of it the 9 x 19,448 metric rows `_metric_rows` fills, and the 633 KiB
-    # of evaluating g_00) and level 0 2.50 MiB above what the context holds
-    # (the product temporaries of one block of SPARSE_PAIR_COST ** 2 pairs);
-    # each may grow by a quarter.  The build took 3.03 MiB while the metric
-    # jets were kept apart and then stacked, and 9.16 MiB with dense
-    # matrices, level 0 5.20 MiB.  Level 0 is one `_riemann_block`.
+    # matrix at its live columns and each metric entry evaluated over its own
+    # coordinates, the context build measured 0.62 MiB (most of it the 633
+    # KiB peak of evaluating g_00, the one entry over all 7) and level 0 2.50
+    # MiB above what the context holds (the product temporaries of one block
+    # of SPARSE_PAIR_COST ** 2 pairs); each may grow by a quarter.  The build
+    # took 1.96 MiB while `_metric_rows` filled a dense 9 x 19,448 row per
+    # entry, 3.03 MiB while the metric jets were kept apart and then stacked,
+    # and 9.16 MiB with dense matrices, level 0 5.20 MiB.  Level 0 is one
+    # `_riemann_block`.
     pt, spec = _family_p5()
     CurvatureContext(spec, pt, 8)._level(0)
     blocks = []
@@ -362,9 +366,41 @@ def test_family_context_memory_is_bounded(monkeypatch):
         level0 = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert build <= 1.25 * 1.96 * 2 ** 20
+    assert build <= 1.25 * 0.62 * 2 ** 20
     assert level0 <= 1.25 * 2.50 * 2 ** 20
     assert len(blocks) == 1 and blocks[0] == len(ctx._riemann_candidates())
+
+
+def test_family_p7_context_build_memory_is_bounded():
+    # Traced peak of the context build at family p = 7, max_deriv 10, on
+    # warm spaces: 9.0 MiB measured, of which g_00's evaluation over all 9
+    # active coordinates is most; a dense metric row per entry in the top
+    # space (11 x 293,930 coefficients) took 33.7 MiB.  It may grow by a
+    # quarter.
+    params = FamilyParams(7, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    pt, spec = base_point(params, 0.1, [0.1] * 8), build_metric(params)
+    CurvatureContext(spec, pt, 10)
+    tracemalloc.start()
+    try:
+        CurvatureContext(spec, pt, 10)
+        build = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build <= 1.25 * 9.0 * 2 ** 20
+
+
+def test_built_spec_is_read_without_walking_its_expressions(monkeypatch):
+    # a spec finds its nonzero entries and their coordinates once, when it
+    # is built; a context, the Christoffel sums and the geodesic kernel read
+    # that table
+    pt, spec = _family_p5()
+    calls = []
+    free_vars = ex.free_vars
+    monkeypatch.setattr(ex, "free_vars", lambda e: calls.append(e) or free_vars(e))
+    CurvatureContext(spec, pt, 2)
+    christoffel_terms(spec)
+    geodesics._kernel(spec)
+    assert calls == []
 
 
 def test_non_finite_product_in_a_sum_raises():
