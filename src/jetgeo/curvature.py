@@ -187,8 +187,8 @@ class _Jets(Mapping):
     """Jets of truncation order `order` by index tuple, zero rows left out:
     row r of `index` is a key, and row r of `vals` its jet's coefficients at
     `cols`, the ascending codes of `space` where some row is nonzero.  A
-    non-finite coefficient raises NonFiniteError.  A jet is built dense, in
-    the space of `order`, when its key is read, and no other row is."""
+    non-finite coefficient raises NonFiniteError.  A key's jet is built
+    dense, of `order`, by `JetSpace.jet_at` when read, and no other row is."""
 
     def __init__(self, index: np.ndarray, cols: np.ndarray, vals: np.ndarray, space, order: int):
         if not np.isfinite(vals).all():
@@ -206,9 +206,7 @@ class _Jets(Mapping):
         return dict(zip(map(tuple, self.index.tolist()), range(len(self.index))))
 
     def __getitem__(self, key) -> Jet:
-        coef = np.zeros(self.space.size_at(self.order))
-        coef[self.space._rank(self.cols)] = self.vals[self._row[key]]
-        return Jet(jet_space(self.space.variables, self.order), coef)
+        return self.space.jet_at(self.cols, self.vals[self._row[key]], self.order)
 
     def __iter__(self):
         return iter(self._row)
@@ -222,26 +220,21 @@ class _Jets(Mapping):
 
     def cut(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """The columns and values truncated to `order`: a prefix of the columns."""
-        n = np.searchsorted(self.cols, self.space._stop(order))
+        n = np.searchsorted(self.cols, self.space.stop(order))
         return self.cols[:n], self.vals[:, :n]
 
     @cached_property
     def _shifts(self):
         # `deriv_cols` at `cols`, and `vals` with a zero column last, which
         # its position len(cols) picks
-        ranks, pos, fac = self.space.deriv_cols(self.cols)
-        return ranks, pos, fac, np.column_stack((self.vals, np.zeros(len(self.vals))))
-
-    @property
-    def deriv_cols(self) -> np.ndarray:
-        """The codes where a derivative of these jets can be nonzero."""
-        return self._shifts[0]
+        codes, pos, fac = self.space.deriv_cols(self.cols)
+        return codes, pos, fac, np.column_stack((self.vals, np.zeros(len(self.vals))))
 
     def derivs(self, rows: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """`deriv_cols`, and there row rows[n] differentiated by variable
-        var[n] of the space as `Jet.deriv` does, or 0 where var[n] = -1."""
-        ranks, pos, fac, padded = self._shifts
-        return ranks, padded[rows[:, None], pos[var]] * fac[var]
+        """The codes where a derivative can be nonzero, and there row rows[n]
+        differentiated by variable var[n] as `Jet.deriv` does, 0 where it is -1."""
+        codes, pos, fac, padded = self._shifts
+        return codes, padded[rows[:, None], pos[var]] * fac[var]
 
 
 def _widen(cols: np.ndarray, vals: np.ndarray, to: np.ndarray) -> np.ndarray:
@@ -374,14 +367,6 @@ class CurvatureContext:
         self._views: dict[int, TensorField] = {}
 
     # ------------------------------------------------------------ plumbing
-    @cached_property
-    def _g(self) -> dict[tuple[int, int], Jet]:
-        """The metric jets by index pair in both orders (one jet for both)."""
-        g = {}
-        for (i, j), jet in self._g_rows.items():
-            g[(i, j)] = g[(j, i)] = jet
-        return g
-
     def _metric_rows(self, env) -> _Jets:
         """The metric jets of the upper triangle row by row, zeros left out:
         each entry's jet over its own coordinates, its nonzeros put at their
@@ -490,7 +475,7 @@ class CurvatureContext:
         row, keys = _first_seen(keys @ weights)
         g, var = np.array([t[1:3] for t in terms], dtype=np.intp).reshape(-1, 2).T
         h = np.array([t[3] for t in terms])
-        cols = self._g_rows.deriv_cols
+        cols = self._g_rows._shifts[0]
         acc = np.empty((len(keys), len(cols)))
         _ordered_sum(cols, acc, row, lambda ts: (
             cols, self._g_rows.derivs(g[ts], var[ts])[1] * h[ts, None]))
@@ -537,7 +522,7 @@ class CurvatureContext:
         # the factors of the edge products at their joint columns: d_i
         # Gamma_jk^m or Gamma_jk^m on the left, g_ml or Gamma_iml on the right
         cols, factors = _joint(self._gamma2.cut(order), self._g_rows.cut(order),
-                               self._gamma1.cut(order), also=(self._gamma2.deriv_cols,))
+                               self._gamma1.cut(order), also=(self._gamma2._shifts[0],))
         out = self._space.product_cols(cols, order)
         at, coefs = [work[:0]], [np.zeros((0, len(out)))]
         step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(out)))

@@ -576,12 +576,19 @@ def _dop853(rhs, t0, t_bound, y0, t_eval, rtol, atol):
 
 
 # ---------------------------------------------------------------- solvers
+def _posed(n_samples: int, *args, **kwargs) -> GeodesicProblem:
+    """A route's arguments checked as the GeodesicProblem they pose, and
+    at least one sample."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    return GeodesicProblem(*args, **kwargs)
+
+
 def integrate_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[float],
                   t_end: float = 1.0, n_samples: int = 101) -> Trajectory:
     """Runge-Kutta route (DOP853) for the geodesic initial-value problem,
     forward in time (a nan or infinite t_end would never end it)."""
-    if not 0.0 < t_end < np.inf:
-        raise ValueError("t_end must be positive and finite")
+    p = _posed(n_samples, spec, start, velocity=velocity, t_end=t_end)
     m = spec.dim
     ev = ChristoffelPointEvaluator(spec)
 
@@ -589,7 +596,7 @@ def integrate_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[f
         u, du = y[:m], y[m:]
         return np.concatenate([du, -ev.force(u, du)])
 
-    t, y = _dop853(rhs, 0.0, float(t_end), np.array([*start, *velocity], dtype=float),
+    t, y = _dop853(rhs, 0.0, float(t_end), np.array([*p.start, *p.velocity]),
                    np.linspace(0.0, float(t_end), n_samples), _RK_RTOL, _RK_ATOL)
     y = y.T
     return Trajectory(t, y[:, :m].copy(), y[:, m:].copy())
@@ -671,10 +678,10 @@ def triangular_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[
                    t_end: float = 1.0, n_samples: int = 101) -> Trajectory:
     """Direct-quadrature route; raises TriangularStructureError unless the
     triangular structure holds at `start`."""
-    _, free_idx, ev = _direct_setup(spec, start)
-    u0 = np.asarray(start, dtype=float)
-    v0 = np.asarray(velocity, dtype=float)
-    return _direct_ivp(spec, ev, free_idx, u0, v0, t_end, n_samples)
+    p = _posed(n_samples, spec, start, velocity=velocity, t_end=t_end)
+    _, free_idx, ev = _direct_setup(spec, p.start)
+    return _direct_ivp(spec, ev, free_idx, np.array(p.start), np.array(p.velocity), t_end,
+                       n_samples)
 
 
 def triangular_bvp(spec: MetricSpec, start: Sequence[float], target: Sequence[float],
@@ -682,9 +689,9 @@ def triangular_bvp(spec: MetricSpec, start: Sequence[float], target: Sequence[fl
     """Two-point problem on [0, 1]; the forced velocities close in one
     quadrature because their force involves free coordinates only, and the
     trajectory then follows from the same direct route as `triangular_ivp`."""
-    rep, free_idx, ev = _direct_setup(spec, start)
-    u0 = np.asarray(start, dtype=float)
-    u1 = np.asarray(target, dtype=float)
+    p = _posed(n_samples, spec, start, target=target)
+    rep, free_idx, ev = _direct_setup(spec, p.start)
+    u0, u1 = np.array(p.start), np.array(p.target)
     v0 = u1 - u0  # exact for free coordinates; corrected below for forced
     gfun = _forced_force_fn(spec, ev, u0, v0, free_idx)
 

@@ -39,16 +39,18 @@ b * a are bit-identical.  (A non-finite coefficient would break this: the
 table forms inf * 0 = nan where a shorter listing forms nothing, so such
 operands always take the table.)
 
-`multiply` lists the operands' nonzeros when nnz(a) * nnz(b) *
-SPARSE_PAIR_COST is below the table's pair count and every coefficient is
-finite (the sparse route), and takes the table otherwise.  A space with at
-most SPARSE_PAIR_COST pairs always takes the table without counting
-nonzeros, and b is not counted when nnz(a) * SPARSE_PAIR_COST alone reaches
-the pair count (a zero b then takes the table, for the same bits).
+`multiply` takes the sparse route, one row of `multiply_rows` at the codes
+of the operands' nonzeros, when nnz(a) * nnz(b) * SPARSE_PAIR_COST is below
+the table's pair count and every coefficient is finite, and the table
+otherwise.  A space with at most SPARSE_PAIR_COST pairs always takes the
+table without counting nonzeros, and b is not counted when nnz(a) *
+SPARSE_PAIR_COST alone reaches the pair count (a zero b then takes the
+table, for the same bits).
 
-`JetSpace.lift` embeds a jet over a subsequence of the variables, at the
-same order, in the space of all of them: m there is m with zeros added here,
-at code sum_v m_v code(e_v) (`codes_of`), ranked by one `searchsorted`.  The
+`JetSpace.jet_at` puts values at codes in a row of zeros of an order (one
+`searchsorted` ranks the codes); `lift` embeds a jet over a subsequence of
+the variables, at the same order, in the space of all of them: m there is
+m with zeros added here, at code sum_v m_v code(e_v) (`codes_of`).  The
 graded-lex order of the multi-indices of a subsequence of the variables is
 their order in their own space, so that space's pair table is, pair for
 pair and in order, the listing here of the lifted ranks, a superset of the
@@ -185,9 +187,6 @@ class JetSpace:
         """Number of multi-indices of total degree <= order (a table prefix)."""
         return math.comb(order + self.n, self.n)
 
-    def key(self) -> tuple:
-        return (self.variables, self.order)
-
     @cached_property
     def _exps(self) -> np.ndarray:
         return (self._codes[:, None] // self._places % (self.order + 1)).astype(np.int64)
@@ -214,7 +213,7 @@ class JetSpace:
         """The ranks of packed codes (codes ascend with rank)."""
         return np.searchsorted(self._codes, codes)
 
-    def _stop(self, order):
+    def stop(self, order):
         """The code after every code of degree <= order (elementwise)."""
         return (order + 1) * self._grade
 
@@ -230,15 +229,21 @@ class JetSpace:
             self._lifts[small.variables] = small._exps @ self._unit_codes[pos]
         return self._lifts[small.variables]
 
+    def jet_at(self, codes: np.ndarray, vals: np.ndarray, order: int) -> "Jet":
+        """The jet of `order` over these variables with `vals` at the codes
+        `codes` here, all of degree <= order, and zeros elsewhere."""
+        space = self if order == self.order else jet_space(self.variables, order)
+        coef = np.zeros(space.size)
+        coef[self._rank(codes)] = vals
+        return Jet(space, coef)
+
     def lift(self, jet: "Jet") -> "Jet":
         """`jet`, of this order over a subsequence of these variables, as a
-        jet of this space: its coefficients put at the ranks of their
+        jet of this space: its coefficients put at the codes of their
         multi-indices here."""
         if jet.space is self:
             return jet
-        coef = np.zeros(self.size)
-        coef[self._rank(self.codes_of(jet.space))] = jet.coef
-        return Jet(self, coef)
+        return self.jet_at(self.codes_of(jet.space), jet.coef, self.order)
 
     # ------------------------------------------------------------- arithmetic
     def _listing(self, codes: np.ndarray, order: int):
@@ -249,7 +254,7 @@ class JetSpace:
         ones, as `_accumulate` takes them once `out` is made positions."""
         # codes are graded, so the partners of r are one run of the set:
         # from r up to the first code of degree order - |r| + 1
-        stop = np.searchsorted(codes, self._stop(order - codes // self._grade))
+        stop = np.searchsorted(codes, self.stop(order - codes // self._grade))
         lengths = np.maximum(stop - np.arange(len(codes)), 0)
         i = np.repeat(np.arange(len(codes)), lengths)
         j = i + _ramps(lengths)
@@ -258,16 +263,11 @@ class JetSpace:
         off = ~diag
         return i[off], j[off], out[off], i[diag], out[diag]
 
-    def _ranked_listing(self, ranks: np.ndarray):
-        # the listing of the multi-indices of the ascending `ranks`, with
-        # output ranks, for dense jets
-        ia, ib, io, idg, idg_o = self._listing(self._codes[ranks], self.order)
-        return ia, ib, self._rank(io), idg, self._rank(idg_o)
-
     def _mul(self):
-        # the pair table: the listing of every rank
+        # the pair table: the listing of every code, with output ranks
         if self._mul_tables is None:
-            self._mul_tables = self._ranked_listing(np.arange(self.size))
+            ia, ib, io, idg, idg_o = self._listing(self._codes, self.order)
+            self._mul_tables = ia, ib, self._rank(io), idg, self._rank(idg_o)
         return self._mul_tables
 
     @staticmethod
@@ -297,7 +297,9 @@ class JetSpace:
             cost = np.count_nonzero(a) * SPARSE_PAIR_COST
             if cost < pairs and cost * np.count_nonzero(b) < pairs and _finite(a, b):
                 nz = np.flatnonzero((a != 0) | (b != 0))
-                return self._accumulate(a[nz], b[nz], *self._ranked_listing(nz), self.size)
+                out, sums = self.multiply_rows(self._codes[nz], a[None, nz], b[None, nz],
+                                               self.order)
+                return self.jet_at(out, sums[0], self.order).coef
         return self._accumulate(a, b, *self._mul(), self.size)
 
     def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray, order: int):
@@ -401,7 +403,7 @@ class Jet:
         return not self.coef.any()
 
     def _check_mate(self, other: "Jet") -> None:
-        if self.space is not other.space and self.space.key() != other.space.key():
+        if (self.variables, self.order) != (other.variables, other.order):
             raise JetMismatchError(
                 f"jet over {self.variables} order {self.order} combined with "
                 f"jet over {other.variables} order {other.order}"

@@ -178,6 +178,15 @@ def test_constant_offdiagonal_metric_flat():
 
 
 # --------------------------------------------------------- internal algebra
+def metric_jets(ctx):
+    """The metric jets of a context by index pair in both orders (one jet
+    for both), in the order of its metric rows."""
+    g = {}
+    for (i, j), jet in ctx._g_rows.items():
+        g[(i, j)] = g[(j, i)] = jet
+    return g
+
+
 def test_inverse_jets_exact():
     for spec, pt in (
         (two_sphere(), (0.8, 0.1)),
@@ -185,13 +194,13 @@ def test_inverse_jets_exact():
     ):
         ctx = CurvatureContext(spec, pt, 2)
         assert np.max(np.abs(ctx.ginv0 @ ctx.g0 - np.eye(ctx.dim))) == 0.0
-        sp = ctx._space
+        sp, g = ctx._space, metric_jets(ctx)
         worst = 0.0
         for i in range(ctx.dim):
             for k in range(ctx.dim):
                 acc = sp.zero()
                 for j in range(ctx.dim):
-                    gj = ctx._g.get((i, j))
+                    gj = g.get((i, j))
                     hj = ctx._ginv.get((j, k))
                     if gj is None or hj is None:
                         continue
@@ -371,22 +380,33 @@ def test_family_context_memory_is_bounded(monkeypatch):
     assert len(blocks) == 1 and blocks[0] == len(ctx._riemann_candidates())
 
 
-def test_family_p7_context_build_memory_is_bounded():
-    # Traced peak of the context build at family p = 7, max_deriv 10, on
-    # warm spaces: 9.0 MiB measured, of which g_00's evaluation over all 9
-    # active coordinates is most; a dense metric row per entry in the top
-    # space (11 x 293,930 coefficients) took 33.7 MiB.  It may grow by a
-    # quarter.
-    params = FamilyParams(7, ex.parse("exp(y) + exp(2*y)", ("y",)))
-    pt, spec = base_point(params, 0.1, [0.1] * 8), build_metric(params)
-    CurvatureContext(spec, pt, 10)
+def _traced_family_build(p: int, max_deriv: int) -> int:
+    """The traced peak, in bytes, of a family context build on warm spaces."""
+    params = FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    pt, spec = base_point(params, 0.1, [0.1] * (p + 1)), build_metric(params)
+    CurvatureContext(spec, pt, max_deriv)
     tracemalloc.start()
     try:
-        CurvatureContext(spec, pt, 10)
-        build = tracemalloc.get_traced_memory()[1]
+        CurvatureContext(spec, pt, max_deriv)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert build <= 1.25 * 9.0 * 2 ** 20
+
+
+def test_family_p7_context_build_memory_is_bounded():
+    # Traced peak of the context build at family p = 7, max_deriv 10, on
+    # warm spaces: 6.74 MiB measured.  A build whose sparse products binned
+    # at the full width of the space (293,930 coefficients) peaked at 9.02
+    # MiB, and one with a dense metric row per entry in the top space at
+    # 33.7 MiB.  It may grow by a quarter.
+    assert _traced_family_build(7, 10) <= 1.25 * 6.74 * 2 ** 20
+
+
+def test_family_p8_context_build_memory_is_bounded():
+    # As at p = 7, at p = 8, max_deriv 11: 26.2 MiB measured, and 34.98 MiB
+    # with sparse products binned at the full width of the space (1,144,066
+    # coefficients).  It may grow by a quarter.
+    assert _traced_family_build(8, 11) <= 1.25 * 26.2 * 2 ** 20
 
 
 def test_built_spec_is_read_without_walking_its_expressions(monkeypatch):

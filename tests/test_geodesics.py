@@ -376,15 +376,42 @@ def test_problem_validation():
 
 
 def test_runge_kutta_route_runs_forward_only():
-    # the route integrates forward over a finite interval, as every problem
-    # does; a nan or infinite end would step forever
+    # both initial-value routes integrate forward over a finite interval, as
+    # every problem does; a nan or infinite end would step forever
     spec, pt = family_setup()
     v = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)
     for t_end in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="t_end must be positive and finite"):
-            geo.integrate_ivp(spec, pt, v, t_end)
+        for route in (geo.integrate_ivp, geo.triangular_ivp):
+            with pytest.raises(ValueError, match="t_end must be positive and finite"):
+                route(spec, pt, v, t_end)
         with pytest.raises(ValueError, match="t_end must be positive and finite"):
             geo.GeodesicProblem(spec, pt, velocity=v, t_end=t_end)
+
+
+def test_every_route_checks_its_problem():
+    # the three routes take their arguments as the GeodesicProblem they
+    # pose, with at least one sample
+    spec, pt = family_setup()
+    v = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)
+    target = tuple(x + 0.1 for x in pt)
+    for route in (geo.integrate_ivp, geo.triangular_ivp):
+        with pytest.raises(ValueError, match="velocity must have length 6"):
+            route(spec, pt, v[:5])
+        with pytest.raises(ValueError, match="start must have length 6"):
+            route(spec, pt + (0.0,), v)
+    with pytest.raises(ValueError, match="target must have length 6"):
+        geo.triangular_bvp(spec, pt, target[:5])
+    with pytest.raises(ValueError, match="start must have length 6"):
+        geo.triangular_bvp(spec, pt[:5], target)
+    for n_samples in (0, -1):
+        for route, end in ((geo.integrate_ivp, v), (geo.triangular_ivp, v),
+                           (geo.triangular_bvp, target)):
+            with pytest.raises(ValueError, match="n_samples must be >= 1"):
+                route(spec, pt, end, n_samples=n_samples)
+    for route, end in ((geo.integrate_ivp, v), (geo.triangular_ivp, v),
+                       (geo.triangular_bvp, target)):
+        traj = route(spec, pt, end, n_samples=1)
+        assert traj.t.tolist() == [0.0] and traj.u.tolist() == [list(pt)]
 
 
 # --------------------------------------------------------------- quadrature

@@ -220,9 +220,9 @@ DENSITIES = (0.0, 0.01, 0.05, 0.2, 0.6, 1.0)
 
 
 def _sparse(space, a, b):
-    # the sparse route: the listing of the operands' nonzeros
+    # the sparse route: one row of `multiply_rows` at the operands' nonzeros
     nz = np.flatnonzero((a != 0) | (b != 0))
-    return space._accumulate(a[nz], b[nz], *space._ranked_listing(nz), space.size)
+    return _rows_product(space, a[None], b[None], nz)[0]
 
 
 def _table(space, a, b):
@@ -340,14 +340,14 @@ def test_non_finite_operands_take_the_table_route(monkeypatch):
     cols = _live_cols(a[None], b[None])
     sp.multiply(a, b)
     _rows_product(sp, a[None], b[None], cols)
-    assert listed == [2, 2]  # finite, these operands go sparse
+    assert listed == [2]  # finite, these operands go sparse, and share a listing
     a[rank[(0, 2, 0)]] = math.inf
     with np.errstate(invalid="ignore"):
         out = sp.multiply(a, b)
         assert out.tobytes() == _table(sp, a, b).tobytes()
     with pytest.raises(NonFiniteError):
         _rows_product(sp, a[None], b[None], cols)
-    assert listed == [2, 2]
+    assert listed == [2]
     assert np.isnan(out[rank[(0, 2, 0)]]) and out[rank[(1, 2, 0)]] == math.inf
 
 

@@ -43,8 +43,9 @@ def test_runtime_dependency_is_numpy_alone():
 
 def test_jet_space_tables_stay_in_jets():
     # the multi-index format lives behind jets.py: no other module reads
-    # JetSpace's private tables
-    tables = re.compile(r"\._(codes|exps|deg|reach|unit_codes|grade|places)\b")
+    # JetSpace's private tables, or calls its private methods
+    tables = re.compile(r"\._(codes|exps|deg|reach|unit_codes|grade|places"
+                        r"|rank|stop|listing|mul|accumulate)\b")
     reads = [f"{path.name}:{n}"
              for path in sorted(Path(jetgeo.__file__).parent.glob("*.py")) if path.name != "jets.py"
              for n, line in enumerate(path.read_text().splitlines(), 1) if tables.search(line)]

@@ -37,6 +37,7 @@ from jetgeo.jets import SPARSE_PAIR_COST, Jet, NonFiniteError, _ramps, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
 from test_expr import CHART as EXPR_CHART
 from test_expr import exprs
+from test_curvature import metric_jets
 from test_geodesics import force_cases
 
 PROFILES = ["exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0"]
@@ -202,7 +203,7 @@ def ref_neumann_inverse(ctx):
     h0 = ref_flush(ctx.ginv0, np.max(np.abs(ctx.ginv0)))
     space = jet_space(ctx.active, ctx.order)
     nil = {}
-    for (i, j), jet in ctx._g.items():
+    for (i, j), jet in metric_jets(ctx).items():
         if i > j:
             continue
         c = jet.coef.copy()
@@ -278,12 +279,12 @@ def ref_fwd(ctx):
     return fwd
 
 
-def ref_edge_value(ctx, fwd, i, j, k, l, ord0):
+def ref_edge_value(ctx, fwd, g, i, j, k, l, ord0):
     # one orientation: (d_i Gamma_jk^m) g_ml + Gamma_jk^m Gamma_iml
     acc = None
     for m_, gamma2 in fwd.get((j, k), ()):
         if i in ctx.act_idx:
-            gj = ctx._g.get((m_, l))
+            gj = g.get((m_, l))
             if gj is not None:
                 term = gamma2.deriv(ctx.coords[i]) * gj.truncated(ord0)
                 acc = term if acc is None else acc + term
@@ -297,7 +298,7 @@ def ref_edge_value(ctx, fwd, i, j, k, l, ord0):
 def ref_riemann_candidates(ctx):
     fwd = ref_fwd(ctx)
     g_by_row = {}
-    for (i, j), jet in ctx._g.items():
+    for (i, j), jet in metric_jets(ctx).items():
         g_by_row.setdefault(i, []).append((j, jet))
     gamma1_by_mid = {}
     for (a, b, c) in ctx._gamma1:
@@ -316,12 +317,12 @@ def ref_riemann_candidates(ctx):
 
 
 def ref_riemann_jets(ctx, cand):
-    fwd = ref_fwd(ctx)
+    fwd, g = ref_fwd(ctx), metric_jets(ctx)
     ord0 = ctx.order - 2
     out = {}
     for (i, j, k, l) in cand:
-        a = ref_edge_value(ctx, fwd, i, j, k, l, ord0)
-        b = ref_edge_value(ctx, fwd, j, i, k, l, ord0)
+        a = ref_edge_value(ctx, fwd, g, i, j, k, l, ord0)
+        b = ref_edge_value(ctx, fwd, g, j, i, k, l, ord0)
         if b is not None:
             a = (-b) if a is None else a - b
         if a is not None and not a.is_zero():
