@@ -13,20 +13,19 @@ two-point problem on [0, 1] closes the same way with
     v_c(0) = u_c(1) - u_c(0) + int_0^1 (1 - r) G_c(r) dr.
 
 Both routes and the structural check read the Christoffel symbols from
-`curvature.christoffel_terms`.  The check is symbolic on the metric side
-(which symbols can be nonzero, and the free variables of the components they
-differentiate) and numeric on the inverse-metric side (nonzero pattern and
-constancy probed at jittered points).  A direct solve checks the structure
-and builds its force evaluator once.
+`curvature.christoffel_terms`.  The check is exact and reads the spec alone:
+which symbols can be nonzero, the variables of the components they
+differentiate, and the structural pattern of g^-1 with the variables of each
+entry (`_inverse_deps`).  It never accepts a wrong structure, but it can
+refuse a metric whose inverse entries cancel exactly.
 
 The force comes from one kernel per metric (`_Kernel`), generated on the
 first solve as straight-line Python (each varying metric entry's value and
 first partials from `expr.forward_source`, then the Christoffel sums
-unrolled) and kept while the spec lives, beside the symbolic half of the
-structure check.  One source runs in two forms: over Python floats for the
-Runge-Kutta route's one-point calls, and over numpy rows for the direct
-route's breadth-first adaptive Simpson rule, one call per depth for all its
-new nodes.
+unrolled) and kept while the spec lives, with the structure check's report.
+One source runs in two forms: over Python floats for the Runge-Kutta route's
+one-point calls, and over numpy rows for the direct route's breadth-first
+adaptive Simpson rule, one call per depth for all its new nodes.
 
 The Runge-Kutta route is DOP853 (`_dop853`), ported op for op from scipy's
 `solve_ivp(method="DOP853")` with the same numpy calls, so its trajectories
@@ -42,7 +41,6 @@ import numpy as np
 
 from . import expr as ex
 from .curvature import christoffel_terms
-from .jets import NonFiniteError
 from .metric import MetricSpec
 
 __all__ = [
@@ -64,8 +62,6 @@ __all__ = [
     "trajectory_csv",
 ]
 
-_PROBE_TOL = 1e-11  # `_inverse_probe`: relative size of an inverse entry taken as zero
-_PROBES = 7  # `_inverse_probe`: jittered points sampled besides the given one
 _RK_RTOL = 1e-10  # DOP853 tolerances of the Runge-Kutta route
 _RK_ATOL = 1e-12
 _QUAD_TOL = 1e-12  # adaptive Simpson tolerance of the direct route
@@ -108,6 +104,8 @@ class GeodesicProblem:
                 if len(val) != m:
                     raise ValueError(f"{name} must have length {m}")
                 object.__setattr__(self, name, tuple(float(v) for v in val))
+                if not np.isfinite(getattr(self, name)).all():
+                    raise ValueError(f"{name} must be finite")
         if self.target is not None and self.t_end != 1.0:
             raise ValueError("two-point problems are posed on [0, 1]")
         if not 0.0 < self.t_end < np.inf:
@@ -120,10 +118,8 @@ class _Kernel:
     Python floats, `force_rows` many as rows, one per coordinate.  Both give
     the varying metric entries (i <= j; at `slots` of the flat g, then of its
     transpose), their partials in `spec.active_vars`, and w_c = sum of d^a d^b
-    Gamma_abc over `curvature.christoffel_terms` in its order.  `gamma` and
-    `gamma_dep` (the nonzero (a, b) of Gamma_ab^c per c, and their variables)
-    are the symbolic half of `triangular_report`, and `report` keeps its last
-    (point, report): the probe's seed is fixed, so a point's report is too.
+    Gamma_abc over `curvature.christoffel_terms` in its order.  `report` is
+    the spec's `triangular_report`, decided here from the same terms.
     `value(u)` gives the varying entries alone, as `spec.value` computes
     them (`expr.value_source`)."""
 
@@ -143,14 +139,14 @@ class _Kernel:
         self.slots = [i * m + j for i, j in grads] + [j * m + i for i, j in grads]
         pos = {spec.coords.index(n): k for k, n in enumerate(active)}
         w = [["0.0"] for _ in range(m)]
-        self.gamma: dict[int, set[tuple[int, int]]] = {}
-        self.gamma_dep: dict[int, set[str]] = {}
+        gamma: dict[int, set[tuple[int, int]]] = {}  # the nonzero (a, b) of Gamma_ab^c per c
+        gamma_dep: dict[int, set[str]] = {}  # and the variables they depend on
         for (a, b, c), terms in christoffel_terms(spec).items():
             gamma_abc = " + ".join(f"{h!r} * {grads[pair][pos[v]]}" for v, pair, h in terms)
             w[c].append(f"d{a} * d{b} * ({gamma_abc})")
-            self.gamma.setdefault(c, set()).add((a, b))
-            self.gamma_dep.setdefault(c, set()).update(
-                *(spec.entry_vars[pair] for _, pair, _ in terms))
+            gamma.setdefault(c, set()).add((a, b))
+            gamma_dep.setdefault(c, set()).update(*(spec.entry_vars[pair] for _, pair, _ in terms))
+        self.report = _classify(spec, gamma, gamma_dep)
         code = compile("\n    ".join([
             "def force(u, d):", *lines, f"return [{', '.join(values)}], "
             f"[{', '.join(p for grad in grads.values() for p in grad)}], "
@@ -159,7 +155,6 @@ class _Kernel:
         for space in spaces:
             exec(code, space)
         self.force, self._rows = (space["force"] for space in spaces)
-        self.report: tuple = (None, None)
         lines, memo = lines[1:len(active) + 1], {}  # x0, x1, ... read as in `force`
         values = [ex.value_source(spec.components[i][j], active, lines, memo) for i, j in grads]
         space = dict(ex.VALUE_OPS)
@@ -231,55 +226,53 @@ class TriangularReport:
     blocking: tuple[str, ...]
 
 
-def _inverse_probe(
-    spec: MetricSpec, point: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero pattern of the inverse metric and per-entry constancy, from
-    jittered samples around `point`.  Numeric, not a proof."""
-    rng = np.random.default_rng(20_260_817)
-    base = np.asarray(point, dtype=float)
-    mats = [np.linalg.inv(_metric_value(spec, base))]
-    for _ in range(_PROBES):
-        q = base + rng.uniform(0.05, 0.45, size=base.size) * (1.0 + np.abs(base))
-        try:
-            mats.append(np.linalg.inv(_metric_value(spec, q)))
-        except (np.linalg.LinAlgError, NonFiniteError):
-            continue  # probe landed on a degenerate or overflowing point; skip it
-    if len(mats) < 3:
-        # not enough evidence; report everything as varying and nonzero
-        full = np.ones((spec.dim, spec.dim), dtype=bool)
-        return full, ~full
-    stack = np.stack(mats)
-    scale = float(np.max(np.abs(stack)))  # relative: the report of c g is that of g
-    nonzero = np.max(np.abs(stack), axis=0) > _PROBE_TOL * scale
-    constant = np.max(np.abs(stack - stack[0]), axis=0) <= _PROBE_TOL * scale
-    return nonzero, constant
-
-
-def triangular_report(spec: MetricSpec, point: Sequence[float]) -> TriangularReport:
-    """Classify coordinates for the direct solver.
-
-    A coordinate is free when no force component can reach it; it is
-    admissibly forced when its force involves only free velocities and only
-    free position dependence.  Metric-side dependence is read from
-    `christoffel_terms`; the inverse pattern is probed numerically near
-    `point`."""
+def _inverse_deps(spec: MetricSpec) -> tuple[np.ndarray, list] | None:
+    """The structural pattern of g^-1 from the pattern of g, and per varying
+    g_kl its variables and the entries of g^-1 they reach; None when g is
+    structurally singular.  Rows are matched to nonzero columns by Kuhn's
+    augmenting paths; with the matching on the diagonal, g^-1 has the pattern
+    of the transitive closure of g's digraph (Gilbert, SIAM J. Matrix Anal.
+    Appl. 15(1), 1994).  As dg^cd/dg_kl = -g^ck g^ld, g_kl reaches g^cd where
+    g^ck and g^ld are nonzero.  Both are supersets (cancellation is unseen)."""
     m = spec.dim
-    kernel = _kernel(spec)
-    at = tuple(map(float, point))
-    if kernel.report[0] == at:
-        return kernel.report[1]
-    inv_nonzero, inv_constant = _inverse_probe(spec, point)
+    g = np.zeros((m, m), dtype=bool)
+    for i, j in spec.entry_vars:
+        g[i, j] = g[j, i] = True
+    mate = [-1] * m  # mate[c]: the row matched to column c
 
+    def augment(r: int, seen: set[int]) -> bool:
+        for c in np.flatnonzero(g[r]).tolist():
+            if c not in seen:
+                seen.add(c)
+                if mate[c] < 0 or augment(mate[c], seen):
+                    mate[c] = r
+                    return True
+        return False
+
+    if not all(augment(r, set()) for r in range(m)):
+        return None
+    reach = g[:, np.argsort(mate)]  # row r's matched column moved to column r
+    for k in range(m):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1]
+    inv = reach[mate]
+    return inv, [(names, np.outer(inv[:, k], inv[l]) | np.outer(inv[:, l], inv[k]))
+                 for (k, l), names in spec.entry_vars.items() if names]
+
+
+def _classify(spec: MetricSpec, gamma: dict[int, set[tuple[int, int]]],
+              gamma_dep: dict[int, set[str]]) -> TriangularReport:
+    """`triangular_report` from `_Kernel`'s Christoffel pattern and `_inverse_deps`."""
+    if (structure := _inverse_deps(spec)) is None:
+        return TriangularReport(False, (), (), ("the metric is structurally singular",))
+    inv, deps = structure
     force_pairs: dict[int, set[tuple[int, int]]] = {}
     force_dep: dict[int, set[str]] = {}
-    for d, pairs in kernel.gamma.items():
-        for c in np.flatnonzero(inv_nonzero[:, d]).tolist():
+    for d, pairs in gamma.items():
+        for c in np.flatnonzero(inv[:, d]).tolist():
             force_pairs.setdefault(c, set()).update(pairs)
-            # the entries of a varying inverse depend on every active variable
             force_dep.setdefault(c, set()).update(
-                kernel.gamma_dep[d] if inv_constant[c, d] else spec.active_vars)
-    free = [c for c in range(m) if c not in force_pairs]
+                gamma_dep[d], *(names for names, hit in deps if hit[c, d]))
+    free = [c for c in range(spec.dim) if c not in force_pairs]
     forced = sorted(force_pairs)
     blocking = []
     for c in forced:
@@ -290,10 +283,17 @@ def triangular_report(spec: MetricSpec, point: Sequence[float]) -> TriangularRep
             if bad.difference(free):
                 blocking.append(f"force on {spec.coords[c]} {what} "
                                 + ",".join(spec.coords[a] for a in sorted(bad.difference(free))))
-    report = TriangularReport(not blocking, tuple(spec.coords[c] for c in free),
-                              tuple(spec.coords[c] for c in forced), tuple(blocking))
-    kernel.report = at, report
-    return report
+    return TriangularReport(not blocking, tuple(spec.coords[c] for c in free),
+                            tuple(spec.coords[c] for c in forced), tuple(blocking))
+
+
+def triangular_report(spec: MetricSpec) -> TriangularReport:
+    """Classify coordinates for the direct solver, once per spec and from the
+    spec alone (with its `_Kernel`), so an ok report holds wherever g is
+    defined.  A coordinate is free when no force component can reach it; it
+    is admissibly forced when its force involves only free velocities and
+    only free positions, read from `christoffel_terms` and `_inverse_deps`."""
+    return _kernel(spec).report
 
 
 # ------------------------------------------------------------- quadrature
@@ -641,11 +641,10 @@ def _cumulative_moments(
     return k[:, :m], k[:, m:]
 
 
-def _direct_setup(
-    spec: MetricSpec, start: Sequence[float]
-) -> tuple[TriangularReport, np.ndarray, ChristoffelPointEvaluator]:
+def _direct_setup(spec: MetricSpec) -> tuple[TriangularReport, np.ndarray,
+                                              ChristoffelPointEvaluator]:
     """Structure check and force evaluator, once per direct solve."""
-    rep = triangular_report(spec, start)
+    rep = triangular_report(spec)
     if not rep.ok:
         raise TriangularStructureError("; ".join(rep.blocking))
     free_idx = np.array([spec.coords.index(v) for v in rep.free], dtype=int)
@@ -677,9 +676,9 @@ def _direct_ivp(
 def triangular_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[float],
                    t_end: float = 1.0, n_samples: int = 101) -> Trajectory:
     """Direct-quadrature route; raises TriangularStructureError unless the
-    triangular structure holds at `start`."""
+    metric has the triangular structure."""
     p = _posed(n_samples, spec, start, velocity=velocity, t_end=t_end)
-    _, free_idx, ev = _direct_setup(spec, p.start)
+    _, free_idx, ev = _direct_setup(spec)
     return _direct_ivp(spec, ev, free_idx, np.array(p.start), np.array(p.velocity), t_end,
                        n_samples)
 
@@ -690,7 +689,7 @@ def triangular_bvp(spec: MetricSpec, start: Sequence[float], target: Sequence[fl
     quadrature because their force involves free coordinates only, and the
     trajectory then follows from the same direct route as `triangular_ivp`."""
     p = _posed(n_samples, spec, start, target=target)
-    rep, free_idx, ev = _direct_setup(spec, p.start)
+    rep, free_idx, ev = _direct_setup(spec)
     u0, u1 = np.array(p.start), np.array(p.target)
     v0 = u1 - u0  # exact for free coordinates; corrected below for forced
     gfun = _forced_force_fn(spec, ev, u0, v0, free_idx)

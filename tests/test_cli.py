@@ -187,7 +187,7 @@ def test_check_sphere_controls(capsys, sphere_path):
     for name in ("ricci_flat", "nilpotency", "frame_model"):
         assert any(l.startswith(f"{name}: SKIP") for l in lines), name
     # the direct route's skip detail is the structure report's blocking list
-    blocking = "; ".join(triangular_report(two_sphere(), (0.8, 0.1)).blocking)
+    blocking = "; ".join(triangular_report(two_sphere()).blocking)
     assert blocking
     geo_line = [l for l in lines if l.startswith("geodesic_roundtrip: PASS")][0]
     assert geo_line.endswith(f", direct route skipped: {blocking})")

@@ -170,11 +170,21 @@ def test_direct_route_batches_force_calls(monkeypatch):
 
 def test_no_jetgeo_command_imports_scipy():
     # a family check (Runge-Kutta and direct routes, exp(log)) and a
-    # Runge-Kutta solve load no scipy module
+    # Runge-Kutta solve load no scipy module; the geodesic routes alone load
+    # no numpy.random either (the check draws its velocity from it)
     code = (
         "import contextlib, io, sys\n"
-        "from jetgeo import cli, geodesics as geo\n"
+        "from jetgeo import cli, expr as ex, family as fam, geodesics as geo\n"
         "from jetgeo.metric import two_sphere\n"
+        "params = fam.FamilyParams(0, ex.parse('exp(y) + exp(2*y)', ('y',)))\n"
+        "spec, pt = fam.build_metric(params), fam.base_point(params, 0.3, [0.6])\n"
+        "v = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)\n"
+        "geo.solve_geodesic(geo.GeodesicProblem(spec, pt, velocity=v))\n"
+        "back = geo.log_map(spec, pt, tuple(geo.exp_map(spec, pt, v)))\n"
+        "assert max(abs(back - v)) <= 1e-10, back\n"
+        "traj = geo.integrate_ivp(two_sphere(), (1.5707963267948966, 0.0), (0.0, 1.0))\n"
+        "assert abs(traj.u[-1, 1] - 1.0) <= 1e-9, traj.u[-1]\n"
+        "assert 'numpy.random' not in sys.modules\n"
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    assert cli.main(['check', '--family', 'p=2,f=exp(y)+exp(2*y)']) == 0\n"
         "assert 'geodesic_roundtrip: PASS' in out.getvalue(), out.getvalue()\n"
@@ -227,7 +237,7 @@ def test_evaluators_of_one_spec_share_one_kernel():
     first = geo.ChristoffelPointEvaluator(spec)
     assert geo.ChristoffelPointEvaluator(spec).kernel is first.kernel
     geo.integrate_ivp(spec, pt, (0.1, 0.2, -0.1, 0.3, 0.0, 0.1))
-    geo.triangular_report(spec, pt)
+    geo.triangular_report(spec)
     assert geo._KERNELS[spec] is first.kernel
     twin, _ = family_setup()
     assert geo.ChristoffelPointEvaluator(twin).kernel is not first.kernel
@@ -236,7 +246,7 @@ def test_evaluators_of_one_spec_share_one_kernel():
 # ------------------------------------------------------------------ report
 def test_triangular_report_family():
     spec, pt = family_setup()
-    rep = geo.triangular_report(spec, pt)
+    rep = geo.triangular_report(spec)
     assert rep.ok
     assert rep.free == ("x", "y", "z0")
     assert rep.forced == ("xbar", "ybar", "zbar0")
@@ -244,7 +254,7 @@ def test_triangular_report_family():
 
 
 def test_triangular_report_sphere_blocked():
-    rep = geo.triangular_report(two_sphere(), (0.8, 0.1))
+    rep = geo.triangular_report(two_sphere())
     assert not rep.ok
     assert rep.free == ()
     assert rep.blocking
@@ -252,7 +262,7 @@ def test_triangular_report_sphere_blocked():
 
 
 def test_triangular_report_flat():
-    rep = geo.triangular_report(flat_plane(), (0.0, 0.0))
+    rep = geo.triangular_report(flat_plane())
     assert rep.ok and rep.free == ("u", "v") and rep.forced == ()
 
 
@@ -288,7 +298,7 @@ def test_free_coordinates_are_exactly_affine():
     spec, pt = family_setup()
     v = (0.4, -0.3, 0.2, 0.1, 0.05, -0.2)
     traj = geo.solve_geodesic(geo.GeodesicProblem(spec, pt, velocity=v, t_end=2.0))
-    rep = geo.triangular_report(spec, pt)
+    rep = geo.triangular_report(spec)
     for name in rep.free:
         i = spec.coords.index(name)
         assert np.array_equal(traj.u[:, i], pt[i] + v[i] * traj.t)
@@ -373,6 +383,32 @@ def test_problem_validation():
         geo.GeodesicProblem(spec, pt, target=pt, t_end=2.0)
     with pytest.raises(ValueError, match="unknown method"):
         geo.solve_geodesic(geo.GeodesicProblem(spec, pt, velocity=v), method="nope")
+
+
+def _spoilt(xs, bad):
+    return (*xs[:3], bad, *xs[4:])
+
+
+def test_non_finite_problems_are_refused():
+    # nan or inf in a start, velocity or target is refused as the problem is
+    # posed, before any route runs: the direct route's quadrature never
+    # accepts a nan error estimate, and would split its intervals without end
+    spec, pt = family_setup()
+    v = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)
+    target = tuple(x + 0.1 for x in pt)
+    cases = [case for bad in (math.nan, math.inf, -math.inf) for case in (
+        ("start", _spoilt(pt, bad), "velocity", v),
+        ("velocity", pt, "velocity", _spoilt(v, bad)),
+        ("start", _spoilt(pt, bad), "target", target),
+        ("target", pt, "target", _spoilt(target, bad)))]
+    for name, start, kind, end in cases:
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            geo.GeodesicProblem(spec, start, **{kind: end})
+    routes = {"velocity": (geo.integrate_ivp, geo.triangular_ivp), "target": (geo.triangular_bvp,)}
+    for name, start, kind, end in cases:
+        for route in routes[kind]:
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                route(spec, start, end)
 
 
 def test_runge_kutta_route_runs_forward_only():
@@ -474,9 +510,10 @@ def _conformal(rate):
 
 
 def test_overflowing_probe_points_are_skipped():
-    # the start is finite, but jittered probes reach exp(100 y) with y > 7.09
+    # exp(100 y) overflows above y = 7.09, near this start; the report reads
+    # the spec alone and evaluates no point, and the solve runs Runge-Kutta
     spec = _conformal(100)
-    rep = geo.triangular_report(spec, (0.3, 6.0))
+    rep = geo.triangular_report(spec)
     assert not rep.ok and rep.free == () and rep.forced == ("x", "y")
     traj = geo.solve_geodesic(geo.GeodesicProblem(spec, (0.3, 6.0), velocity=(0.1, -0.2)))
     assert np.isfinite(traj.u).all()
@@ -495,30 +532,99 @@ def test_triangular_report_is_scale_invariant():
     spec, pt = family_setup()
     cases = [(_conformal(10), (0.3, 3.0)), (_conformal(10), (0.3, 2.0)), (spec, pt),
              (two_sphere(), (0.8, 0.1)), (flat_plane(), (0.0, 0.0)), three_metric()]
-    assert not geo.triangular_report(*cases[0]).ok
-    for s, q in cases:
-        want = geo.triangular_report(s, q)
+    assert not geo.triangular_report(cases[0][0]).ok
+    for s, _ in cases:
+        want = geo.triangular_report(s)
         for k in range(-20, 21, 4):
-            assert geo.triangular_report(_scaled(s, 10.0 ** k), q) == want, (s, k)
+            assert geo.triangular_report(_scaled(s, 10.0 ** k)) == want, (s, k)
 
 
-def test_triangular_report_probes_once_per_point(monkeypatch):
-    # the report is deterministic (a fixed probe seed), so the kernel keeps
-    # the last one: the direct solve, exp_map and log_map from one start
-    # probe once between them, and a new point probes again
+def test_triangular_report_reads_the_spec_alone(monkeypatch):
+    # the report is decided once per spec, with its kernel, from the
+    # metric's pattern: it evaluates no metric value, and every solve of the
+    # spec, from any start, shares the one report
     spec, pt = family_setup()
-    calls = []
-    value = geo._metric_value  # the probe's metric values
-    monkeypatch.setattr(geo, "_metric_value", lambda s, q: calls.append(1) or value(s, q))
-    want = geo.triangular_report(spec, pt)
-    probes = len(calls)
-    assert probes > 3
+    monkeypatch.setattr(geo, "_metric_value", lambda s, q: pytest.fail("metric evaluated"))
+    want = geo.triangular_report(spec)
+    assert want.ok and want is geo._KERNELS[spec].report
+    seen, report = [], geo.triangular_report
+    monkeypatch.setattr(geo, "triangular_report", lambda s: seen.append(report(s)) or seen[-1])
     vel = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)
     geo.triangular_ivp(spec, pt, vel)
     end = geo.exp_map(spec, pt, vel)
     geo.log_map(spec, list(pt), tuple(end))
-    assert geo.triangular_report(spec, np.array(pt)) is want and len(calls) == probes
     other = (pt[0], pt[1] + 0.1, *pt[2:])
-    assert geo.triangular_report(spec, other) == want and len(calls) == 2 * probes
-    geo.triangular_report(spec, pt)
-    assert len(calls) == 3 * probes
+    geo.solve_geodesic(geo.GeodesicProblem(spec, other, velocity=vel))
+    assert len(seen) == 4 and all(rep is want for rep in seen)
+
+
+def test_ill_scaled_blocks_do_not_fool_the_report():
+    # 1e-11 (ds^2 + dt^2) + exp(2y)(dx^2 + dy^2): judged against the 1e11
+    # of g^ss, a numeric inverse calls g^xx and g^yy zero, but the force on
+    # x and y needs their velocities and y, so auto takes Runge-Kutta
+    spec = metric_from_strings(("s", "t", "x", "y"), {
+        (0, 0): "1e-11", (1, 1): "1e-11", (2, 2): "exp(2*y)", (3, 3): "exp(2*y)"}, (0, 4))
+    rep = geo.triangular_report(spec)
+    assert not rep.ok and rep.free == ("s", "t") and rep.forced == ("x", "y")
+    prob = geo.GeodesicProblem(spec, (0.0, 0.0, 0.1, 0.2), velocity=(0.3, -0.2, 0.4, 0.5))
+    with pytest.raises(geo.TriangularStructureError):
+        geo.solve_geodesic(prob, method="triangular")
+    auto, rk = geo.solve_geodesic(prob), geo.solve_geodesic(prob, method="rk")
+    assert np.array_equal(auto.u, rk.u) and np.array_equal(auto.du, rk.du)
+
+
+def test_structurally_singular_metric_is_refused():
+    # no matching of rows to nonzero columns: g is singular at every point,
+    # and the report says so without inverting it
+    spec = metric_from_strings(("x", "y"), {(0, 0): "exp(y)"}, (0, 2))
+    assert geo.triangular_report(spec) == geo.TriangularReport(
+        False, (), (), ("the metric is structurally singular",))
+    with pytest.raises(geo.TriangularStructureError, match="^the metric is structurally singular"):
+        geo.triangular_ivp(spec, (0.0, 0.1), (1.0, 0.5))
+
+
+def _constant_metric(g):
+    m = len(g)
+    return MetricSpec(tuple(f"u{i}" for i in range(m)), {
+        (i, j): ex.Const(float(g[i, j])) for i in range(m) for j in range(i, m) if g[i, j]},
+        (0, m))
+
+
+def test_inverse_structure_against_numeric_inversion():
+    # random symmetric patterns, zero diagonals allowed, with random values:
+    # a structurally singular pattern gives a singular matrix, and otherwise
+    # the structural pattern of g^-1 holds every entry of the numeric
+    # inverse, and equals its pattern on a well-conditioned fill
+    rng = np.random.default_rng(20_261_019)
+    singular = agree = 0
+    for _ in range(1500):
+        m = int(rng.integers(2, 9))
+        mask = np.triu(rng.random((m, m)) < rng.uniform(0.15, 0.6))
+        vals = np.where(mask, rng.uniform(0.5, 2.0, (m, m)) * rng.choice([-1.0, 1.0], (m, m)), 0.0)
+        g = vals + np.triu(vals, 1).T
+        structure = geo._inverse_deps(_constant_metric(g))
+        if structure is None:
+            singular += 1
+            assert np.linalg.matrix_rank(g) < m, g
+            continue
+        inv = np.linalg.inv(g)
+        numeric = np.abs(inv) > 1e-13 * np.max(np.abs(inv))
+        assert np.array_equal(structure[0], structure[0].T)
+        assert not (numeric & ~structure[0]).any(), g
+        assert structure[1] == []  # constant entries reach nothing
+        if np.linalg.cond(g) < 1e6:
+            agree += 1
+            assert np.array_equal(numeric, structure[0]), g
+    assert singular > 100 and agree > 500
+
+
+def test_inverse_structure_is_a_superset_under_cancellation():
+    # g = [[1, x], [x, x^2 + 1]] has det 1 and g^yy = 1: the structure
+    # cannot see the cancellation and lists g^yy as depending on x
+    spec = metric_from_strings(("x", "y"), {(0, 0): "1", (0, 1): "x", (1, 1): "x^2 + 1"},
+                               (0, 2))
+    inv, deps = geo._inverse_deps(spec)
+    assert inv.all()
+    assert {n for names, hit in deps if hit[1, 1] for n in names} == {"x"}
+    for x in (-3.0, 0.0, 0.7):
+        assert np.linalg.inv(spec.value((x, 0.0)))[1, 1] == pytest.approx(1.0, abs=1e-12)

@@ -1276,13 +1276,18 @@ def test_dop853_failures_are_scipys():
         geo.integrate_ivp(spec, (0.0,), (-1.0,), 2.0)
     assert str(err.value) == f"integrator stopped early: {res.message}"
     assert res.message == "Required step size is less than spacing between numbers."
-    for start, vel in (((math.nan,), (1.0,)), ((0.0,), (math.inf,))):
+    # the port refuses a non-finite initial state as scipy does; the route
+    # refuses it before, as the GeodesicProblem it poses
+    for start, vel, name in (((math.nan,), (1.0,), "start"), ((0.0,), (math.inf,), "velocity")):
+        y0 = np.array([*start, *vel])
         with pytest.raises(ValueError) as want:
-            solve_ivp(rhs, (0.0, 1.0), np.array([*start, *vel]), method="DOP853")
+            solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853")
         with pytest.raises(ValueError) as got:
-            geo.integrate_ivp(spec, start, vel)
+            geo._dop853(rhs, 0.0, 1.0, y0, np.linspace(0.0, 1.0, 101), geo._RK_RTOL, geo._RK_ATOL)
         assert str(got.value) == str(want.value)
         assert str(want.value) == "All components of the initial state `y0` must be finite."
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            geo.integrate_ivp(spec, start, vel)
 
 
 def test_energy_along_matches_tree_walk():
