@@ -13,11 +13,16 @@ level k + 1.  Truncating both factors of a product to the output order first
 is exact, because multiplication never moves low-order coefficients up.
 
 A level is sparse: one coefficient matrix with a row per component that can
-be nonzero, keyed by index tuples, and missing keys are exact zeros.  It
-reads as a dictionary from index tuple to jet (a view of the row).  Support
-is propagated level to level (a new nonzero needs either a derivative of an
-old one or a Christoffel hook into one), and an exhaustive all-indices
-evaluator is kept alongside as a slow cross-check.  Every sum of jets in the
+be nonzero, keyed by canonical index tuples (i < j in slots 0, 1 and k < l in
+slots 2, 3), and missing keys are exact zeros.  It reads as a dictionary
+from index tuple to jet (a view of the row).  Every level is antisymmetric
+in both pairs, so any other tuple is a canonical one's value times an exact
+sign, or exactly 0 where a pair repeats an index (`_canonical`); the level
+steps look their Christoffel terms up that way, and the point-value views
+expand each canonical row into its four images.  Support is propagated level
+to level (a new nonzero needs either a derivative of an old one or a
+Christoffel hook into one), and an exhaustive evaluator over every canonical
+tuple is kept alongside as a slow cross-check.  Every sum of jets in the
 context (Neumann inverse, Christoffel symbols, level 0, level steps) is one
 ordered step, `_ordered_sum`: terms from row-batched products and derivative
 shifts (vector-mode Taylor propagation: Griewank and Walther, Evaluating
@@ -84,7 +89,10 @@ class TensorField:
     """Point values of a level-k curvature tensor (4 + k lower slots).
 
     Row r of `index` is the index tuple of the r-th nonzero component and
-    `values[r]` its value, in the context's level order; zeros are omitted.
+    `values[r]` its value; zeros are omitted.  Rows come in fours, one per
+    nonzero canonical component in the context's level order: (i, j, k, l,
+    ...), then its images (j, i, k, l, ...) and (i, j, l, k, ...) with the
+    value negated and (j, i, l, k, ...) with it copied.
     """
 
     dim: int
@@ -162,6 +170,27 @@ def _contract(
         bins = bins * view.dim + view.index[:, s]
     size = view.dim ** len(out_slots)
     return np.bincount(bins, weights=w, minlength=size).reshape((view.dim,) * len(out_slots))
+
+
+# the slot orders of a canonical tuple's four images, and their signs
+_IMAGES = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]])
+_IMAGE_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
+def _canonical(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `idx`, index tuples, with slots (0, 1) and (2, 3) each
+    sorted, and the sign that takes a level's value there to its value at
+    the row: -1 per swapped pair, 0 where a pair repeats an index."""
+    a, b, out = idx[:, 0:4:2], idx[:, 1:4:2], idx.copy()
+    out[:, 0:4:2], out[:, 1:4:2] = np.minimum(a, b), np.maximum(a, b)
+    return out, np.sign((idx[:, 1] - idx[:, 0]) * (idx[:, 3] - idx[:, 2]))
+
+
+def _images(index: np.ndarray) -> np.ndarray:
+    """Each canonical row of `index` followed by its three images."""
+    out = np.repeat(index, 4, axis=0)
+    out[:, :4] = index[:, _IMAGES].reshape(-1, 4)
+    return out
 
 
 def _runs(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -500,52 +529,47 @@ class CurvatureContext:
 
     # ------------------------------------------------------------ curvature
     def _riemann_candidates(self) -> set[tuple[int, int, int, int]]:
-        """Index tuples a level-0 component can be nonzero at: a Christoffel
-        hook whose derivative or product term can reach them."""
-        cand: set[tuple[int, int, int, int]] = set()
-        for q, k, m_ in self._gamma2.index[self._fwd_row].tolist():
-            reach = [(i, l) for l in np.flatnonzero(self._g_row[m_] >= 0).tolist()
-                     for i in self.act_idx]
-            for i, l in reach + np.argwhere(self._gamma1_row[:, m_] >= 0).tolist():
-                cand.add((i, q, k, l))
-                cand.add((q, i, k, l))
-        return cand
+        """Canonical index tuples a level-0 component can be nonzero at: the
+        canonical forms of the tuples (i, q, k, l) that a Christoffel hook
+        Gamma_qk^m reaches by its derivative or product term, but those with
+        i = q or k = l, in the order reached."""
+        q, k, m_ = self._gamma2.index[self._fwd_row].T
+        act = np.array(self.act_idx, dtype=np.intp)
+        # per hook the derivative terms' (i, l), l by l, then the product terms'
+        hd, ld = np.nonzero(self._g_row[m_] >= 0)
+        hp, ip, lp = np.nonzero(self._gamma1_row[:, m_].transpose(1, 0, 2) >= 0)
+        h = np.concatenate((np.repeat(hd, len(act)), hp))
+        i = np.concatenate((np.tile(act, len(hd)), ip))
+        l = np.concatenate((np.repeat(ld, len(act)), lp))
+        by_hook = np.argsort(h, kind="stable")
+        idx, sign = _canonical(np.column_stack((i, q[h], k[h], l))[by_hook])
+        return set(map(tuple, idx[sign != 0].tolist()))
 
     def _riemann_jets(self, cand: Iterable[tuple[int, int, int, int]]) -> _Jets:
-        """Level-0 jets at the index tuples `cand`, zeros left out, by blocks
-        (`_riemann_block`) with each candidate next to its swap (j, i, k, l)."""
+        """Level-0 jets at the canonical tuples `cand`, zeros left out, by
+        blocks (`_riemann_block`) of candidates and their swaps (j, i, k, l)."""
         order = self.order - 2
         idx = np.fromiter(chain.from_iterable(cand), np.intp).reshape(-1, 4)
-        weights = _digit_weights(self.dim, 4)
-        codes = np.stack((idx @ weights, idx[:, [1, 0, 2, 3]] @ weights))
-        work = np.argsort(codes.min(axis=0), kind="stable")
         # the factors of the edge products at their joint columns: d_i
         # Gamma_jk^m or Gamma_jk^m on the left, g_ml or Gamma_iml on the right
         cols, factors = _joint(self._gamma2.cut(order), self._g_rows.cut(order),
                                self._gamma1.cut(order), also=(self._gamma2._shifts[0],))
         out = self._space.product_cols(cols, order)
-        at, coefs = [work[:0]], [np.zeros((0, len(out)))]
         step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(out)))
-        for c0 in range(0, len(idx), step):
-            block = work[c0:c0 + step]
-            rows, coef = self._riemann_block(codes[:, block], weights, order, cols, factors, out)
-            at.append(block[rows])
-            coefs.append(coef)
-        at, coef = np.concatenate(at), np.concatenate(coefs)
-        coefs.clear()  # the blocks go before the reordered copy comes
-        return _Jets(idx[np.sort(at)], out, coef[np.argsort(at)], self._space, order)
+        coefs = [np.zeros((0, len(out)))] + [
+            self._riemann_block(np.stack((b, b[:, [1, 0, 2, 3]])), order, cols, factors, out)
+            for b in (idx[c0:c0 + step] for c0 in range(0, len(idx), step))]
+        return _Jets(idx, out, np.concatenate(coefs), self._space, order)
 
-    def _riemann_block(self, codes, weights, order: int, cols, factors, out):
+    def _riemann_block(self, edges, order: int, cols, factors, out):
         """R(i, j, k, l) = edge(i, j, k, l) - edge(j, i, k, l) at the block
-        whose (i, j, k, l) and (j, i, k, l) have the codes `codes` (two rows):
-        the candidates whose jet is not zero, and their jets at the ranks
-        `out`.  An edge sums over the hooks m of (j, k) in `_gamma2` order
-        (d_i Gamma_jk^m) g_ml and then Gamma_jk^m Gamma_iml, and is
-        evaluated once a block.  `factors` holds Gamma_jk^m, g_ml and
-        Gamma_iml at `cols`, the joint columns of the edge products, which
-        are truncated at `order`."""
-        place, edges = _first_seen(codes.ravel())
-        i, j, k, l = (edges[:, None] // weights % self.dim).T
+        whose (i, j, k, l) and (j, i, k, l) are `edges[0]` and `edges[1]`:
+        the candidates' jets at the codes `out`, zero rows kept.  An edge
+        sums over the hooks m of (j, k) in `_gamma2` order (d_i Gamma_jk^m)
+        g_ml and then Gamma_jk^m Gamma_iml.  `factors` holds Gamma_jk^m,
+        g_ml and Gamma_iml at `cols`, the joint columns of the edge
+        products, which are truncated at `order`."""
+        i, j, k, l = edges.reshape(-1, 4).T
         at, hook = _expand(self._fwd_start[j * self.dim + k], self._fwd_len[j * self.dim + k])
         m_, i, l = self._fwd_upper[hook], i[at], l[at]
         # per hook the derivative term, then the product term, -1 if absent
@@ -554,7 +578,7 @@ class CurvatureContext:
         t = np.flatnonzero(right >= 0)
         deriv, right, at, hook = t % 2 == 0, right[t], at[t // 2], self._fwd_row[hook[t // 2]]
         var = self._act_pos[i[t // 2]]
-        live = np.bincount(at, minlength=len(edges)) > 0
+        live = np.bincount(at, minlength=len(j)) > 0
         row_of = np.where(live, np.cumsum(live) - 1, -1)
         g2, g, g1 = factors
 
@@ -569,46 +593,43 @@ class CurvatureContext:
 
         edge = np.empty((int(live.sum()), len(out)))
         _ordered_sum(out, edge, row_of[at], products)
-        a, b = row_of[place].reshape(2, -1)
-        rows = np.flatnonzero((a >= 0) | (b >= 0))
-        a, b = a[rows], b[rows]
-        acc = np.empty((len(rows), len(out)))
+        a, b = row_of.reshape(2, -1)
+        acc = np.zeros((len(a), len(out)))
         acc[a >= 0] = edge[a[a >= 0]]
         minus = np.flatnonzero(b >= 0)
         _ordered_sum(out, acc, minus, lambda ts: (out, edge[b[minus[ts]]]), -1, a >= 0)
-        keep = acc.any(axis=1)
-        return rows[keep], acc[keep]
+        return acc
 
     def _nabla_step(self, prev: _Jets, ord_out: int) -> _Jets:
         return self._nabla_jets(prev, self._nabla_candidates(prev.index), ord_out)
 
     def _nabla_candidates(self, index: np.ndarray) -> set[tuple[int, ...]]:
-        """Index tuples the level after the one keyed by `index` can be
-        nonzero at: a key with a derivative slot appended, or with one slot
-        moved along a Christoffel hook and the hook's lower index appended.
-        They go into the set key by key, derivative slots first and then
-        slot by slot in hook order, which fixes the set's iteration order."""
+        """Canonical index tuples the level after the one keyed by `index`
+        (canonical tuples) can be nonzero at: a key with a derivative slot
+        appended, or the canonical form of a key with one slot moved along a
+        Christoffel hook and the hook's lower index appended, unless a pair
+        repeats an index.  They go into the set key by key, derivative slots
+        first and then slot by slot in hook order, which fixes the set's
+        iteration order."""
         n, r = index.shape
-        # the candidates as base-dim codes of their r + 1 indices
-        weights = _digit_weights(self.dim, r + 1)
-        codes = index @ weights[:-1]
         act = np.array(self.act_idx, dtype=np.intp)
-        derived = np.repeat(np.arange(n), len(act))
         # (key, slot) pairs row by row, so the hooks come slot by slot
         at, h = _expand(self._rev_start[index].ravel(), self._rev_len[index].ravel())
         hooked, s = np.divmod(at, r)
-        moved = codes[hooked] + (self._rev_lower[h, 1] - index.ravel()[at]) * weights[s]
-        seq = np.concatenate((codes[derived] + np.tile(act, n), moved + self._rev_lower[h, 0]))
-        seq = seq[np.argsort(np.concatenate((derived, hooked)), kind="stable")]
-        # a repeat leaves a set as it was, so only first occurrences go in
-        seq = _first_seen(seq)[1]
-        return set(map(tuple, (seq[:, None] // weights % self.dim).tolist()))
+        key = np.concatenate((np.repeat(np.arange(n), len(act)), hooked))
+        last = np.concatenate((np.tile(act, n), self._rev_lower[h, 0]))
+        cand = np.column_stack((index[key], last))
+        cand[n * len(act) + np.arange(len(at)), s] = self._rev_lower[h, 1]
+        cand, sign = _canonical(cand[np.argsort(key, kind="stable")])
+        return set(map(tuple, cand[sign != 0].tolist()))
 
     def _nabla_jets(self, prev: _Jets, cand: Iterable[tuple[int, ...]], ord_out: int) -> _Jets:
-        """Jets of the level after `prev` at the index tuples `cand`, zeros
-        left out: (nabla T)(i; m) = d_m T(i) - sum_s Gamma_{m i_s}^a T(i, a at s),
-        all at once: the derivatives by column shifts, then the Christoffel
-        products subtracted in the order of the sum (`_ordered_sum`)."""
+        """Jets of the level after `prev` at the canonical index tuples
+        `cand`, zeros left out: (nabla T)(i; m) = d_m T(i) - sum_s
+        Gamma_{m i_s}^a T(i, a at s), all at once: the derivatives by column
+        shifts, then the Christoffel products subtracted in the order of the
+        sum (`_ordered_sum`).  T(i, a at s) is read at its canonical row
+        times its sign, and a term whose sign is 0 is left out."""
         space = self._space
         r = prev.index.shape[1]
         idx = np.fromiter(chain.from_iterable(cand), np.intp).reshape(-1, r + 1)
@@ -634,8 +655,12 @@ class CurvatureContext:
         pair = (m_[:, None] * self.dim + base).ravel()
         at, hook = _expand(self._fwd_start[pair], self._fwd_len[pair])
         comp, s = np.divmod(at, r)
-        rep = find(codes[comp] + (self._fwd_upper[hook] - base.ravel()[at]) * weights[s])
-        comp, hook, rep = comp[rep >= 0], self._fwd_row[hook[rep >= 0]], rep[rep >= 0]
+        moved = base[comp]
+        moved[np.arange(len(at)), s] = self._fwd_upper[hook]
+        moved, sign = _canonical(moved)
+        rep = np.where(sign != 0, find(moved @ weights), -1)
+        t = np.flatnonzero(rep >= 0)
+        comp, hook, rep, sign = comp[t], self._fwd_row[hook[t]], rep[t], sign[t]
 
         # rows to evaluate: those with a Christoffel term or a derivative
         # that is not identically zero.  Row t of prev depends on variable v
@@ -651,7 +676,7 @@ class CurvatureContext:
             cols, (left, right) = _joint(self._gamma2.cut(ord_out), prev.cut(ord_out))
             out, (acc,) = _joint((out, acc), also=(space.product_cols(cols, ord_out),))
             _ordered_sum(out, acc, (np.cumsum(live) - 1)[comp], lambda ts: space.multiply_rows(
-                cols, left[hook[ts]], right[rep[ts]], ord_out), -1, has_d[rows])
+                cols, left[hook[ts]], right[rep[ts]] * sign[ts, None], ord_out), -1, has_d[rows])
         return _Jets(idx[rows], out, acc, space, ord_out)
 
     def _check_level(self, k: int) -> None:
@@ -678,7 +703,8 @@ class CurvatureContext:
         return Christoffels(self.dim, nonzero(self._gamma1), nonzero(self._gamma2))
 
     def curvature(self, k: int = 0) -> TensorField:
-        """The level-k point values, built once per level.
+        """The level-k point values, built once per level: each nonzero
+        canonical component followed by its three images (`TensorField`).
 
         This is the one place that decides which components are zero at the
         point; every contraction reads this view.
@@ -688,16 +714,17 @@ class CurvatureContext:
             level = self._level(k)
             values = level.at_point()
             keep = values != 0.0
-            index = level.index[keep]
-            values = values[keep]
+            index = _images(level.index[keep])
+            values = (values[keep, None] * _IMAGE_SIGNS).ravel()
             index.setflags(write=False)
             values.setflags(write=False)
             view = self._views[k] = TensorField(self.dim, k, index, values)
         return view
 
     def support(self, k: int = 0) -> frozenset[tuple[int, ...]]:
-        """Index tuples whose level-k jet is not identically zero here."""
-        return frozenset(self._level(k))
+        """Index tuples whose level-k jet is not identically zero here: the
+        canonical rows of the level and their images."""
+        return frozenset(map(tuple, _images(self._level(k).index).tolist()))
 
     def ricci(self) -> np.ndarray:
         return _contract(self.curvature(0), [((0, 3), self.ginv0)], (1, 2))
@@ -723,16 +750,18 @@ class CurvatureContext:
 
     # --------------------------------------------------- exhaustive oracles
     def level_exhaustive(self, k: int) -> dict[tuple[int, ...], Jet]:
-        """Recompute level k over every index tuple; cross-check for support
-        propagation, exponential in k."""
+        """Recompute level k over every canonical index tuple, with the
+        level steps' own lookups; cross-check for support propagation,
+        exponential in k.  Keyed as `_level(k)` is: canonical rows only."""
         self._check_level(k)
         if self.dim ** (4 + k) > _EXHAUSTIVE_CAP:
             raise ValueError("exhaustive enumeration over cap")
         with np.errstate(all="ignore"):  # a non-finite result raises in `_Jets`
-            full = self._riemann_jets(iproduct(range(self.dim), repeat=4))
-            for n in range(1, k + 1):
-                cand = iproduct(range(self.dim), repeat=4 + n)
-                full = self._nabla_jets(full, cand, self.order - 2 - n)
+            for n in range(k + 1):
+                cand = (t for t in iproduct(range(self.dim), repeat=4 + n)
+                        if t[0] < t[1] and t[2] < t[3])
+                full = (self._nabla_jets(full, cand, self.order - 2 - n) if n
+                        else self._riemann_jets(cand))
         return full
 
 

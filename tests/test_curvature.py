@@ -474,8 +474,8 @@ def test_exhaustive_level_guard_names_the_level():
                    "pass the global flush (ROADMAP item 1)")
 def test_locally_symmetric_level_one_support_is_empty_at_every_max_deriv():
     # nabla R = 0 on H^2 and S^2.  Today H^2's support(1) has 0 entries for
-    # max_deriv <= 5 and 2, 4, 8 for 6, 7, 8 (its view is empty throughout);
-    # S^2's has 6 or 8.
+    # max_deriv <= 5 and 4 (one canonical row and its images) for 6, 7, 8
+    # (its view is empty throughout); S^2's has 4.
     h2 = metric_from_strings(("x", "y"), {(0, 0): "1", (1, 1): "exp(2*x)"}, (0, 2))
     for spec, pt in ((h2, (0.4, 0.1)), (two_sphere(), (0.6, 0.3))):
         for md in range(1, 9):

@@ -1,9 +1,11 @@
 """The level view `CurvatureContext.curvature(k)` and every read-out built on
 it, bit for bit against plain loops over the level jets.
 
-The reference loops below walk `ctx._level(k)` with a `value != 0.0` filter
-of their own, one component at a time; the library reads the cached view
-instead and sums with vectorized gathers.  Products are formed in the same
+The reference loops below walk `ctx._level(k)`, whose rows are canonical
+index tuples (i < j, k < l), with a `value != 0.0` filter of their own, and
+expand each row into its four images with exact signs, one component at a
+time; the library reads the cached view instead and sums with vectorized
+gathers.  Products are formed in the same
 order and sums added in the same order, so the results must agree to the
 last bit (`tobytes()`), not just to a tolerance.
 """
@@ -32,15 +34,25 @@ from jetgeo.metric import metric_from_strings
 
 # ------------------------------------------------------------ reference loops
 def ref_components(ctx, k):
-    return {idx: j.value() for idx, j in ctx._level(k).items() if j.value() != 0.0}
+    # each nonzero canonical component, then (j, i, k, l, ...) and
+    # (i, j, l, k, ...) negated and (j, i, l, k, ...) copied
+    out = {}
+    for idx, jet in ctx._level(k).items():
+        v = jet.value()
+        if v == 0.0:
+            continue
+        assert idx[0] < idx[1] and idx[2] < idx[3]
+        (i, j, a, b), rest = idx[:4], idx[4:]
+        out[idx] = v
+        out[(j, i, a, b) + rest] = -v
+        out[(i, j, b, a) + rest] = -v
+        out[(j, i, b, a) + rest] = v
+    return out
 
 
 def ref_contract(ctx, k, vectors):
     total = 0.0
-    for idx, jet in ctx._level(k).items():
-        w = jet.value()
-        if w == 0.0:
-            continue
+    for idx, w in ref_components(ctx, k).items():
         for s, i in enumerate(idx):
             w *= vectors[s][i]
         total += w
@@ -49,10 +61,7 @@ def ref_contract(ctx, k, vectors):
 
 def ref_contract_open(ctx, k, vectors, open_slot):
     out = np.zeros(ctx.dim)
-    for idx, jet in ctx._level(k).items():
-        w = jet.value()
-        if w == 0.0:
-            continue
+    for idx, w in ref_components(ctx, k).items():
         for s, i in enumerate(idx):
             if s == open_slot:
                 continue
@@ -63,17 +72,17 @@ def ref_contract_open(ctx, k, vectors, open_slot):
 
 def ref_ricci(ctx):
     rho = np.zeros((ctx.dim, ctx.dim))
-    for (i, a, b, j), jet in ctx._level(0).items():
+    for (i, a, b, j), v in ref_components(ctx, 0).items():
         w = ctx.ginv0[i, j]
         if w != 0.0:
-            rho[a, b] += w * jet.value()
+            rho[a, b] += w * v
     return rho
 
 
 def ref_jacobi(ctx, x):
     low = np.zeros((ctx.dim, ctx.dim))
-    for (d, i, j, l), jet in ctx._level(0).items():
-        w = jet.value() * x[i] * x[j]
+    for (d, i, j, l), v in ref_components(ctx, 0).items():
+        w = v * x[i] * x[j]
         if w != 0.0:
             low[d, l] += w
     return ctx.ginv0 @ low.T
@@ -82,18 +91,15 @@ def ref_jacobi(ctx, x):
 def ref_skew(ctx, e1, e2):
     u1, u2 = _plane_basis(ctx.g0, e1, e2)
     low = np.zeros((ctx.dim, ctx.dim))
-    for (i, j, d, l), jet in ctx._level(0).items():
-        w = jet.value() * u1[i] * u2[j]
+    for (i, j, d, l), v in ref_components(ctx, 0).items():
+        w = v * u1[i] * u2[j]
         if w != 0.0:
             low[d, l] += w
     return ctx.ginv0 @ low.T
 
 
 def ref_evaluate(schema, ctx):
-    comps = [
-        [(idx, jet.value()) for idx, jet in ctx._level(k).items() if jet.value() != 0.0]
-        for k in schema.factors
-    ]
+    comps = [list(ref_components(ctx, k).items()) for k in schema.factors]
     offs = [0]
     for k in schema.factors[:-1]:
         offs.append(offs[-1] + 4 + k)
@@ -142,10 +148,7 @@ def ref_model_kernel(ctx, k_max, rank_tol=1e-12):
     m = ctx.dim
     rows = {}
     for k in range(k_max + 1):
-        for idx, jet in ctx._level(k).items():
-            v = jet.value()
-            if v == 0.0:
-                continue
+        for idx, v in ref_components(ctx, k).items():
             for s in range(4 + k):
                 key = (k, s, idx[:s] + idx[s + 1:])
                 row = rows.get(key)
@@ -160,7 +163,7 @@ def ref_model_kernel(ctx, k_max, rank_tol=1e-12):
 
 
 def ref_oracle_delta(params, point, k, ctx):
-    engine = {idx: jet.value() for idx, jet in ctx._level(k).items()}
+    engine = ref_components(ctx, k)
     oracle = fam.oracle_nabla_k_r(params, point, k)
     delta = 0.0
     for idx in set(engine) | set(oracle):
@@ -297,3 +300,35 @@ def test_evaluate_caps_support_combinations():
     schema = ContractionSchema((2, 2, 2), tuple((2 * i, 2 * i + 1) for i in range(9)))
     with pytest.raises(CapsExceededError, match="support combinations"):
         evaluate(schema, spec, pt, context=ctx)
+
+
+def _canonical_cases():
+    spec, pt = non_diagonal()
+    yield "non-diagonal", CurvatureContext(spec, pt, 2)
+    params = fam.FamilyParams(2, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    yield "family p=2", CurvatureContext(fam.build_metric(params),
+                                         fam.base_point(params, 0.3, [0.5, -0.2, 0.1]), 4)
+
+
+CANONICAL_CASES = list(_canonical_cases())
+
+
+@pytest.mark.parametrize("ctx", [c for _, c in CANONICAL_CASES],
+                         ids=[name for name, _ in CANONICAL_CASES])
+def test_levels_are_canonical_and_views_their_exact_images(ctx):
+    # a level keeps i < j and k < l only; the view holds every image of a
+    # nonzero component with its value negated or copied to the bit, and no
+    # view or support tuple repeats an index in slots (0, 1) or (2, 3)
+    for k in range(ctx.max_deriv + 1):
+        index = ctx._level(k).index
+        assert (index[:, 0] < index[:, 1]).all() and (index[:, 2] < index[:, 3]).all()
+        comps = ctx.curvature(k).components
+        assert comps
+        for (i, j, a, b, *rest), v in comps.items():
+            rest = tuple(rest)
+            assert bits(comps[(j, i, a, b) + rest]) == bits(-v)
+            assert bits(comps[(i, j, b, a) + rest]) == bits(-v)
+            assert bits(comps[(j, i, b, a) + rest]) == bits(v)
+        support = ctx.support(k)
+        assert set(comps) <= support
+        assert all(idx[0] != idx[1] and idx[2] != idx[3] for idx in support)

@@ -3,7 +3,8 @@
 sympy differentiates the metric components and evaluates the derivatives at
 the point to 30 digits (nothing is simplified); the textbook formulas then
 build the Christoffel symbols, R_ijkl = g(R(d_i, d_j) d_k, d_l) with
-R(X, Y) = [nabla_X, nabla_Y] - nabla_[X, Y], and nabla R from them in mpmath.
+R(X, Y) = [nabla_X, nabla_Y] - nabla_[X, Y], and nabla R and nabla^2 R from
+them in mpmath.
 The engine shares none of this route: it pushes Taylor jets through its own
 update rule.
 """
@@ -23,7 +24,7 @@ ZERO = 1e-25  # an oracle value below this is a zero of the level
 
 METRICS = {
     "S2": (("theta", "phi"), {(0, 0): "1", (1, 1): "sin(theta)^2"}, (0.6, 0.3)),
-    # at x = -0.1 roundoff images of zero show in the engine's level 1
+    # at x = -0.1 roundoff images of zero show in the engine's level 2
     "H2": (("x", "y"), {(0, 0): "1", (1, 1): "exp(2*x)"}, (-0.1, 0.2)),
     "non-diagonal 2": (
         ("a", "b"), {(0, 0): "exp(2*b)", (1, 1): "1 + 0.5*sin(a)", (0, 1): "0.3*a*b"},
@@ -36,9 +37,13 @@ METRICS = {
         (0.2, -0.3, 0.1),
     ),
 }
-# nabla R is compared in dimension 2 only
+# nabla R and nabla^2 R are compared in dimension 2 only
 CASES = [(name, k) for name, (coords, _, _) in METRICS.items()
-         for k in range(2 if len(coords) == 2 else 1)]
+         for k in range(3 if len(coords) == 2 else 1)]
+# In dimension 2 a Christoffel term of a level step moves a canonical tuple
+# to a canonical one or to one with a repeated pair, never to a swapped
+# pair, so the level steps' signs are checked on nabla R in dimension 3.
+VALUE_CASES = CASES + [("non-diagonal 3", 1)]
 
 
 def _leibniz(vs, f, h):
@@ -116,20 +121,35 @@ class Oracle:
         return sum(_leibniz(vs, lambda a, q=q: self.dg(a)[l, q], lambda b, q=q: up(b, q))
                    for q in range(m))
 
+    @functools.cache
+    def nabla(self, vs, i, j, k, l, h):
+        """d_vs (nabla R)_ijkl;h, (nabla R)(i; h) = d_h R(i) - sum over slots s
+        and b of Gamma^b_{h i_s} R(i, b at s), by Leibniz."""
+        base = (i, j, k, l)
+        v = self.riemann(vs + (h,), *base)
+        for s, a in enumerate(base):
+            for b in range(self.m):
+                moved = base[:s] + (b,) + base[s + 1:]
+                v -= _leibniz(vs, lambda c, a=a, b=b: self.gamma(c, h, a, b),
+                              lambda c, moved=moved: self.riemann(c, *moved))
+        return v
+
     def level(self, k):
-        """Every level-k component, zeros included, keyed by index tuple."""
+        """Every level-k component (k <= 2), zeros included, keyed by index
+        tuple; (nabla^2 R)(i; h1; h2) = d_h2 (nabla R)(i; h1) - sum over the
+        five slots s and b of Gamma^b_{h2 i_s} (nabla R)(i; h1, b at s)."""
         m = self.m
         out = {}
         for idx in itertools.product(range(m), repeat=4 + k):
-            if k == 0:
-                out[idx] = self.riemann((), *idx)
+            if k < 2:
+                out[idx] = self.nabla((), *idx) if k else self.riemann((), *idx)
                 continue
-            base, h = idx[:4], idx[4]
-            v = self.riemann((h,), *base)
+            base, h = idx[:5], idx[5]
+            v = self.nabla((h,), *base)
             for s, a in enumerate(base):
                 for b in range(m):
                     moved = base[:s] + (b,) + base[s + 1:]
-                    v -= self.gamma((), h, a, b) * self.riemann((), *moved)
+                    v -= self.gamma((), h, a, b) * self.nabla((), *moved)
             out[idx] = v
         return out
 
@@ -138,7 +158,7 @@ class Oracle:
 def oracle_levels(name):
     coords, entries, point = METRICS[name]
     oracle = Oracle(coords, entries, point)
-    return oracle, [oracle.level(k) for k in range(2 if len(coords) == 2 else 1)]
+    return oracle, [oracle.level(k) for k in range(3 if len(coords) == 2 else 2)]
 
 
 def engine(name, k):
@@ -152,7 +172,7 @@ def level_scale(name, k):
     return float(max(abs(v) for lev in (levels[0], levels[k]) for v in lev.values()))
 
 
-@pytest.mark.parametrize("name,k", CASES)
+@pytest.mark.parametrize("name,k", VALUE_CASES)
 def test_level_matches_symbolic_oracle(name, k):
     _, levels = oracle_levels(name)
     got = engine(name, k).curvature(k).components
@@ -177,12 +197,14 @@ def test_ricci_and_scalar_match_symbolic_oracle(name):
     assert abs(ctx.scalar() - float(tau)) <= REL_TOL * scale
 
 
-# The engine keeps roundoff images of zero (ROADMAP item 1, defect 2): S^2
-# and H^2 at k = 1, and the non-diagonal metrics already at k = 0, where the
-# antisymmetry in the last pair is not exact (R_0100 about 7e-18) and
-# components that vanish for the metric come out at roundoff size.
-DEFECT_2 = {("S2", 1), ("H2", 1), ("non-diagonal 2", 0), ("non-diagonal 2", 1),
-            ("non-diagonal 3", 0)}
+# The engine keeps roundoff images of zero (ROADMAP item 1, defect 2):
+# nabla R and nabla^2 R vanish on S^2 and H^2, but S^2 reports them at
+# roundoff size from k = 1 on and H^2 at k = 2, and on `non-diagonal 3` some
+# level-0 components that vanish for the metric come out at roundoff size
+# (as does H^2's and S^2's `support(1)` in tests/test_curvature.py).  The
+# antisymmetries in both pairs hold exactly, since the levels keep canonical
+# tuples only, so no R_ijkk is among them.
+DEFECT_2 = {("S2", 1), ("S2", 2), ("H2", 2), ("non-diagonal 3", 0)}
 
 
 @pytest.mark.parametrize("name,k", [
