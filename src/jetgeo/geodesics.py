@@ -683,24 +683,30 @@ def triangular_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[
                        n_samples)
 
 
-def triangular_bvp(spec: MetricSpec, start: Sequence[float], target: Sequence[float],
-                   n_samples: int = 101) -> Trajectory:
-    """Two-point problem on [0, 1]; the forced velocities close in one
-    quadrature because their force involves free coordinates only, and the
-    trajectory then follows from the same direct route as `triangular_ivp`."""
-    p = _posed(n_samples, spec, start, target=target)
-    rep, free_idx, ev = _direct_setup(spec)
+def _closing_velocity(p: GeodesicProblem) -> tuple:
+    """A two-point problem's start velocity, with the evaluator, free indices
+    and start its trajectory needs; the forced velocities close in one
+    quadrature because their force involves free coordinates only."""
+    rep, free_idx, ev = _direct_setup(p.spec)
     u0, u1 = np.array(p.start), np.array(p.target)
     v0 = u1 - u0  # exact for free coordinates; corrected below for forced
-    gfun = _forced_force_fn(spec, ev, u0, v0, free_idx)
+    gfun = _forced_force_fn(p.spec, ev, u0, v0, free_idx)
 
     def fmom(r: np.ndarray) -> np.ndarray:
         return (1.0 - r)[:, None] * gfun(r)
 
     corr = adaptive_simpson(fmom, np.zeros(1), np.ones(1), np.full(1, _QUAD_TOL))[0]
-    forced_idx = np.array([spec.coords.index(v) for v in rep.forced], dtype=int)
+    forced_idx = np.array([p.spec.coords.index(v) for v in rep.forced], dtype=int)
     if forced_idx.size:
         v0[forced_idx] += corr[forced_idx]
+    return ev, free_idx, u0, v0
+
+
+def triangular_bvp(spec: MetricSpec, start: Sequence[float], target: Sequence[float],
+                   n_samples: int = 101) -> Trajectory:
+    """Two-point problem on [0, 1]: the closing velocity, then the trajectory
+    from the same direct route as `triangular_ivp`."""
+    ev, free_idx, u0, v0 = _closing_velocity(_posed(n_samples, spec, start, target=target))
     return _direct_ivp(spec, ev, free_idx, u0, v0, 1.0, n_samples)
 
 
@@ -732,8 +738,9 @@ def exp_map(spec: MetricSpec, start: Sequence[float], velocity: Sequence[float])
 
 
 def log_map(spec: MetricSpec, start: Sequence[float], target: Sequence[float]) -> np.ndarray:
-    traj = triangular_bvp(spec, start, target)
-    return traj.du[0].copy()
+    """`triangular_bvp`'s closing velocity, its `du[0]` bit for bit; an
+    overflow along the trajectory surfaces in `exp_map`, not here."""
+    return _closing_velocity(GeodesicProblem(spec, start, target=target))[3]
 
 
 def energy_along(spec: MetricSpec, traj: Trajectory) -> np.ndarray:

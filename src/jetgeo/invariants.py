@@ -10,8 +10,11 @@ derivative level, and the pairing is written without spaces.  Round-trips
 through `to_line`/`from_line` are exact.
 
 Two schemas that differ only by reordering factors of equal level describe
-the same invariant; `canonical_key` quotients that out and `catalog` only
-emits canonical representatives.
+the same invariant.  `_relabellings` tabulates, once per factor list, the
+slot maps of the factor orders that sort its levels; `canonical_key`,
+`catalog` and `random_schemas` all take the least relabelled pairing.
+`catalog` lists each slot count's matchings once, in lexicographic order,
+and keeps those that are the least of their orbit, so they stay sorted.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, permutations
+from operator import index
 from random import Random
 from typing import Iterable, Sequence
 
@@ -46,6 +50,7 @@ MAX_FACTORS = 3
 MAX_DERIV = 4
 MAX_EXHAUSTIVE_LIMIT = 10_000
 WORK_LIMIT = 10_000_000
+_REPEAT_RUN = 64  # repeated draws before random_schemas asks if its pool is exhausted
 
 
 class CapsExceededError(RuntimeError):
@@ -66,6 +71,30 @@ def matching_count(n_slots: int) -> int:
     return out
 
 
+@functools.cache
+def _relabellings(factors: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Per factor order that sorts the levels, each slot's number after it."""
+    ends = accumulate(4 + k for k in factors)
+    slots = [range(end - 4 - k, end) for k, end in zip(factors, ends)]
+    out = []
+    for order in permutations(range(len(factors))):
+        if all(factors[i] <= factors[j] for i, j in zip(order, order[1:])):
+            moved = list(chain.from_iterable(slots[i] for i in order))
+            out.append(tuple(sorted(range(len(moved)), key=moved.__getitem__)))
+    return tuple(out)
+
+
+def _least_relabelling(factors: tuple[int, ...], pairing) -> tuple[tuple[int, int], ...]:
+    return min(tuple(sorted((new[a], new[b]) if new[a] < new[b] else (new[b], new[a])
+                            for a, b in pairing))
+               for new in _relabellings(factors))
+
+
+@functools.cache
+def _owners(factors: tuple[int, ...]) -> tuple[int, ...]:  # the factor of each slot
+    return tuple(f for f, k in enumerate(factors) for _ in range(4 + k))
+
+
 @dataclass(frozen=True)
 class ContractionSchema:
     """Factors (derivative level of each) and a perfect matching of all slots."""
@@ -78,15 +107,25 @@ class ContractionSchema:
             raise ValueError("schema needs at least one factor")
         if any(k < 0 for k in self.factors):
             raise ValueError("factor levels must be >= 0")
-        n = _slots(self.factors)
-        norm = tuple(sorted((min(a, b), max(a, b)) for a, b in self.pairing))
-        seen = [s for p in norm for s in p]
-        if sorted(seen) != list(range(n)):
+        factors = tuple(map(index, self.factors))
+        owner = _owners(factors)
+        n = len(owner)
+        norm = []
+        for a, b in self.pairing:
+            a, b = index(a), index(b)
+            norm.append((a, b) if a < b else (b, a))
+        norm.sort()
+        if sorted(chain.from_iterable(norm)) != list(range(n)):
             raise ValueError(f"pairing is not a perfect matching of {n} slots")
-        if any(a == b for a, b in norm):
-            raise ValueError("a slot cannot pair with itself")
-        object.__setattr__(self, "factors", tuple(int(k) for k in self.factors))
-        object.__setattr__(self, "pairing", norm)
+        closing: list[list[tuple[int, int]]] = [[] for _ in factors]
+        for a, b in norm:
+            closing[owner[b]].append((a, b))
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "pairing", tuple(norm))
+        # for `evaluate_many`: the pairs that close with each factor (with b's
+        # factor, as a < b), and the code a * n_slots + b of each pair
+        object.__setattr__(self, "_join_plan",
+                           (tuple(map(tuple, closing)), tuple(a * n + b for a, b in norm)))
 
     @property
     def n_slots(self) -> int:
@@ -95,27 +134,7 @@ class ContractionSchema:
     def canonical_key(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
         """Identity under reordering of equal-level factors: the least
         relabelled pairing over the factor orders that sort the levels."""
-        ends = accumulate(4 + k for k in self.factors)
-        slots = [range(end - 4 - k, end) for k, end in zip(self.factors, ends)]
-        relabelled = []
-        for order in permutations(range(len(self.factors))):
-            if any(self.factors[i] > self.factors[j] for i, j in zip(order, order[1:])):
-                continue
-            new = {old: s for s, old in enumerate(chain.from_iterable(slots[i] for i in order))}
-            relabelled.append(tuple(sorted(
-                (min(new[a], new[b]), max(new[a], new[b])) for a, b in self.pairing
-            )))
-        return (tuple(sorted(self.factors)), min(relabelled))
-
-    @functools.cached_property
-    def _join_plan(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
-        """For `evaluate_many`: the pairs that close with each factor (with
-        b's factor, as a < b), and the code a * n_slots + b of each pair."""
-        owner = [f for f, k in enumerate(self.factors) for _ in range(4 + k)]
-        closing: list[list[tuple[int, int]]] = [[] for _ in self.factors]
-        for a, b in self.pairing:
-            closing[owner[b]].append((a, b))
-        return tuple(map(tuple, closing)), tuple(a * len(owner) + b for a, b in self.pairing)
+        return tuple(sorted(self.factors)), _least_relabelling(self.factors, self.pairing)
 
     def canonical(self) -> "ContractionSchema":
         f, p = self.canonical_key()
@@ -172,16 +191,16 @@ def _factor_lists(max_factors: int, max_deriv: int) -> Iterable[tuple[int, ...]]
     yield from rec((), 0)
 
 
-def _all_matchings(slots: list[int]) -> Iterable[tuple[tuple[int, int], ...]]:
-    if not slots:
-        yield ()
-        return
-    a = slots[0]
-    for i in range(1, len(slots)):
-        b = slots[i]
-        rest = slots[1:i] + slots[i + 1:]
-        for tail in _all_matchings(rest):
-            yield ((a, b),) + tail
+def _matchings(n_slots: int) -> list[tuple[tuple[int, int], ...]]:
+    """Perfect matchings of an even n_slots points, in lexicographic order,
+    a < b: slot 0 with each i, then each matching of the rest."""
+    out = [()]
+    for n in range(2, n_slots + 1, 2):
+        rest, out = out, []
+        for i in range(1, n):
+            left = [s for s in range(1, n) if s != i]
+            out.extend(((0, i),) + tuple((left[a], left[b]) for a, b in tail) for tail in rest)
+    return out
 
 
 @dataclass(frozen=True)
@@ -203,29 +222,24 @@ def catalog(
 ) -> CatalogResult:
     """All canonical schemas over factor lists whose matching count stays
     within `exhaustive_limit`; larger factor lists are reported as skipped.
-    Built once per process for each argument list; the result is immutable."""
+    Sorted by factor count, factors, then pairing.  Built once per process
+    for each argument list; the result is immutable."""
     _check_caps(max_factors, max_deriv)
     if exhaustive_limit < 1 or exhaustive_limit > MAX_EXHAUSTIVE_LIMIT:
         raise CapsExceededError(f"exhaustive_limit must be in 1..{MAX_EXHAUSTIVE_LIMIT}")
-    seen: set = set()
+    matchings = functools.cache(_matchings)  # each slot count's, once per call
     out: list[ContractionSchema] = []
     skipped: list[tuple[int, ...]] = []
     for factors in _factor_lists(max_factors, max_deriv):
         n = _slots(factors)
-        cnt = matching_count(n)
-        if cnt == 0:
-            continue
-        if cnt > exhaustive_limit:
+        if matching_count(n) > exhaustive_limit:
             skipped.append(factors)
-            continue
-        for pairing in _all_matchings(list(range(n))):
-            sch = ContractionSchema(factors, pairing)
-            key = sch.canonical_key()
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(ContractionSchema(*key))
-    out.sort(key=lambda s: (len(s.factors), s.factors, s.pairing))
+        elif n % 2 == 0:
+            pairings = matchings(n)
+            if len(_relabellings(factors)) > 1:
+                pairings = [p for p in pairings if _least_relabelling(factors, p) == p]
+            out.extend(ContractionSchema(factors, p) for p in pairings)
+    out.sort(key=lambda s: (len(s.factors), s.factors))  # stable: pairings stay sorted
     return CatalogResult(tuple(out), tuple(skipped))
 
 
@@ -235,26 +249,30 @@ def random_schemas(
 ) -> tuple[ContractionSchema, ...]:
     """Deterministic sample of distinct canonical schemas (may return fewer
     than `count` when the space is small).  Drawn once per process for each
-    argument list; the result is immutable."""
+    argument list; the result is immutable.  After `_REPEAT_RUN` repeats in
+    a row it stops if it holds the whole pool, when `catalog` can list it."""
     _check_caps(max_factors, max_deriv)
     rng = Random(seed)
     pool = [f for f in _factor_lists(max_factors, max_deriv) if _slots(f) % 2 == 0]
-    seen: set = set()
-    out: list[ContractionSchema] = []
-    attempts = 0
-    while len(out) < count and attempts < 200 * max(1, count):
+    seen: dict = {}  # canonical key: schema, in drawing order
+    attempts = repeats = 0
+    while len(seen) < count and attempts < 200 * max(1, count):
         attempts += 1
         factors = pool[rng.randrange(len(pool))]
         slots = list(range(_slots(factors)))
         rng.shuffle(slots)
         pairing = tuple((slots[2 * i], slots[2 * i + 1]) for i in range(len(slots) // 2))
-        sch = ContractionSchema(factors, pairing)
-        key = sch.canonical_key()
-        if key in seen:
+        key = (factors, _least_relabelling(factors, pairing))
+        if key not in seen:
+            seen[key] = ContractionSchema(*key)
+            repeats = 0
             continue
-        seen.add(key)
-        out.append(ContractionSchema(*key))
-    return tuple(out)
+        repeats += 1
+        if repeats == _REPEAT_RUN:
+            whole = catalog(max_factors, max_deriv, MAX_EXHAUSTIVE_LIMIT)
+            if not whole.skipped and len(seen) == len(whole.schemas):
+                break
+    return tuple(seen.values())
 
 
 # ------------------------------------------------------------- evaluation

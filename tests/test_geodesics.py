@@ -368,6 +368,20 @@ def test_log_map_inverts_exp_map():
         assert np.max(np.abs(geo.log_map(spec, pt, tuple(end)) - v)) <= 1e-10
 
 
+@pytest.mark.parametrize("p", range(4))
+def test_log_map_is_the_two_point_start_velocity(p):
+    # log_map stops at the closing quadrature; the trajectory it skips
+    # starts at du[0] = v0 - 0.0, the same bits
+    params = fam.FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    spec = fam.build_metric(params)
+    rng = np.random.default_rng(100 + p)
+    for _ in range(4):
+        start = fam.base_point(params, rng.uniform(-0.5, 0.5), rng.uniform(-1, 1, p + 1))
+        target = tuple(np.array(start) + rng.uniform(-0.5, 0.5, spec.dim))
+        want = geo.triangular_bvp(spec, start, target).du[0]
+        assert geo.log_map(spec, start, target).tobytes() == want.tobytes()
+
+
 def test_problem_validation():
     spec, pt = family_setup()
     v = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)

@@ -45,6 +45,16 @@ def test_schema_rejects_bad_pairings():
         ContractionSchema((-1,), ((0, 1), (2, 3)))
 
 
+def test_slot_numbers_are_ints():
+    # a float slot would print as `0.0`, which from_line rejects
+    with pytest.raises(TypeError):
+        ContractionSchema((0,), ((0.0, 3), (1, 2)))
+    schema = ContractionSchema((0,), ((np.int64(3), np.int32(0)), (1, 2)))
+    assert all(type(s) is int for pair in schema.pairing for s in pair)
+    assert schema.to_line() == "R|((0,3),(1,2))"
+    assert ContractionSchema.from_line(schema.to_line()) == schema
+
+
 def test_line_roundtrip():
     for schema in NAMED_SCHEMAS.values():
         assert ContractionSchema.from_line(schema.to_line()) == schema

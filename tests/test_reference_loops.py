@@ -16,10 +16,12 @@ terms.  The Runge-Kutta route is checked against scipy's `solve_ivp`, the
 code it was ported from.  Results must agree to the last bit (`tobytes()` or
 pickle), not just to a tolerance.
 """
+import hashlib
 import math
 import pickle
-from itertools import chain
+from itertools import accumulate, chain, permutations
 from itertools import product as iproduct
+from random import Random
 from typing import Callable, Sequence
 
 import numpy as np
@@ -486,6 +488,74 @@ def ref_evaluate(
     for a, b in schema.pairing:
         weight = weight * g[cols[a], cols[b]]
     return float(np.bincount(np.zeros(len(weight), dtype=np.intp), weights=weight, minlength=1)[0])
+
+
+def ref_canonical_key(schema):
+    # every factor order that sorts the levels, each relabelling built as a
+    # dict, and the least relabelled pairing
+    factors, pairing = schema.factors, schema.pairing
+    ends = accumulate(4 + k for k in factors)
+    slots = [range(end - 4 - k, end) for k, end in zip(factors, ends)]
+    relabelled = []
+    for order in permutations(range(len(factors))):
+        if any(factors[i] > factors[j] for i, j in zip(order, order[1:])):
+            continue
+        new = {old: s for s, old in enumerate(chain.from_iterable(slots[i] for i in order))}
+        relabelled.append(tuple(sorted(
+            (min(new[a], new[b]), max(new[a], new[b])) for a, b in pairing
+        )))
+    return (tuple(sorted(factors)), min(relabelled))
+
+
+def ref_all_matchings(slots):
+    if not slots:
+        yield ()
+        return
+    a = slots[0]
+    for i in range(1, len(slots)):
+        rest = slots[1:i] + slots[i + 1:]
+        for tail in ref_all_matchings(rest):
+            yield ((a, slots[i]),) + tail
+
+
+def ref_catalog(max_factors, max_deriv, exhaustive_limit=1000):
+    # every matching of every factor list, canonicalized and deduplicated,
+    # then sorted
+    seen, out, skipped = set(), [], []
+    for factors in inv._factor_lists(max_factors, max_deriv):
+        n = sum(4 + k for k in factors)
+        cnt = inv.matching_count(n)
+        if cnt == 0:
+            continue
+        if cnt > exhaustive_limit:
+            skipped.append(factors)
+            continue
+        for pairing in ref_all_matchings(list(range(n))):
+            key = ref_canonical_key(ContractionSchema(factors, pairing))
+            if key not in seen:
+                seen.add(key)
+                out.append(ContractionSchema(*key))
+    out.sort(key=lambda s: (len(s.factors), s.factors, s.pairing))
+    return inv.CatalogResult(tuple(out), tuple(skipped))
+
+
+def ref_random_schemas(count, max_factors, max_deriv, seed):
+    # draws until `count` distinct canonical schemas or 200 * count attempts
+    rng = Random(seed)
+    pool = [f for f in inv._factor_lists(max_factors, max_deriv)
+            if sum(4 + k for k in f) % 2 == 0]
+    seen, out, attempts = set(), [], 0
+    while len(out) < count and attempts < 200 * max(1, count):
+        attempts += 1
+        factors = pool[rng.randrange(len(pool))]
+        slots = list(range(sum(4 + k for k in factors)))
+        rng.shuffle(slots)
+        pairing = tuple((slots[2 * i], slots[2 * i + 1]) for i in range(len(slots) // 2))
+        key = ref_canonical_key(ContractionSchema(factors, pairing))
+        if key not in seen:
+            seen.add(key)
+            out.append(ContractionSchema(*key))
+    return tuple(out)
 
 
 # the jet products: the pair table built apart from the sparse listing, the
@@ -1043,6 +1113,71 @@ def test_catalog_built_once_per_argument_list():
     assert isinstance(inv.catalog(3, 2).schemas, tuple)
     with pytest.raises(inv.CapsExceededError):
         inv.catalog(4, 0)
+
+
+@pytest.mark.parametrize("max_factors,max_deriv",
+                         list(iproduct(range(1, inv.MAX_FACTORS + 1), range(3))))
+def test_catalog_matches_the_canonicalizing_loop(max_factors, max_deriv):
+    # same schemas in the same order and the same skipped lists
+    for limit in (1, 15, 105, 1000, inv.MAX_EXHAUSTIVE_LIMIT):
+        assert inv.catalog(max_factors, max_deriv, limit) == \
+            ref_catalog(max_factors, max_deriv, limit), limit
+
+
+@pytest.mark.parametrize("args", [(100, 3, 2, 42), (200, 3, 2, 20260817), (200, 3, 2, 0),
+                                  (50, 1, 0, 0), (100, 1, 0, 1), (300, 2, 1, 5)])
+def test_random_schemas_match_the_drawing_loop(args):
+    assert inv.random_schemas.__wrapped__(*args) == ref_random_schemas(*args)
+
+
+def test_random_schemas_stop_once_the_pool_is_exhausted(monkeypatch):
+    # (1, 0) has 3 canonical schemas; the loop made all 20,000 attempts
+    draws = []
+
+    class Counted(Random):
+        def randrange(self, *args):
+            draws.append(args)
+            return super().randrange(*args)
+
+    monkeypatch.setattr(inv, "Random", Counted)
+    got = inv.random_schemas.__wrapped__(100, 1, 0, 1)
+    assert got == ref_random_schemas(100, 1, 0, 1) and len(got) == 3
+    assert len(draws) < 200  # it stops _REPEAT_RUN draws after the third schema
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2), min_size=1, max_size=3).flatmap(
+    lambda factors: st.permutations(range(sum(4 + k for k in factors))).map(
+        lambda order: (tuple(factors), order)))
+       .filter(lambda case: len(case[1]) % 2 == 0))
+def test_canonical_key_matches_the_dict_relabelling(case):
+    factors, order = case
+    schema = ContractionSchema(factors, tuple(zip(order[::2], order[1::2])))
+    assert schema.canonical_key() == ref_canonical_key(schema)
+
+
+def _lines_sha256(schemas):
+    return hashlib.sha256("\n".join(s.to_line() for s in schemas).encode()).hexdigest()
+
+
+def test_check_schema_lines_are_pinned():
+    # the to_line() text of the check's schemas before the relabelling table
+    assert _lines_sha256(inv.catalog(3, 2).schemas) == \
+        "4627375276778eb7d73dc8df2c440c884ecebe2c1d6ce71d3c25f261d57a32f2"
+    assert _lines_sha256(inv.random_schemas(100, 3, 2, 42)) == \
+        "c1661109c98dee8a15275d30fd500b8daa2e07c4068c423813cbae9ee2e7d8ba"
+
+
+def test_join_plans_follow_the_pairing():
+    # each pair closes with the factor that owns its larger slot, and its
+    # code is a * n_slots + b
+    for schema in inv.catalog(3, 2).schemas + tuple(inv.NAMED_SCHEMAS.values()):
+        owner = [f for f, k in enumerate(schema.factors) for _ in range(4 + k)]
+        closing = [[] for _ in schema.factors]
+        for a, b in schema.pairing:
+            closing[owner[b]].append((a, b))
+        codes = tuple(a * len(owner) + b for a, b in schema.pairing)
+        assert schema._join_plan == (tuple(map(tuple, closing)), codes), schema
 
 
 # ------------------------------------------------------------------ invariants
