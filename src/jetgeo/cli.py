@@ -136,7 +136,10 @@ def _parse_grid(text: str) -> tuple[str, np.ndarray]:
     n = int(m.group(4))
     if n < 1:
         raise CliInputError("grid needs at least one sample")
-    return m.group(1), np.linspace(lo, hi, n)
+    try:
+        return m.group(1), np.linspace(lo, hi, n)
+    except (MemoryError, ValueError):  # numpy refuses the size before it allocates
+        raise CliInputError(f"cannot hold a grid of {n} samples") from None
 
 
 def _emit(lines: Sequence[str], out: str | None) -> None:

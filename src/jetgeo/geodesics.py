@@ -19,13 +19,16 @@ differentiate, and the structural pattern of g^-1 with the variables of each
 entry (`_inverse_deps`).  It never accepts a wrong structure, but it can
 refuse a metric whose inverse entries cancel exactly.
 
-The force comes from one kernel per metric (`_Kernel`), generated on the
-first solve as straight-line Python (each varying metric entry's value and
-first partials from `expr.forward_source`, then the Christoffel sums
-unrolled) and kept while the spec lives, with the structure check's report.
-One source runs in two forms: over Python floats for the Runge-Kutta route's
-one-point calls, and over numpy rows for the direct route's breadth-first
-adaptive Simpson rule, one call per depth for all its new nodes.
+The force comes from one evaluator per spec (`ChristoffelPointEvaluator`),
+compiled on first use as straight-line Python (each varying metric entry's
+value and first partials from `expr.forward_source`, then the Christoffel
+sums unrolled) and kept while the spec lives, with the structure check's
+report and the metric's value code for `energy_along`.  One source runs in
+two forms: over Python floats for the Runge-Kutta route's one-point calls,
+and over numpy rows for the direct route's breadth-first adaptive Simpson
+rule, one call per depth for all its new nodes.  Every route, the report,
+`log_map` and `energy_along` read the spec's one evaluator; constructing a
+`ChristoffelPointEvaluator(spec)` directly compiles a fresh one.
 
 The Runge-Kutta route is DOP853 (`_dop853`), ported op for op from scipy's
 `solve_ivp(method="DOP853")` with the same numpy calls, so its trajectories
@@ -112,18 +115,20 @@ class GeodesicProblem:
             raise ValueError("t_end must be positive and finite")
 
 
-class _Kernel:
-    """A metric's geodesic force as generated straight-line Python, built
-    once per spec (`_kernel`).  `force(u, d)` takes one point and velocity as
-    Python floats, `force_rows` many as rows, one per coordinate.  Both give
-    the varying metric entries (i <= j; at `slots` of the flat g, then of its
-    transpose), their partials in `spec.active_vars`, and w_c = sum of d^a d^b
-    Gamma_abc over `curvature.christoffel_terms` in its order.  `report` is
-    the spec's `triangular_report`, decided here from the same terms.
-    `value(u)` gives the varying entries alone, as `spec.value` computes
-    them (`expr.value_source`)."""
+class ChristoffelPointEvaluator:
+    """A metric's geodesic force as generated straight-line Python.  The code
+    gives the varying metric entries (i <= j; at `slots` of the flat g, then
+    of its transpose), their partials in `spec.active_vars`, and w_c = sum of
+    d^a d^b Gamma_abc over `curvature.christoffel_terms` in its order; it
+    runs over Python floats for one point and over numpy rows for many.
+    `report` is the spec's `triangular_report`, decided here from the same
+    terms, and `metric(point)` runs the entries' value code, as `spec.value`
+    computes them (`expr.value_source`).  The routes share one per spec
+    (`_evaluator`); each construction compiles afresh.  The spec is held
+    weakly, so the per-spec cache keeps no spec alive."""
 
     def __init__(self, spec: MetricSpec):
+        self._spec = weakref.proxy(spec)
         m, active = spec.dim, spec.active_vars
         self.g0 = np.zeros((m, m))  # the constant entries
         lines = [f"{''.join(f'd{c}, ' for c in range(m))}= d",
@@ -150,71 +155,58 @@ class _Kernel:
         code = compile("\n    ".join([
             "def force(u, d):", *lines, f"return [{', '.join(values)}], "
             f"[{', '.join(p for grad in grads.values() for p in grad)}], "
-            f"[{', '.join(' + '.join(wc) for wc in w)}]"]), f"<geodesic kernel, {spec!r}>", "exec")
+            f"[{', '.join(' + '.join(wc) for wc in w)}]"]), f"<geodesic force, {spec!r}>", "exec")
         spaces = [dict(ex.FLOAT_OPS), dict(ex.ROW_OPS)]
         for space in spaces:
             exec(code, space)
-        self.force, self._rows = (space["force"] for space in spaces)
+        self._floats, self._rows = (space["force"] for space in spaces)
         lines, memo = lines[1:len(active) + 1], {}  # x0, x1, ... read as in `force`
         values = [ex.value_source(spec.components[i][j], active, lines, memo) for i, j in grads]
         space = dict(ex.VALUE_OPS)
         exec(compile("\n    ".join(["def value(u):", *lines, f"return [{', '.join(values)}]"]),
                      f"<metric values, {spec!r}>", "exec"), space)
-        self.value = space["value"]
+        self._values = space["value"]
 
-    def force_rows(self, u, d):
-        with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
-            return self._rows(u, d)
-
-
-_KERNELS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _kernel(spec: MetricSpec) -> _Kernel:
-    """The spec's kernel, built on first use and kept while the spec lives."""
-    return _KERNELS.get(spec) or _KERNELS.setdefault(spec, _Kernel(spec))
-
-
-class ChristoffelPointEvaluator:
-    """Geodesic force of a metric at one point or many, from the `_Kernel`
-    that every evaluator of the spec shares."""
-
-    def __init__(self, spec: MetricSpec):
-        self.spec = spec
-        self.kernel = _kernel(spec)
+    def _matrix(self, values: list[float]) -> np.ndarray:
+        """g at one point from the varying entries' values."""
+        g = self.g0.copy()
+        g.put(self.slots, values + values)
+        return g
 
     def force(self, points: Sequence[float] | np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """G with lower index raised, g^{cd} w_d, for (N, m) points and
         velocities, as (N, m), in one batched solve; one point and velocity
         of shape (m,) give (m,), computed over Python floats.  The
         acceleration is -G."""
-        k = self.kernel
         pts, vel = np.asarray(points, dtype=float), np.asarray(velocities, dtype=float)
         if pts.ndim == 1:
-            values, _, w = k.force(pts.tolist(), vel.tolist())
-            g = k.g0.copy()
-            g.put(k.slots, values + values)
-            return np.linalg.solve(g, w)
-        values, _, w = k.force_rows(pts.T.copy(), vel.T.copy())
+            values, _, w = self._floats(pts.tolist(), vel.tolist())
+            return np.linalg.solve(self._matrix(values), w)
+        with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
+            values, _, w = self._rows(pts.T.copy(), vel.T.copy())
         n, m = pts.shape
-        g = np.repeat(k.g0.reshape(1, m * m), n, axis=0)
+        g = np.repeat(self.g0.reshape(1, m * m), n, axis=0)
         cols = np.column_stack(np.broadcast_arrays(pts[:, 0], *values, *values, *w))[:, 1:]
-        g[:, k.slots] = cols[:, :len(k.slots)]
-        return np.linalg.solve(g.reshape(n, m, m), cols[:, len(k.slots):, None])[:, :, 0]
+        g[:, self.slots] = cols[:, :len(self.slots)]
+        return np.linalg.solve(g.reshape(n, m, m), cols[:, len(self.slots):, None])[:, :, 0]
+
+    def metric(self, point: Sequence[float]) -> np.ndarray:
+        """`spec.value(point)` by the value code.  Where that code raises,
+        `spec.value` does too, and it runs to raise its own error (an
+        overflow, a domain error or a wrong point length)."""
+        try:
+            values = self._values(list(self._spec.env_at(point).values()))
+        except (ArithmeticError, ValueError):
+            return self._spec.value(point)
+        return self._matrix(values)
 
 
-def _metric_value(spec: MetricSpec, point: Sequence[float]) -> np.ndarray:
-    """`spec.value(point)` by the spec's kernel.  Where the kernel raises,
-    `spec.value` does too, and it runs to raise its own error (an overflow,
-    a domain error or a wrong point length)."""
-    k = _kernel(spec)
-    try:
-        values = k.value(list(spec.env_at(point).values()))
-    except (ArithmeticError, ValueError):
-        return spec.value(point)
-    g = k.g0.copy()
-    g.put(k.slots, values + values)
-    return g
+_EVALUATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _evaluator(spec: MetricSpec) -> ChristoffelPointEvaluator:
+    """The spec's evaluator, compiled on first use and kept while the spec lives."""
+    return _EVALUATORS.get(spec) or _EVALUATORS.setdefault(spec, ChristoffelPointEvaluator(spec))
 
 
 # ------------------------------------------------------------ structure
@@ -261,7 +253,7 @@ def _inverse_deps(spec: MetricSpec) -> tuple[np.ndarray, list] | None:
 
 def _classify(spec: MetricSpec, gamma: dict[int, set[tuple[int, int]]],
               gamma_dep: dict[int, set[str]]) -> TriangularReport:
-    """`triangular_report` from `_Kernel`'s Christoffel pattern and `_inverse_deps`."""
+    """`triangular_report` from the evaluator's Christoffel pattern and `_inverse_deps`."""
     if (structure := _inverse_deps(spec)) is None:
         return TriangularReport(False, (), (), ("the metric is structurally singular",))
     inv, deps = structure
@@ -289,11 +281,11 @@ def _classify(spec: MetricSpec, gamma: dict[int, set[tuple[int, int]]],
 
 def triangular_report(spec: MetricSpec) -> TriangularReport:
     """Classify coordinates for the direct solver, once per spec and from the
-    spec alone (with its `_Kernel`), so an ok report holds wherever g is
+    spec alone (with its evaluator), so an ok report holds wherever g is
     defined.  A coordinate is free when no force component can reach it; it
     is admissibly forced when its force involves only free velocities and
     only free positions, read from `christoffel_terms` and `_inverse_deps`."""
-    return _kernel(spec).report
+    return _evaluator(spec).report
 
 
 # ------------------------------------------------------------- quadrature
@@ -590,7 +582,7 @@ def integrate_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[f
     forward in time (a nan or infinite t_end would never end it)."""
     p = _posed(n_samples, spec, start, velocity=velocity, t_end=t_end)
     m = spec.dim
-    ev = ChristoffelPointEvaluator(spec)
+    ev = _evaluator(spec)
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         u, du = y[:m], y[m:]
@@ -602,71 +594,54 @@ def integrate_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[f
     return Trajectory(t, y[:, :m].copy(), y[:, m:].copy())
 
 
-def _forced_force_fn(
-    spec: MetricSpec,
-    ev: ChristoffelPointEvaluator,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    free_idx: np.ndarray,
-) -> Callable[[np.ndarray], np.ndarray]:
-    vel = np.zeros(spec.dim)
-    vel[free_idx] = v0[free_idx]
-
-    def gfun(r: np.ndarray) -> np.ndarray:
-        # the force at the nodes r along the affine free line, with the
-        # forced coordinates pinned at their start values
-        points = np.repeat(u0[None], len(r), axis=0)
-        points[:, free_idx] = u0[free_idx] + r[:, None] * v0[free_idx]
-        return ev.force(points, np.repeat(vel[None], len(r), axis=0))
-
-    return gfun
-
-
-def _cumulative_moments(
-    gfun: Callable[[np.ndarray], np.ndarray],
-    grid: np.ndarray,
-    m: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Running integrals of G and of r G over the sample grid."""
-    span = max(grid[-1] - grid[0], 1e-300)
-
-    def fboth(r: np.ndarray) -> np.ndarray:
-        g = gfun(r)
-        return np.concatenate([g, r[:, None] * g], axis=1)
-
-    seg = adaptive_simpson(
-        fboth, grid[:-1], grid[1:], _QUAD_TOL * np.maximum(np.diff(grid) / span, 1e-6)
-    )
-    k = np.cumsum(np.concatenate([np.zeros((1, 2 * m)), seg]), axis=0)
-    return k[:, :m], k[:, m:]
-
-
-def _direct_setup(spec: MetricSpec) -> tuple[TriangularReport, np.ndarray,
-                                              ChristoffelPointEvaluator]:
-    """Structure check and force evaluator, once per direct solve."""
+def _direct(p: GeodesicProblem, n_samples: int | None) -> Trajectory | np.ndarray:
+    """The direct route on a posed problem; raises TriangularStructureError
+    unless the metric has the triangular structure.  A two-point problem
+    first closes its start velocity in one quadrature, as the force on its
+    forced coordinates involves free ones only; with no `n_samples` that
+    velocity is the result.  Otherwise the trajectory at `n_samples` points
+    of [0, t_end], from the running integrals of G and r G."""
+    spec, m = p.spec, p.spec.dim
     rep = triangular_report(spec)
     if not rep.ok:
         raise TriangularStructureError("; ".join(rep.blocking))
-    free_idx = np.array([spec.coords.index(v) for v in rep.free], dtype=int)
-    return rep, free_idx, ChristoffelPointEvaluator(spec)
+    ev = _evaluator(spec)
+    free = np.array([spec.coords.index(v) for v in rep.free], dtype=int)
+    u0 = np.array(p.start)
+    # a target's v0 is exact for free coordinates and corrected for forced
+    v0 = np.array(p.velocity) if p.target is None else np.array(p.target) - u0
+    vel = np.zeros(m)
+    vel[free] = v0[free]
 
+    def force(r: np.ndarray) -> np.ndarray:
+        # the force at the nodes r along the affine free line, with the
+        # forced coordinates pinned at their start values
+        points = np.repeat(u0[None], len(r), axis=0)
+        points[:, free] = u0[free] + r[:, None] * v0[free]
+        return ev.force(points, np.repeat(vel[None], len(r), axis=0))
 
-def _direct_ivp(
-    spec: MetricSpec,
-    ev: ChristoffelPointEvaluator,
-    free_idx: np.ndarray,
-    u0: np.ndarray,
-    v0: np.ndarray,
-    t_end: float,
-    n_samples: int,
-) -> Trajectory:
-    grid = np.linspace(0.0, float(t_end), n_samples)
-    gfun = _forced_force_fn(spec, ev, u0, v0, free_idx)
-    k1, k2 = _cumulative_moments(gfun, grid, spec.dim)
+    if p.target is not None:
+        corr = adaptive_simpson(lambda r: (1.0 - r)[:, None] * force(r),
+                                np.zeros(1), np.ones(1), np.full(1, _QUAD_TOL))[0]
+        forced = np.array([spec.coords.index(v) for v in rep.forced], dtype=int)
+        v0[forced] += corr[forced]
+        if n_samples is None:
+            return v0
+    grid = np.linspace(0.0, float(p.t_end), n_samples)
+    span = max(grid[-1] - grid[0], 1e-300)
+
+    def moments(r: np.ndarray) -> np.ndarray:
+        g = force(r)
+        return np.concatenate([g, r[:, None] * g], axis=1)
+
+    seg = adaptive_simpson(moments, grid[:-1], grid[1:],
+                           _QUAD_TOL * np.maximum(np.diff(grid) / span, 1e-6))
+    k = np.cumsum(np.concatenate([np.zeros((1, 2 * m)), seg]), axis=0)
+    k1, k2 = k[:, :m], k[:, m:]
     # no force reaches free coordinates; drop solve round-off so they stay
     # exactly affine
-    k1[:, free_idx] = 0.0
-    k2[:, free_idx] = 0.0
+    k1[:, free] = 0.0
+    k2[:, free] = 0.0
     # u(t) = u0 + v0 t - (t K1 - K2); du = v0 - K1
     u = u0[None, :] + grid[:, None] * v0[None, :] - (grid[:, None] * k1 - k2)
     du = v0[None, :] - k1
@@ -677,37 +652,14 @@ def triangular_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[
                    t_end: float = 1.0, n_samples: int = 101) -> Trajectory:
     """Direct-quadrature route; raises TriangularStructureError unless the
     metric has the triangular structure."""
-    p = _posed(n_samples, spec, start, velocity=velocity, t_end=t_end)
-    _, free_idx, ev = _direct_setup(spec)
-    return _direct_ivp(spec, ev, free_idx, np.array(p.start), np.array(p.velocity), t_end,
-                       n_samples)
-
-
-def _closing_velocity(p: GeodesicProblem) -> tuple:
-    """A two-point problem's start velocity, with the evaluator, free indices
-    and start its trajectory needs; the forced velocities close in one
-    quadrature because their force involves free coordinates only."""
-    rep, free_idx, ev = _direct_setup(p.spec)
-    u0, u1 = np.array(p.start), np.array(p.target)
-    v0 = u1 - u0  # exact for free coordinates; corrected below for forced
-    gfun = _forced_force_fn(p.spec, ev, u0, v0, free_idx)
-
-    def fmom(r: np.ndarray) -> np.ndarray:
-        return (1.0 - r)[:, None] * gfun(r)
-
-    corr = adaptive_simpson(fmom, np.zeros(1), np.ones(1), np.full(1, _QUAD_TOL))[0]
-    forced_idx = np.array([p.spec.coords.index(v) for v in rep.forced], dtype=int)
-    if forced_idx.size:
-        v0[forced_idx] += corr[forced_idx]
-    return ev, free_idx, u0, v0
+    return _direct(_posed(n_samples, spec, start, velocity=velocity, t_end=t_end), n_samples)
 
 
 def triangular_bvp(spec: MetricSpec, start: Sequence[float], target: Sequence[float],
                    n_samples: int = 101) -> Trajectory:
     """Two-point problem on [0, 1]: the closing velocity, then the trajectory
     from the same direct route as `triangular_ivp`."""
-    ev, free_idx, u0, v0 = _closing_velocity(_posed(n_samples, spec, start, target=target))
-    return _direct_ivp(spec, ev, free_idx, u0, v0, 1.0, n_samples)
+    return _direct(_posed(n_samples, spec, start, target=target), n_samples)
 
 
 def solve_geodesic(problem: GeodesicProblem, method: str = "auto",
@@ -740,14 +692,15 @@ def exp_map(spec: MetricSpec, start: Sequence[float], velocity: Sequence[float])
 def log_map(spec: MetricSpec, start: Sequence[float], target: Sequence[float]) -> np.ndarray:
     """`triangular_bvp`'s closing velocity, its `du[0]` bit for bit; an
     overflow along the trajectory surfaces in `exp_map`, not here."""
-    return _closing_velocity(GeodesicProblem(spec, start, target=target))[3]
+    return _direct(GeodesicProblem(spec, start, target=target), None)
 
 
 def energy_along(spec: MetricSpec, traj: Trajectory) -> np.ndarray:
     """g(du, du) at each sample; constant along exact geodesics."""
+    ev = _evaluator(spec)
     out = np.empty(traj.t.size)
     for j in range(traj.t.size):
-        g = _metric_value(spec, traj.u[j])
+        g = ev.metric(traj.u[j])
         out[j] = float(traj.du[j] @ g @ traj.du[j])
     return out
 

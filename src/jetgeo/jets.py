@@ -437,9 +437,6 @@ class Jet:
 
     __rmul__ = __mul__
 
-    def scaled(self, factor: float) -> "Jet":
-        return Jet(self.space, self.coef * factor)
-
     def truncated(self, order: int) -> "Jet":
         """Drop coefficients above the given total order (a prefix slice)."""
         if order > self.order:

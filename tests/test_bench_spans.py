@@ -95,15 +95,17 @@ geodesics.solve_geodesic(prob, method="triangular")
 both = {name: v for name, (v, _) in spans.layer_metrics(tracer).items()}
 for name in ("geodesics.force_calls", "geodesics.force_s", "geodesics.rk_s"):
     print("rk", name, rk[name])
-for name in ("geodesics.force_calls", "geodesics.force_s", "geodesics.quadrature_s"):
+for name in ("geodesics.force_calls", "geodesics.force_s", "geodesics.quadrature_s",
+             "geodesics.report_s"):
     print("direct", name, both[name] - rk[name])
 """
 
 
 def test_traced_geodesic_routes_reach_every_span():
-    # each route must call the evaluator's force through the name the span
-    # wrappers replace; a route that bypasses it reads 0 calls here
+    # each route must call the evaluator's force, and the direct route the
+    # structure report, through the names the span wrappers replace; a route
+    # that bypasses one reads 0 here
     res = _run_with_spans(TRACED_GEODESICS)
     assert res.returncode == 0, res.stderr
     figures = {" ".join(line.split()[:2]): float(line.split()[2]) for line in res.stdout.splitlines()}
-    assert len(figures) == 6 and all(v > 0 for v in figures.values()), figures
+    assert len(figures) == 7 and all(v > 0 for v in figures.values()), figures

@@ -245,6 +245,12 @@ def test_check_degenerate_profile_fails_precondition(capsys):
         (["check", "--family", "p=0,f=exp(y)", "--seed", "-1"], "--seed must be >= 0"),
         (["curvature", "--family", "p=0,f=" + "(" * 300 + "y" + ")" * 300,
           "--point", "0,0,0,0,0,0"], "expression is nested too deeply"),
+        # numpy refuses both sample counts before it allocates: 71 PiB of
+        # doubles, and a count past its largest array size
+        (["alpha", "--family", "p=0,f=exp(y)", "--grid", "y=0:1:10000000000000000"],
+         "cannot hold a grid of 10000000000000000 samples"),
+        (["alpha", "--family", "p=0,f=exp(y)", "--grid", "y=0:1:100000000000000000000"],
+         "cannot hold a grid of 100000000000000000000 samples"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, needle):

@@ -411,7 +411,7 @@ def test_family_p8_context_build_memory_is_bounded():
 
 def test_built_spec_is_read_without_walking_its_expressions(monkeypatch):
     # a spec finds its nonzero entries and their coordinates once, when it
-    # is built; a context, the Christoffel sums and the geodesic kernel read
+    # is built; a context, the Christoffel sums and the geodesic evaluator read
     # that table
     pt, spec = _family_p5()
     calls = []
@@ -419,7 +419,7 @@ def test_built_spec_is_read_without_walking_its_expressions(monkeypatch):
     monkeypatch.setattr(ex, "free_vars", lambda e: calls.append(e) or free_vars(e))
     CurvatureContext(spec, pt, 2)
     christoffel_terms(spec)
-    geodesics._kernel(spec)
+    geodesics._evaluator(spec)
     assert calls == []
 
 

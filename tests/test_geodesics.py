@@ -1,6 +1,7 @@
 """Geodesics: the batched geodesic force, triangular-structure
 analysis, dual-route integration with energy conservation, and the
 exp/log boundary maps."""
+import gc
 import inspect
 import itertools
 import math
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -228,19 +230,51 @@ def test_direct_route_set_up_once_per_solve(monkeypatch):
     target = geo.exp_map(spec, pt, (0.1, 0.2, -0.1, 0.3, 0.0, 0.1))
     counts.update(report=0, evaluator=0)
     geo.exp_map(spec, pt, geo.log_map(spec, pt, tuple(target)))
-    assert counts == {"report": 2, "evaluator": 2}
+    # the first exp_map compiled the spec's evaluator; the solves share it
+    assert counts == {"report": 2, "evaluator": 0}
+
+
+def test_evaluator_compiled_once_per_spec(monkeypatch):
+    # every route, the report, the maps and the energy check of one spec
+    # read the one evaluator compiled on its first use
+    calls, init = [], geo.ChristoffelPointEvaluator.__init__
+
+    def counted_init(self, spec):
+        calls.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(geo.ChristoffelPointEvaluator, "__init__", counted_init)
+    spec, pt = family_setup()
+    vel = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)
+    geo.triangular_report(spec)
+    traj = geo.integrate_ivp(spec, pt, vel)
+    geo.triangular_ivp(spec, pt, vel)
+    geo.exp_map(spec, pt, geo.log_map(spec, pt, tuple(traj.u[-1])))
+    geo.energy_along(spec, traj)
+    assert calls == [spec]
 
 
 def test_evaluators_of_one_spec_share_one_kernel():
     spec, pt = family_setup()
-    assert spec not in geo._KERNELS  # built on the first solve, not with the spec
-    first = geo.ChristoffelPointEvaluator(spec)
-    assert geo.ChristoffelPointEvaluator(spec).kernel is first.kernel
+    assert spec not in geo._EVALUATORS  # built on the first solve, not with the spec
+    first = geo._evaluator(spec)
+    assert geo._evaluator(spec) is first
     geo.integrate_ivp(spec, pt, (0.1, 0.2, -0.1, 0.3, 0.0, 0.1))
     geo.triangular_report(spec)
-    assert geo._KERNELS[spec] is first.kernel
+    assert geo._EVALUATORS[spec] is first
     twin, _ = family_setup()
-    assert geo.ChristoffelPointEvaluator(twin).kernel is not first.kernel
+    assert geo._evaluator(twin) is not first
+    # a direct construction compiles afresh, and the same force
+    fresh = geo.ChristoffelPointEvaluator(spec)
+    assert fresh is not first and fresh.report == first.report
+    vel = np.array([0.1, 0.2, -0.1, 0.3, 0.0, 0.1])
+    assert fresh.force(pt, vel).tobytes() == first.force(pt, vel).tobytes()
+    # the cache holds its specs weakly, and an evaluator does not keep its
+    # spec alive
+    gone = weakref.ref(spec)
+    del spec, twin
+    gc.collect()
+    assert gone() is None
 
 
 # ------------------------------------------------------------------ report
@@ -558,9 +592,10 @@ def test_triangular_report_reads_the_spec_alone(monkeypatch):
     # metric's pattern: it evaluates no metric value, and every solve of the
     # spec, from any start, shares the one report
     spec, pt = family_setup()
-    monkeypatch.setattr(geo, "_metric_value", lambda s, q: pytest.fail("metric evaluated"))
+    monkeypatch.setattr(geo.ChristoffelPointEvaluator, "metric",
+                        lambda self, q: pytest.fail("metric evaluated"))
     want = geo.triangular_report(spec)
-    assert want.ok and want is geo._KERNELS[spec].report
+    assert want.ok and want is geo._EVALUATORS[spec].report
     seen, report = [], geo.triangular_report
     monkeypatch.setattr(geo, "triangular_report", lambda s: seen.append(report(s)) or seen[-1])
     vel = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)

@@ -200,7 +200,7 @@ def test_scaled_and_neg():
     sp = jet_space(("t",), 2)
     rng = np.random.default_rng(5)
     a = dyadic_jet(sp, rng)
-    assert np.array_equal(a.scaled(-1.0).coef, (-a).coef)
+    assert np.array_equal((a * -1.0).coef, (-a).coef)
     assert np.array_equal((a - a).coef, np.zeros(sp.size))
 
 
@@ -547,8 +547,8 @@ def test_exp_of_constant():
 def test_exp_of_sum_matches_scaled_argument():
     sp = jet_space(("y",), 5)
     y = sp.variable("y", 0.25)
-    lhs = (y + y.scaled(2.0)).exp()
-    rhs = y.scaled(3.0).exp()
+    lhs = (y + y * 2.0).exp()
+    rhs = (y * 3.0).exp()
     np.testing.assert_allclose(lhs.coef, rhs.coef, rtol=1e-14)
     want = [math.exp(0.75) * 3.0 ** k / math.factorial(k) for k in range(6)]
     np.testing.assert_allclose(lhs.coef, want, rtol=1e-14)

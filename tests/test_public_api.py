@@ -30,6 +30,11 @@ def test_curvature_aliases_are_gone():
         assert not hasattr(jetgeo, name) and not hasattr(curvature, name), name
 
 
+def test_jet_scaled_alias_is_gone():
+    # `jet * factor` is the one scaling
+    assert not hasattr(jetgeo.Jet, "scaled")
+
+
 def test_runtime_dependency_is_numpy_alone():
     # scipy is the test suite's reference for the Runge-Kutta route, and no
     # jetgeo module needs it

@@ -239,7 +239,7 @@ def ref_neumann_inverse(ctx):
             for i in range(m):
                 if h0[i, a] == 0.0:
                     continue
-                term = tj.scaled(h0[i, a])
+                term = tj * h0[i, a]
                 prev = nxt.get((i, c))
                 nxt[(i, c)] = (-term) if prev is None else prev - term
         s = nxt
@@ -1486,5 +1486,5 @@ def test_metric_value_errors_are_the_tree_walks():
         with pytest.raises(kind) as want:
             spec.value(point)
         with pytest.raises(kind) as got:
-            geo._metric_value(spec, point)
+            geo._evaluator(spec).metric(point)
         assert str(got.value) == str(want.value)

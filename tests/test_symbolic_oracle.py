@@ -36,6 +36,12 @@ METRICS = {
          (0, 1): "0.5*a", (1, 2): "0.25*c"},
         (0.2, -0.3, 0.1),
     ),
+    # a metric with an inactive coordinate: `non-diagonal 2` times a line
+    "non-diagonal 2 x line": (
+        ("a", "b", "s"),
+        {(0, 0): "exp(2*b)", (1, 1): "1 + 0.5*sin(a)", (0, 1): "0.3*a*b", (2, 2): "1"},
+        (0.4, -0.1, 0.7),
+    ),
 }
 # nabla R and nabla^2 R are compared in dimension 2 only
 CASES = [(name, k) for name, (coords, _, _) in METRICS.items()
@@ -43,7 +49,7 @@ CASES = [(name, k) for name, (coords, _, _) in METRICS.items()
 # In dimension 2 a Christoffel term of a level step moves a canonical tuple
 # to a canonical one or to one with a repeated pair, never to a swapped
 # pair, so the level steps' signs are checked on nabla R in dimension 3.
-VALUE_CASES = CASES + [("non-diagonal 3", 1)]
+VALUE_CASES = CASES + [("non-diagonal 3", 1), ("non-diagonal 2 x line", 1)]
 
 
 def _leibniz(vs, f, h):
