@@ -21,12 +21,14 @@ refuse a metric whose inverse entries cancel exactly.
 
 The force comes from one evaluator per spec (`ChristoffelPointEvaluator`),
 compiled on first use as straight-line Python (each varying metric entry's
-value and first partials from `expr.forward_source`, then the Christoffel
-sums unrolled) and kept while the spec lives, with the structure check's
-report and the metric's value code for `energy_along`.  One source runs in
-two forms: over Python floats for the Runge-Kutta route's one-point calls,
-and over numpy rows for the direct route's breadth-first adaptive Simpson
-rule, one call per depth for all its new nodes.  Every route, the report,
+value and first partials from `expr.forward_source`, the Christoffel sums
+unrolled, then g G = w solved by substitution over g's structural blocks,
+which the structure check's matching decides) and kept while the spec
+lives, with the structure check's report and the metric's value code for
+`energy_along`.  One source runs in two forms: over Python floats for the
+Runge-Kutta route's one-point calls, and over numpy rows for the direct
+route's breadth-first adaptive Simpson rule, one call per depth for all its
+new nodes.  Every route, the report,
 `log_map` and `energy_along` read the spec's one evaluator; constructing a
 `ChristoffelPointEvaluator(spec)` directly compiles a fresh one.
 
@@ -115,15 +117,31 @@ class GeodesicProblem:
             raise ValueError("t_end must be positive and finite")
 
 
+def _pivot(v: float | np.ndarray) -> float | np.ndarray:
+    """A divisor of the generated solve, or np.linalg.LinAlgError where it is 0."""
+    if v if isinstance(v, float) else np.all(v):
+        return v
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def _row_block(a: list, b: list) -> list:
+    k = len(b)  # one k x k system per column of the rows in a and b
+    cells = np.stack(np.broadcast_arrays(*(v for row in a for v in row), *b), -1)
+    x = np.linalg.solve(cells[..., :k * k].reshape(-1, k, k), cells[..., k * k:].reshape(-1, k, 1))
+    return list(x[:, :, 0].T)
+
+
 class ChristoffelPointEvaluator:
     """A metric's geodesic force as generated straight-line Python.  The code
     gives the varying metric entries (i <= j; at `slots` of the flat g, then
-    of its transpose), their partials in `spec.active_vars`, and w_c = sum of
-    d^a d^b Gamma_abc over `curvature.christoffel_terms` in its order; it
-    runs over Python floats for one point and over numpy rows for many.
-    `report` is the spec's `triangular_report`, decided here from the same
-    terms, and `metric(point)` runs the entries' value code, as `spec.value`
-    computes them (`expr.value_source`).  The routes share one per spec
+    of its transpose), their partials in `spec.active_vars`, w_c = sum of
+    d^a d^b Gamma_abc over `curvature.christoffel_terms` in its order, and G
+    from g G = w over g's blocks in `_inverse_deps`' order (all of g one
+    block where g is structurally singular); it runs over Python floats for
+    one point and over numpy rows for many.  `report` is the spec's
+    `triangular_report`, decided here from the same terms and structure, and
+    `metric(point)` runs the entries' value code, as `spec.value` computes
+    them (`expr.value_source`).  The routes share one per spec
     (`_evaluator`); each construction compiles afresh.  The spec is held
     weakly, so the per-spec cache keeps no spec alive."""
 
@@ -133,14 +151,15 @@ class ChristoffelPointEvaluator:
         self.g0 = np.zeros((m, m))  # the constant entries
         lines = [f"{''.join(f'd{c}, ' for c in range(m))}= d",
                  *(f"x{k} = u[{spec.coords.index(n)}]" for k, n in enumerate(active))]
-        values, grads = [], {}
+        grads, entry = {}, {}  # entry[r, c]: g_rc as a source atom, both orders
         for (i, j), names in spec.entry_vars.items():
             e = spec.components[i][j]
             if names:
-                value, grads[(i, j)] = ex.forward_source(e, active, f"g{i}_{j}", lines)
-                values.append(value)
+                entry[i, j], grads[(i, j)] = ex.forward_source(e, active, f"g{i}_{j}", lines)
             else:
-                self.g0[i, j] = self.g0[j, i] = ex.eval_point(e, {})
+                self.g0[i, j] = self.g0[j, i] = v = ex.eval_point(e, {})
+                entry[i, j] = repr(v) if np.isfinite(v) else f"float('{v!r}')"
+            entry[j, i] = entry[i, j]
         self.slots = [i * m + j for i, j in grads] + [j * m + i for i, j in grads]
         pos = {spec.coords.index(n): k for k, n in enumerate(active)}
         w = [["0.0"] for _ in range(m)]
@@ -151,12 +170,32 @@ class ChristoffelPointEvaluator:
             w[c].append(f"d{a} * d{b} * ({gamma_abc})")
             gamma.setdefault(c, set()).add((a, b))
             gamma_dep.setdefault(c, set()).update(*(spec.entry_vars[pair] for _, pair, _ in terms))
-        self.report = _classify(spec, gamma, gamma_dep)
-        code = compile("\n    ".join([
-            "def force(u, d):", *lines, f"return [{', '.join(values)}], "
-            f"[{', '.join(p for grad in grads.values() for p in grad)}], "
-            f"[{', '.join(' + '.join(wc) for wc in w)}]"]), f"<geodesic force, {spec!r}>", "exec")
-        spaces = [dict(ex.FLOAT_OPS), dict(ex.ROW_OPS)]
+        structure = _inverse_deps(spec)
+        self.report = _classify(spec, gamma, gamma_dep, structure)
+        # g G = w block by block: w_r less g_re G_e over solved e, ascending, then
+        # / g_rc (none for the literal 1.0) for a singleton (r, c), one solve else
+        solved = ["0.0"] * m  # G_c as a source atom
+        for rows, cols in structure[2] if structure else [(range(m), range(m))]:
+            rhs = [" - ".join([" + ".join(w[r]), *(
+                solved[e] if entry[r, e] == "1.0" else f"{entry[r, e]} * {solved[e]}"
+                for e in range(m) if (r, e) in entry and e not in cols and solved[e] != "0.0")])
+                for r in rows]
+            if len(rows) > 1:
+                mat = ", ".join("[" + ", ".join(entry.get((r, c), "0.0") for c in cols) + "]"
+                                for r in rows)
+                rhs = [f"block([{mat}], [{', '.join(rhs)}])"]
+            elif (pivot := entry.get((rows[0], cols[0]), "0.0")) != "1.0":  # 0.0: g is singular
+                rhs = [f"({rhs[0]}) / pivot({pivot})"]
+            if " " in rhs[0]:
+                lines.append(f"{', '.join(f's{c}' for c in cols)} = {rhs[0]}")
+                rhs = [f"s{c}" for c in cols]
+            for c, atom in zip(cols, rhs):
+                solved[c] = atom
+        code = compile("\n    ".join(["def force(u, d):", *lines, f"return [{', '.join(solved)}]"]),
+                       f"<geodesic force, {spec!r}>", "exec")
+        spaces = [dict(ex.FLOAT_OPS, pivot=_pivot,
+                       block=lambda a, b: np.linalg.solve(a, b).tolist()),
+                  dict(ex.ROW_OPS, pivot=_pivot, block=_row_block)]
         for space in spaces:
             exec(code, space)
         self._floats, self._rows = (space["force"] for space in spaces)
@@ -167,28 +206,18 @@ class ChristoffelPointEvaluator:
                      f"<metric values, {spec!r}>", "exec"), space)
         self._values = space["value"]
 
-    def _matrix(self, values: list[float]) -> np.ndarray:
-        """g at one point from the varying entries' values."""
-        g = self.g0.copy()
-        g.put(self.slots, values + values)
-        return g
-
     def force(self, points: Sequence[float] | np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """G with lower index raised, g^{cd} w_d, for (N, m) points and
-        velocities, as (N, m), in one batched solve; one point and velocity
-        of shape (m,) give (m,), computed over Python floats.  The
-        acceleration is -G."""
+        velocities, as (N, m), by the generated substitution over g's blocks,
+        each block of size > 1 in one batched solve; one point and velocity
+        of shape (m,) give (m,), computed over Python floats.  A zero pivot
+        raises np.linalg.LinAlgError.  The acceleration is -G."""
         pts, vel = np.asarray(points, dtype=float), np.asarray(velocities, dtype=float)
         if pts.ndim == 1:
-            values, _, w = self._floats(pts.tolist(), vel.tolist())
-            return np.linalg.solve(self._matrix(values), w)
+            return np.array(self._floats(pts.tolist(), vel.tolist()))
         with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
-            values, _, w = self._rows(pts.T.copy(), vel.T.copy())
-        n, m = pts.shape
-        g = np.repeat(self.g0.reshape(1, m * m), n, axis=0)
-        cols = np.column_stack(np.broadcast_arrays(pts[:, 0], *values, *values, *w))[:, 1:]
-        g[:, self.slots] = cols[:, :len(self.slots)]
-        return np.linalg.solve(g.reshape(n, m, m), cols[:, len(self.slots):, None])[:, :, 0]
+            out = self._rows(pts.T.copy(), vel.T.copy())
+        return np.column_stack(np.broadcast_arrays(pts[:, 0], *out))[:, 1:]
 
     def metric(self, point: Sequence[float]) -> np.ndarray:
         """`spec.value(point)` by the value code.  Where that code raises,
@@ -198,7 +227,9 @@ class ChristoffelPointEvaluator:
             values = self._values(list(self._spec.env_at(point).values()))
         except (ArithmeticError, ValueError):
             return self._spec.value(point)
-        return self._matrix(values)
+        g = self.g0.copy()
+        g.put(self.slots, values + values)
+        return g
 
 
 _EVALUATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -218,14 +249,18 @@ class TriangularReport:
     blocking: tuple[str, ...]
 
 
-def _inverse_deps(spec: MetricSpec) -> tuple[np.ndarray, list] | None:
-    """The structural pattern of g^-1 from the pattern of g, and per varying
-    g_kl its variables and the entries of g^-1 they reach; None when g is
-    structurally singular.  Rows are matched to nonzero columns by Kuhn's
-    augmenting paths; with the matching on the diagonal, g^-1 has the pattern
-    of the transitive closure of g's digraph (Gilbert, SIAM J. Matrix Anal.
-    Appl. 15(1), 1994).  As dg^cd/dg_kl = -g^ck g^ld, g_kl reaches g^cd where
-    g^ck and g^ld are nonzero.  Both are supersets (cancellation is unseen)."""
+def _inverse_deps(spec: MetricSpec) -> tuple[np.ndarray, list, list] | None:
+    """The structural pattern of g^-1 from the pattern of g, per varying g_kl
+    its variables and the entries of g^-1 they reach, and g's blocks in solve
+    order; None when g is structurally singular.  Rows are matched to nonzero
+    columns by Kuhn's augmenting paths; with the matching on the diagonal,
+    g^-1 has the pattern of the transitive closure of g's digraph (Gilbert,
+    SIAM J. Matrix Anal. Appl. 15(1), 1994).  As dg^cd/dg_kl = -g^ck g^ld,
+    g_kl reaches g^cd where g^ck and g^ld are nonzero.  Both are supersets
+    (cancellation is unseen).  Rows that reach each other form a block, with
+    their matched columns, each ascending; a block comes after the blocks it
+    reaches, which reach fewer rows (block triangular form: Duff, Erisman
+    and Reid, *Direct Methods for Sparse Matrices*, ch. 6)."""
     m = spec.dim
     g = np.zeros((m, m), dtype=bool)
     for i, j in spec.entry_vars:
@@ -243,20 +278,24 @@ def _inverse_deps(spec: MetricSpec) -> tuple[np.ndarray, list] | None:
 
     if not all(augment(r, set()) for r in range(m)):
         return None
-    reach = g[:, np.argsort(mate)]  # row r's matched column moved to column r
+    reach = g[:, (col := np.argsort(mate))]  # row r's matched column moved to column r
     for k in range(m):
         reach |= reach[:, k:k + 1] & reach[k:k + 1]
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for r in sorted(range(m), key=lambda r: (np.count_nonzero(reach[r]), r)):
+        rows = tuple(np.flatnonzero(reach[r] & reach[:, r]).tolist())
+        blocks.setdefault(rows, sorted(col[list(rows)].tolist()))
     inv = reach[mate]
     return inv, [(names, np.outer(inv[:, k], inv[l]) | np.outer(inv[:, l], inv[k]))
-                 for (k, l), names in spec.entry_vars.items() if names]
+                 for (k, l), names in spec.entry_vars.items() if names], list(blocks.items())
 
 
 def _classify(spec: MetricSpec, gamma: dict[int, set[tuple[int, int]]],
-              gamma_dep: dict[int, set[str]]) -> TriangularReport:
+              gamma_dep: dict[int, set[str]], structure: tuple | None) -> TriangularReport:
     """`triangular_report` from the evaluator's Christoffel pattern and `_inverse_deps`."""
-    if (structure := _inverse_deps(spec)) is None:
+    if structure is None:
         return TriangularReport(False, (), (), ("the metric is structurally singular",))
-    inv, deps = structure
+    inv, deps, _ = structure
     force_pairs: dict[int, set[tuple[int, int]]] = {}
     force_dep: dict[int, set[str]] = {}
     for d, pairs in gamma.items():
@@ -638,8 +677,8 @@ def _direct(p: GeodesicProblem, n_samples: int | None) -> Trajectory | np.ndarra
                            _QUAD_TOL * np.maximum(np.diff(grid) / span, 1e-6))
     k = np.cumsum(np.concatenate([np.zeros((1, 2 * m)), seg]), axis=0)
     k1, k2 = k[:, :m], k[:, m:]
-    # no force reaches free coordinates; drop solve round-off so they stay
-    # exactly affine
+    # no force reaches free coordinates: the solve reads only zeros there,
+    # which this makes +0.0, so they stay exactly affine to the sign of a zero
     k1[:, free] = 0.0
     k2[:, free] = 0.0
     # u(t) = u0 + v0 t - (t K1 - K2); du = v0 - K1

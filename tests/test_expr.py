@@ -26,9 +26,7 @@ from jetgeo.expr import (
     parse,
     to_text,
 )
-from jetgeo.geodesics import ChristoffelPointEvaluator
 from jetgeo.jets import NonFiniteError
-from jetgeo.metric import MetricSpec
 from test_jets import ranked
 
 CHART = ("y", "z0", "z1")
@@ -218,21 +216,24 @@ def test_eval_jet_overflow():
 
 
 def _kernel(e):
-    """The value and partials of `e` from the generated geodesic force code
-    of a metric whose one varying entry g_00 is `e`, over floats (one point)
-    or rows (a point per column, with numpy's warnings off as in
+    """The value and partials of `e` from `expr.forward_source` code,
+    compiled as the geodesic force compiles it, over floats (one point) or
+    rows (a point per column, with numpy's warnings off as in
     `ChristoffelPointEvaluator.force`), and the positions in CHART of the
     partials."""
-    spec = MetricSpec(CHART, {(0, 0): e, (1, 1): Const(1.0), (2, 2): Const(1.0)}, (0, 3))
-    ev = ChristoffelPointEvaluator(spec)
+    cols = [k for k, name in enumerate(CHART) if name in free_vars(e)]
+    lines = [f"x{k} = u[{c}]" for k, c in enumerate(cols)]
+    value, grad = ex.forward_source(e, [CHART[c] for c in cols], "t", lines)
+    code = compile("\n    ".join(["def kernel(u):", *lines,
+                                   f"return [{value}], [{', '.join(grad)}]"]), "<kernel>", "exec")
+    floats, rows = dict(ex.FLOAT_OPS), dict(ex.ROW_OPS)
+    exec(code, floats)
+    exec(code, rows)
 
-    def floats(u):
-        return ev._floats(u, [0.0] * 3)[:2]
-
-    def rows(u):
+    def on_rows(u):
         with np.errstate(all="ignore"):
-            return ev._rows(u, np.zeros(u.shape))[:2]
-    return floats, rows, [CHART.index(n) for n in spec.active_vars]
+            return rows["kernel"](u)
+    return floats["kernel"], on_rows, cols
 
 
 @given(exprs())

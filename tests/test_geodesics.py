@@ -45,10 +45,38 @@ def flat_plane():
     return MetricSpec(("u", "v"), {(0, 0): one, (1, 1): one}, (2, 0))
 
 
-def reference_force(spec, point, velocity):
-    """The per-point force the batched one replaced: an order-1 `eval_jet`
-    per varying metric entry, the Christoffel terms summed on its
-    coefficients, and one solve."""
+def substitution_solve(spec, g, w):
+    """x with g x = w for (N, m, m) g and (N, m) w, by substitution over the
+    pattern of `spec`'s metric: while a row has one unknown column c left,
+    x_c = (w_r - the sum of g_re x_e over its known columns e, ascending) /
+    g_rc, the first such row first; when none has, the unknowns left are
+    one block, solved at once with rows and columns ascending.  (On the
+    metrics of `force_cases` every such block is irreducible.)"""
+    pattern = np.zeros((spec.dim, spec.dim), dtype=bool)
+    for i, j in spec.entry_vars:
+        pattern[i, j] = pattern[j, i] = True
+    x, known, rows_left = np.zeros(w.shape), [], list(range(spec.dim))
+    while rows_left:
+        unknown = {r: set(np.flatnonzero(pattern[r]).tolist()) - set(known) for r in rows_left}
+        rows = [r for r in rows_left if len(unknown[r]) == 1][:1] or rows_left
+        cols = sorted(set().union(*(unknown[r] for r in rows)))
+        rhs = w[:, rows].copy()
+        for i, r in enumerate(rows):
+            for e in sorted(set(np.flatnonzero(pattern[r]).tolist()) - set(cols)):
+                rhs[:, i] = rhs[:, i] - g[:, r, e] * x[:, e]
+        if len(rows) == 1:
+            x[:, cols[0]] = rhs[:, 0] / g[:, rows[0], cols[0]]
+        else:
+            x[:, cols] = np.linalg.solve(g[:, rows][:, :, cols], rhs[:, :, None])[:, :, 0]
+        known += cols
+        rows_left = [r for r in rows_left if r not in rows]
+    return x
+
+
+def reference_system(spec, point, velocity):
+    """g and w of the per-point force the batched one replaced: an order-1
+    `eval_jet` per varying metric entry, and the Christoffel terms summed
+    on its coefficients."""
     m = spec.dim
     env = spec.env_at(point)
     active = spec.active_vars
@@ -71,13 +99,20 @@ def reference_force(spec, point, velocity):
         vv = velocity[a] * velocity[b]
         if vv != 0.0:
             w[c] += vv * sum(h * jet1[pair][slot[v]] for v, pair, h in terms)
-    return np.linalg.solve(g, w)
+    return g, w
+
+
+def reference_force(spec, point, velocity):
+    """`reference_system` solved by `substitution_solve`."""
+    g, w = reference_system(spec, point, velocity)
+    return substitution_solve(spec, g[None], w[None])[0]
 
 
 def force_cases():
     """(spec, points, velocities): S^2, family p = 0..2 (exp, cos, sin,
-    negation and a zeroth power in the profiles) and the 3-coordinate
-    non-diagonal metric."""
+    negation and a zeroth power in the profiles), the 3-coordinate
+    non-diagonal metric, and a 3-coordinate metric of three singleton
+    blocks whose last row subtracts two solved terms."""
     rng = np.random.default_rng(17)
     cases = [(two_sphere(), np.column_stack([rng.uniform(0.3, 2.8, 12),
                                              rng.uniform(-3, 3, 12)]))]
@@ -86,7 +121,11 @@ def force_cases():
         cases.append((spec, rng.uniform(-0.8, 0.8, (12, spec.dim))))
     spec, pt = three_metric()
     cases.append((spec, pt + rng.uniform(-0.5, 0.5, (12, 3))))
-    return [(s, pts, rng.standard_normal(pts.shape)) for s, pts in cases]
+    cases = [(s, pts, rng.standard_normal(pts.shape)) for s, pts in cases]
+    spec = metric_from_strings(("u", "v", "w"), {(0, 0): "exp(w) + u*v", (0, 1): "sin(u + w)",
+                                                 (0, 2): "1", (1, 1): "1"}, (1, 2))
+    rng = np.random.default_rng(19)
+    return cases + [(spec, rng.uniform(-0.8, 0.8, (12, 3)), rng.standard_normal((12, 3)))]
 
 
 # --------------------------------------------------------------- evaluator
@@ -135,6 +174,99 @@ def test_force_batch_invariant():
         single = np.array([ev.force(p, v) for p, v in zip(pts, vels)])
         assert batch.tobytes() == single.tobytes()
         assert ev.force(tuple(pts[0]), vels[0]).shape == (spec.dim,)
+        assert ev.force(pts[:0], vels[:0]).shape == (0, spec.dim)
+
+
+def family_cases():
+    """(spec, points, velocities) of family p = 0..8."""
+    rng = np.random.default_rng(23)
+    for p in range(9):
+        spec = fam.build_metric(fam.FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",))))
+        pts = rng.uniform(-0.8, 0.8, (6, spec.dim))
+        yield spec, pts, rng.standard_normal(pts.shape)
+
+
+def test_force_matches_dense_solve_within_roundoff():
+    # the substitution against one LAPACK solve of g G = w at each point:
+    # within 4 eps of the largest entry of the point's force
+    for spec, pts, vels in [*force_cases(), *family_cases()]:
+        ev = geo.ChristoffelPointEvaluator(spec)
+        want = np.array([np.linalg.solve(spec.value(p), reference_system(spec, p, v)[1])
+                         for p, v in zip(pts, vels)])
+        bound = 4 * np.finfo(float).eps * np.max(np.abs(want), axis=1, keepdims=True)
+        for got in (ev.force(pts, vels), np.array([ev.force(p, v) for p, v in zip(pts, vels)])):
+            assert (np.abs(got - want) <= bound).all(), spec
+
+
+def test_free_coordinates_get_exact_zeros():
+    # no force reaches a free coordinate, and the substitution computes none
+    # there: an exact zero in both forms, where a dense solve leaves round-off
+    seen = 0
+    for spec, pts, vels in [*force_cases(), *family_cases()]:
+        ev = geo.ChristoffelPointEvaluator(spec)
+        free = [spec.coords.index(name) for name in ev.report.free]
+        seen += len(free)
+        assert not ev.force(pts, vels)[:, free].any()
+        assert not any(ev.force(p, v)[free].any() for p, v in zip(pts, vels))
+    assert seen == sum(p + 3 for p in (0, 1, 2)) + sum(p + 3 for p in range(9))
+
+
+def test_one_block_and_diagonal_forces_are_the_dense_solves():
+    # three_metric is one 3 x 3 block, solved as one LAPACK call on all of
+    # g; S^2's two singletons divide as LAPACK's solve does
+    cases = force_cases()
+    for spec, pts, vels in (cases[0], cases[4]):
+        ev = geo.ChristoffelPointEvaluator(spec)
+        want = np.array([np.linalg.solve(*reference_system(spec, p, v)) for p, v in zip(pts, vels)])
+        assert np.array_equal(ev.force(pts, vels), want)
+        assert np.array_equal([ev.force(p, v) for p, v in zip(pts, vels)], want)
+
+
+def test_zero_pivot_raises_as_the_dense_solve_does():
+    spec = metric_from_strings(("x", "y"), {(0, 0): "x", (1, 1): "1"}, (0, 2))
+    ev = geo.ChristoffelPointEvaluator(spec)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(spec.value((0.0, 0.3)), [1.0, 0.0])
+    assert ev.force((0.5, 0.3), np.ones(2)).shape == (2,)
+    for pts in ((0.0, 0.3), np.array([[1.0, 0.2], [0.0, 0.3]])):
+        with pytest.raises(np.linalg.LinAlgError):
+            ev.force(pts, np.ones(np.shape(pts)))
+
+
+def test_blocks_solve_random_patterns():
+    # metrics of random symmetric patterns, entries c + b x0: the blocks
+    # cover g once, each needs only blocks before it, and the force is a
+    # dense solve's up to round-off scaled by g's condition number
+    rng = np.random.default_rng(11)
+    coords = tuple(f"x{k}" for k in range(6))
+    sizes = []
+    for _ in range(150):
+        mask = np.triu(rng.random((6, 6)) < 0.3)
+        keys = [(i, j) for i, j in zip(*np.nonzero(mask))]
+        spec = metric_from_strings(coords, {
+            key: f"{rng.uniform(0.5, 2.0):.3f} + {rng.uniform(-1.0, 1.0):.3f}*x0" for key in keys},
+            (0, 6))
+        structure = geo._inverse_deps(spec)
+        if structure is None:
+            continue
+        pattern = np.zeros((6, 6), dtype=bool)
+        for i, j in spec.entry_vars:
+            pattern[i, j] = pattern[j, i] = True
+        done = set()
+        for rows, cols in structure[2]:
+            assert len(rows) == len(cols) and not done & set(cols)
+            assert set(np.flatnonzero(pattern[list(rows)].any(axis=0))) <= done | set(cols)
+            done |= set(cols)
+            sizes.append(len(rows))
+        assert done == set(range(6))
+        ev = geo.ChristoffelPointEvaluator(spec)
+        pt, vel = rng.uniform(-0.5, 0.5, 6), rng.standard_normal(6)
+        g, w = spec.value(pt), reference_system(spec, pt, vel)[1]
+        want = np.linalg.solve(g, w)
+        tol = 1e-13 * np.linalg.cond(g) * np.max(np.abs(want))
+        np.testing.assert_allclose(ev.force(pt, vel), want, rtol=0, atol=tol)
+        np.testing.assert_allclose(ev.force(pt[None], vel[None])[0], want, rtol=0, atol=tol)
+    assert sizes.count(1) > 100 and len(sizes) - sizes.count(1) > 20
 
 
 def test_exp_overflow_along_path_raises():
@@ -672,7 +804,7 @@ def test_inverse_structure_is_a_superset_under_cancellation():
     # cannot see the cancellation and lists g^yy as depending on x
     spec = metric_from_strings(("x", "y"), {(0, 0): "1", (0, 1): "x", (1, 1): "x^2 + 1"},
                                (0, 2))
-    inv, deps = geo._inverse_deps(spec)
+    inv, deps, _ = geo._inverse_deps(spec)
     assert inv.all()
     assert {n for names, hit in deps if hit[1, 1] for n in names} == {"x"}
     for x in (-3.0, 0.0, 0.7):

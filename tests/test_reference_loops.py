@@ -40,7 +40,7 @@ from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
 from test_expr import CHART as EXPR_CHART
 from test_expr import exprs
 from test_curvature import metric_jets
-from test_geodesics import force_cases
+from test_geodesics import force_cases, substitution_solve
 
 PROFILES = ["exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0"]
 
@@ -799,8 +799,8 @@ class ref_ChristoffelPointEvaluator:
     (`expr.compile_grad`); a call evaluates the values and first partials
     of those entries at every point, sums the terms of
     `curvature.christoffel_terms` on the partials, and solves all the
-    systems g G = w, w_c = sum over velocities of du^a du^b Gamma_abc, in
-    one batched `np.linalg.solve`."""
+    systems g G = w, w_c = sum over velocities of du^a du^b Gamma_abc, by
+    `test_geodesics.substitution_solve`."""
 
     def __init__(self, spec: MetricSpec):
         self.spec = spec
@@ -839,7 +839,7 @@ class ref_ChristoffelPointEvaluator:
         w = np.zeros(vel.shape)
         for a, b, c, terms in self._terms:
             w[:, c] += vel[:, a] * vel[:, b] * sum(h * grads[pair][:, s] for s, pair, h in terms)
-        out = np.linalg.solve(g, w[:, :, None])[:, :, 0]
+        out = substitution_solve(self.spec, g, w)
         return out[0] if single else out
 
 
