@@ -208,7 +208,8 @@ def cmd_alpha(args: argparse.Namespace) -> int:
             ap = fam.alpha_prime(params, float(y))
         except fam.PositivityError as err:
             raise CliInputError(str(err)) from None
-        aj = fam.alpha_via_jacobi(params, fam.base_point(params, float(y)))
+        ctx = CurvatureContext(loaded.spec, fam.base_point(params, float(y)), params.p + 3)
+        aj = fam.alpha_via_jacobi(params, ctx.point, context=ctx)
         jac_delta = max(jac_delta, abs(aj - a))
         rows.append((float(y), a, ap))
 

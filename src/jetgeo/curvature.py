@@ -329,15 +329,6 @@ def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign
             acc[r] = add(acc[r], vals[sel])
 
 
-def _flush(coef: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """`coef` with the entries at machine noise against `scale` (broadcast to
-    it) set to 0; a non-finite scale leaves `coef` as it is, for `_Jets` to
-    reject."""
-    if not np.isfinite(scale).all():
-        return coef
-    return np.where(np.abs(coef) <= 64.0 * np.finfo(float).eps * scale, 0.0, coef)
-
-
 class CurvatureContext:
     """Jets of the curvature hierarchy of `spec` at `point`.
 
@@ -418,25 +409,17 @@ class CurvatureContext:
         exact truncated inverse.  A sweep sums t = N S over b ascending, then
         S from h0 (or from nothing) less h0 t in the order t's entries arise.
 
-        h0 is `ginv0` with its roundoff images of zero set to exact zeros, by
-        the rule that cleans the result at the end (`_flush`).  An entry the
-        exact inverse has as 0 often comes out of `np.linalg.inv` as about
-        1e-17; through the sweeps it would fill the inverse jets (at p = 5
-        in the family, 16,445 of 19,448 coefficients where 38 are nonzero),
-        and every product with them would be dense.  Each entry is judged
-        against the scale of its own rows, sqrt(R_i R_j) with R_i the
-        largest |ginv0_ik| (and at the end sqrt(M_a M_b), M_a the largest
-        coefficient of the rows (a, .)), so a block scaled by 1e-8 beside
-        one of order 1 keeps the coefficients it has alone.  R_i is at most
-        M_i (column 0 of the result is h0), so the seed zeroes only entries
-        that the end flush deletes from the constant terms anyway.  `ginv0`
-        itself is kept as computed.  Both floors are stopgaps: coefficient
-        error bounds are to replace them (ROADMAP, error-bounded zero
+        h0 is `ginv0` on g^-1's structural pattern (`MetricSpec.structure`)
+        and exact 0 off it.  `np.linalg.inv` often leaves about 1e-17 at a
+        structural zero; through the sweeps it would fill the inverse jets
+        (at p = 5 in the family, 16,445 of 19,448 coefficients where 38 are
+        nonzero), and every product with them would be dense.  `ginv0`
+        itself is kept as computed.  The flush at the end is a stopgap that
+        coefficient error bounds are to replace (ROADMAP, error-bounded zero
         decisions).
         """
         m = self.dim
-        size = np.sqrt(np.max(np.abs(self.ginv0), axis=1))
-        h0 = _flush(self.ginv0, np.outer(size, size))
+        h0 = np.where(self.spec.structure[0], self.ginv0, 0.0)
         space = self._space
         g = self._g_rows
         # N's entries (a, b): each upper metric entry with a nonconstant
@@ -485,13 +468,19 @@ class CurvatureContext:
         # noise relative to their rows are roundoff images of structural
         # zeros.  Left in place they make mathematically-zero Christoffel
         # symbols merely tiny, and those breed spurious curvature support that
-        # grows exponentially with the derivative level.  The square roots
-        # are taken first, so the scale neither overflows nor underflows.
+        # grows exponentially with the derivative level.  Row (a, b) is judged
+        # against sqrt(M_a M_b), M_a the largest coefficient of the rows
+        # (a, .), so a block scaled by 1e-8 beside one of order 1 keeps the
+        # coefficients it has alone.  The square roots are taken first, so
+        # the scale neither overflows nor underflows; a non-finite one leaves
+        # s as it is, for `_Jets` to reject.
         a, b = np.divmod(keys, m)
         size = np.zeros(m)
         np.maximum.at(size, a, np.max(np.abs(s), axis=1, initial=0.0))
         size = np.sqrt(size)
-        s = _flush(s, (size[a] * size[b])[:, None])
+        if np.isfinite(size).all():
+            s = np.where(np.abs(s) <= 64.0 * np.finfo(float).eps * (size[a] * size[b])[:, None],
+                         0.0, s)
         return _Jets(np.column_stack((a, b)), s_cols, s, space, self.order)
 
     def _christoffel_first(self) -> _Jets:

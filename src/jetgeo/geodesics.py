@@ -16,14 +16,15 @@ Both routes and the structural check read the Christoffel symbols from
 `curvature.christoffel_terms`.  The check is exact and reads the spec alone:
 which symbols can be nonzero, the variables of the components they
 differentiate, and the structural pattern of g^-1 with the variables of each
-entry (`_inverse_deps`).  It never accepts a wrong structure, but it can
-refuse a metric whose inverse entries cancel exactly.
+entry, from the spec's one structure (`MetricSpec.structure`).  It never
+accepts a wrong structure, but it can refuse a metric whose inverse entries
+cancel exactly.
 
 The force comes from one evaluator per spec (`ChristoffelPointEvaluator`),
 compiled on first use as straight-line Python (each varying metric entry's
 value and first partials from `expr.forward_source`, the Christoffel sums
 unrolled, then g G = w solved by substitution over g's structural blocks,
-which the structure check's matching decides) and kept while the spec
+in the order `MetricSpec.structure` gives) and kept while the spec
 lives, with the structure check's report and the metric's value code for
 `energy_along`.  One source runs in two forms: over Python floats for the
 Runge-Kutta route's one-point calls, and over numpy rows for the direct
@@ -136,7 +137,7 @@ class ChristoffelPointEvaluator:
     gives the varying metric entries (i <= j; at `slots` of the flat g, then
     of its transpose), their partials in `spec.active_vars`, w_c = sum of
     d^a d^b Gamma_abc over `curvature.christoffel_terms` in its order, and G
-    from g G = w over g's blocks in `_inverse_deps`' order (all of g one
+    from g G = w over g's blocks in `spec.structure`'s order (all of g one
     block where g is structurally singular); it runs over Python floats for
     one point and over numpy rows for many.  `report` is the spec's
     `triangular_report`, decided here from the same terms and structure, and
@@ -170,12 +171,11 @@ class ChristoffelPointEvaluator:
             w[c].append(f"d{a} * d{b} * ({gamma_abc})")
             gamma.setdefault(c, set()).add((a, b))
             gamma_dep.setdefault(c, set()).update(*(spec.entry_vars[pair] for _, pair, _ in terms))
-        structure = _inverse_deps(spec)
-        self.report = _classify(spec, gamma, gamma_dep, structure)
+        self.report = _classify(spec, gamma, gamma_dep)
         # g G = w block by block: w_r less g_re G_e over solved e, ascending, then
         # / g_rc (none for the literal 1.0) for a singleton (r, c), one solve else
         solved = ["0.0"] * m  # G_c as a source atom
-        for rows, cols in structure[2] if structure else [(range(m), range(m))]:
+        for rows, cols in spec.structure[2] if spec.structure else [(range(m), range(m))]:
             rhs = [" - ".join([" + ".join(w[r]), *(
                 solved[e] if entry[r, e] == "1.0" else f"{entry[r, e]} * {solved[e]}"
                 for e in range(m) if (r, e) in entry and e not in cols and solved[e] != "0.0")])
@@ -249,53 +249,12 @@ class TriangularReport:
     blocking: tuple[str, ...]
 
 
-def _inverse_deps(spec: MetricSpec) -> tuple[np.ndarray, list, list] | None:
-    """The structural pattern of g^-1 from the pattern of g, per varying g_kl
-    its variables and the entries of g^-1 they reach, and g's blocks in solve
-    order; None when g is structurally singular.  Rows are matched to nonzero
-    columns by Kuhn's augmenting paths; with the matching on the diagonal,
-    g^-1 has the pattern of the transitive closure of g's digraph (Gilbert,
-    SIAM J. Matrix Anal. Appl. 15(1), 1994).  As dg^cd/dg_kl = -g^ck g^ld,
-    g_kl reaches g^cd where g^ck and g^ld are nonzero.  Both are supersets
-    (cancellation is unseen).  Rows that reach each other form a block, with
-    their matched columns, each ascending; a block comes after the blocks it
-    reaches, which reach fewer rows (block triangular form: Duff, Erisman
-    and Reid, *Direct Methods for Sparse Matrices*, ch. 6)."""
-    m = spec.dim
-    g = np.zeros((m, m), dtype=bool)
-    for i, j in spec.entry_vars:
-        g[i, j] = g[j, i] = True
-    mate = [-1] * m  # mate[c]: the row matched to column c
-
-    def augment(r: int, seen: set[int]) -> bool:
-        for c in np.flatnonzero(g[r]).tolist():
-            if c not in seen:
-                seen.add(c)
-                if mate[c] < 0 or augment(mate[c], seen):
-                    mate[c] = r
-                    return True
-        return False
-
-    if not all(augment(r, set()) for r in range(m)):
-        return None
-    reach = g[:, (col := np.argsort(mate))]  # row r's matched column moved to column r
-    for k in range(m):
-        reach |= reach[:, k:k + 1] & reach[k:k + 1]
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for r in sorted(range(m), key=lambda r: (np.count_nonzero(reach[r]), r)):
-        rows = tuple(np.flatnonzero(reach[r] & reach[:, r]).tolist())
-        blocks.setdefault(rows, sorted(col[list(rows)].tolist()))
-    inv = reach[mate]
-    return inv, [(names, np.outer(inv[:, k], inv[l]) | np.outer(inv[:, l], inv[k]))
-                 for (k, l), names in spec.entry_vars.items() if names], list(blocks.items())
-
-
 def _classify(spec: MetricSpec, gamma: dict[int, set[tuple[int, int]]],
-              gamma_dep: dict[int, set[str]], structure: tuple | None) -> TriangularReport:
-    """`triangular_report` from the evaluator's Christoffel pattern and `_inverse_deps`."""
-    if structure is None:
+              gamma_dep: dict[int, set[str]]) -> TriangularReport:
+    """`triangular_report` from the evaluator's Christoffel pattern and `spec.structure`."""
+    if spec.structure is None:
         return TriangularReport(False, (), (), ("the metric is structurally singular",))
-    inv, deps, _ = structure
+    inv, deps, _ = spec.structure
     force_pairs: dict[int, set[tuple[int, int]]] = {}
     force_dep: dict[int, set[str]] = {}
     for d, pairs in gamma.items():
@@ -323,7 +282,7 @@ def triangular_report(spec: MetricSpec) -> TriangularReport:
     spec alone (with its evaluator), so an ok report holds wherever g is
     defined.  A coordinate is free when no force component can reach it; it
     is admissibly forced when its force involves only free velocities and
-    only free positions, read from `christoffel_terms` and `_inverse_deps`."""
+    only free positions, read from `christoffel_terms` and `spec.structure`."""
     return _evaluator(spec).report
 
 

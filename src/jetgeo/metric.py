@@ -7,12 +7,14 @@ points.  Points are sequences of floats in chart order.
 """
 from __future__ import annotations
 
+import functools
 import json
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import expr as ex
+from .jets import NonFiniteError
 
 __all__ = [
     "MetricSpec",
@@ -88,6 +90,11 @@ class MetricSpec:
         self.active_vars: tuple[str, ...] = tuple(
             c for c in self.coords if any(c in names for names in self.entry_vars.values()))
 
+    @functools.cached_property
+    def structure(self) -> tuple[np.ndarray, list, list] | None:
+        """`_inverse_deps(self)`, decided on first use and kept on the spec."""
+        return _inverse_deps(self)
+
     @property
     def is_constant(self) -> bool:
         return not self.active_vars
@@ -109,14 +116,15 @@ class MetricSpec:
     def validate_at(self, point: Sequence[float]) -> np.ndarray:
         """Check nondegeneracy and signature at `point`; return eigenvalues.
 
-        Raises SingularMetricError when the smallest |eigenvalue| falls below
-        `_SINGULAR_TOL` times the largest, and SignatureError when the sign counts
-        disagree with the declared signature.
+        Raises NonFiniteError for a non-finite entry, SingularMetricError when
+        the smallest |eigenvalue| is at most `_SINGULAR_TOL` times the largest,
+        and SignatureError when the sign counts disagree with the signature.
         """
         g = self.value(point)
+        if not np.isfinite(g).all():
+            raise NonFiniteError(f"metric not finite at {tuple(point)}")
         w = np.linalg.eigvalsh(g)
-        scale = float(np.max(np.abs(w)))
-        if scale == 0.0 or float(np.min(np.abs(w))) <= _SINGULAR_TOL * scale:
+        if np.min(np.abs(w)) <= _SINGULAR_TOL * np.max(np.abs(w)):
             raise SingularMetricError(
                 f"metric degenerate at {tuple(point)}: eigenvalues {w.tolist()}"
             )
@@ -130,6 +138,47 @@ class MetricSpec:
 
     def __repr__(self) -> str:
         return f"MetricSpec(dim={self.dim}, coords={self.coords}, signature={self.signature})"
+
+
+def _inverse_deps(spec: MetricSpec) -> tuple[np.ndarray, list, list] | None:
+    """The structural pattern of g^-1 from the pattern of g, per varying g_kl
+    its variables and the entries of g^-1 they reach, and g's blocks in solve
+    order; None when g is structurally singular.  Rows are matched to nonzero
+    columns by Kuhn's augmenting paths; with the matching on the diagonal,
+    g^-1 has the pattern of the transitive closure of g's digraph (Gilbert,
+    SIAM J. Matrix Anal. Appl. 15(1), 1994).  As dg^cd/dg_kl = -g^ck g^ld,
+    g_kl reaches g^cd where g^ck and g^ld are nonzero.  Both are supersets
+    (cancellation is unseen).  Rows that reach each other form a block, with
+    their matched columns, each ascending; a block comes after the blocks it
+    reaches, which reach fewer rows (block triangular form: Duff, Erisman
+    and Reid, *Direct Methods for Sparse Matrices*, ch. 6)."""
+    m = spec.dim
+    g = np.zeros((m, m), dtype=bool)
+    for i, j in spec.entry_vars:
+        g[i, j] = g[j, i] = True
+    mate = [-1] * m  # mate[c]: the row matched to column c
+
+    def augment(r: int, seen: set[int]) -> bool:
+        for c in np.flatnonzero(g[r]).tolist():
+            if c not in seen:
+                seen.add(c)
+                if mate[c] < 0 or augment(mate[c], seen):
+                    mate[c] = r
+                    return True
+        return False
+
+    if not all(augment(r, set()) for r in range(m)):
+        return None
+    reach = g[:, (col := np.argsort(mate))]  # row r's matched column moved to column r
+    for k in range(m):
+        reach |= reach[:, k:k + 1] & reach[k:k + 1]
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for r in sorted(range(m), key=lambda r: (np.count_nonzero(reach[r]), r)):
+        rows = tuple(np.flatnonzero(reach[r] & reach[:, r]).tolist())
+        blocks.setdefault(rows, sorted(col[list(rows)].tolist()))
+    inv = reach[mate]
+    return inv, [(names, np.outer(inv[:, k], inv[l]) | np.outer(inv[:, l], inv[k]))
+                 for (k, l), names in spec.entry_vars.items() if names], list(blocks.items())
 
 
 def metric_from_strings(

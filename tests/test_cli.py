@@ -377,6 +377,15 @@ def test_numeric_failure_exits_3(capsys, sphere_path):
     assert "degenerate" in err
 
 
+def test_non_finite_metric_exits_3(capsys):
+    # an infinite g_00 is reported as such, not as a signature of (0, 0)
+    code, out, err = run(capsys, ["curvature", "--family", "p=0,f=1e200*1e200",
+                                  "--point", "0,0,0,0,0,0"])
+    assert code == 3 and out == ""
+    assert err == ("jetgeo: numeric failure: NonFiniteError: "
+                   "metric not finite at (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)\n")
+
+
 @pytest.mark.parametrize("point", ["inf,0.3", "1e400,0.3"])
 def test_non_finite_point_on_spec_exits_2(capsys, sphere_path, point):
     code, out, err = run(capsys, ["curvature", "--spec", sphere_path, "--point", point])

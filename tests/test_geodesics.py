@@ -18,6 +18,7 @@ import pytest
 from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo import geodesics as geo
+from jetgeo import metric as mt
 from jetgeo.curvature import CurvatureContext, christoffel_terms
 from jetgeo.jets import NonFiniteError, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
@@ -246,7 +247,7 @@ def test_blocks_solve_random_patterns():
         spec = metric_from_strings(coords, {
             key: f"{rng.uniform(0.5, 2.0):.3f} + {rng.uniform(-1.0, 1.0):.3f}*x0" for key in keys},
             (0, 6))
-        structure = geo._inverse_deps(spec)
+        structure = spec.structure
         if structure is None:
             continue
         pattern = np.zeros((6, 6), dtype=bool)
@@ -783,7 +784,7 @@ def test_inverse_structure_against_numeric_inversion():
         mask = np.triu(rng.random((m, m)) < rng.uniform(0.15, 0.6))
         vals = np.where(mask, rng.uniform(0.5, 2.0, (m, m)) * rng.choice([-1.0, 1.0], (m, m)), 0.0)
         g = vals + np.triu(vals, 1).T
-        structure = geo._inverse_deps(_constant_metric(g))
+        structure = _constant_metric(g).structure
         if structure is None:
             singular += 1
             assert np.linalg.matrix_rank(g) < m, g
@@ -804,8 +805,24 @@ def test_inverse_structure_is_a_superset_under_cancellation():
     # cannot see the cancellation and lists g^yy as depending on x
     spec = metric_from_strings(("x", "y"), {(0, 0): "1", (0, 1): "x", (1, 1): "x^2 + 1"},
                                (0, 2))
-    inv, deps, _ = geo._inverse_deps(spec)
+    inv, deps, _ = spec.structure
     assert inv.all()
     assert {n for names, hit in deps if hit[1, 1] for n in names} == {"x"}
     for x in (-3.0, 0.0, 0.7):
         assert np.linalg.inv(spec.value((x, 0.0)))[1, 1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_one_structure_per_spec(monkeypatch):
+    # the curvature context, the report and every route read the spec's one
+    # structure, decided on first use and kept on the spec
+    decide, seen = mt._inverse_deps, []
+    monkeypatch.setattr(mt, "_inverse_deps", lambda spec: seen.append(spec) or decide(spec))
+    spec, pt = family_setup()
+    assert seen == []  # building the spec decides nothing
+    CurvatureContext(spec, pt, 1)
+    CurvatureContext(spec, pt, 2)
+    assert geo.triangular_report(spec).ok
+    vel = np.linspace(0.1, 0.3, spec.dim)
+    geo.integrate_ivp(spec, pt, vel, n_samples=3)
+    geo.log_map(spec, pt, np.asarray(pt) + 0.05)
+    assert seen == [spec]

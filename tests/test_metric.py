@@ -1,11 +1,14 @@
 """MetricSpec construction, validation, and JSON round-trips."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from jetgeo import expr as ex
+from jetgeo import family as fam
+from jetgeo.jets import NonFiniteError
 from jetgeo.metric import (
     MetricSpec,
     SignatureError,
@@ -82,6 +85,18 @@ def test_validate_signature_mismatch():
     bad = metric_from_strings(("t", "x"), {(0, 0): "1", (1, 1): "1"}, (1, 1))
     with pytest.raises(SignatureError):
         bad.validate_at((0.0, 0.0))
+
+
+def test_validate_at_reports_a_non_finite_metric():
+    # an overflowing profile makes g_00 infinite, and 1e200*1e200*x at x = 0
+    # makes it nan; neither is a signature or a degeneracy
+    inf_family = fam.build_metric(fam.FamilyParams(0, ex.parse("1e200*1e200", ("y",))))
+    nan_entry = metric_from_strings(("x", "y"), {(0, 0): "1e200*1e200*x", (1, 1): "1"}, (0, 2))
+    assert np.isnan(nan_entry.value((0.0, 0.0))[0, 0])
+    for spec in (inf_family, nan_entry):
+        point = (0.0,) * spec.dim
+        with pytest.raises(NonFiniteError, match=re.escape(f"metric not finite at {point}")):
+            spec.validate_at(point)
 
 
 def test_neutral_signature_accepted():

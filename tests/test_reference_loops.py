@@ -1042,6 +1042,12 @@ def _level_cases():
     for p in range(4):
         params, pt = next(_points(p, PROFILES[p % len(PROFILES)]))
         yield f"family p={p}", fam.build_metric(params), pt, p + 3
+    # g_00 = f(0) = 0: h0 holds an exact zero at g^xbar xbar, inside the
+    # structural pattern of g^-1, and the sweeps find that entry after the
+    # base keys
+    params = fam.FamilyParams(1, ex.parse("y^8 + y^9", ("y",)))
+    yield "family p=1, g_00 = 0", fam.build_metric(params), \
+        fam.base_point(params, 0.0, [0.1, 0.2]), 4
 
 
 LEVEL_CASES = list(_level_cases())
@@ -1069,9 +1075,22 @@ def test_levels_match_component_loop(name, spec, pt, k_max):
         assert all(not ctx._level(k) for k in range(1, k_max + 1))
 
 
+def test_inverse_seeds_from_the_structural_pattern():
+    # np.linalg.inv leaves -4.4e-17 at g^xx here, a structural zero of g^-1;
+    # seeded from the spec's structure, the inverse jets hold no row off that
+    # pattern and are the reference loops' bit for bit
+    params = fam.FamilyParams(0, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    spec = fam.build_metric(params)
+    ctx = CurvatureContext(spec, fam.base_point(params, -0.3, [0.1]), 3)
+    pattern = spec.structure[0]
+    assert (ctx.ginv0[~pattern] != 0.0).any()
+    assert pattern[tuple(ctx._ginv.index.T)].all()
+    assert same_jets(ctx._ginv, ref_neumann_inverse(ctx))
+
+
 def test_block_scaled_product_is_each_block_alone():
     # the inverse's zero decisions judge each entry against its own rows
-    # (`curvature._flush`), so a block scaled by 1e-8 beside a block of
+    # (the end flush of `_neumann_inverse`), so a block scaled by 1e-8 beside a block of
     # order 1 keeps every jet it has alone: the inverse, the Christoffel
     # symbols and every level, lifted to the product's variables, bit for bit
     # up to the sign of a zero, and no jet mixes the blocks
