@@ -414,9 +414,8 @@ class CurvatureContext:
         structural zero; through the sweeps it would fill the inverse jets
         (at p = 5 in the family, 16,445 of 19,448 coefficients where 38 are
         nonzero), and every product with them would be dense.  `ginv0`
-        itself is kept as computed.  The flush at the end is a stopgap that
-        coefficient error bounds are to replace (ROADMAP, error-bounded zero
-        decisions).
+        itself is kept as computed, and so is every coefficient the sweeps
+        leave: the seed alone decides the inverse's zeros.
         """
         m = self.dim
         h0 = np.where(self.spec.structure[0], self.ginv0, 0.0)
@@ -464,24 +463,7 @@ class CurvatureContext:
             if (not stale and np.array_equal(s_cols, last_cols)
                     and np.array_equal(s.view(np.int64), last.view(np.int64))):
                 break
-        # The sweeps are exact in exact arithmetic, so coefficients at machine
-        # noise relative to their rows are roundoff images of structural
-        # zeros.  Left in place they make mathematically-zero Christoffel
-        # symbols merely tiny, and those breed spurious curvature support that
-        # grows exponentially with the derivative level.  Row (a, b) is judged
-        # against sqrt(M_a M_b), M_a the largest coefficient of the rows
-        # (a, .), so a block scaled by 1e-8 beside one of order 1 keeps the
-        # coefficients it has alone.  The square roots are taken first, so
-        # the scale neither overflows nor underflows; a non-finite one leaves
-        # s as it is, for `_Jets` to reject.
-        a, b = np.divmod(keys, m)
-        size = np.zeros(m)
-        np.maximum.at(size, a, np.max(np.abs(s), axis=1, initial=0.0))
-        size = np.sqrt(size)
-        if np.isfinite(size).all():
-            s = np.where(np.abs(s) <= 64.0 * np.finfo(float).eps * (size[a] * size[b])[:, None],
-                         0.0, s)
-        return _Jets(np.column_stack((a, b)), s_cols, s, space, self.order)
+        return _Jets(np.column_stack(np.divmod(keys, m)), s_cols, s, space, self.order)
 
     def _christoffel_first(self) -> _Jets:
         """Gamma_abc as the sums of `christoffel_terms`, in their order."""

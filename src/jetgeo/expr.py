@@ -17,8 +17,10 @@ printer with the round-trip property parse(to_text(e)) == e (structurally).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -46,10 +48,8 @@ __all__ = [
     "eval_point",
     "eval_jet",
     "forward_source",
-    "value_source",
     "FLOAT_OPS",
     "ROW_OPS",
-    "VALUE_OPS",
 ]
 
 FUNCTION_NAMES = ("exp", "sin", "cos")
@@ -351,7 +351,11 @@ def _exp(v: float) -> float:
 
 
 def eval_point(e: Expr, env: Mapping[str, float]) -> float:
-    """Plain float evaluation at a point (the order-0 jet fast path)."""
+    """Plain float evaluation at a point, with the arithmetic of `eval_jet`:
+    a sum or a product evaluates its operands, then folds them left, and a
+    power is taken by squaring as `Jet.pow` takes it.  The result is the
+    constant term of any `eval_jet` of `e` at `env`, bit for bit up to the
+    sign of a zero."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
@@ -359,15 +363,18 @@ def eval_point(e: Expr, env: Mapping[str, float]) -> float:
             return float(env[e.name])
         except KeyError:
             raise UnknownVariableError(e.name, 0) from None
-    if isinstance(e, Sum):
-        return math.fsum(eval_point(t, env) for t in e.terms)
-    if isinstance(e, Prod):
-        out = 1.0
-        for f in e.factors:
-            out *= eval_point(f, env)
-        return out
+    if isinstance(e, (Sum, Prod)):
+        vals = [eval_point(t, env) for t in _children(e)]
+        return functools.reduce(operator.add if isinstance(e, Sum) else operator.mul, vals)
     if isinstance(e, Pow):
-        return eval_point(e.base, env) ** e.exponent
+        base, k, out = eval_point(e.base, env), e.exponent, 1.0
+        while k:
+            if k & 1:
+                out *= base  # 1.0 * x == x, for every x
+            k >>= 1
+            if k:
+                base *= base
+        return out
     if isinstance(e, Neg):
         return -eval_point(e.arg, env)
     if isinstance(e, Exp):
@@ -437,45 +444,6 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
 
 def _literal(v: float) -> str:
     return repr(v) if math.isfinite(v) else f"float('{v!r}')"
-
-
-def value_source(e: Expr, names: Sequence[str], lines: list[str], memo: dict[str, str]) -> str:
-    """Append to `lines` straight-line Python, run in `VALUE_OPS`, for
-    `eval_point(e, env)` with `env[names[k]]` read from x0, x1, ...; return
-    the result as a source atom.  The operations are `eval_point`'s in its
-    order: `math.fsum` for a sum, products left to right, `**` for a power
-    and its exp overflow guard; `memo` (source to temporary, shared by the
-    calls for one function) computes a repeated subexpression once.  Only
-    the order of raising can differ: a sum's terms all run before its fsum."""
-    pos = {name: k for k, name in enumerate(names)}
-
-    def rec(node: Expr) -> str:
-        if isinstance(node, Const):
-            return _literal(float(node.value))
-        if isinstance(node, Var):
-            if node.name not in pos:
-                raise UnknownVariableError(node.name, 0)
-            return f"x{pos[node.name]}"
-        args = [rec(c) for c in _children(node)]
-        if isinstance(node, Sum):
-            src = f"fsum([{', '.join(args)}])"
-        elif isinstance(node, Prod):
-            src = " * ".join(args) or "1.0"
-        elif isinstance(node, Pow):
-            src = f"({args[0]}) ** {node.exponent}"
-        elif isinstance(node, Neg):
-            src = f"-({args[0]})"
-        else:
-            src = f"{type(node).__name__.lower()}({args[0]})"
-        if src not in memo:
-            memo[src] = f"v{len(memo)}"
-            lines.append(f"{memo[src]} = {src}")
-        return memo[src]
-
-    return rec(e)
-
-
-VALUE_OPS = dict(fsum=math.fsum, exp=_exp, sin=math.sin, cos=math.cos)
 
 
 def _pointwise(fn, v):

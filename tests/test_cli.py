@@ -340,9 +340,7 @@ def _cli_process(*argv):
 def test_non_finite_curvature_is_one_stderr_line(tmp_path):
     # the level-0 jets of order 6 overflow here; their point values at
     # order 0 do not, and levels are built only when asked for.  The
-    # overflow is one of magnitude: the jets overflow whether the flush cuts
-    # the inverse's constant term or keeps it; at x = 2.2 they overflowed
-    # only where it was cut
+    # overflow is one of magnitude: at x = 2.2 the jets stay finite
     spec = _conformal_exp_spec(tmp_path, 300)
     res = _cli_process("curvature", "--spec", spec, "--point=2.245,0.0", "--k", "6")
     assert res.returncode == 3 and res.stdout == ""

@@ -471,7 +471,7 @@ def test_exhaustive_level_guard_names_the_level():
 
 
 @pytest.mark.xfail(strict=True, reason="roundoff images of zero at higher Taylor orders "
-                   "pass the global flush (ROADMAP item 1)")
+                   "are kept as coefficients (ROADMAP item 1)")
 def test_locally_symmetric_level_one_support_is_empty_at_every_max_deriv():
     # nabla R = 0 on H^2 and S^2.  Today H^2's support(1) has 0 entries for
     # max_deriv <= 5 and 4 (one canonical row and its images) for 6, 7, 8
@@ -480,6 +480,18 @@ def test_locally_symmetric_level_one_support_is_empty_at_every_max_deriv():
     for spec, pt in ((h2, (0.4, 0.1)), (two_sphere(), (0.6, 0.3))):
         for md in range(1, 9):
             assert CurvatureContext(spec, pt, md).support(1) == frozenset(), md
+
+
+def test_inverse_keeps_a_constant_term_its_high_orders_dwarf():
+    # on exp(300x)(dx^2 + dy^2) at x = 2.2, g^xx is 2.3e-287 and its jet's
+    # order-8 coefficient 3.8e-272; the inverse jets keep the constant term,
+    # and the curvature jets of order 6 stay finite
+    spec = metric_from_strings(("x", "y"), {(0, 0): "exp(300*x)", (1, 1): "exp(300*x)"}, (0, 2))
+    ctx = CurvatureContext(spec, (2.2, 0.0), 6)
+    assert ctx._ginv.index.tolist() == [[0, 0], [1, 1]]
+    assert ctx._ginv.at_point().tobytes() == np.diag(ctx.ginv0).tobytes()
+    assert ctx.ginv0[0, 0] > 0.0
+    assert np.isfinite(ctx.curvature(6).values).all()
 
 
 # ------------------------------------------------------------- contractions

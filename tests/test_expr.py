@@ -199,7 +199,7 @@ def test_eval_jet_order_zero_equals_eval_point():
     for _ in range(10):
         env = {c: float(v) for c, v in zip(CHART, rng.uniform(-1, 1, 3))}
         jet = eval_jet(e, env, CHART, 0)
-        assert jet.value() == pytest.approx(eval_point(e, env), rel=1e-15)
+        assert jet.value() == eval_point(e, env)
 
 
 def test_eval_jet_frozen_variables():

@@ -41,6 +41,7 @@ from test_expr import CHART as EXPR_CHART
 from test_expr import exprs
 from test_curvature import metric_jets
 from test_geodesics import force_cases, substitution_solve
+from test_symbolic_oracle import METRICS as ORACLE_METRICS
 
 PROFILES = ["exp(y) + exp(2*y)", "exp(y) - cos(2*y)", "2 + sin(y)^3 + y^0"]
 
@@ -1026,8 +1027,8 @@ def _level_cases():
     yield "conformal", _diagonal(CONFORMAL), (0.2, -0.35), 6
     yield "S2 x conformal", _diagonal(SPHERE, CONFORMAL_ST), (0.9, -1.2, 0.3, 0.1), 4
     # the benchmark's block-scaled product: `ref_neumann_inverse`'s global
-    # flush cuts its small block's inverse, the context's per-row rule does
-    # not (test_block_scaled_product_is_each_block_alone)
+    # flush cuts its small block's inverse, the context's structural seed
+    # does not (test_block_scaled_product_is_each_block_alone)
     yield "block-scaled product", _diagonal(*BLOCK_SCALED), (0.1, 0.2, 0.7, 0.4), 4
     yield "non-diagonal", metric_from_strings(
         ("a", "b", "c"),
@@ -1089,8 +1090,8 @@ def test_inverse_seeds_from_the_structural_pattern():
 
 
 def test_block_scaled_product_is_each_block_alone():
-    # the inverse's zero decisions judge each entry against its own rows
-    # (the end flush of `_neumann_inverse`), so a block scaled by 1e-8 beside a block of
+    # the inverse's zeros are g^-1's structural ones (`MetricSpec.structure`),
+    # so a block scaled by 1e-8 beside a block of
     # order 1 keeps every jet it has alone: the inverse, the Christoffel
     # symbols and every level, lifted to the product's variables, bit for bit
     # up to the sign of a zero, and no jet mixes the blocks
@@ -1495,15 +1496,40 @@ def test_energy_along_matches_tree_walk():
         assert bits(geo.energy_along(spec, traj)) == bits(want)
 
 
-def test_metric_value_errors_are_the_tree_walks():
-    # where the kernel's value code raises, the error is `MetricSpec.value`'s;
-    # at x = 1 the tree walk's fsum overflows before it reaches the exp that
-    # the kernel evaluates first
+def _metric_value_cases():
+    rng = np.random.default_rng(3)
+    for p in range(-1, 9):
+        for text in ("exp(y)+exp(2*y)", "y^8+y^9", "exp(y)-cos(2*y)"):
+            spec = fam.build_metric(fam.FamilyParams(p, ex.parse(text, ("y",))))
+            for _ in range(3):
+                yield spec, tuple(rng.uniform(-1.0, 1.0, spec.dim).tolist())
+    for coords, entries, pt in ORACLE_METRICS.values():
+        yield metric_from_strings(coords, entries, (0, len(coords))), pt
+    yield _diagonal(SPHERE, CONFORMAL_ST), (0.9, -1.2, 0.3, 0.1)
+
+
+def test_metric_value_is_one_arithmetic():
+    # g(p) by the tree walk, as the constant terms of the curvature jets and
+    # by the geodesic force code's entry lines: the same bits, up to the
+    # sign of a zero
+    for spec, pt in _metric_value_cases():
+        want = bits(spec.value(pt) + 0.0)
+        assert bits(CurvatureContext(spec, pt, 0).g0 + 0.0) == want, (spec, pt)
+        assert bits(geo._evaluator(spec).metric(pt) + 0.0) == want, (spec, pt)
+
+
+def test_metric_value_errors_are_non_finite():
+    # an exp that overflows raises NonFiniteError in the tree walk and in the
+    # force code's entry lines; a sum that overflows without one is inf,
+    # which `validate_at` reports
     spec = metric_from_strings(("x", "y"), {(0, 0): "1e308 + 1e308*x + exp(800*x)",
                                             (1, 1): "exp(100*y)"}, (0, 2))
-    for point, kind in (((1.0, 0.0), OverflowError), ((0.0, 7.1), NonFiniteError)):
-        with pytest.raises(kind) as want:
+    for point in ((1.0, 0.0), (0.0, 7.1)):
+        with pytest.raises(NonFiniteError):
             spec.value(point)
-        with pytest.raises(kind) as got:
+        with pytest.raises(NonFiniteError):
             geo._evaluator(spec).metric(point)
-        assert str(got.value) == str(want.value)
+    spec = metric_from_strings(("x", "y"), {(0, 0): "1e308 + 1e308*x", (1, 1): "1"}, (0, 2))
+    assert spec.value((1.0, 0.0))[0, 0] == math.inf
+    with pytest.raises(NonFiniteError, match=r"^metric not finite at \(1\.0, 0\.0\)$"):
+        spec.validate_at((1.0, 0.0))
