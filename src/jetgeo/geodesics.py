@@ -40,6 +40,7 @@ are scipy's bit for bit and jetgeo needs numpy alone.
 """
 from __future__ import annotations
 
+import re
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -72,6 +73,7 @@ __all__ = [
 _RK_RTOL = 1e-10  # DOP853 tolerances of the Runge-Kutta route
 _RK_ATOL = 1e-12
 _QUAD_TOL = 1e-12  # adaptive Simpson tolerance of the direct route
+_NAME = re.compile(r"[A-Za-z_]\w*")  # the names a line of generated source reads
 
 
 class StepCollapseError(RuntimeError):
@@ -142,8 +144,8 @@ class ChristoffelPointEvaluator:
     block where g is structurally singular); it runs over Python floats for
     one point and over numpy rows for many.  `report` is the spec's
     `triangular_report`, decided here from the same terms and structure, and
-    `metric(points)` runs the code's entry lines alone, as `spec.value`
-    computes them.  The routes share one per spec
+    `metric(points)` runs the lines that the code's entries read, as
+    `spec.value` computes them.  The routes share one per spec
     (`_evaluator`); each construction compiles afresh.  It keeps no
     reference to the spec, so the per-spec cache keeps no spec alive."""
 
@@ -162,9 +164,20 @@ class ChristoffelPointEvaluator:
                 entry[i, j] = ex._literal(v)
             entry[j, i] = entry[i, j]
         self.slots = [i * m + j for i, j in grads] + [j * m + i for i, j in grads]
-        # `metric`'s code: the entry lines so far, without reading d
-        values = "\n    ".join(["def values(u):", *lines[1:],
-                                f"return [{', '.join(entry[pair] for pair in grads)}]"])
+        # `metric`'s code: the entry lines that the varying entries read, found
+        # by a backward pass, and a finiteness check of those entries alone
+        returned = [entry[pair] for pair in grads]
+        need, kept = set(_NAME.findall(" ".join(returned))), []
+        for line in reversed(lines):
+            targets, eq, src = line.partition(" = ")
+            if eq and need.intersection(targets.split(", ")):
+                need.update(_NAME.findall(src))
+                kept.append(line)
+        checked = [a for a in returned if a.lstrip("-")[0].isalpha()]  # names, as forward_source
+        check = [f"if not finite({' + '.join(f'{a} - {a}' for a in checked)}): raise "
+                 "NonFiniteError('expression evaluation produced a non-finite value')"] if checked else []
+        values = "\n    ".join(["def values(u):", *kept[::-1], *check,
+                                f"return [{', '.join(returned)}]"])
         pos = {spec.coords.index(n): k for k, n in enumerate(active)}
         w = [["0.0"] for _ in range(m)]
         gamma: dict[int, set[tuple[int, int]]] = {}  # the nonzero (a, b) of Gamma_ab^c per c
@@ -219,9 +232,10 @@ class ChristoffelPointEvaluator:
 
     def metric(self, points: Sequence[float] | np.ndarray) -> np.ndarray:
         """g at (N, m) points as (N, m, m), or at one point of shape (m,) as
-        (m, m), by the force code's entry lines over numpy rows: equal to
-        `spec.value` bit for bit up to the sign of a zero.  Raises
-        NonFiniteError where the force code does."""
+        (m, m), by the force code's lines for the entries alone, partials
+        left out, over numpy rows: equal to `spec.value` bit for bit up to
+        the sign of a zero.  Raises NonFiniteError where an exp overflows or
+        an entry is not finite."""
         pts = np.asarray(points, dtype=float)
         rows = pts.reshape(-1, pts.shape[-1])
         with np.errstate(all="ignore"):  # overflow shows as NonFiniteError

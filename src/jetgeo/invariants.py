@@ -294,17 +294,20 @@ def evaluate_many(
 
     Schemas with the same factor list share their joins as a trie: those
     whose pairs close the same way up to factor f share one join and filter
-    through f.  Each trie node joins its last factor once and reads one table
+    through f, and a branch that the filter leaves with no combination ends
+    there.  Each trie node joins its last factor once and reads one table
     g[C[a], C[b]] over its combinations C for every slot pair (a, b) its
-    schemas use; one `bincount` sums the terms of all of them.  A context
-    built here reaches the deepest level of any schema.
+    schemas use.  The zero test of those tables comes before any product: a
+    schema with no combination left keeps its +0.0, and one `bincount` sums
+    the terms of the others.  A context built here reaches the deepest level
+    of any schema.
     """
-    ctx = context or CurvatureContext(
-        spec, point, max((k for s in schemas for k in s.factors), default=0))
-    views = {k: ctx.curvature(k) for k in {k for s in schemas for k in s.factors}}
     by_factors: dict[tuple[int, ...], list] = {}
     for i, schema in enumerate(schemas):
         by_factors.setdefault(schema.factors, []).append((i, schema))
+    levels = set(chain.from_iterable(by_factors))
+    ctx = context or CurvatureContext(spec, point, max(levels, default=0))
+    views = {k: ctx.curvature(k) for k in levels}
     for factors in by_factors:
         work = math.prod(max(1, len(views[k].values)) for k in factors)
         if work > WORK_LIMIT:
@@ -323,8 +326,8 @@ def evaluate_many(
 def _join_rest(views, g, f, combo, weight, members, out) -> None:
     """Split the combinations of factors 0..f that the schemas of `members`
     share (`combo`, one row of component indices per joined slot, and
-    `weight`) by the pairs that close at f, and join each part with the next
-    factor; at the last factor, finish them."""
+    `weight`) by the pairs that close at f, and join each part that keeps a
+    combination with the next factor; at the last factor, finish them."""
     if f == len(views) - 1:
         _finish(g, combo, weight, members, out)
         return
@@ -342,6 +345,8 @@ def _join_rest(views, g, f, combo, weight, members, out) -> None:
                     nonzero[a, b] = g[combo[a], combo[b]] != 0.0
                 keep &= nonzero[a, b]
             part, part_weight = combo[:, keep], weight[keep]
+        if not len(part_weight):
+            continue
         # combination (r, c) joins combination r with component c of the view
         joined = np.empty((len(part) + view.rank, len(part_weight), len(view.values)), np.intp)
         joined[:len(part)] = part[:, :, None]
@@ -353,9 +358,12 @@ def _join_rest(views, g, f, combo, weight, members, out) -> None:
 def _finish(g, combo, weight, members, out) -> None:
     """Values of the schemas of `members` over all their combinations: one
     table row g[combo[a], combo[b]] per slot pair, found by its code
-    a * n_slots + b.  Blocks of schemas bound the (schemas, pairs,
-    combinations) temporaries by SPARSE_PAIR_COST ** 2 entries, or by one
-    schema's; a schema's terms are summed within one block."""
+    a * n_slots + b.  The zero test comes first, and only the schemas with a
+    combination left form their products.  Blocks of schemas bound the
+    (schemas, pairs, combinations) temporaries by SPARSE_PAIR_COST ** 2
+    entries, or by one schema's; a schema's terms are summed within one block."""
+    if not len(weight):
+        return
     n_slots = len(combo)
     n_pairs = n_slots // 2
     step = max(1, SPARSE_PAIR_COST ** 2 // max(1, n_pairs * len(weight)))
@@ -366,13 +374,20 @@ def _finish(g, combo, weight, members, out) -> None:
         used[codes] = True
         a, b = np.divmod(used.nonzero()[0], n_slots)
         table = g[combo[a], combo[b]]
-        factors = table[used.cumsum()[codes] - 1]  # (schemas, pairs, combinations)
-        keep = np.logical_and.reduce(factors != 0.0, axis=1)
+        rows = used.cumsum()[codes] - 1  # (schemas, pairs): each pair's table row
+        keep = np.logical_and.reduce((table != 0.0)[rows], axis=1)  # (schemas, combinations)
+        live = keep.any(axis=1)
+        n_live = np.count_nonzero(live)
+        if not n_live:
+            continue  # each value stays +0.0, the bits a bincount of no terms gives
+        index = [i for i, _ in block]
+        if n_live < len(block):
+            rows, keep, index = rows[live], keep[live], np.array(index)[live]
+        factors = table[rows]  # (schemas, pairs, combinations)
         terms = weight * factors[:, 0]
         for j in range(1, n_pairs):
             terms *= factors[:, j]
-        sums = np.bincount(keep.nonzero()[0], weights=terms[keep], minlength=len(block))
-        out[[i for i, _ in block]] = sums
+        out[index] = np.bincount(keep.nonzero()[0], weights=terms[keep], minlength=len(rows))
 
 
 def evaluate(

@@ -1220,6 +1220,10 @@ def _invariant_cases():
         yield f"family p={p} general", spec, tuple(rng.uniform(-0.7, 0.7, spec.dim)), md, \
             CHECK_SCHEMAS
     yield "S2", two_sphere(), (0.8, 0.1), 2, CHECK_SCHEMAS
+    # g^-1 is zero between the blocks: some branches of a factor list end,
+    # others stay live
+    yield "S2 x conformal", _diagonal(SPHERE, CONFORMAL_ST), (0.9, -1.2, 0.3, 0.1), 2, \
+        CHECK_SCHEMAS
     # dense levels (32, 108 and 324 values): every 20th schema keeps it to
     # about 2 s, and some of those raise CapsExceededError
     yield "non-diagonal", NON_DIAGONAL, (0.2, -0.3, 0.1), 2, CHECK_SCHEMAS[::20]
@@ -1259,8 +1263,41 @@ def test_evaluate_many_matches_schema_loop(name, spec, pt, max_deriv, schemas):
             assert bits(inv.evaluate(schema, spec, pt, context=ctx)) == bits(w)
     if name == "flat":
         assert not got.any()
-    if name in ("S2", "non-diagonal"):
+    if name in ("S2", "non-diagonal", "S2 x conformal"):
         assert np.count_nonzero(got) > len(fits) // 4
+    if name == "S2 x conformal":
+        assert np.count_nonzero(got) < len(fits)
+
+
+def test_evaluate_many_forms_no_term_on_the_family(monkeypatch):
+    # at the base point every term meets a structural zero of g^-1: no branch
+    # reaches a finish without a combination, and no block keeps a term, so
+    # no product is formed (each is formed right before its block's bincount)
+    finished, summed = [], []
+    finish = inv._finish
+
+    def counted_finish(g, combo, weight, members, out):
+        finished.append(len(weight))
+        finish(g, combo, weight, members, out)
+
+    class CountedNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def bincount(self, *args, **kwargs):
+            summed.append(len(kwargs["weights"]))
+            return np.bincount(*args, **kwargs)
+
+    monkeypatch.setattr(inv, "_finish", counted_finish)
+    monkeypatch.setattr(inv, "np", CountedNumpy())
+    for p in range(4):
+        params = fam.FamilyParams(p, ex.parse(PROFILES[0], ("y",)))
+        spec, pt = fam.build_metric(params), fam.base_point(params, 0.0)
+        finished.clear()
+        got = inv.evaluate_many(CHECK_SCHEMAS, spec, pt, CurvatureContext(spec, pt, max(2, p + 2)))
+        assert bits(got) == bits(np.zeros(len(CHECK_SCHEMAS))), p
+        assert finished and min(finished) > 0, p
+        assert summed == [], p
 
 
 def test_evaluate_many_keeps_input_order_and_duplicates():
@@ -1533,3 +1570,17 @@ def test_metric_value_errors_are_non_finite():
     assert spec.value((1.0, 0.0))[0, 0] == math.inf
     with pytest.raises(NonFiniteError, match=r"^metric not finite at \(1\.0, 0\.0\)$"):
         spec.validate_at((1.0, 0.0))
+
+
+def test_metric_reads_no_partials():
+    # d/dx exp(708 x) = 708 e^708 overflows at x = 1 where the entry does not:
+    # the force raises there, and the metric is the tree walk's
+    spec = metric_from_strings(("x", "y"), {(0, 0): "exp(708*x)", (1, 1): "1"}, (0, 2))
+    ev, point = geo._evaluator(spec), (1.0, 0.0)
+    assert spec.value(point)[0, 0] == math.exp(708.0)
+    assert bits(ev.metric(point)) == bits(spec.value(point))
+    assert bits(ev.metric([point, (0.5, 0.2)])) == bits([spec.value(point), spec.value((0.5, 0.2))])
+    with pytest.raises(NonFiniteError):
+        ev.force(point, (1.0, 0.0))
+    with pytest.raises(NonFiniteError):
+        ev.force([point], [(1.0, 0.0)])
