@@ -363,8 +363,10 @@ class CurvatureContext:
         # constant part taken from the jets themselves so that the Neumann
         # inverse is exact against them, not against a reevaluation
         self.g0 = np.where(self._g_row >= 0, self._g_rows.at_point()[self._g_row], 0.0)
+        # g^-1 on its structural pattern (`MetricSpec.structure`), exact 0 off
+        # it, where LAPACK may leave roundoff
         h0 = np.linalg.inv(self.g0)
-        self.ginv0 = 0.5 * (h0 + h0.T)
+        self.ginv0 = np.where(spec.structure[0], 0.5 * (h0 + h0.T), 0.0)
 
         with np.errstate(all="ignore"):  # a non-finite result raises in `_Jets`
             self._ginv = self._neumann_inverse()
@@ -409,16 +411,15 @@ class CurvatureContext:
         exact truncated inverse.  A sweep sums t = N S over b ascending, then
         S from h0 (or from nothing) less h0 t in the order t's entries arise.
 
-        h0 is `ginv0` on g^-1's structural pattern (`MetricSpec.structure`)
-        and exact 0 off it.  `np.linalg.inv` often leaves about 1e-17 at a
-        structural zero; through the sweeps it would fill the inverse jets
-        (at p = 5 in the family, 16,445 of 19,448 coefficients where 38 are
-        nonzero), and every product with them would be dense.  `ginv0`
-        itself is kept as computed, and so is every coefficient the sweeps
-        leave: the seed alone decides the inverse's zeros.
+        h0 is `ginv0`, which is exact 0 off g^-1's structural pattern
+        (`MetricSpec.structure`).  `np.linalg.inv` often leaves about 1e-17
+        at a structural zero; through the sweeps it would fill the inverse
+        jets (at p = 5 in the family, 16,445 of 19,448 coefficients where 38
+        are nonzero), and every product with them would be dense.  Every
+        coefficient the sweeps leave is kept: the seed alone decides the
+        inverse's zeros.
         """
-        m = self.dim
-        h0 = np.where(self.spec.structure[0], self.ginv0, 0.0)
+        m, h0 = self.dim, self.ginv0
         space = self._space
         g = self._g_rows
         # N's entries (a, b): each upper metric entry with a nonconstant

@@ -344,45 +344,60 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*map(free_vars, _children(e)))
 
 
-def _exp(v: float) -> float:
-    if v >= _EXP_LIMIT:
-        raise NonFiniteError(f"exp overflow at argument {v}")
-    return math.exp(v)
+def _pointwise(fn, v):
+    # math's function value by value, as in `eval_jet`: numpy's exp differs
+    # from math.exp in the last bit for about one argument in twenty
+    return fn(v) if isinstance(v, float) else np.fromiter(map(fn, v.tolist()), float, len(v))
 
 
-def eval_point(e: Expr, env: Mapping[str, float]) -> float:
+def _exp(v: float | np.ndarray) -> float | np.ndarray:
+    if v >= _EXP_LIMIT if isinstance(v, float) else (v >= _EXP_LIMIT).any():
+        raise NonFiniteError(f"exp overflow at argument {np.max(v)}")
+    return _pointwise(math.exp, v)
+
+
+def eval_point(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
     """Plain float evaluation at a point, with the arithmetic of `eval_jet`:
     a sum or a product evaluates its operands, then folds them left, and a
     power is taken by squaring as `Jet.pow` takes it.  The result is the
     constant term of any `eval_jet` of `e` at `env`, bit for bit up to the
-    sign of a zero."""
+    sign of a zero.
+
+    The values of `env` may also be numpy rows of equal length, one value
+    per point; a node that reads one is a row of its values at the points,
+    each the float walk's (sums and products are never taken in place, and
+    exp, sin and cos are math's, value by value), and a node that reads none
+    stays a float.  An exp argument >= 709 raises NonFiniteError at any of
+    the points; the caller silences numpy's warnings on overflow."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
         try:
-            return float(env[e.name])
+            v = env[e.name]
         except KeyError:
             raise UnknownVariableError(e.name, 0) from None
-    if isinstance(e, (Sum, Prod)):
-        vals = [eval_point(t, env) for t in _children(e)]
-        return functools.reduce(operator.add if isinstance(e, Sum) else operator.mul, vals)
+        return v if isinstance(v, np.ndarray) else float(v)
+    if isinstance(e, Sum):
+        return functools.reduce(operator.add, [eval_point(t, env) for t in e.terms])
+    if isinstance(e, Prod):
+        return functools.reduce(operator.mul, [eval_point(t, env) for t in e.factors])
     if isinstance(e, Pow):
-        base, k, out = eval_point(e.base, env), e.exponent, 1.0
+        base, k, out = eval_point(e.base, env), e.exponent, None
         while k:
             if k & 1:
-                out *= base  # 1.0 * x == x, for every x
+                out = base if out is None else out * base  # as 1.0 * base: 1.0 * x == x
             k >>= 1
             if k:
-                base *= base
-        return out
+                base = base * base
+        return 1.0 if out is None else out
     if isinstance(e, Neg):
         return -eval_point(e.arg, env)
     if isinstance(e, Exp):
         return _exp(eval_point(e.arg, env))
     if isinstance(e, Sin):
-        return math.sin(eval_point(e.arg, env))
+        return _pointwise(math.sin, eval_point(e.arg, env))
     if isinstance(e, Cos):
-        return math.cos(eval_point(e.arg, env))
+        return _pointwise(math.cos, eval_point(e.arg, env))
     raise TypeError(f"not an Expr node: {e!r}")
 
 
@@ -444,12 +459,6 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
 
 def _literal(v: float) -> str:
     return repr(v) if math.isfinite(v) else f"float('{v!r}')"
-
-
-def _pointwise(fn, v):
-    # math's function value by value, as in `eval_jet`: numpy's exp differs
-    # from math.exp in the last bit for about one argument in twenty
-    return fn(v) if np.ndim(v) == 0 else np.fromiter(map(fn, v.tolist()), float, len(v))
 
 
 def _ops(each, bad, finite):

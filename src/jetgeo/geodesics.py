@@ -28,11 +28,11 @@ in the order `MetricSpec.structure` gives) and kept while the spec
 lives, with the structure check's report.  One source runs in two forms:
 over Python floats for the Runge-Kutta route's one-point calls, and over
 numpy rows for the direct route's breadth-first adaptive Simpson rule, one
-call per depth for all its new nodes.  Its entry lines alone, over numpy
-rows, give g at the points of a trajectory for `energy_along`, with the
-arithmetic of `expr.eval_point`.  Every route, the report, `log_map` and
-`energy_along` read the spec's one evaluator; constructing a
+call per depth for all its new nodes.  Every route, the report and
+`log_map` read the spec's one evaluator; constructing a
 `ChristoffelPointEvaluator(spec)` directly compiles a fresh one.
+`energy_along` reads g at the points of a trajectory from the spec itself,
+`MetricSpec.value` over all of them in one call.
 
 The Runge-Kutta route is DOP853 (`_dop853`), ported op for op from scipy's
 `solve_ivp(method="DOP853")` with the same numpy calls, so its trajectories
@@ -40,7 +40,6 @@ are scipy's bit for bit and jetgeo needs numpy alone.
 """
 from __future__ import annotations
 
-import re
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -49,6 +48,7 @@ import numpy as np
 
 from . import expr as ex
 from .curvature import christoffel_terms
+from .jets import NonFiniteError
 from .metric import MetricSpec
 
 __all__ = [
@@ -73,7 +73,7 @@ __all__ = [
 _RK_RTOL = 1e-10  # DOP853 tolerances of the Runge-Kutta route
 _RK_ATOL = 1e-12
 _QUAD_TOL = 1e-12  # adaptive Simpson tolerance of the direct route
-_NAME = re.compile(r"[A-Za-z_]\w*")  # the names a line of generated source reads
+_MAX_DEPTH = 28  # adaptive Simpson's deepest split
 
 
 class StepCollapseError(RuntimeError):
@@ -136,22 +136,20 @@ def _row_block(a: list, b: list) -> list:
 
 
 class ChristoffelPointEvaluator:
-    """A metric's geodesic force as generated straight-line Python.  The code
-    gives the varying metric entries (i <= j; at `slots` of the flat g, then
-    of its transpose), their partials in `spec.active_vars`, w_c = sum of
-    d^a d^b Gamma_abc over `curvature.christoffel_terms` in its order, and G
-    from g G = w over g's blocks in `spec.structure`'s order (all of g one
-    block where g is structurally singular); it runs over Python floats for
-    one point and over numpy rows for many.  `report` is the spec's
-    `triangular_report`, decided here from the same terms and structure, and
-    `metric(points)` runs the lines that the code's entries read, as
-    `spec.value` computes them.  The routes share one per spec
-    (`_evaluator`); each construction compiles afresh.  It keeps no
-    reference to the spec, so the per-spec cache keeps no spec alive."""
+    """A metric's geodesic force as one generated straight-line function.
+    The code gives the varying metric entries (i <= j) and their partials in
+    `spec.active_vars`, w_c = sum of d^a d^b Gamma_abc over
+    `curvature.christoffel_terms` in its order, and G from g G = w over g's
+    blocks in `spec.structure`'s order (all of g one block where g is
+    structurally singular), with each constant entry as its literal; it runs
+    over Python floats for one point and over numpy rows for many.  `report`
+    is the spec's `triangular_report`, decided here from the same terms and
+    structure.  The routes share one per spec (`_evaluator`); each
+    construction compiles afresh.  It keeps no reference to the spec, so the
+    per-spec cache keeps no spec alive."""
 
     def __init__(self, spec: MetricSpec):
         m, active = spec.dim, spec.active_vars
-        self.g0 = np.zeros((m, m))  # the constant entries
         lines = [f"{''.join(f'd{c}, ' for c in range(m))}= d",
                  *(f"x{k} = u[{spec.coords.index(n)}]" for k, n in enumerate(active))]
         grads, entry = {}, {}  # entry[r, c]: g_rc as a source atom, both orders
@@ -160,24 +158,8 @@ class ChristoffelPointEvaluator:
             if names:
                 entry[i, j], grads[(i, j)] = ex.forward_source(e, active, f"g{i}_{j}", lines)
             else:
-                self.g0[i, j] = self.g0[j, i] = v = ex.eval_point(e, {})
-                entry[i, j] = ex._literal(v)
+                entry[i, j] = ex._literal(ex.eval_point(e, {}))
             entry[j, i] = entry[i, j]
-        self.slots = [i * m + j for i, j in grads] + [j * m + i for i, j in grads]
-        # `metric`'s code: the entry lines that the varying entries read, found
-        # by a backward pass, and a finiteness check of those entries alone
-        returned = [entry[pair] for pair in grads]
-        need, kept = set(_NAME.findall(" ".join(returned))), []
-        for line in reversed(lines):
-            targets, eq, src = line.partition(" = ")
-            if eq and need.intersection(targets.split(", ")):
-                need.update(_NAME.findall(src))
-                kept.append(line)
-        checked = [a for a in returned if a.lstrip("-")[0].isalpha()]  # names, as forward_source
-        check = [f"if not finite({' + '.join(f'{a} - {a}' for a in checked)}): raise "
-                 "NonFiniteError('expression evaluation produced a non-finite value')"] if checked else []
-        values = "\n    ".join(["def values(u):", *kept[::-1], *check,
-                                f"return [{', '.join(returned)}]"])
         pos = {spec.coords.index(n): k for k, n in enumerate(active)}
         w = [["0.0"] for _ in range(m)]
         gamma: dict[int, set[tuple[int, int]]] = {}  # the nonzero (a, b) of Gamma_ab^c per c
@@ -207,15 +189,14 @@ class ChristoffelPointEvaluator:
                 rhs = [f"s{c}" for c in cols]
             for c, atom in zip(cols, rhs):
                 solved[c] = atom
-        code = compile("\n    ".join(["def force(u, d):", *lines, f"return [{', '.join(solved)}]"])
-                       + "\n" + values, f"<geodesic force, {spec!r}>", "exec")
+        code = compile("\n    ".join(["def force(u, d):", *lines, f"return [{', '.join(solved)}]"]),
+                       f"<geodesic force, {spec!r}>", "exec")
         spaces = [dict(ex.FLOAT_OPS, pivot=_pivot,
                        block=lambda a, b: np.linalg.solve(a, b).tolist()),
                   dict(ex.ROW_OPS, pivot=_pivot, block=_row_block)]
         for space in spaces:
             exec(code, space)
         self._floats, self._rows = (space["force"] for space in spaces)
-        self._values = spaces[1]["values"]
 
     def force(self, points: Sequence[float] | np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """G with lower index raised, g^{cd} w_d, for (N, m) points and
@@ -229,20 +210,6 @@ class ChristoffelPointEvaluator:
         with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
             out = self._rows(pts.T.copy(), vel.T.copy())
         return np.column_stack(np.broadcast_arrays(pts[:, 0], *out))[:, 1:]
-
-    def metric(self, points: Sequence[float] | np.ndarray) -> np.ndarray:
-        """g at (N, m) points as (N, m, m), or at one point of shape (m,) as
-        (m, m), by the force code's lines for the entries alone, partials
-        left out, over numpy rows: equal to `spec.value` bit for bit up to
-        the sign of a zero.  Raises NonFiniteError where an exp overflows or
-        an entry is not finite."""
-        pts = np.asarray(points, dtype=float)
-        rows = pts.reshape(-1, pts.shape[-1])
-        with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
-            values = self._values(rows.T.copy())
-        g = np.repeat(self.g0.reshape(1, -1), len(rows), axis=0)
-        g[:, self.slots] = np.column_stack(np.broadcast_arrays(rows[:, 0], *values, *values))[:, 1:]
-        return g.reshape(pts.shape[:-1] + self.g0.shape)
 
 
 _EVALUATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -305,14 +272,13 @@ def adaptive_simpson(
     a: np.ndarray,
     b: np.ndarray,
     tol: np.ndarray,
-    max_depth: int = 28,
 ) -> np.ndarray:
     """Vector-valued adaptive Simpson integrals of f over [a[i], b[i]], each
     to tolerance tol[i]; f maps an array of nodes to one row per node.
 
     Breadth first: each depth evaluates the new nodes of every pending
     interval in one call of f.  A pair of halves is accepted,
-    Richardson-corrected, at `max_depth` or when its error is within
+    Richardson-corrected, at depth `_MAX_DEPTH` or when its error is within
     15 tol max(1, |s2|), else split with half the tolerance; sums go back up
     the tree left + right, as in a recursion."""
     a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
@@ -320,7 +286,7 @@ def adaptive_simpson(
     fa, fb, fm = np.split(f(np.concatenate([a, b, mid])), 3)
     s = ((b - a) / 6.0)[:, None] * (fa + 4.0 * fm + fb)
     levels = []  # per depth: the accepted values, and which halves split
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
         flm, frm = np.split(f(np.concatenate([lm, rm])), 2)
         left = ((mid - a) / 6.0)[:, None] * (fa + 4.0 * flm + fm)
@@ -331,7 +297,7 @@ def adaptive_simpson(
         # a purely absolute test never terminates on long horizons where
         # the moment integrands are large
         scale = np.maximum(1.0, np.max(np.abs(s2), axis=1))
-        split = ~(err <= 15.0 * tol * scale) & (depth < max_depth)
+        split = ~(err <= 15.0 * tol * scale) & (depth < _MAX_DEPTH)
         levels.append((s2 + (s2 - s) / 15.0, split))
         if not split.any():
             break
@@ -707,8 +673,12 @@ def log_map(spec: MetricSpec, start: Sequence[float], target: Sequence[float]) -
 
 
 def energy_along(spec: MetricSpec, traj: Trajectory) -> np.ndarray:
-    """g(du, du) at each sample; constant along exact geodesics."""
-    g = _evaluator(spec).metric(traj.u)
+    """g(du, du) at each sample, constant along exact geodesics, with g from
+    one `spec.value` over the samples' positions.  Raises NonFiniteError
+    where an entry of g is not finite."""
+    g = spec.value(traj.u)
+    if not np.isfinite(g).all():
+        raise NonFiniteError("metric not finite along the trajectory")
     return np.array([float(du @ g_j @ du) for du, g_j in zip(traj.du, g)])
 
 

@@ -39,7 +39,6 @@ class SignatureError(ValueError):
 
 
 _ZERO = ex.Const(0.0)
-_SINGULAR_TOL = 1e-10  # eigenvalue ratio at or below which `validate_at` calls g singular
 
 
 class MetricSpec:
@@ -100,31 +99,47 @@ class MetricSpec:
         return not self.active_vars
 
     def env_at(self, point: Sequence[float]) -> dict[str, float]:
-        pt = [float(v) for v in point]
-        if len(pt) != self.dim:
-            raise ValueError(f"point has length {len(pt)}, chart has {self.dim} coordinates")
-        return dict(zip(self.coords, pt))
+        if len(point) != self.dim:
+            raise ValueError(f"point has length {len(point)}, chart has {self.dim} coordinates")
+        return dict(zip(self.coords, map(float, point)))
 
-    def value(self, point: Sequence[float]) -> np.ndarray:
-        """Metric matrix at `point` as an (m, m) float array."""
-        env = self.env_at(point)
-        g = np.zeros((self.dim, self.dim))
+    def value(self, points: Sequence[float] | np.ndarray) -> np.ndarray:
+        """Metric matrix at one point as an (m, m) float array, or at each
+        row of an (N, m) numpy array of points as (N, m, m): `expr.eval_point`
+        over the rows of the points' coordinates, each point's matrix the
+        one-point value bit for bit.  An overflow in a batch is inf, as it
+        is over floats."""
+        if getattr(points, "ndim", 1) != 2:
+            return self._fill(np.zeros((self.dim, self.dim)), self.env_at(points))
+        rows = np.asarray(points, dtype=float).T.copy()
+        if len(rows) != self.dim:
+            raise ValueError(f"points have {len(rows)} coordinates, chart has {self.dim}")
+        g = np.zeros((rows.shape[1], self.dim, self.dim))
+        with np.errstate(all="ignore"):  # the view's [i, j] is g[:, i, j]
+            self._fill(g.transpose(1, 2, 0), dict(zip(self.coords, rows)))
+        return g
+
+    def _fill(self, g: np.ndarray, env: Mapping[str, float | np.ndarray]) -> np.ndarray:
+        # g's nonzero entries, g[i, j] = g[j, i], from `eval_point` at env
+        comps, walk = self.components, ex.eval_point
         for i, j in self.entry_vars:
-            g[i, j] = g[j, i] = ex.eval_point(self.components[i][j], env)
+            g[i, j] = g[j, i] = walk(comps[i][j], env)
         return g
 
     def validate_at(self, point: Sequence[float]) -> np.ndarray:
         """Check nondegeneracy and signature at `point`; return eigenvalues.
 
         Raises NonFiniteError for a non-finite entry, SingularMetricError when
-        the smallest |eigenvalue| is at most `_SINGULAR_TOL` times the largest,
+        the smallest |eigenvalue| is at most m eps times the largest (the
+        backward error of `np.linalg.eigvalsh`, and `np.linalg.matrix_rank`'s
+        default tolerance: such an eigenvalue may be the image of a zero),
         and SignatureError when the sign counts disagree with the signature.
         """
         g = self.value(point)
         if not np.isfinite(g).all():
             raise NonFiniteError(f"metric not finite at {tuple(point)}")
         w = np.linalg.eigvalsh(g)
-        if np.min(np.abs(w)) <= _SINGULAR_TOL * np.max(np.abs(w)):
+        if np.min(np.abs(w)) <= self.dim * np.finfo(float).eps * np.max(np.abs(w)):
             raise SingularMetricError(
                 f"metric degenerate at {tuple(point)}: eigenvalues {w.tolist()}"
             )

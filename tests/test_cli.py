@@ -11,7 +11,7 @@ import pytest
 
 from jetgeo import cli
 from jetgeo.geodesics import triangular_report
-from jetgeo.metric import flat_metric, save_metric, two_sphere
+from jetgeo.metric import flat_metric, metric_from_strings, save_metric, two_sphere
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -373,6 +373,21 @@ def test_numeric_failure_exits_3(capsys, sphere_path):
     assert code == 3
     assert err.startswith("jetgeo: numeric failure: ")
     assert "degenerate" in err
+
+
+def test_check_accepts_an_ill_scaled_metric(capsys, tmp_path, sphere_path):
+    # 1e-11 (ds^2 + dt^2) + exp(2y)(dx^2 + dy^2) has eigenvalues 1e-11 and
+    # 1.49, far above eigvalsh's backward error: it is checked, not refused;
+    # the sphere at its pole is singular and still exits 3
+    path = tmp_path / "ill_scaled.json"
+    save_metric(metric_from_strings(("s", "t", "x", "y"), {
+        (0, 0): "1e-11", (1, 1): "1e-11", (2, 2): "exp(2*y)", (3, 3): "exp(2*y)"}, (0, 4)),
+        str(path))
+    code, out, err = run(capsys, ["check", "--spec", str(path), "--point", "0,0,0.1,0.2"])
+    assert (code, err) == (0, "") and out.splitlines()[-1] == "RESULT: PASS"
+    code, out, err = run(capsys, ["check", "--spec", sphere_path, "--point", "0,0.3"])
+    assert code == 3 and out == ""
+    assert err.startswith("jetgeo: numeric failure: SingularMetricError: metric degenerate")
 
 
 def test_non_finite_metric_exits_3(capsys):

@@ -2,7 +2,6 @@
 analysis, dual-route integration with energy conservation, and the
 exp/log boundary maps."""
 import gc
-import inspect
 import itertools
 import math
 import os
@@ -298,8 +297,7 @@ def test_direct_route_batches_force_calls(monkeypatch):
     spec = fam.build_metric(params)
     geo.triangular_ivp(spec, fam.base_point(params, 0.2, [0.3]),
                        (0.3, -0.15, 0.2, 0.1, 0.05, -0.1), t_end=10.0)
-    max_depth = inspect.signature(geo.adaptive_simpson).parameters["max_depth"].default
-    assert len(calls) <= max_depth + 2
+    assert len(calls) <= geo._MAX_DEPTH + 2
     assert sum(calls) > 1000
 
 
@@ -725,8 +723,7 @@ def test_triangular_report_reads_the_spec_alone(monkeypatch):
     # metric's pattern: it evaluates no metric value, and every solve of the
     # spec, from any start, shares the one report
     spec, pt = family_setup()
-    monkeypatch.setattr(geo.ChristoffelPointEvaluator, "metric",
-                        lambda self, q: pytest.fail("metric evaluated"))
+    monkeypatch.setattr(MetricSpec, "value", lambda self, q: pytest.fail("metric evaluated"))
     want = geo.triangular_report(spec)
     assert want.ok and want is geo._EVALUATORS[spec].report
     seen, report = [], geo.triangular_report

@@ -81,6 +81,19 @@ def test_validate_at_sphere():
         sph.validate_at((0.0, 0.0))
 
 
+def test_validate_at_calls_singular_within_the_eigenvalue_backward_error():
+    # g is singular when its smallest |eigenvalue| is within m eps of its
+    # largest, the rounding eigvalsh leaves; an ill-scaled g far above that
+    # is not
+    tiny = metric_from_strings(("x", "y"), {(0, 0): "1e-17", (1, 1): "1"}, (0, 2))
+    with pytest.raises(SingularMetricError):
+        tiny.validate_at((0.0, 0.0))
+    ill = metric_from_strings(("s", "t", "x", "y"), {
+        (0, 0): "1e-11", (1, 1): "1e-11", (2, 2): "exp(2*y)", (3, 3): "exp(2*y)"}, (0, 4))
+    w = ill.validate_at((0.0, 0.0, 0.1, 0.2))
+    np.testing.assert_allclose(sorted(w), [1e-11, 1e-11, math.exp(0.4), math.exp(0.4)])
+
+
 def test_validate_signature_mismatch():
     bad = metric_from_strings(("t", "x"), {(0, 0): "1", (1, 1): "1"}, (1, 1))
     with pytest.raises(SignatureError):

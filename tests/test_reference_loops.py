@@ -1084,7 +1084,8 @@ def test_inverse_seeds_from_the_structural_pattern():
     spec = fam.build_metric(params)
     ctx = CurvatureContext(spec, fam.base_point(params, -0.3, [0.1]), 3)
     pattern = spec.structure[0]
-    assert (ctx.ginv0[~pattern] != 0.0).any()
+    assert (np.linalg.inv(ctx.g0)[~pattern] != 0.0).any()
+    assert (ctx.ginv0[~pattern] == 0.0).all()
     assert pattern[tuple(ctx._ginv.index.T)].all()
     assert same_jets(ctx._ginv, ref_neumann_inverse(ctx))
 
@@ -1547,27 +1548,35 @@ def _metric_value_cases():
 
 def test_metric_value_is_one_arithmetic():
     # g(p) by the tree walk, as the constant terms of the curvature jets and
-    # by the geodesic force code's entry lines: the same bits, up to the
-    # sign of a zero
+    # by the tree walk over a batch of points: the same bits, up to the sign
+    # of a zero, and a batch's the one point's to the sign of a zero
+    batches: dict[MetricSpec, list] = {}
     for spec, pt in _metric_value_cases():
         want = bits(spec.value(pt) + 0.0)
         assert bits(CurvatureContext(spec, pt, 0).g0 + 0.0) == want, (spec, pt)
-        assert bits(geo._evaluator(spec).metric(pt) + 0.0) == want, (spec, pt)
+        assert bits(spec.value(np.array([pt]))[0] + 0.0) == want, (spec, pt)
+        batches.setdefault(spec, []).append(pt)
+    for spec, pts in batches.items():
+        got = spec.value(np.array(pts))
+        assert got.shape == (len(pts), spec.dim, spec.dim) and got.flags.c_contiguous
+        assert bits(got) == bits([spec.value(pt) for pt in pts]), spec
 
 
 def test_metric_value_errors_are_non_finite():
-    # an exp that overflows raises NonFiniteError in the tree walk and in the
-    # force code's entry lines; a sum that overflows without one is inf,
-    # which `validate_at` reports
+    # an exp that overflows raises NonFiniteError in the tree walk, at one
+    # point and at any point of a batch; a sum that overflows without one is
+    # inf, at one point and in a batch with no numpy warning, which
+    # `validate_at` reports
     spec = metric_from_strings(("x", "y"), {(0, 0): "1e308 + 1e308*x + exp(800*x)",
                                             (1, 1): "exp(100*y)"}, (0, 2))
     for point in ((1.0, 0.0), (0.0, 7.1)):
         with pytest.raises(NonFiniteError):
             spec.value(point)
         with pytest.raises(NonFiniteError):
-            geo._evaluator(spec).metric(point)
+            spec.value(np.array([(-1.0, 0.0), point]))
     spec = metric_from_strings(("x", "y"), {(0, 0): "1e308 + 1e308*x", (1, 1): "1"}, (0, 2))
     assert spec.value((1.0, 0.0))[0, 0] == math.inf
+    assert spec.value(np.array([(-1.0, 0.0), (1.0, 0.0)]))[:, 0, 0].tolist() == [0.0, math.inf]
     with pytest.raises(NonFiniteError, match=r"^metric not finite at \(1\.0, 0\.0\)$"):
         spec.validate_at((1.0, 0.0))
 
@@ -1578,8 +1587,9 @@ def test_metric_reads_no_partials():
     spec = metric_from_strings(("x", "y"), {(0, 0): "exp(708*x)", (1, 1): "1"}, (0, 2))
     ev, point = geo._evaluator(spec), (1.0, 0.0)
     assert spec.value(point)[0, 0] == math.exp(708.0)
-    assert bits(ev.metric(point)) == bits(spec.value(point))
-    assert bits(ev.metric([point, (0.5, 0.2)])) == bits([spec.value(point), spec.value((0.5, 0.2))])
+    assert bits(spec.value(np.array([point]))) == bits([spec.value(point)])
+    assert bits(spec.value(np.array([point, (0.5, 0.2)]))) == bits([spec.value(point),
+                                                                   spec.value((0.5, 0.2))])
     with pytest.raises(NonFiniteError):
         ev.force(point, (1.0, 0.0))
     with pytest.raises(NonFiniteError):
