@@ -356,6 +356,12 @@ def _exp(v: float | np.ndarray) -> float | np.ndarray:
     return _pointwise(math.exp, v)
 
 
+def _trig(fn, v: float | np.ndarray) -> float | np.ndarray:
+    if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+        raise NonFiniteError(f"{fn.__name__} of non-finite argument {np.max(v)}")
+    return _pointwise(fn, v)
+
+
 def eval_point(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
     """Plain float evaluation at a point, with the arithmetic of `eval_jet`:
     a sum or a product evaluates its operands, then folds them left, and a
@@ -367,8 +373,9 @@ def eval_point(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.nda
     per point; a node that reads one is a row of its values at the points,
     each the float walk's (sums and products are never taken in place, and
     exp, sin and cos are math's, value by value), and a node that reads none
-    stays a float.  An exp argument >= 709 raises NonFiniteError at any of
-    the points; the caller silences numpy's warnings on overflow."""
+    stays a float.  An exp argument >= 709, or a sin or cos argument that
+    is not finite, raises NonFiniteError at any of the points; the caller
+    silences numpy's warnings on overflow."""
     if isinstance(e, Const):
         return float(e.value)
     if isinstance(e, Var):
@@ -394,10 +401,8 @@ def eval_point(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.nda
         return -eval_point(e.arg, env)
     if isinstance(e, Exp):
         return _exp(eval_point(e.arg, env))
-    if isinstance(e, Sin):
-        return _pointwise(math.sin, eval_point(e.arg, env))
-    if isinstance(e, Cos):
-        return _pointwise(math.cos, eval_point(e.arg, env))
+    if isinstance(e, (Sin, Cos)):
+        return _trig(math.sin if isinstance(e, Sin) else math.cos, eval_point(e.arg, env))
     raise TypeError(f"not an Expr node: {e!r}")
 
 

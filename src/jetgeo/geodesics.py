@@ -28,7 +28,9 @@ in the order `MetricSpec.structure` gives) and kept while the spec
 lives, with the structure check's report.  One source runs in two forms:
 over Python floats for the Runge-Kutta route's one-point calls, and over
 numpy rows for the direct route's breadth-first adaptive Simpson rule, one
-call per depth for all its new nodes.  Every route, the report and
+call per depth for all its new nodes, with the one velocity they share as
+floats; the rule's first call evaluates each end that two grid intervals
+share once.  Every route, the report and
 `log_map` read the spec's one evaluator; constructing a
 `ChristoffelPointEvaluator(spec)` directly compiles a fresh one.
 `energy_along` reads g at the points of a trajectory from the spec itself,
@@ -201,15 +203,19 @@ class ChristoffelPointEvaluator:
     def force(self, points: Sequence[float] | np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """G with lower index raised, g^{cd} w_d, for (N, m) points and
         velocities, as (N, m), by the generated substitution over g's blocks,
-        each block of size > 1 in one batched solve; one point and velocity
-        of shape (m,) give (m,), computed over Python floats.  A zero pivot
-        raises np.linalg.LinAlgError.  The acceleration is -G."""
+        each block of size > 1 in one batched solve; one (m,) velocity that
+        all the points share goes in as floats, each d_a d_b one product.
+        One point and velocity of shape (m,) give (m,), computed over Python
+        floats.  A zero pivot raises np.linalg.LinAlgError.  The acceleration is -G."""
         pts, vel = np.asarray(points, dtype=float), np.asarray(velocities, dtype=float)
         if pts.ndim == 1:
             return np.array(self._floats(pts.tolist(), vel.tolist()))
         with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
-            out = self._rows(pts.T.copy(), vel.T.copy())
-        return np.column_stack(np.broadcast_arrays(pts[:, 0], *out))[:, 1:]
+            cols = self._rows(pts.T.copy(), vel.T.copy() if vel.ndim == 2 else vel.tolist())
+        out = np.zeros(pts.shape)
+        for c, col in enumerate(cols):
+            out[:, c] = col
+        return out
 
 
 _EVALUATORS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -274,18 +280,24 @@ def adaptive_simpson(
     tol: np.ndarray,
 ) -> np.ndarray:
     """Vector-valued adaptive Simpson integrals of f over [a[i], b[i]], each
-    to tolerance tol[i]; f maps an array of nodes to one row per node.
+    to tolerance tol[i]; f maps an array of nodes to one row per node, each
+    row from its node alone.
 
     Breadth first: each depth evaluates the new nodes of every pending
-    interval in one call of f.  A pair of halves is accepted,
+    interval in one call of f, the first the ends (once each where a[1:] ==
+    b[:-1]) and the midpoints.  A pair of halves is accepted,
     Richardson-corrected, at depth `_MAX_DEPTH` or when its error is within
     15 tol max(1, |s2|), else split with half the tolerance; sums go back up
     the tree left + right, as in a recursion."""
     a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
     mid = 0.5 * (a + b)
-    fa, fb, fm = np.split(f(np.concatenate([a, b, mid])), 3)
+    if a[1:].tobytes() == b[:-1].tobytes():  # contiguous to the bit: n + 1 ends, n midpoints
+        ends, fm = np.split(f(np.concatenate([a, b[-1:], mid])), [-len(a)])
+        fa, fb = ends[:-1], ends[1:]
+    else:
+        fa, fb, fm = np.split(f(np.concatenate([a, b, mid])), 3)
     s = ((b - a) / 6.0)[:, None] * (fa + 4.0 * fm + fb)
-    levels = []  # per depth: the accepted values, and which halves split
+    levels = []  # per depth: the accepted values, and the indices that split
     for depth in range(_MAX_DEPTH + 1):
         lm, rm = 0.5 * (a + mid), 0.5 * (mid + b)
         flm, frm = np.split(f(np.concatenate([lm, rm])), 2)
@@ -297,13 +309,15 @@ def adaptive_simpson(
         # a purely absolute test never terminates on long horizons where
         # the moment integrands are large
         scale = np.maximum(1.0, np.max(np.abs(s2), axis=1))
-        split = ~(err <= 15.0 * tol * scale) & (depth < _MAX_DEPTH)
+        split = np.flatnonzero(~(err <= 15.0 * tol * scale) & (depth < _MAX_DEPTH))
         levels.append((s2 + (s2 - s) / 15.0, split))
-        if not split.any():
+        if not split.size:
             break
 
         def halves(lo, hi):  # the split intervals' left and right halves, interleaved
-            return np.stack([lo[split], hi[split]], axis=1).reshape((-1,) + lo.shape[1:])
+            both = np.empty((2 * split.size,) + lo.shape[1:])
+            both[0::2], both[1::2] = lo[split], hi[split]
+            return both
 
         a, mid, b = halves(a, mid), halves(lm, rm), halves(mid, b)
         fa, fm, fb = halves(fa, fm), halves(flm, frm), halves(fm, fb)
@@ -595,7 +609,7 @@ def _direct(p: GeodesicProblem, n_samples: int | None) -> Trajectory | np.ndarra
         # forced coordinates pinned at their start values
         points = np.repeat(u0[None], len(r), axis=0)
         points[:, free] = u0[free] + r[:, None] * v0[free]
-        return ev.force(points, np.repeat(vel[None], len(r), axis=0))
+        return ev.force(points, vel)
 
     if p.target is not None:
         corr = adaptive_simpson(lambda r: (1.0 - r)[:, None] * force(r),

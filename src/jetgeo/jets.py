@@ -498,17 +498,20 @@ class Jet:
             raise NonFiniteError("non-finite coefficients in jet exp")
         return out
 
-    def sin(self) -> "Jet":
+    def _trig(self, name: str, shift: int) -> "Jet":
+        # d^j sin = the cycle from j; cos is sin's cycle from one
         a0 = float(self.coef[0])
+        if not math.isfinite(a0):
+            raise NonFiniteError(f"{name} of non-finite base value {a0}")
         cycle = (math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0))
-        coeffs = [cycle[j % 4] / math.factorial(j) for j in range(self.order + 1)]
+        coeffs = [cycle[(j + shift) % 4] / math.factorial(j) for j in range(self.order + 1)]
         return self._series(coeffs)
 
+    def sin(self) -> "Jet":
+        return self._trig("sin", 0)
+
     def cos(self) -> "Jet":
-        a0 = float(self.coef[0])
-        cycle = (math.cos(a0), -math.sin(a0), -math.cos(a0), math.sin(a0))
-        coeffs = [cycle[j % 4] / math.factorial(j) for j in range(self.order + 1)]
-        return self._series(coeffs)
+        return self._trig("cos", 1)
 
     def pow(self, exponent: int) -> "Jet":
         if exponent < 0 or exponent != int(exponent):

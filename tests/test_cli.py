@@ -358,6 +358,18 @@ def test_metric_overflow_is_one_stderr_line(tmp_path):
                           "non-finite coefficients in jet exp\n")
 
 
+def test_sin_of_infinite_argument_is_a_numeric_failure(tmp_path):
+    # 1e308 * x * 10 is inf at x = 1: a NonFiniteError, not an internal error
+    path = tmp_path / "sin.json"
+    path.write_text(json.dumps({"dim": 2, "coords": ["x", "y"], "signature": [0, 2],
+                                "components": [{"i": 0, "j": 0, "expr": "2 + sin(1e308*x*10)"},
+                                               {"i": 1, "j": 1, "expr": "1"}]}))
+    res = _cli_process("curvature", "--spec", str(path), "--point", "1,0")
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert res.stderr.startswith("jetgeo: numeric failure: NonFiniteError: ")
+
+
 def test_overflowing_invariants_print_no_warning(tmp_path):
     # r2 and ric2 overflow: the control fails, and nothing goes to stderr
     res = _cli_process("check", "--spec", _conformal_exp_spec(tmp_path, 300), "--point=2.2,0.0")

@@ -26,7 +26,7 @@ from jetgeo.expr import (
     parse,
     to_text,
 )
-from jetgeo.jets import NonFiniteError
+from jetgeo.jets import Jet, NonFiniteError, jet_space
 from test_jets import ranked
 
 CHART = ("y", "z0", "z1")
@@ -215,6 +215,27 @@ def test_eval_jet_overflow():
         eval_jet(parse("exp(y)", CHART), {"y": 800.0}, ("y",), 2)
 
 
+def test_sin_cos_of_non_finite_argument_raise_non_finite_error():
+    # an infinite or nan argument of sin or cos is a NonFiniteError in the
+    # jets and in the point walk, over floats and over rows, as in the
+    # generated code of `FLOAT_OPS` and `ROW_OPS`
+    rows = {"y": np.array([0.5, 1.0])}  # 1e308 * y * 10 is finite at 0.5 alone
+    for text in ("sin(1e308*y*10)", "cos(1e308*y*10)", "sin(0*(1e308*y*10))",
+                 "cos(0*(1e308*y*10))"):
+        e = parse(text, CHART)
+        assert math.isfinite(eval_point(e, {"y": 0.05}))
+        with pytest.raises(NonFiniteError):
+            eval_jet(e, {"y": 1.0}, ("y",), 2)
+        with pytest.raises(NonFiniteError):
+            eval_point(e, {"y": 1.0})
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            eval_point(e, rows)
+    for value in (math.inf, -math.inf, math.nan):
+        for fn in (Jet.sin, Jet.cos):
+            with pytest.raises(NonFiniteError):
+                fn(jet_space(("y",), 1).variable("y", value))
+
+
 def _kernel(e):
     """The value and partials of `e` from `expr.forward_source` code,
     compiled as the geodesic force compiles it, over floats (one point) or
@@ -248,7 +269,7 @@ def test_kernel_jet_equals_order_one_jet(e):
     for p in pts:
         try:
             jet = eval_jet(e, dict(zip(CHART, p)), CHART, 1)
-        except (NonFiniteError, ValueError):  # ValueError: math.sin(inf)
+        except NonFiniteError:
             failed = True
             with pytest.raises(NonFiniteError):
                 floats(p.tolist())

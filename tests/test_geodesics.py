@@ -177,6 +177,26 @@ def test_force_batch_invariant():
         assert ev.force(pts[:0], vels[:0]).shape == (0, spec.dim)
 
 
+def test_shared_velocity_is_the_repeated_rows():
+    # one (m,) velocity for all points, as the direct route passes it, runs
+    # the row form with the velocity as floats: the bits of the repeated
+    # rows and of the one-point calls.  The last metric is one 2 x 2 block
+    # whose right-hand sides are floats then, as are its constant entries.
+    cases = force_cases()
+    linear = metric_from_strings(("x", "y"), {(0, 0): "1", (0, 1): "x", (1, 1): "1"}, (0, 2))
+    assert [len(rows) for rows, _ in linear.structure[2]] == [2]
+    rng = np.random.default_rng(29)
+    for spec, pts, vels in (*cases[0:2], cases[3], cases[4],
+                            (linear, rng.uniform(-0.5, 0.5, (12, 2)), None)):
+        ev = geo.ChristoffelPointEvaluator(spec)
+        vel = rng.standard_normal(spec.dim) if vels is None else vels[0]
+        shared = ev.force(pts, vel)
+        assert shared.shape == pts.shape
+        assert shared.tobytes() == ev.force(pts, np.repeat(vel[None], len(pts), 0)).tobytes()
+        assert shared.tobytes() == np.array([ev.force(p, vel) for p in pts]).tobytes()
+        assert ev.force(pts[:0], vel).shape == (0, spec.dim)
+
+
 def family_cases():
     """(spec, points, velocities) of family p = 0..8."""
     rng = np.random.default_rng(23)
@@ -681,6 +701,64 @@ def test_adaptive_simpson_many_intervals():
     for i in range(len(a)):
         one = recursive_simpson(lambda r: np.exp(30.0 * np.array([r])), a[i], b[i], tol[i])
         assert one[0] == got[i]
+
+
+def test_adaptive_simpson_evaluates_shared_ends_once():
+    # contiguous intervals (a[1:] == b[:-1]) start from their n + 1 distinct
+    # ends and n midpoints, each once; the same intervals out of order start
+    # from 3n nodes, and every integral is the same bit for bit
+    grid = np.linspace(-1.0, 1.0, 7)
+    a, b, tol = grid[:-1], grid[1:], 1e-12 * np.arange(1.0, 7.0)
+
+    def steep(nodes):
+        def f(x):
+            nodes.append(x.copy())
+            return np.column_stack([np.exp(30.0 * x), np.sin(5.0 * x)])
+        return f
+
+    shared, apart = [], []
+    got = geo.adaptive_simpson(steep(shared), a, b, tol)
+    order = np.array([3, 0, 5, 1, 4, 2])
+    want = geo.adaptive_simpson(steep(apart), a[order], b[order], tol[order])
+    assert got[order].tobytes() == want.tobytes()
+    assert len(shared[0]) == 2 * 6 + 1 == len(np.unique(shared[0]))
+    assert len(apart[0]) == 3 * 6
+    assert sum(map(len, apart)) - sum(map(len, shared)) == 5  # the interior ends
+    assert [len(x) for x in shared[1:]] == [len(x) for x in apart[1:]]
+    # one interval, and none
+    one = geo.adaptive_simpson(steep([]), a[:1], b[:1], tol[:1])
+    assert one.tobytes() == got[:1].tobytes()
+    assert geo.adaptive_simpson(steep([]), a[:0], b[:0], tol[:0]).shape == (0, 2)
+
+
+def test_direct_routes_evaluate_the_force_through_force(monkeypatch):
+    # every force evaluation of the direct routes passes through
+    # ChristoffelPointEvaluator.force, where the benchmark's span sees it
+    inside, seen = [False], {"force": 0, "rows": 0, "floats": 0}
+    force = geo.ChristoffelPointEvaluator.force
+
+    def counted(self, points, velocities):
+        seen["force"] += 1
+        inside[0] = True
+        try:
+            return force(self, points, velocities)
+        finally:
+            inside[0] = False
+
+    spec, pt = family_setup()
+    ev = geo._evaluator(spec)
+    for name in ("rows", "floats"):
+        def run(*args, _name=name, _run=getattr(ev, f"_{name}")):
+            assert inside[0], f"a force evaluation outside force ({_name})"
+            seen[_name] += 1
+            return _run(*args)
+        monkeypatch.setattr(ev, f"_{name}", run)
+    monkeypatch.setattr(geo.ChristoffelPointEvaluator, "force", counted)
+    vel = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)
+    target = tuple(geo.triangular_ivp(spec, pt, vel).u[-1])
+    geo.triangular_bvp(spec, pt, target)
+    geo.log_map(spec, pt, target)
+    assert seen["force"] == seen["rows"] > 0 and seen["floats"] == 0
 
 
 def _conformal(rate):
