@@ -7,9 +7,13 @@ division and no non-integer power, which keeps every expression jet-friendly
 
     expr   := term (('+' | '-') term)*
     term   := factor ('*' factor)*
-    factor := atom ('^' int)?
+    factor := '-' factor | atom ('^' int)?
     atom   := number | ident | 'exp(' expr ')' | 'sin(' expr ')'
-            | 'cos(' expr ')' | '(' expr ')' | '-' atom
+            | 'cos(' expr ')' | '(' expr ')'
+
+so '^' binds tighter than unary minus, as in standard notation: -y^2 is
+-(y^2), and a '-' before a bare literal folds into it (Const(-c)).  A
+number is a finite float literal.
 
 Parsing is by recursive descent; syntax errors carry the byte offset of the
 offending token and unknown identifiers are reported by name.  `to_text` is a
@@ -26,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jets import _EXP_LIMIT, Jet, JetSpace, NonFiniteError, jet_space
+from .jets import Jet, JetSpace, NonFiniteError, _exp, _power, _trig, jet_space
 
 __all__ = [
     "Expr",
@@ -48,8 +52,7 @@ __all__ = [
     "eval_point",
     "eval_jet",
     "forward_source",
-    "FLOAT_OPS",
-    "ROW_OPS",
+    "OPS",
 ]
 
 FUNCTION_NAMES = ("exp", "sin", "cos")
@@ -153,9 +156,11 @@ def _tokens(text: str):
                     j = k
             lit = text[i:j]
             try:
-                float(lit)
+                value = float(lit)
             except ValueError:
                 raise ParseError(f"malformed number {lit!r}", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number {lit!r} is not finite as a float", i)
             out.append(("num", lit, i))
             i = j
             continue
@@ -213,6 +218,11 @@ class _Parser:
         return Prod(tuple(factors))
 
     def factor(self) -> Expr:
+        if self.peek()[0] == "-":
+            self.take()
+            inner = self.factor()
+            # '-' folds into a bare literal so Const(-c) round-trips
+            return Const(-inner.value) if isinstance(inner, Const) else Neg(inner)
         base = self.atom()
         if self.peek()[0] == "^":
             self.take()
@@ -226,12 +236,6 @@ class _Parser:
         kind, lit, off = self.take()
         if kind == "num":
             return Const(float(lit))
-        if kind == "-":
-            inner = self.atom()
-            # '-' folds into a bare literal so Const(-c) round-trips.
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return Neg(inner)
         if kind == "(":
             inner = self.expr()
             self.expect(")")
@@ -285,6 +289,8 @@ def _print(e: Expr, ctx: str) -> str:
             btext = _print(base, "atom")
         else:
             btext = f"({_print(base, 'expr')})"
+        if btext.startswith("-"):  # a negative literal: -2.0^2 reads as -(2.0^2)
+            btext = f"({btext})"
         return f"{btext}^{e.exponent}"
     if isinstance(e, Prod):
         parts = []
@@ -344,30 +350,48 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*map(free_vars, _children(e)))
 
 
-def _pointwise(fn, v):
-    # math's function value by value, as in `eval_jet`: numpy's exp differs
-    # from math.exp in the last bit for about one argument in twenty
-    return fn(v) if isinstance(v, float) else np.fromiter(map(fn, v.tolist()), float, len(v))
+def _fold(e: Expr, leaf, add, mul, neg, call, join=iter):
+    """`e` in the one evaluation order of `eval_point`, `eval_jet` and
+    `forward_source`, which supply the operations: a constant or variable is
+    `leaf(node)`; a sum or product evaluates its operands left to right and
+    folds `join(operands)` left with `add` or `mul`; a power takes its base
+    by squaring as `Jet.pow` does (^0 is leaf(Const(1.0))); a negation is
+    `neg(arg)`, and exp, sin or cos `call(name, arg)`."""
+    def rec(node: Expr):
+        if isinstance(node, (Const, Var)):
+            return leaf(node)
+        if isinstance(node, (Sum, Prod)):
+            op, operands = (add, node.terms) if isinstance(node, Sum) else (mul, node.factors)
+            todo = join([rec(t) for t in operands])
+            acc = next(todo)
+            for v in todo:
+                acc = op(acc, v)
+            return acc
+        if isinstance(node, Pow):
+            base = rec(node.base)
+            return _power(base, node.exponent, mul) if node.exponent else leaf(Const(1.0))
+        if isinstance(node, Neg):
+            return neg(rec(node.arg))
+        if isinstance(node, (Exp, Sin, Cos)):
+            return call(type(node).__name__.lower(), rec(node.arg))
+        raise TypeError(f"not an Expr node: {node!r}")
+    return rec(e)
 
 
-def _exp(v: float | np.ndarray) -> float | np.ndarray:
-    if v >= _EXP_LIMIT if isinstance(v, float) else (v >= _EXP_LIMIT).any():
-        raise NonFiniteError(f"exp overflow at argument {np.max(v)}")
-    return _pointwise(math.exp, v)
+def _finite(v: float | np.ndarray) -> bool:
+    return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
 
 
-def _trig(fn, v: float | np.ndarray) -> float | np.ndarray:
-    if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
-        raise NonFiniteError(f"{fn.__name__} of non-finite argument {np.max(v)}")
-    return _pointwise(fn, v)
+# the names `forward_source` code calls, over Python floats or over rows of
+# points (numpy arrays, one value per point), with the guards of `jets`
+OPS = dict(exp=_exp, sin=functools.partial(_trig, math.sin),
+           cos=functools.partial(_trig, math.cos), finite=_finite, NonFiniteError=NonFiniteError)
 
 
 def eval_point(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
-    """Plain float evaluation at a point, with the arithmetic of `eval_jet`:
-    a sum or a product evaluates its operands, then folds them left, and a
-    power is taken by squaring as `Jet.pow` takes it.  The result is the
-    constant term of any `eval_jet` of `e` at `env`, bit for bit up to the
-    sign of a zero.
+    """Plain float evaluation at a point, in the order and arithmetic of
+    `eval_jet` (`_fold`): the result is the constant term of any `eval_jet`
+    of `e` at `env`, bit for bit up to the sign of a zero.
 
     The values of `env` may also be numpy rows of equal length, one value
     per point; a node that reads one is a row of its values at the points,
@@ -376,34 +400,16 @@ def eval_point(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.nda
     stays a float.  An exp argument >= 709, or a sin or cos argument that
     is not finite, raises NonFiniteError at any of the points; the caller
     silences numpy's warnings on overflow."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Var):
+    def leaf(node):
+        if isinstance(node, Const):
+            return float(node.value)
         try:
-            v = env[e.name]
+            v = env[node.name]
         except KeyError:
-            raise UnknownVariableError(e.name, 0) from None
+            raise UnknownVariableError(node.name, 0) from None
         return v if isinstance(v, np.ndarray) else float(v)
-    if isinstance(e, Sum):
-        return functools.reduce(operator.add, [eval_point(t, env) for t in e.terms])
-    if isinstance(e, Prod):
-        return functools.reduce(operator.mul, [eval_point(t, env) for t in e.factors])
-    if isinstance(e, Pow):
-        base, k, out = eval_point(e.base, env), e.exponent, None
-        while k:
-            if k & 1:
-                out = base if out is None else out * base  # as 1.0 * base: 1.0 * x == x
-            k >>= 1
-            if k:
-                base = base * base
-        return 1.0 if out is None else out
-    if isinstance(e, Neg):
-        return -eval_point(e.arg, env)
-    if isinstance(e, Exp):
-        return _exp(eval_point(e.arg, env))
-    if isinstance(e, (Sin, Cos)):
-        return _trig(math.sin if isinstance(e, Sin) else math.cos, eval_point(e.arg, env))
-    raise TypeError(f"not an Expr node: {e!r}")
+
+    return _fold(e, leaf, operator.add, operator.mul, operator.neg, lambda f, v: OPS[f](v))
 
 
 def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: int) -> Jet:
@@ -427,36 +433,27 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
     def lift(v, to: JetSpace) -> Jet:
         return to.lift(v) if isinstance(v, Jet) else to.constant(v)
 
-    def rec(node: Expr) -> Jet | float:
+    def leaf(node):
         if isinstance(node, Const):
             return float(node.value)
-        if isinstance(node, Var):
-            try:
-                v = float(base[node.name])
-            except KeyError:
-                raise UnknownVariableError(node.name, 0) from None
-            if node.name in space.variables:
-                return jet_space((node.name,), order).variable(node.name, v)
-            return v
-        if isinstance(node, (Sum, Prod)):
-            vals = [rec(t) for t in _children(node)]
-            names = set().union(*(v.variables for v in vals if isinstance(v, Jet)))
-            to = jet_space(tuple(n for n in space.variables if n in names), order)
-            acc = lift(vals[0], to)
-            for v in vals[1:]:
-                acc = acc + lift(v, to) if isinstance(node, Sum) else acc * lift(v, to)
-            return acc
-        arg = rec(_children(node)[0])
-        if isinstance(node, Neg):
-            return -arg
-        if not isinstance(arg, Jet):
-            arg = jet_space((), order).constant(arg)
-        if isinstance(node, Pow):
-            return arg.pow(node.exponent)
-        return {Exp: Jet.exp, Sin: Jet.sin, Cos: Jet.cos}[type(node)](arg)
+        try:
+            v = float(base[node.name])
+        except KeyError:
+            raise UnknownVariableError(node.name, 0) from None
+        if node.name in space.variables:
+            return jet_space((node.name,), order).variable(node.name, v)
+        return v
+
+    def join(vals):
+        names = set().union(*(v.variables for v in vals if isinstance(v, Jet)))
+        to = jet_space(tuple(n for n in space.variables if n in names), order)
+        return (lift(v, to) for v in vals)  # each as the fold reaches it
+
+    def call(name: str, arg):
+        return getattr(arg if isinstance(arg, Jet) else jet_space((), order).constant(arg), name)()
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = lift(rec(e), space)
+        out = lift(_fold(e, leaf, operator.add, operator.mul, operator.neg, call, join), space)
     if not np.isfinite(out.coef).all():
         raise NonFiniteError("expression evaluation produced non-finite coefficients")
     return out
@@ -466,39 +463,15 @@ def _literal(v: float) -> str:
     return repr(v) if math.isfinite(v) else f"float('{v!r}')"
 
 
-def _ops(each, bad, finite):
-    """The names `forward_source` code calls: exp(v) gives the value, sin(v)
-    and cos(v) the value and the derivative."""
-    def analytic(fn, slope=None):
-        def run(v):
-            if bad(v, fn is math.exp):  # exp(nan) is nan, which the final check catches
-                raise NonFiniteError(
-                    f"{fn.__name__} overflow or non-finite argument at {np.max(v)}")
-            out = each(fn, v)
-            return out if slope is None else (out, each(slope, v))
-        return run
-    return dict(exp=analytic(math.exp), sin=analytic(math.sin, math.cos),
-                cos=analytic(math.cos, lambda t: -math.sin(t)), finite=finite,
-                NonFiniteError=NonFiniteError)
-
-
-# `forward_source` code runs over Python floats, or over rows of points
-# (numpy arrays, one value per point) with math's functions value by value
-FLOAT_OPS = _ops(lambda fn, v: fn(v),
-                 lambda v, exp: v >= _EXP_LIMIT if exp else not math.isfinite(v), math.isfinite)
-ROW_OPS = _ops(_pointwise, lambda v, exp: np.any(v >= _EXP_LIMIT if exp else ~np.isfinite(v)),
-               lambda v: bool(np.isfinite(v).all()))
-
-
 def forward_source(
     e: Expr, active: Sequence[str], tag: str, lines: list[str]
 ) -> tuple[str, list[str]]:
-    """Append to `lines` straight-line Python, run in `FLOAT_OPS` or
-    `ROW_OPS`, for `e` and its first partials in `active`, read from x0, x1,
-    ...; return them as source atoms ("0.0": a structural zero).  Forward
-    mode by source transformation (Griewank and Walther, *Evaluating
-    Derivatives*, 2nd ed., SIAM 2008, ch. 6) with the arithmetic of an order-1
-    `eval_jet` in its order, equal to its coefficients bit for bit up to the
+    """Append to `lines` straight-line Python, run in `OPS` over floats or
+    rows, for `e` and its first partials in `active`, read from x0, x1, ...;
+    return them as source atoms ("0.0": a structural zero).  Forward mode by
+    source transformation (Griewank and Walther, *Evaluating Derivatives*,
+    2nd ed., SIAM 2008, ch. 6) with the arithmetic of an order-1 `eval_jet`
+    in its order (`_fold`), equal to its coefficients bit for bit up to the
     sign of a zero.  Raises NonFiniteError on an exp argument >= 709, a
     non-finite argument of sin or cos, or a non-finite value or partial."""
     pos = {name: k for k, name in enumerate(active)}
@@ -528,38 +501,26 @@ def forward_source(
                                                      + ([times(ad[k], b0)] if k in ad else [])))
                                     for k in sorted(ad.keys() | bd.keys())}
 
-    def rec(node: Expr) -> tuple[str, dict[int, str]]:
+    def leaf(node):
         if isinstance(node, Const):
-            v = float(node.value)
-            return _literal(v), {}
-        if isinstance(node, Var):
-            if node.name not in pos:
-                raise UnknownVariableError(node.name, 0)
-            return f"x{pos[node.name]}", {pos[node.name]: "1.0"}
-        if isinstance(node, (Sum, Prod)):  # folded left, as `eval_jet` folds
-            acc = rec(_children(node)[0])
-            for t in _children(node)[1:]:
-                acc = (add if isinstance(node, Sum) else mul)(acc, rec(t))
-            return acc
-        a0, ad = arg = rec(_children(node)[0])
-        if isinstance(node, Pow):  # by squaring; the base is still evaluated at ^0
-            out, k = None, node.exponent
-            while k:
-                if k & 1:
-                    out = arg if out is None else mul(out, arg)
-                k >>= 1
-                if k:
-                    arg = mul(arg, arg)
-            return out or ("1.0", {})
-        if isinstance(node, Neg):
-            return f"-{a0}", {k: f"-{d}" for k, d in ad.items()}
-        if isinstance(node, Exp):
-            value = slope = new(f"exp({a0})", 1)
-        else:
-            value, slope = new(f"{type(node).__name__.lower()}({a0})", 2).split(", ")
+            return _literal(float(node.value)), {}
+        if node.name not in pos:
+            raise UnknownVariableError(node.name, 0)
+        return f"x{pos[node.name]}", {pos[node.name]: "1.0"}
+
+    def neg(a):
+        return f"-{a[0]}", {k: f"-{d}" for k, d in a[1].items()}
+
+    def call(name: str, arg):  # exp' = exp, sin' = cos, cos' = -sin
+        a0, ad = arg
+        value = slope = new(f"{name}({a0})", 1)
+        if name == "sin":
+            slope = new(f"cos({a0})", 1)
+        elif name == "cos":
+            slope = f"-{new(f'sin({a0})', 1)}"
         return value, {k: new(times(slope, d)) for k, d in ad.items()}
 
-    value, parts = rec(e)
+    value, parts = _fold(e, leaf, add, mul, neg, call)
     # every name (x - x is 0 for finite x, else nan), and no finite literal
     checked = [a for a in [value, *parts.values()] if a.lstrip("-")[0].isalpha()]
     if checked:

@@ -25,8 +25,8 @@ compiled on first use as straight-line Python (each varying metric entry's
 value and first partials from `expr.forward_source`, the Christoffel sums
 unrolled, then g G = w solved by substitution over g's structural blocks,
 in the order `MetricSpec.structure` gives) and kept while the spec
-lives, with the structure check's report.  One source runs in two forms:
-over Python floats for the Runge-Kutta route's one-point calls, and over
+lives, with the structure check's report.  The code is one program, run
+over Python floats for the Runge-Kutta route's one-point calls and over
 numpy rows for the direct route's breadth-first adaptive Simpson rule, one
 call per depth for all its new nodes, with the one velocity they share as
 floats; the rule's first call evaluates each end that two grid intervals
@@ -130,9 +130,14 @@ def _pivot(v: float | np.ndarray) -> float | np.ndarray:
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _row_block(a: list, b: list) -> list:
-    k = len(b)  # one k x k system per column of the rows in a and b
-    cells = np.stack(np.broadcast_arrays(*(v for row in a for v in row), *b), -1)
+def _block(a: list, b: list) -> list:
+    """The solution of a x = b for a k x k block: over floats where every
+    cell is a float, else one system per column of the rows in a and b."""
+    cells = [*(v for row in a for v in row), *b]
+    if all(isinstance(v, float) for v in cells):
+        return np.linalg.solve(a, b).tolist()
+    k = len(b)
+    cells = np.stack(np.broadcast_arrays(*cells), -1)
     x = np.linalg.solve(cells[..., :k * k].reshape(-1, k, k), cells[..., k * k:].reshape(-1, k, 1))
     return list(x[:, :, 0].T)
 
@@ -143,8 +148,9 @@ class ChristoffelPointEvaluator:
     `spec.active_vars`, w_c = sum of d^a d^b Gamma_abc over
     `curvature.christoffel_terms` in its order, and G from g G = w over g's
     blocks in `spec.structure`'s order (all of g one block where g is
-    structurally singular), with each constant entry as its literal; it runs
-    over Python floats for one point and over numpy rows for many.  `report`
+    structurally singular), with each constant entry as its literal,
+    compiled once; it runs over Python floats for one point and over numpy
+    rows for many.  `report`
     is the spec's `triangular_report`, decided here from the same terms and
     structure.  The routes share one per spec (`_evaluator`); each
     construction compiles afresh.  It keeps no reference to the spec, so the
@@ -193,12 +199,9 @@ class ChristoffelPointEvaluator:
                 solved[c] = atom
         code = compile("\n    ".join(["def force(u, d):", *lines, f"return [{', '.join(solved)}]"]),
                        f"<geodesic force, {spec!r}>", "exec")
-        spaces = [dict(ex.FLOAT_OPS, pivot=_pivot,
-                       block=lambda a, b: np.linalg.solve(a, b).tolist()),
-                  dict(ex.ROW_OPS, pivot=_pivot, block=_row_block)]
-        for space in spaces:
-            exec(code, space)
-        self._floats, self._rows = (space["force"] for space in spaces)
+        space = dict(ex.OPS, pivot=_pivot, block=_block)
+        exec(code, space)
+        self._force = space["force"]
 
     def force(self, points: Sequence[float] | np.ndarray, velocities: np.ndarray) -> np.ndarray:
         """G with lower index raised, g^{cd} w_d, for (N, m) points and
@@ -209,9 +212,9 @@ class ChristoffelPointEvaluator:
         floats.  A zero pivot raises np.linalg.LinAlgError.  The acceleration is -G."""
         pts, vel = np.asarray(points, dtype=float), np.asarray(velocities, dtype=float)
         if pts.ndim == 1:
-            return np.array(self._floats(pts.tolist(), vel.tolist()))
+            return np.array(self._force(pts.tolist(), vel.tolist()))
         with np.errstate(all="ignore"):  # overflow shows as NonFiniteError
-            cols = self._rows(pts.T.copy(), vel.T.copy() if vel.ndim == 2 else vel.tolist())
+            cols = self._force(pts.T.copy(), vel.T.copy() if vel.ndim == 2 else vel.tolist())
         out = np.zeros(pts.shape)
         for c, col in enumerate(cols):
             out[:, c] = col

@@ -116,6 +116,39 @@ SPARSE_PAIR_COST = 256
 _EXP_LIMIT = 709.0
 
 
+def _pointwise(fn, v: float | np.ndarray) -> float | np.ndarray:
+    # math's function value by value, for a float or a row of points: numpy's
+    # exp differs from math.exp in the last bit for about one argument in twenty
+    return fn(v) if isinstance(v, float) else np.fromiter(map(fn, v.tolist()), float, len(v))
+
+
+# the guarded primitives of every evaluator, over a float or a row: exp(nan)
+# is nan, which the evaluators' final checks catch
+def _exp(v: float | np.ndarray) -> float | np.ndarray:
+    if v >= _EXP_LIMIT if isinstance(v, float) else (v >= _EXP_LIMIT).any():
+        raise NonFiniteError(f"exp overflow at argument {np.max(v)}")
+    return _pointwise(math.exp, v)
+
+
+def _trig(fn, v: float | np.ndarray) -> float | np.ndarray:
+    if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+        raise NonFiniteError(f"{fn.__name__} of non-finite argument {np.max(v)}")
+    return _pointwise(fn, v)
+
+
+def _power(x, k: int, mul):
+    # x^k for k >= 1 by squaring with the product `mul`; the first factor is
+    # x itself, with no product by 1
+    out = None
+    while k:
+        if k & 1:
+            out = x if out is None else mul(out, x)
+        k >>= 1
+        if k:
+            x = mul(x, x)
+    return out
+
+
 def _ramps(lengths: np.ndarray) -> np.ndarray:
     """The ranges 0..l-1 for each l in `lengths`, concatenated."""
     return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -486,10 +519,7 @@ class Jet:
         return Jet(space, acc)
 
     def exp(self) -> "Jet":
-        v = math.exp(self.coef[0]) if self.coef[0] < _EXP_LIMIT else math.inf
-        if not math.isfinite(v):
-            raise NonFiniteError(f"exp overflow at base value {self.coef[0]}")
-        coeffs = [v]
+        coeffs = [_exp(float(self.coef[0]))]
         for j in range(1, self.order + 1):
             coeffs.append(coeffs[-1] / j)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -498,34 +528,23 @@ class Jet:
             raise NonFiniteError("non-finite coefficients in jet exp")
         return out
 
-    def _trig(self, name: str, shift: int) -> "Jet":
-        # d^j sin = the cycle from j; cos is sin's cycle from one
+    def _trig(self, fn, slope) -> "Jet":
+        # the derivatives of sin or cos cycle: value, slope, -value, -slope
         a0 = float(self.coef[0])
-        if not math.isfinite(a0):
-            raise NonFiniteError(f"{name} of non-finite base value {a0}")
-        cycle = (math.sin(a0), math.cos(a0), -math.sin(a0), -math.cos(a0))
-        coeffs = [cycle[(j + shift) % 4] / math.factorial(j) for j in range(self.order + 1)]
-        return self._series(coeffs)
+        v, s = _trig(fn, a0), slope(a0)
+        cycle = (v, s, -v, -s)
+        return self._series([cycle[j % 4] / math.factorial(j) for j in range(self.order + 1)])
 
     def sin(self) -> "Jet":
-        return self._trig("sin", 0)
+        return self._trig(math.sin, math.cos)
 
     def cos(self) -> "Jet":
-        return self._trig("cos", 1)
+        return self._trig(math.cos, lambda t: -math.sin(t))
 
     def pow(self, exponent: int) -> "Jet":
         if exponent < 0 or exponent != int(exponent):
             raise ValueError(f"jet powers must be non-negative integers, got {exponent}")
-        result = self.space.constant(1.0)
-        base = self
-        e = int(exponent)
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, int(exponent), Jet.__mul__) if exponent else self.space.constant(1.0)
 
     def __repr__(self):
         return f"Jet(vars={self.variables}, order={self.order}, value={self.value()!r})"

@@ -218,13 +218,21 @@ def metric_to_dict(spec: MetricSpec) -> dict:
     }
 
 
+def _integer(value, field: str) -> int:
+    # a JSON integer alone: int() would read 0.9 as 0 and true as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def metric_from_dict(data: Mapping) -> MetricSpec:
     coords = list(data["coords"])
-    if int(data["dim"]) != len(coords):
+    if _integer(data["dim"], "dim") != len(coords):
         raise ValueError("dim does not match number of coordinates")
-    sig = data["signature"]
-    entries = {(int(c["i"]), int(c["j"])): str(c["expr"]) for c in data["components"]}
-    return metric_from_strings(coords, entries, (int(sig[0]), int(sig[1])))
+    sig = tuple(_integer(data["signature"][k], "signature") for k in (0, 1))
+    entries = {(_integer(c["i"], "i"), _integer(c["j"], "j")): str(c["expr"])
+               for c in data["components"]}
+    return metric_from_strings(coords, entries, sig)
 
 
 def save_metric(spec: MetricSpec, path: str) -> None:

@@ -251,6 +251,7 @@ def test_check_degenerate_profile_fails_precondition(capsys):
          "cannot hold a grid of 10000000000000000 samples"),
         (["alpha", "--family", "p=0,f=exp(y)", "--grid", "y=0:1:100000000000000000000"],
          "cannot hold a grid of 100000000000000000000 samples"),
+        (["check", "--family", "p=0,f=1e999*y"], "number '1e999' is not finite as a float"),
     ],
 )
 def test_input_errors_exit_2(capsys, argv, needle):
@@ -447,6 +448,23 @@ def test_short_signature_in_spec_exits_2(capsys, tmp_path):
     code, out, err = run(capsys, ["curvature", "--spec", str(path), "--point", "1,0"])
     assert code == 2 and out == ""
     assert err.startswith(f"jetgeo: input error: bad spec file {path}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field,value", [("dim", 2.0), ("signature", [0, 2.7]),
+                                         ("i", False), ("j", 0.9)])
+def test_non_integer_spec_field_exits_2(capsys, tmp_path, sphere_path, field, value):
+    # README's S^2 spec with one integer field edited: no longer read as an int
+    data = json.loads(Path(sphere_path).read_text())
+    if field in ("i", "j"):
+        data["components"][1][field] = value
+    else:
+        data[field] = value
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, ["check", "--spec", str(path), "--point=0.8,0.3"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"jetgeo: input error: bad spec file {path}: {field} must be an integer")
     assert err.count("\n") == 1
 
 

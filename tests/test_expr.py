@@ -26,7 +26,7 @@ from jetgeo.expr import (
     parse,
     to_text,
 )
-from jetgeo.jets import Jet, NonFiniteError, jet_space
+from jetgeo.jets import Jet, JetSpace, NonFiniteError, jet_space
 from test_jets import ranked
 
 CHART = ("y", "z0", "z1")
@@ -87,8 +87,26 @@ def test_precedence():
 def test_unary_minus_folds_into_literal():
     assert parse("-2.5", CHART) == Const(-2.5)
     assert parse("-y", CHART) == Neg(Var("y"))
-    # per the grammar '-' binds the atom, then '^' applies to the factor
-    assert parse("-y^2", CHART) == Pow(Neg(Var("y")), 2)
+    # per the grammar '^' binds the atom, then '-' applies to the factor
+    assert parse("-y^2", CHART) == Neg(Pow(Var("y"), 2))
+
+
+def test_unary_minus_binds_looser_than_power():
+    # standard notation: the Gaussian exp(-y^2) is exp(-(y^2)), -2^2 is -4
+    assert eval_point(parse("exp(-y^2)", CHART), {"y": 3.0}) == math.exp(-9.0)
+    assert eval_point(parse("-2^2", CHART), {}) == -4.0
+    assert parse("(-2)^2", CHART) == Pow(Const(-2.0), 2)
+    assert to_text(Pow(Const(-2.0), 2)) == "(-2.0)^2"
+    assert eval_point(parse(to_text(Pow(Const(-2.0), 2)), CHART), {}) == 4.0
+
+
+def test_literal_must_be_finite():
+    # 1e999 overflows to inf, which `to_text` would print as `inf`, which
+    # no parse reads back
+    for text, offset in (("1e999*y", 0), ("y + 2e308", 4)):
+        with pytest.raises(ParseError, match="not finite") as info:
+            parse(text, CHART)
+        assert info.value.offset == offset
 
 
 def test_subtraction_becomes_negated_term():
@@ -218,7 +236,7 @@ def test_eval_jet_overflow():
 def test_sin_cos_of_non_finite_argument_raise_non_finite_error():
     # an infinite or nan argument of sin or cos is a NonFiniteError in the
     # jets and in the point walk, over floats and over rows, as in the
-    # generated code of `FLOAT_OPS` and `ROW_OPS`
+    # generated code of `OPS`
     rows = {"y": np.array([0.5, 1.0])}  # 1e308 * y * 10 is finite at 0.5 alone
     for text in ("sin(1e308*y*10)", "cos(1e308*y*10)", "sin(0*(1e308*y*10))",
                  "cos(0*(1e308*y*10))"):
@@ -236,25 +254,39 @@ def test_sin_cos_of_non_finite_argument_raise_non_finite_error():
                 fn(jet_space(("y",), 1).variable("y", value))
 
 
+def test_powers_take_the_squaring_products(monkeypatch):
+    # y^k for k = 0..9: the products of squaring, with none by a constant 1
+    counts, multiply = [], JetSpace.multiply
+
+    def counted(self, a, b):
+        counts[-1] += 1
+        return multiply(self, a, b)
+    monkeypatch.setattr(JetSpace, "multiply", counted)
+    for k in range(10):
+        counts.append(0)
+        eval_jet(parse(f"y^{k}", CHART), {"y": 0.3}, ("y",), 4)
+    assert counts == [0, 0, 1, 2, 2, 3, 3, 4, 3, 4]
+
+
 def _kernel(e):
     """The value and partials of `e` from `expr.forward_source` code,
-    compiled as the geodesic force compiles it, over floats (one point) or
-    rows (a point per column, with numpy's warnings off as in
-    `ChristoffelPointEvaluator.force`), and the positions in CHART of the
-    partials."""
+    compiled into one namespace of `ex.OPS` as the geodesic force compiles
+    it, run over floats (one point) or rows (a point per column, with
+    numpy's warnings off as in `ChristoffelPointEvaluator.force`), and the
+    positions in CHART of the partials."""
     cols = [k for k, name in enumerate(CHART) if name in free_vars(e)]
     lines = [f"x{k} = u[{c}]" for k, c in enumerate(cols)]
     value, grad = ex.forward_source(e, [CHART[c] for c in cols], "t", lines)
     code = compile("\n    ".join(["def kernel(u):", *lines,
                                    f"return [{value}], [{', '.join(grad)}]"]), "<kernel>", "exec")
-    floats, rows = dict(ex.FLOAT_OPS), dict(ex.ROW_OPS)
-    exec(code, floats)
-    exec(code, rows)
+    space = dict(ex.OPS)
+    exec(code, space)
+    kernel = space["kernel"]
 
     def on_rows(u):
         with np.errstate(all="ignore"):
-            return rows["kernel"](u)
-    return floats["kernel"], on_rows, cols
+            return kernel(u)
+    return kernel, on_rows, cols
 
 
 @given(exprs())

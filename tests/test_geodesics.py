@@ -747,12 +747,14 @@ def test_direct_routes_evaluate_the_force_through_force(monkeypatch):
 
     spec, pt = family_setup()
     ev = geo._evaluator(spec)
-    for name in ("rows", "floats"):
-        def run(*args, _name=name, _run=getattr(ev, f"_{name}")):
-            assert inside[0], f"a force evaluation outside force ({_name})"
-            seen[_name] += 1
-            return _run(*args)
-        monkeypatch.setattr(ev, f"_{name}", run)
+    program = ev._force
+
+    def run(u, d):  # the one program, over rows or over floats
+        name = "rows" if isinstance(u, np.ndarray) else "floats"
+        assert inside[0], f"a force evaluation outside force ({name})"
+        seen[name] += 1
+        return program(u, d)
+    monkeypatch.setattr(ev, "_force", run)
     monkeypatch.setattr(geo.ChristoffelPointEvaluator, "force", counted)
     vel = (0.1, 0.2, -0.1, 0.3, 0.0, 0.1)
     target = tuple(geo.triangular_ivp(spec, pt, vel).u[-1])

@@ -215,6 +215,24 @@ def test_pow_matches_repeated_product():
         a.pow(-2)
 
 
+def test_pow_is_the_squaring_chain():
+    # a^k multiplies the squares a, a^2, a^4, a^8 of k's set bits, lowest
+    # first, with no product by a constant 1: the same bits up to the sign
+    # of a zero
+    sp = jet_space(("a", "b"), 4)
+    a = dyadic_jet(sp, np.random.default_rng(8))
+    squares = [a]
+    for _ in range(3):
+        squares.append(squares[-1] * squares[-1])
+    for k in range(1, 10):
+        factors = [sq for bit, sq in enumerate(squares) if k >> bit & 1]
+        want = factors[0]
+        for f in factors[1:]:
+            want = want * f
+        assert (a.pow(k).coef + 0.0).tobytes() == (want.coef + 0.0).tobytes()
+    assert a.pow(0).coef.tobytes() == sp.constant(1.0).coef.tobytes()
+
+
 # ------------------------------------------------------- product routes
 DENSITIES = (0.0, 0.01, 0.05, 0.2, 0.6, 1.0)
 

@@ -155,6 +155,21 @@ def test_from_dict_rejects_garbage():
         )
 
 
+@pytest.mark.parametrize("field,value", [
+    ("dim", 2.0), ("dim", True), ("signature", [0, 2.7]), ("signature", [False, 2]),
+    ("i", 0.9), ("i", False), ("j", 0.9), ("j", True), ("j", "1"),
+])
+def test_from_dict_takes_integer_fields_only(field, value):
+    # int() would read 0.9 as 0 and true as 1, and load a different metric
+    data = metric_to_dict(two_sphere())
+    if field in ("i", "j"):
+        data["components"][1][field] = value
+    else:
+        data[field] = value
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        metric_from_dict(data)
+
+
 def test_flat_metric_signature_layout():
     fl = flat_metric(("a", "b", "c"), (2, 1))
     g = fl.value((0, 0, 0))
