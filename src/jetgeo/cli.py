@@ -14,6 +14,7 @@ restated in a `# schema:` comment.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -258,6 +259,27 @@ def _bianchi2_deviation(comp1) -> float:
     return float(worst)
 
 
+def _squared_operators(ctx: CurvatureContext, draws: np.ndarray) -> float:
+    """Largest |entry| of J(x)^2 and R(e1, e2)^2 over the samples (x, e1,
+    e2) of `draws` (N, 3, m), folded as a loop over the samples would: J,
+    then R unless the plane is degenerate."""
+    jac = jacobi_operator(ctx, draws[:, 0])
+    planes = np.arange(len(draws))
+    try:
+        sk = skew_curvature_operator(ctx, draws[:, 1], draws[:, 2])
+    except DegeneratePlaneError as err:
+        planes = np.delete(planes, err.rows)
+        sk = skew_curvature_operator(ctx, draws[planes, 1], draws[planes, 2])
+    jac_max = np.abs(np.matmul(jac, jac)).max(axis=(1, 2)).tolist()
+    sk_max = dict(zip(planes.tolist(), np.abs(np.matmul(sk, sk)).max(axis=(1, 2)).tolist()))
+    worst = 0.0
+    for n, v in enumerate(jac_max):
+        worst = max(worst, v)
+        if n in sk_max:
+            worst = max(worst, sk_max[n])
+    return worst
+
+
 def _check_suite(
     loaded: LoadedMetric, point, seed: int, tol: float
 ) -> list[tuple[str, str, str]]:
@@ -298,18 +320,7 @@ def _check_suite(
         dev = float(np.max(np.abs(ctx.ricci())))
         report("ricci_flat", dev <= tol * scale, f"max |Ric| {repr(dev)}")
 
-        worst = 0.0
-        for _ in range(CHECK_SAMPLES):
-            xi = rng.standard_normal(spec.dim)
-            jac = jacobi_operator(ctx, xi)
-            worst = max(worst, float(np.max(np.abs(jac @ jac))))
-            try:
-                sk = skew_curvature_operator(
-                    ctx, rng.standard_normal(spec.dim), rng.standard_normal(spec.dim)
-                )
-            except DegeneratePlaneError:
-                continue
-            worst = max(worst, float(np.max(np.abs(sk @ sk))))
+        worst = _squared_operators(ctx, rng.standard_normal((CHECK_SAMPLES, 3, spec.dim)))
         report("nilpotency", worst <= tol * max(scale * scale, 1.0),
                f"max squared-operator entry {repr(worst)}")
 
@@ -409,11 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("curvature", help="sparse level-k curvature listing at a point")
     _add_common(p, point=True, grid=False, k=True)
-    p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("alpha", help="invariant-ratio sweep over a y grid")
     _add_common(p, point=False, grid=True, k=False)
-    p.set_defaults(func=cmd_alpha)
 
     p = sub.add_parser("check", help="named property suite")
     _add_common(p, point=True, grid=False, k=False)
@@ -421,16 +430,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seed for randomized sampling")
     p.add_argument("--tol", type=float, default=1e-10, metavar="FLOAT",
                    help="tolerance for algebraic checks (integration checks floor at 1e-9)")
-    p.set_defaults(func=cmd_check)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: parsing leaves it as it was
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at each call, so a replaced cmd_* is the one that runs
+    command = {"curvature": cmd_curvature, "alpha": cmd_alpha, "check": cmd_check}[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except _INPUT_ERRORS as err:
         print(f"jetgeo: input error: {err}", file=sys.stderr)
         return 2

@@ -27,7 +27,8 @@ context (Neumann inverse, Christoffel symbols, level 0, level steps) is one
 ordered step, `_ordered_sum`: terms from row-batched products and derivative
 shifts (vector-mode Taylor propagation: Griewank and Walther, Evaluating
 Derivatives, 2nd ed., SIAM 2008, ch. 13), added in the order of a loop over
-them, so every coefficient is that loop's to the last bit.
+them by one `np.bincount` per block, so every coefficient is that loop's to
+the last bit, up to the sign of a zero.
 
 Each matrix keeps its truncation order and only its live columns: the
 packed codes (`jets`) of the context's one jet space, of the top order,
@@ -69,7 +70,10 @@ _PLANE_TOL = 1e-12  # relative size below which `_plane_basis` calls a form zero
 
 
 class DegeneratePlaneError(ValueError):
-    """The requested 2-plane is degenerate for the metric at the point."""
+    """The requested 2-plane is degenerate for the metric at the point; for
+    a stack of planes, `rows` lists the degenerate ones."""
+
+    rows: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -160,16 +164,25 @@ def _contract(
     A factor (slots, a) reads `a` at the component's indices in `slots`.
     Each term is the value times the factors in the order given, and
     `np.bincount` adds the terms in row order, as a loop over the components
-    would, so the sums are those of that loop bit for bit.
+    would, so the sums are those of that loop bit for bit.  A factor may
+    stack N arrays along one leading axis (every stacked factor the same
+    N); the result then stacks N sums, each that of the factors' rows at
+    its place, in one `np.bincount` whose bins are offset by the row.
     """
-    w = view.values
+    w, n = view.values, None
     for slots, a in factors:
-        w = w * np.asarray(a, dtype=float)[tuple(view.index[:, s] for s in slots)]
-    bins = np.zeros(len(w), dtype=np.intp)
+        a = np.asarray(a, dtype=float)
+        if a.ndim > len(slots):
+            n = len(a)
+        w = w * a[(...,) + tuple(view.index[:, s] for s in slots)]
+    bins = np.zeros(len(view.values), dtype=np.intp)
     for s in out_slots:
         bins = bins * view.dim + view.index[:, s]
-    size = view.dim ** len(out_slots)
-    return np.bincount(bins, weights=w, minlength=size).reshape((view.dim,) * len(out_slots))
+    size, shape = view.dim ** len(out_slots), (view.dim,) * len(out_slots)
+    if n is None:
+        return np.bincount(bins, weights=w, minlength=size).reshape(shape)
+    bins = (np.arange(n)[:, None] * size + bins).ravel()
+    return np.bincount(bins, weights=w.ravel(), minlength=n * size).reshape((n,) + shape)
 
 
 # the slot orders of a canonical tuple's four images, and their signs
@@ -306,27 +319,25 @@ def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign
     codes `cols` that hold every term's, each row in the order of `row` as
     `acc = acc + term` (`acc - term` for sign -1) would: a `started` row
     goes on from what `acc` holds, any other begins with its first term, or
-    minus it.  The n-th terms of all rows go in one vector step,
-    n = 0, 1, ..., in blocks of SPARSE_PAIR_COST ** 2 coefficients that
-    bound the temporaries."""
-    fresh = np.ones(len(acc), dtype=bool) if started is None else ~started
-    nth = np.empty(len(row), dtype=np.intp)
-    nth[np.argsort(row, kind="stable")] = _ramps(np.bincount(row))
-    add = np.subtract if sign < 0 else np.add
-    step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(cols)))
+    minus it.  A block of terms, SPARSE_PAIR_COST ** 2 coefficients at most
+    to bound the temporaries, is one `np.bincount` over bins (row, column):
+    first what `acc` holds at the rows that have begun, then the terms in
+    order, negated for sign -1 (a - b is a + -b exactly).  It adds in input
+    order from +0.0, so every coefficient is the loop's, but for the sign
+    of a zero: a row that would hold -0.0 alone holds +0.0."""
+    held = np.zeros(len(acc), dtype=bool) if started is None else started.copy()
+    width = len(cols)
+    step = max(1, SPARSE_PAIR_COST ** 2 // max(1, width))
     for t0 in range(0, len(row), step):
         ts = slice(t0, t0 + step)
-        vals, n, rows = _widen(*terms(ts), cols), nth[ts], row[ts]
-        by_n = np.argsort(n, kind="stable")
-        ends = np.cumsum(np.bincount(n)).tolist()
-        for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
-            sel = by_n[lo:hi]
-            r = rows[sel]
-            if k == 0:
-                new = fresh[r]
-                acc[r[new]] = -vals[sel[new]] if sign < 0 else vals[sel[new]]
-                sel, r = sel[~new], r[~new]
-            acc[r] = add(acc[r], vals[sel])
+        vals = _widen(*terms(ts), cols)
+        rows, at = np.unique(row[ts], return_inverse=True)
+        carry = np.flatnonzero(held[rows])
+        w = np.concatenate((acc[rows[carry]], -vals if sign < 0 else vals))
+        bins = np.concatenate((carry, at))[:, None] * width + np.arange(width)
+        acc[rows] = np.bincount(bins.ravel(), weights=w.ravel(),
+                                minlength=len(rows) * width).reshape(len(rows), width)
+        held[rows] = True
 
 
 class CurvatureContext:
@@ -392,11 +403,15 @@ class CurvatureContext:
     def _metric_rows(self, env) -> _Jets:
         """The metric jets of the upper triangle row by row, zeros left out:
         each entry's jet over its own coordinates, its nonzeros put at their
-        codes here."""
-        rows = []
+        codes here.  Identical entries (expression and coordinates) are
+        evaluated once."""
+        rows, evaluated = [], {}
         # not empty: `validate_at` has ruled out a zero metric
         for (i, j), names in self.spec.entry_vars.items():
-            jet = ex.eval_jet(self.spec.components[i][j], env, names, self.order)
+            key = (self.spec.components[i][j], names)
+            if key not in evaluated:
+                evaluated[key] = ex.eval_jet(key[0], env, names, self.order)
+            jet = evaluated[key]
             nz = np.flatnonzero(jet.coef)
             rows.append((self._space.codes_of(jet.space)[nz], jet.coef[None, nz]))
         cols, vals = _joint(*rows)
@@ -739,12 +754,14 @@ class CurvatureContext:
 
 # ------------------------------------------------------------- operators
 def jacobi_operator(ctx: CurvatureContext, direction: Sequence[float]) -> np.ndarray:
-    """Matrix of v -> metric-dual of R(v, X, X, .) for X = `direction`."""
+    """Matrix of v -> metric-dual of R(v, X, X, .) for X = `direction`; for
+    an (N, m) stack of directions, the (N, m, m) stack of their matrices,
+    each the one-direction matrix bit for bit."""
     x = np.asarray(direction, dtype=float)
-    if x.shape != (ctx.dim,):
+    if x.shape[-1:] != (ctx.dim,) or x.ndim > 2:
         raise ValueError(f"direction must have length {ctx.dim}")
     low = _contract(ctx.curvature(0), [((1,), x), ((2,), x)], (0, 3))
-    return ctx.ginv0 @ low.T
+    return np.matmul(ctx.ginv0, np.swapaxes(low, -1, -2))
 
 
 def _plane_basis(
@@ -791,7 +808,24 @@ def skew_curvature_operator(
     ctx: CurvatureContext, e1: Sequence[float], e2: Sequence[float]
 ) -> np.ndarray:
     """Matrix of v -> metric-dual of R(u1, u2, v, .), with (u1, u2) the
-    oriented orthonormalization of the given plane."""
-    u1, u2 = _plane_basis(ctx.g0, np.asarray(e1, float), np.asarray(e2, float))
+    oriented orthonormalization of the given plane; for (N, m) stacks of
+    e1 and e2, the (N, m, m) stack of the planes' matrices, each the
+    one-plane matrix bit for bit.  A stack with degenerate planes raises
+    DegeneratePlaneError with their rows."""
+    e1, e2 = np.asarray(e1, float), np.asarray(e2, float)
+    if e1.ndim < 2:
+        u1, u2 = _plane_basis(ctx.g0, e1, e2)
+    else:
+        bases, bad = [], []
+        for n, plane in enumerate(zip(e1, e2)):
+            try:
+                bases.append(_plane_basis(ctx.g0, *plane))
+            except DegeneratePlaneError:
+                bad.append(n)
+        if bad:
+            err = DegeneratePlaneError(f"degenerate 2-planes for this metric at rows {bad}")
+            err.rows = tuple(bad)
+            raise err
+        u1, u2 = np.reshape(bases, (len(e1), 2, ctx.dim)).transpose(1, 0, 2)
     low = _contract(ctx.curvature(0), [((0,), u1), ((1,), u2)], (2, 3))
-    return ctx.ginv0 @ low.T
+    return np.matmul(ctx.ginv0, np.swapaxes(low, -1, -2))

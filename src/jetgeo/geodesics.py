@@ -76,6 +76,7 @@ _RK_RTOL = 1e-10  # DOP853 tolerances of the Runge-Kutta route
 _RK_ATOL = 1e-12
 _QUAD_TOL = 1e-12  # adaptive Simpson tolerance of the direct route
 _MAX_DEPTH = 28  # adaptive Simpson's deepest split
+_MAX_PENDING = 250_000  # adaptive Simpson's most intervals pending at one depth
 
 
 class StepCollapseError(RuntimeError):
@@ -291,7 +292,8 @@ def adaptive_simpson(
     b[:-1]) and the midpoints.  A pair of halves is accepted,
     Richardson-corrected, at depth `_MAX_DEPTH` or when its error is within
     15 tol max(1, |s2|), else split with half the tolerance; sums go back up
-    the tree left + right, as in a recursion."""
+    the tree left + right, as in a recursion.  Raises StepCollapseError
+    when a depth would hold more than `_MAX_PENDING` intervals."""
     a, b, tol = (np.asarray(v, dtype=float) for v in (a, b, tol))
     mid = 0.5 * (a + b)
     if a[1:].tobytes() == b[:-1].tobytes():  # contiguous to the bit: n + 1 ends, n midpoints
@@ -316,6 +318,9 @@ def adaptive_simpson(
         levels.append((s2 + (s2 - s) / 15.0, split))
         if not split.size:
             break
+        if 2 * split.size > _MAX_PENDING:
+            raise StepCollapseError(f"adaptive Simpson would hold {2 * split.size} intervals "
+                                    f"at depth {depth + 1}, more than {_MAX_PENDING}")
 
         def halves(lo, hi):  # the split intervals' left and right halves, interleaved
             both = np.empty((2 * split.size,) + lo.shape[1:])
@@ -582,8 +587,9 @@ def integrate_ivp(spec: MetricSpec, start: Sequence[float], velocity: Sequence[f
         u, du = y[:m], y[m:]
         return np.concatenate([du, -ev.force(u, du)])
 
-    t, y = _dop853(rhs, 0.0, float(t_end), np.array([*p.start, *p.velocity]),
-                   np.linspace(0.0, float(t_end), n_samples), _RK_RTOL, _RK_ATOL)
+    with np.errstate(over="ignore"):  # an infinite error norm rejects the step
+        t, y = _dop853(rhs, 0.0, float(t_end), np.array([*p.start, *p.velocity]),
+                       np.linspace(0.0, float(t_end), n_samples), _RK_RTOL, _RK_ATOL)
     y = y.T
     return Trajectory(t, y[:, :m].copy(), y[:, m:].copy())
 

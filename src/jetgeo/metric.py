@@ -229,9 +229,16 @@ def metric_from_dict(data: Mapping) -> MetricSpec:
     coords = list(data["coords"])
     if _integer(data["dim"], "dim") != len(coords):
         raise ValueError("dim does not match number of coordinates")
-    sig = tuple(_integer(data["signature"][k], "signature") for k in (0, 1))
-    entries = {(_integer(c["i"], "i"), _integer(c["j"], "j")): str(c["expr"])
-               for c in data["components"]}
+    sig = data["signature"]
+    if len(sig) != 2:
+        raise ValueError(f"signature must hold two counts, got {sig!r}")
+    sig = tuple(_integer(v, "signature") for v in sig)
+    entries = {}
+    for c in data["components"]:
+        key = (_integer(c["i"], "i"), _integer(c["j"], "j"))
+        if key in entries:  # a dict would keep the last silently
+            raise ValueError(f"component {key} given more than once")
+        entries[key] = str(c["expr"])
     return metric_from_strings(coords, entries, sig)
 
 

@@ -57,7 +57,8 @@ rc = cli.main(["check", "--family", "p=0,f=exp(y)", "--seed", "42"])
 metrics = spans.layer_metrics(tracer)
 print("RC", rc)
 for name in ("invariants.catalog_s", "invariants.combinations", "curvature.level.0.support",
-             "curvature.level.2.support", "geodesics.direct_s", "cli.main_s"):
+             "curvature.level.2.support", "curvature.operators_s", "geodesics.direct_s",
+             "cli.main_s"):
     print(name, metrics[name][0])
 """
 
@@ -66,7 +67,8 @@ def test_traced_check_runs_in_process(tmp_path):
     # the check suite through the span wrappers: the level-0 step with its
     # candidates, the cached catalog, and the combinations hook on evaluate,
     # which the spec check's weyl_control calls (the family check evaluates
-    # its schemas in one evaluate_many call)
+    # its schemas in one evaluate_many call); the nilpotency check reaches
+    # the operators through their public names
     sphere = tmp_path / "sphere.json"
     save_metric(two_sphere(), str(sphere))
     res = _run_with_spans(TRACED_CHECK.format(sphere=str(sphere)))

@@ -468,6 +468,49 @@ def test_non_integer_spec_field_exits_2(capsys, tmp_path, sphere_path, field, va
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("edit,needle", [
+    (lambda d: d["components"].append({"i": 1, "j": 1, "expr": "5"}),
+     "component (1, 1) given more than once"),
+    (lambda d: d.update(signature=[0, 2, 7]), "signature must hold two counts, got [0, 2, 7]"),
+], ids=["repeated-entry", "three-counts"])
+@pytest.mark.parametrize("command", [["check"], ["curvature", "--k", "0"]], ids=["check", "curvature"])
+def test_malformed_spec_exits_2(capsys, tmp_path, sphere_path, edit, needle, command):
+    # README's S^2 spec with a repeated entry, or a third signature count:
+    # it loaded as another metric (a repeat kept the last, a constant one)
+    data = json.loads(Path(sphere_path).read_text())
+    edit(data)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command + ["--spec", str(path), "--point=0.8,0.3"])
+    assert code == 2 and out == ""
+    assert err == f"jetgeo: input error: bad spec file {path}: {needle}\n"
+
+
+def test_unbounded_quadrature_is_one_stderr_line():
+    # the direct route's pending intervals double with each depth here; in a
+    # 3 GB address space they ran out of memory (an internal MemoryError)
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (3_000_000_000, 3_000_000_000))\n"
+            "from jetgeo import cli\n"
+            "sys.exit(cli.main(['check', '--family', 'p=0,f=1e180*y^4', '--seed', '1']))\n")
+    # one BLAS thread: per-thread buffers on a many-core host would eat into the cap
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr.count("\n") == 1
+    assert res.stderr.startswith("jetgeo: numeric failure: StepCollapseError: adaptive Simpson ")
+
+
+def test_runge_kutta_overflow_prints_no_warning():
+    # the Runge-Kutta route's error norm overflows: the step is rejected,
+    # the round trip fails, and nothing goes to stderr
+    res = _cli_process("check", "--family", "p=0,f=1e200*y^3", "--seed", "1")
+    assert res.returncode == 1 and res.stderr == ""
+    assert "geodesic_roundtrip: FAIL (" in res.stdout
+
+
 def test_unexpected_error_exits_3_in_one_line(capsys, monkeypatch):
     def broken(args):
         raise RuntimeError("unexpected state")

@@ -435,6 +435,41 @@ def test_non_finite_product_in_a_sum_raises():
                      lambda ts: space.multiply_rows(cols, a[ts], a[ts], 4))
 
 
+def test_stacked_skew_operator_names_its_degenerate_planes():
+    # a dependent plane and the totally null barred plane in a stack of 6:
+    # the error names their rows, and the other rows are the one-plane calls
+    params = family_p0()
+    ctx = CurvatureContext(build_metric(params), base_point(params, 0.2, [0.3]), 0)
+    e = np.eye(ctx.dim)
+    e1, e2 = np.random.default_rng(8).standard_normal((2, 6, ctx.dim))
+    e1[1], e2[1] = e[0], 2.0 * e[0]
+    e1[4], e2[4] = e[3], e[4]
+    with pytest.raises(DegeneratePlaneError) as info:
+        skew_curvature_operator(ctx, e1, e2)
+    assert info.value.rows == (1, 4)
+    keep = [0, 2, 3, 5]
+    sk = skew_curvature_operator(ctx, e1[keep], e2[keep])
+    for n, k in enumerate(keep):
+        assert sk[n].tobytes() == skew_curvature_operator(ctx, e1[k], e2[k]).tobytes()
+
+
+def test_identical_metric_entries_are_evaluated_once(monkeypatch):
+    # a conformal metric's two diagonal entries are one tree over the same
+    # coordinates; S^2's two entries differ
+    calls = []
+    eval_jet = ex.eval_jet
+    monkeypatch.setattr(ex, "eval_jet", lambda e, *args: calls.append(e) or eval_jet(e, *args))
+    conf = "exp(2*(0.3*x^2 + 0.1*x*y + 0.2*y))"
+    spec = metric_from_strings(("x", "y"), {(0, 0): conf, (1, 1): conf}, (0, 2))
+    ctx = CurvatureContext(spec, (0.2, -0.1), 2)
+    assert calls == [spec.components[0][0]]
+    assert ctx._g_rows.index.tolist() == [[0, 0], [1, 1]]
+    assert ctx._g_rows.vals[0].tobytes() == ctx._g_rows.vals[1].tobytes()
+    calls.clear()
+    sphere_ctx()
+    assert len(calls) == 2
+
+
 def test_exhaustive_matches_sparse():
     cases = [
         (two_sphere(), (0.8, 0.1)),

@@ -276,6 +276,27 @@ def test_evaluate_bit_identical(ctx):
         assert bits(got) == bits(ref_evaluate(schema, ctx)), schema.to_line()
 
 
+@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("ctx", [c for _, c in CONTEXTS], ids=IDS)
+def test_stacked_operators_are_the_one_vector_calls(ctx, n):
+    # an (n, m) stack gives (n, m, m), each slice the one-vector call and
+    # the reference loop's matrix to the bit
+    rng = np.random.default_rng(29 + n)
+    x, e1, e2 = rng.standard_normal((3, n, ctx.dim))
+    jac = jacobi_operator(ctx, x)
+    sk = skew_curvature_operator(ctx, e1, e2)
+    assert jac.shape == sk.shape == (n, ctx.dim, ctx.dim)
+    for k in range(n):
+        assert bits(jac[k]) == bits(jacobi_operator(ctx, x[k])) == bits(ref_jacobi(ctx, x[k]))
+        assert bits(sk[k]) == bits(skew_curvature_operator(ctx, e1[k], e2[k]))
+        assert bits(sk[k]) == bits(ref_skew(ctx, e1[k], e2[k]))
+        assert bits(jac[k] @ jac[k]) == bits(np.matmul(jac, jac)[k])
+    with pytest.raises(ValueError, match="direction must have length"):
+        jacobi_operator(ctx, np.ones((n, ctx.dim + 1)))
+    with pytest.raises(ValueError, match="direction must have length"):
+        jacobi_operator(ctx, np.ones((1, n, ctx.dim)))
+
+
 def test_family_read_outs_bit_identical():
     params, pt = family_p1()
     ctx = dict(CONTEXTS)["family p=1"]

@@ -170,6 +170,23 @@ def test_from_dict_takes_integer_fields_only(field, value):
         metric_from_dict(data)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda d: d["components"].append({"i": 1, "j": 1, "expr": "5"}),
+     r"component \(1, 1\) given more than once"),
+    (lambda d: d["components"].append({"i": 0, "j": 0, "expr": "1"}),
+     r"component \(0, 0\) given more than once"),
+    (lambda d: d.update(signature=[0, 2, 7]), "signature must hold two counts"),
+    (lambda d: d.update(signature=[0]), "signature must hold two counts"),
+], ids=["repeated-11", "repeated-00", "three-counts", "one-count"])
+def test_from_dict_refuses_repeats_and_extra_counts(edit, message):
+    # a dict keyed by (i, j) would keep the last entry, and [0, 2, 7] would
+    # load with its third count ignored
+    data = metric_to_dict(two_sphere())
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        metric_from_dict(data)
+
+
 def test_flat_metric_signature_layout():
     fl = flat_metric(("a", "b", "c"), (2, 1))
     g = fl.value((0, 0, 0))

@@ -33,7 +33,15 @@ from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo import geodesics as geo
 from jetgeo import invariants as inv
-from jetgeo.curvature import CurvatureContext, christoffel_terms
+from jetgeo import cli
+from jetgeo import curvature as cv
+from jetgeo.curvature import (
+    CurvatureContext,
+    DegeneratePlaneError,
+    christoffel_terms,
+    jacobi_operator,
+    skew_curvature_operator,
+)
 from jetgeo.invariants import WORK_LIMIT, CapsExceededError, ContractionSchema
 from jetgeo.jets import SPARSE_PAIR_COST, Jet, NonFiniteError, _ramps, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
@@ -864,6 +872,48 @@ def ref_integrate_ivp(spec, start, velocity, t_end, n_samples=101, force=None):
     return res.t, res.y.T[:, :m], res.y.T[:, m:]
 
 
+def ref_ordered_sum(cols, acc, row, terms, sign=1, started=None):
+    """The ordered sum rank by rank: the n-th terms of all rows in one
+    vector step, n = 0, 1, ..., within blocks of SPARSE_PAIR_COST ** 2
+    coefficients."""
+    fresh = np.ones(len(acc), dtype=bool) if started is None else ~started
+    nth = np.empty(len(row), dtype=np.intp)
+    nth[np.argsort(row, kind="stable")] = _ramps(np.bincount(row))
+    add = np.subtract if sign < 0 else np.add
+    step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(cols)))
+    for t0 in range(0, len(row), step):
+        ts = slice(t0, t0 + step)
+        vals, n, rows = cv._widen(*terms(ts), cols), nth[ts], row[ts]
+        by_n = np.argsort(n, kind="stable")
+        ends = np.cumsum(np.bincount(n)).tolist()
+        for k, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            sel = by_n[lo:hi]
+            r = rows[sel]
+            if k == 0:
+                new = fresh[r]
+                acc[r[new]] = -vals[sel[new]] if sign < 0 else vals[sel[new]]
+                sel, r = sel[~new], r[~new]
+            acc[r] = add(acc[r], vals[sel])
+
+
+def ref_squared_operators(ctx, rng, samples):
+    """The nilpotency check's loop: per sample a direction and a plane
+    drawn in turn, J(x)^2 and then R(e1, e2)^2 unless the plane is
+    degenerate."""
+    worst = 0.0
+    for _ in range(samples):
+        xi = rng.standard_normal(ctx.dim)
+        jac = jacobi_operator(ctx, xi)
+        worst = max(worst, float(np.max(np.abs(jac @ jac))))
+        try:
+            sk = skew_curvature_operator(
+                ctx, rng.standard_normal(ctx.dim), rng.standard_normal(ctx.dim))
+        except DegeneratePlaneError:
+            continue
+        worst = max(worst, float(np.max(np.abs(sk @ sk))))
+    return worst
+
+
 # ------------------------------------------------------------------ helpers
 def bits(x):
     return np.asarray(x, dtype=float).tobytes()
@@ -1115,6 +1165,85 @@ def test_block_scaled_product_is_each_block_alone():
                 lifted = got[mine].space.lift(want[key])
                 assert bits(got[mine].coef + 0.0) == bits(lifted.coef + 0.0), (what, key)
         assert not keys, (what, keys)
+
+
+@pytest.mark.parametrize("bound", [SPARSE_PAIR_COST, 6])
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("seed", range(4))
+def test_ordered_sum_matches_the_rank_loop(monkeypatch, seed, sign, bound):
+    # random rows, some started and some never reached, terms at random
+    # subsets of the columns with exact zeros and -0.0 among their values;
+    # with a bound of 6 a block holds 36 // 9 = 4 terms, so a row's terms
+    # spread over several blocks.  Equal to the bit up to the sign of a zero
+    monkeypatch.setattr(cv, "SPARSE_PAIR_COST", bound)
+    rng = np.random.default_rng(seed)
+    n_rows, n_terms = 7, 40
+    cols = np.sort(rng.choice(50, 9, replace=False))
+    row = rng.integers(0, n_rows - 1, n_terms)
+    started = rng.random(n_rows) < 0.4
+    vals = rng.standard_normal((n_terms, len(cols)))
+    vals[rng.random(vals.shape) < 0.2] = 0.0
+    vals[rng.random(vals.shape) < 0.1] = -0.0
+    subset = [np.sort(rng.choice(len(cols), rng.integers(1, len(cols) + 1), replace=False))
+              for _ in range(n_terms)]
+    sub = np.array([np.isin(np.arange(len(cols)), s) for s in subset])
+    vals[~sub] = 0.0
+
+    def terms(ts):  # the slice's values at the columns some term of it uses
+        used = sub[ts].any(axis=0)
+        return cols[used], vals[ts][:, used]
+
+    start = rng.standard_normal((n_rows, len(cols)))
+    start[0, :2] = -0.0
+    got, want = start.copy(), start.copy()
+    cv._ordered_sum(cols, got, row, terms, sign, started)
+    ref_ordered_sum(cols, want, row, terms, sign, started)
+    assert bits(got + 0.0) == bits(want + 0.0)
+    assert bits(got[n_rows - 1]) == bits(start[n_rows - 1])  # no term reaches it
+
+
+@pytest.mark.parametrize("p", range(4))
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("where", ["base", "general"])
+def test_squared_operators_match_the_sample_loop(p, seed, where):
+    # the nilpotency check's stacked operators against the loop over its 50
+    # samples, from the same generator: one (50, 3, m) draw is the loop's
+    # sequence of draws.  The value is also the check's printed figure
+    params = fam.FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    spec = fam.build_metric(params)
+    pt = (fam.base_point(params, 0.0) if where == "base" else
+          fam.base_point(params, 0.3, [0.5 - 0.2 * i for i in range(p + 1)]))
+    ctx = CurvatureContext(spec, pt, max(2, p + 2))
+    want = ref_squared_operators(ctx, np.random.default_rng(seed), cli.CHECK_SAMPLES)
+    draws = np.random.default_rng(seed).standard_normal((cli.CHECK_SAMPLES, 3, spec.dim))
+    assert bits(cli._squared_operators(ctx, draws)) == bits(want)
+    loaded = cli.LoadedMetric(spec, params, "")
+    results = {name: detail for name, _, detail in cli._check_suite(loaded, pt, seed, 1e-10)}
+    assert results["nilpotency"] == f"max squared-operator entry {want!r}"
+
+
+def test_squared_operators_skip_degenerate_planes():
+    # degenerate planes among the samples (a dependent one, the totally
+    # null barred plane) are skipped sample by sample as in the loop, on the
+    # family and on a Riemannian product whose squared operators are not 0
+    rng = np.random.default_rng(3)
+    params = fam.FamilyParams(0, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    family = CurvatureContext(fam.build_metric(params), fam.base_point(params, 0.2, [0.3]), 2)
+    conf = "exp(2.0*(0.3*s^2 + 0.1*s*t - 0.05*t^2 + 0.2*s - 0.1*t))"
+    product = CurvatureContext(metric_from_strings(
+        ("theta", "phi", "s", "t"),
+        {(0, 0): "1.0", (1, 1): "sin(theta)^2", (2, 2): conf, (3, 3): conf}, (0, 4)),
+        (0.9, 0.3, 0.1, 0.2), 0)
+    for ctx in (family, product):
+        draws = rng.standard_normal((20, 3, ctx.dim))
+        draws[3, 2] = 2.0 * draws[3, 1]
+        if ctx is family:
+            draws[11, 1:] = np.eye(ctx.dim)[3:5]
+        flat = iter(draws.reshape(-1, ctx.dim))
+        stream = type("Stream", (), {"standard_normal": lambda self, m: next(flat)})()
+        want = ref_squared_operators(ctx, stream, len(draws))
+        assert bits(cli._squared_operators(ctx, draws)) == bits(want)
+        assert want > 0.0 or ctx is family
 
 
 def test_level_exhaustive_does_not_use_propagated_candidates(monkeypatch):
