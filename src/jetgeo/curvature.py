@@ -41,6 +41,7 @@ its own coordinates, and a row is made dense only when a read-out asks for it.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,10 +71,7 @@ _PLANE_TOL = 1e-12  # relative size below which `_plane_basis` calls a form zero
 
 
 class DegeneratePlaneError(ValueError):
-    """The requested 2-plane is degenerate for the metric at the point; for
-    a stack of planes, `rows` lists the degenerate ones."""
-
-    rows: tuple[int, ...] = ()
+    """The requested 2-plane is degenerate for the metric at the point."""
 
 
 @dataclass(frozen=True)
@@ -165,24 +163,21 @@ def _contract(
     Each term is the value times the factors in the order given, and
     `np.bincount` adds the terms in row order, as a loop over the components
     would, so the sums are those of that loop bit for bit.  A factor may
-    stack N arrays along one leading axis (every stacked factor the same
-    N); the result then stacks N sums, each that of the factors' rows at
-    its place, in one `np.bincount` whose bins are offset by the row.
+    stack arrays along leading axes (every stacked factor the same stack);
+    the result then stacks the sums, each that of the factors' arrays at
+    its place, in the same one `np.bincount`, whose bins are offset by the
+    place.
     """
-    w, n = view.values, None
+    w = view.values
     for slots, a in factors:
-        a = np.asarray(a, dtype=float)
-        if a.ndim > len(slots):
-            n = len(a)
-        w = w * a[(...,) + tuple(view.index[:, s] for s in slots)]
-    bins = np.zeros(len(view.values), dtype=np.intp)
+        w = w * np.asarray(a, dtype=float)[(...,) + tuple(view.index[:, s] for s in slots)]
+    lead = w.shape[:-1]
+    bins = np.arange(math.prod(lead))[:, None] + np.zeros(len(view.values), dtype=np.intp)
     for s in out_slots:
         bins = bins * view.dim + view.index[:, s]
-    size, shape = view.dim ** len(out_slots), (view.dim,) * len(out_slots)
-    if n is None:
-        return np.bincount(bins, weights=w, minlength=size).reshape(shape)
-    bins = (np.arange(n)[:, None] * size + bins).ravel()
-    return np.bincount(bins, weights=w.ravel(), minlength=n * size).reshape((n,) + shape)
+    return np.bincount(bins.ravel(), weights=w.ravel(),
+                       minlength=len(bins) * view.dim ** len(out_slots)).reshape(
+        lead + (view.dim,) * len(out_slots))
 
 
 # the slot orders of a canonical tuple's four images, and their signs
@@ -810,22 +805,13 @@ def skew_curvature_operator(
     """Matrix of v -> metric-dual of R(u1, u2, v, .), with (u1, u2) the
     oriented orthonormalization of the given plane; for (N, m) stacks of
     e1 and e2, the (N, m, m) stack of the planes' matrices, each the
-    one-plane matrix bit for bit.  A stack with degenerate planes raises
-    DegeneratePlaneError with their rows."""
+    one-plane matrix bit for bit.  The planes are orthonormalized one at a
+    time; the first degenerate one raises DegeneratePlaneError."""
     e1, e2 = np.asarray(e1, float), np.asarray(e2, float)
-    if e1.ndim < 2:
-        u1, u2 = _plane_basis(ctx.g0, e1, e2)
-    else:
-        bases, bad = [], []
-        for n, plane in enumerate(zip(e1, e2)):
-            try:
-                bases.append(_plane_basis(ctx.g0, *plane))
-            except DegeneratePlaneError:
-                bad.append(n)
-        if bad:
-            err = DegeneratePlaneError(f"degenerate 2-planes for this metric at rows {bad}")
-            err.rows = tuple(bad)
-            raise err
-        u1, u2 = np.reshape(bases, (len(e1), 2, ctx.dim)).transpose(1, 0, 2)
+    if e1.shape != e2.shape or e1.shape[-1:] != (ctx.dim,) or e1.ndim > 2:
+        raise ValueError(f"plane vectors must have length {ctx.dim}")
+    bases = [_plane_basis(ctx.g0, *plane)
+             for plane in zip(e1.reshape(-1, ctx.dim), e2.reshape(-1, ctx.dim))]
+    u1, u2 = np.reshape(bases, (-1, 2, ctx.dim)).swapaxes(0, 1).reshape((2,) + e1.shape)
     low = _contract(ctx.curvature(0), [((0,), u1), ((1,), u2)], (2, 3))
     return np.matmul(ctx.ginv0, np.swapaxes(low, -1, -2))

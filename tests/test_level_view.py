@@ -295,6 +295,23 @@ def test_stacked_operators_are_the_one_vector_calls(ctx, n):
         jacobi_operator(ctx, np.ones((n, ctx.dim + 1)))
     with pytest.raises(ValueError, match="direction must have length"):
         jacobi_operator(ctx, np.ones((1, n, ctx.dim)))
+    # e1 and e2 of different shapes, or of the wrong length, are refused
+    for a, b in [(np.ones((n, ctx.dim)), np.ones((n + 2, ctx.dim))),
+                 (np.ones((n + 2, ctx.dim)), np.ones((n, ctx.dim))),
+                 (np.ones(ctx.dim + 1), np.ones(ctx.dim + 1)),
+                 (np.ones((1, n, ctx.dim)), np.ones((1, n, ctx.dim)))]:
+        with pytest.raises(ValueError, match="plane vectors must have length"):
+            skew_curvature_operator(ctx, a, b)
+
+
+def test_stacked_jacobi_operator_on_an_empty_view():
+    # a flat metric's level 0 holds no component: every stacked slice is 0
+    flat = CurvatureContext(metric_from_strings(("x", "y"), {(0, 0): "1", (1, 1): "1"}, (0, 2)),
+                            (0.2, -0.1), 0)
+    assert len(flat.curvature(0).values) == 0
+    for n in (0, 3):
+        jac = jacobi_operator(flat, np.ones((n, 2)))
+        assert jac.shape == (n, 2, 2) and not jac.any()
 
 
 def test_family_read_outs_bit_identical():

@@ -1244,6 +1244,25 @@ def test_squared_operators_skip_degenerate_planes():
         want = ref_squared_operators(ctx, stream, len(draws))
         assert bits(cli._squared_operators(ctx, draws)) == bits(want)
         assert want > 0.0 or ctx is family
+    # with tiny directions the planes give the value: each plane in turn the
+    # one that is not degenerate, so a plane lost or kept wrongly shows
+    draws = rng.standard_normal((4, 3, product.dim))
+    draws[:, 0] *= 1e-6
+    for n in range(len(draws)):
+        one = draws.copy()
+        one[:, 2] = 2.0 * one[:, 1]
+        one[n, 2] = draws[n, 2]
+        flat = iter(one.reshape(-1, product.dim))
+        stream = type("Stream", (), {"standard_normal": lambda self, m: next(flat)})()
+        want = ref_squared_operators(product, stream, len(one))
+        assert bits(cli._squared_operators(product, one)) == bits(want)
+        assert want > 1e6 * np.max(np.abs(np.matmul(*[jacobi_operator(product, one[:, 0])] * 2)))
+    # nan samples: the loop's fold `max(worst, v)` from 0.0 never takes a nan
+    nan = np.full((3, 3, product.dim), np.nan)
+    flat = iter(nan.reshape(-1, product.dim))
+    stream = type("Stream", (), {"standard_normal": lambda self, m: next(flat)})()
+    assert bits(cli._squared_operators(product, nan)) == bits(0.0)
+    assert bits(ref_squared_operators(product, stream, len(nan))) == bits(0.0)
 
 
 def test_level_exhaustive_does_not_use_propagated_candidates(monkeypatch):
