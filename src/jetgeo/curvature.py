@@ -22,13 +22,16 @@ steps look their Christoffel terms up that way, and the point-value views
 expand each canonical row into its four images.  Support is propagated level
 to level (a new nonzero needs either a derivative of an old one or a
 Christoffel hook into one), and an exhaustive evaluator over every canonical
-tuple is kept alongside as a slow cross-check.  Every sum of jets in the
-context (Neumann inverse, Christoffel symbols, level 0, level steps) is one
-ordered step, `_ordered_sum`: terms from row-batched products and derivative
-shifts (vector-mode Taylor propagation: Griewank and Walther, Evaluating
-Derivatives, 2nd ed., SIAM 2008, ch. 13), added in the order of a loop over
-them by one `np.bincount` per block, so every coefficient is that loop's to
-the last bit, up to the sign of a zero.
+tuple is kept alongside as a slow cross-check.  A level's candidate tuples
+form a set, filled with the distinct candidates in order of first
+appearance; its iteration order fixes the level's row order.  Every sum of
+jets in the context (Neumann inverse, Christoffel symbols, level 0, level
+steps) is one ordered step, `_ordered_sum`: terms from row-batched products
+and derivative shifts (vector-mode Taylor propagation: Griewank and Walther,
+Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13), added in the order of a
+loop over them by one `np.bincount` per block, whose rows are ranked without
+a sort, so every coefficient is that loop's to the last bit, up to the sign
+of a zero.
 
 Each matrix keeps its truncation order and only its live columns: the
 packed codes (`jets`) of the context's one jet space, of the top order,
@@ -44,13 +47,13 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, product as iproduct
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .jets import SPARSE_PAIR_COST, Jet, JetOrderError, NonFiniteError, _distinct, _ramps, jet_space
+from .jets import SPARSE_PAIR_COST, Jet, JetOrderError, NonFiniteError, _distinct, jet_space
 from . import expr as ex
 from .metric import MetricSpec
 
@@ -196,7 +199,7 @@ def _canonical(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _images(index: np.ndarray) -> np.ndarray:
     """Each canonical row of `index` followed by its three images."""
-    out = np.repeat(index, 4, axis=0)
+    out = index.repeat(4, axis=0)
     out[:, :4] = index[:, _IMAGES].reshape(-1, 4)
     return out
 
@@ -205,19 +208,23 @@ def _runs(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The stable order of `key` (values below n), with the start and the
     length of each value's run in it."""
     length = np.bincount(key, minlength=n)
-    return np.argsort(key, kind="stable"), np.cumsum(length) - length, length
+    return key.argsort(kind="stable"), length.cumsum() - length, length
 
 
 def _expand(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """For runs given by start and length: each member's run, and its position."""
-    return np.repeat(np.arange(len(length)), length), np.repeat(start, length) + _ramps(length)
+    run = np.arange(len(length)).repeat(length)
+    return run, np.arange(len(run)) + (start + length - length.cumsum())[run]
 
 
+@lru_cache(maxsize=None)
 def _digit_weights(dim: int, r: int) -> np.ndarray:
     """Weights that read an r-index tuple as one base-dim number (Python
-    ints where int64 would overflow)."""
+    ints where int64 would overflow); one read-only array per (dim, r)."""
     wide = np.int64 if dim ** r < 2 ** 63 else object
-    return np.array([dim ** (r - 1 - s) for s in range(r)], dtype=wide)
+    out = np.array([dim ** (r - 1 - s) for s in range(r)], dtype=wide)
+    out.setflags(write=False)
+    return out
 
 
 class _Jets(Mapping):
@@ -257,7 +264,7 @@ class _Jets(Mapping):
 
     def cut(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """The columns and values truncated to `order`: a prefix of the columns."""
-        n = np.searchsorted(self.cols, self.space.stop(order))
+        n = self.cols.searchsorted(self.space.stop(order))
         return self.cols[:n], self.vals[:, :n]
 
     @cached_property
@@ -280,7 +287,7 @@ def _widen(cols: np.ndarray, vals: np.ndarray, to: np.ndarray) -> np.ndarray:
     if len(cols) == len(to):
         return vals
     out = np.zeros((len(vals), len(to)))
-    out[:, np.searchsorted(to, cols)] = vals
+    out[:, to.searchsorted(cols)] = vals
     return out
 
 
@@ -297,14 +304,21 @@ def _joint(*mats: tuple[np.ndarray, np.ndarray], also: tuple[np.ndarray, ...] = 
 def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each code's place among the distinct codes in order of first
     appearance, and the distinct codes in that order."""
-    by_code = np.argsort(codes, kind="stable")
+    by_code = codes.argsort(kind="stable")
     new = np.ones(len(codes), dtype=bool)
     new[1:] = codes[by_code[1:]] != codes[by_code[:-1]]
     first = by_code[new]
-    order = np.argsort(first)
+    order = first.argsort()
     place = np.empty(len(codes), dtype=np.intp)
-    place[by_code] = np.argsort(order)[np.cumsum(new) - 1]
+    place[by_code] = order.argsort()[new.cumsum() - 1]
     return place, codes[first[order]]
+
+
+def _distinct_rows(idx: np.ndarray, dim: int) -> np.ndarray:
+    """The distinct rows of `idx`, index tuples below dim, by first appearance."""
+    weights = _digit_weights(dim, idx.shape[1])
+    codes = np.array(list(dict.fromkeys((idx @ weights).tolist())), dtype=weights.dtype)
+    return codes.reshape(-1, 1) // weights % dim
 
 
 def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign: int = 1,
@@ -319,17 +333,26 @@ def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign
     first what `acc` holds at the rows that have begun, then the terms in
     order, negated for sign -1 (a - b is a + -b exactly).  It adds in input
     order from +0.0, so every coefficient is the loop's, but for the sign
-    of a zero: a row that would hold -0.0 alone holds +0.0."""
+    of a zero: a row that would hold -0.0 alone holds +0.0.  A block's rows
+    are ranked without a sort: each term writes its position at its row of
+    `place`, the terms that read theirs back (one a row) name the distinct
+    rows, and their ranks are then written there."""
     held = np.zeros(len(acc), dtype=bool) if started is None else started.copy()
+    place = np.empty(len(acc), dtype=np.intp)
     width = len(cols)
+    cells = np.arange(width)
     step = max(1, SPARSE_PAIR_COST ** 2 // max(1, width))
     for t0 in range(0, len(row), step):
         ts = slice(t0, t0 + step)
+        r = row[ts]
+        n = np.arange(len(r))
+        place[r] = n
+        rows = r[place[r] == n]
+        place[rows] = n[:len(rows)]
+        carry = held[rows].nonzero()[0]
         vals = _widen(*terms(ts), cols)
-        rows, at = np.unique(row[ts], return_inverse=True)
-        carry = np.flatnonzero(held[rows])
         w = np.concatenate((acc[rows[carry]], -vals if sign < 0 else vals))
-        bins = np.concatenate((carry, at))[:, None] * width + np.arange(width)
+        bins = np.concatenate((carry, place[r]))[:, None] * width + cells
         acc[rows] = np.bincount(bins.ravel(), weights=w.ravel(),
                                 minlength=len(rows) * width).reshape(len(rows), width)
         held[rows] = True
@@ -419,7 +442,10 @@ class CurvatureContext:
         With g = g0 + N and N free of constant term, N is nilpotent in the
         truncated algebra, so `order` sweeps of S <- h0 - h0 N S land on the
         exact truncated inverse.  A sweep sums t = N S over b ascending, then
-        S from h0 (or from nothing) less h0 t in the order t's entries arise.
+        S from h0 (or from nothing) less h0 t in the order t's entries arise:
+        one `multiply_rows` of all the pairs (N_ab, S_bc), then two ordered
+        sums.  The rows each term reads, where it adds and its h0 weight
+        depend on the keys of S only, and are planned again when those change.
 
         h0 is `ginv0`, which is exact 0 off g^-1's structural pattern
         (`MetricSpec.structure`).  `np.linalg.inv` often leaves about 1e-17
@@ -443,7 +469,8 @@ class CurvatureContext:
              for pair in dict.fromkeys([(i, j), (j, i)])], dtype=np.intp).reshape(-1, 3).T
         # S and t as rows keyed a * m + b; S starts from h0, at code 0
         base = np.flatnonzero(h0)
-        keys, s_cols, s, stale = base, np.zeros(1, dtype=np.intp), h0.flat[base][:, None], True
+        seed = h0.flat[base]
+        keys, s_cols, s, stale = base, np.zeros(1, dtype=np.intp), seed[:, None], True
         for _ in range(self.order):
             if stale:  # the terms of a sweep depend on the keys of S only
                 pos = np.full((m, m), -1)
@@ -453,23 +480,21 @@ class CurvatureContext:
                 ta, tc = np.divmod(t_keys, m)
                 tr, i = np.nonzero(h0[:, ta].T != 0.0)
                 s_row, new = _first_seen(np.concatenate((base, i * m + tc[tr])))
+                left_row, right_row, weight = src[at], pos[nil_b[at], c], h0[i, ta[tr], None]
+                s_row, started = s_row[len(base):], np.arange(len(new)) < len(base)
+                stale, keys = not np.array_equal(new, keys), new
             cols, (left, right) = _joint(nil, (s_cols, s))
-            t_cols = space.product_cols(cols, self.order)
+            t_cols, prods = space.multiply_rows(cols, left[left_row], right[right_row], self.order)
             t = np.empty((len(t_keys), len(t_cols)))
-            _ordered_sum(t_cols, t, t_row, lambda ts: space.multiply_rows(
-                cols, left[src[at[ts]]], right[pos[nil_b[at[ts]], c[ts]]], self.order))
+            _ordered_sum(t_cols, t, t_row, lambda ts: (t_cols, prods[ts]))
             # code 0 is in `cols`, so in `t_cols`: h0 goes to column 0
             last_cols, last, s_cols = s_cols, s, t_cols
             s = np.zeros((len(new), len(s_cols)))
-            s[: len(base), 0] = h0.flat[base]
-            _ordered_sum(s_cols, s, s_row[len(base):],
-                         lambda ts: (t_cols, t[tr[ts]] * h0[i[ts], ta[tr[ts]], None]),
-                         -1, np.arange(len(new)) < len(base))
+            s[: len(base), 0] = seed
+            _ordered_sum(s_cols, s, s_row, lambda ts: (t_cols, t[tr[ts]] * weight[ts]), -1, started)
             used = (s != 0.0).any(axis=0)
             if not used.all():
                 s_cols, s = s_cols[used], s[:, used]
-            stale = not np.array_equal(new, keys)
-            keys = new
             # a sweep that repeats the last to the bit is a fixed point
             if (not stale and np.array_equal(s_cols, last_cols)
                     and np.array_equal(s.view(np.int64), last.view(np.int64))):
@@ -514,18 +539,18 @@ class CurvatureContext:
         """Canonical index tuples a level-0 component can be nonzero at: the
         canonical forms of the tuples (i, q, k, l) that a Christoffel hook
         Gamma_qk^m reaches by its derivative or product term, but those with
-        i = q or k = l, in the order reached."""
+        i = q or k = l, put into the set as `_nabla_candidates` does."""
         q, k, m_ = self._gamma2.index[self._fwd_row].T
         act = np.array(self.act_idx, dtype=np.intp)
         # per hook the derivative terms' (i, l), l by l, then the product terms'
-        hd, ld = np.nonzero(self._g_row[m_] >= 0)
-        hp, ip, lp = np.nonzero(self._gamma1_row[:, m_].transpose(1, 0, 2) >= 0)
-        h = np.concatenate((np.repeat(hd, len(act)), hp))
+        hd, ld = (self._g_row[m_] >= 0).nonzero()
+        hp, ip, lp = (self._gamma1_row[:, m_].transpose(1, 0, 2) >= 0).nonzero()
+        h = np.concatenate((hd.repeat(len(act)), hp))
         i = np.concatenate((np.tile(act, len(hd)), ip))
-        l = np.concatenate((np.repeat(ld, len(act)), lp))
-        by_hook = np.argsort(h, kind="stable")
+        l = np.concatenate((ld.repeat(len(act)), lp))
+        by_hook = h.argsort(kind="stable")
         idx, sign = _canonical(np.column_stack((i, q[h], k[h], l))[by_hook])
-        return set(map(tuple, idx[sign != 0].tolist()))
+        return set(map(tuple, _distinct_rows(idx[sign != 0], self.dim).tolist()))
 
     def _riemann_jets(self, cand: Iterable[tuple[int, int, int, int]]) -> _Jets:
         """Level-0 jets at the canonical tuples `cand`, zeros left out, by
@@ -557,11 +582,11 @@ class CurvatureContext:
         # per hook the derivative term, then the product term, -1 if absent
         right = np.stack((np.where(self._act_pos[i] >= 0, self._g_row[m_, l], -1),
                           self._gamma1_row[i, m_, l]), axis=1).ravel()
-        t = np.flatnonzero(right >= 0)
+        t = (right >= 0).nonzero()[0]
         deriv, right, at, hook = t % 2 == 0, right[t], at[t // 2], self._fwd_row[hook[t // 2]]
         var = self._act_pos[i[t // 2]]
         live = np.bincount(at, minlength=len(j)) > 0
-        row_of = np.where(live, np.cumsum(live) - 1, -1)
+        row_of = np.where(live, live.cumsum() - 1, -1)
         g2, g, g1 = factors
 
         def products(ts):
@@ -578,7 +603,7 @@ class CurvatureContext:
         a, b = row_of.reshape(2, -1)
         acc = np.zeros((len(a), len(out)))
         acc[a >= 0] = edge[a[a >= 0]]
-        minus = np.flatnonzero(b >= 0)
+        minus = (b >= 0).nonzero()[0]
         _ordered_sum(out, acc, minus, lambda ts: (out, edge[b[minus[ts]]]), -1, a >= 0)
         return acc
 
@@ -590,20 +615,21 @@ class CurvatureContext:
         (canonical tuples) can be nonzero at: a key with a derivative slot
         appended, or the canonical form of a key with one slot moved along a
         Christoffel hook and the hook's lower index appended, unless a pair
-        repeats an index.  They go into the set key by key, derivative slots
-        first and then slot by slot in hook order, which fixes the set's
-        iteration order."""
+        repeats an index.  They arise key by key, derivative slots first and
+        then slot by slot in hook order, and go into the set once each in
+        order of first appearance: its iteration order is CPython's for that
+        sequence, and inserting a tuple the set holds would change nothing."""
         n, r = index.shape
         act = np.array(self.act_idx, dtype=np.intp)
         # (key, slot) pairs row by row, so the hooks come slot by slot
         at, h = _expand(self._rev_start[index].ravel(), self._rev_len[index].ravel())
         hooked, s = np.divmod(at, r)
-        key = np.concatenate((np.repeat(np.arange(n), len(act)), hooked))
+        key = np.concatenate((np.arange(n).repeat(len(act)), hooked))
         last = np.concatenate((np.tile(act, n), self._rev_lower[h, 0]))
-        cand = np.column_stack((index[key], last))
+        cand = np.concatenate((index[key], last[:, None]), axis=1)
         cand[n * len(act) + np.arange(len(at)), s] = self._rev_lower[h, 1]
-        cand, sign = _canonical(cand[np.argsort(key, kind="stable")])
-        return set(map(tuple, cand[sign != 0].tolist()))
+        cand, sign = _canonical(cand[key.argsort(kind="stable")])
+        return set(map(tuple, _distinct_rows(cand[sign != 0], self.dim).tolist()))
 
     def _nabla_jets(self, prev: _Jets, cand: Iterable[tuple[int, ...]], ord_out: int) -> _Jets:
         """Jets of the level after `prev` at the canonical index tuples
@@ -620,11 +646,11 @@ class CurvatureContext:
         # index tuples as base-dim codes, looked up in prev's sorted codes
         weights = _digit_weights(self.dim, r)
         prev_codes = prev.index @ weights
-        by_code = np.argsort(prev_codes, kind="stable")
+        by_code = prev_codes.argsort(kind="stable")
         sorted_codes = prev_codes[by_code]
 
         def find(codes):
-            pos = np.minimum(np.searchsorted(sorted_codes, codes), len(by_code) - 1)
+            pos = np.minimum(sorted_codes.searchsorted(codes), len(by_code) - 1)
             return np.where(sorted_codes[pos] == codes, by_code[pos], -1)
 
         base, m_ = idx[:, :-1], idx[:, -1]
@@ -641,7 +667,7 @@ class CurvatureContext:
         moved[np.arange(len(at)), s] = self._fwd_upper[hook]
         moved, sign = _canonical(moved)
         rep = np.where(sign != 0, find(moved @ weights), -1)
-        t = np.flatnonzero(rep >= 0)
+        t = (rep >= 0).nonzero()[0]
         comp, hook, rep, sign = comp[t], self._fwd_row[hook[t]], rep[t], sign[t]
 
         # rows to evaluate: those with a Christoffel term or a derivative
@@ -652,12 +678,12 @@ class CurvatureContext:
         _, pos, _, padded = prev._shifts
         depends = (padded != 0)[:, pos[:-1]].any(axis=2)
         live[has_d] |= depends[tj[has_d], var[has_d]]
-        rows = np.flatnonzero(live)
+        rows = live.nonzero()[0]
         out, acc = prev.derivs(tj[rows], np.where(has_d[rows], var[rows], -1))
         if len(comp):
             cols, (left, right) = _joint(self._gamma2.cut(ord_out), prev.cut(ord_out))
             out, (acc,) = _joint((out, acc), also=(space.product_cols(cols, ord_out),))
-            _ordered_sum(out, acc, (np.cumsum(live) - 1)[comp], lambda ts: space.multiply_rows(
+            _ordered_sum(out, acc, (live.cumsum() - 1)[comp], lambda ts: space.multiply_rows(
                 cols, left[hook[ts]], right[rep[ts]] * sign[ts, None], ord_out), -1, has_d[rows])
         return _Jets(idx[rows], out, acc, space, ord_out)
 

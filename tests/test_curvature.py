@@ -289,6 +289,33 @@ def test_level_steps_take_no_per_component_products(monkeypatch):
     assert calls == {"jet": 0, "multiply": 0, "rows": 6}
 
 
+def test_neumann_sweeps_take_one_product_each(monkeypatch):
+    # a sweep is one `multiply_rows` over all its term pairs: `order` sweeps
+    # on S^2, whose inverse gains a degree every sweep, and two on the
+    # family, whose second sweep repeats the first to the bit
+    calls = [0]
+    orig = JetSpace.multiply_rows
+
+    def counted(self, *args):
+        calls[0] += 1
+        return orig(self, *args)
+
+    cases = [(two_sphere(), (0.8, 0.3), 6, 8)]
+    for p in range(4):
+        params = FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))
+        for pt in (base_point(params, 0.0),
+                   base_point(params, 0.3, [0.5 - 0.2 * i for i in range(p + 1)])):
+            cases.append((build_metric(params), pt, p + 3, 2))
+    monkeypatch.setattr(JetSpace, "multiply_rows", counted)
+    for spec, pt, k, sweeps in cases:
+        ctx = CurvatureContext(spec, pt, k)
+        calls[0] = 0
+        ginv = ctx._neumann_inverse()
+        assert calls[0] == sweeps
+        assert ginv.index.tobytes() == ctx._ginv.index.tobytes()
+        assert ginv.vals.tobytes() == ctx._ginv.vals.tobytes()
+
+
 def _family_p5():
     params = FamilyParams(5, ex.parse("exp(y) + exp(2*y)", ("y",)))
     pt = base_point(params, 0.1, [0.1] * 6)

@@ -324,10 +324,13 @@ def test_direct_route_batches_force_calls(monkeypatch):
 def test_no_jetgeo_command_imports_scipy():
     # a family check (Runge-Kutta and direct routes, exp(log)) and a
     # Runge-Kutta solve load no scipy module; the geodesic routes alone load
-    # no numpy.random either (the check draws its velocity from it)
+    # no numpy.random either (the check draws its velocity from it).  Neither
+    # the check nor an S^2 context to level 6 loads numpy.ma, which
+    # `np.unique` may import (13.5 ms and 1.3 MB a process)
     code = (
         "import contextlib, io, sys\n"
         "from jetgeo import cli, expr as ex, family as fam, geodesics as geo\n"
+        "from jetgeo.curvature import CurvatureContext\n"
         "from jetgeo.metric import two_sphere\n"
         "params = fam.FamilyParams(0, ex.parse('exp(y) + exp(2*y)', ('y',)))\n"
         "spec, pt = fam.build_metric(params), fam.base_point(params, 0.3, [0.6])\n"
@@ -341,6 +344,9 @@ def test_no_jetgeo_command_imports_scipy():
         "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "    assert cli.main(['check', '--family', 'p=2,f=exp(y)+exp(2*y)']) == 0\n"
         "assert 'geodesic_roundtrip: PASS' in out.getvalue(), out.getvalue()\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+        "assert CurvatureContext(two_sphere(), (0.8, 0.3), 6).curvature(6).dim == 2\n"
+        "assert 'numpy.ma' not in sys.modules\n"
         "traj = geo.integrate_ivp(two_sphere(), (1.5707963267948966, 0.0), (0.0, 1.0))\n"
         "assert abs(traj.u[-1, 1] - 1.0) <= 1e-9, traj.u[-1]\n"
         "loaded = sorted(n for n in sys.modules if n.split('.')[0] == 'scipy')\n"

@@ -187,6 +187,23 @@ def test_from_dict_refuses_repeats_and_extra_counts(edit, message):
         metric_from_dict(data)
 
 
+def test_from_dict_reads_a_lower_triangle_entry_as_its_mirror():
+    # a component (1, 0) is g_10, which is g_01: the spec loads as if (0, 1)
+    # had been listed, and writes back in the upper triangle
+    def spec(i, j):
+        return metric_from_dict({
+            "dim": 2, "coords": ["x", "y"], "signature": [0, 2],
+            "components": [{"i": 0, "j": 0, "expr": "2 + x^2"},
+                           {"i": i, "j": j, "expr": "0.5*y"},
+                           {"i": 1, "j": 1, "expr": "3.0"}],
+        })
+
+    lower, upper = spec(1, 0), spec(0, 1)
+    assert lower.entry_vars == upper.entry_vars == {(0, 0): ("x",), (0, 1): ("y",), (1, 1): ()}
+    assert metric_to_dict(lower) == metric_to_dict(upper)
+    np.testing.assert_array_equal(lower.value((0.3, 0.2)), upper.value((0.3, 0.2)))
+
+
 def test_flat_metric_signature_layout():
     fl = flat_metric(("a", "b", "c"), (2, 1))
     g = fl.value((0, 0, 0))

@@ -1086,6 +1086,13 @@ def _level_cases():
          (0, 1): "0.5*a", (1, 2): "0.25*c"},
         (0, 3),
     ), (0.2, -0.3, 0.1), 3
+    # g_00 = 0 at the point and g_01 not constant: h0 holds an exact zero
+    # at g^yy, the first sweep reaches that entry, and the second must plan
+    # the term N_01 S_11 that it brings
+    yield "indefinite, g_00 = 0", metric_from_strings(
+        ("x", "y"), {(0, 0): "x + 0.3*y^2", (0, 1): "1 + 0.5*x - 0.2*y", (1, 1): "2.0 + y"},
+        (1, 1),
+    ), (0.0, 0.0), 3
     # levels k >= 1 are empty on these two
     yield "flat", _diagonal((("a", "b", "c"), ("1.0", "2.0", "3.0"))), (0.1, 0.2, 0.3), 3
     yield "H2 x line", _diagonal((("x", "y", "z"), ("1.0", "exp(2.0*x)", "1.0"))), \
@@ -1124,6 +1131,29 @@ def test_levels_match_component_loop(name, spec, pt, k_max):
         assert view.index.tobytes() == index.tobytes() and bits(view.values) == bits(values)
     if name in ("flat", "H2 x line"):
         assert all(not ctx._level(k) for k in range(1, k_max + 1))
+
+
+def test_candidate_sets_are_the_raw_sequences_sets(monkeypatch):
+    # level 0 and each level step build their candidate set from the
+    # distinct candidate tuples in order of first appearance.  A duplicate
+    # insertion leaves a set as it was, so each set equals, in iteration
+    # order, the set of the raw sequence with its duplicates.  On the
+    # conformal surface the raw rows repeat 5 to 15 times a level
+    ctx = CurvatureContext(_diagonal(CONFORMAL), (0.2, -0.35), 6)
+    levels = [ctx._level(k) for k in range(6)]
+    raw, distinct = [], cv._distinct_rows
+
+    def spy(idx, dim):
+        raw.append(idx.copy())
+        return distinct(idx, dim)
+
+    monkeypatch.setattr(cv, "_distinct_rows", spy)
+    got = [ctx._riemann_candidates()] + [ctx._nabla_candidates(lv.index) for lv in levels]
+    assert len(raw) == len(got) == 7
+    for cand, rows in zip(got, raw):
+        want = set(map(tuple, rows.tolist()))
+        assert list(cand) == list(want)
+        assert len(rows) >= 5 * len(want)
 
 
 def test_inverse_seeds_from_the_structural_pattern():
@@ -1174,13 +1204,14 @@ def test_ordered_sum_matches_the_rank_loop(monkeypatch, seed, sign, bound):
     # random rows, some started and some never reached, terms at random
     # subsets of the columns with exact zeros and -0.0 among their values;
     # with a bound of 6 a block holds 36 // 9 = 4 terms, so a row's terms
-    # spread over several blocks.  Equal to the bit up to the sign of a zero
+    # spread over several blocks.  Then a few rows of a large matrix,
+    # reached in descending order, each by a run of five terms, so that
+    # runs straddle blocks: the edge of ranking a block's rows without a
+    # sort.  Equal to the bit up to the sign of a zero
     monkeypatch.setattr(cv, "SPARSE_PAIR_COST", bound)
     rng = np.random.default_rng(seed)
-    n_rows, n_terms = 7, 40
+    n_terms = 40
     cols = np.sort(rng.choice(50, 9, replace=False))
-    row = rng.integers(0, n_rows - 1, n_terms)
-    started = rng.random(n_rows) < 0.4
     vals = rng.standard_normal((n_terms, len(cols)))
     vals[rng.random(vals.shape) < 0.2] = 0.0
     vals[rng.random(vals.shape) < 0.1] = -0.0
@@ -1193,13 +1224,18 @@ def test_ordered_sum_matches_the_rank_loop(monkeypatch, seed, sign, bound):
         used = sub[ts].any(axis=0)
         return cols[used], vals[ts][:, used]
 
-    start = rng.standard_normal((n_rows, len(cols)))
-    start[0, :2] = -0.0
-    got, want = start.copy(), start.copy()
-    cv._ordered_sum(cols, got, row, terms, sign, started)
-    ref_ordered_sum(cols, want, row, terms, sign, started)
-    assert bits(got + 0.0) == bits(want + 0.0)
-    assert bits(got[n_rows - 1]) == bits(start[n_rows - 1])  # no term reaches it
+    few = np.sort(rng.choice(399, n_terms // 5, replace=False))[::-1]
+    for n_rows, row in ((7, rng.integers(0, 6, n_terms)), (400, few.repeat(5))):
+        started = rng.random(n_rows) < 0.4
+        start = rng.standard_normal((n_rows, len(cols)))
+        start[0, :2] = -0.0
+        got, want = start.copy(), start.copy()
+        cv._ordered_sum(cols, got, row, terms, sign, started)
+        ref_ordered_sum(cols, want, row, terms, sign, started)
+        assert bits(got + 0.0) == bits(want + 0.0)
+        untouched = np.setdiff1d(np.arange(n_rows), row)
+        assert n_rows - 1 in untouched  # no term reaches the last row
+        assert bits(got[untouched]) == bits(start[untouched])
 
 
 @pytest.mark.parametrize("p", range(4))
