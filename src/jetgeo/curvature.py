@@ -22,9 +22,10 @@ steps look their Christoffel terms up that way, and the point-value views
 expand each canonical row into its four images.  Support is propagated level
 to level (a new nonzero needs either a derivative of an old one or a
 Christoffel hook into one), and an exhaustive evaluator over every canonical
-tuple is kept alongside as a slow cross-check.  A level's candidate tuples
-form a set, filled with the distinct candidates in order of first
-appearance; its iteration order fixes the level's row order.  Every sum of
+tuple is kept alongside as a slow cross-check.  A level's rows ascend by
+canonical tuple, read as a base-dim number, and its point-value view follows
+that order, each row with its three images.  Row order fixes no value: a
+component's jet sums its own terms in their own order.  Every sum of
 jets in the context (Neumann inverse, Christoffel symbols, level 0, level
 steps) is one ordered step, `_ordered_sum`: terms from row-batched products
 and derivative shifts (vector-mode Taylor propagation: Griewank and Walther,
@@ -48,8 +49,8 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, product as iproduct
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -95,7 +96,7 @@ class TensorField:
 
     Row r of `index` is the index tuple of the r-th nonzero component and
     `values[r]` its value; zeros are omitted.  Rows come in fours, one per
-    nonzero canonical component in the context's level order: (i, j, k, l,
+    nonzero canonical component, ascending by canonical tuple: (i, j, k, l,
     ...), then its images (j, i, k, l, ...) and (i, j, l, k, ...) with the
     value negated and (j, i, l, k, ...) with it copied.
     """
@@ -113,10 +114,10 @@ class TensorField:
     def components(self) -> dict[tuple[int, ...], float]:
         return dict(zip(zip(*self.index.T.tolist()), self.values.tolist()))
 
-    def dense(self, cap: int = DENSE_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         n = self.dim ** self.rank
-        if n > cap:
-            raise ValueError(f"dense tensor would hold {n} entries, cap is {cap}")
+        if n > DENSE_CAP:
+            raise ValueError(f"dense tensor would hold {n} entries, cap is {DENSE_CAP}")
         out = np.zeros((self.dim,) * self.rank)
         out[tuple(self.index.T)] = self.values
         return out
@@ -314,11 +315,17 @@ def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return place, codes[first[order]]
 
 
-def _distinct_rows(idx: np.ndarray, dim: int) -> np.ndarray:
-    """The distinct rows of `idx`, index tuples below dim, by first appearance."""
-    weights = _digit_weights(dim, idx.shape[1])
-    codes = np.array(list(dict.fromkeys((idx @ weights).tolist())), dtype=weights.dtype)
-    return codes.reshape(-1, 1) // weights % dim
+def _decode(codes: np.ndarray, dim: int, r: int) -> np.ndarray:
+    """The r-index tuples below dim that `codes` read as base-dim numbers."""
+    return (codes.reshape(-1, 1) // _digit_weights(dim, r) % dim).astype(np.intp, copy=False)
+
+
+def _canonical_rows(idx: np.ndarray, dim: int) -> np.ndarray:
+    """The distinct canonical forms of the rows of `idx`, index tuples below
+    dim, ascending, but those where a pair repeats an index."""
+    idx, sign = _canonical(idx)
+    r = idx.shape[1]
+    return _decode(_distinct(idx[sign != 0] @ _digit_weights(dim, r)), dim, r)
 
 
 def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign: int = 1,
@@ -515,7 +522,7 @@ class CurvatureContext:
         acc = np.empty((len(keys), len(cols)))
         _ordered_sum(cols, acc, row, lambda ts: (
             cols, self._g_rows.derivs(g[ts], var[ts])[1] * h[ts, None]))
-        return _Jets(keys[:, None] // weights % self.dim, cols, acc, self._space, self.order - 1)
+        return _Jets(_decode(keys, self.dim, 3), cols, acc, self._space, self.order - 1)
 
     def _christoffel_second(self) -> _Jets:
         """Gamma_ab^c = sum over d of ginv^cd Gamma_abd, summed key by key
@@ -532,31 +539,28 @@ class CurvatureContext:
         acc = np.empty((len(keys), len(out)))
         _ordered_sum(out, acc, row, lambda ts: space.multiply_rows(
             cols, left[h[ts]], right[at[ts]], order))
-        return _Jets(keys[:, None] // weights % self.dim, out, acc, space, order)
+        return _Jets(_decode(keys, self.dim, 3), out, acc, space, order)
 
     # ------------------------------------------------------------ curvature
-    def _riemann_candidates(self) -> set[tuple[int, int, int, int]]:
-        """Canonical index tuples a level-0 component can be nonzero at: the
-        canonical forms of the tuples (i, q, k, l) that a Christoffel hook
-        Gamma_qk^m reaches by its derivative or product term, but those with
-        i = q or k = l, put into the set as `_nabla_candidates` does."""
-        q, k, m_ = self._gamma2.index[self._fwd_row].T
+    def _riemann_candidates(self) -> np.ndarray:
+        """Canonical index tuples a level-0 component can be nonzero at,
+        ascending (`_canonical_rows`): the canonical forms of the tuples
+        (i, q, k, l) that a Christoffel hook Gamma_qk^m reaches by its
+        derivative or product term, but those with i = q or k = l."""
+        q, k, m_ = self._gamma2.index.T
         act = np.array(self.act_idx, dtype=np.intp)
-        # per hook the derivative terms' (i, l), l by l, then the product terms'
+        # the derivative terms' hooks and (i, l), then the product terms'
         hd, ld = (self._g_row[m_] >= 0).nonzero()
         hp, ip, lp = (self._gamma1_row[:, m_].transpose(1, 0, 2) >= 0).nonzero()
         h = np.concatenate((hd.repeat(len(act)), hp))
         i = np.concatenate((np.tile(act, len(hd)), ip))
         l = np.concatenate((ld.repeat(len(act)), lp))
-        by_hook = h.argsort(kind="stable")
-        idx, sign = _canonical(np.column_stack((i, q[h], k[h], l))[by_hook])
-        return set(map(tuple, _distinct_rows(idx[sign != 0], self.dim).tolist()))
+        return _canonical_rows(np.column_stack((i, q[h], k[h], l)), self.dim)
 
-    def _riemann_jets(self, cand: Iterable[tuple[int, int, int, int]]) -> _Jets:
-        """Level-0 jets at the canonical tuples `cand`, zeros left out, by
+    def _riemann_jets(self, idx: np.ndarray) -> _Jets:
+        """Level-0 jets at the canonical tuples `idx` (rows), zeros left out, by
         blocks (`_riemann_block`) of candidates and their swaps (j, i, k, l)."""
         order = self.order - 2
-        idx = np.fromiter(chain.from_iterable(cand), np.intp).reshape(-1, 4)
         # the factors of the edge products at their joint columns: d_i
         # Gamma_jk^m or Gamma_jk^m on the left, g_ml or Gamma_iml on the right
         cols, factors = _joint(self._gamma2.cut(order), self._g_rows.cut(order),
@@ -610,52 +614,44 @@ class CurvatureContext:
     def _nabla_step(self, prev: _Jets, ord_out: int) -> _Jets:
         return self._nabla_jets(prev, self._nabla_candidates(prev.index), ord_out)
 
-    def _nabla_candidates(self, index: np.ndarray) -> set[tuple[int, ...]]:
+    def _nabla_candidates(self, index: np.ndarray) -> np.ndarray:
         """Canonical index tuples the level after the one keyed by `index`
-        (canonical tuples) can be nonzero at: a key with a derivative slot
-        appended, or the canonical form of a key with one slot moved along a
-        Christoffel hook and the hook's lower index appended, unless a pair
-        repeats an index.  They arise key by key, derivative slots first and
-        then slot by slot in hook order, and go into the set once each in
-        order of first appearance: its iteration order is CPython's for that
-        sequence, and inserting a tuple the set holds would change nothing."""
+        (canonical tuples) can be nonzero at, ascending (`_canonical_rows`):
+        a key with a derivative slot appended, or the canonical form of a key
+        with one slot moved along a Christoffel hook and the hook's lower
+        index appended, unless a pair repeats an index."""
         n, r = index.shape
         act = np.array(self.act_idx, dtype=np.intp)
-        # (key, slot) pairs row by row, so the hooks come slot by slot
+        # the hooks of each (key, slot) pair
         at, h = _expand(self._rev_start[index].ravel(), self._rev_len[index].ravel())
         hooked, s = np.divmod(at, r)
         key = np.concatenate((np.arange(n).repeat(len(act)), hooked))
         last = np.concatenate((np.tile(act, n), self._rev_lower[h, 0]))
         cand = np.concatenate((index[key], last[:, None]), axis=1)
         cand[n * len(act) + np.arange(len(at)), s] = self._rev_lower[h, 1]
-        cand, sign = _canonical(cand[key.argsort(kind="stable")])
-        return set(map(tuple, _distinct_rows(cand[sign != 0], self.dim).tolist()))
+        return _canonical_rows(cand, self.dim)
 
-    def _nabla_jets(self, prev: _Jets, cand: Iterable[tuple[int, ...]], ord_out: int) -> _Jets:
-        """Jets of the level after `prev` at the canonical index tuples
-        `cand`, zeros left out: (nabla T)(i; m) = d_m T(i) - sum_s
-        Gamma_{m i_s}^a T(i, a at s), all at once: the derivatives by column
-        shifts, then the Christoffel products subtracted in the order of the
-        sum (`_ordered_sum`).  T(i, a at s) is read at its canonical row
+    def _nabla_jets(self, prev: _Jets, idx: np.ndarray, ord_out: int) -> _Jets:
+        """Jets of the level after `prev` (rows ascending) at the canonical
+        index tuples, rows of `idx`, zeros left out: (nabla T)(i; m) = d_m T(i)
+        - sum_s Gamma_{m i_s}^a T(i, a at s), all at once: the derivatives by
+        column shifts, then the Christoffel products subtracted in the order of
+        the sum (`_ordered_sum`).  T(i, a at s) is read at its canonical row
         times its sign, and a term whose sign is 0 is left out."""
         space = self._space
         r = prev.index.shape[1]
-        idx = np.fromiter(chain.from_iterable(cand), np.intp).reshape(-1, r + 1)
         if not prev:
             return _Jets(idx[:0], np.zeros(0, dtype=np.intp), np.zeros((0, 0)), space, ord_out)
-        # index tuples as base-dim codes, looked up in prev's sorted codes
+        # index tuples as base-dim codes, looked up in prev's ascending codes
         weights = _digit_weights(self.dim, r)
         prev_codes = prev.index @ weights
-        by_code = prev_codes.argsort(kind="stable")
-        sorted_codes = prev_codes[by_code]
 
         def find(codes):
-            pos = np.minimum(sorted_codes.searchsorted(codes), len(by_code) - 1)
-            return np.where(sorted_codes[pos] == codes, by_code[pos], -1)
+            pos = np.minimum(prev_codes.searchsorted(codes), len(prev_codes) - 1)
+            return np.where(prev_codes[pos] == codes, pos, -1)
 
         base, m_ = idx[:, :-1], idx[:, -1]
-        codes = base @ weights
-        tj = find(codes)
+        tj = find(base @ weights)
         var = self._act_pos[m_]
         has_d = (tj >= 0) & (var >= 0)
         # the Christoffel terms as (component, hook, row of prev), in the
@@ -764,10 +760,13 @@ class CurvatureContext:
         self._check_level(k)
         if self.dim ** (4 + k) > _EXHAUSTIVE_CAP:
             raise ValueError("exhaustive enumeration over cap")
+        m = self.dim
+        pair = np.array([i * m + j for i, j in combinations(range(m), 2)], dtype=np.intp)
         with np.errstate(all="ignore"):  # a non-finite result raises in `_Jets`
             for n in range(k + 1):
-                cand = (t for t in iproduct(range(self.dim), repeat=4 + n)
-                        if t[0] < t[1] and t[2] < t[3])
+                # every canonical tuple, ascending: pair (i, j), pair (k, l), rest
+                cand = _decode((pair[:, None] * m * m + pair).reshape(-1, 1) * m ** n
+                               + np.arange(m ** n), m, 4 + n)
                 full = (self._nabla_jets(full, cand, self.order - 2 - n) if n
                         else self._riemann_jets(cand))
         return full
@@ -815,7 +814,7 @@ def _plane_basis(
     v = w - proj * u1
     b1, b2 = w1 - proj * a1, w2 - proj * a2
     qv = float(v @ g0 @ v)
-    if abs(qv) <= _PLANE_TOL * max(1.0, scale):
+    if abs(qv) <= _PLANE_TOL * scale:
         raise DegeneratePlaneError("degenerate 2-plane for this metric")
     s2 = abs(qv) ** 0.5
     u2 = v / s2

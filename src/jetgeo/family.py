@@ -415,19 +415,16 @@ class CurvatureModel:
         return len(self.levels) - 1
 
 
-def reference_model(p: int, k_max: int | None = None) -> CurvatureModel:
-    """The universal frame components for the family: levels k <= p + 2 do
-    not depend on the profile.  Lives on the span of (X, Y, Z_0..Z_p)."""
+def reference_model(p: int) -> CurvatureModel:
+    """The universal frame components for the family at levels k <= p + 2,
+    which do not depend on the profile.  Lives on the span of (X, Y,
+    Z_0..Z_p)."""
     if p < -1:
         raise ValueError("p must be >= -1")
-    if k_max is None:
-        k_max = p + 2
-    if k_max > p + 2:
-        raise ValueError(f"reference model is universal only up to level {p + 2}")
     levels = tuple(
         _level_roots(k, 1.0 if k in (p + 1, p + 2) else 0.0,
                      [1.0 if i == k else 0.0 for i in range(p + 1)])
-        for k in range(k_max + 1)
+        for k in range(p + 3)
     )
     return CurvatureModel(p + 3, levels)
 

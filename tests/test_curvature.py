@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jetgeo import expr as ex
-from jetgeo import geodesics
+from jetgeo import curvature, geodesics
 from jetgeo.curvature import (
     CurvatureContext,
     DegeneratePlaneError,
@@ -577,15 +577,16 @@ def test_contract_arity_checks():
         ctx.contract_open(0, [None] * 5, 0)
 
 
-def test_tensorfield_dense():
+def test_tensorfield_dense(monkeypatch):
     t = CurvatureContext(two_sphere(), (0.8, 0.1), 0).curvature(0)
     dense = t.dense()
     assert dense.shape == (2, 2, 2, 2)
     for idx, v in t.components.items():
         assert dense[idx] == v
     assert dense[(0, 0, 0, 0)] == 0.0
+    monkeypatch.setattr(curvature, "DENSE_CAP", 3)
     with pytest.raises(ValueError):
-        t.dense(cap=3)
+        t.dense()
 
 
 def test_nabla_k_r_wrapper():
@@ -618,6 +619,20 @@ def test_skew_operator_sphere_squares_to_minus_identity():
     # plane orientation flips the operator's sign
     flipped = skew_curvature_operator(ctx, np.array([0.0, 1.0]), np.array([1.0, 0.0]))
     np.testing.assert_allclose(flipped, -op, atol=1e-13)
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-6])
+def test_skew_operator_is_scale_free(c):
+    # on c * g the operator is the one on g divided by c: the plane tests are
+    # relative to the plane's own scale, with no absolute floor
+    def skew(scale):
+        spec = metric_from_strings(("theta", "phi"), {(0, 0): f"{scale}",
+                                                      (1, 1): f"{scale}*sin(theta)^2"}, (0, 2))
+        ctx = CurvatureContext(spec, (0.8, 0.3), 0)
+        return skew_curvature_operator(ctx, np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+
+    want = skew(1.0)
+    np.testing.assert_allclose(c * skew(c), want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
 def test_degenerate_plane_errors():

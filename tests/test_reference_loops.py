@@ -369,10 +369,11 @@ def ref_riemann_candidates(ctx):
 
 
 def ref_riemann_jets(ctx, cand):
+    # the components in ascending order of their canonical tuples
     fwd, g = ref_fwd(ctx), metric_jets(ctx)
     ord0 = ctx.order - 2
     out = {}
-    for (i, j, k, l) in cand:
+    for (i, j, k, l) in sorted(cand):
         a = ref_edge_value(ctx, fwd, g, i, j, k, l, ord0)
         b = ref_edge_value(ctx, fwd, g, j, i, k, l, ord0)
         if b is not None:
@@ -406,10 +407,7 @@ def ref_level_exhaustive(ctx, k):
     return full
 
 
-def ref_nabla_step(ctx, prev, ord_out):
-    # the component loop of the level steps: candidates added to a set
-    # key by key, then each component's terms one Jet product at a time
-    fwd = ref_fwd(ctx)
+def ref_nabla_candidates(ctx, prev):
     rev = {}
     for (a, b, c) in ctx._gamma2:
         rev.setdefault(c, []).append((a, b))
@@ -422,8 +420,16 @@ def ref_nabla_step(ctx, prev, ord_out):
                 key, sign = ref_canonical(idx[:s] + (i_,) + idx[s + 1:] + (m_,))
                 if sign:
                     cand.add(key)
+    return cand
+
+
+def ref_nabla_step(ctx, prev, ord_out):
+    # the component loop of the level steps: candidates added to a set key
+    # by key, then in ascending order each component's terms one Jet
+    # product at a time
+    fwd = ref_fwd(ctx)
     out = {}
-    for full in cand:
+    for full in sorted(ref_nabla_candidates(ctx, prev)):
         base_idx, m_ = full[:-1], full[-1]
         acc = None
         tj = prev.get(base_idx)
@@ -1026,10 +1032,11 @@ def test_oracle_delta_is_a_python_float():
 
 @pytest.mark.parametrize("p", range(-1, 5))
 def test_reference_model_matches_loops(p):
+    got = fam.reference_model(p)
+    assert got.dim == p + 3 and len(got.levels) == p + 3
     for k_max in range(p + 3):
-        got = fam.reference_model(p, k_max)
-        assert got.dim == p + 3
-        assert pickle.dumps(got.levels) == pickle.dumps(ref_reference_model(p, k_max).levels)
+        assert pickle.dumps(got.levels[:k_max + 1]) == pickle.dumps(
+            ref_reference_model(p, k_max).levels)
 
 
 def _exhaustive_cases():
@@ -1120,7 +1127,6 @@ def test_levels_match_component_loop(name, spec, pt, k_max):
         ginv = ref_neumann_inverse(ctx)
         assert same_jets(ctx._ginv, ginv)
     assert same_jets(ctx._gamma2, ref_christoffel_second(ctx, ginv))
-    assert list(ctx._riemann_candidates()) == list(ref_riemann_candidates(ctx))
     want = ref_levels(ctx, k_max)
     for k in range(k_max + 1):
         got = ctx._level(k)
@@ -1133,27 +1139,62 @@ def test_levels_match_component_loop(name, spec, pt, k_max):
         assert all(not ctx._level(k) for k in range(1, k_max + 1))
 
 
-def test_candidate_sets_are_the_raw_sequences_sets(monkeypatch):
-    # level 0 and each level step build their candidate set from the
-    # distinct candidate tuples in order of first appearance.  A duplicate
-    # insertion leaves a set as it was, so each set equals, in iteration
-    # order, the set of the raw sequence with its duplicates.  On the
-    # conformal surface the raw rows repeat 5 to 15 times a level
-    ctx = CurvatureContext(_diagonal(CONFORMAL), (0.2, -0.35), 6)
-    levels = [ctx._level(k) for k in range(6)]
-    raw, distinct = [], cv._distinct_rows
+@pytest.mark.parametrize("name,spec,pt,k_max", LEVEL_CASES, ids=[c[0] for c in LEVEL_CASES])
+def test_candidates_are_distinct_ascending_canonical(name, spec, pt, k_max):
+    # level 0's and each step's candidates: distinct canonical tuples,
+    # ascending, and as a set the reference loops' set
+    ctx = CurvatureContext(spec, pt, k_max)
+    got = [ctx._riemann_candidates()] + [ctx._nabla_candidates(ctx._level(k).index)
+                                         for k in range(k_max)]
+    want = [ref_riemann_candidates(ctx)] + [
+        ref_nabla_candidates(ctx, dict.fromkeys(map(tuple, ctx._level(k).index.tolist())))
+        for k in range(k_max)]
+    for k, (cand, ref) in enumerate(zip(got, want)):
+        assert cand.dtype == np.intp and cand.shape[1:] == (4 + k,)
+        rows = list(map(tuple, cand.tolist()))
+        assert rows == sorted(ref)
+        assert all(ref_canonical(t) == (t, 1) for t in rows)
 
-    def spy(idx, dim):
-        raw.append(idx.copy())
-        return distinct(idx, dim)
 
-    monkeypatch.setattr(cv, "_distinct_rows", spy)
-    got = [ctx._riemann_candidates()] + [ctx._nabla_candidates(lv.index) for lv in levels]
-    assert len(raw) == len(got) == 7
-    for cand, rows in zip(got, raw):
-        want = set(map(tuple, rows.tolist()))
-        assert list(cand) == list(want)
-        assert len(rows) >= 5 * len(want)
+def _row_order_cases():
+    yield "conformal", _diagonal(CONFORMAL), (0.2, -0.35), 6
+    yield next(case for case in LEVEL_CASES if case[0] == "non-diagonal")
+    params, pt = next(_points(2, PROFILES[2]))
+    yield "family p=2", fam.build_metric(params), pt, 5
+    # 40 coordinates: from level 8 on, 40^(4 + k) passes int64 and the
+    # codes are Python ints
+    flat = tuple(f"u{n}" for n in range(38))
+    yield "S2 x flat, 40 coordinates", _diagonal(SPHERE, (flat, ("1.0",) * 38)), \
+        (0.8, 0.3) + (0.0,) * 38, 8
+
+
+ROW_ORDER_CASES = list(_row_order_cases())
+
+
+@pytest.mark.parametrize("name,spec,pt,k_max", ROW_ORDER_CASES,
+                         ids=[c[0] for c in ROW_ORDER_CASES])
+def test_level_rows_ascend_and_do_not_depend_on_candidate_order(name, spec, pt, k_max):
+    ctx = CurvatureContext(spec, pt, k_max)
+    rng = np.random.default_rng(5)
+
+    def rows(jets):
+        return {key: (jets.cols[jets.vals[n] != 0.0].tobytes(), bits(jets.vals[n]))
+                for n, key in enumerate(map(tuple, jets.index.tolist()))}
+
+    for k in range(k_max + 1):
+        level = ctx._level(k)
+        codes = level.index @ cv._digit_weights(ctx.dim, 4 + k)
+        assert (codes[1:] > codes[:-1]).all()
+        if k == 0:
+            cand = ctx._riemann_candidates()
+            built = ctx._riemann_jets(cand[rng.permutation(len(cand))])
+        else:
+            prev = ctx._level(k - 1)
+            cand = ctx._nabla_candidates(prev.index)
+            built = ctx._nabla_jets(prev, cand[rng.permutation(len(cand))], ctx.order - 2 - k)
+        assert len(level) and rows(built) == rows(level)
+    if name.startswith("S2 x flat"):
+        assert cv._digit_weights(40, 4 + k_max).dtype == object
 
 
 def test_inverse_seeds_from_the_structural_pattern():
@@ -1307,8 +1348,9 @@ def test_level_exhaustive_does_not_use_propagated_candidates(monkeypatch):
     ctx = CurvatureContext(two_sphere(), (0.8, 0.1), 0)
     cand = ctx._riemann_candidates()
     lost = (0, 1, 0, 1)
-    assert lost in cand
-    monkeypatch.setattr(ctx, "_riemann_candidates", lambda: cand - {lost})
+    kept = (cand != lost).any(axis=1)
+    assert not kept.all()
+    monkeypatch.setattr(ctx, "_riemann_candidates", lambda: cand[kept])
     assert lost not in ctx._level(0) and lost in ctx.level_exhaustive(0)
 
 
