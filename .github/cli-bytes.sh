@@ -10,10 +10,13 @@
 # agree, and a unified diff of whichever differ when they do not.  It exits
 # 1 if any command differs and 0 if none does.
 #
-# The commands are README's three examples and 12 more: `check` on the
+# The commands are README's three examples and 14 more: `check` on the
 # family at p = 0..3 and at a general point, and on an S^2, an H^2 and a
 # conformal spec file; `curvature --k 6` on S^2 and on H^2 at x = -0.1;
-# `alpha` at p = 4; and `curvature --k 3` on the family at p = 2.
+# `alpha` at p = 4; `curvature --k 3` on the family at p = 2; and `check`
+# and `curvature --k 2` on a 4-coordinate spec whose off-diagonal entries
+# vary in different rows, where the order of the inverse's and the
+# Christoffel symbols' sums decides the last digits.
 set -uf  # -f: the commands below are split into words, never globbed
 if [ $# -ne 1 ] || [ ! -d "$1/src/jetgeo" ]; then
   echo "usage: $0 BASE_DIR (a checkout with src/jetgeo)" >&2
@@ -58,6 +61,21 @@ cat > "$tmp/conformal.json" <<'JSON'
   ]
 }
 JSON
+cat > "$tmp/off-diagonal.json" <<'JSON'
+{
+  "dim": 4,
+  "coords": ["a", "b", "c", "d"],
+  "signature": [0, 4],
+  "components": [
+    {"i": 0, "j": 0, "expr": "2 + a^2"},
+    {"i": 1, "j": 1, "expr": "2 + b^2"},
+    {"i": 2, "j": 2, "expr": "2 + c^2"},
+    {"i": 3, "j": 3, "expr": "2"},
+    {"i": 0, "j": 2, "expr": "0.1*b"},
+    {"i": 1, "j": 2, "expr": "0.1*a"}
+  ]
+}
+JSON
 
 family="f=exp(y)+exp(2*y)"
 commands=(
@@ -76,6 +94,8 @@ commands=(
   "curvature --spec $tmp/h2.json --point=-0.1,0.2 --k 6"
   "alpha --family p=4,$family --grid y=-0.5:0.5:5"
   "curvature --family p=2,$family --point 0.1,0.2,0.3,0.3,0.3,0.1,0.1,0.1,0.1,0.1 --k 3"
+  "check --spec $tmp/off-diagonal.json --point=0.2,-0.3,0.1,0"
+  "curvature --spec $tmp/off-diagonal.json --point=0.2,-0.3,0.1,0 --k 2"
 )
 
 run() {  # SRC OUT ARGS...: the command's stdout, stderr and exit code

@@ -9,12 +9,14 @@ BASE_DIR/src and once with this checkout's src on PYTHONPATH, the inverse
 metric, both Christoffel kinds and every curvature level, and hashes each
 as a map from index tuple to (codes, values): keys sorted, so that row
 order does not count, and -0.0 read as +0.0.  Each level's point-value view
-is hashed too, as its sorted (index row, value) pairs.  A context that
-raises hashes its error.  The script prints `same: <context>` or
+is hashed too, as its sorted (index row, value) pairs, and so are
+`jacobi_operator` and `skew_curvature_operator` on 50 seeded directions and
+planes, as one stack and one at a time.  A context that raises hashes its
+error.  The script prints `same: <context>` or
 `differs: <context>` for each context, and exits 1 if any differs and 0 if
 none does.
 
-The contexts are the family f = exp(y) + exp(2y) at p = 0..5 to level
+The 18 contexts are the family f = exp(y) + exp(2y) at p = 0..5 to level
 p + 3, at the base point and at a general point; S^2, H^2 at x = -0.1 and a
 conformal surface to level 6; S^2 x a conformal surface to level 4; a
 non-diagonal 3-metric to level 3; and S^2 x a flat 38-space, 40
@@ -74,7 +76,8 @@ def _view_bits(view):
 
 
 def _digests():
-    from jetgeo.curvature import CurvatureContext
+    import numpy as np
+    from jetgeo.curvature import CurvatureContext, jacobi_operator, skew_curvature_operator
 
     for name, spec, point, k_max in _contexts():
         h = hashlib.sha256()
@@ -85,6 +88,11 @@ def _digests():
             for k in range(k_max + 1):
                 h.update(repr(_jets_bits(ctx._level(k))).encode())
                 h.update(repr(_view_bits(ctx.curvature(k))).encode())
+            x, e1, e2 = np.random.default_rng(0).standard_normal((3, 50, ctx.dim))
+            for op in (jacobi_operator(ctx, x), skew_curvature_operator(ctx, e1, e2),
+                       *map(jacobi_operator, [ctx] * 50, x),
+                       *map(skew_curvature_operator, [ctx] * 50, e1, e2)):
+                h.update(op.tobytes())
         except Exception as err:  # the same error on both sides is a match
             h.update(repr(err).encode())
         print(f"{h.hexdigest()} {name}")

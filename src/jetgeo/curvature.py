@@ -22,17 +22,17 @@ steps look their Christoffel terms up that way, and the point-value views
 expand each canonical row into its four images.  Support is propagated level
 to level (a new nonzero needs either a derivative of an old one or a
 Christoffel hook into one), and an exhaustive evaluator over every canonical
-tuple is kept alongside as a slow cross-check.  A level's rows ascend by
-canonical tuple, read as a base-dim number, and its point-value view follows
-that order, each row with its three images.  Row order fixes no value: a
-component's jet sums its own terms in their own order.  Every sum of
-jets in the context (Neumann inverse, Christoffel symbols, level 0, level
-steps) is one ordered step, `_ordered_sum`: terms from row-batched products
-and derivative shifts (vector-mode Taylor propagation: Griewank and Walther,
-Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13), added in the order of a
-loop over them by one `np.bincount` per block, whose rows are ranked without
-a sort, so every coefficient is that loop's to the last bit, up to the sign
-of a zero.
+tuple is kept alongside as a slow cross-check.  Every matrix's rows (the
+inverse's, both Christoffel kinds', each level's) ascend by key, read as a
+base-dim number, and a level's point-value view follows that order, each row
+with its three images.  Every sum of jets in the context (Neumann inverse,
+Christoffel symbols, level 0, level steps) runs over its summation index
+ascending, hooks included, as one ordered step, `_ordered_sum`: terms from
+row-batched products and derivative shifts (vector-mode Taylor propagation:
+Griewank and Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13),
+added in the order of a loop over them by one `np.bincount` per block, whose
+rows are ranked without a sort, so every coefficient is that loop's to the
+last bit, up to the sign of a zero.
 
 Each matrix keeps its truncation order and only its live columns: the
 packed codes (`jets`) of the context's one jet space, of the top order,
@@ -302,19 +302,6 @@ def _joint(*mats: tuple[np.ndarray, np.ndarray], also: tuple[np.ndarray, ...] = 
     return cols[0], [_widen(c, v, cols[0]) for c, v in mats]
 
 
-def _first_seen(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each code's place among the distinct codes in order of first
-    appearance, and the distinct codes in that order."""
-    by_code = codes.argsort(kind="stable")
-    new = np.ones(len(codes), dtype=bool)
-    new[1:] = codes[by_code[1:]] != codes[by_code[:-1]]
-    first = by_code[new]
-    order = first.argsort()
-    place = np.empty(len(codes), dtype=np.intp)
-    place[by_code] = order.argsort()[new.cumsum() - 1]
-    return place, codes[first[order]]
-
-
 def _decode(codes: np.ndarray, dim: int, r: int) -> np.ndarray:
     """The r-index tuples below dim that `codes` read as base-dim numbers."""
     return (codes.reshape(-1, 1) // _digit_weights(dim, r) % dim).astype(np.intp, copy=False)
@@ -411,13 +398,12 @@ class CurvatureContext:
             self._gamma1_row[tuple(self._gamma1.index.T)] = np.arange(len(self._gamma1))
             self._gamma2 = self._christoffel_second()
 
-        # hooks for covariant-derivative terms: the rows of `_gamma2` as
-        # runs grouped stably by lower pair a * dim + b (`_fwd_*`, with the
-        # upper index and the row of each) and by upper index c (`_rev_*`)
+        # hooks for covariant-derivative terms: the rows of `_gamma2`, which
+        # ascend by (a, b, c), as runs by lower pair a * dim + b (`_fwd_*`)
+        # and grouped stably by upper index c (`_rev_*`)
         keys = self._gamma2.index
-        self._fwd_row, self._fwd_start, self._fwd_len = _runs(keys[:, 0] * self.dim + keys[:, 1],
-                                                              self.dim ** 2)
-        self._fwd_upper = keys[self._fwd_row, 2]
+        self._fwd_len = np.bincount(keys[:, 0] * self.dim + keys[:, 1], minlength=self.dim ** 2)
+        self._fwd_start = self._fwd_len.cumsum() - self._fwd_len
         rev, self._rev_start, self._rev_len = _runs(keys[:, 2], self.dim)
         self._rev_lower = keys[rev, :2]
 
@@ -449,10 +435,10 @@ class CurvatureContext:
         With g = g0 + N and N free of constant term, N is nilpotent in the
         truncated algebra, so `order` sweeps of S <- h0 - h0 N S land on the
         exact truncated inverse.  A sweep sums t = N S over b ascending, then
-        S from h0 (or from nothing) less h0 t in the order t's entries arise:
-        one `multiply_rows` of all the pairs (N_ab, S_bc), then two ordered
-        sums.  The rows each term reads, where it adds and its h0 weight
-        depend on the keys of S only, and are planned again when those change.
+        S from h0 (or from nothing) less h0 t over a ascending: one
+        `multiply_rows` of all the pairs (N_ab, S_bc), then two ordered sums.
+        The rows each term reads, where it adds and its h0 weight depend on
+        the keys of S only, and are planned again when those change.
 
         h0 is `ginv0`, which is exact 0 off g^-1's structural pattern
         (`MetricSpec.structure`).  `np.linalg.inv` often leaves about 1e-17
@@ -483,12 +469,17 @@ class CurvatureContext:
                 pos = np.full((m, m), -1)
                 pos.flat[keys] = np.arange(len(keys))
                 at, c = np.nonzero(pos[nil_b] >= 0)
-                t_row, t_keys = _first_seen(nil_a[at] * m + c)
+                t_codes = nil_a[at] * m + c
+                t_keys = _distinct(t_codes)
+                t_row = t_keys.searchsorted(t_codes)
                 ta, tc = np.divmod(t_keys, m)
                 tr, i = np.nonzero(h0[:, ta].T != 0.0)
-                s_row, new = _first_seen(np.concatenate((base, i * m + tc[tr])))
+                s_codes = i * m + tc[tr]
+                new = _distinct(np.concatenate((base, s_codes)))
+                s_row = new.searchsorted(s_codes)
+                started = np.zeros(len(new), dtype=bool)
+                started[new.searchsorted(base)] = True
                 left_row, right_row, weight = src[at], pos[nil_b[at], c], h0[i, ta[tr], None]
-                s_row, started = s_row[len(base):], np.arange(len(new)) < len(base)
                 stale, keys = not np.array_equal(new, keys), new
             cols, (left, right) = _joint(nil, (s_cols, s))
             t_cols, prods = space.multiply_rows(cols, left[left_row], right[right_row], self.order)
@@ -497,7 +488,7 @@ class CurvatureContext:
             # code 0 is in `cols`, so in `t_cols`: h0 goes to column 0
             last_cols, last, s_cols = s_cols, s, t_cols
             s = np.zeros((len(new), len(s_cols)))
-            s[: len(base), 0] = seed
+            s[started, 0] = seed
             _ordered_sum(s_cols, s, s_row, lambda ts: (t_cols, t[tr[ts]] * weight[ts]), -1, started)
             used = (s != 0.0).any(axis=0)
             if not used.all():
@@ -514,8 +505,9 @@ class CurvatureContext:
                  for key, sums in christoffel_terms(self.spec).items()
                  for v, pair, h in sums if self._g_row[pair] >= 0]
         weights = _digit_weights(self.dim, 3)
-        keys = np.array([t[0] for t in terms], dtype=np.intp).reshape(-1, 3)
-        row, keys = _first_seen(keys @ weights)
+        codes = np.array([t[0] for t in terms], dtype=np.intp).reshape(-1, 3) @ weights
+        keys = _distinct(codes)
+        row = keys.searchsorted(codes)
         g, var = np.array([t[1:3] for t in terms], dtype=np.intp).reshape(-1, 2).T
         h = np.array([t[3] for t in terms])
         cols = self._g_rows._shifts[0]
@@ -525,15 +517,16 @@ class CurvatureContext:
         return _Jets(_decode(keys, self.dim, 3), cols, acc, self._space, self.order - 1)
 
     def _christoffel_second(self) -> _Jets:
-        """Gamma_ab^c = sum over d of ginv^cd Gamma_abd, summed key by key
-        of `_gamma1` and then over the inverse's column d in its order."""
+        """Gamma_ab^c = sum over d ascending of ginv^cd Gamma_abd."""
         g1, ginv = self._gamma1, self._ginv
         space, order = self._space, self.order - 1
         by_col, start, length = _runs(ginv.index[:, 1], self.dim)
         at, h = _expand(start[g1.index[:, 2]], length[g1.index[:, 2]])
         h = by_col[h]
         weights = _digit_weights(self.dim, 3)
-        row, keys = _first_seen(np.column_stack((g1.index[at, :2], ginv.index[h, 0])) @ weights)
+        codes = np.column_stack((g1.index[at, :2], ginv.index[h, 0])) @ weights
+        keys = _distinct(codes)
+        row = keys.searchsorted(codes)
         cols, (left, right) = _joint(ginv.cut(order), (g1.cols, g1.vals))
         out = space.product_cols(cols, order)
         acc = np.empty((len(keys), len(out)))
@@ -576,18 +569,18 @@ class CurvatureContext:
         """R(i, j, k, l) = edge(i, j, k, l) - edge(j, i, k, l) at the block
         whose (i, j, k, l) and (j, i, k, l) are `edges[0]` and `edges[1]`:
         the candidates' jets at the codes `out`, zero rows kept.  An edge
-        sums over the hooks m of (j, k) in `_gamma2` order (d_i Gamma_jk^m)
+        sums over the hooks m of (j, k), ascending, (d_i Gamma_jk^m)
         g_ml and then Gamma_jk^m Gamma_iml.  `factors` holds Gamma_jk^m,
         g_ml and Gamma_iml at `cols`, the joint columns of the edge
         products, which are truncated at `order`."""
         i, j, k, l = edges.reshape(-1, 4).T
         at, hook = _expand(self._fwd_start[j * self.dim + k], self._fwd_len[j * self.dim + k])
-        m_, i, l = self._fwd_upper[hook], i[at], l[at]
+        m_, i, l = self._gamma2.index[hook, 2], i[at], l[at]
         # per hook the derivative term, then the product term, -1 if absent
         right = np.stack((np.where(self._act_pos[i] >= 0, self._g_row[m_, l], -1),
                           self._gamma1_row[i, m_, l]), axis=1).ravel()
         t = (right >= 0).nonzero()[0]
-        deriv, right, at, hook = t % 2 == 0, right[t], at[t // 2], self._fwd_row[hook[t // 2]]
+        deriv, right, at, hook = t % 2 == 0, right[t], at[t // 2], hook[t // 2]
         var = self._act_pos[i[t // 2]]
         live = np.bincount(at, minlength=len(j)) > 0
         row_of = np.where(live, live.cumsum() - 1, -1)
@@ -660,11 +653,11 @@ class CurvatureContext:
         at, hook = _expand(self._fwd_start[pair], self._fwd_len[pair])
         comp, s = np.divmod(at, r)
         moved = base[comp]
-        moved[np.arange(len(at)), s] = self._fwd_upper[hook]
+        moved[np.arange(len(at)), s] = self._gamma2.index[hook, 2]
         moved, sign = _canonical(moved)
         rep = np.where(sign != 0, find(moved @ weights), -1)
         t = (rep >= 0).nonzero()[0]
-        comp, hook, rep, sign = comp[t], self._fwd_row[hook[t]], rep[t], sign[t]
+        comp, hook, rep, sign = comp[t], hook[t], rep[t], sign[t]
 
         # rows to evaluate: those with a Christoffel term or a derivative
         # that is not identically zero.  Row t of prev depends on variable v
@@ -787,40 +780,47 @@ def jacobi_operator(ctx: CurvatureContext, direction: Sequence[float]) -> np.nda
 def _plane_basis(
     g0: np.ndarray, e1: np.ndarray, e2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal oriented basis of span{e1, e2}, unit up to sign.
+    """Orthonormal oriented basis of span{e1, e2}, unit up to sign; for
+    (N, m) stacks of e1 and e2, the (N, m) stacks of the planes' bases.
 
-    Raises DegeneratePlaneError when the induced form on the plane is
-    degenerate (or the vectors are dependent)."""
-    q11 = float(e1 @ g0 @ e1)
-    q12 = float(e1 @ g0 @ e2)
-    q22 = float(e2 @ g0 @ e2)
-    scale = max(abs(q11), abs(q12), abs(q22))
-    det = q11 * q22 - q12 * q12
-    if scale == 0.0 or abs(det) <= _PLANE_TOL * scale * scale:
-        raise DegeneratePlaneError("degenerate 2-plane for this metric")
-    for c1, c2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+    u1 is the first of e1, e2 and e1 + e2 that is not null, and u2 the
+    other generator made orthogonal to it, each normalized.  Every step is
+    the one-plane scalar step elementwise: a @ g0 @ b in the one-plane BLAS
+    shapes, and square roots by `np.float_power`, which is Python's pow, so
+    each plane's basis is its own to the bit.  Raises DegeneratePlaneError
+    when the induced form on some plane is degenerate (or the vectors are
+    dependent, or not finite)."""
+    def form(a, b):
+        return np.matmul(np.matmul(a[..., None, :], g0), b[..., :, None])[..., 0, 0]
+
+    with np.errstate(all="ignore"):  # a rejected plane raises below
+        q11, q12, q22 = form(e1, e1), form(e1, e2), form(e2, e2)
+        scale = np.maximum(np.maximum(abs(q11), abs(q12)), abs(q22))
+        ok = abs(q11 * q22 - q12 * q12) > _PLANE_TOL * scale * scale
+        # where e1 and e2 are both null, e1 + e2 is not, the form being
+        # nondegenerate
+        null1, null2 = abs(q11) <= _PLANE_TOL * scale, abs(q22) <= _PLANE_TOL * scale
+        alone2 = null1 & ~null2  # u1 from e2 alone
+        c1, c2 = np.where(alone2, 0.0, 1.0), np.where(null1, 1.0, 0.0)
         q = c1 * c1 * q11 + 2.0 * c1 * c2 * q12 + c2 * c2 * q22
-        if abs(q) > _PLANE_TOL * scale:
-            break
-    else:
-        raise DegeneratePlaneError("no non-null vector found in the plane")
-    eps1 = 1.0 if q > 0 else -1.0
-    s1 = abs(q) ** 0.5
-    u1 = (c1 * e1 + c2 * e2) / s1
-    a1, a2 = c1 / s1, c2 / s1
-    # the other generator: e2 unless u1 came from it alone
-    w, w1, w2 = (e2, 0.0, 1.0) if (c1, c2) != (0.0, 1.0) else (e1, 1.0, 0.0)
-    proj = eps1 * float(w @ g0 @ u1)
-    v = w - proj * u1
-    b1, b2 = w1 - proj * a1, w2 - proj * a2
-    qv = float(v @ g0 @ v)
-    if abs(qv) <= _PLANE_TOL * scale:
+        eps1 = np.where(q > 0, 1.0, -1.0)
+        s1 = np.float_power(abs(q), 0.5)
+        u1 = (c1[..., None] * e1 + c2[..., None] * e2) / s1[..., None]
+        a1, a2 = c1 / s1, c2 / s1
+        # the other generator: e2 unless u1 came from it alone
+        w = np.where(alone2[..., None], e1, e2)
+        w1, w2 = np.where(alone2, 1.0, 0.0), np.where(alone2, 0.0, 1.0)
+        proj = eps1 * form(w, u1)
+        v = w - proj[..., None] * u1
+        b1, b2 = w1 - proj * a1, w2 - proj * a2
+        qv = form(v, v)
+        ok &= abs(qv) > _PLANE_TOL * scale
+        s2 = np.float_power(abs(qv), 0.5)
+        u2 = v / s2[..., None]
+        b1, b2 = b1 / s2, b2 / s2
+        u2 = np.where((a1 * b2 - a2 * b1 < 0.0)[..., None], -u2, u2)
+    if not ok.all():
         raise DegeneratePlaneError("degenerate 2-plane for this metric")
-    s2 = abs(qv) ** 0.5
-    u2 = v / s2
-    b1, b2 = b1 / s2, b2 / s2
-    if a1 * b2 - a2 * b1 < 0.0:
-        u2 = -u2
     return u1, u2
 
 
@@ -830,13 +830,11 @@ def skew_curvature_operator(
     """Matrix of v -> metric-dual of R(u1, u2, v, .), with (u1, u2) the
     oriented orthonormalization of the given plane; for (N, m) stacks of
     e1 and e2, the (N, m, m) stack of the planes' matrices, each the
-    one-plane matrix bit for bit.  The planes are orthonormalized one at a
-    time; the first degenerate one raises DegeneratePlaneError."""
+    one-plane matrix bit for bit.  If any plane of a stack is degenerate,
+    the call raises DegeneratePlaneError."""
     e1, e2 = np.asarray(e1, float), np.asarray(e2, float)
     if e1.shape != e2.shape or e1.shape[-1:] != (ctx.dim,) or e1.ndim > 2:
         raise ValueError(f"plane vectors must have length {ctx.dim}")
-    bases = [_plane_basis(ctx.g0, *plane)
-             for plane in zip(e1.reshape(-1, ctx.dim), e2.reshape(-1, ctx.dim))]
-    u1, u2 = np.reshape(bases, (-1, 2, ctx.dim)).swapaxes(0, 1).reshape((2,) + e1.shape)
+    u1, u2 = _plane_basis(ctx.g0, e1, e2)
     low = _contract(ctx.curvature(0), [((0,), u1), ((1,), u2)], (2, 3))
     return np.matmul(ctx.ginv0, np.swapaxes(low, -1, -2))

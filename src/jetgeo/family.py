@@ -313,7 +313,7 @@ def normalize_frame(
     context: CurvatureContext | None = None,
 ) -> Frame:
     p = params.p
-    spec = build_metric(params)
+    spec = build_metric(params) if context is None else context.spec
     m = spec.dim
     pt = tuple(float(v) for v in point)
     env = spec.env_at(pt)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from jetgeo import cli
+from jetgeo import family as fam
 from jetgeo.geodesics import triangular_report
 from jetgeo.metric import flat_metric, metric_from_strings, save_metric, two_sphere
 
@@ -162,6 +163,16 @@ def test_check_family_all_pass(capsys):
                  "nilpotency", "frame_model", "geodesic_roundtrip"):
         assert any(l.startswith(f"{name}: PASS") for l in lines), name
     assert not any("SKIP" in l or "FAIL" in l for l in lines[:-1])
+
+
+def test_check_builds_the_family_metric_once(capsys, monkeypatch):
+    # the frame read-outs take the metric from the check's context
+    calls = []
+    build = fam.build_metric
+    monkeypatch.setattr(fam, "build_metric", lambda params: calls.append(params) or build(params))
+    code, out, _ = run(capsys, ["check", "--family", "p=1, f=exp(y)", "--seed", "42"])
+    assert code == 0 and out.splitlines()[-1] == "RESULT: PASS"
+    assert len(calls) == 1
 
 
 @pytest.mark.xfail(strict=True, reason="the Runge-Kutta route's error (rtol 1e-10) reaches the "

@@ -8,7 +8,8 @@ its own root loop, the closed alpha forms in numpy scalars, the Neumann
 inverse sweeps and the second-kind Christoffel sum over dictionaries of jets,
 the level-0 candidates and edge sums and the level steps one component and
 one Christoffel term at a time, the exhaustive levels with their own
-evaluation loops, the invariants one schema at a time, the jet products
+evaluation loops, the invariants one schema at a time, the plane basis of
+the skew operator in Python scalars, the jet products
 with the pair table built on its own and the sparse pairs listed row by row
 from nonzero(a) x nonzero(b), and the geodesic force as a tree of numpy
 closures per metric entry (`compile_grad`) and a loop over the Christoffel
@@ -244,7 +245,7 @@ def ref_neumann_inverse(ctx):
                 prev = t.get((a, c))
                 t[(a, c)] = term if prev is None else prev + term
         nxt = dict(base)
-        for (a, c), tj in t.items():
+        for (a, c), tj in sorted(t.items()):  # each (i, c) sums over a ascending
             for i in range(m):
                 if h0[i, a] == 0.0:
                     continue
@@ -269,7 +270,7 @@ def ref_neumann_inverse(ctx):
 def ref_christoffel_second(ctx, ginv):
     ord1 = ctx.order - 1
     by_col = {}
-    for (c, d), jet in ginv.items():
+    for (c, d), jet in sorted(ginv.items()):
         by_col.setdefault(d, []).append((c, jet.truncated(ord1)))
     acc = {}
     for (a, b, d), g1 in ctx._gamma1.items():
@@ -283,9 +284,9 @@ def ref_christoffel_second(ctx, ginv):
 
 def ref_fwd(ctx):
     # hooks for covariant-derivative terms: fwd[(a, b)] lists (c, jet)
-    # with lower pair (a, b) and upper c
+    # with lower pair (a, b), c ascending
     fwd = {}
-    for (a, b, c), jet in ctx._gamma2.items():
+    for (a, b, c), jet in sorted(ctx._gamma2.items()):
         fwd.setdefault((a, b), []).append((c, jet))
     return fwd
 
@@ -902,6 +903,42 @@ def ref_ordered_sum(cols, acc, row, terms, sign=1, started=None):
             acc[r] = add(acc[r], vals[sel])
 
 
+def ref_plane_basis(g0, e1, e2):
+    """One plane's oriented orthonormal basis in Python scalars: the first
+    of e1, e2 and e1 + e2 that is not null, then the other generator made
+    orthogonal to it."""
+    q11 = float(e1 @ g0 @ e1)
+    q12 = float(e1 @ g0 @ e2)
+    q22 = float(e2 @ g0 @ e2)
+    scale = max(abs(q11), abs(q12), abs(q22))
+    det = q11 * q22 - q12 * q12
+    if scale == 0.0 or abs(det) <= cv._PLANE_TOL * scale * scale:
+        raise DegeneratePlaneError("degenerate 2-plane for this metric")
+    for c1, c2 in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
+        q = c1 * c1 * q11 + 2.0 * c1 * c2 * q12 + c2 * c2 * q22
+        if abs(q) > cv._PLANE_TOL * scale:
+            break
+    else:
+        raise DegeneratePlaneError("no non-null vector found in the plane")
+    eps1 = 1.0 if q > 0 else -1.0
+    s1 = abs(q) ** 0.5
+    u1 = (c1 * e1 + c2 * e2) / s1
+    a1, a2 = c1 / s1, c2 / s1
+    w, w1, w2 = (e2, 0.0, 1.0) if (c1, c2) != (0.0, 1.0) else (e1, 1.0, 0.0)
+    proj = eps1 * float(w @ g0 @ u1)
+    v = w - proj * u1
+    b1, b2 = w1 - proj * a1, w2 - proj * a2
+    qv = float(v @ g0 @ v)
+    if abs(qv) <= cv._PLANE_TOL * scale:
+        raise DegeneratePlaneError("degenerate 2-plane for this metric")
+    s2 = abs(qv) ** 0.5
+    u2 = v / s2
+    b1, b2 = b1 / s2, b2 / s2
+    if a1 * b2 - a2 * b1 < 0.0:
+        u2 = -u2
+    return u1, u2
+
+
 def ref_squared_operators(ctx, rng, samples):
     """The nilpotency check's loop: per sample a direction and a plane
     drawn in turn, J(x)^2 and then R(e1, e2)^2 unless the plane is
@@ -932,11 +969,11 @@ def same_arrays(got, want):
 
 
 def same_jets(got, want):
-    """Same keys in the same order, and the same coefficients to the bit, up
+    """Same keys, row order aside, and the same coefficients to the bit, up
     to the sign of a zero: a fresh row of a minus sum in the loops starts
     from -term, which leaves -0.0 in every column no term touches, and the
     context keeps no column where all its jets are zero."""
-    return list(got) == list(want) and all(
+    return sorted(got) == sorted(want) and all(
         bits(got[key].coef + 0.0) == bits(jet.coef + 0.0) for key, jet in want.items())
 
 
@@ -1093,6 +1130,21 @@ def _level_cases():
          (0, 1): "0.5*a", (1, 2): "0.25*c"},
         (0, 3),
     ), (0.2, -0.3, 0.1), 3
+    # varying off-diagonal entries in different rows: the inverse's sums
+    # over a and the hooks' order over the upper index decide bits here, on
+    # the inverse and Gamma_2 in the first case and on every level in the
+    # second
+    yield "off-diagonal a, b", metric_from_strings(
+        ("a", "b", "c"),
+        {(0, 0): "2.0", (1, 1): "2.0", (2, 2): "2.0", (0, 2): "0.3*b", (1, 2): "0.3*a"},
+        (0, 3),
+    ), (0.2, -0.3, 0.1), 3
+    yield "off-diagonal, 4 coordinates", metric_from_strings(
+        ("a", "b", "c", "d"),
+        {(0, 0): "2 + a^2", (1, 1): "2 + b^2", (2, 2): "2 + c^2", (3, 3): "2.0",
+         (0, 2): "0.1*b", (1, 2): "0.1*a"},
+        (0, 4),
+    ), (0.2, -0.3, 0.1, 0.0), 2
     # g_00 = 0 at the point and g_01 not constant: h0 holds an exact zero
     # at g^yy, the first sweep reaches that entry, and the second must plan
     # the term N_01 S_11 that it brings
@@ -1154,6 +1206,16 @@ def test_candidates_are_distinct_ascending_canonical(name, spec, pt, k_max):
         rows = list(map(tuple, cand.tolist()))
         assert rows == sorted(ref)
         assert all(ref_canonical(t) == (t, 1) for t in rows)
+
+
+@pytest.mark.parametrize("name,spec,pt,k_max", LEVEL_CASES, ids=[c[0] for c in LEVEL_CASES])
+def test_every_matrix_ascends_by_key(name, spec, pt, k_max):
+    # the inverse, both Christoffel kinds and every level: rows strictly
+    # ascending by key code, so every sum over a row index runs ascending
+    ctx = CurvatureContext(spec, pt, k_max)
+    for jets in (ctx._ginv, ctx._gamma1, ctx._gamma2, *map(ctx._level, range(k_max + 1))):
+        codes = jets.index @ cv._digit_weights(ctx.dim, jets.index.shape[1])
+        assert (codes[1:] > codes[:-1]).all()
 
 
 def _row_order_cases():
@@ -1297,6 +1359,76 @@ def test_squared_operators_match_the_sample_loop(p, seed, where):
     loaded = cli.LoadedMetric(spec, params, "")
     results = {name: detail for name, _, detail in cli._check_suite(loaded, pt, seed, 1e-10)}
     assert results["nilpotency"] == f"max squared-operator entry {want!r}"
+
+
+def _operator_context(p, where):
+    # the nilpotency check's family contexts at p, or (p None) a Riemannian
+    # product
+    if p is None:
+        conf = "exp(2.0*(0.3*s^2 + 0.1*s*t - 0.05*t^2 + 0.2*s - 0.1*t))"
+        return CurvatureContext(metric_from_strings(
+            ("theta", "phi", "s", "t"),
+            {(0, 0): "1.0", (1, 1): "sin(theta)^2", (2, 2): conf, (3, 3): conf}, (0, 4)),
+            (0.9, 0.3, 0.1, 0.2), 0)
+    params = fam.FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    pt = (fam.base_point(params, 0.0) if where == "base" else
+          fam.base_point(params, 0.3, [0.5 - 0.2 * i for i in range(p + 1)]))
+    return CurvatureContext(fam.build_metric(params), pt, 0)
+
+
+OPERATOR_CONTEXTS = [(p, where) for p in range(4) for where in ("base", "general")] + \
+    [(None, "S2 x conformal")]
+
+
+@pytest.mark.parametrize("n", [0, 1, 200])
+@pytest.mark.parametrize("p,where", OPERATOR_CONTEXTS,
+                         ids=[f"p={p} {w}" if p is not None else w for p, w in OPERATOR_CONTEXTS])
+def test_stacked_plane_basis_is_the_scalar_loop(p, where, n):
+    # an (n, m) stack of random planes, and each plane alone, against the
+    # scalar steps plane by plane, bit for bit
+    g0 = _operator_context(p, where).g0
+    e1, e2 = np.random.default_rng(n).standard_normal((2, n, len(g0)))
+    u1, u2 = cv._plane_basis(g0, e1, e2)
+    assert u1.shape == u2.shape == e1.shape
+    for k in range(n):
+        want = ref_plane_basis(g0, e1[k], e2[k])
+        assert same_arrays((u1[k], u2[k]), want)
+        assert same_arrays(cv._plane_basis(g0, e1[k], e2[k]), want)
+
+
+def test_plane_basis_takes_the_first_non_null_generator():
+    # on family p = 0 at the base point e_y and e_ybar are null and paired,
+    # and v = e_x + e_ybar is not null: (e_y, e_ybar) takes e1 + e2, (e_y,
+    # v) takes e2 alone and then e1, (v, e_y) takes e1; alone and in one stack
+    ctx = _operator_context(0, "base")
+    g0, (e_x, e_y, e_yb) = ctx.g0, np.eye(ctx.dim)[[0, 1, 4]]
+    assert g0[1, 1] == g0[4, 4] == 0.0 != g0[1, 4] and g0[0, 0] == -4.0
+    v = e_x + e_yb
+    planes = [(e_y, e_yb), (e_y, v), (v, e_y)]
+    u1, u2 = cv._plane_basis(g0, *np.array(planes).swapaxes(0, 1))
+    for k, plane in enumerate(planes):
+        want = ref_plane_basis(g0, *plane)
+        assert same_arrays((u1[k], u2[k]), want)
+        assert same_arrays(cv._plane_basis(g0, *plane), want)
+    assert bits(u1[0]) == bits((e_y + e_yb) / 2.0 ** 0.5)
+    assert bits(u1[1]) == bits(v / 2.0) and bits(u1[2]) == bits(v / 2.0)
+
+
+def test_degenerate_and_non_finite_planes_raise():
+    # a nan coordinate, a dependent pair and the totally null plane
+    # (e_ybar, e_zbar) on family p = 0: alone, and as one row of a stack
+    # of otherwise good planes
+    ctx = _operator_context(0, "base")
+    e1, e2 = np.random.default_rng(2).standard_normal((2, 5, ctx.dim))
+    e_yb, e_zb = np.eye(ctx.dim)[[4, 5]]
+    cv._plane_basis(ctx.g0, e1, e2)
+    for bad in ((np.full(ctx.dim, np.nan), e2[0]), (e1[0], 2.0 * e1[0]), (e_yb, e_zb)):
+        with pytest.raises(DegeneratePlaneError, match="^degenerate 2-plane for this metric$"):
+            cv._plane_basis(ctx.g0, *bad)
+        stack = e1.copy(), e2.copy()
+        stack[0][3], stack[1][3] = bad
+        with pytest.raises(DegeneratePlaneError, match="^degenerate 2-plane for this metric$"):
+            skew_curvature_operator(ctx, *stack)
 
 
 def test_squared_operators_skip_degenerate_planes():
