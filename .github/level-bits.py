@@ -8,7 +8,10 @@ change starts from.  For each context below the script builds, once with
 BASE_DIR/src and once with this checkout's src on PYTHONPATH, the inverse
 metric, both Christoffel kinds and every curvature level, and hashes each
 as a map from index tuple to (codes, values): keys sorted, so that row
-order does not count, and -0.0 read as +0.0.  Each level's point-value view
+order does not count, and -0.0 read as +0.0.  The inverse is hashed
+truncated to max_deriv + 1, the order of its reader, the Christoffel
+symbols, with the rows that truncation leaves zero dropped, so that a tree
+that computes it to a higher order matches one that stops there.  Each level's point-value view
 is hashed too, as its sorted (index row, value) pairs, and so are
 `jacobi_operator` and `skew_curvature_operator` on 50 seeded directions and
 planes, as one stack and one at a time.  A context that raises hashes its
@@ -65,10 +68,11 @@ def _contexts():
         (0.8, 0.3) + (0.0,) * 38, 8
 
 
-def _jets_bits(jets):
+def _jets_bits(jets, order=None):
+    cols, vals = (jets.cols, jets.vals) if order is None else jets.cut(order)
     keys = list(map(tuple, jets.index.tolist()))
-    rows = sorted(range(len(keys)), key=keys.__getitem__)
-    return [jets.cols.tolist()] + [(keys[n], (jets.vals[n] + 0.0).tobytes()) for n in rows]
+    rows = sorted((n for n in range(len(keys)) if vals[n].any()), key=keys.__getitem__)
+    return [cols.tolist()] + [(keys[n], (vals[n] + 0.0).tobytes()) for n in rows]
 
 
 def _view_bits(view):
@@ -83,7 +87,8 @@ def _digests():
         h = hashlib.sha256()
         try:
             ctx = CurvatureContext(spec, point, k_max)
-            for jets in (ctx._ginv, ctx._gamma1, ctx._gamma2):
+            h.update(repr(_jets_bits(ctx._ginv, ctx.order - 1)).encode())
+            for jets in (ctx._gamma1, ctx._gamma2):
                 h.update(repr(_jets_bits(jets)).encode())
             for k in range(k_max + 1):
                 h.update(repr(_jets_bits(ctx._level(k))).encode())

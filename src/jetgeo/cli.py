@@ -36,7 +36,7 @@ from .curvature import (
     jacobi_operator,
     skew_curvature_operator,
 )
-from .jets import JetOrderError, NonFiniteError
+from .jets import JetOrderError, JetSpaceSizeError, NonFiniteError
 from .metric import MetricSpec, SignatureError, SingularMetricError, load_metric
 
 __all__ = ["main", "build_parser"]
@@ -69,6 +69,7 @@ _INPUT_ERRORS = (
     ex.ParseError,
     fam.PositivityError,
     inv.CapsExceededError,
+    JetSpaceSizeError,
 )
 
 
@@ -289,7 +290,8 @@ def _check_suite(
     def report(name: str, ok: bool, detail: str) -> None:
         results.append((name, "PASS" if ok else "FAIL", detail))
 
-    max_deriv = 2 if params is None else max(2, params.p + 2)
+    # the deepest level read: 1 by a spec's checks, p + 2 (at least 2) by the family's
+    max_deriv = 1 if params is None else max(2, params.p + 2)
     ctx = CurvatureContext(spec, point, max_deriv=max_deriv)
     comp0 = ctx.curvature(0).components
     comp1 = ctx.curvature(1).components

@@ -5,6 +5,7 @@ metric actually depends on.  A `CurvatureContext` fixes a metric, a base
 point, and `max_deriv`; it then carries jets of total order
 
     metric            max_deriv + 2
+    inverse metric    max_deriv + 1
     Christoffel       max_deriv + 1
     curvature level k max_deriv - k      (level k = k-th covariant derivative)
 
@@ -54,7 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jets import SPARSE_PAIR_COST, Jet, JetOrderError, NonFiniteError, _distinct, jet_space
+from .jets import SPARSE_PAIR_COST, Jet, JetOrderError, NonFiniteError, _distinct, _expand, jet_space
 from . import expr as ex
 from .metric import MetricSpec
 
@@ -210,12 +211,6 @@ def _runs(key: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     length of each value's run in it."""
     length = np.bincount(key, minlength=n)
     return key.argsort(kind="stable"), length.cumsum() - length, length
-
-
-def _expand(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For runs given by start and length: each member's run, and its position."""
-    run = np.arange(len(length)).repeat(length)
-    return run, np.arange(len(run)) + (start + length - length.cumsum())[run]
 
 
 @lru_cache(maxsize=None)
@@ -430,13 +425,14 @@ class CurvatureContext:
                      np.concatenate(vals), self._space, self.order)
 
     def _neumann_inverse(self) -> _Jets:
-        """Inverse-metric jets at full order.
+        """Inverse-metric jets of order max_deriv + 1, their reader Γ²'s.
 
         With g = g0 + N and N free of constant term, N is nilpotent in the
-        truncated algebra, so `order` sweeps of S <- h0 - h0 N S land on the
-        exact truncated inverse.  A sweep sums t = N S over b ascending, then
-        S from h0 (or from nothing) less h0 t over a ascending: one
-        `multiply_rows` of all the pairs (N_ab, S_bc), then two ordered sums.
+        truncated algebra, and sweep j of S <- h0 - h0 N S is exact to degree
+        j: max_deriv + 1 sweeps, or fewer where one repeats the last to the
+        bit, land on the exact truncated inverse.  A sweep sums t = N S over b
+        ascending, then S from h0 (or from nothing) less h0 t over a ascending:
+        one `multiply_rows` of all the pairs (N_ab, S_bc), then two ordered sums.
         The rows each term reads, where it adds and its h0 weight depend on
         the keys of S only, and are planned again when those change.
 
@@ -449,22 +445,22 @@ class CurvatureContext:
         inverse's zeros.
         """
         m, h0 = self.dim, self.ginv0
-        space = self._space
-        g = self._g_rows
+        space, order = self._space, self.order - 1
+        g_cols, g_vals = self._g_rows.cut(order)
         # N's entries (a, b): each upper metric entry with a nonconstant
         # part, as (i, j) and then (j, i), with their rows of `nil`
-        live = g.vals[:, 1:].any(axis=1)  # code 0 is column 0: g0 is not zero
-        nil = g.vals[live]
+        live = g_vals[:, 1:].any(axis=1)  # code 0 is column 0: g0 is not zero
+        nil = g_vals[live]
         nil[:, 0] = 0.0
-        nil = (g.cols, nil)
+        nil = (g_cols, nil)
         src, nil_a, nil_b = np.array(
-            [(r, *pair) for r, (i, j) in enumerate(g.index[live].tolist())
+            [(r, *pair) for r, (i, j) in enumerate(self._g_rows.index[live].tolist())
              for pair in dict.fromkeys([(i, j), (j, i)])], dtype=np.intp).reshape(-1, 3).T
         # S and t as rows keyed a * m + b; S starts from h0, at code 0
         base = np.flatnonzero(h0)
         seed = h0.flat[base]
         keys, s_cols, s, stale = base, np.zeros(1, dtype=np.intp), seed[:, None], True
-        for _ in range(self.order):
+        for _ in range(order):
             if stale:  # the terms of a sweep depend on the keys of S only
                 pos = np.full((m, m), -1)
                 pos.flat[keys] = np.arange(len(keys))
@@ -482,7 +478,7 @@ class CurvatureContext:
                 left_row, right_row, weight = src[at], pos[nil_b[at], c], h0[i, ta[tr], None]
                 stale, keys = not np.array_equal(new, keys), new
             cols, (left, right) = _joint(nil, (s_cols, s))
-            t_cols, prods = space.multiply_rows(cols, left[left_row], right[right_row], self.order)
+            t_cols, prods = space.multiply_rows(cols, left[left_row], right[right_row], order)
             t = np.empty((len(t_keys), len(t_cols)))
             _ordered_sum(t_cols, t, t_row, lambda ts: (t_cols, prods[ts]))
             # code 0 is in `cols`, so in `t_cols`: h0 goes to column 0
@@ -497,7 +493,7 @@ class CurvatureContext:
             if (not stale and np.array_equal(s_cols, last_cols)
                     and np.array_equal(s.view(np.int64), last.view(np.int64))):
                 break
-        return _Jets(np.column_stack(np.divmod(keys, m)), s_cols, s, space, self.order)
+        return _Jets(np.column_stack(np.divmod(keys, m)), s_cols, s, space, order)
 
     def _christoffel_first(self) -> _Jets:
         """Gamma_abc as the sums of `christoffel_terms`, in their order."""
@@ -527,7 +523,7 @@ class CurvatureContext:
         codes = np.column_stack((g1.index[at, :2], ginv.index[h, 0])) @ weights
         keys = _distinct(codes)
         row = keys.searchsorted(codes)
-        cols, (left, right) = _joint(ginv.cut(order), (g1.cols, g1.vals))
+        cols, (left, right) = _joint((ginv.cols, ginv.vals), (g1.cols, g1.vals))
         out = space.product_cols(cols, order)
         acc = np.empty((len(keys), len(out)))
         _ordered_sum(out, acc, row, lambda ts: space.multiply_rows(

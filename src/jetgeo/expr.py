@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .jets import Jet, JetSpace, NonFiniteError, _exp, _power, _trig, jet_space
+from .jets import Jet, NonFiniteError, _exp, _finite, _power, _trig, jet_space
 
 __all__ = [
     "Expr",
@@ -378,10 +378,6 @@ def _fold(e: Expr, leaf, add, mul, neg, call, join=iter):
     return rec(e)
 
 
-def _finite(v: float | np.ndarray) -> bool:
-    return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
-
-
 # the names `forward_source` code calls, over Python floats or over rows of
 # points (numpy arrays, one value per point), with the guards of `jets`
 OPS = dict(exp=_exp, sin=functools.partial(_trig, math.sin),
@@ -421,17 +417,17 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
     Each node is evaluated over the active variables it holds (Taylor
     propagation restricted to a term's own variables: Griewank and Walther,
     *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  A constant or a
-    frozen variable is a float.  A sum or a product works over the union of
-    its operands' variables and lifts each operand there as the fold reaches
-    it (`JetSpace.lift`; a float becomes a constant there); a unary node
-    stays over its operand's, and only the result is lifted to `active`.
-    A jet lifts bit for bit (see `jets`), so every coefficient is the one of
-    evaluating each node over all of `active`, up to the sign of a zero.
+    frozen variable is a float; a float stays a float, as in `eval_point`
+    (exp, sin and cos of a float are `OPS`'); a sum or product lifts only
+    its jet operands, each to the union of their variables as the fold
+    reaches it (`JetSpace.lift`), and takes a float operand by `Jet`'s
+    scalar + or *, which leave the bits its constant jet would.  A unary
+    node stays over its operand's variables, and only the result is lifted
+    to `active`.  A jet lifts bit for bit (see `jets`), so every coefficient
+    is the one of evaluating each node over all of `active`, up to the sign
+    of a zero.
     """
     space = jet_space(tuple(active), order)
-
-    def lift(v, to: JetSpace) -> Jet:
-        return to.lift(v) if isinstance(v, Jet) else to.constant(v)
 
     def leaf(node):
         if isinstance(node, Const):
@@ -447,13 +443,15 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
     def join(vals):
         names = set().union(*(v.variables for v in vals if isinstance(v, Jet)))
         to = jet_space(tuple(n for n in space.variables if n in names), order)
-        return (lift(v, to) for v in vals)  # each as the fold reaches it
+        # each jet as the fold reaches it
+        return (to.lift(v) if isinstance(v, Jet) else v for v in vals)
 
     def call(name: str, arg):
-        return getattr(arg if isinstance(arg, Jet) else jet_space((), order).constant(arg), name)()
+        return getattr(arg, name)() if isinstance(arg, Jet) else OPS[name](arg)
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = lift(_fold(e, leaf, operator.add, operator.mul, operator.neg, call, join), space)
+        out = _fold(e, leaf, operator.add, operator.mul, operator.neg, call, join)
+    out = space.lift(out) if isinstance(out, Jet) else space.constant(out)
     if not np.isfinite(out.coef).all():
         raise NonFiniteError("expression evaluation produced non-finite coefficients")
     return out

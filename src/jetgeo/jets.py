@@ -78,6 +78,8 @@ __all__ = [
     "JetSpace",
     "JetMismatchError",
     "JetOrderError",
+    "JetSpaceSizeError",
+    "MAX_SPACE_SIZE",
     "NonFiniteError",
     "jet_space",
 ]
@@ -93,6 +95,16 @@ class JetOrderError(ValueError):
 
 class NonFiniteError(ArithmeticError):
     """An operation produced inf or nan."""
+
+
+class JetSpaceSizeError(ValueError):
+    """A jet space would hold more than MAX_SPACE_SIZE multi-indices."""
+
+
+# The most multi-indices a space may hold, refused before any array of that
+# length is allocated: the family's `check` and `alpha` up to p = 11 (37,442,160
+# and 67,863,915), where `check` at p = 12 needs 145,422,675
+MAX_SPACE_SIZE = 10 ** 8
 
 
 # The sparse route runs when nnz(a) * nnz(b) * SPARSE_PAIR_COST < pair count.
@@ -116,6 +128,11 @@ SPARSE_PAIR_COST = 256
 _EXP_LIMIT = 709.0
 
 
+def _finite(v: float | np.ndarray) -> bool:
+    """Whether a float, or every entry of an array, is finite."""
+    return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
+
+
 def _pointwise(fn, v: float | np.ndarray) -> float | np.ndarray:
     # math's function value by value, for a float or a row of points: numpy's
     # exp differs from math.exp in the last bit for about one argument in twenty
@@ -131,7 +148,7 @@ def _exp(v: float | np.ndarray) -> float | np.ndarray:
 
 
 def _trig(fn, v: float | np.ndarray) -> float | np.ndarray:
-    if not (math.isfinite(v) if isinstance(v, float) else np.isfinite(v).all()):
+    if not _finite(v):
         raise NonFiniteError(f"{fn.__name__} of non-finite argument {np.max(v)}")
     return _pointwise(fn, v)
 
@@ -147,16 +164,6 @@ def _power(x, k: int, mul):
         if k:
             x = mul(x, x)
     return out
-
-
-def _ramps(lengths: np.ndarray) -> np.ndarray:
-    """The ranges 0..l-1 for each l in `lengths`, concatenated."""
-    return np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-
-
-def _finite(a: np.ndarray, b: np.ndarray) -> bool:
-    # the sparse route's condition: the table's inf * 0 is nan
-    return bool(np.isfinite(a).all() and np.isfinite(b).all())
 
 
 @lru_cache(maxsize=None)
@@ -192,6 +199,11 @@ class JetSpace:
             raise ValueError(f"duplicate variables in {self.variables}")
         self.order = int(order)
         self.n = len(self.variables)
+        self.size = self.size_at(self.order)
+        if self.size > MAX_SPACE_SIZE:
+            raise JetSpaceSizeError(
+                f"a jet space of order {self.order} in {self.n} variables would hold "
+                f"{self.size:,} multi-indices, above the limit of {MAX_SPACE_SIZE:,}")
         # digits in base order + 1: the exponents, one variable at a time in
         # lexicographic order, then the degree; Python ints past int64
         base = self.order + 1
@@ -199,14 +211,13 @@ class JetSpace:
         code, deg = np.zeros(1, dtype=dtype), np.zeros(1, dtype=np.int64)
         for _ in range(self.n):
             room = base - deg
-            ramp = _ramps(room)
-            code = np.repeat(code, room) * base + ramp.astype(dtype)
-            deg = np.repeat(deg, room) + ramp
+            run, ramp = _expand(np.zeros_like(room), room)
+            code = code[run] * base + ramp.astype(dtype)
+            deg = deg[run] + ramp
         self._grade = base ** self.n
         self._codes = np.sort(deg.astype(dtype) * self._grade + code)
         self._places = np.array([base ** (self.n - 1 - v) for v in range(self.n)], dtype=dtype)
         self._unit_codes = self._grade + self._places
-        self.size = len(self._codes)
         self._var_pos = {name: i for i, name in enumerate(self.variables)}
         # ordered pairs of degree sum <= K, and the diagonal ones, halved
         self._pairs = (math.comb(self.order + 2 * self.n, 2 * self.n)
@@ -288,9 +299,8 @@ class JetSpace:
         # codes are graded, so the partners of r are one run of the set:
         # from r up to the first code of degree order - |r| + 1
         stop = np.searchsorted(codes, self.stop(order - codes // self._grade))
-        lengths = np.maximum(stop - np.arange(len(codes)), 0)
-        i = np.repeat(np.arange(len(codes)), lengths)
-        j = i + _ramps(lengths)
+        start = np.arange(len(codes))
+        i, j = _expand(start, np.maximum(stop - start, 0))
         out = codes[i] + codes[j]
         diag = i == j
         off = ~diag
@@ -328,7 +338,8 @@ class JetSpace:
         pairs = self._pairs
         if pairs > SPARSE_PAIR_COST:
             cost = np.count_nonzero(a) * SPARSE_PAIR_COST
-            if cost < pairs and cost * np.count_nonzero(b) < pairs and _finite(a, b):
+            # the table's inf * 0 is nan, which no listing of the nonzeros forms
+            if cost < pairs and cost * np.count_nonzero(b) < pairs and _finite(a) and _finite(b):
                 nz = np.flatnonzero((a != 0) | (b != 0))
                 out, sums = self.multiply_rows(self._codes[nz], a[None, nz], b[None, nz],
                                                self.order)
@@ -345,7 +356,7 @@ class JetSpace:
         and of b, so put, bit for bit.  A non-finite operand raises
         NonFiniteError.  Rows go in blocks of SPARSE_PAIR_COST ** 2 pairs.
         """
-        if not _finite(a, b):
+        if not (_finite(a) and _finite(b)):
             raise NonFiniteError("non-finite coefficients in the curvature jets")
         listing, out = self._product_listing(cols, order)
         sums = np.empty((len(a), len(out)))
@@ -399,6 +410,12 @@ class JetSpace:
         return codes, pos, fac
 
 
+def _expand(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For runs given by start and length: each member's run, and its position."""
+    run = np.arange(len(length)).repeat(length)
+    return run, np.arange(len(run)) + (start + length - length.cumsum())[run]
+
+
 def _distinct(x: np.ndarray) -> np.ndarray:
     """The distinct entries of `x`, ascending (`np.unique` would import
     numpy.ma)."""
@@ -443,10 +460,13 @@ class Jet:
             )
 
     # ------------------------------------------------------------- operations
+    # A scalar operand gives the bits of its constant jet: that sum adds +0.0
+    # off the constant term, and that table product starts each bin at +0.0,
+    # so both turn a -0.0 coefficient into +0.0 (finite operands)
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            coef = self.coef.copy()
-            coef[0] += other
+            coef = self.coef + 0.0
+            coef[0] = self.coef[0] + other
             return Jet(self.space, coef)
         self._check_mate(other)
         return Jet(self.space, self.coef + other.coef)
@@ -464,7 +484,7 @@ class Jet:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return Jet(self.space, self.coef * other)
+            return Jet(self.space, self.coef * other + 0.0)
         self._check_mate(other)
         return Jet(self.space, self.space.multiply(self.coef, other.coef))
 

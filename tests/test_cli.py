@@ -175,6 +175,33 @@ def test_check_builds_the_family_metric_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_builds_its_context_to_the_deepest_level_it_reads(capsys, monkeypatch,
+                                                                 sphere_path):
+    # a spec's checks read levels 0 and 1; the family's reach level p + 2
+    depths = []
+
+    class Recorded(cli.CurvatureContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            depths.append(self.max_deriv)
+    monkeypatch.setattr(cli, "CurvatureContext", Recorded)
+    for argv, depth in ((["--spec", sphere_path, "--point", "0.8,0.1"], 1),
+                        (["--family", "p=1, f=exp(y)"], 3)):
+        depths.clear()
+        code, out, _ = run(capsys, ["check", *argv, "--seed", "7"])
+        assert code == 0 and out.splitlines()[-1] == "RESULT: PASS"
+        assert depths == [depth]
+
+
+def test_check_refuses_a_family_whose_jet_space_is_too_large(capsys):
+    # p = 12 needs 145,422,675 multi-indices: one input-error line at once,
+    # where it took 12 s and gigabytes to fail with a MemoryError
+    code, out, err = run(capsys, ["check", "--family", "p=12,f=exp(y)+exp(2*y)", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("jetgeo: input error: a jet space of order 16 in 14 variables")
+
+
 @pytest.mark.xfail(strict=True, reason="the Runge-Kutta route's error (rtol 1e-10) reaches the "
                    "fixed 1e-9 route-gap bound: ROADMAP, known defects")
 def test_check_geodesic_roundtrip_passes_on_a_long_trajectory(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jetgeo import expr as ex
+from jetgeo import family as fam
 from jetgeo.expr import (
     Const,
     Cos,
@@ -266,6 +267,25 @@ def test_powers_take_the_squaring_products(monkeypatch):
         counts.append(0)
         eval_jet(parse(f"y^{k}", CHART), {"y": 0.3}, ("y",), 4)
     assert counts == [0, 0, 1, 2, 2, 3, 3, 4, 3, 4]
+
+
+def test_eval_jet_keeps_constants_as_floats(monkeypatch):
+    # g_00 = -2 (f(y) + sum_i y^(i+1) z_i) of the family at p = 3, to the
+    # order of its `check`: -2 and the 2 of exp(2*y) stay floats, so no
+    # constant jet is made and nothing is multiplied over all 5 variables
+    # (a constant jet of -2 took one such product)
+    params = fam.FamilyParams(3, parse("exp(y) + exp(2*y)", ("y",)))
+    spec = fam.build_metric(params)
+    env = spec.env_at(fam.base_point(params, 0.1, [0.1] * 4))
+    products, constants = [], []
+    multiply, constant = JetSpace.multiply, JetSpace.constant
+    monkeypatch.setattr(JetSpace, "multiply",
+                        lambda self, a, b: products.append(self.variables) or multiply(self, a, b))
+    monkeypatch.setattr(JetSpace, "constant",
+                        lambda self, v: constants.append(self.variables) or constant(self, v))
+    jet = eval_jet(spec.components[0][0], env, spec.active_vars, 7)
+    assert len(spec.active_vars) == 5 and jet.variables == spec.active_vars
+    assert spec.active_vars not in products and constants == []
 
 
 def _kernel(e):

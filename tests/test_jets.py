@@ -18,6 +18,8 @@ from jetgeo.jets import (
     JetMismatchError,
     JetOrderError,
     JetSpace,
+    JetSpaceSizeError,
+    MAX_SPACE_SIZE,
     SPARSE_PAIR_COST,
     NonFiniteError,
     jet_space,
@@ -102,6 +104,24 @@ def test_space_keeps_no_object_per_multi_index():
         tracemalloc.stop()
     assert sp.size == 19448
     assert retained <= 1.25 * 155 * 2 ** 10
+
+
+def test_a_space_above_the_size_limit_is_refused_before_it_is_built():
+    # 14 variables at order 16 hold 145,422,675 multi-indices, the family's
+    # top space for `check` at p = 12; the count alone refuses it, before
+    # any array of that length exists.  `check` at p = 11 (13 variables,
+    # order 15) stays below the limit
+    names = tuple(f"v{i}" for i in range(14))
+    tracemalloc.start()
+    try:
+        with pytest.raises(JetSpaceSizeError, match="145,422,675"):
+            JetSpace(names, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert issubclass(JetSpaceSizeError, ValueError)
+    assert math.comb(15 + 13, 13) <= MAX_SPACE_SIZE < math.comb(16 + 14, 14)
 
 
 def test_space_cached():
@@ -202,6 +222,22 @@ def test_scaled_and_neg():
     a = dyadic_jet(sp, rng)
     assert np.array_equal((a * -1.0).coef, (-a).coef)
     assert np.array_equal((a - a).coef, np.zeros(sp.size))
+
+
+def test_scalar_operands_leave_the_bits_of_constant_jets():
+    # a float operand of + or * gives the bits its constant jet gives,
+    # -0.0 coefficients included, on the table route (2 variables) and on
+    # the sparse one (a few nonzeros among 4 variables at order 6)
+    rng = np.random.default_rng(8)
+    for sp, nnz in ((jet_space(("a", "b"), 3), 7), (jet_space(("a", "b", "c", "d"), 6), 3)):
+        coef = np.zeros(sp.size)
+        coef[rng.choice(sp.size, nnz, replace=False)] = rng.standard_normal(nnz)
+        coef[rng.choice(np.flatnonzero(coef == 0.0), 2, replace=False)] = -0.0
+        a = Jet(sp, coef)
+        for v in (2.5, -2.0, 0.0, -0.0):
+            c = sp.constant(v)
+            for got, want in ((a + v, a + c), (v + a, c + a), (a * v, a * c), (v * a, c * a)):
+                assert got.coef.tobytes() == want.coef.tobytes(), v
 
 
 def test_pow_matches_repeated_product():

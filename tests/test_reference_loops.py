@@ -44,7 +44,7 @@ from jetgeo.curvature import (
     skew_curvature_operator,
 )
 from jetgeo.invariants import WORK_LIMIT, CapsExceededError, ContractionSchema
-from jetgeo.jets import SPARSE_PAIR_COST, Jet, NonFiniteError, _ramps, jet_space
+from jetgeo.jets import SPARSE_PAIR_COST, Jet, NonFiniteError, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
 from test_expr import CHART as EXPR_CHART
 from test_expr import exprs
@@ -211,14 +211,15 @@ def ref_flush(coef, scale):
 
 
 def ref_neumann_inverse(ctx):
-    m = ctx.dim
+    # the inverse at the order of its reader, the Christoffel symbols
+    m, order = ctx.dim, ctx.order - 1
     h0 = ref_flush(ctx.ginv0, np.max(np.abs(ctx.ginv0)))
-    space = jet_space(ctx.active, ctx.order)
+    space = jet_space(ctx.active, order)
     nil = {}
     for (i, j), jet in metric_jets(ctx).items():
         if i > j:
             continue
-        c = jet.coef.copy()
+        c = jet.truncated(order).coef.copy()
         c[0] = 0.0
         if not c.any():
             continue
@@ -234,7 +235,7 @@ def ref_neumann_inverse(ctx):
     if not nil:
         return base
     s = dict(base)
-    for _ in range(ctx.order):
+    for _ in range(order):
         t = {}
         for (a, b), nj in nil.items():
             for c in range(m):
@@ -582,13 +583,18 @@ def ref_pair_rows(self):
     return np.maximum(top[self._exps.sum(axis=1)] - np.arange(self.size), 0)
 
 
+def ref_ramps(lengths):
+    # the ranges 0..l-1 for each l in `lengths`, concatenated
+    return np.concatenate([np.arange(n) for n in lengths.tolist()] + [np.zeros(0, np.intp)])
+
+
 def ref_mul(self):
     # Symmetrized pair table: rows with ia < ib contribute
     # a[ia]*b[ib] + a[ib]*b[ia], diagonal rows contribute a[ia]*b[ia].
     # The symmetry makes a * b and b * a bit-identical.
     lengths = ref_pair_rows(self)
     ra = np.repeat(np.arange(self.size), lengths)
-    rb = ra + _ramps(lengths)
+    rb = ra + ref_ramps(lengths)
     ro = np.searchsorted(self._codes, self._codes[ra] + self._codes[rb])
     diag = ra == rb
     off = ~diag
@@ -885,7 +891,7 @@ def ref_ordered_sum(cols, acc, row, terms, sign=1, started=None):
     coefficients."""
     fresh = np.ones(len(acc), dtype=bool) if started is None else ~started
     nth = np.empty(len(row), dtype=np.intp)
-    nth[np.argsort(row, kind="stable")] = _ramps(np.bincount(row))
+    nth[np.argsort(row, kind="stable")] = ref_ramps(np.bincount(row))
     add = np.subtract if sign < 0 else np.add
     step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(cols)))
     for t0 in range(0, len(row), step):
