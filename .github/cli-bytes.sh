@@ -10,13 +10,14 @@
 # agree, and a unified diff of whichever differ when they do not.  It exits
 # 1 if any command differs and 0 if none does.
 #
-# The commands are README's three examples and 14 more: `check` on the
+# The commands are README's three examples and 16 more: `check` on the
 # family at p = 0..3 and at a general point, and on an S^2, an H^2 and a
 # conformal spec file; `curvature --k 6` on S^2 and on H^2 at x = -0.1;
-# `alpha` at p = 4; `curvature --k 3` on the family at p = 2; and `check`
-# and `curvature --k 2` on a 4-coordinate spec whose off-diagonal entries
-# vary in different rows, where the order of the inverse's and the
-# Christoffel symbols' sums decides the last digits.
+# `alpha` at p = 4; `curvature --k 3` on the family at p = 2; `check` and
+# `curvature --k 2` on a 4-coordinate spec whose off-diagonal entries vary
+# in different rows, where the order of the inverse's and the Christoffel
+# symbols' sums decides the last digits; and `check` and `alpha` at p = 8,
+# whose top jet space holds 1,144,066 multi-indices.
 set -uf  # -f: the commands below are split into words, never globbed
 if [ $# -ne 1 ] || [ ! -d "$1/src/jetgeo" ]; then
   echo "usage: $0 BASE_DIR (a checkout with src/jetgeo)" >&2
@@ -96,6 +97,8 @@ commands=(
   "curvature --family p=2,$family --point 0.1,0.2,0.3,0.3,0.3,0.1,0.1,0.1,0.1,0.1 --k 3"
   "check --spec $tmp/off-diagonal.json --point=0.2,-0.3,0.1,0"
   "curvature --spec $tmp/off-diagonal.json --point=0.2,-0.3,0.1,0 --k 2"
+  "check --family p=8,$family --seed 1"
+  "alpha --family p=8,$family --grid y=-0.5:0.5:3"
 )
 
 run() {  # SRC OUT ARGS...: the command's stdout, stderr and exit code

@@ -42,7 +42,7 @@ family).  All arithmetic runs on those columns: a product lists the pairs
 of its operands' joint columns, a derivative sends code m to m - code(e_v),
 and truncation keeps a prefix of the columns.  A sum's columns are known
 before it runs, from those of its terms.  A metric entry's jet is taken over
-its own coordinates, and a row is made dense only when a read-out asks for it.
+its own coordinates, and a row read out as a jet occupies its matrix's columns.
 """
 from __future__ import annotations
 
@@ -227,8 +227,8 @@ class _Jets(Mapping):
     """Jets of truncation order `order` by index tuple, zero rows left out:
     row r of `index` is a key, and row r of `vals` its jet's coefficients at
     `cols`, the ascending codes of `space` where some row is nonzero.  A
-    non-finite coefficient raises NonFiniteError.  A key's jet is built
-    dense, of `order`, by `JetSpace.jet_at` when read, and no other row is."""
+    non-finite coefficient raises NonFiniteError.  A key's jet, made when
+    read, occupies `cols`, as codes of its own order."""
 
     def __init__(self, index: np.ndarray, cols: np.ndarray, vals: np.ndarray, space, order: int):
         if not np.isfinite(vals).all():
@@ -245,8 +245,13 @@ class _Jets(Mapping):
     def _row(self) -> dict[tuple[int, ...], int]:
         return dict(zip(map(tuple, self.index.tolist()), range(len(self.index))))
 
+    @cached_property
+    def _row_space(self):
+        target = jet_space(self.space.variables, self.order)
+        return target.occupying(self.space.recode(self.cols, target))
+
     def __getitem__(self, key) -> Jet:
-        return self.space.jet_at(self.cols, self.vals[self._row[key]], self.order)
+        return Jet(self._row_space, self.vals[self._row[key]].copy())
 
     def __iter__(self):
         return iter(self._row)
@@ -409,8 +414,8 @@ class CurvatureContext:
     def _metric_rows(self, env) -> _Jets:
         """The metric jets of the upper triangle row by row, zeros left out:
         each entry's jet over its own coordinates, its nonzeros put at their
-        codes here.  Identical entries (expression and coordinates) are
-        evaluated once."""
+        codes here (`Jet.codes_in`).  Identical entries (expression and
+        coordinates) are evaluated once."""
         rows, evaluated = [], {}
         # not empty: `validate_at` has ruled out a zero metric
         for (i, j), names in self.spec.entry_vars.items():
@@ -419,7 +424,7 @@ class CurvatureContext:
                 evaluated[key] = ex.eval_jet(key[0], env, names, self.order)
             jet = evaluated[key]
             nz = np.flatnonzero(jet.coef)
-            rows.append((self._space.codes_of(jet.space)[nz], jet.coef[None, nz]))
+            rows.append((jet.codes_in(self._space)[nz], jet.coef[None, nz]))
         cols, vals = _joint(*rows)
         return _Jets(np.array(list(self.spec.entry_vars), dtype=np.intp), cols,
                      np.concatenate(vals), self._space, self.order)

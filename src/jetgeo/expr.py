@@ -350,23 +350,19 @@ def free_vars(e: Expr) -> frozenset[str]:
     return frozenset().union(*map(free_vars, _children(e)))
 
 
-def _fold(e: Expr, leaf, add, mul, neg, call, join=iter):
+def _fold(e: Expr, leaf, add, mul, neg, call):
     """`e` in the one evaluation order of `eval_point`, `eval_jet` and
     `forward_source`, which supply the operations: a constant or variable is
     `leaf(node)`; a sum or product evaluates its operands left to right and
-    folds `join(operands)` left with `add` or `mul`; a power takes its base
-    by squaring as `Jet.pow` does (^0 is leaf(Const(1.0))); a negation is
-    `neg(arg)`, and exp, sin or cos `call(name, arg)`."""
+    folds them left with `add` or `mul`; a power takes its base by squaring
+    as `Jet.pow` does (^0 is leaf(Const(1.0))); a negation is `neg(arg)`,
+    and exp, sin or cos `call(name, arg)`."""
     def rec(node: Expr):
         if isinstance(node, (Const, Var)):
             return leaf(node)
         if isinstance(node, (Sum, Prod)):
             op, operands = (add, node.terms) if isinstance(node, Sum) else (mul, node.factors)
-            todo = join([rec(t) for t in operands])
-            acc = next(todo)
-            for v in todo:
-                acc = op(acc, v)
-            return acc
+            return functools.reduce(op, [rec(t) for t in operands])
         if isinstance(node, Pow):
             base = rec(node.base)
             return _power(base, node.exponent, mul) if node.exponent else leaf(Const(1.0))
@@ -414,18 +410,17 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
     Variables outside `active` are frozen at their base values.  The
     coefficient at multi-index m of the result is d^m e(base) / m!.
 
-    Each node is evaluated over the active variables it holds (Taylor
-    propagation restricted to a term's own variables: Griewank and Walther,
-    *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).  A constant or a
-    frozen variable is a float; a float stays a float, as in `eval_point`
-    (exp, sin and cos of a float are `OPS`'); a sum or product lifts only
-    its jet operands, each to the union of their variables as the fold
-    reaches it (`JetSpace.lift`), and takes a float operand by `Jet`'s
-    scalar + or *, which leave the bits its constant jet would.  A unary
-    node stays over its operand's variables, and only the result is lifted
-    to `active`.  A jet lifts bit for bit (see `jets`), so every coefficient
-    is the one of evaluating each node over all of `active`, up to the sign
-    of a zero.
+    Every node is a jet of the one code system of `active` at `order` that
+    holds only the codes it occupies (`jets`), so its coefficients are
+    those of its own variables (Taylor propagation restricted to a term's
+    own variables: Griewank and Walther, *Evaluating Derivatives*, 2nd ed.,
+    SIAM 2008, ch. 13).  A constant or a frozen variable is a float; a
+    float stays a float, as in `eval_point` (exp, sin and cos of a float
+    are `OPS`'), and a sum or product takes a float operand by `Jet`'s
+    scalar + or *, which leave the bits its constant jet would.  A product
+    over a set of codes is the pair table's to the bit (see `jets`), so
+    every coefficient is the one of evaluating each node over all of
+    `active`, up to the sign of a zero.
     """
     space = jet_space(tuple(active), order)
 
@@ -436,22 +431,14 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
             v = float(base[node.name])
         except KeyError:
             raise UnknownVariableError(node.name, 0) from None
-        if node.name in space.variables:
-            return jet_space((node.name,), order).variable(node.name, v)
-        return v
-
-    def join(vals):
-        names = set().union(*(v.variables for v in vals if isinstance(v, Jet)))
-        to = jet_space(tuple(n for n in space.variables if n in names), order)
-        # each jet as the fold reaches it
-        return (to.lift(v) if isinstance(v, Jet) else v for v in vals)
+        return space.variable(node.name, v) if node.name in space.variables else v
 
     def call(name: str, arg):
         return getattr(arg, name)() if isinstance(arg, Jet) else OPS[name](arg)
 
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = _fold(e, leaf, operator.add, operator.mul, operator.neg, call, join)
-    out = space.lift(out) if isinstance(out, Jet) else space.constant(out)
+        out = _fold(e, leaf, operator.add, operator.mul, operator.neg, call)
+    out = out if isinstance(out, Jet) else space.constant(out)
     if not np.isfinite(out.coef).all():
         raise NonFiniteError("expression evaluation produced non-finite coefficients")
     return out

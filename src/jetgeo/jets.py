@@ -6,10 +6,6 @@ products and analytic primitives of jets are exact to the truncation order, so
 the curvature pipeline downstream obtains high-order derivatives without any
 finite differencing.
 
-Coefficients live in a dense table indexed by multi-indices in graded
-lexicographic order.  The grading means the coefficients of order <= q are a
-prefix of the table, so truncation is a slice.
-
 A space names each multi-index m by its packed code alone, one sorted array
 with no Python object per multi-index: the digits |m|, m_1, ..., m_n read as
 one number in base K + 1 (packed exponents for sparse polynomial products:
@@ -17,8 +13,21 @@ Monagan and Pearce, CASC 2007, LNCS 4770).  No digit exceeds K below the
 truncation order, so code(m + m') = code(m) + code(m') for every product
 term that is kept, code(m) = sum_v m_v code(e_v), m_v is the digit
 (code // (K + 1)^(n - 1 - v)) % (K + 1), and |m| <= q means
-code(m) < (q + 1) (K + 1)^n.  The codes ascend with the graded-lex rank, so
-one `searchsorted` turns codes into ranks.  Only this module reads them.
+code(m) < (q + 1) (K + 1)^n.  The codes ascend with the graded-lex rank
+(by degree, then lexicographically), so the codes of degree <= q are a
+prefix and truncation is a slice.  Only this module reads them.
+
+A jet holds only the codes it occupies: its space is a variable tuple, an
+order and an ascending set of codes, one coefficient each, and every other
+multi-index holds 0.  `jet_space` gives the full space, of every code, listed
+only when first read; `occupying` the space at a code set, made once.  A
+constant occupies code 0, a variable code 0 and its own code.  A sum runs
+over the union of its operands' codes, a product over that union's pair
+listing, to the codes it reaches; truncation keeps a prefix, and a
+derivative the codes m - e_v it reaches.  So the code sets follow from the
+operations, never from the values, and the listings of one expression are
+built once.  `recode` carries codes to a space over more variables or of
+another order: m there is m with zeros added, at sum_v m_v code(e_v).
 
 A product sums pair terms, and one listing gives the pairs: for an ascending
 set of codes and an order q, every pair (r, s), r <= s, of them with
@@ -27,36 +36,19 @@ graded, so the partners of r are one run of the set: from r up to the first
 code of degree q - |r| + 1.  Pair (r, s) weighs a[r]*b[s] + a[s]*b[r] off
 the diagonal and a[r]*b[r] on it; off-diagonal pairs are summed into the
 output by one `bincount`, diagonal pairs by a second, added in that order.
-Dense jets, indexed by rank, use the pair table, the listing of every code,
-cached when first needed: (C(K + 2n, 2n) + C(K // 2 + n, n)) / 2 pairs,
-about a million at 7 variables and order 10.  In every pair a listing of
-fewer multi-indices leaves out, and in every pair it lists beyond
-nonzero(a) x nonzero(b), a[r] or b[s], and a[s] or b[r], are zero; with
-finite operands such a pair weighs +-0.0, and adding +-0.0 to a bin changes
-no bit (the bins start at +0.0).  So the listing of any superset of the
-operands' nonzeros gives the table's product to the bit, and a * b and
-b * a are bit-identical.  (A non-finite coefficient would break this: the
-table forms inf * 0 = nan where a shorter listing forms nothing, so such
-operands always take the table.)
-
-`multiply` takes the sparse route, one row of `multiply_rows` at the codes
-of the operands' nonzeros, when nnz(a) * nnz(b) * SPARSE_PAIR_COST is below
-the table's pair count and every coefficient is finite, and the table
-otherwise.  A space with at most SPARSE_PAIR_COST pairs always takes the
-table without counting nonzeros, and b is not counted when nnz(a) *
-SPARSE_PAIR_COST alone reaches the pair count (a zero b then takes the
-table, for the same bits).
-
-`JetSpace.jet_at` puts values at codes in a row of zeros of an order (one
-`searchsorted` ranks the codes); `lift` embeds a jet over a subsequence of
-the variables, at the same order, in the space of all of them: m there is
-m with zeros added here, at code sum_v m_v code(e_v) (`codes_of`).  The
-graded-lex order of the multi-indices of a subsequence of the variables is
-their order in their own space, so that space's pair table is, pair for
-pair and in order, the listing here of the lifted ranks, a superset of the
-lifted operands' nonzeros.  So the product of lifted jets is the lift of
-their product, to the bit, and sums and the analytic series follow; only a
-sum that held -0.0 off the lifted ranks holds +0.0 there.
+A space's listing is built when first needed; the full space's is the pair
+table, (C(K + 2n, 2n) + C(K // 2 + n, n)) / 2 pairs, about a million at 7
+variables and order 10.  In every pair a listing of fewer multi-indices
+leaves out, and in every pair it lists beyond nonzero(a) x nonzero(b), a[r]
+or b[s], and a[s] or b[r], are zero; with finite operands such a pair weighs
++-0.0, and adding +-0.0 to a bin changes no bit (the bins start at +0.0).
+So the listing of any superset of the operands' nonzeros gives the table's
+product to the bit, and a * b and b * a are bit-identical; a sum over a
+union adds +0.0 where a dense operand would hold +0.0.  (A non-finite
+coefficient breaks the first: the table forms inf * 0 = nan where a shorter
+listing forms nothing.  A listing that holds code 0, as every jet that
+`expr.eval_jet` makes does, still turns each non-finite coefficient a[r]
+into a non-finite output, through the pair (0, r).)
 
 Column-compressed jets are keyed by code: (rows, len(cols)) coefficients at
 ascending codes `cols` that all rows share, of an order q <= K.  As the
@@ -67,6 +59,7 @@ NonFiniteError.  `deriv_cols` sends code m to m - code(e_v), times m_v.
 """
 from __future__ import annotations
 
+import copy
 import math
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -107,20 +100,9 @@ class JetSpaceSizeError(ValueError):
 MAX_SPACE_SIZE = 10 ** 8
 
 
-# The sparse route runs when nnz(a) * nnz(b) * SPARSE_PAIR_COST < pair count.
-# Measured on an x86-64 host: a pair costs both routes about the same (6 to
-# 11 ns), but a sparse product has a fixed cost of about 25 us against 8 us
-# for a table product, so the constant also keeps small spaces (at most this
-# many pairs) on the table.  With both routes timed on every product of a
-# cold and a warm pass of each benchmark workload: at 4 or less, order-1 and
-# order-2 products went sparse and the multiplies of the geodesic and
-# invariant workloads took a fifth longer; at 16, products with at most a
-# dozen nonzero pairs in spaces of 25 to 1,519 pairs went sparse and the
-# dense workloads' multiply time rose 0.4-2%; from 256 to 2048 they were
-# within 0.2% of table-only and the family within 2% of its best (0.30 s,
-# against 3.6 s table-only).
-# A larger value keeps the table route for operands up to that many
-# times sparser than the table, up to that many times slower there.
+# `multiply_rows` takes its rows, and curvature's ordered sums and the
+# invariants their terms, in blocks of at most SPARSE_PAIR_COST ** 2 (65,536)
+# pairs or coefficients: a bound on their temporaries, which changes no result
 SPARSE_PAIR_COST = 256
 
 # every exp in the package, of jets and of floats, raises NonFiniteError from
@@ -173,22 +155,23 @@ def jet_space(variables: tuple[str, ...], order: int) -> "JetSpace":
 
 
 class JetSpace:
-    """Multi-index bookkeeping shared by all jets over one variable tuple.
+    """The multi-indices that jets over one variable tuple occupy.
 
-    Use :func:`jet_space` to obtain instances; the cache guarantees that equal
-    (variables, order) pairs share tables, and binary operations accept jets
-    whose spaces agree structurally.
+    Use :func:`jet_space` for the full space of a (variables, order) pair,
+    and `occupying` for the space at a set of its codes.  Binary operations
+    accept jets whose spaces agree structurally (variables and order).
 
-    `_codes[r]` is the packed code of rank r (int64, or Python ints where
-    (K + 1) ** (n + 1) would overflow it), `_grade` the code of the degree
-    digit, (K + 1) ** n, `_places[v]` that of digit m_v, and
-    `_unit_codes[v]` the code of e_v; `_exps[r]`, the multi-index of rank
-    r, is read off the codes when first asked for.  `_pairs` is the pair
-    table's length.  `_mul_tables` stays None until the table is first
-    needed.  `_last_listing` keeps the last column set `multiply_rows`
-    listed at each order, `_deriv_full` the derivative shifts of every code up to a
-    degree, by degree, and `_lifts` the codes here of each space lifted
-    from; none changes a result.
+    `_codes` holds the ascending codes (int64, or Python ints where
+    (K + 1) ** (n + 1) would overflow it), `size` their number, `_grade`
+    the code of the degree digit, (K + 1) ** n, `_places[v]` that of digit
+    m_v, `_unit_codes[v]` the code of e_v; `_zero` says if code 0 is in.
+    `_mul_tables` stays None until the listing of `_codes` is first needed;
+    `_reach` is then the space of the codes it reaches.  `_joins` keeps,
+    for each space a jet here has met, the space of the union of both sets
+    and the positions there of each.  The spaces of one code system share
+    `_sets`, the space of each code set, `_last_listing`, the last column
+    set `multiply_rows` listed at each order, and `_deriv_full`, the
+    derivative shifts of every code up to a degree; none changes a result.
     """
 
     def __init__(self, variables: Sequence[str], order: int):
@@ -204,90 +187,88 @@ class JetSpace:
             raise JetSpaceSizeError(
                 f"a jet space of order {self.order} in {self.n} variables would hold "
                 f"{self.size:,} multi-indices, above the limit of {MAX_SPACE_SIZE:,}")
-        # digits in base order + 1: the exponents, one variable at a time in
-        # lexicographic order, then the degree; Python ints past int64
+        # digits in base order + 1; Python ints past int64
         base = self.order + 1
-        dtype = np.int64 if base ** (self.n + 1) < 2 ** 63 else object
-        code, deg = np.zeros(1, dtype=dtype), np.zeros(1, dtype=np.int64)
-        for _ in range(self.n):
-            room = base - deg
-            run, ramp = _expand(np.zeros_like(room), room)
-            code = code[run] * base + ramp.astype(dtype)
-            deg = deg[run] + ramp
+        self._dtype = np.int64 if base ** (self.n + 1) < 2 ** 63 else object
         self._grade = base ** self.n
-        self._codes = np.sort(deg.astype(dtype) * self._grade + code)
-        self._places = np.array([base ** (self.n - 1 - v) for v in range(self.n)], dtype=dtype)
+        self._places = np.array([base ** (self.n - 1 - v) for v in range(self.n)], self._dtype)
         self._unit_codes = self._grade + self._places
         self._var_pos = {name: i for i, name in enumerate(self.variables)}
-        # ordered pairs of degree sum <= K, and the diagonal ones, halved
-        self._pairs = (math.comb(self.order + 2 * self.n, 2 * self.n)
-                       + math.comb(self.order // 2 + self.n, self.n)) // 2
+        self._full, self._zero = self, True
         self._mul_tables = None
+        self._joins: dict = {}
+        self._sets: dict = {}
         self._last_listing: dict = {}
         self._deriv_full: dict = {}
-        self._lifts: dict = {}
 
     def size_at(self, order: int) -> int:
-        """Number of multi-indices of total degree <= order (a table prefix)."""
+        """Number of multi-indices of total degree <= order (a prefix)."""
         return math.comb(order + self.n, self.n)
 
     @cached_property
-    def _exps(self) -> np.ndarray:
-        return (self._codes[:, None] // self._places % (self.order + 1)).astype(np.int64)
+    def _codes(self) -> np.ndarray:
+        # the full space's: exponents one variable at a time, then the degree
+        base = self.order + 1
+        code, deg = np.zeros(1, dtype=self._dtype), np.zeros(1, dtype=np.int64)
+        for _ in range(self.n):
+            room = base - deg
+            run, ramp = _expand(np.zeros_like(room), room)
+            code = code[run] * base + ramp.astype(self._dtype)
+            deg = deg[run] + ramp
+        return np.sort(deg.astype(self._dtype) * self._grade + code)
+
+    def occupying(self, codes: np.ndarray) -> "JetSpace":
+        """The space of these variables and order whose jets occupy the
+        ascending codes `codes`: the full space if they are all of them."""
+        full = self._full
+        if len(codes) == full.size:
+            return full
+        codes = codes.astype(full._dtype, copy=False)
+        # Python int codes are keyed by value, not by address
+        key = tuple(codes.tolist()) if full._dtype is object else codes.tobytes()
+        space = full._sets.get(key)
+        if space is None:
+            space = full._sets[key] = copy.copy(full)
+            space._codes, space.size, space._mul_tables, space._joins = codes, len(codes), None, {}
+            space._zero = bool(len(codes)) and codes[0] == 0
+        return space
 
     # ------------------------------------------------------------------ build
     def zero(self) -> "Jet":
-        return Jet(self, np.zeros(self.size))
+        """The zero jet, which occupies no code."""
+        return Jet(self.occupying(np.zeros(0, dtype=self._dtype)), np.zeros(0))
 
     def constant(self, value: float) -> "Jet":
-        coef = np.zeros(self.size)
-        coef[0] = value
-        return Jet(self, coef)
+        """`value` as a jet, which occupies code 0 alone."""
+        return Jet(self.occupying(np.zeros(1, dtype=self._dtype)), np.array([float(value)]))
 
     def variable(self, name: str, base: float) -> "Jet":
+        """The variable `name` at `base`: code 0 and, from order 1, the code
+        of e_name."""
         if name not in self._var_pos:
             raise KeyError(f"{name!r} is not a variable of this space")
-        coef = np.zeros(self.size)
-        coef[0] = base
-        if self.order >= 1:
-            coef[self._rank(self._unit_codes[self._var_pos[name]])] = 1.0
-        return Jet(self, coef)
+        if self.order == 0:
+            return self.constant(base)
+        codes = np.array([0, self._unit_codes[self._var_pos[name]]], dtype=self._dtype)
+        return Jet(self.occupying(codes), np.array([float(base), 1.0]))
 
     def _rank(self, codes):
-        """The ranks of packed codes (codes ascend with rank)."""
+        """The positions of codes among `_codes` (which ascend)."""
         return np.searchsorted(self._codes, codes)
 
     def stop(self, order):
         """The code after every code of degree <= order (elementwise)."""
         return (order + 1) * self._grade
 
-    def codes_of(self, small: "JetSpace") -> np.ndarray:
-        """The codes here of the multi-indices of `small`, a space of this
-        order over a subsequence of these variables, in its rank order."""
-        if small.order != self.order:
-            raise JetMismatchError(f"cannot lift order {small.order} to {self.order}")
-        if small.variables == self.variables:
-            return self._codes
-        if small.variables not in self._lifts:
-            pos = [self._var_pos[v] for v in small.variables]
-            self._lifts[small.variables] = small._exps @ self._unit_codes[pos]
-        return self._lifts[small.variables]
-
-    def jet_at(self, codes: np.ndarray, vals: np.ndarray, order: int) -> "Jet":
-        """The jet of `order` over these variables with `vals` at the codes
-        `codes` here, all of degree <= order, and zeros elsewhere."""
-        space = self if order == self.order else jet_space(self.variables, order)
-        coef = np.zeros(space.size)
-        coef[self._rank(codes)] = vals
-        return Jet(space, coef)
-
-    def lift(self, jet: "Jet") -> "Jet":
-        """`jet`, of this order over a subsequence of these variables, as a
-        jet of this space: its coefficients put at the codes of their
-        multi-indices here."""
-        if jet.space is self:
-            return jet
-        return self.jet_at(self.codes_of(jet.space), jet.coef, self.order)
+    def recode(self, codes: np.ndarray, to: "JetSpace") -> np.ndarray:
+        """The codes in `to`, a space over these variables or more whose
+        order holds their degrees, of the multi-indices with codes `codes`
+        here; ascending codes stay ascending."""
+        if (to.variables, to.order) == (self.variables, self.order):
+            return codes
+        digits = codes[:, None] // self._places % (self.order + 1)
+        pos = [to._var_pos[v] for v in self.variables]
+        return (digits @ to._unit_codes[pos]).astype(to._dtype, copy=False)
 
     # ------------------------------------------------------------- arithmetic
     def _listing(self, codes: np.ndarray, order: int):
@@ -307,10 +288,13 @@ class JetSpace:
         return i[off], j[off], out[off], i[diag], out[diag]
 
     def _mul(self):
-        # the pair table: the listing of every code, with output ranks
+        # the listing of these codes, with output positions in the codes it
+        # reaches: the full space's reach is its own codes
         if self._mul_tables is None:
             ia, ib, io, idg, idg_o = self._listing(self._codes, self.order)
-            self._mul_tables = ia, ib, self._rank(io), idg, self._rank(idg_o)
+            reach = self._codes if self is self._full else _distinct(np.concatenate((io, idg_o)))
+            self._reach = self.occupying(reach)
+            self._mul_tables = ia, ib, reach.searchsorted(io), idg, reach.searchsorted(idg_o)
         return self._mul_tables
 
     @staticmethod
@@ -335,16 +319,9 @@ class JetSpace:
         return out.reshape(a.shape[:-1] + (width,))
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        pairs = self._pairs
-        if pairs > SPARSE_PAIR_COST:
-            cost = np.count_nonzero(a) * SPARSE_PAIR_COST
-            # the table's inf * 0 is nan, which no listing of the nonzeros forms
-            if cost < pairs and cost * np.count_nonzero(b) < pairs and _finite(a) and _finite(b):
-                nz = np.flatnonzero((a != 0) | (b != 0))
-                out, sums = self.multiply_rows(self._codes[nz], a[None, nz], b[None, nz],
-                                               self.order)
-                return self.jet_at(out, sums[0], self.order).coef
-        return self._accumulate(a, b, *self._mul(), self.size)
+        """The product of coefficient arrays over these codes, over the codes
+        their listing reaches, `_reach` (these codes, for the full space)."""
+        return self._accumulate(a, b, *self._mul(), self._reach.size)
 
     def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray, order: int):
         """Products of (rows, len(cols)) operands at the ascending codes
@@ -424,10 +401,11 @@ def _distinct(x: np.ndarray) -> np.ndarray:
 
 
 class Jet:
-    """Dense truncated Taylor expansion over a :class:`JetSpace`.
+    """Truncated Taylor expansion over a :class:`JetSpace`.
 
-    Coefficient at multi-index m is d^m f(base) / m!.  Jets are value objects;
-    arithmetic never mutates operands.
+    `coef[i]` is d^m f(base) / m! at the multi-index m of the space's i-th
+    code, and every multi-index the space does not occupy holds 0.  Jets are
+    value objects; arithmetic never mutates operands.
     """
 
     __slots__ = ("space", "coef")
@@ -447,10 +425,14 @@ class Jet:
 
     def value(self) -> float:
         """The order-0 coefficient, i.e. the plain function value."""
-        return float(self.coef[0])
+        return float(self.coef[0]) if self.space._zero else 0.0
 
     def is_zero(self) -> bool:
         return not self.coef.any()
+
+    def codes_in(self, space: JetSpace) -> np.ndarray:
+        """The codes in `space` of the multi-indices of `coef` (`recode`)."""
+        return self.space.recode(self.space._codes, space)
 
     def _check_mate(self, other: "Jet") -> None:
         if (self.variables, self.order) != (other.variables, other.order):
@@ -459,25 +441,40 @@ class Jet:
                 f"jet over {other.variables} order {other.order}"
             )
 
+    def _mate(self, other: "Jet"):
+        """The space at the union of both operands' codes, and their
+        coefficients there."""
+        self._check_mate(other)
+        mine, theirs = self.space, other.space
+        if mine is theirs:
+            return mine, self.coef, other.coef
+        join = mine._joins.get(theirs)
+        if join is None:
+            space = mine.occupying(_distinct(np.concatenate((mine._codes, theirs._codes))))
+            join = mine._joins[theirs] = space, space._rank(mine._codes), space._rank(theirs._codes)
+        space, at_a, at_b = join
+        a, b = np.zeros((2, space.size))
+        a[at_a], b[at_b] = self.coef, other.coef
+        return space, a, b
+
     # ------------------------------------------------------------- operations
-    # A scalar operand gives the bits of its constant jet: that sum adds +0.0
-    # off the constant term, and that table product starts each bin at +0.0,
-    # so both turn a -0.0 coefficient into +0.0 (finite operands)
+    # A scalar operand gives the bits of its constant jet: a sum adds it as
+    # that jet, and a product scales by it and adds +0.0, as that jet's
+    # product starts each bin at +0.0; both turn a -0.0 coefficient into
+    # +0.0 (finite operands)
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            coef = self.coef + 0.0
-            coef[0] = self.coef[0] + other
-            return Jet(self.space, coef)
-        self._check_mate(other)
-        return Jet(self.space, self.coef + other.coef)
+            other = self.space.constant(other)
+        space, a, b = self._mate(other)
+        return Jet(space, a + b)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
             return self + (-other)
-        self._check_mate(other)
-        return Jet(self.space, self.coef - other.coef)
+        space, a, b = self._mate(other)
+        return Jet(space, a - b)
 
     def __neg__(self):
         return Jet(self.space, -self.coef)
@@ -485,8 +482,9 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return Jet(self.space, self.coef * other + 0.0)
-        self._check_mate(other)
-        return Jet(self.space, self.space.multiply(self.coef, other.coef))
+        space, a, b = self._mate(other)
+        coef = space.multiply(a, b)
+        return Jet(space._reach, coef)
 
     __rmul__ = __mul__
 
@@ -496,8 +494,9 @@ class Jet:
             raise JetOrderError(f"cannot raise order {self.order} to {order}")
         if order == self.order:
             return self
-        target = jet_space(self.variables, order)
-        return Jet(target, self.coef[: target.size].copy())
+        space, target = self.space, jet_space(self.variables, order)
+        n = space._codes.searchsorted(space.stop(order))
+        return Jet(target.occupying(space.recode(space._codes[:n], target)), self.coef[:n].copy())
 
     def deriv(self, name: str) -> "Jet":
         """Partial derivative; one order lower.  Zero for foreign variables."""
@@ -506,9 +505,10 @@ class Jet:
         lower = jet_space(self.variables, self.order - 1)
         if name not in self.space._var_pos:
             return lower.zero()
-        _, pos, fac = self.space.deriv_cols(self.space._codes)
-        v = self.space._var_pos[name]
-        return Jet(lower, self.coef[pos[v]] * fac[v])
+        space, v = self.space, self.space._var_pos[name]
+        codes, pos, fac = space.deriv_cols(space._codes)
+        coef = np.append(self.coef, 0.0)[pos[v]] * fac[v]
+        return Jet(lower.occupying(space.recode(codes, lower)), coef)
 
     def extract(self, m: Sequence[int]) -> float:
         """The partial derivative d^m f(base) (coefficient times m!)."""
@@ -519,27 +519,32 @@ class Jet:
             raise JetOrderError(f"negative entry in multi-index {m}")
         if sum(m) > self.order:
             raise JetOrderError(f"|{m}| exceeds truncation order {self.order}")
+        code, space = m @ self.space._unit_codes, self.space
+        at = space._rank(code)
+        if at == space.size or space._codes[at] != code:
+            return 0.0
         fact = 1.0
         for x in m:
             fact *= math.factorial(x)
-        return float(self.coef[self.space._rank(m @ self.space._unit_codes)] * fact)
+        return float(self.coef[at] * fact)
 
     # --------------------------------------------------- analytic primitives
     def _series(self, coeffs: Sequence[float]) -> "Jet":
-        # Horner evaluation of sum_j coeffs[j] * (self - value)^j.  The shifted
-        # jet is nilpotent past the truncation order, so this is exact.
-        nil = self.coef.copy()
+        # Horner evaluation of sum_j coeffs[j] * (self - value)^j, over codes
+        # that hold code 0; its first product, by coeffs[K], is a scalar one,
+        # which leaves the bits of that constant jet's.  The shifted jet is
+        # nilpotent past the truncation order, so this is exact
+        jet = self if self.space._zero else self + 0.0
+        nil = jet.coef.copy()
         nil[0] = 0.0
-        space = self.space
-        acc = np.zeros(space.size)
-        acc[0] = coeffs[space.order]
-        for j in range(space.order - 1, -1, -1):
-            acc = space.multiply(acc, nil)
-            acc[0] += coeffs[j]
-        return Jet(space, acc)
+        nil, acc = Jet(jet.space, nil), coeffs[self.order]
+        for j in range(self.order - 1, -1, -1):
+            acc = acc * nil
+            acc.coef[0] += coeffs[j]
+        return acc if isinstance(acc, Jet) else jet.space.constant(acc)
 
     def exp(self) -> "Jet":
-        coeffs = [_exp(float(self.coef[0]))]
+        coeffs = [_exp(self.value())]
         for j in range(1, self.order + 1):
             coeffs.append(coeffs[-1] / j)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
@@ -550,7 +555,7 @@ class Jet:
 
     def _trig(self, fn, slope) -> "Jet":
         # the derivatives of sin or cos cycle: value, slope, -value, -slope
-        a0 = float(self.coef[0])
+        a0 = self.value()
         v, s = _trig(fn, a0), slope(a0)
         cycle = (v, s, -v, -s)
         return self._series([cycle[j % 4] / math.factorial(j) for j in range(self.order + 1)])
@@ -568,4 +573,3 @@ class Jet:
 
     def __repr__(self):
         return f"Jet(vars={self.variables}, order={self.order}, value={self.value()!r})"
-

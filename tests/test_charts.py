@@ -14,7 +14,7 @@ import pytest
 from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo.curvature import CurvatureContext
-from jetgeo.metric import MetricSpec
+from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
 from test_level_view import non_diagonal
 
 LEVELS = 2
@@ -75,13 +75,10 @@ def _metrics():
     yield "non-diagonal", *non_diagonal()
 
 
-CASES = [(name, spec, point, b, seed) for name, spec, point in _metrics()
-         for b in (0.0, 0.1) for seed in (1, 2)]
-
-
-@pytest.mark.parametrize("name,spec,point,b,seed", CASES,
-                         ids=[f"{c[0]}, b={c[3]}, seed {c[4]}" for c in CASES])
-def test_levels_are_tensors_under_a_chart_change(name, spec, point, b, seed):
+def _charted(spec, point, b, seed):
+    """The contexts of `spec` near `point` and of its pull-back along a
+    chart with quadratic part b, at points that the chart maps to each
+    other, and the chart's Jacobian there."""
     n = spec.dim
     a = np.eye(n) + 0.3 * np.random.default_rng(seed).standard_normal((n, n))
     xp = np.linalg.solve(a, np.asarray(point))
@@ -89,10 +86,40 @@ def test_levels_are_tensors_under_a_chart_change(name, spec, point, b, seed):
     jac = a.copy()
     jac[np.arange(n - 1), np.arange(1, n)] += 2.0 * b * xp[1:]
     ctx = CurvatureContext(spec, tuple(x), LEVELS)
-    moved = CurvatureContext(pull_back(spec, a, b), tuple(xp), LEVELS)
+    return ctx, CurvatureContext(pull_back(spec, a, b), tuple(xp), LEVELS), jac
+
+
+CASES = [(name, spec, point, b, seed) for name, spec, point in _metrics()
+         for b in (0.0, 0.1) for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("name,spec,point,b,seed", CASES,
+                         ids=[f"{c[0]}, b={c[3]}, seed {c[4]}" for c in CASES])
+def test_levels_are_tensors_under_a_chart_change(name, spec, point, b, seed):
+    ctx, moved, jac = _charted(spec, point, b, seed)
     for k in range(LEVELS + 1):
         want = carried(ctx.curvature(k).dense(), jac)
         scale = np.max(np.abs(want))
         assert scale > 0.0
         gap = np.max(np.abs(moved.curvature(k).dense() - want))
+        assert gap <= TOL * scale, (k, gap / scale)
+
+
+TWINS = [(name, spec, point, b)
+         for name, spec, point in (("S2", two_sphere(), (0.8, 0.3)),
+                                   ("H2", metric_from_strings(("x", "y"), {
+                                       (0, 0): "1.0", (1, 1): "exp(2*x)"}, (0, 2)), (-0.1, 0.2)))
+         for b in (0.0, 0.1)]
+
+
+@pytest.mark.parametrize("name,spec,point,b", TWINS, ids=[f"{c[0]}, b={c[3]}" for c in TWINS])
+def test_constant_curvature_levels_are_tensors_under_a_chart_change(name, spec, point, b):
+    # every entry of the pull-back is dense in both coordinates.  The
+    # levels above 0 of S^2 and H^2 are roundoff images of zero (ROADMAP,
+    # item 1), so each level is held to TOL of level 0's largest entry
+    ctx, moved, jac = _charted(spec, point, b, 1)
+    scale = np.max(np.abs(carried(ctx.curvature(0).dense(), jac)))
+    assert scale > 0.0
+    for k in range(LEVELS + 1):
+        gap = np.max(np.abs(moved.curvature(k).dense() - carried(ctx.curvature(k).dense(), jac)))
         assert gap <= TOL * scale, (k, gap / scale)

@@ -397,6 +397,22 @@ def test_metric_overflow_is_one_stderr_line(tmp_path):
                           "non-finite coefficients in jet exp\n")
 
 
+def test_infinite_rate_in_a_jet_exp_is_one_stderr_line(tmp_path):
+    # 10^400 is inf as a float, so the jet of exp's argument is -inf * x:
+    # the first product of its series forms inf * 0 = nan, as the pair
+    # table of x's own jets did, and the jet exp raises, though the metric
+    # is finite at the point (exp(-inf) is 0)
+    path = tmp_path / "rate.json"
+    path.write_text(json.dumps({"dim": 2, "coords": ["x", "y"], "signature": [0, 2],
+                                "components": [{"i": 0, "j": 0, "expr": "1.0"},
+                                               {"i": 1, "j": 1,
+                                                "expr": "1 + exp(-(10^400)*x)*y^2"}]}))
+    res = _cli_process("curvature", "--spec", str(path), "--point=0.5,0.5", "--k", "1")
+    assert res.returncode == 3 and res.stdout == ""
+    assert res.stderr == ("jetgeo: numeric failure: NonFiniteError: "
+                          "non-finite coefficients in jet exp\n")
+
+
 def test_sin_of_infinite_argument_is_a_numeric_failure(tmp_path):
     # 1e308 * x * 10 is inf at x = 1: a NonFiniteError, not an internal error
     path = tmp_path / "sin.json"

@@ -19,8 +19,9 @@ from jetgeo.curvature import (
     skew_curvature_operator,
 )
 from jetgeo.family import FamilyParams, alpha_via_jacobi, build_metric, base_point
-from jetgeo.jets import SPARSE_PAIR_COST, Jet, JetOrderError, JetSpace, NonFiniteError, jet_space
+from jetgeo.jets import Jet, JetOrderError, JetSpace, NonFiniteError, jet_space
 from jetgeo.metric import flat_metric, metric_from_strings, two_sphere
+from test_jets import used
 
 
 def sphere_ctx(theta=0.8, phi=0.1, k=2):
@@ -208,8 +209,7 @@ def test_inverse_jets_exact():
                         continue
                     acc = acc + gj.truncated(order) * hj
                 want = 1.0 if i == k else 0.0
-                resid = acc.coef.copy()
-                resid[0] -= want
+                resid = (acc - want).coef
                 worst = max(worst, float(np.max(np.abs(resid))))
         assert worst <= 1e-14
 
@@ -233,8 +233,10 @@ def test_curvature_symmetries_family():
 def test_family_products_never_build_a_pair_table():
     # At this point np.linalg.inv(g0) leaves about 2e-17 where the exact
     # inverse has 0.  Unless the Neumann sweeps start from an exact zero,
-    # that entry fills the inverse jets, the products turn dense and the
-    # route rule builds the pair table of the largest spaces.
+    # that entry fills the inverse jets and the products turn dense.  No
+    # full space over the context's variables above order 0 (where code 0
+    # is every code) builds its pair table or lists its codes, not even
+    # for products of the levels' jets.
     params = FamilyParams(4, ex.parse("exp(y) + exp(2*y)", ("y",)))
     pt = base_point(params, 0.28, [-0.43, 0.38, -0.3, -0.2, 0.34])
     jet_space.cache_clear()  # spaces whose tables other tests built
@@ -242,12 +244,11 @@ def test_family_products_never_build_a_pair_table():
     for k in range(8):
         ctx.curvature(k)
     alpha_via_jacobi(params, pt, context=ctx)
-    # the route rule keeps spaces of at most SPARSE_PAIR_COST pairs (here
-    # orders 0 to 3) on the table route
-    spaces = [jet_space(ctx.active, o) for o in range(ctx.order + 1)]
-    can_be_sparse = [sp.order for sp in spaces if sp._pairs > SPARSE_PAIR_COST]
-    assert can_be_sparse == list(range(4, ctx.order + 1))
-    assert [o for o in can_be_sparse if spaces[o]._mul_tables is not None] == []
+    for k in range(8):
+        for jet in ctx._level(k).values():
+            jet * jet
+    spaces = [jet_space(ctx.active, o) for o in range(1, ctx.order + 1)]
+    assert [sp.order for sp in spaces if sp._mul_tables is not None or "_codes" in vars(sp)] == []
 
 
 def test_level_steps_take_no_per_component_products(monkeypatch):
@@ -326,15 +327,15 @@ def _family_p5():
 
 def test_family_metric_jets_take_their_own_spaces(monkeypatch):
     # g_00 = -2 (f(y) + sum_i y^(i+1) z_i) at p = 5, max_deriv 8: f's exp
-    # series run over y alone, each term over its own variables, and only
-    # -2 times the sum is a product over all 7
+    # series run over codes in y alone, each term over codes in its own
+    # variables, and only -2 times the sum is a product over codes in all 7
     pt, spec = _family_p5()
     ctx = CurvatureContext(spec, pt, 8)
     exps, products = [], []
     exp, multiply = Jet.exp, JetSpace.multiply
-    monkeypatch.setattr(Jet, "exp", lambda self: exps.append(self.variables) or exp(self))
+    monkeypatch.setattr(Jet, "exp", lambda self: exps.append(used(self.space)) or exp(self))
     monkeypatch.setattr(JetSpace, "multiply",
-                        lambda self, a, b: products.append(self.variables) or multiply(self, a, b))
+                        lambda self, a, b: products.append(used(self)) or multiply(self, a, b))
     rows = ctx._metric_rows(spec.env_at(pt))
     assert exps == [("y",)] * 2
     assert len(ctx.active) == 7 and products.count(ctx.active) <= 1
@@ -360,10 +361,11 @@ def test_context_builds_one_jet_space_over_its_variables(monkeypatch):
 
 
 def test_metric_jet_lifts_operands_one_at_a_time():
-    # The peak of evaluating g_00 at p = 5 to order 10 on warm spaces: 633
-    # KiB measured, with the sum's seven terms lifted to all 7 variables as
-    # the fold reaches them; lifting them all up front took 1,372 KiB, and
-    # every node over all 7 variables 1,070 KiB.  It may grow by a quarter.
+    # The peak of evaluating g_00 at p = 5 to order 10 on warm spaces: 8.5
+    # KiB measured, every node holding only the codes it occupies.  Dense
+    # jets of each node's own variables, with the sum's seven terms lifted
+    # to all 7 variables as the fold reached them, took 465 KiB, and every
+    # node over all 7 variables 1,070 KiB.  It may grow by a quarter.
     pt, spec = _family_p5()
     e, env = spec.components[0][0], spec.env_at(pt)
     want = ex.eval_jet(e, env, spec.active_vars, 10)
@@ -374,7 +376,7 @@ def test_metric_jet_lifts_operands_one_at_a_time():
     finally:
         tracemalloc.stop()
     assert got.coef.tobytes() == want.coef.tobytes()
-    assert peak <= 1.25 * 633 * 2 ** 10
+    assert peak <= 1.25 * 8.5 * 2 ** 10
 
 
 def test_family_context_memory_is_bounded(monkeypatch):
@@ -424,18 +426,35 @@ def _traced_family_build(p: int, max_deriv: int) -> int:
 
 def test_family_p7_context_build_memory_is_bounded():
     # Traced peak of the context build at family p = 7, max_deriv 10, on
-    # warm spaces: 6.74 MiB measured.  A build whose sparse products binned
-    # at the full width of the space (293,930 coefficients) peaked at 9.02
-    # MiB, and one with a dense metric row per entry in the top space at
-    # 33.7 MiB.  It may grow by a quarter.
-    assert _traced_family_build(7, 10) <= 1.25 * 6.74 * 2 ** 20
+    # warm spaces: 1.38 MiB measured.  While `eval_jet` built each node as
+    # a dense jet, lifted to the full width of the space (293,930
+    # coefficients), it peaked at 6.74 MiB; with sparse products binned at
+    # that width as well at 9.02 MiB, and with a dense metric row per entry
+    # in the top space at 33.7 MiB.  It may grow by a quarter.
+    assert _traced_family_build(7, 10) <= 1.25 * 1.38 * 2 ** 20
 
 
 def test_family_p8_context_build_memory_is_bounded():
-    # As at p = 7, at p = 8, max_deriv 11: 26.2 MiB measured, and 34.98 MiB
-    # with sparse products binned at the full width of the space (1,144,066
-    # coefficients).  It may grow by a quarter.
-    assert _traced_family_build(8, 11) <= 1.25 * 26.2 * 2 ** 20
+    # As at p = 7, at p = 8, max_deriv 11: 2.13 MiB measured, 26.2 MiB with
+    # dense jets in `eval_jet`, and 34.98 MiB with sparse products binned at
+    # the full width of the space (1,144,066 coefficients) as well.  It may
+    # grow by a quarter.
+    assert _traced_family_build(8, 11) <= 1.25 * 2.13 * 2 ** 20
+
+
+def test_family_p8_context_lists_no_full_space():
+    # The top space at p = 8, max_deriv 11, holds 1,144,066 multi-indices.
+    # A warm context build stays under a fifth of the 26.2 MiB it took while
+    # `eval_jet` made dense jets of that width, and neither the build nor
+    # level 0 and its point values list that space's codes
+    params = FamilyParams(8, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    spec = build_metric(params)
+    jet_space.cache_clear()
+    assert _traced_family_build(8, 11) < 26.2 / 5 * 2 ** 20
+    ctx = CurvatureContext(spec, base_point(params, 0.1, [0.1] * 9), 11)
+    ctx.curvature(0)
+    top = jet_space(ctx.active, ctx.order)
+    assert top.size == 1_144_066 and "_codes" not in vars(top) and top._mul_tables is None
 
 
 def test_built_spec_is_read_without_walking_its_expressions(monkeypatch):

@@ -28,7 +28,7 @@ from jetgeo.expr import (
     to_text,
 )
 from jetgeo.jets import Jet, JetSpace, NonFiniteError, jet_space
-from test_jets import ranked
+from test_jets import dense, ranked, used
 
 CHART = ("y", "z0", "z1")
 
@@ -195,9 +195,10 @@ def test_eval_jet_exp_coefficients():
 
 def test_eval_jet_monomial_support():
     jet = eval_jet(parse("y^2*z1", CHART), {"y": 0.0, "z1": 0.0}, ("y", "z1"), 3)
-    for m, r in ranked(jet.space).items():
+    coef = dense(jet)
+    for m, r in ranked(jet_space(("y", "z1"), 3)).items():
         want = 1.0 if m == (2, 1) else 0.0
-        assert jet.coef[r] == want
+        assert coef[r] == want
 
 
 def test_eval_jet_family_potential_cross_term():
@@ -272,15 +273,15 @@ def test_powers_take_the_squaring_products(monkeypatch):
 def test_eval_jet_keeps_constants_as_floats(monkeypatch):
     # g_00 = -2 (f(y) + sum_i y^(i+1) z_i) of the family at p = 3, to the
     # order of its `check`: -2 and the 2 of exp(2*y) stay floats, so no
-    # constant jet is made and nothing is multiplied over all 5 variables
-    # (a constant jet of -2 took one such product)
+    # constant jet is made and no product runs over codes in all 5
+    # variables (a constant jet of -2 took one such product)
     params = fam.FamilyParams(3, parse("exp(y) + exp(2*y)", ("y",)))
     spec = fam.build_metric(params)
     env = spec.env_at(fam.base_point(params, 0.1, [0.1] * 4))
     products, constants = [], []
     multiply, constant = JetSpace.multiply, JetSpace.constant
     monkeypatch.setattr(JetSpace, "multiply",
-                        lambda self, a, b: products.append(self.variables) or multiply(self, a, b))
+                        lambda self, a, b: products.append(used(self)) or multiply(self, a, b))
     monkeypatch.setattr(JetSpace, "constant",
                         lambda self, v: constants.append(self.variables) or constant(self, v))
     jet = eval_jet(spec.components[0][0], env, spec.active_vars, 7)

@@ -30,10 +30,31 @@ def binom(n, k):
     return math.comb(n, k)
 
 
+def exps(space):
+    """The multi-index of each code of `space`, one row each, read off the
+    codes' digits."""
+    return (space._codes[:, None] // space._places % (space.order + 1)).astype(np.int64)
+
+
+def used(space):
+    """The variables of which some code of `space` holds a positive power."""
+    return tuple(v for v, on in zip(space.variables, (exps(space) > 0).any(axis=0)) if on)
+
+
 def ranked(space):
-    """The multi-indices of `space` as tuples in rank order, each mapped to
-    its rank (the space itself keeps them only as arrays)."""
-    return {m: r for r, m in enumerate(map(tuple, space._exps.tolist()))}
+    """The multi-indices of `space` as tuples in the order of its codes, each
+    mapped to its position (the space itself keeps them only as codes)."""
+    return {m: r for r, m in enumerate(map(tuple, exps(space).tolist()))}
+
+
+def dense(jet, full=None):
+    """`jet`'s coefficients at every multi-index of `full`, a space over its
+    variables or more and of its order (by default its own full space), in
+    graded-lex rank order: 0.0 where it occupies none."""
+    full = jet_space(jet.variables, jet.order) if full is None else full
+    out = np.zeros(full.size)
+    out[full._rank(jet.codes_in(full))] = jet.coef
+    return out
 
 
 def dyadic_jet(space, rng):
@@ -46,7 +67,7 @@ def test_space_sizes():
     for n_vars, order in itertools.product((1, 2, 3), (0, 1, 2, 3, 4)):
         sp = jet_space(tuple(f"v{i}" for i in range(n_vars)), order)
         assert sp.size == binom(order + n_vars, n_vars)
-        assert len(ranked(sp)) == sp.size == len(sp._exps)
+        assert len(ranked(sp)) == sp.size == len(exps(sp))
 
 
 def test_multis_graded_and_ranked():
@@ -85,7 +106,7 @@ def test_ranks_by_code(n, order):
     assert at.tolist() == list(range(sp.size))
     for v in range(n):
         unit = tuple(int(i == v) for i in range(n))
-        coef = sp.variable(f"v{v}", 2.0).coef
+        coef = dense(sp.variable(f"v{v}", 2.0))
         assert np.flatnonzero(coef).tolist() == ([0, want[unit]] if order else [0])
     x = Jet(sp, np.arange(1.0, sp.size + 1))
     for m, r in want.items():
@@ -130,14 +151,19 @@ def test_space_cached():
 
 
 def test_constant_and_variable():
-    sp = jet_space(("t",), 3)
+    # a constant occupies code 0 alone, a variable code 0 and its own
+    # first-order code, and the zero jet no code
+    sp = jet_space(("t", "u"), 3)
     c = sp.constant(2.5)
-    assert c.value() == 2.5
-    assert np.array_equal(c.coef[1:], np.zeros(3))
+    assert c.value() == 2.5 and c.coef.tolist() == [2.5]
+    assert np.array_equal(dense(c)[1:], np.zeros(sp.size - 1))
     t = sp.variable("t", 1.5)
-    assert t.value() == 1.5
-    assert t.coef[1] == 1.0
-    assert np.array_equal(t.coef[2:], np.zeros(2))
+    assert t.value() == 1.5 and t.coef.tolist() == [1.5, 1.0]
+    assert list(ranked(t.space)) == [(0, 0), (1, 0)]
+    assert dense(t)[ranked(sp)[(1, 0)]] == 1.0 and np.count_nonzero(dense(t)) == 2
+    z = sp.zero()
+    assert z.space.size == 0 and z.value() == 0.0 and z.is_zero() and z.extract((1, 2)) == 0.0
+    assert jet_space(("t",), 0).variable("t", 1.5).coef.tolist() == [1.5]
 
 
 # ----------------------------------------------------------------- algebra
@@ -269,14 +295,10 @@ def test_pow_is_the_squaring_chain():
     assert a.pow(0).coef.tobytes() == sp.constant(1.0).coef.tobytes()
 
 
-# ------------------------------------------------------- product routes
+# -------------------------------------------------- code-set arithmetic
 DENSITIES = (0.0, 0.01, 0.05, 0.2, 0.6, 1.0)
-
-
-def _sparse(space, a, b):
-    # the sparse route: one row of `multiply_rows` at the operands' nonzeros
-    nz = np.flatnonzero((a != 0) | (b != 0))
-    return _rows_product(space, a[None], b[None], nz)[0]
+SPREADS = (0.0, 0.1, 0.5, 1.0)  # the share of zero codes a jet occupies too
+NON_FINITE = (None, math.inf, -math.inf, math.nan)
 
 
 def _table(space, a, b):
@@ -308,25 +330,146 @@ def _live_cols(a, b):
     return np.flatnonzero(((a != 0) | (b != 0)).any(axis=0))
 
 
-@given(
-    n=st.integers(1, 5),
-    order=st.integers(0, 6),
-    dens_a=st.sampled_from(DENSITIES),
-    dens_b=st.sampled_from(DENSITIES),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(n=3, order=6, dens_a=1.0, dens_b=0.01, seed=0)
-@example(n=5, order=5, dens_a=0.01, dens_b=1.0, seed=1)
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_product_routes_bit_identical(n, order, dens_a, dens_b, seed):
-    sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
+
+def _occupant(full, coef, rng, spread, zero=False):
+    """`coef`, over every code of `full`, as a jet that occupies its nonzeros
+    and each other code with probability `spread` (all of them at 1.0, the
+    full space), and code 0 where `zero` is set."""
+    keep = (coef != 0) | (rng.random(full.size) < spread)
+    keep[0] |= zero
+    at = np.flatnonzero(keep)
+    return Jet(full.occupying(full._codes[at]), coef[at])
+
+
+def _operands(n, order, dens, spreads, non_finite, seed):
+    # two dense operands of the full space, a non-finite coefficient in the
+    # first, and the two as jets over code sets; with a non-finite
+    # coefficient the first occupies code 0, as every jet of `eval_jet` does
+    full = jet_space(tuple(f"v{i}" for i in range(n)), order)
     rng = np.random.default_rng(seed)
-    a, b = _operand(sp, rng, dens_a), _operand(sp, rng, dens_b)
-    table = _table(sp, a, b)
-    sparse = _sparse(sp, a, b)
-    assert sparse.tobytes() == table.tobytes()
-    assert _sparse(sp, b, a).tobytes() == sparse.tobytes()
-    assert sp.multiply(a, b).tobytes() == table.tobytes()
+    a, b = (_operand(full, rng, d) for d in dens)
+    if non_finite is not None:
+        a[rng.integers(full.size)] = non_finite
+    ja = _occupant(full, a, rng, spreads[0], non_finite is not None)
+    jb = _occupant(full, b, rng, spreads[1])
+    return full, a, b, ja, jb
+
+
+CODE_SETS = dict(n=st.integers(1, 4), order=st.integers(0, 6),
+                 dens=st.tuples(st.sampled_from(DENSITIES), st.sampled_from(DENSITIES)),
+                 spreads=st.tuples(st.sampled_from(SPREADS), st.sampled_from(SPREADS)),
+                 non_finite=st.sampled_from(NON_FINITE), seed=st.integers(0, 2**32 - 1))
+
+
+@given(**CODE_SETS)
+@example(n=3, order=6, dens=(1.0, 0.01), spreads=(1.0, 1.0), non_finite=None, seed=0)
+@example(n=4, order=6, dens=(0.05, 0.05), spreads=(0.0, 0.1), non_finite=None, seed=1)
+@example(n=4, order=5, dens=(0.2, 0.01), spreads=(0.0, 0.0), non_finite=math.nan, seed=2)
+@example(n=2, order=4, dens=(0.6, 1.0), spreads=(1.0, 1.0), non_finite=math.inf, seed=3)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_code_set_products_are_the_table_product(n, order, dens, spreads, non_finite, seed):
+    # a product over the union of two code sets that hold the operands'
+    # nonzeros, read at every code of the full space, is the pair table's
+    # product bit for bit, in either order.  With a non-finite coefficient
+    # it is the table's wherever that is finite, and itself not finite;
+    # over the full set it is the table's bit for bit, nan included
+    full, a, b, ja, jb = _operands(n, order, dens, spreads, non_finite, seed)
+    with np.errstate(invalid="ignore", over="ignore"):
+        table = _table(full, a, b)
+        got, flipped = ja * jb, jb * ja
+    assert dense(flipped).tobytes() == dense(got).tobytes()
+    if non_finite is None or ja.space is jb.space is full:
+        assert dense(got).tobytes() == table.tobytes()
+    else:
+        finite = np.isfinite(table)
+        assert dense(got)[finite].tobytes() == table[finite].tobytes()
+        assert not np.isfinite(got.coef).all()
+    if ja.space is jb.space is full:
+        assert got.space is full
+
+
+@given(**CODE_SETS)
+@example(n=3, order=4, dens=(0.2, 0.6), spreads=(0.0, 0.5), non_finite=-math.inf, seed=4)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_code_set_sums_truncations_and_derivatives_are_the_dense_ones(
+        n, order, dens, spreads, non_finite, seed):
+    # over code sets that hold the operands' nonzeros: sums, differences,
+    # negation and the scalar operations, truncations, derivatives and
+    # single coefficients, read at every code, are those of the full
+    # space's jets, up to the sign of a zero
+    full, a, b, ja, jb = _operands(n, order, dens, spreads, non_finite, seed)
+    fa, fb = Jet(full, a), Jet(full, b)
+    with np.errstate(invalid="ignore", over="ignore"):
+        pairs = [(ja + jb, fa + fb), (ja - jb, fa - fb), (-ja, -fa), (ja + 1.5, fa + 1.5),
+                 (jb - 0.25, fb - 0.25), (ja * -0.5, fa * -0.5), (0.5 * jb, 0.5 * fb)]
+        pairs += [(j.truncated(q), f.truncated(q)) for j, f in ((ja, fa), (jb, fb))
+                  for q in range(order + 1)]
+        pairs += [(j.deriv(v), f.deriv(v)) for j, f in ((ja, fa), (jb, fb))
+                  for v in full.variables + ("w",) if order]
+    for got, want in pairs:
+        assert got.variables == want.variables and got.order == want.order
+        assert (dense(got) + 0.0).tobytes() == (dense(want) + 0.0).tobytes()
+    multis = list(ranked(full))
+    for j, f in ((ja, fa), (jb, fb)):
+        got, want = (np.array([x.extract(m) for m in multis]) + 0.0 for x in (j, f))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_non_finite_products_keep_the_table_nan():
+    # inf * 0 is nan on the pair table, and a product over code sets forms
+    # it as well wherever a listed pair reaches the infinite coefficient;
+    # a product at the operands' own columns raises instead
+    sp = jet_space(("a", "b", "c"), 6)
+    rank = ranked(sp)
+    at = [0, rank[(0, 2, 0)]]
+    a = np.zeros(sp.size)
+    a[at[1]] = math.inf
+    x, y = Jet(sp.occupying(sp._codes[at]), a[at]), sp.variable("a", 0.0)
+    with np.errstate(invalid="ignore"):
+        got, table = dense(x * y), _table(sp, a, dense(y))
+    assert np.isnan(got[rank[(0, 2, 0)]]) and np.isnan(got[rank[(0, 4, 0)]])
+    assert got[rank[(1, 2, 0)]] == math.inf
+    finite = np.isfinite(table)
+    assert got[finite].tobytes() == table[finite].tobytes()
+    with pytest.raises(NonFiniteError):
+        _rows_product(sp, a[None], dense(y)[None], _live_cols(a[None], dense(y)[None]))
+
+
+def test_a_code_set_of_every_multi_index_is_the_full_space():
+    # equal code sets share one space and its listing, the set of every
+    # code is the full space with its pair table, and the full space lists
+    # its codes only when they are read
+    sp = JetSpace(("a", "b"), 4)
+    x, y = sp.variable("a", 0.5), sp.variable("b", 2.0)
+    prod = (x + y) * x
+    assert "_codes" not in vars(sp) and sp._mul_tables is None
+    assert prod.space is sp.occupying(prod.space._codes.copy()) is not sp
+    assert (prod * prod).space is prod.space._reach
+    assert sp.occupying(sp._codes.copy()) is sp is prod.space.occupying(sp._codes)
+    ones = Jet(sp, np.ones(sp.size))
+    assert (ones * prod).space is sp and sp._mul_tables is not None and sp._reach is sp
+    with pytest.raises(JetMismatchError):
+        x + jet_space(("a", "b"), 3).variable("a", 0.5)
+
+
+def test_recode_carries_codes_to_more_variables_and_other_orders():
+    # m over (a, c) is (m_a, 0, m_c) over (a, b, c), here of a higher order;
+    # ascending codes stay ascending, and into 40 variables they become
+    # Python ints.  A target without one of the variables is a KeyError
+    small, big = jet_space(("a", "c"), 3), jet_space(("a", "b", "c"), 5)
+    got = small.recode(small._codes, big)
+    want = [ranked(big)[(m[0], 0, m[1])] for m in ranked(small)]
+    assert big._rank(got).tolist() == want and np.all(np.diff(got) > 0)
+    x = Jet(small, np.arange(1.0, small.size + 1))
+    assert np.array_equal(x.codes_in(big), got) and x.codes_in(small) is small._codes
+    wide = jet_space(tuple(f"v{i}" for i in range(40)), 2)
+    two = jet_space(("v3", "v39"), 2)
+    got = two.recode(two._codes, wide)
+    assert got.dtype == object
+    assert [ranked(wide)[tuple(m[(3, 39).index(i)] if i in (3, 39) else 0 for i in range(40))]
+            for m in ranked(two)] == wide._rank(got).tolist()
+    with pytest.raises(KeyError):
+        big.recode(big._codes, small)
 
 
 ROWS = st.lists(st.tuples(st.sampled_from(DENSITIES), st.sampled_from(DENSITIES)),
@@ -354,12 +497,14 @@ def test_batched_product_rows_match_multiply(n, order, rows, seed):
 def test_batched_product_takes_both_routes(monkeypatch):
     # one listing a call, over the joint columns, whatever the number of
     # row blocks; every column is listed the same way, with no pair table
+    # (the table the comparisons read is built before the count starts)
+    sparse = jet_space(tuple(f"v{i}" for i in range(5)), 5)
+    sparse._mul()
     listed = []
     listing = JetSpace._listing
     monkeypatch.setattr(JetSpace, "_listing", lambda self, codes, order: listed.append(
         len(codes)) or listing(self, codes, order))
     rng = np.random.default_rng(1)
-    sparse = jet_space(tuple(f"v{i}" for i in range(5)), 5)
     cols = np.arange(sparse.size_at(2))  # degree <= 2: 21 of 252 columns
     pairs = sum(len(x) for x in listing(sparse, sparse._codes[cols], sparse.order)[::3])
     step = SPARSE_PAIR_COST ** 2 // pairs  # rows a block
@@ -377,32 +522,7 @@ def test_batched_product_takes_both_routes(monkeypatch):
     assert full.tobytes() == np.array([dense.multiply(x, x) for x in a]).tobytes()
 
 
-def test_non_finite_operands_take_the_table_route(monkeypatch):
-    # inf * 0 is nan on the table route; the sparse route would skip it,
-    # and so would a product at the operands' own columns, which raises
-    sp = jet_space(("a", "b", "c"), 6)
-    rank = ranked(sp)
-    a = np.zeros(sp.size)
-    a[rank[(0, 2, 0)]] = 2.0
-    b = np.zeros(sp.size)
-    b[rank[(1, 0, 0)]] = 1.0
-    sp._mul()
-    listed = []
-    listing = JetSpace._listing
-    monkeypatch.setattr(JetSpace, "_listing", lambda self, codes, order: listed.append(
-        len(codes)) or listing(self, codes, order))
-    cols = _live_cols(a[None], b[None])
-    sp.multiply(a, b)
-    _rows_product(sp, a[None], b[None], cols)
-    assert listed == [2]  # finite, these operands go sparse, and share a listing
-    a[rank[(0, 2, 0)]] = math.inf
-    with np.errstate(invalid="ignore"):
-        out = sp.multiply(a, b)
-        assert out.tobytes() == _table(sp, a, b).tobytes()
-    with pytest.raises(NonFiniteError):
-        _rows_product(sp, a[None], b[None], cols)
-    assert listed == [2]
-    assert np.isnan(out[rank[(0, 2, 0)]]) and out[rank[(1, 2, 0)]] == math.inf
+
 
 
 def test_wide_space_codes_are_python_ints():
@@ -416,40 +536,14 @@ def test_wide_space_codes_are_python_ints():
     x, y = dyadic_jet(sp, rng), dyadic_jet(sp, rng)
     last = [rank[(0,) * 39 + (k,)] for k in range(3)]  # 1, v39, v39^2
     assert (x * y).coef[last[2]] == sum(x.coef[last[i]] * y.coef[last[2 - i]] for i in range(3))
-    assert np.array_equal(_sparse(sp, x.coef, y.coef), _table(sp, x.coef, y.coef))
+    a, b = _operand(sp, rng, 0.05), _operand(sp, rng, 0.05)
+    xs, ys = _occupant(sp, a, rng, 0.0), _occupant(sp, b, rng, 0.0)
+    assert xs.space._codes.dtype == object
+    assert dense(xs * ys).tobytes() == _table(sp, a, b).tobytes()
     assert x.deriv("v39").coef[last[1]] == 2 * x.coef[last[2]]
-    lifted = sp.lift(jet_space(("v3", "v39"), 2).variable("v39", 0.5))
-    assert lifted.coef.tobytes() == sp.variable("v39", 0.5).coef.tobytes()
-
-
-@given(n=st.integers(0, 4), order=st.integers(0, 6), dens_a=st.sampled_from(DENSITIES),
-       dens_b=st.sampled_from(DENSITIES), seed=st.integers(0, 2**32 - 1))
-@example(n=4, order=6, dens_a=1.0, dens_b=1.0, seed=3)
-@settings(max_examples=150, deadline=None, derandomize=True)
-def test_lift_keeps_products_to_the_bit(n, order, dens_a, dens_b, seed):
-    # a jet over a subsequence of the variables lifts coefficient by
-    # coefficient, and the product of lifted jets is the lifted product
-    rng = np.random.default_rng(seed)
-    names = tuple(f"v{i}" for i in range(n))
-    sub = tuple(v for v in names if rng.random() < 0.6)
-    big, small = jet_space(names, order), jet_space(sub, order)
-    a, b = (Jet(small, _operand(small, rng, d)) for d in (dens_a, dens_b))
-    la, lb = big.lift(a), big.lift(b)
-    big_rank = ranked(big)
-    for m, r in ranked(small).items():
-        at = big_rank[tuple(m[sub.index(v)] if v in sub else 0 for v in names)]
-        assert la.coef[at].tobytes() == a.coef[r].tobytes()
-    assert np.count_nonzero(la.coef) == np.count_nonzero(a.coef)
-    assert (la * lb).coef.tobytes() == big.lift(a * b).coef.tobytes()
-    assert big.lift(la) is la
-
-
-def test_lift_needs_the_order_and_the_variables():
-    big = jet_space(("a", "b"), 3)
-    with pytest.raises(JetMismatchError):
-        big.lift(jet_space(("a",), 2).variable("a", 1.0))
-    with pytest.raises(KeyError):
-        big.lift(jet_space(("c",), 3).variable("c", 1.0))
+    assert dense(sp.variable("v39", 0.5)).tobytes() == dense(
+        sp.constant(0.5) + sp.variable("v39", 0.0)).tobytes()
+    assert list(ranked(sp.variable("v39", 0.5).space)) == [(0,) * 40, (0,) * 39 + (1,)]
 
 
 # ----------------------------------------------------------- compact kernels
@@ -508,7 +602,7 @@ def test_compact_kernels_match_dense(shape, kind, rows, scale, non_finite, seed)
     for r, v in enumerate(var.tolist()):
         want = np.zeros(sp.size_at(order - 1))
         if v >= 0:
-            want = jets[tuple(jets.index[r].tolist())].deriv(f"v{v}").coef
+            want = dense(jets[tuple(jets.index[r].tolist())].deriv(f"v{v}"))
         got = np.zeros(len(want))
         got[sp._rank(d_cols)] = d[r]
         assert got.tobytes() == want.tobytes()
@@ -595,7 +689,7 @@ def test_exp_of_constant():
     sp = jet_space(("t",), 3)
     e = sp.constant(2.0).exp()
     assert e.value() == pytest.approx(math.exp(2.0), rel=1e-15)
-    assert np.array_equal(e.coef[1:], np.zeros(3))
+    assert np.array_equal(dense(e)[1:], np.zeros(3))
 
 
 def test_exp_of_sum_matches_scaled_argument():
@@ -616,7 +710,7 @@ def test_primitive_derivative_identities():
     s, c = t.sin(), t.cos()
     np.testing.assert_allclose(s.deriv("t").coef, c.truncated(5).coef, rtol=5e-14, atol=1e-16)
     np.testing.assert_allclose(c.deriv("t").coef, (-s).truncated(5).coef, rtol=5e-14, atol=1e-16)
-    np.testing.assert_allclose((s * s + c * c).coef, sp.constant(1.0).coef, atol=1e-15)
+    np.testing.assert_allclose(dense(s * s + c * c), dense(sp.constant(1.0)), atol=1e-15)
 
 
 def test_exp_overflow_raises():
