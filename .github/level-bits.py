@@ -15,16 +15,19 @@ that computes it to a higher order matches one that stops there.  Each level's p
 is hashed too, as its sorted (index row, value) pairs, and so are
 `jacobi_operator` and `skew_curvature_operator` on 50 seeded directions and
 planes, as one stack and one at a time.  A context that raises hashes its
-error.  The script prints `same: <context>` or
-`differs: <context>` for each context, and exits 1 if any differs and 0 if
-none does.
+error.  After every first build, each context is built and hashed a second
+time, from the same spec and point, so that listings and derivative shifts
+that a build reuses from an earlier one are compared too.  The script prints
+`same: <context>` or `differs: <context>` for each build, and exits 1 if any
+differs and 0 if none does.
 
-The 19 contexts are the family f = exp(y) + exp(2y) at p = 0..5 to level
-p + 3, at the base point and at a general point, and at p = 8 to level 11
-at a general point, where the top jet space holds 1,144,066 multi-indices;
-S^2, H^2 at x = -0.1 and a conformal surface to level 6; S^2 x a conformal
-surface to level 4; a non-diagonal 3-metric to level 3; and S^2 x a flat
-38-space, 40 coordinates, to level 8, where the index codes pass int64.
+The 19 contexts, 38 builds, are the family f = exp(y) + exp(2y) at
+p = 0..5 to level p + 3, at the base point and at a general point, and at
+p = 8 to level 11 at a general point, where the top jet space holds
+1,144,066 multi-indices; S^2, H^2 at x = -0.1 and a conformal surface to
+level 6; S^2 x a conformal surface to level 4; a non-diagonal 3-metric to
+level 3; and S^2 x a flat 38-space, 40 coordinates, to level 8, where the
+index codes pass int64.
 """
 import hashlib
 import os
@@ -85,7 +88,9 @@ def _digests():
     import numpy as np
     from jetgeo.curvature import CurvatureContext, jacobi_operator, skew_curvature_operator
 
-    for name, spec, point, k_max in _contexts():
+    contexts = list(_contexts())
+    for name, spec, point, k_max in contexts + [(f"{c[0]}, second build",) + c[1:]
+                                                for c in contexts]:
         h = hashlib.sha256()
         try:
             ctx = CurvatureContext(spec, point, k_max)
@@ -130,7 +135,7 @@ def main(argv: list[str]) -> int:
             print(f"differs: {name}")
             status = 1
     if len(base) != len(head):
-        print(f"differs: {len(base)} contexts against {len(head)}")
+        print(f"differs: {len(base)} builds against {len(head)}")
         status = 1
     return status
 

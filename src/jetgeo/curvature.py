@@ -40,8 +40,10 @@ packed codes (`jets`) of the context's one jet space, of the top order,
 where some row is nonzero (38 of 19,448 for the inverse at p = 5 in the
 family).  All arithmetic runs on those columns: a product lists the pairs
 of its operands' joint columns, a derivative sends code m to m - code(e_v),
-and truncation keeps a prefix of the columns.  A sum's columns are known
-before it runs, from those of its terms.  A metric entry's jet is taken over
+and truncation keeps a prefix of the columns.  A column set keeps its
+listings and shifts (`JetSpace.occupying`), so a second context of one
+metric and point lists nothing.  A sum's columns are known before it runs,
+from those of its terms.  A metric entry's jet is taken over
 its own coordinates, and a row read out as a jet occupies its matrix's columns.
 """
 from __future__ import annotations
@@ -270,8 +272,8 @@ class _Jets(Mapping):
 
     @cached_property
     def _shifts(self):
-        # `deriv_cols` at `cols`, and `vals` with a zero column last, which
-        # its position len(cols) picks
+        # `deriv_cols` at `cols`, kept on that code set, and `vals` with a
+        # zero column last, which its position len(cols) picks
         codes, pos, fac = self.space.deriv_cols(self.cols)
         return codes, pos, fac, np.column_stack((self.vals, np.zeros(len(self.vals))))
 

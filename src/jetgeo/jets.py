@@ -25,7 +25,9 @@ constant occupies code 0, a variable code 0 and its own code.  A sum runs
 over the union of its operands' codes, a product over that union's pair
 listing, to the codes it reaches; truncation keeps a prefix, and a
 derivative the codes m - e_v it reaches.  So the code sets follow from the
-operations, never from the values, and the listings of one expression are
+operations, never from the values.  A code set keeps what is derived from
+it: its product listing per order, with the space of the codes that listing
+reaches, and its derivative shifts, so the listings of one expression are
 built once.  `recode` carries codes to a space over more variables or of
 another order: m there is m with zeros added, at sum_v m_v code(e_v).
 
@@ -53,9 +55,10 @@ into a non-finite output, through the pair (0, r).)
 Column-compressed jets are keyed by code: (rows, len(cols)) coefficients at
 ascending codes `cols` that all rows share, of an order q <= K.  As the
 codes of degree <= q are a prefix, the space of order K serves every lower
-order.  `multiply_rows` multiplies many pairs of them from one listing of
-`cols`, bit for bit as `multiply` at order q; a non-finite operand raises
-NonFiniteError.  `deriv_cols` sends code m to m - code(e_v), times m_v.
+order.  `multiply_rows` multiplies many pairs of them from the listing of
+the code set `cols` at order q, bit for bit as `multiply` at order q; a
+non-finite operand raises NonFiniteError.  `deriv_cols` sends code m to
+m - code(e_v), times m_v, by the shifts kept on the code set `cols`.
 """
 from __future__ import annotations
 
@@ -165,13 +168,14 @@ class JetSpace:
     (K + 1) ** (n + 1) would overflow it), `size` their number, `_grade`
     the code of the degree digit, (K + 1) ** n, `_places[v]` that of digit
     m_v, `_unit_codes[v]` the code of e_v; `_zero` says if code 0 is in.
-    `_mul_tables` stays None until the listing of `_codes` is first needed;
-    `_reach` is then the space of the codes it reaches.  `_joins` keeps,
-    for each space a jet here has met, the space of the union of both sets
-    and the positions there of each.  The spaces of one code system share
-    `_sets`, the space of each code set, `_last_listing`, the last column
-    set `multiply_rows` listed at each order, and `_deriv_full`, the
-    derivative shifts of every code up to a degree; none changes a result.
+    A code set keeps what is derived from it, each part built when first
+    read: `_mul_tables`, None until its first listing, then by order the
+    listing of `_codes` with its output positions and the space of the
+    codes it reaches (`_listed`); `_shifts`, the derivative shifts of
+    `deriv_cols`; and `_joins`, for each space a jet here has met, the space
+    of the union of both sets and the positions there of each.  The spaces
+    of one code system share `_sets`, the space of each code set, so what a
+    code set keeps lives as long as its full space; none changes a result.
     """
 
     def __init__(self, variables: Sequence[str], order: int):
@@ -195,11 +199,9 @@ class JetSpace:
         self._unit_codes = self._grade + self._places
         self._var_pos = {name: i for i, name in enumerate(self.variables)}
         self._full, self._zero = self, True
-        self._mul_tables = None
+        self._mul_tables = self._shifts = None
         self._joins: dict = {}
         self._sets: dict = {}
-        self._last_listing: dict = {}
-        self._deriv_full: dict = {}
 
     def size_at(self, order: int) -> int:
         """Number of multi-indices of total degree <= order (a prefix)."""
@@ -228,8 +230,11 @@ class JetSpace:
         key = tuple(codes.tolist()) if full._dtype is object else codes.tobytes()
         space = full._sets.get(key)
         if space is None:
+            # the full space's variables and code system, none of what it
+            # derived from its own codes
             space = full._sets[key] = copy.copy(full)
-            space._codes, space.size, space._mul_tables, space._joins = codes, len(codes), None, {}
+            space._codes, space.size, space._joins = codes, len(codes), {}
+            space._mul_tables = space._shifts = None
             space._zero = bool(len(codes)) and codes[0] == 0
         return space
 
@@ -287,15 +292,19 @@ class JetSpace:
         off = ~diag
         return i[off], j[off], out[off], i[diag], out[diag]
 
-    def _mul(self):
-        # the listing of these codes, with output positions in the codes it
-        # reaches: the full space's reach is its own codes
+    def _listed(self, order: int):
+        """The listing of these codes at `order`, its output codes made
+        positions in the codes it reaches, and the space of those codes:
+        built once per order, then kept."""
         if self._mul_tables is None:
-            ia, ib, io, idg, idg_o = self._listing(self._codes, self.order)
-            reach = self._codes if self is self._full else _distinct(np.concatenate((io, idg_o)))
-            self._reach = self.occupying(reach)
-            self._mul_tables = ia, ib, reach.searchsorted(io), idg, reach.searchsorted(idg_o)
-        return self._mul_tables
+            self._mul_tables = {}
+        got = self._mul_tables.get(order)
+        if got is None:
+            ia, ib, io, idg, idg_o = self._listing(self._codes, order)
+            reach = _distinct(np.concatenate((io, idg_o)))
+            listing = ia, ib, reach.searchsorted(io), idg, reach.searchsorted(idg_o)
+            got = self._mul_tables[order] = listing, self.occupying(reach)
+        return got
 
     @staticmethod
     def _accumulate(a, b, ia, ib, io, idg, idg_o, width: int) -> np.ndarray:
@@ -320,8 +329,9 @@ class JetSpace:
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The product of coefficient arrays over these codes, over the codes
-        their listing reaches, `_reach` (these codes, for the full space)."""
-        return self._accumulate(a, b, *self._mul(), self._reach.size)
+        their listing at this order reaches (these codes, for the full space)."""
+        listing, reach = self._listed(self.order)
+        return self._accumulate(a, b, *listing, reach.size)
 
     def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray, order: int):
         """Products of (rows, len(cols)) operands at the ascending codes
@@ -335,32 +345,17 @@ class JetSpace:
         """
         if not (_finite(a) and _finite(b)):
             raise NonFiniteError("non-finite coefficients in the curvature jets")
-        listing, out = self._product_listing(cols, order)
-        sums = np.empty((len(a), len(out)))
+        listing, reach = self.occupying(cols)._listed(order)
+        sums = np.empty((len(a), reach.size))
         step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(listing[0]) + len(listing[3])))
         for r0 in range(0, len(a), step):
             rows = slice(r0, r0 + step)
-            sums[rows] = self._accumulate(a[rows], b[rows], *listing, len(out))
-        return out, sums
-
-    def _product_listing(self, cols: np.ndarray, order: int):
-        # the listing of `cols` with its output codes as positions in the
-        # codes it reaches, and those codes.  The last of each order is kept:
-        # sums ask for it again per block of rows, the Neumann sweeps sweep
-        # after sweep, contexts of one metric context after context.  Python
-        # int codes match by address, and the kept copy keeps them alive
-        key = cols.tobytes()
-        last = self._last_listing.get(order)
-        if last is None or last[0] != key:
-            ia, ib, io, idg, idg_o = self._listing(cols, order)
-            out = _distinct(np.concatenate((io, idg_o)))
-            listing = ia, ib, np.searchsorted(out, io), idg, np.searchsorted(out, idg_o)
-            last = self._last_listing[order] = key, cols.copy(), listing, out
-        return last[2:]
+            sums[rows] = self._accumulate(a[rows], b[rows], *listing, reach.size)
+        return reach._codes, sums
 
     def product_cols(self, cols: np.ndarray, order: int) -> np.ndarray:
         """The codes `multiply_rows` returns for operands at the codes `cols`."""
-        return self._product_listing(cols, order)[1]
+        return self.occupying(cols)._listed(order)[1]._codes
 
     def deriv_cols(self, cols: np.ndarray):
         """Differentiation at the ascending codes `cols`: the codes m - e_v
@@ -368,23 +363,19 @@ class JetSpace:
         and for each variable v and each of those codes r, the position in
         `cols` of r + e_v and its exponent of v as a float, or len(cols) and
         0.0 where r + e_v is not in `cols`.  A last row holds len(cols) and
-        0.0 throughout, for no derivative.  The result for every code up to
-        a degree is kept."""
-        top = int(cols[-1]) // self._grade if len(cols) else -1
-        full = top >= 0 and len(cols) == self.size_at(top)
-        if full and top in self._deriv_full:
-            return self._deriv_full[top]
-        digit = cols // self._places[:, None] % (self.order + 1)
-        var, at = np.nonzero(digit > 0)
-        to = cols[at] - self._unit_codes[var]
-        codes = _distinct(to)
-        pos = np.full((self.n + 1, len(codes)), len(cols))
-        fac = np.zeros((self.n + 1, len(codes)))
-        to = np.searchsorted(codes, to)
-        pos[var, to], fac[var, to] = at, digit[var, at]
-        if full:
-            self._deriv_full[top] = codes, pos, fac
-        return codes, pos, fac
+        0.0 throughout, for no derivative.  Kept on the code set `cols`."""
+        space = self.occupying(cols)
+        if space._shifts is None:
+            digit = cols // self._places[:, None] % (self.order + 1)
+            var, at = np.nonzero(digit > 0)
+            to = cols[at] - self._unit_codes[var]
+            codes = _distinct(to)
+            pos = np.full((self.n + 1, len(codes)), len(cols))
+            fac = np.zeros((self.n + 1, len(codes)))
+            to = np.searchsorted(codes, to)
+            pos[var, to], fac[var, to] = at, digit[var, at]
+            space._shifts = codes, pos, fac
+        return space._shifts
 
 
 def _expand(start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,7 +475,7 @@ class Jet:
             return Jet(self.space, self.coef * other + 0.0)
         space, a, b = self._mate(other)
         coef = space.multiply(a, b)
-        return Jet(space._reach, coef)
+        return Jet(space._listed(space.order)[1], coef)
 
     __rmul__ = __mul__
 

@@ -383,13 +383,14 @@ def test_family_context_memory_is_bounded(monkeypatch):
     # Traced peaks at family p = 5, max_deriv 8, on warm spaces.  With every
     # matrix at its live columns and each metric entry evaluated over its own
     # coordinates, the context build measured 0.62 MiB (most of it the 633
-    # KiB peak of evaluating g_00, the one entry over all 7) and level 0 2.50
-    # MiB above what the context holds (the product temporaries of one block
-    # of SPARSE_PAIR_COST ** 2 pairs); each may grow by a quarter.  The build
-    # took 1.96 MiB while `_metric_rows` filled a dense 9 x 19,448 row per
-    # entry, 3.03 MiB while the metric jets were kept apart and then stacked,
-    # and 9.16 MiB with dense matrices, level 0 5.20 MiB.  Level 0 is one
-    # `_riemann_block`.
+    # KiB peak of evaluating g_00, the one entry over all 7) and level 0
+    # 1.105 MiB above what the context holds (the product temporaries of one
+    # block of SPARSE_PAIR_COST ** 2 pairs, on listings the first context
+    # left on its code sets); each may grow by a quarter.  The build took
+    # 1.96 MiB while `_metric_rows` filled a dense 9 x 19,448 row per entry,
+    # 3.03 MiB while the metric jets were kept apart and then stacked, and
+    # 9.16 MiB with dense matrices, level 0 5.20 MiB (pinned later at 2.50
+    # MiB, more than twice its need).  Level 0 is one `_riemann_block`.
     pt, spec = _family_p5()
     CurvatureContext(spec, pt, 8)._level(0)
     blocks = []
@@ -407,8 +408,30 @@ def test_family_context_memory_is_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert build <= 1.25 * 0.62 * 2 ** 20
-    assert level0 <= 1.25 * 2.50 * 2 ** 20
+    assert level0 <= 1.25 * 1.105 * 2 ** 20
     assert len(blocks) == 1 and blocks[0] == len(ctx._riemann_candidates())
+
+
+def test_a_second_identical_context_builds_no_listing(monkeypatch):
+    # every listing and derivative shift stays with its code set, so a
+    # second context of one metric at one point, levels 0-5, lists nothing
+    # and reads the shifts the first left
+    params = FamilyParams(3, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    spec, pt = build_metric(params), base_point(params, 0.0)
+    listed = []
+    listing = JetSpace._listing
+    monkeypatch.setattr(JetSpace, "_listing", lambda self, codes, order: listed.append(
+        len(codes)) or listing(self, codes, order))
+    jet_space.cache_clear()  # spaces whose listings other tests built
+    counts, views, shifts = [], [], []
+    for _ in range(2):
+        ctx = CurvatureContext(spec, pt, 5)
+        views.append([ctx.curvature(k).values.tobytes() for k in range(6)])
+        shifts.append([ctx._level(k)._shifts[1] for k in range(5)])
+        counts.append(len(listed))
+        listed.clear()
+    assert counts[0] > 0 and counts[1] == 0 and views[0] == views[1]
+    assert all(a is b for a, b in zip(*shifts))
 
 
 def _traced_family_build(p: int, max_deriv: int) -> int:

@@ -22,6 +22,7 @@ from jetgeo.jets import (
     MAX_SPACE_SIZE,
     SPARSE_PAIR_COST,
     NonFiniteError,
+    _distinct,
     jet_space,
 )
 
@@ -302,7 +303,7 @@ NON_FINITE = (None, math.inf, -math.inf, math.nan)
 
 
 def _table(space, a, b):
-    return space._accumulate(a, b, *space._mul(), space.size)
+    return space._accumulate(a, b, *space._listed(space.order)[0], space.size)
 
 
 def _operand(space, rng, density):
@@ -444,12 +445,51 @@ def test_a_code_set_of_every_multi_index_is_the_full_space():
     prod = (x + y) * x
     assert "_codes" not in vars(sp) and sp._mul_tables is None
     assert prod.space is sp.occupying(prod.space._codes.copy()) is not sp
-    assert (prod * prod).space is prod.space._reach
+    assert (prod * prod).space is prod.space._listed(prod.order)[1]
     assert sp.occupying(sp._codes.copy()) is sp is prod.space.occupying(sp._codes)
     ones = Jet(sp, np.ones(sp.size))
-    assert (ones * prod).space is sp and sp._mul_tables is not None and sp._reach is sp
+    assert (ones * prod).space is sp and sp._listed(sp.order)[1] is sp
+    assert list(sp._mul_tables) == [sp.order]
     with pytest.raises(JetMismatchError):
         x + jet_space(("a", "b"), 3).variable("a", 0.5)
+
+
+def test_a_code_set_keeps_none_of_its_full_spaces_tables():
+    # a code-set space is made from its full space after that space listed
+    # its products and derivative shifts, and holds neither: it lists and
+    # shifts its own codes when first asked, then keeps them
+    sp = JetSpace(("a", "b"), 4)
+    x = Jet(sp, np.arange(1.0, sp.size + 1))
+    x * x, x.deriv("a")
+    assert list(sp._mul_tables) == [sp.order] and sp._shifts is not None
+    part = sp.occupying(sp._codes[[0, 1, 4, 9]])
+    assert part._mul_tables is None and part._shifts is None and part._joins == {}
+    listing, reach = part._listed(2)
+    want = part._listing(part._codes, 2)
+    assert reach._codes.tolist() == _distinct(np.concatenate((want[2], want[4]))).tolist()
+    assert [len(t) for t in listing] == [len(t) for t in want] and list(part._mul_tables) == [2]
+    assert sp.deriv_cols(part._codes) is part._shifts is not sp._shifts
+
+
+def test_multiply_rows_lists_each_column_set_once(monkeypatch):
+    # two column sets taken in turn, each time a new array of their codes,
+    # are listed once each, and their derivative shifts made once each; the
+    # Python-int codes of 40 variables too, each time new int objects
+    listed = []
+    listing = JetSpace._listing
+    monkeypatch.setattr(JetSpace, "_listing", lambda self, codes, order: listed.append(
+        len(codes)) or listing(self, codes, order))
+    for sp in (JetSpace(("a", "b", "c"), 5), JetSpace(tuple(f"v{i}" for i in range(40)), 2)):
+        listed.clear()
+        sets = (sp._codes[:10], sp._codes[[0, 3, 7, 9]])
+        ones = [np.ones((2, len(c))) for c in sets]
+        shifts = [sp.deriv_cols(c) for c in sets]
+        for _ in range(3):
+            for c, a, kept in zip(sets, ones, shifts):
+                out, _ = sp.multiply_rows(c + 0, a, a, sp.order)
+                assert np.array_equal(sp.product_cols(c + 0, sp.order), out)
+                assert sp.deriv_cols(c + 0) is kept
+        assert listed == [10, 4]
 
 
 def test_recode_carries_codes_to_more_variables_and_other_orders():
@@ -495,11 +535,11 @@ def test_batched_product_rows_match_multiply(n, order, rows, seed):
 
 
 def test_batched_product_takes_both_routes(monkeypatch):
-    # one listing a call, over the joint columns, whatever the number of
-    # row blocks; every column is listed the same way, with no pair table
+    # one listing a column set, whatever the number of row blocks; the set
+    # of every column is the full space, whose listing is its pair table
     # (the table the comparisons read is built before the count starts)
     sparse = jet_space(tuple(f"v{i}" for i in range(5)), 5)
-    sparse._mul()
+    sparse._listed(sparse.order)
     listed = []
     listing = JetSpace._listing
     monkeypatch.setattr(JetSpace, "_listing", lambda self, codes, order: listed.append(
@@ -518,8 +558,8 @@ def test_batched_product_takes_both_routes(monkeypatch):
     dense = JetSpace(tuple(f"v{i}" for i in range(3)), 6)  # with no listing kept
     a = np.array([_operand(dense, rng, 1.0) for _ in range(3)])
     full = _rows_product(dense, a, a, np.arange(dense.size))
-    assert listed == [len(cols), dense.size]
     assert full.tobytes() == np.array([dense.multiply(x, x) for x in a]).tobytes()
+    assert listed == [len(cols), dense.size] and list(dense._mul_tables) == [dense.order]
 
 
 

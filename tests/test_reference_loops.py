@@ -1700,11 +1700,14 @@ def test_full_row_listing_is_the_table(n, order):
     sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
     want = ref_mul(sp)
     assert int(ref_pair_rows(sp).sum()) == ref_pairs(sp)
-    # the listing of every code gives codes, the table ranks
+    # the listing of every code gives codes, the table ranks, and the kept
+    # listing reaches every code: the full space
     coded = want[:2] + (sp._codes[want[2]], want[3], sp._codes[want[4]])
-    for got, want in ((sp._listing(sp._codes, sp.order), coded), (sp._mul(), want)):
+    listing, reach = sp._listed(sp.order)
+    for got, want in ((sp._listing(sp._codes, sp.order), coded), (listing, want)):
         assert len(got) == len(want)
         assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    assert reach is sp
 
 
 DENSITIES = (0.0, 0.01, 0.05, 0.2, 0.6, 1.0)  # as in tests/test_jets.py
