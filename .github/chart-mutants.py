@@ -25,7 +25,7 @@ from pathlib import Path
 TARGET = Path("src/jetgeo/curvature.py")
 MUTANTS = {
     "M1, no sign on the moved index": ("right[rep[ts]] * sign[ts, None]", "right[rep[ts]]"),
-    "M2, the Christoffel sum added": ("ord_out), -1, has_d[rows])", "ord_out), 1, has_d[rows])"),
+    "M2, the Christoffel sum added": ("sign[ts, None], ord_out), -1)", "sign[ts, None], ord_out), 1)"),
 }
 
 

@@ -17,17 +17,22 @@ is hashed too, as its sorted (index row, value) pairs, and so are
 planes, as one stack and one at a time.  A context that raises hashes its
 error.  After every first build, each context is built and hashed a second
 time, from the same spec and point, so that listings and derivative shifts
-that a build reuses from an earlier one are compared too.  The script prints
-`same: <context>` or `differs: <context>` for each build, and exits 1 if any
-differs and 0 if none does.
+that a build reuses from an earlier one are compared too.  After all of
+those, each context is built and hashed a third time, from the same spec
+object at a second general point, so that plans a spec keeps from one
+point (`MetricSpec.plans`) are replayed at another and compared with the
+other tree's build there.  The script prints `same: <context>` or
+`differs: <context>` for each build, and exits 1 if any differs and 0 if
+none does.
 
-The 19 contexts, 38 builds, are the family f = exp(y) + exp(2y) at
+The 19 contexts, 57 builds, are the family f = exp(y) + exp(2y) at
 p = 0..5 to level p + 3, at the base point and at a general point, and at
 p = 8 to level 11 at a general point, where the top jet space holds
 1,144,066 multi-indices; S^2, H^2 at x = -0.1 and a conformal surface to
 level 6; S^2 x a conformal surface to level 4; a non-diagonal 3-metric to
 level 3; and S^2 x a flat 38-space, 40 coordinates, to level 8, where the
-index codes pass int64.
+index codes pass int64.  The family's two contexts of one p share one spec
+object, so their builds take turns on its plans.
 """
 import hashlib
 import os
@@ -49,28 +54,32 @@ def _contexts():
     def diagonal(coords, diag):
         return metric(coords, {(i, i): e for i, e in enumerate(diag)})
 
+    # (name, spec, point, second general point, deepest level)
     for p in (0, 1, 2, 3, 4, 5, 8):
         params = fam.FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))
         spec = fam.build_metric(params)
         general = tuple(0.1 * (1 + n % 3) for n in range(spec.dim))
         if p < 6:
-            yield f"family p={p}, base point", spec, fam.base_point(params, 0.0), p + 3
-        yield f"family p={p}, general point", spec, general, p + 3
+            yield f"family p={p}, base point", spec, fam.base_point(params, 0.0), \
+                tuple(-0.05 * (1 + n % 4) for n in range(spec.dim)), p + 3
+        yield f"family p={p}, general point", spec, general, \
+            tuple(0.2 - 0.05 * (n % 5) for n in range(spec.dim)), p + 3
     sphere = (("theta", "phi"), ("1.0", "sin(theta)^2"))
     conformal = "exp(2.0*(0.31*{0}^2 - 0.12*{0}*{1} + 0.07*{1}^2 + 0.22*{0} - 0.18*{1}))"
-    yield "S2", diagonal(*sphere), (0.8, 0.3), 6
-    yield "H2", diagonal(("x", "y"), ("1.0", "exp(2.0*x)")), (-0.1, 0.2), 6
-    yield "conformal", diagonal(("x", "y"), (conformal.format("x", "y"),) * 2), (0.2, -0.35), 6
+    yield "S2", diagonal(*sphere), (0.8, 0.3), (1.1, -0.4), 6
+    yield "H2", diagonal(("x", "y"), ("1.0", "exp(2.0*x)")), (-0.1, 0.2), (0.3, -0.5), 6
+    yield "conformal", diagonal(("x", "y"), (conformal.format("x", "y"),) * 2), (0.2, -0.35), \
+        (-0.3, 0.25), 6
     yield "S2 x conformal", diagonal(("theta", "phi", "s", "t"),
                                      sphere[1] + (conformal.format("s", "t"),) * 2), \
-        (0.9, -1.2, 0.3, 0.1), 4
+        (0.9, -1.2, 0.3, 0.1), (1.2, 0.4, -0.2, 0.3), 4
     yield "non-diagonal", metric(
         ("a", "b", "c"),
         {(0, 0): "exp(2*c)", (1, 1): "1 + b^2", (2, 2): "2 + sin(a)",
-         (0, 1): "0.5*a", (1, 2): "0.25*c"}), (0.2, -0.3, 0.1), 3
+         (0, 1): "0.5*a", (1, 2): "0.25*c"}), (0.2, -0.3, 0.1), (-0.1, 0.4, 0.3), 3
     flat = tuple(f"u{n}" for n in range(38))
     yield "S2 x flat, 40 coordinates", diagonal(sphere[0] + flat, sphere[1] + ("1.0",) * 38), \
-        (0.8, 0.3) + (0.0,) * 38, 8
+        (0.8, 0.3) + (0.0,) * 38, (1.2, -0.7) + (0.1,) * 38, 8
 
 
 def _jets_bits(jets, order=None):
@@ -89,8 +98,11 @@ def _digests():
     from jetgeo.curvature import CurvatureContext, jacobi_operator, skew_curvature_operator
 
     contexts = list(_contexts())
-    for name, spec, point, k_max in contexts + [(f"{c[0]}, second build",) + c[1:]
-                                                for c in contexts]:
+    builds = ([(name, spec, point, k) for name, spec, point, _, k in contexts]
+              + [(f"{name}, second build", spec, point, k) for name, spec, point, _, k in contexts]
+              + [(f"{name}, third build at a second point", spec, second, k)
+                 for name, spec, _, second, k in contexts])
+    for name, spec, point, k_max in builds:
         h = hashlib.sha256()
         try:
             ctx = CurvatureContext(spec, point, k_max)

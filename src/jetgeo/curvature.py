@@ -45,6 +45,24 @@ listings and shifts (`JetSpace.occupying`), so a second context of one
 metric and point lists nothing.  A sum's columns are known before it runs,
 from those of its terms.  A metric entry's jet is taken over
 its own coordinates, and a row read out as a jet occupies its matrix's columns.
+
+Each stage of a context (the Neumann inverse, Γ₁, Γ₂, level 0, each level
+step and each view) is a plan, then a replay: an inspector and an
+executor (Saltz, Mirchandaney and Crowley, IEEE Trans. Comput. 40(5), 1991),
+or a symbolic and a numeric sparse factorization (George and Liu, 1981).
+The plan is index arithmetic on patterns, never on values: candidates, row
+lookups, hook expansions, canonical signs, live rows, the Neumann sweeps'
+per-key arrays and the ordered sums' blocks (`_sum_plan`).  The replay is
+the numeric work, gathers, `multiply_rows`, derivative shifts and
+`np.bincount`s (`_sum_replay`), with every check of the build.  A plan is
+kept on the spec (`MetricSpec.plans`), one slot per (max_deriv, stage),
+keyed by every input it reads: index arrays, column sets and nonzero masks
+(`vals != 0`, `ginv0 != 0`, N's live rows).  A later context whose inputs
+equal the key replays it; any other plans afresh and replaces the slot, so
+a special point (the family's base point, H²'s roundoff images of zero)
+never runs on another pattern's plan.  A Neumann sweep's columns follow the
+values, so its sums' blocks sit in its plan under their own key, and the
+number of sweeps, which the values decide, is never kept.
 """
 from __future__ import annotations
 
@@ -136,26 +154,29 @@ def christoffel_terms(spec: MetricSpec) -> ChristoffelTerms:
     sorted order; each maps to its terms (v, (i, j), h), meaning h d_v g_ij
     with i <= j, keeping only the terms whose g_ij depends on coordinate v.
     Dependence is symbolic (`MetricSpec.entry_vars`), so it holds at every
-    point.
+    point; the sums are made once per spec and kept in `MetricSpec.plans`.
     """
-    deps: dict[tuple[int, int], frozenset[int]] = {}
-    for (i, j), names in spec.entry_vars.items():
-        deps[(i, j)] = deps[(j, i)] = frozenset(map(spec.coords.index, names))
-    keys: set[tuple[int, int, int]] = set()
-    for (i, j), vs in deps.items():
-        for v in vs:
-            keys.update(((v, i, j), (i, v, j), (i, j, v)))
-    out: ChristoffelTerms = {}
-    for a, b, c in sorted(keys):
-        terms = tuple(
-            (v, (min(pair), max(pair)), h)
-            for v, pair, h in ((a, (b, c), 0.5), (b, (a, c), 0.5), (c, (a, b), -0.5))
-            if v in deps.get(pair, ())
-        )
-        # a == c or b == c can leave one derivative twice, with opposite signs
-        if len({t[:2] for t in terms}) > 1 or sum(t[2] for t in terms):
-            out[(a, b, c)] = terms
-    return out
+    def sums() -> ChristoffelTerms:
+        deps: dict[tuple[int, int], frozenset[int]] = {}
+        for (i, j), names in spec.entry_vars.items():
+            deps[(i, j)] = deps[(j, i)] = frozenset(map(spec.coords.index, names))
+        keys: set[tuple[int, int, int]] = set()
+        for (i, j), vs in deps.items():
+            for v in vs:
+                keys.update(((v, i, j), (i, v, j), (i, j, v)))
+        out: ChristoffelTerms = {}
+        for a, b, c in sorted(keys):
+            terms = tuple(
+                (v, (min(pair), max(pair)), h)
+                for v, pair, h in ((a, (b, c), 0.5), (b, (a, c), 0.5), (c, (a, b), -0.5))
+                if v in deps.get(pair, ())
+            )
+            # a == c or b == c can leave one derivative twice, with opposite signs
+            if len({t[:2] for t in terms}) > 1 or sum(t[2] for t in terms):
+                out[(a, b, c)] = terms
+        return out
+
+    return _plan(spec.plans, "christoffel_terms", (), sums)
 
 
 def _contract(
@@ -294,14 +315,20 @@ def _widen(cols: np.ndarray, vals: np.ndarray, to: np.ndarray) -> np.ndarray:
     return out
 
 
+def _union(*cols: np.ndarray) -> np.ndarray:
+    """The union of ascending code arrays, ascending: the first where all
+    are equal."""
+    if all(np.array_equal(c, cols[0]) for c in cols[1:]):
+        return cols[0]
+    return _distinct(np.concatenate(cols))
+
+
 def _joint(*mats: tuple[np.ndarray, np.ndarray], also: tuple[np.ndarray, ...] = ()):
     """Matrices given as (columns, values), put at the union of their
     columns and those of `also`, all ascending codes: that union, and the
     matrices there."""
-    cols = [c for c, _ in mats] + list(also)
-    if not all(np.array_equal(c, cols[0]) for c in cols[1:]):
-        cols = [_distinct(np.concatenate(cols))]
-    return cols[0], [_widen(c, v, cols[0]) for c, v in mats]
+    cols = _union(*(c for c, _ in mats), *also)
+    return cols, [_widen(c, v, cols) for c, v in mats]
 
 
 def _decode(codes: np.ndarray, dim: int, r: int) -> np.ndarray:
@@ -315,6 +342,52 @@ def _canonical_rows(idx: np.ndarray, dim: int) -> np.ndarray:
     idx, sign = _canonical(idx)
     r = idx.shape[1]
     return _decode(_distinct(idx[sign != 0] @ _digit_weights(dim, r)), dim, r)
+
+
+def _plan(store: dict, slot, key: tuple, make):
+    """The plan kept in `store` at `slot` if it was made for `key`, a tuple
+    of the arrays it reads, each equal in shape and entries to the kept
+    one's (`np.array_equal`); else `make()`, kept there for `key` in its
+    place."""
+    kept = store.get(slot)
+    if kept is None or len(kept[0]) != len(key) or not all(
+            a is b or (a.shape == b.shape and (a == b).all()) for a, b in zip(kept[0], key)):
+        kept = store[slot] = key, make()
+    return kept[1]
+
+
+def _sum_plan(row: np.ndarray, n: int, width: int, started=None) -> list:
+    """The blocks of `_ordered_sum` into n rows of `width` columns: per block
+    its slice of the terms, the rows it writes, those of them that go on
+    from what the matrix holds, and each input's place among the rows
+    written, the carried rows first and then the terms."""
+    held = np.zeros(n, dtype=bool) if started is None else started.copy()
+    place = np.empty(n, dtype=np.intp)
+    step = max(1, SPARSE_PAIR_COST ** 2 // max(1, width))
+    blocks = []
+    for t0 in range(0, len(row), step):
+        ts = slice(t0, t0 + step)
+        r = row[ts]
+        k = np.arange(len(r))
+        place[r] = k
+        rows = r[place[r] == k]
+        place[rows] = k[:len(rows)]
+        carry = held[rows].nonzero()[0]
+        blocks.append((ts, rows, rows[carry], np.concatenate((carry, place[r]))))
+        held[rows] = True
+    return blocks
+
+
+def _sum_replay(blocks: list, cols: np.ndarray, acc: np.ndarray, terms, sign: int = 1) -> None:
+    """Run the blocks of `_sum_plan` on `acc`, a matrix at the codes `cols`,
+    with the terms that `terms(ts)` gives for the slice ts."""
+    width = len(cols)
+    cells = np.arange(width)
+    for ts, rows, carried, place in blocks:
+        vals = _widen(*terms(ts), cols)
+        w = np.concatenate((acc[carried], -vals if sign < 0 else vals))
+        acc[rows] = np.bincount((place[:, None] * width + cells).ravel(), weights=w.ravel(),
+                                minlength=len(rows) * width).reshape(len(rows), width)
 
 
 def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign: int = 1,
@@ -332,26 +405,35 @@ def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign
     of a zero: a row that would hold -0.0 alone holds +0.0.  A block's rows
     are ranked without a sort: each term writes its position at its row of
     `place`, the terms that read theirs back (one a row) name the distinct
-    rows, and their ranks are then written there."""
-    held = np.zeros(len(acc), dtype=bool) if started is None else started.copy()
-    place = np.empty(len(acc), dtype=np.intp)
-    width = len(cols)
-    cells = np.arange(width)
-    step = max(1, SPARSE_PAIR_COST ** 2 // max(1, width))
-    for t0 in range(0, len(row), step):
-        ts = slice(t0, t0 + step)
-        r = row[ts]
-        n = np.arange(len(r))
-        place[r] = n
-        rows = r[place[r] == n]
-        place[rows] = n[:len(rows)]
-        carry = held[rows].nonzero()[0]
-        vals = _widen(*terms(ts), cols)
-        w = np.concatenate((acc[rows[carry]], -vals if sign < 0 else vals))
-        bins = np.concatenate((carry, place[r]))[:, None] * width + cells
-        acc[rows] = np.bincount(bins.ravel(), weights=w.ravel(),
-                                minlength=len(rows) * width).reshape(len(rows), width)
-        held[rows] = True
+    rows, and their ranks are then written there.  The blocks and ranks
+    read `row`, `started` and the width alone (`_sum_plan`), and the sums
+    run on them (`_sum_replay`)."""
+    _sum_replay(_sum_plan(row, len(acc), len(cols), started), cols, acc, terms, sign)
+
+
+def _sweep_plan(keys: np.ndarray, src: np.ndarray, nil_a: np.ndarray, nil_b: np.ndarray,
+                pattern: np.ndarray, base: np.ndarray) -> tuple:
+    """The terms of a Neumann sweep on S keyed by `keys` (a * m + b,
+    ascending), from N's entries (a, b) = (nil_a, nil_b), each at row src of
+    N, and h0's pattern, where `base` holds S's seed: the keys of the new S,
+    each product's rows of N and of S, t's row by product and t's size,
+    each h0 term's row of t, its place in h0 and its row of S, the rows of
+    S that start from the seed, whether the keys changed, and a slot for
+    the ordered sums' blocks at the sweep's columns."""
+    m = len(pattern)
+    pos = np.full((m, m), -1)
+    pos.flat[keys] = np.arange(len(keys))
+    at, c = np.nonzero(pos[nil_b] >= 0)
+    t_codes = nil_a[at] * m + c
+    t_keys = _distinct(t_codes)
+    ta, tc = np.divmod(t_keys, m)
+    tr, i = np.nonzero(pattern[:, ta].T)
+    s_codes = i * m + tc[tr]
+    new = _distinct(np.concatenate((base, s_codes)))
+    started = np.zeros(len(new), dtype=bool)
+    started[new.searchsorted(base)] = True
+    return (new, src[at], pos[nil_b[at], c], t_keys.searchsorted(t_codes), len(t_keys), tr,
+            i * m + ta[tr], new.searchsorted(s_codes), started, not np.array_equal(new, keys), {})
 
 
 class CurvatureContext:
@@ -396,23 +478,35 @@ class CurvatureContext:
         with np.errstate(all="ignore"):  # a non-finite result raises in `_Jets`
             self._ginv = self._neumann_inverse()
             self._gamma1 = self._christoffel_first()
-            self._gamma1_row = np.full((self.dim,) * 3, -1)
-            self._gamma1_row[tuple(self._gamma1.index.T)] = np.arange(len(self._gamma1))
             self._gamma2 = self._christoffel_second()
-
-        # hooks for covariant-derivative terms: the rows of `_gamma2`, which
-        # ascend by (a, b, c), as runs by lower pair a * dim + b (`_fwd_*`)
-        # and grouped stably by upper index c (`_rev_*`)
-        keys = self._gamma2.index
-        self._fwd_len = np.bincount(keys[:, 0] * self.dim + keys[:, 1], minlength=self.dim ** 2)
-        self._fwd_start = self._fwd_len.cumsum() - self._fwd_len
-        rev, self._rev_start, self._rev_len = _runs(keys[:, 2], self.dim)
-        self._rev_lower = keys[rev, :2]
 
         self._levels: list[_Jets] = []
         self._views: dict[int, TensorField] = {}
 
     # ------------------------------------------------------------ plumbing
+    def _planned(self, stage, key: tuple, make):
+        """The plan of `stage` for the patterns `key`: the spec's, in its
+        slot (max_deriv, stage), if made for them, else `make()` (`_plan`)."""
+        return _plan(self.spec.plans, (self.max_deriv, stage), key, make)
+
+    @cached_property
+    def _gamma1_row(self) -> np.ndarray:
+        """The row of `_gamma1` at each index tuple (a, b, c), -1 at none."""
+        out = np.full((self.dim,) * 3, -1)
+        out[tuple(self._gamma1.index.T)] = np.arange(len(self._gamma1))
+        return out
+
+    @cached_property
+    def _hooks(self) -> tuple[np.ndarray, ...]:
+        """Hooks for covariant-derivative terms: the rows of `_gamma2`, which
+        ascend by (a, b, c), as runs by lower pair a * dim + b (start and
+        length), and grouped stably by upper index c (start, length, and
+        the rows' lower pairs in that order)."""
+        keys = self._gamma2.index
+        fwd_len = np.bincount(keys[:, 0] * self.dim + keys[:, 1], minlength=self.dim ** 2)
+        rev, rev_start, rev_len = _runs(keys[:, 2], self.dim)
+        return fwd_len.cumsum() - fwd_len, fwd_len, rev_start, rev_len, keys[rev, :2]
+
     def _metric_rows(self, env) -> _Jets:
         """The metric jets of the upper triangle row by row, zeros left out:
         each entry's jet over its own coordinates, its nonzeros put at their
@@ -440,8 +534,10 @@ class CurvatureContext:
         bit, land on the exact truncated inverse.  A sweep sums t = N S over b
         ascending, then S from h0 (or from nothing) less h0 t over a ascending:
         one `multiply_rows` of all the pairs (N_ab, S_bc), then two ordered sums.
-        The rows each term reads, where it adds and its h0 weight depend on
-        the keys of S only, and are planned again when those change.
+        The rows each term reads, where it adds and where its h0 weight sits
+        depend on the keys of S only (`_sweep_plan`), which follow from N's
+        rows and h0's pattern sweep by sweep; a sweep keeps its plan while
+        the keys stay, and the plans are kept for the next context.
 
         h0 is `ginv0`, which is exact 0 off g^-1's structural pattern
         (`MetricSpec.structure`).  `np.linalg.inv` often leaves about 1e-17
@@ -460,82 +556,97 @@ class CurvatureContext:
         nil = g_vals[live]
         nil[:, 0] = 0.0
         nil = (g_cols, nil)
-        src, nil_a, nil_b = np.array(
-            [(r, *pair) for r, (i, j) in enumerate(self._g_rows.index[live].tolist())
-             for pair in dict.fromkeys([(i, j), (j, i)])], dtype=np.intp).reshape(-1, 3).T
-        # S and t as rows keyed a * m + b; S starts from h0, at code 0
-        base = np.flatnonzero(h0)
+        pattern = h0 != 0.0
+
+        def plan():
+            src, nil_a, nil_b = np.array(
+                [(r, *pair) for r, (i, j) in enumerate(self._g_rows.index[live].tolist())
+                 for pair in dict.fromkeys([(i, j), (j, i)])], dtype=np.intp).reshape(-1, 3).T
+            return src, nil_a, nil_b, np.flatnonzero(pattern), []
+
+        src, nil_a, nil_b, base, sweeps = self._planned(
+            "inverse", (self._g_rows.index, live, pattern), plan)
+        # S as rows keyed a * m + b; it starts from h0, at code 0
         seed = h0.flat[base]
-        keys, s_cols, s, stale = base, np.zeros(1, dtype=np.intp), seed[:, None], True
+        s_cols, s = np.zeros(1, dtype=np.intp), seed[:, None]
+        at = 0  # the plan of the next sweep
         for _ in range(order):
-            if stale:  # the terms of a sweep depend on the keys of S only
-                pos = np.full((m, m), -1)
-                pos.flat[keys] = np.arange(len(keys))
-                at, c = np.nonzero(pos[nil_b] >= 0)
-                t_codes = nil_a[at] * m + c
-                t_keys = _distinct(t_codes)
-                t_row = t_keys.searchsorted(t_codes)
-                ta, tc = np.divmod(t_keys, m)
-                tr, i = np.nonzero(h0[:, ta].T != 0.0)
-                s_codes = i * m + tc[tr]
-                new = _distinct(np.concatenate((base, s_codes)))
-                s_row = new.searchsorted(s_codes)
-                started = np.zeros(len(new), dtype=bool)
-                started[new.searchsorted(base)] = True
-                left_row, right_row, weight = src[at], pos[nil_b[at], c], h0[i, ta[tr], None]
-                stale, keys = not np.array_equal(new, keys), new
+            if at == len(sweeps):
+                keys = sweeps[-1][0] if sweeps else base
+                sweeps.append(_sweep_plan(keys, src, nil_a, nil_b, pattern, base))
+            (keys, left_row, right_row, t_row, n_t, tr, w_at, s_row, started, stale,
+             sums) = sweeps[at]
             cols, (left, right) = _joint(nil, (s_cols, s))
             t_cols, prods = space.multiply_rows(cols, left[left_row], right[right_row], order)
-            t = np.empty((len(t_keys), len(t_cols)))
-            _ordered_sum(t_cols, t, t_row, lambda ts: (t_cols, prods[ts]))
+            width = len(t_cols)
+            t_sum, s_sum = _plan(sums, "sums", (t_cols,), lambda: (
+                _sum_plan(t_row, n_t, width), _sum_plan(s_row, len(keys), width, started)))
+            t = np.empty((n_t, width))
+            _sum_replay(t_sum, t_cols, t, lambda ts: (t_cols, prods[ts]))
             # code 0 is in `cols`, so in `t_cols`: h0 goes to column 0
             last_cols, last, s_cols = s_cols, s, t_cols
-            s = np.zeros((len(new), len(s_cols)))
+            s = np.zeros((len(keys), width))
             s[started, 0] = seed
-            _ordered_sum(s_cols, s, s_row, lambda ts: (t_cols, t[tr[ts]] * weight[ts]), -1, started)
+            weight = h0.flat[w_at][:, None]
+            _sum_replay(s_sum, s_cols, s, lambda ts: (t_cols, t[tr[ts]] * weight[ts]), -1)
             used = (s != 0.0).any(axis=0)
             if not used.all():
                 s_cols, s = s_cols[used], s[:, used]
+            if stale:
+                at += 1
             # a sweep that repeats the last to the bit is a fixed point
-            if (not stale and np.array_equal(s_cols, last_cols)
+            elif (np.array_equal(s_cols, last_cols)
                     and np.array_equal(s.view(np.int64), last.view(np.int64))):
                 break
         return _Jets(np.column_stack(np.divmod(keys, m)), s_cols, s, space, order)
 
     def _christoffel_first(self) -> _Jets:
         """Gamma_abc as the sums of `christoffel_terms`, in their order."""
-        terms = [(key, self._g_row[pair], self._act_pos[v], h)
-                 for key, sums in christoffel_terms(self.spec).items()
-                 for v, pair, h in sums if self._g_row[pair] >= 0]
-        weights = _digit_weights(self.dim, 3)
-        codes = np.array([t[0] for t in terms], dtype=np.intp).reshape(-1, 3) @ weights
-        keys = _distinct(codes)
-        row = keys.searchsorted(codes)
-        g, var = np.array([t[1:3] for t in terms], dtype=np.intp).reshape(-1, 2).T
-        h = np.array([t[3] for t in terms])
-        cols = self._g_rows._shifts[0]
-        acc = np.empty((len(keys), len(cols)))
-        _ordered_sum(cols, acc, row, lambda ts: (
-            cols, self._g_rows.derivs(g[ts], var[ts])[1] * h[ts, None]))
-        return _Jets(_decode(keys, self.dim, 3), cols, acc, self._space, self.order - 1)
+        g_rows = self._g_rows
+
+        def plan():
+            terms = [(key, self._g_row[pair], self._act_pos[v], h)
+                     for key, sums in christoffel_terms(self.spec).items()
+                     for v, pair, h in sums if self._g_row[pair] >= 0]
+            weights = _digit_weights(self.dim, 3)
+            codes = np.array([t[0] for t in terms], dtype=np.intp).reshape(-1, 3) @ weights
+            keys = _distinct(codes)
+            g, var = np.array([t[1:3] for t in terms], dtype=np.intp).reshape(-1, 2).T
+            h = np.array([t[3] for t in terms])
+            return (_decode(keys, self.dim, 3), g, var, h,
+                    _sum_plan(keys.searchsorted(codes), len(keys), len(g_rows._shifts[0])))
+
+        index, g, var, h, blocks = self._planned("gamma1", (g_rows.index, g_rows.cols), plan)
+        cols = g_rows._shifts[0]
+        acc = np.empty((len(index), len(cols)))
+        _sum_replay(blocks, cols, acc, lambda ts: (
+            cols, g_rows.derivs(g[ts], var[ts])[1] * h[ts, None]))
+        return _Jets(index, cols, acc, self._space, self.order - 1)
 
     def _christoffel_second(self) -> _Jets:
         """Gamma_ab^c = sum over d ascending of ginv^cd Gamma_abd."""
         g1, ginv = self._gamma1, self._ginv
         space, order = self._space, self.order - 1
-        by_col, start, length = _runs(ginv.index[:, 1], self.dim)
-        at, h = _expand(start[g1.index[:, 2]], length[g1.index[:, 2]])
-        h = by_col[h]
-        weights = _digit_weights(self.dim, 3)
-        codes = np.column_stack((g1.index[at, :2], ginv.index[h, 0])) @ weights
-        keys = _distinct(codes)
-        row = keys.searchsorted(codes)
-        cols, (left, right) = _joint((ginv.cols, ginv.vals), (g1.cols, g1.vals))
-        out = space.product_cols(cols, order)
-        acc = np.empty((len(keys), len(out)))
-        _ordered_sum(out, acc, row, lambda ts: space.multiply_rows(
+
+        def plan():
+            by_col, start, length = _runs(ginv.index[:, 1], self.dim)
+            at, h = _expand(start[g1.index[:, 2]], length[g1.index[:, 2]])
+            h = by_col[h]
+            weights = _digit_weights(self.dim, 3)
+            codes = np.column_stack((g1.index[at, :2], ginv.index[h, 0])) @ weights
+            keys = _distinct(codes)
+            cols = _union(ginv.cols, g1.cols)
+            out = space.product_cols(cols, order)
+            return (_decode(keys, self.dim, 3), at, h, cols, out,
+                    _sum_plan(keys.searchsorted(codes), len(keys), len(out)))
+
+        index, at, h, cols, out, blocks = self._planned(
+            "gamma2", (ginv.index, ginv.cols, g1.index, g1.cols), plan)
+        left, right = _widen(ginv.cols, ginv.vals, cols), _widen(g1.cols, g1.vals, cols)
+        acc = np.empty((len(index), len(out)))
+        _sum_replay(blocks, out, acc, lambda ts: space.multiply_rows(
             cols, left[h[ts]], right[at[ts]], order))
-        return _Jets(_decode(keys, self.dim, 3), out, acc, space, order)
+        return _Jets(index, out, acc, space, order)
 
     # ------------------------------------------------------------ curvature
     def _riemann_candidates(self) -> np.ndarray:
@@ -553,62 +664,84 @@ class CurvatureContext:
         l = np.concatenate((ld.repeat(len(act)), lp))
         return _canonical_rows(np.column_stack((i, q[h], k[h], l)), self.dim)
 
-    def _riemann_jets(self, idx: np.ndarray) -> _Jets:
-        """Level-0 jets at the canonical tuples `idx` (rows), zeros left out, by
-        blocks (`_riemann_block`) of candidates and their swaps (j, i, k, l)."""
+    def _riemann_jets(self, idx: np.ndarray | None = None) -> _Jets:
+        """Level-0 jets at the canonical tuples `idx` (rows), by default the
+        candidates (`_riemann_candidates`), zeros left out, by blocks
+        (`_riemann_block`) of candidates and their swaps (j, i, k, l)."""
         order = self.order - 2
         # the factors of the edge products at their joint columns: d_i
         # Gamma_jk^m or Gamma_jk^m on the left, g_ml or Gamma_iml on the right
-        cols, factors = _joint(self._gamma2.cut(order), self._g_rows.cut(order),
-                               self._gamma1.cut(order), also=(self._gamma2._shifts[0],))
-        out = self._space.product_cols(cols, order)
-        step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(out)))
-        coefs = [np.zeros((0, len(out)))] + [
-            self._riemann_block(np.stack((b, b[:, [1, 0, 2, 3]])), order, cols, factors, out)
-            for b in (idx[c0:c0 + step] for c0 in range(0, len(idx), step))]
-        return _Jets(idx, out, np.concatenate(coefs), self._space, order)
+        mats = (self._gamma2, self._g_rows, self._gamma1)
+        key = tuple(a for jets in mats for a in (jets.index, jets.cols))
+        cut = [jets.cut(order) for jets in mats]
 
-    def _riemann_block(self, edges, order: int, cols, factors, out):
-        """R(i, j, k, l) = edge(i, j, k, l) - edge(j, i, k, l) at the block
-        whose (i, j, k, l) and (j, i, k, l) are `edges[0]` and `edges[1]`:
-        the candidates' jets at the codes `out`, zero rows kept.  An edge
-        sums over the hooks m of (j, k), ascending, (d_i Gamma_jk^m)
-        g_ml and then Gamma_jk^m Gamma_iml.  `factors` holds Gamma_jk^m,
-        g_ml and Gamma_iml at `cols`, the joint columns of the edge
-        products, which are truncated at `order`."""
-        i, j, k, l = edges.reshape(-1, 4).T
-        at, hook = _expand(self._fwd_start[j * self.dim + k], self._fwd_len[j * self.dim + k])
+        def plan():
+            rows = self._riemann_candidates() if idx is None else idx
+            cols = _union(*(c for c, _ in cut), self._gamma2._shifts[0])
+            out = self._space.product_cols(cols, order)
+            step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(out)))
+            return rows, cols, out, [self._riemann_block_plan(rows[c0:c0 + step], len(out))
+                                     for c0 in range(0, len(rows), step)]
+
+        rows, cols, out, blocks = self._planned(
+            ("level", 0), key + (() if idx is None else (idx,)), plan)
+        factors = [_widen(c, v, cols) for c, v in cut]
+        coefs = [np.zeros((0, len(out)))] + [
+            self._riemann_block(block, order, cols, factors, out) for block in blocks]
+        return _Jets(rows, out, np.concatenate(coefs), self._space, order)
+
+    def _riemann_block_plan(self, rows: np.ndarray, width: int) -> tuple:
+        """The terms of `_riemann_block` at the candidates `rows` and their
+        swaps (j, i, k, l), with the ordered sums' blocks at `width` columns:
+        per hook m of (j, k), ascending, a derivative term where i is active
+        and g_ml can be nonzero, then a product term where Gamma_iml can."""
+        i, j, k, l = np.stack((rows, rows[:, [1, 0, 2, 3]])).reshape(-1, 4).T
+        fwd_start, fwd_len = self._hooks[:2]
+        at, hook = _expand(fwd_start[j * self.dim + k], fwd_len[j * self.dim + k])
         m_, i, l = self._gamma2.index[hook, 2], i[at], l[at]
         # per hook the derivative term, then the product term, -1 if absent
         right = np.stack((np.where(self._act_pos[i] >= 0, self._g_row[m_, l], -1),
                           self._gamma1_row[i, m_, l]), axis=1).ravel()
         t = (right >= 0).nonzero()[0]
         deriv, right, at, hook = t % 2 == 0, right[t], at[t // 2], hook[t // 2]
-        var = self._act_pos[i[t // 2]]
+        var = np.where(deriv, self._act_pos[i[t // 2]], -1)
         live = np.bincount(at, minlength=len(j)) > 0
         row_of = np.where(live, live.cumsum() - 1, -1)
+        n = int(live.sum())
+        a, b = row_of.reshape(2, -1)
+        minus = (b >= 0).nonzero()[0]
+        return (rows, deriv, hook, right, var, n, _sum_plan(row_of[at], n, width), a,
+                b[minus], _sum_plan(minus, len(a), width, a >= 0))
+
+    def _riemann_block(self, plan: tuple, order: int, cols, factors, out):
+        """R(i, j, k, l) = edge(i, j, k, l) - edge(j, i, k, l) at the block
+        whose plan is `plan` (`_riemann_block_plan`): the candidates' jets at
+        the codes `out`, zero rows kept.  An edge sums over the hooks m of
+        (j, k), ascending, (d_i Gamma_jk^m) g_ml and then Gamma_jk^m
+        Gamma_iml.  `factors` holds Gamma_jk^m, g_ml and Gamma_iml at
+        `cols`, the joint columns of the edge products, which are truncated
+        at `order`."""
+        rows, deriv, hook, right, var, n, edge_sum, a, b, minus_sum = plan
         g2, g, g1 = factors
 
         def products(ts):
             d, h, r = deriv[ts], hook[ts], right[ts]
-            left = _widen(*self._gamma2.derivs(h, np.where(d, var[ts], -1)), cols)
+            left = _widen(*self._gamma2.derivs(h, var[ts]), cols)
             left[~d] = g2[h[~d]]
             other = np.empty_like(left)
             other[d] = g[r[d]]
             other[~d] = g1[r[~d]]
             return self._space.multiply_rows(cols, left, other, order)
 
-        edge = np.empty((int(live.sum()), len(out)))
-        _ordered_sum(out, edge, row_of[at], products)
-        a, b = row_of.reshape(2, -1)
-        acc = np.zeros((len(a), len(out)))
+        edge = np.empty((n, len(out)))
+        _sum_replay(edge_sum, out, edge, products)
+        acc = np.zeros((len(rows), len(out)))
         acc[a >= 0] = edge[a[a >= 0]]
-        minus = (b >= 0).nonzero()[0]
-        _ordered_sum(out, acc, minus, lambda ts: (out, edge[b[minus[ts]]]), -1, a >= 0)
+        _sum_replay(minus_sum, out, acc, lambda ts: (out, edge[b[ts]]), -1)
         return acc
 
     def _nabla_step(self, prev: _Jets, ord_out: int) -> _Jets:
-        return self._nabla_jets(prev, self._nabla_candidates(prev.index), ord_out)
+        return self._nabla_jets(prev, None, ord_out)
 
     def _nabla_candidates(self, index: np.ndarray) -> np.ndarray:
         """Canonical index tuples the level after the one keyed by `index`
@@ -618,26 +751,51 @@ class CurvatureContext:
         index appended, unless a pair repeats an index."""
         n, r = index.shape
         act = np.array(self.act_idx, dtype=np.intp)
+        _, _, rev_start, rev_len, rev_lower = self._hooks
         # the hooks of each (key, slot) pair
-        at, h = _expand(self._rev_start[index].ravel(), self._rev_len[index].ravel())
+        at, h = _expand(rev_start[index].ravel(), rev_len[index].ravel())
         hooked, s = np.divmod(at, r)
         key = np.concatenate((np.arange(n).repeat(len(act)), hooked))
-        last = np.concatenate((np.tile(act, n), self._rev_lower[h, 0]))
+        last = np.concatenate((np.tile(act, n), rev_lower[h, 0]))
         cand = np.concatenate((index[key], last[:, None]), axis=1)
-        cand[n * len(act) + np.arange(len(at)), s] = self._rev_lower[h, 1]
+        cand[n * len(act) + np.arange(len(at)), s] = rev_lower[h, 1]
         return _canonical_rows(cand, self.dim)
 
-    def _nabla_jets(self, prev: _Jets, idx: np.ndarray, ord_out: int) -> _Jets:
+    def _nabla_jets(self, prev: _Jets, idx: np.ndarray | None, ord_out: int) -> _Jets:
         """Jets of the level after `prev` (rows ascending) at the canonical
-        index tuples, rows of `idx`, zeros left out: (nabla T)(i; m) = d_m T(i)
+        index tuples, rows of `idx`, by default the candidates
+        (`_nabla_candidates`), zeros left out: (nabla T)(i; m) = d_m T(i)
         - sum_s Gamma_{m i_s}^a T(i, a at s), all at once: the derivatives by
         column shifts, then the Christoffel products subtracted in the order of
         the sum (`_ordered_sum`).  T(i, a at s) is read at its canonical row
-        times its sign, and a term whose sign is 0 is left out."""
+        times its sign, and a term whose sign is 0 is left out (`_nabla_plan`)."""
         space = self._space
-        r = prev.index.shape[1]
         if not prev:
-            return _Jets(idx[:0], np.zeros(0, dtype=np.intp), np.zeros((0, 0)), space, ord_out)
+            rows = np.zeros((0, prev.index.shape[1] + 1), dtype=np.intp) if idx is None else idx[:0]
+            return _Jets(rows, np.zeros(0, dtype=np.intp), np.zeros((0, 0)), space, ord_out)
+        g2 = self._gamma2
+        key = (prev.index, prev.cols, prev.vals != 0.0, g2.index, g2.cols)
+        rows, tj, var, cols, out, hook, rep, sign, blocks = self._planned(
+            ("level", self.order - 2 - ord_out), key + (() if idx is None else (idx,)),
+            lambda: self._nabla_plan(prev, idx, ord_out))
+        d_cols, acc = prev.derivs(tj, var)
+        if len(hook):
+            left, right = _widen(*g2.cut(ord_out), cols), _widen(*prev.cut(ord_out), cols)
+            acc = _widen(d_cols, acc, out)
+            _sum_replay(blocks, out, acc, lambda ts: space.multiply_rows(
+                cols, left[hook[ts]], right[rep[ts]] * sign[ts, None], ord_out), -1)
+        return _Jets(rows, out, acc, space, ord_out)
+
+    def _nabla_plan(self, prev: _Jets, idx: np.ndarray | None, ord_out: int) -> tuple:
+        """The rows and terms of `_nabla_jets`, from the patterns alone: the
+        rows of `idx` (or the candidates) with a Christoffel term or a
+        derivative that is not identically zero, the row of prev each
+        differentiates and by which variable (-1 for none), the products'
+        columns and those of the sum, its terms as (hook, row of prev, sign)
+        and the ordered sum's blocks."""
+        if idx is None:
+            idx = self._nabla_candidates(prev.index)
+        r = prev.index.shape[1]
         # index tuples as base-dim codes, looked up in prev's ascending codes
         weights = _digit_weights(self.dim, r)
         prev_codes = prev.index @ weights
@@ -652,8 +810,9 @@ class CurvatureContext:
         has_d = (tj >= 0) & (var >= 0)
         # the Christoffel terms as (component, hook, row of prev), in the
         # order of the sum: component by component, slot by slot, by hook
+        fwd_start, fwd_len = self._hooks[:2]
         pair = (m_[:, None] * self.dim + base).ravel()
-        at, hook = _expand(self._fwd_start[pair], self._fwd_len[pair])
+        at, hook = _expand(fwd_start[pair], fwd_len[pair])
         comp, s = np.divmod(at, r)
         moved = base[comp]
         moved[np.arange(len(at)), s] = self._gamma2.index[hook, 2]
@@ -667,17 +826,14 @@ class CurvatureContext:
         # where its v-derivative has a nonzero coefficient: where a place
         # that the shift of v picks holds one
         live = np.bincount(comp, minlength=len(idx)) > 0
-        _, pos, _, padded = prev._shifts
+        d_cols, pos, _, padded = prev._shifts
         depends = (padded != 0)[:, pos[:-1]].any(axis=2)
         live[has_d] |= depends[tj[has_d], var[has_d]]
         rows = live.nonzero()[0]
-        out, acc = prev.derivs(tj[rows], np.where(has_d[rows], var[rows], -1))
-        if len(comp):
-            cols, (left, right) = _joint(self._gamma2.cut(ord_out), prev.cut(ord_out))
-            out, (acc,) = _joint((out, acc), also=(space.product_cols(cols, ord_out),))
-            _ordered_sum(out, acc, (live.cumsum() - 1)[comp], lambda ts: space.multiply_rows(
-                cols, left[hook[ts]], right[rep[ts]] * sign[ts, None], ord_out), -1, has_d[rows])
-        return _Jets(idx[rows], out, acc, space, ord_out)
+        cols = _union(self._gamma2.cut(ord_out)[0], prev.cut(ord_out)[0])
+        out = _union(d_cols, self._space.product_cols(cols, ord_out)) if len(comp) else d_cols
+        return (idx[rows], tj[rows], np.where(has_d[rows], var[rows], -1), cols, out, hook, rep,
+                sign, _sum_plan((live.cumsum() - 1)[comp], len(rows), len(out), has_d[rows]))
 
     def _check_level(self, k: int) -> None:
         if k < 0:
@@ -692,7 +848,7 @@ class CurvatureContext:
             n = len(self._levels)
             with np.errstate(all="ignore"):  # a non-finite result raises in `_Jets`
                 self._levels.append(self._nabla_step(self._levels[-1], self.order - 2 - n) if n
-                                    else self._riemann_jets(self._riemann_candidates()))
+                                    else self._riemann_jets())
         return self._levels[k]
 
     # ------------------------------------------------------------- read-out
@@ -707,16 +863,23 @@ class CurvatureContext:
         canonical component followed by its three images (`TensorField`).
 
         This is the one place that decides which components are zero at the
-        point; every contraction reads this view.
+        point; every contraction reads this view.  Its `index` is planned from
+        the level's rows and those zeros, and read-only: contexts that replay
+        the plan share it.
         """
         view = self._views.get(k)
         if view is None:
             level = self._level(k)
             values = level.at_point()
             keep = values != 0.0
-            index = _images(level.index[keep])
+
+            def images():
+                index = _images(level.index[keep])
+                index.setflags(write=False)
+                return index
+
+            index = self._planned(("view", k), (level.index, keep), images)
             values = (values[keep, None] * _IMAGE_SIGNS).ravel()
-            index.setflags(write=False)
             values.setflags(write=False)
             view = self._views[k] = TensorField(self.dim, k, index, values)
         return view

@@ -294,16 +294,19 @@ class JetSpace:
 
     def _listed(self, order: int):
         """The listing of these codes at `order`, its output codes made
-        positions in the codes it reaches, and the space of those codes:
-        built once per order, then kept."""
+        positions in the codes it reaches, and the space of those codes
+        (the full space itself at its own order, with no sort): built once
+        per order, then kept."""
         if self._mul_tables is None:
             self._mul_tables = {}
         got = self._mul_tables.get(order)
         if got is None:
             ia, ib, io, idg, idg_o = self._listing(self._codes, order)
-            reach = _distinct(np.concatenate((io, idg_o)))
-            listing = ia, ib, reach.searchsorted(io), idg, reach.searchsorted(idg_o)
-            got = self._mul_tables[order] = listing, self.occupying(reach)
+            # at the full space's own order, pair (0, r) reaches each code r
+            reach = (self if self is self._full and order == self.order
+                     else self.occupying(_distinct(np.concatenate((io, idg_o)))))
+            listing = ia, ib, reach._rank(io), idg, reach._rank(idg_o)
+            got = self._mul_tables[order] = listing, reach
         return got
 
     @staticmethod

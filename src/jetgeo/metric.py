@@ -94,6 +94,13 @@ class MetricSpec:
         """`_inverse_deps(self)`, decided on first use and kept on the spec."""
         return _inverse_deps(self)
 
+    @functools.cached_property
+    def plans(self) -> dict:
+        """What the curvature contexts of this spec derive from patterns
+        alone, one slot per stage, each with the patterns it was made for
+        (`curvature`); kept on the spec."""
+        return {}
+
     @property
     def is_constant(self) -> bool:
         return not self.active_vars

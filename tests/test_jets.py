@@ -471,6 +471,27 @@ def test_a_code_set_keeps_none_of_its_full_spaces_tables():
     assert sp.deriv_cols(part._codes) is part._shifts is not sp._shifts
 
 
+def test_a_full_space_reaches_itself_without_a_sort():
+    # at its own order a full space's listing reaches every code (pair (0,
+    # r) gives r), so `_listed` takes the space itself as the reach: the
+    # reach and the positions are the sorting route's bit for bit, here on
+    # every full space of n <= 4 variables and order K <= 7; a lower order
+    # still sorts its outputs
+    for n in range(5):
+        for order in range(8):
+            sp = JetSpace(tuple("abcd"[:n]), order)
+            for q in {order, max(order - 1, 0)}:
+                listing, reach = sp._listed(q)
+                ia, ib, io, idg, idg_o = sp._listing(sp._codes, q)
+                codes = _distinct(np.concatenate((io, idg_o)))
+                want = ia, ib, codes.searchsorted(io), idg, codes.searchsorted(idg_o)
+                assert reach is sp or q < order
+                assert reach._codes.dtype == codes.dtype
+                assert reach._codes.tobytes() == codes.tobytes()
+                for got, w in zip(listing, want):
+                    assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
+
+
 def test_multiply_rows_lists_each_column_set_once(monkeypatch):
     # two column sets taken in turn, each time a new array of their codes,
     # are listed once each, and their derivative shifts made once each; the
