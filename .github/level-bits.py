@@ -14,8 +14,12 @@ symbols, with the rows that truncation leaves zero dropped, so that a tree
 that computes it to a higher order matches one that stops there.  Each level's point-value view
 is hashed too, as its sorted (index row, value) pairs, and so are
 `jacobi_operator` and `skew_curvature_operator` on 50 seeded directions and
-planes, as one stack and one at a time.  A context that raises hashes its
-error.  After every first build, each context is built and hashed a second
+planes, as one stack and one at a time.  The metric jets each build starts
+from (`_g_rows`: index, columns and values, as they are, -0.0 included) are
+hashed too, so that the expression jets are compared directly and not only
+through the inverse; and for the family, `family.profile_derivs(params, y,
+p + 4)` at the build's y, the one expression jet that has no spec.  A
+context that raises hashes its error.  After every first build, each context is built and hashed a second
 time, from the same spec and point, so that listings and derivative shifts
 that a build reuses from an earlier one are compared too.  After all of
 those, each context is built and hashed a third time, from the same spec
@@ -25,9 +29,11 @@ other tree's build there.  The script prints `same: <context>` or
 `differs: <context>` for each build, and exits 1 if any differs and 0 if
 none does.
 
-The 19 contexts, 57 builds, are the family f = exp(y) + exp(2y) at
-p = 0..5 to level p + 3, at the base point and at a general point, and at
-p = 8 to level 11 at a general point, where the top jet space holds
+The 19 contexts, 57 builds (each hashing its metric jets, and the 39 of
+the family also their profile derivatives), are the family
+f = exp(y) + exp(2y) at p = 0..5 to level p + 3, at the base point and at
+a general point, and at p = 8 to level 11 at a general point, where the
+top jet space holds
 1,144,066 multi-indices; S^2, H^2 at x = -0.1 and a conformal surface to
 level 6; S^2 x a conformal surface to level 4; a non-diagonal 3-metric to
 level 3; and S^2 x a flat 38-space, 40 coordinates, to level 8, where the
@@ -54,32 +60,33 @@ def _contexts():
     def diagonal(coords, diag):
         return metric(coords, {(i, i): e for i, e in enumerate(diag)})
 
-    # (name, spec, point, second general point, deepest level)
+    # (name, spec, point, second general point, deepest level, family
+    # parameters or None)
     for p in (0, 1, 2, 3, 4, 5, 8):
         params = fam.FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))
         spec = fam.build_metric(params)
         general = tuple(0.1 * (1 + n % 3) for n in range(spec.dim))
         if p < 6:
             yield f"family p={p}, base point", spec, fam.base_point(params, 0.0), \
-                tuple(-0.05 * (1 + n % 4) for n in range(spec.dim)), p + 3
+                tuple(-0.05 * (1 + n % 4) for n in range(spec.dim)), p + 3, params
         yield f"family p={p}, general point", spec, general, \
-            tuple(0.2 - 0.05 * (n % 5) for n in range(spec.dim)), p + 3
+            tuple(0.2 - 0.05 * (n % 5) for n in range(spec.dim)), p + 3, params
     sphere = (("theta", "phi"), ("1.0", "sin(theta)^2"))
     conformal = "exp(2.0*(0.31*{0}^2 - 0.12*{0}*{1} + 0.07*{1}^2 + 0.22*{0} - 0.18*{1}))"
-    yield "S2", diagonal(*sphere), (0.8, 0.3), (1.1, -0.4), 6
-    yield "H2", diagonal(("x", "y"), ("1.0", "exp(2.0*x)")), (-0.1, 0.2), (0.3, -0.5), 6
+    yield "S2", diagonal(*sphere), (0.8, 0.3), (1.1, -0.4), 6, None
+    yield "H2", diagonal(("x", "y"), ("1.0", "exp(2.0*x)")), (-0.1, 0.2), (0.3, -0.5), 6, None
     yield "conformal", diagonal(("x", "y"), (conformal.format("x", "y"),) * 2), (0.2, -0.35), \
-        (-0.3, 0.25), 6
+        (-0.3, 0.25), 6, None
     yield "S2 x conformal", diagonal(("theta", "phi", "s", "t"),
                                      sphere[1] + (conformal.format("s", "t"),) * 2), \
-        (0.9, -1.2, 0.3, 0.1), (1.2, 0.4, -0.2, 0.3), 4
+        (0.9, -1.2, 0.3, 0.1), (1.2, 0.4, -0.2, 0.3), 4, None
     yield "non-diagonal", metric(
         ("a", "b", "c"),
         {(0, 0): "exp(2*c)", (1, 1): "1 + b^2", (2, 2): "2 + sin(a)",
-         (0, 1): "0.5*a", (1, 2): "0.25*c"}), (0.2, -0.3, 0.1), (-0.1, 0.4, 0.3), 3
+         (0, 1): "0.5*a", (1, 2): "0.25*c"}), (0.2, -0.3, 0.1), (-0.1, 0.4, 0.3), 3, None
     flat = tuple(f"u{n}" for n in range(38))
     yield "S2 x flat, 40 coordinates", diagonal(sphere[0] + flat, sphere[1] + ("1.0",) * 38), \
-        (0.8, 0.3) + (0.0,) * 38, (1.2, -0.7) + (0.1,) * 38, 8
+        (0.8, 0.3) + (0.0,) * 38, (1.2, -0.7) + (0.1,) * 38, 8, None
 
 
 def _jets_bits(jets, order=None):
@@ -95,17 +102,23 @@ def _view_bits(view):
 
 def _digests():
     import numpy as np
+    from jetgeo import family as fam
     from jetgeo.curvature import CurvatureContext, jacobi_operator, skew_curvature_operator
 
     contexts = list(_contexts())
-    builds = ([(name, spec, point, k) for name, spec, point, _, k in contexts]
-              + [(f"{name}, second build", spec, point, k) for name, spec, point, _, k in contexts]
-              + [(f"{name}, third build at a second point", spec, second, k)
-                 for name, spec, _, second, k in contexts])
-    for name, spec, point, k_max in builds:
+    builds = ([(name, spec, point, k, params) for name, spec, point, _, k, params in contexts]
+              + [(f"{name}, second build", spec, point, k, params)
+                 for name, spec, point, _, k, params in contexts]
+              + [(f"{name}, third build at a second point", spec, second, k, params)
+                 for name, spec, _, second, k, params in contexts])
+    for name, spec, point, k_max, params in builds:
         h = hashlib.sha256()
         try:
+            if params is not None:
+                h.update(fam.profile_derivs(params, point[1], params.p + 4).tobytes())
             ctx = CurvatureContext(spec, point, k_max)
+            g = ctx._g_rows
+            h.update(g.index.tobytes() + repr(g.cols.tolist()).encode() + g.vals.tobytes())
             h.update(repr(_jets_bits(ctx._ginv, ctx.order - 1)).encode())
             for jets in (ctx._gamma1, ctx._gamma2):
                 h.update(repr(_jets_bits(jets)).encode())

@@ -46,18 +46,20 @@ metric and point lists nothing.  A sum's columns are known before it runs,
 from those of its terms.  A metric entry's jet is taken over
 its own coordinates, and a row read out as a jet occupies its matrix's columns.
 
-Each stage of a context (the Neumann inverse, Γ₁, Γ₂, level 0, each level
-step and each view) is a plan, then a replay: an inspector and an
-executor (Saltz, Mirchandaney and Crowley, IEEE Trans. Comput. 40(5), 1991),
-or a symbolic and a numeric sparse factorization (George and Liu, 1981).
-The plan is index arithmetic on patterns, never on values: candidates, row
-lookups, hook expansions, canonical signs, live rows, the Neumann sweeps'
-per-key arrays and the ordered sums' blocks (`_sum_plan`).  The replay is
-the numeric work, gathers, `multiply_rows`, derivative shifts and
-`np.bincount`s (`_sum_replay`), with every check of the build.  A plan is
-kept on the spec (`MetricSpec.plans`), one slot per (max_deriv, stage),
-keyed by every input it reads: index arrays, column sets and nonzero masks
-(`vals != 0`, `ginv0 != 0`, N's live rows).  A later context whose inputs
+Each stage of a context (the metric jets, the Neumann inverse, Γ₁, Γ₂,
+level 0, each level step and each view) is a plan, then a replay: an
+inspector and an executor (Saltz, Mirchandaney and Crowley, IEEE Trans.
+Comput. 40(5), 1991), or a symbolic and a numeric sparse factorization
+(George and Liu, 1981).  The plan is index arithmetic on patterns, never
+on values: the metric entries' tapes (`expr.jet_tape`) and columns,
+candidates, row lookups, hook expansions, canonical signs, live rows, the
+Neumann sweeps' per-key arrays and the ordered sums' blocks (`_sum_plan`).
+The replay is the numeric work, the tapes' replays, gathers,
+`multiply_rows`, derivative shifts and `np.bincount`s (`_sum_replay`), with
+every check of the build.  A plan is kept on the spec (`MetricSpec.plans`),
+one slot per (max_deriv, stage), keyed by every input it reads: index
+arrays, column sets and nonzero masks (the metric jets' `coef != 0`,
+`vals != 0`, `ginv0 != 0`, N's live rows).  A later context whose inputs
 equal the key replays it; any other plans afresh and replaces the slot, so
 a special point (the family's base point, H²'s roundoff images of zero)
 never runs on another pattern's plan.  A Neumann sweep's columns follow the
@@ -510,20 +512,43 @@ class CurvatureContext:
     def _metric_rows(self, env) -> _Jets:
         """The metric jets of the upper triangle row by row, zeros left out:
         each entry's jet over its own coordinates, its nonzeros put at their
-        codes here (`Jet.codes_in`).  Identical entries (expression and
-        coordinates) are evaluated once."""
-        rows, evaluated = [], {}
+        codes here.  Identical entries (expression and coordinates) are
+        evaluated once, each by `ex.eval_jet` on the tape the metric stage's
+        plan keeps (`_metric_plan`); their columns here are planned by the
+        jets' nonzero masks, so a point whose zeros differ plans afresh."""
+        tapes, entry, codes, index, joint = self._planned("metric", (), self._metric_plan)
+        coefs = [ex.eval_jet(e, env, names, self.order, tape).coef for e, names, tape in tapes]
+        masks = tuple(c != 0.0 for c in coefs)
+
+        def columns():
+            # the union of the entries' nonzero codes, and where each
+            # entry's nonzeros sit among the distinct jets' coefficients
+            # laid end to end (`take`) and in the matrix (`put`)
+            nz = [np.flatnonzero(m) for m in masks]
+            start = np.cumsum([0] + [len(m) for m in masks])
+            cols = _union(*(codes[d][nz[d]] for d in entry))
+            take = np.concatenate([nz[d] + start[d] for d in entry])
+            put = (np.repeat(np.arange(len(entry)), [len(nz[d]) for d in entry]),
+                   np.concatenate([cols.searchsorted(codes[d][nz[d]]) for d in entry]))
+            return cols, take, put
+
+        cols, take, put = _plan(joint, "columns", masks, columns)
+        vals = np.zeros((len(entry), len(cols)))
+        vals[put] = np.concatenate(coefs)[take]
+        return _Jets(index, cols, vals, self._space, self.order)
+
+    def _metric_plan(self) -> tuple:
+        """The metric stage's plan: the distinct entries (expression,
+        coordinates, `ex.jet_tape`), each upper entry's place among them,
+        each distinct jet's codes here, the entries' index pairs, and a
+        slot for the columns by nonzero masks."""
+        distinct: dict = {}
+        entry = [distinct.setdefault((self.spec.components[i][j], names), len(distinct))
+                 for (i, j), names in self.spec.entry_vars.items()]
+        tapes = [(e, names, ex.jet_tape(e, names, self.order)) for e, names in distinct]
+        codes = [tape.space.codes_in(self._space) for _, _, tape in tapes]
         # not empty: `validate_at` has ruled out a zero metric
-        for (i, j), names in self.spec.entry_vars.items():
-            key = (self.spec.components[i][j], names)
-            if key not in evaluated:
-                evaluated[key] = ex.eval_jet(key[0], env, names, self.order)
-            jet = evaluated[key]
-            nz = np.flatnonzero(jet.coef)
-            rows.append((jet.codes_in(self._space)[nz], jet.coef[None, nz]))
-        cols, vals = _joint(*rows)
-        return _Jets(np.array(list(self.spec.entry_vars), dtype=np.intp), cols,
-                     np.concatenate(vals), self._space, self.order)
+        return (tapes, entry, codes, np.array(list(self.spec.entry_vars), dtype=np.intp), {})
 
     def _neumann_inverse(self) -> _Jets:
         """Inverse-metric jets of order max_deriv + 1, their reader Γ²'s.

@@ -26,11 +26,12 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .jets import Jet, NonFiniteError, _exp, _finite, _power, _trig, jet_space
+from .jets import (Jet, JetSpace, NonFiniteError, _exp, _finite, _power, _series_coefficients,
+                   _trig, jet_space)
 
 __all__ = [
     "Expr",
@@ -51,6 +52,8 @@ __all__ = [
     "free_vars",
     "eval_point",
     "eval_jet",
+    "jet_tape",
+    "JetTape",
     "forward_source",
     "OPS",
 ]
@@ -404,7 +407,310 @@ def eval_point(e: Expr, env: Mapping[str, float | np.ndarray]) -> float | np.nda
     return _fold(e, leaf, operator.add, operator.mul, operator.neg, lambda f, v: OPS[f](v))
 
 
-def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: int) -> Jet:
+class JetTape(NamedTuple):
+    """`eval_jet`'s plan of an expression in its variables at an order
+    (`jet_tape`): the replay's steps and registers, the register of the
+    result, the space of its codes, and the fold position of its check."""
+
+    steps: list
+    init: list
+    out: int
+    space: JetSpace
+    end: int
+
+
+# the kinds of tape step, with what each holds after its kind and its
+# output register
+_VAR = 0       # name, fold position, 0/1/2: a float, a constant or a variable jet
+_ADD = 1       # a, b
+_WIDE_ADD = 2  # a, b, size of the union, position there of a and of b
+_WHOLE = slice(None)  # the positions of an operand at the union's codes
+_MUL = 3       # a, b (floats)
+_SCALE = 4     # jet, float
+_NEG = 5       # a
+_CALL = 6      # a (a float), name, fold position
+_COEFFS = 7    # a (a jet), name, order, fold position, whether a holds code 0
+_CONST = 8     # coefficients
+_CHECK = 9     # (no output) the exp's register, fold position
+_PRODUCT = 10  # (no output) the union space, its rows (out, a, b, at_a, at_b),
+               # and whether it is one row with both operands as they are
+_SERIES = 11   # (no output) the Horner products' (union, at_a, at_b), its
+               # rows (out, jet, coefficients), the order
+_FREE = 12     # (no output) the registers to let go
+
+
+def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
+    """The plan of `eval_jet(e, ., active, order)`: `_fold` over code sets
+    alone, never values, as one flat tape (taping: Griewank and Walther,
+    *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+
+    A node is a register and the space of its codes, or None for a float.
+    Each operation records a step with what `Jet` arithmetic would read:
+    the space at the union of a sum's or product's operands and their
+    positions there (`JetSpace.join`), a product's union space, whose
+    listing `multiply` reads, and the space it reaches.  An exp, sin or cos
+    of a jet is its coefficients (`_series_coefficients`) and a series step,
+    `Jet._series` over the jet's codes: the union, positions and reach of
+    each of its Horner products, found once per code set in a tape.  A
+    constant is a register filled before the replay.  Products that read
+    one listing at one depth (the most products on a path from a leaf) are
+    one step, one `multiply` of stacked rows, each row the one-row product
+    bit for bit, and so are series over one code set at one depth, each
+    Horner product one `multiply` of their rows.  A depth runs its products
+    and series, then its other steps in fold order.  Checks keep their fold
+    position, so the replay raises the one the fold would meet first."""
+    space = jet_space(tuple(active), order)
+    const = space.occupying(np.zeros(1, dtype=np.int64))  # code 0 alone
+    init, depth, last, leaves, chains = [], [], [], {}, {}
+    # per depth: its products and series by key, and its other steps
+    tiers: list[tuple[dict, list]] = []
+    checks = itertools.count()  # the fold positions of the checks
+
+    def new(d, value=None):
+        while len(tiers) <= d:
+            tiers.append(({}, []))
+        init.append(value)
+        depth.append(d)
+        last.append(d)
+        return len(init) - 1
+
+    def at(ins, lift=0):
+        # the depth of a step that reads the registers `ins`: theirs, one
+        # more for a product; each of them lives to the end of that depth
+        d = 0
+        for r in ins:
+            if depth[r] > d:
+                d = depth[r]
+        d += lift
+        for r in ins:
+            if last[r] < d:
+                last[r] = d
+        return d
+
+    def step(kind, ins, *fields):
+        d = at(ins)
+        out = new(d)
+        tiers[d][1].append((kind, out) + ins + fields)
+        return out
+
+    def stacked(d, key, row):
+        group = tiers[d][0].get(key)
+        if group is None:
+            group = tiers[d][0][key] = []
+        group.append(row)
+
+    def joined(sa, sb):
+        # the union space, and each operand's positions there, or a whole
+        # slice where the operand is at the union's codes as it is
+        if sa is sb:
+            return sa, _WHOLE, _WHOLE
+        u, at_a, at_b = sa.join(sb)
+        return u, _WHOLE if u is sa else at_a, _WHOLE if u is sb else at_b
+
+    def product(a, b):
+        (ra, sa), (rb, sb) = a, b
+        u, at_a, at_b = joined(sa, sb)
+        d = at((ra, rb), 1)
+        out = new(d)
+        stacked(d, u, (out, ra, rb, at_a, at_b))
+        return out, u.product_space()
+
+    def series(jet, coeffs):
+        # `Jet._series` over the codes of `jet`, which hold code 0: its
+        # Horner products, acc * nil from order - 2 down to 0, each over the
+        # union of the codes acc reaches and the jet's
+        rj, sj = jet
+        if sj not in chains:
+            levels, acc = [], sj
+            for _ in range(order - 1):
+                levels.append(joined(acc, sj))
+                acc = levels[-1][0].product_space()
+            chains[sj] = tuple(levels), acc
+        levels, reach = chains[sj]
+        d = at((rj, coeffs), 1)
+        out = new(d + max(len(levels) - 1, 0))  # the depth of its last product
+        stacked(d, (_SERIES, sj), (out, rj, coeffs))
+        return out, reach
+
+    def leaf(node):
+        # a variable is read once, where the fold first reads it: no step
+        # changes its operands, so every later leaf of it shares that value
+        if isinstance(node, Const):
+            return new(0, float(node.value)), None
+        name = node.name
+        if name not in leaves:
+            if name not in space.variables:
+                leaves[name] = step(_VAR, (), name, next(checks), 0), None
+            else:
+                leaves[name] = (step(_VAR, (), name, next(checks), 2 if order else 1),
+                                space.variable(name, 0.0).space if order else const)
+        return leaves[name]
+
+    def add(a, b):
+        (ra, sa), (rb, sb) = a, b
+        if sa is None and sb is None:
+            return step(_ADD, (ra, rb)), None
+        # a float is its constant jet (`Jet.__add__`)
+        u, at_a, at_b = joined(sa or const, sb or const)
+        if at_a is _WHOLE and at_b is _WHOLE:
+            return step(_ADD, (ra, rb)), u
+        return step(_WIDE_ADD, (ra, rb), u.size, at_a, at_b), u
+
+    def mul(a, b):
+        (ra, sa), (rb, sb) = a, b
+        if sa is not None and sb is not None:
+            return product(a, b)
+        if sa is None and sb is None:
+            return step(_MUL, (ra, rb)), None
+        return step(_SCALE, (ra, rb) if sb is None else (rb, ra)), sa or sb
+
+    def neg(a):
+        return step(_NEG, (a[0],)), a[1]
+
+    def call(name: str, a):
+        ra, sa = a
+        if sa is None:
+            return step(_CALL, (ra,), name, next(checks)), None
+        holds_zero = sa.join(const)[0] is sa
+        coeffs = step(_COEFFS, (ra,), name, order, next(checks), holds_zero)
+        if order:
+            out = series(a if holds_zero else add(a, (new(0, 0.0), None)), coeffs)
+        else:
+            out = step(_CONST, (coeffs,)), const
+        if name == "exp":  # at the depth of the exp's register, which `new` made
+            tiers[at((out[0],))][1].append((_CHECK, out[0], next(checks)))
+        return out
+
+    out, out_space = _fold(e, leaf, add, mul, neg, call)
+    # each depth's products and series, then its other steps in fold order,
+    # then the release of the registers no later depth reads (the result
+    # excepted)
+    dead: list[list[int]] = [[] for _ in tiers]
+    for r, (d, v) in enumerate(zip(last, init)):
+        if v is None and r != out:
+            dead[d].append(r)
+    steps = []
+    for (groups, rest), free in zip(tiers, dead):
+        for key, rows in groups.items():
+            if isinstance(key, tuple):
+                steps.append((_SERIES, chains[key[1]][0], rows, order))
+            else:
+                row = rows[0]
+                steps.append((_PRODUCT, key, rows,
+                              len(rows) == 1 and row[3] is row[4] is _WHOLE))
+        steps += rest
+        if free:
+            steps.append((_FREE, free))
+    return JetTape(steps, init, out, out_space or const, next(checks))
+
+
+def _stacked_product(u: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`u.multiply` of (rows, size) operands; one row takes the one-row
+    product, as `Jet.__mul__` does."""
+    return u.multiply(a, b) if len(a) > 1 else u.multiply(a[0], b[0])[None]
+
+
+def _replay(tape: JetTape, base: Mapping[str, float]) -> Jet:
+    """The numbers of `tape` at `base`.  A failed check is noted with its
+    fold position, and the replay goes on with nan for its value; at the
+    end the first in fold order is raised, as the fold would have."""
+    regs, failed, nan = list(tape.init), [], math.nan
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for s in tape.steps:
+            kind = s[0]
+            if kind == _PRODUCT:
+                u, rows = s[1], s[2]
+                if s[3]:  # one row, both operands at the union's codes
+                    out, ra, rb = rows[0][:3]
+                    regs[out] = u.multiply(regs[ra], regs[rb])
+                    continue
+                w = np.zeros((2, len(rows), u.size))
+                for i, (out, ra, rb, at_a, at_b) in enumerate(rows):
+                    w[0, i, at_a] = regs[ra]
+                    w[1, i, at_b] = regs[rb]
+                res = _stacked_product(u, w[0], w[1])
+                for i, row in enumerate(rows):
+                    regs[row[0]] = res[i]
+            elif kind == _SERIES:
+                # `Jet._series` of each row: nil, the jet with no constant
+                # term, and acc = coefficient k * nil, then acc * nil plus
+                # coefficient j down to 0, rows stacked
+                rows, k = s[2], s[3]
+                nil = np.array([regs[r[1]] for r in rows])
+                nil[:, 0] = 0.0
+                coeffs = np.array([regs[r[2]] for r in rows])
+                acc = nil * coeffs[:, k, None] + 0.0
+                acc[:, 0] += coeffs[:, k - 1]
+                wide_u = None  # nil at the codes of the last union, which
+                # stays once acc reaches every code it will
+                for j, (u, at_a, at_b) in zip(range(k - 2, -1, -1), s[1]):
+                    if at_a is not _WHOLE:
+                        a, acc = acc, np.zeros((len(rows), u.size))
+                        acc[:, at_a] = a
+                    if u is not wide_u:
+                        wide_u, wide = u, nil
+                        if at_b is not _WHOLE:
+                            wide = np.zeros((len(rows), u.size))
+                            wide[:, at_b] = nil
+                    acc = _stacked_product(u, acc, wide)
+                    acc[:, 0] += coeffs[:, j]
+                for i, row in enumerate(rows):
+                    regs[row[0]] = acc[i]
+            elif kind == _FREE:
+                for r in s[1]:
+                    regs[r] = None
+            elif kind == _ADD:
+                regs[s[1]] = regs[s[2]] + regs[s[3]]
+            elif kind == _WIDE_ADD:
+                w = np.zeros((2, s[4]))
+                w[0, s[5]], w[1, s[6]] = regs[s[2]], regs[s[3]]
+                regs[s[1]] = w[0] + w[1]
+            elif kind == _SCALE:
+                regs[s[1]] = regs[s[2]] * regs[s[3]] + 0.0
+            elif kind == _MUL:
+                regs[s[1]] = regs[s[2]] * regs[s[3]]
+            elif kind == _VAR:
+                try:
+                    v = float(base[s[2]])
+                except KeyError:
+                    failed.append((s[3], UnknownVariableError(s[2], 0)))
+                    v = nan
+                except (TypeError, ValueError, OverflowError) as exc:  # not a number
+                    failed.append((s[3], exc))
+                    v = nan
+                regs[s[1]] = v if not s[4] else np.array([v, 1.0] if s[4] == 2 else [v])
+            elif kind == _NEG:
+                regs[s[1]] = -regs[s[2]]
+            elif kind == _COEFFS:
+                a = regs[s[2]]
+                try:
+                    regs[s[1]] = _series_coefficients(s[3], float(a[0]) if s[6] else 0.0, s[4])
+                except NonFiniteError as exc:
+                    failed.append((s[5], exc))
+                    regs[s[1]] = [nan] * (s[4] + 1)
+            elif kind == _CHECK:
+                if not np.isfinite(regs[s[1]]).all():
+                    failed.append((s[2], NonFiniteError("non-finite coefficients in jet exp")))
+            elif kind == _CALL:
+                try:
+                    regs[s[1]] = OPS[s[3]](regs[s[2]])
+                except NonFiniteError as exc:
+                    failed.append((s[4], exc))
+                    regs[s[1]] = nan
+            else:  # _CONST
+                regs[s[1]] = np.array([regs[s[2]][0]])
+    out = regs[tape.out]
+    out = np.array([float(out)]) if isinstance(out, float) else out
+    if not np.isfinite(out).all():
+        failed.append((tape.end, NonFiniteError(
+            "expression evaluation produced non-finite coefficients")))
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return Jet(tape.space, out)
+
+
+def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: int,
+             tape: JetTape | None = None) -> Jet:
     """Evaluate `e` as a jet at `base` in the variables `active`.
 
     Variables outside `active` are frozen at their base values.  The
@@ -421,27 +727,16 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
     over a set of codes is the pair table's to the bit (see `jets`), so
     every coefficient is the one of evaluating each node over all of
     `active`, up to the sign of a zero.
+
+    The codes each node occupies follow from `e`, `active` and `order`
+    alone, so the evaluation is a replay of `jet_tape(e, active, order)`:
+    `tape`, one kept from an earlier call, or one made now.  The replay does
+    the numbers of `Jet` arithmetic in its order, bit for bit, with its
+    checks: an unknown variable raises UnknownVariableError, an exp argument
+    >= 709 or a non-finite sin or cos argument, non-finite coefficients of
+    an exp, or a non-finite result NonFiniteError, the first the fold meets.
     """
-    space = jet_space(tuple(active), order)
-
-    def leaf(node):
-        if isinstance(node, Const):
-            return float(node.value)
-        try:
-            v = float(base[node.name])
-        except KeyError:
-            raise UnknownVariableError(node.name, 0) from None
-        return space.variable(node.name, v) if node.name in space.variables else v
-
-    def call(name: str, arg):
-        return getattr(arg, name)() if isinstance(arg, Jet) else OPS[name](arg)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        out = _fold(e, leaf, operator.add, operator.mul, operator.neg, call)
-    out = out if isinstance(out, Jet) else space.constant(out)
-    if not np.isfinite(out.coef).all():
-        raise NonFiniteError("expression evaluation produced non-finite coefficients")
-    return out
+    return _replay(jet_tape(e, active, order) if tape is None else tape, base)
 
 
 def _literal(v: float) -> str:

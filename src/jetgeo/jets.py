@@ -138,6 +138,23 @@ def _trig(fn, v: float | np.ndarray) -> float | np.ndarray:
     return _pointwise(fn, v)
 
 
+def _series_coefficients(name: str, a0: float, order: int) -> list[float]:
+    """The Taylor coefficients to `order` of exp, sin or cos (`name`) about
+    a0, the series `Jet._series` sums; the guards of `_exp` and `_trig`
+    raise NonFiniteError.  `Jet`'s primitives and `expr`'s tapes both take
+    them from here."""
+    if name == "exp":
+        coeffs = [_exp(a0)]
+        for j in range(1, order + 1):
+            coeffs.append(coeffs[-1] / j)
+        return coeffs
+    # the derivatives of sin or cos cycle: value, slope, -value, -slope
+    fn, slope = (math.sin, math.cos) if name == "sin" else (math.cos, lambda t: -math.sin(t))
+    v, s = _trig(fn, a0), slope(a0)
+    cycle = (v, s, -v, -s)
+    return [cycle[j % 4] / math.factorial(j) for j in range(order + 1)]
+
+
 def _power(x, k: int, mul):
     # x^k for k >= 1 by squaring with the product `mul`; the first factor is
     # x itself, with no product by 1
@@ -172,8 +189,9 @@ class JetSpace:
     read: `_mul_tables`, None until its first listing, then by order the
     listing of `_codes` with its output positions and the space of the
     codes it reaches (`_listed`); `_shifts`, the derivative shifts of
-    `deriv_cols`; and `_joins`, for each space a jet here has met, the space
-    of the union of both sets and the positions there of each.  The spaces
+    `deriv_cols`; and `_joins`, for each space a jet (or an `expr` tape) here
+    has met, the space of the union of both sets and the positions there
+    of each (`join`).  The spaces
     of one code system share `_sets`, the space of each code set, so what a
     code set keeps lives as long as its full space; none changes a result.
     """
@@ -275,6 +293,20 @@ class JetSpace:
         pos = [to._var_pos[v] for v in self.variables]
         return (digits @ to._unit_codes[pos]).astype(to._dtype, copy=False)
 
+    def codes_in(self, to: "JetSpace") -> np.ndarray:
+        """These codes in `to` (`recode`)."""
+        return self.recode(self._codes, to)
+
+    def join(self, other: "JetSpace"):
+        """The space at the union of these codes and those of `other`, a
+        space of the same variables and order, and the positions there of
+        each; kept in `_joins`."""
+        join = self._joins.get(other)
+        if join is None:
+            space = self.occupying(_distinct(np.concatenate((self._codes, other._codes))))
+            join = self._joins[other] = space, space._rank(self._codes), space._rank(other._codes)
+        return join
+
     # ------------------------------------------------------------- arithmetic
     def _listing(self, codes: np.ndarray, order: int):
         """The product pairs of an ascending array of codes at an order:
@@ -332,9 +364,15 @@ class JetSpace:
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The product of coefficient arrays over these codes, over the codes
-        their listing at this order reaches (these codes, for the full space)."""
+        their listing at this order reaches (these codes, for the full space):
+        row by row for (rows, size) operands, each row the one-row product
+        bit for bit (`_accumulate`)."""
         listing, reach = self._listed(self.order)
         return self._accumulate(a, b, *listing, reach.size)
+
+    def product_space(self) -> "JetSpace":
+        """The space of the codes `multiply` reaches."""
+        return self._listed(self.order)[1]
 
     def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray, order: int):
         """Products of (rows, len(cols)) operands at the ascending codes
@@ -426,7 +464,7 @@ class Jet:
 
     def codes_in(self, space: JetSpace) -> np.ndarray:
         """The codes in `space` of the multi-indices of `coef` (`recode`)."""
-        return self.space.recode(self.space._codes, space)
+        return self.space.codes_in(space)
 
     def _check_mate(self, other: "Jet") -> None:
         if (self.variables, self.order) != (other.variables, other.order):
@@ -442,11 +480,7 @@ class Jet:
         mine, theirs = self.space, other.space
         if mine is theirs:
             return mine, self.coef, other.coef
-        join = mine._joins.get(theirs)
-        if join is None:
-            space = mine.occupying(_distinct(np.concatenate((mine._codes, theirs._codes))))
-            join = mine._joins[theirs] = space, space._rank(mine._codes), space._rank(theirs._codes)
-        space, at_a, at_b = join
+        space, at_a, at_b = mine.join(theirs)
         a, b = np.zeros((2, space.size))
         a[at_a], b[at_b] = self.coef, other.coef
         return space, a, b
@@ -478,7 +512,7 @@ class Jet:
             return Jet(self.space, self.coef * other + 0.0)
         space, a, b = self._mate(other)
         coef = space.multiply(a, b)
-        return Jet(space._listed(space.order)[1], coef)
+        return Jet(space.product_space(), coef)
 
     __rmul__ = __mul__
 
@@ -538,27 +572,18 @@ class Jet:
         return acc if isinstance(acc, Jet) else jet.space.constant(acc)
 
     def exp(self) -> "Jet":
-        coeffs = [_exp(self.value())]
-        for j in range(1, self.order + 1):
-            coeffs.append(coeffs[-1] / j)
+        coeffs = _series_coefficients("exp", self.value(), self.order)
         with np.errstate(over="ignore", invalid="ignore"):  # checked below
             out = self._series(coeffs)
         if not np.isfinite(out.coef).all():
             raise NonFiniteError("non-finite coefficients in jet exp")
         return out
 
-    def _trig(self, fn, slope) -> "Jet":
-        # the derivatives of sin or cos cycle: value, slope, -value, -slope
-        a0 = self.value()
-        v, s = _trig(fn, a0), slope(a0)
-        cycle = (v, s, -v, -s)
-        return self._series([cycle[j % 4] / math.factorial(j) for j in range(self.order + 1)])
-
     def sin(self) -> "Jet":
-        return self._trig(math.sin, math.cos)
+        return self._series(_series_coefficients("sin", self.value(), self.order))
 
     def cos(self) -> "Jet":
-        return self._trig(math.cos, lambda t: -math.sin(t))
+        return self._series(_series_coefficients("cos", self.value(), self.order))
 
     def pow(self, exponent: int) -> "Jet":
         if exponent < 0 or exponent != int(exponent):

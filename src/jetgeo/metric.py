@@ -97,8 +97,9 @@ class MetricSpec:
     @functools.cached_property
     def plans(self) -> dict:
         """What the curvature contexts of this spec derive from patterns
-        alone, one slot per stage, each with the patterns it was made for
-        (`curvature`); kept on the spec."""
+        alone, one slot per stage (the metric stage's expression tapes
+        among them), each with the patterns it was made for (`curvature`);
+        kept on the spec."""
         return {}
 
     @property

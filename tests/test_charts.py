@@ -6,13 +6,15 @@ on every slot.  No closed form is needed, so the relation checks any metric
 (a metamorphic relation: Chen, Cheung and Yiu, HKUST-CS98-01, 1998).  Under
 a linear chart the Christoffel symbols are a tensor too, and the level
 step's Christoffel sum carries over term by term; the quadratic part b of
-the chart gives them an inhomogeneous part, so that sum matters.
+the chart gives them an inhomogeneous part, so that sum matters.  The
+scalar invariants are the same number in both charts.
 """
 import numpy as np
 import pytest
 
 from jetgeo import expr as ex
 from jetgeo import family as fam
+from jetgeo import invariants as inv
 from jetgeo.curvature import CurvatureContext
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
 from test_level_view import non_diagonal
@@ -69,10 +71,23 @@ def carried(t: np.ndarray, jac: np.ndarray) -> np.ndarray:
     return t
 
 
+CONFORMAL = "exp(2.0*(0.31*{0}^2 - 0.12*{0}*{1} + 0.07*{1}^2 + 0.22*{0} - 0.18*{1}))"
+
+
+def _diagonal(coords, diag) -> MetricSpec:
+    return metric_from_strings(coords, {(i, i): e for i, e in enumerate(diag)}, (0, len(coords)))
+
+
 def _metrics():
     params = fam.FamilyParams(0, ex.parse("exp(y) + exp(2*y)", ("y",)))
     yield "family p=0", fam.build_metric(params), fam.base_point(params, 0.3, [0.2])
     yield "non-diagonal", *non_diagonal()
+    # the pulled-back trees of these are dense in sin, powers, negations
+    # and long sums
+    yield "conformal", _diagonal(("x", "y"), (CONFORMAL.format("x", "y"),) * 2), (0.2, -0.35)
+    yield "S2 x conformal", _diagonal(("theta", "phi", "s", "t"), (
+        "1.0", "sin(theta)^2", CONFORMAL.format("s", "t"), CONFORMAL.format("s", "t"))), \
+        (0.9, -1.2, 0.3, 0.1)
 
 
 def _charted(spec, point, b, seed):
@@ -123,3 +138,18 @@ def test_constant_curvature_levels_are_tensors_under_a_chart_change(name, spec, 
     for k in range(LEVELS + 1):
         gap = np.max(np.abs(moved.curvature(k).dense() - carried(ctx.curvature(k).dense(), jac)))
         assert gap <= TOL * scale, (k, gap / scale)
+
+
+@pytest.mark.parametrize("name,spec,point,b,seed", CASES + [(*c, 1) for c in TWINS],
+                         ids=[f"{c[0]}, b={c[3]}, seed {c[4]}" for c in CASES]
+                         + [f"{c[0]}, b={c[3]}, seed 1" for c in TWINS])
+def test_invariants_are_the_same_in_both_charts(name, spec, point, b, seed):
+    # relative to the larger of the invariant and level 0's largest entry
+    # to the invariant's degree, as the family's invariants vanish
+    ctx, moved, _ = _charted(spec, point, b, seed)
+    scale = np.max(np.abs(ctx.curvature(0).values))
+    for n in ("tau", "r2", "ric2"):
+        schema = inv.NAMED_SCHEMAS[n]
+        want = inv.evaluate(schema, spec, ctx.point, context=ctx)
+        got = inv.evaluate(schema, moved.spec, moved.point, context=moved)
+        assert abs(got - want) <= TOL * max(abs(want), scale ** len(schema.factors)), n

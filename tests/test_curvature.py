@@ -326,20 +326,26 @@ def _family_p5():
 
 
 def test_family_metric_jets_take_their_own_spaces(monkeypatch):
-    # g_00 = -2 (f(y) + sum_i y^(i+1) z_i) at p = 5, max_deriv 8: f's exp
-    # series run over codes in y alone, each term over codes in its own
-    # variables, and only -2 times the sum is a product over codes in all 7
+    # g_00 = -2 (f(y) + sum_i y^(i+1) z_i) at p = 5, max_deriv 8: f's two
+    # exp series run over codes in y alone, each term over codes in its own
+    # variables, and no product runs over codes in all 7 (the -2 is a
+    # float).  Products that read one listing at one depth are one call,
+    # a row each: the two series' Horner products and y's powers stack
     pt, spec = _family_p5()
     ctx = CurvatureContext(spec, pt, 8)
-    exps, products = [], []
-    exp, multiply = Jet.exp, JetSpace.multiply
-    monkeypatch.setattr(Jet, "exp", lambda self: exps.append(used(self.space)) or exp(self))
-    monkeypatch.setattr(JetSpace, "multiply",
-                        lambda self, a, b: products.append(used(self)) or multiply(self, a, b))
+    series, products = [], []
+    coefficients, multiply = ex._series_coefficients, JetSpace.multiply
+    monkeypatch.setattr(ex, "_series_coefficients", lambda name, a0, order: series.append(
+        name) or coefficients(name, a0, order))
+    monkeypatch.setattr(JetSpace, "multiply", lambda self, a, b: products.append(
+        (used(self), len(a) if a.ndim > 1 else 1)) or multiply(self, a, b))
     rows = ctx._metric_rows(spec.env_at(pt))
-    assert exps == [("y",)] * 2
-    assert len(ctx.active) == 7 and products.count(ctx.active) <= 1
-    assert max(map(len, set(products) - {ctx.active})) == 2
+    assert series == ["exp"] * 2
+    assert len(ctx.active) == 7 and ctx.active not in {vs for vs, _ in products}
+    assert max(len(vs) for vs, _ in products) == 2
+    # 9 Horner products a series (order 10), each one call of both series
+    y_rows = [n for vs, n in products if vs == ("y",)]
+    assert y_rows.count(2) >= 9 and min(y_rows) >= 2
     assert rows.vals.tobytes() == ctx._g_rows.vals.tobytes()
 
 
@@ -361,17 +367,20 @@ def test_context_builds_one_jet_space_over_its_variables(monkeypatch):
 
 
 def test_metric_jet_lifts_operands_one_at_a_time():
-    # The peak of evaluating g_00 at p = 5 to order 10 on warm spaces: 8.5
-    # KiB measured, every node holding only the codes it occupies.  Dense
-    # jets of each node's own variables, with the sum's seven terms lifted
-    # to all 7 variables as the fold reached them, took 465 KiB, and every
-    # node over all 7 variables 1,070 KiB.  It may grow by a quarter.
+    # The peak of evaluating g_00 at p = 5 to order 10 on warm spaces, from
+    # the tape a context keeps: 10.0 KiB measured, every node holding only
+    # the codes it occupies, each register let go after the last depth
+    # that reads it.  (The fold before tapes took 8.5 KiB.)  Dense jets of
+    # each node's own variables, with the sum's seven terms lifted to all 7
+    # variables as the fold reached them, took 465 KiB, and every node over
+    # all 7 variables 1,070 KiB.  It may grow by a quarter of the fold's.
     pt, spec = _family_p5()
     e, env = spec.components[0][0], spec.env_at(pt)
     want = ex.eval_jet(e, env, spec.active_vars, 10)
+    tape = ex.jet_tape(e, spec.active_vars, 10)
     tracemalloc.start()
     try:
-        got = ex.eval_jet(e, env, spec.active_vars, 10)
+        got = ex.eval_jet(e, env, spec.active_vars, 10, tape)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

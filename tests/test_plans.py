@@ -3,11 +3,12 @@ its spec keeps (`MetricSpec.plans`) equals one planned afresh, bit for bit."""
 import numpy as np
 import pytest
 
-from jetgeo import curvature
+from jetgeo import cli, curvature
 from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo.curvature import CurvatureContext, jacobi_operator, skew_curvature_operator
-from jetgeo.metric import metric_from_strings
+from jetgeo.jets import Jet, JetSpace, NonFiniteError
+from jetgeo.metric import metric_from_strings, save_metric
 
 SPHERE = (("theta", "phi"), ("1.0", "sin(theta)^2"))
 CONFORMAL = "exp(2.0*(0.31*{0}^2 - 0.12*{0}*{1} + 0.07*{1}^2 + 0.22*{0} - 0.18*{1}))"
@@ -50,7 +51,8 @@ def _bits(ctx):
     """Every matrix of the context (rows, columns, values), every view and
     both operators on seeded directions and planes, as bytes."""
     out = []
-    for jets in (ctx._ginv, ctx._gamma1, ctx._gamma2, *map(ctx._level, range(ctx.max_deriv + 1))):
+    for jets in (ctx._g_rows, ctx._ginv, ctx._gamma1, ctx._gamma2,
+                 *map(ctx._level, range(ctx.max_deriv + 1))):
         out += [jets.index.tobytes(), repr(jets.cols.tolist()), jets.vals.tobytes()]
     for k in range(ctx.max_deriv + 1):
         view = ctx.curvature(k)
@@ -97,7 +99,7 @@ def test_plans_keep_one_slot_per_stage():
     params = _params(4)
     spec = fam.build_metric(params)
     rng = np.random.default_rng(4)
-    stages = ({"christoffel_terms"} | {(7, s) for s in ("inverse", "gamma1", "gamma2")}
+    stages = ({"christoffel_terms"} | {(7, s) for s in ("metric", "inverse", "gamma1", "gamma2")}
               | {(7, (kind, k)) for kind in ("level", "view") for k in range(8)})
     for _ in range(60):
         point = tuple(rng.uniform(-0.3, 0.3, spec.dim))
@@ -109,6 +111,7 @@ def test_plans_keep_one_slot_per_stage():
         assert set(spec.plans) == stages
         sweeps = spec.plans[(7, "inverse")][1][-1]
         assert len(sweeps) <= 8 and all(len(sweep[-1]) == 1 for sweep in sweeps)
+        assert len(spec.plans[(7, "metric")][1][-1]) == 1  # the columns' slot
 
 
 def test_a_replay_plans_nothing(monkeypatch):
@@ -143,3 +146,68 @@ def test_a_replay_plans_nothing(monkeypatch):
         ctx._level(k)
     assert calls.count("_riemann_candidates") == 1 and calls.count("_nabla_candidates") == 6
     assert "_sum_plan" in calls
+
+
+def test_a_replayed_metric_stage_plans_nothing(monkeypatch):
+    # a second generic point of one spec evaluates the metric entries on
+    # the tapes the first kept: no tape is made, no code-set join is read
+    # and no listing is built, and no `Jet` arithmetic runs (its `_mate`
+    # joins operands); a fresh spec makes its tapes, reading the joins
+    params = _params(3)
+    spec = fam.build_metric(params)
+    second = tuple(-0.05 * (1 + n % 4) for n in range(spec.dim))
+    CurvatureContext(spec, tuple(0.1 * (1 + n % 3) for n in range(spec.dim)), 6)
+    calls, inside = [], [False]
+
+    def counted(name, fn):
+        def wrapper(*args):
+            if inside[0]:
+                calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    def metric_stage(self, env):
+        inside[0] = True
+        try:
+            return metric_rows(self, env)
+        finally:
+            inside[0] = False
+
+    metric_rows = CurvatureContext._metric_rows
+    monkeypatch.setattr(CurvatureContext, "_metric_rows", metric_stage)
+    monkeypatch.setattr(ex, "jet_tape", counted("jet_tape", ex.jet_tape))
+    for name in ("join", "occupying", "_listing", "variable", "constant"):
+        monkeypatch.setattr(JetSpace, name, counted(name, getattr(JetSpace, name)))
+    monkeypatch.setattr(Jet, "_mate", counted("_mate", Jet._mate))
+    ctx = CurvatureContext(spec, second, 6)
+    assert calls == []
+    fresh = CurvatureContext(fam.build_metric(params), second, 6)
+    assert {"jet_tape", "join", "variable"} <= set(calls) and "_mate" not in calls
+    assert _bits(ctx) == _bits(fresh)
+
+
+def test_an_exp_overflow_at_a_replayed_point_raises_as_on_a_fresh_spec(tmp_path, capsys):
+    # exp(300 x) exp(-300 x) is about 1 wherever it is finite; at x = 0.1
+    # every jet is finite, at x = 2.37 the exp argument is 711 (the value
+    # check of the point raises), and at x = 2.36 it is 708: the value is
+    # finite and the jet coefficients of exp(300 x) are not
+    entry = "exp(300*x)*exp(-300*x)"
+
+    def make():
+        return metric_from_strings(("x", "y"), {(0, 0): entry, (1, 1): "1.0"}, (0, 2))
+
+    spec, path = make(), tmp_path / "overflow.json"
+    save_metric(spec, str(path))
+    CurvatureContext(spec, (0.1, 0.2), 4)
+    for x, message in ((2.37, "exp overflow at argument 711"),
+                       (2.36, "non-finite coefficients in jet exp")):
+        errors = []
+        for s in (spec, make()):
+            with pytest.raises(NonFiniteError) as info:
+                CurvatureContext(s, (x, 0.2), 4)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] and errors[0].startswith(message)
+        assert cli.main(["check", "--spec", str(path), f"--point={x},0.2"]) == 3
+        assert capsys.readouterr().err == f"jetgeo: numeric failure: NonFiniteError: {errors[0]}\n"
+    # the failed replays leave the plans as they were
+    assert _bits(CurvatureContext(spec, (-0.2, 0.3), 4)) == _fresh(make, (-0.2, 0.3), 4)

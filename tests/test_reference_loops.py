@@ -19,6 +19,7 @@ pickle), not just to a tolerance.
 """
 import hashlib
 import math
+import operator
 import pickle
 from itertools import accumulate, chain, permutations
 from itertools import product as iproduct
@@ -716,6 +717,32 @@ def ref_eval_jet(e: ex.Expr, base, active: Sequence[str], order: int) -> Jet:
 
     with np.errstate(over="ignore", invalid="ignore"):
         out = rec(e)
+    if not np.isfinite(out.coef).all():
+        raise NonFiniteError("expression evaluation produced non-finite coefficients")
+    return out
+
+
+def ref_fold_eval_jet(e: ex.Expr, base, active: Sequence[str], order: int) -> Jet:
+    """`expr.eval_jet` as it was before tapes: `expr._fold` over `Jet`
+    arithmetic, each node a jet at the codes it occupies or a float for a
+    constant or a frozen variable, each check raised where the fold meets it."""
+    space = jet_space(tuple(active), order)
+
+    def leaf(node):
+        if isinstance(node, ex.Const):
+            return float(node.value)
+        try:
+            v = float(base[node.name])
+        except KeyError:
+            raise ex.UnknownVariableError(node.name, 0) from None
+        return space.variable(node.name, v) if node.name in space.variables else v
+
+    def call(name: str, arg):
+        return getattr(arg, name)() if isinstance(arg, Jet) else ex.OPS[name](arg)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = ex._fold(e, leaf, operator.add, operator.mul, operator.neg, call)
+    out = out if isinstance(out, Jet) else space.constant(out)
     if not np.isfinite(out.coef).all():
         raise NonFiniteError("expression evaluation produced non-finite coefficients")
     return out
@@ -1787,6 +1814,51 @@ def test_eval_jet_matches_dense_reference(e, active, order, seed):
     # of a zero, or the same error
     base = dict(zip(EXPR_CHART + ("w",), np.random.default_rng(seed).uniform(-2.0, 2.0, 4)))
     assert _same_jet_outcome(e, base, active, order)
+
+
+# chart values: ordinary ones, and ones that overflow an exp, a power or a
+# product, or are not finite; a chart name may be missing from the point
+TAPE_VALUES = st.sampled_from([-1.7, -0.4, 0.0, 0.3, 1.2, 2.5, 40.0, 709.5, -1e200, 1e300,
+                               math.inf, math.nan])
+TAPE_POINTS = st.dictionaries(st.sampled_from(EXPR_CHART), TAPE_VALUES, min_size=2)
+
+
+@given(e=exprs(), active=st.lists(st.sampled_from(EXPR_CHART + ("w",)), min_size=1,
+                                  max_size=4, unique=True),
+       order=st.integers(0, 8), first=TAPE_POINTS, second=TAPE_POINTS)
+# a series whose result no step reads (a power 0 of it)
+@example(e=ex.Exp(ex.Cos(ex.Cos(ex.Pow(ex.Sin(ex.Var("y")), 0)))), active=["y"], order=3,
+         first={"y": -1.7, "z0": -1.7}, second={"y": -1.7, "z0": -1.7})
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_eval_jet_tape_matches_jet_fold(e, active, order, first, second):
+    # the tape, fresh and kept from another point, against the fold of
+    # `Jet` arithmetic it replaced: the same space and bytes, or the same
+    # error (class and message), the first the fold meets
+    tape = ex.jet_tape(e, active, order)
+    jet_outcome(lambda: ex.eval_jet(e, first, active, order, tape))
+    want = jet_outcome(lambda: ref_fold_eval_jet(e, second, active, order))
+    for got in (jet_outcome(lambda: ex.eval_jet(e, second, active, order)),
+                jet_outcome(lambda: ex.eval_jet(e, second, active, order, tape))):
+        if isinstance(want, Exception):
+            assert same_errors(got, want)
+        else:
+            assert isinstance(got, Jet) and got.space is want.space
+            assert bits(got.coef) == bits(want.coef)
+
+
+@pytest.mark.parametrize("p", range(6))
+def test_family_metric_tapes_match_jet_fold(p):
+    # every entry of the family, at two points on one kept tape, at the
+    # order a context of max_deriv p + 3 evaluates
+    params = fam.FamilyParams(p, ex.parse("1.2*exp(0.8*y) + 0.7*exp(1.3*y) + sin(y)^2", ("y",)))
+    spec = fam.build_metric(params)
+    for e in {e for row in spec.components for e in row}:
+        tape = ex.jet_tape(e, spec.active_vars, p + 5)
+        for y in (0.0, 0.37):
+            env = spec.env_at(fam.base_point(params, y, [0.1 * (-1) ** i for i in range(p + 1)]))
+            got = ex.eval_jet(e, env, spec.active_vars, p + 5, tape)
+            want = ref_fold_eval_jet(e, env, spec.active_vars, p + 5)
+            assert got.space is want.space and bits(got.coef) == bits(want.coef)
 
 
 @pytest.mark.parametrize("text,y", [("exp(y)", 800.0), ("(1e200*y)^2", 1.0),
