@@ -361,20 +361,26 @@ def _fold(e: Expr, leaf, add, mul, neg, call):
     as `Jet.pow` does (^0 is leaf(Const(1.0))); a negation is `neg(arg)`,
     and exp, sin or cos `call(name, arg)`."""
     def rec(node: Expr):
-        if isinstance(node, (Const, Var)):
+        kind = type(node)  # the node classes have no subclasses
+        if kind is Const or kind is Var:
             return leaf(node)
-        if isinstance(node, (Sum, Prod)):
-            op, operands = (add, node.terms) if isinstance(node, Sum) else (mul, node.factors)
+        if kind is Sum or kind is Prod:
+            op, operands = (add, node.terms) if kind is Sum else (mul, node.factors)
             return functools.reduce(op, [rec(t) for t in operands])
-        if isinstance(node, Pow):
+        if kind is Pow:
             base = rec(node.base)
             return _power(base, node.exponent, mul) if node.exponent else leaf(Const(1.0))
-        if isinstance(node, Neg):
+        if kind is Neg:
             return neg(rec(node.arg))
-        if isinstance(node, (Exp, Sin, Cos)):
-            return call(type(node).__name__.lower(), rec(node.arg))
+        if kind is Exp or kind is Sin or kind is Cos:
+            return call(kind.__name__.lower(), rec(node.arg))
         raise TypeError(f"not an Expr node: {node!r}")
-    return rec(e)
+    try:
+        return rec(e)
+    finally:
+        # rec holds itself through its closure: break that cycle, so what
+        # the operations hold goes when the caller lets go, not at a collection
+        del rec
 
 
 # the names `forward_source` code calls, over Python floats or over rows of
@@ -432,10 +438,8 @@ _CALL = 6      # a (a float), name, fold position
 _COEFFS = 7    # a (a jet), name, order, fold position, whether a holds code 0
 _CONST = 8     # coefficients
 _CHECK = 9     # (no output) the exp's register, fold position
-_PRODUCT = 10  # (no output) the union space, its rows (out, a, b, at_a, at_b),
-               # and whether it is one row with both operands as they are
-_SERIES = 11   # (no output) the Horner products' (union, at_a, at_b), its
-               # rows (out, jet, coefficients), the order
+_PRODUCT = 10  # (no output) the union space, its rows (out, a, b, at_a, at_b)
+_SERIES = 11   # (no output) the jets' space, its rows (out, jet, coefficients)
 _FREE = 12     # (no output) the registers to let go
 
 
@@ -450,8 +454,8 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
     positions there (`JetSpace.join`), a product's union space, whose
     listing `multiply` reads, and the space it reaches.  An exp, sin or cos
     of a jet is its coefficients (`_series_coefficients`) and a series step,
-    `Jet._series` over the jet's codes: the union, positions and reach of
-    each of its Horner products, found once per code set in a tape.  A
+    `Jet._series` over the jet's codes (`JetSpace.series_rows`), whose
+    Horner products that code set keeps (`JetSpace.horner`).  A
     constant is a register filled before the replay.  Products that read
     one listing at one depth (the most products on a path from a leaf) are
     one step, one `multiply` of stacked rows, each row the one-row product
@@ -461,20 +465,22 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
     position, so the replay raises the one the fold would meet first."""
     space = jet_space(tuple(active), order)
     const = space.occupying(np.zeros(1, dtype=np.int64))  # code 0 alone
-    init, depth, last, leaves, chains = [], [], [], {}, {}
+    # per register: its value before the replay (a constant's, else None),
+    # the depth of the step that writes it and the last depth that reads it
+    init, depth, last, leaves = [], [], [], {}
     # per depth: its products and series by key, and its other steps
     tiers: list[tuple[dict, list]] = []
     checks = itertools.count()  # the fold positions of the checks
 
-    def new(d, value=None):
+    def new(d):
         while len(tiers) <= d:
             tiers.append(({}, []))
-        init.append(value)
+        init.append(None)
         depth.append(d)
         last.append(d)
         return len(init) - 1
 
-    def at(ins, lift=0):
+    def reads(ins, lift=0):
         # the depth of a step that reads the registers `ins`: theirs, one
         # more for a product; each of them lives to the end of that depth
         d = 0
@@ -488,16 +494,32 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
         return d
 
     def step(kind, ins, *fields):
-        d = at(ins)
-        out = new(d)
-        tiers[d][1].append((kind, out) + ins + fields)
+        # `new(reads(ins))`, written out: most nodes are one step
+        d = 0
+        for r in ins:
+            if depth[r] > d:
+                d = depth[r]
+        for r in ins:
+            if last[r] < d:
+                last[r] = d
+        if len(tiers) == d:
+            tiers.append(({}, []))
+        out = len(init)
+        init.append(None)
+        depth.append(d)
+        last.append(d)
+        tiers[d][1].append((kind, out, *ins, *fields))
         return out
 
-    def stacked(d, key, row):
-        group = tiers[d][0].get(key)
+    def stacked(d, kind, space, out, row):
+        # a row of the product or series step of its kind over one code set
+        # at depth d
+        group = tiers[d][0].get((kind, space))
         if group is None:
-            group = tiers[d][0][key] = []
-        group.append(row)
+            tiers[d][0][kind, space] = (kind, space, [row])
+        else:
+            group[2].append(row)
+        return out
 
     def joined(sa, sb):
         # the union space, and each operand's positions there, or a whole
@@ -507,44 +529,23 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
         u, at_a, at_b = sa.join(sb)
         return u, _WHOLE if u is sa else at_a, _WHOLE if u is sb else at_b
 
-    def product(a, b):
-        (ra, sa), (rb, sb) = a, b
-        u, at_a, at_b = joined(sa, sb)
-        d = at((ra, rb), 1)
-        out = new(d)
-        stacked(d, u, (out, ra, rb, at_a, at_b))
-        return out, u.product_space()
-
-    def series(jet, coeffs):
-        # `Jet._series` over the codes of `jet`, which hold code 0: its
-        # Horner products, acc * nil from order - 2 down to 0, each over the
-        # union of the codes acc reaches and the jet's
-        rj, sj = jet
-        if sj not in chains:
-            levels, acc = [], sj
-            for _ in range(order - 1):
-                levels.append(joined(acc, sj))
-                acc = levels[-1][0].product_space()
-            chains[sj] = tuple(levels), acc
-        levels, reach = chains[sj]
-        d = at((rj, coeffs), 1)
-        out = new(d + max(len(levels) - 1, 0))  # the depth of its last product
-        stacked(d, (_SERIES, sj), (out, rj, coeffs))
-        return out, reach
-
     def leaf(node):
         # a variable is read once, where the fold first reads it: no step
         # changes its operands, so every later leaf of it shares that value
-        if isinstance(node, Const):
-            return new(0, float(node.value)), None
-        name = node.name
-        if name not in leaves:
+        if type(node) is Const:
+            init.append(float(node.value))
+            depth.append(0)
+            last.append(0)
+            return len(init) - 1, None
+        got = leaves.get(node.name)
+        if got is None:
+            name = node.name
             if name not in space.variables:
-                leaves[name] = step(_VAR, (), name, next(checks), 0), None
+                got = leaves[name] = step(_VAR, (), name, next(checks), 0), None
             else:
-                leaves[name] = (step(_VAR, (), name, next(checks), 2 if order else 1),
-                                space.variable(name, 0.0).space if order else const)
-        return leaves[name]
+                got = leaves[name] = (step(_VAR, (), name, next(checks), 2 if order else 1),
+                                      space.variable(name, 0.0).space if order else const)
+        return got
 
     def add(a, b):
         (ra, sa), (rb, sb) = a, b
@@ -558,11 +559,14 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
 
     def mul(a, b):
         (ra, sa), (rb, sb) = a, b
-        if sa is not None and sb is not None:
-            return product(a, b)
-        if sa is None and sb is None:
-            return step(_MUL, (ra, rb)), None
-        return step(_SCALE, (ra, rb) if sb is None else (rb, ra)), sa or sb
+        if sa is None:
+            return (step(_MUL, (ra, rb)), None) if sb is None else (step(_SCALE, (rb, ra)), sb)
+        if sb is None:
+            return step(_SCALE, (ra, rb)), sa
+        u, at_a, at_b = joined(sa, sb)
+        d = reads((ra, rb), 1)
+        out = new(d)
+        return stacked(d, _PRODUCT, u, out, (out, ra, rb, at_a, at_b)), u.product_space()
 
     def neg(a):
         return step(_NEG, (a[0],)), a[1]
@@ -571,14 +575,19 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
         ra, sa = a
         if sa is None:
             return step(_CALL, (ra,), name, next(checks)), None
-        holds_zero = sa.join(const)[0] is sa
-        coeffs = step(_COEFFS, (ra,), name, order, next(checks), holds_zero)
-        if order:
-            out = series(a if holds_zero else add(a, (new(0, 0.0), None)), coeffs)
-        else:
+        coeffs = step(_COEFFS, (ra,), name, order, next(checks), sa._zero)
+        if not order:
             out = step(_CONST, (coeffs,)), const
+        else:
+            # `Jet._series` over the codes of the jet, which hold code 0: its
+            # Horner products (`JetSpace.horner`), kept on that code set
+            rj, sj = a if sa._zero else add(a, leaf(Const(0.0)))
+            levels, reach = sj.horner()
+            d = reads((rj, coeffs), 1)
+            out = new(d + max(len(levels) - 1, 0))  # the depth of its last product
+            out = stacked(d, _SERIES, sj, out, (out, rj, coeffs)), reach
         if name == "exp":  # at the depth of the exp's register, which `new` made
-            tiers[at((out[0],))][1].append((_CHECK, out[0], next(checks)))
+            tiers[depth[out[0]]][1].append((_CHECK, out[0], next(checks)))
         return out
 
     out, out_space = _fold(e, leaf, add, mul, neg, call)
@@ -591,23 +600,11 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
             dead[d].append(r)
     steps = []
     for (groups, rest), free in zip(tiers, dead):
-        for key, rows in groups.items():
-            if isinstance(key, tuple):
-                steps.append((_SERIES, chains[key[1]][0], rows, order))
-            else:
-                row = rows[0]
-                steps.append((_PRODUCT, key, rows,
-                              len(rows) == 1 and row[3] is row[4] is _WHOLE))
+        steps += groups.values()
         steps += rest
         if free:
             steps.append((_FREE, free))
     return JetTape(steps, init, out, out_space or const, next(checks))
-
-
-def _stacked_product(u: JetSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`u.multiply` of (rows, size) operands; one row takes the one-row
-    product, as `Jet.__mul__` does."""
-    return u.multiply(a, b) if len(a) > 1 else u.multiply(a[0], b[0])[None]
 
 
 def _replay(tape: JetTape, base: Mapping[str, float]) -> Jet:
@@ -620,40 +617,20 @@ def _replay(tape: JetTape, base: Mapping[str, float]) -> Jet:
             kind = s[0]
             if kind == _PRODUCT:
                 u, rows = s[1], s[2]
-                if s[3]:  # one row, both operands at the union's codes
-                    out, ra, rb = rows[0][:3]
-                    regs[out] = u.multiply(regs[ra], regs[rb])
-                    continue
                 w = np.zeros((2, len(rows), u.size))
                 for i, (out, ra, rb, at_a, at_b) in enumerate(rows):
                     w[0, i, at_a] = regs[ra]
                     w[1, i, at_b] = regs[rb]
-                res = _stacked_product(u, w[0], w[1])
+                res = u.multiply(w[0], w[1])
                 for i, row in enumerate(rows):
                     regs[row[0]] = res[i]
             elif kind == _SERIES:
                 # `Jet._series` of each row: nil, the jet with no constant
-                # term, and acc = coefficient k * nil, then acc * nil plus
-                # coefficient j down to 0, rows stacked
-                rows, k = s[2], s[3]
+                # term, summed by `series_rows`, rows stacked
+                rows = s[2]
                 nil = np.array([regs[r[1]] for r in rows])
                 nil[:, 0] = 0.0
-                coeffs = np.array([regs[r[2]] for r in rows])
-                acc = nil * coeffs[:, k, None] + 0.0
-                acc[:, 0] += coeffs[:, k - 1]
-                wide_u = None  # nil at the codes of the last union, which
-                # stays once acc reaches every code it will
-                for j, (u, at_a, at_b) in zip(range(k - 2, -1, -1), s[1]):
-                    if at_a is not _WHOLE:
-                        a, acc = acc, np.zeros((len(rows), u.size))
-                        acc[:, at_a] = a
-                    if u is not wide_u:
-                        wide_u, wide = u, nil
-                        if at_b is not _WHOLE:
-                            wide = np.zeros((len(rows), u.size))
-                            wide[:, at_b] = nil
-                    acc = _stacked_product(u, acc, wide)
-                    acc[:, 0] += coeffs[:, j]
+                acc = s[1].series_rows(nil, [regs[r[2]] for r in rows])[1]
                 for i, row in enumerate(rows):
                     regs[row[0]] = acc[i]
             elif kind == _FREE:
@@ -730,13 +707,20 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
 
     The codes each node occupies follow from `e`, `active` and `order`
     alone, so the evaluation is a replay of `jet_tape(e, active, order)`:
-    `tape`, one kept from an earlier call, or one made now.  The replay does
-    the numbers of `Jet` arithmetic in its order, bit for bit, with its
-    checks: an unknown variable raises UnknownVariableError, an exp argument
-    >= 709 or a non-finite sin or cos argument, non-finite coefficients of
-    an exp, or a non-finite result NonFiniteError, the first the fold meets.
+    `tape`, one kept from an earlier call, or one made now.  A kept tape
+    alone decides the expression, so it must be `e`'s; one made for other
+    variables or another order raises ValueError.  The replay does the
+    numbers of `Jet` arithmetic in its order, bit for bit, with its checks:
+    an unknown variable raises UnknownVariableError, an exp argument >= 709
+    or a non-finite sin or cos argument, non-finite coefficients of an exp,
+    or a non-finite result NonFiniteError, the first the fold meets.
     """
-    return _replay(jet_tape(e, active, order) if tape is None else tape, base)
+    if tape is None:
+        tape = jet_tape(e, active, order)
+    elif (tape.space.variables, tape.space.order) != (tuple(active), order):
+        raise ValueError(f"a tape of {tape.space.variables} at order {tape.space.order} "
+                         f"does not evaluate in {tuple(active)} at order {order}")
+    return _replay(tape, base)
 
 
 def _literal(v: float) -> str:

@@ -191,9 +191,10 @@ class JetSpace:
     codes it reaches (`_listed`); `_shifts`, the derivative shifts of
     `deriv_cols`; and `_joins`, for each space a jet (or an `expr` tape) here
     has met, the space of the union of both sets and the positions there
-    of each (`join`).  The spaces
-    of one code system share `_sets`, the space of each code set, so what a
-    code set keeps lives as long as its full space; none changes a result.
+    of each (`join`); `_horner`, the products of a series over it
+    (`horner`).  The spaces of one code system share `_sets`, the space of
+    each code set, and `_variables`, that of each variable's codes, so what
+    a code set keeps lives as long as its full space; none changes a result.
     """
 
     def __init__(self, variables: Sequence[str], order: int):
@@ -217,9 +218,10 @@ class JetSpace:
         self._unit_codes = self._grade + self._places
         self._var_pos = {name: i for i, name in enumerate(self.variables)}
         self._full, self._zero = self, True
-        self._mul_tables = self._shifts = None
+        self._mul_tables = self._shifts = self._horner = None
         self._joins: dict = {}
         self._sets: dict = {}
+        self._variables: dict = {}
 
     def size_at(self, order: int) -> int:
         """Number of multi-indices of total degree <= order (a prefix)."""
@@ -252,7 +254,7 @@ class JetSpace:
             # derived from its own codes
             space = full._sets[key] = copy.copy(full)
             space._codes, space.size, space._joins = codes, len(codes), {}
-            space._mul_tables = space._shifts = None
+            space._mul_tables = space._shifts = space._horner = None
             space._zero = bool(len(codes)) and codes[0] == 0
         return space
 
@@ -272,8 +274,11 @@ class JetSpace:
             raise KeyError(f"{name!r} is not a variable of this space")
         if self.order == 0:
             return self.constant(base)
-        codes = np.array([0, self._unit_codes[self._var_pos[name]]], dtype=self._dtype)
-        return Jet(self.occupying(codes), np.array([float(base), 1.0]))
+        space = self._variables.get(name)
+        if space is None:
+            codes = np.array([0, self._unit_codes[self._var_pos[name]]], dtype=self._dtype)
+            space = self._variables[name] = self.occupying(codes)
+        return Jet(space, np.array([float(base), 1.0]))
 
     def _rank(self, codes):
         """The positions of codes among `_codes` (which ascend)."""
@@ -325,10 +330,10 @@ class JetSpace:
         return i[off], j[off], out[off], i[diag], out[diag]
 
     def _listed(self, order: int):
-        """The listing of these codes at `order`, its output codes made
-        positions in the codes it reaches, and the space of those codes
-        (the full space itself at its own order, with no sort): built once
-        per order, then kept."""
+        """The listing of these codes at `order` as `_accumulate` reads it,
+        its output codes made positions in the codes it reaches, and the
+        space of those codes (the full space itself at its own order, with
+        no sort): built once per order, then kept."""
         if self._mul_tables is None:
             self._mul_tables = {}
         got = self._mul_tables.get(order)
@@ -337,30 +342,31 @@ class JetSpace:
             # at the full space's own order, pair (0, r) reaches each code r
             reach = (self if self is self._full and order == self.order
                      else self.occupying(_distinct(np.concatenate((io, idg_o)))))
-            listing = ia, ib, reach._rank(io), idg, reach._rank(idg_o)
+            # each off-diagonal pair twice, as (s, r) then (r, s), then the
+            # diagonal ones; their outputs, then the diagonal ones'
+            listing = (np.concatenate((ib, ia, idg)), np.concatenate((ia, ib, idg)), len(ia),
+                       reach._rank(np.concatenate((io, idg_o))))
             got = self._mul_tables[order] = listing, reach
         return got
 
     @staticmethod
-    def _accumulate(a, b, ia, ib, io, idg, idg_o, width: int) -> np.ndarray:
+    def _accumulate(a, b, left, right, off: int, out, width: int) -> np.ndarray:
         # off-diagonal pair (r, s) weighs a[r]*b[s] + a[s]*b[r], diagonal
         # pair r weighs a[r]*b[r]; each of `width` bins sums its off-diagonal
-        # pairs, then its diagonal ones, in listing order.  (rows, n)
-        # operands take one listing, binned at an offset of r * width for row r.
-        if a.ndim > 1:
-            at = (np.arange(len(a)) * width)[:, None]
-            io, idg_o = (io + at).ravel(), (idg_o + at).ravel()
+        # pairs, then its diagonal one (r + r is the code of one r), in
+        # listing order.  The `off` off-diagonal pairs are listed twice, as
+        # (s, r) and as (r, s), so one product gives every term.  (rows, n)
+        # operands take one listing, binned at an offset of r * width for row
+        # r (none for row 0, so one row bins as a (size,) operand does).
         bins = width * (len(a) if a.ndim > 1 else 1)
-        # (an empty bincount is of integers, hence the length tests)
-        if len(io):
-            w = a.take(ia, -1) * b.take(ib, -1) + a.take(ib, -1) * b.take(ia, -1)
-            out = np.bincount(io, weights=w.ravel(), minlength=bins)
-        else:
-            out = np.zeros(bins)
-        if len(idg_o):
-            wd = a.take(idg, -1) * b.take(idg, -1)
-            out += np.bincount(idg_o, weights=wd.ravel(), minlength=bins)
-        return out.reshape(a.shape[:-1] + (width,))
+        if not len(out):  # (an empty bincount is of integers)
+            return np.zeros(a.shape[:-1] + (width,))
+        if bins > width:
+            out = (out + np.arange(0, bins, width)[:, None]).ravel()
+        w = a.take(left, -1) * b.take(right, -1)
+        np.add(w[..., off:2 * off], w[..., :off], out=w[..., off:2 * off])
+        return np.bincount(out, weights=w[..., off:].ravel(),
+                           minlength=bins).reshape(a.shape[:-1] + (width,))
 
     def multiply(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The product of coefficient arrays over these codes, over the codes
@@ -388,7 +394,7 @@ class JetSpace:
             raise NonFiniteError("non-finite coefficients in the curvature jets")
         listing, reach = self.occupying(cols)._listed(order)
         sums = np.empty((len(a), reach.size))
-        step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(listing[0]) + len(listing[3])))
+        step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(listing[3])))
         for r0 in range(0, len(a), step):
             rows = slice(r0, r0 + step)
             sums[rows] = self._accumulate(a[rows], b[rows], *listing, reach.size)
@@ -397,6 +403,50 @@ class JetSpace:
     def product_cols(self, cols: np.ndarray, order: int) -> np.ndarray:
         """The codes `multiply_rows` returns for operands at the codes `cols`."""
         return self.occupying(cols)._listed(order)[1]._codes
+
+    def horner(self):
+        """The products of `series_rows` over these codes, which hold code 0,
+        acc * nil from the first to the last: the space at the union of the
+        codes acc reaches and these, with the positions there of acc and of
+        these (None where they are its codes as they are); then the space
+        of the codes the last reaches.  Built once, then kept in `_horner`."""
+        if self._horner is None:
+            levels, acc = [], self
+            for _ in range(self.order - 1):
+                u, at_a, at_b = acc.join(self)
+                levels.append((u, None if u is acc else at_a, None if u is self else at_b))
+                acc = u.product_space()
+            self._horner = levels, acc
+        return self._horner
+
+    def series_rows(self, nil: np.ndarray, coeffs: Sequence[Sequence[float]]):
+        """Horner's sum of coeffs[r][j] * nil[r]^j over j for each row r:
+        nil is (rows, size) over these codes, which hold code 0, with 0 at
+        code 0, and coeffs[r] the order + 1 floats of row r.  Returns the
+        space of the codes reached (`horner`) and the (rows, its size) sums,
+        each row the one-row sum bit for bit.  The first product, by
+        coeffs[r][order], is a scalar one; each later one is a `multiply`
+        over the union of the codes the sum reaches and these."""
+        levels, reach = self.horner()
+        k = self.order
+        acc = np.empty_like(nil)
+        for r, c in enumerate(coeffs):
+            acc[r] = nil[r] * c[k] + 0.0
+            acc[r, 0] += c[k - 1]
+        wide_u = None  # nil at the codes of the last union, kept while it stays
+        for j, (u, at_a, at_b) in zip(range(k - 2, -1, -1), levels):
+            if at_a is not None:
+                a, acc = acc, np.zeros((len(acc), u.size))
+                acc[:, at_a] = a
+            if u is not wide_u:
+                wide_u, wide = u, nil
+                if at_b is not None:
+                    wide = np.zeros((len(nil), u.size))
+                    wide[:, at_b] = nil
+            acc = u.multiply(acc, wide)
+            for r, c in enumerate(coeffs):
+                acc[r, 0] += c[j]
+        return reach, acc
 
     def deriv_cols(self, cols: np.ndarray):
         """Differentiation at the ascending codes `cols`: the codes m - e_v
@@ -559,17 +609,15 @@ class Jet:
     # --------------------------------------------------- analytic primitives
     def _series(self, coeffs: Sequence[float]) -> "Jet":
         # Horner evaluation of sum_j coeffs[j] * (self - value)^j, over codes
-        # that hold code 0; its first product, by coeffs[K], is a scalar one,
-        # which leaves the bits of that constant jet's.  The shifted jet is
-        # nilpotent past the truncation order, so this is exact
+        # that hold code 0 (`JetSpace.series_rows`, one row).  The shifted
+        # jet is nilpotent past the truncation order, so this is exact
         jet = self if self.space._zero else self + 0.0
-        nil = jet.coef.copy()
-        nil[0] = 0.0
-        nil, acc = Jet(jet.space, nil), coeffs[self.order]
-        for j in range(self.order - 1, -1, -1):
-            acc = acc * nil
-            acc.coef[0] += coeffs[j]
-        return acc if isinstance(acc, Jet) else jet.space.constant(acc)
+        if not self.order:
+            return jet.space.constant(coeffs[0])
+        nil = jet.coef[None].copy()
+        nil[0, 0] = 0.0
+        space, acc = jet.space.series_rows(nil, [coeffs])
+        return Jet(space, acc[0])
 
     def exp(self) -> "Jet":
         coeffs = _series_coefficients("exp", self.value(), self.order)

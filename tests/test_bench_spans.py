@@ -35,8 +35,11 @@ from jetgeo.curvature import CurvatureContext
 params = family.FamilyParams(0, expr.parse("exp(y) + exp(2*y)", ("y",)))
 ctx = CurvatureContext(family.build_metric(params), family.base_point(params, 0.1, [0.2]), 1)
 ctx.curvature(1)
-# `eval_jet`'s tapes list their products when planned, so the first product
-# on a code set with no listing yet runs here
+# The context no longer reaches `jets.table_build`: its tapes list every
+# product's code set while they are planned, so none of its `multiply`
+# calls is the first on its space.  A product on a space with no listing
+# yet is run apart, so that the span, which reads `JetSpace._mul_tables`,
+# still runs; it does not stand for the context's path.
 from jetgeo.jets import jet_space
 u = jet_space(("u", "v"), 3).variable("u", 0.5)
 u * u

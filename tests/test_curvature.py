@@ -367,25 +367,30 @@ def test_context_builds_one_jet_space_over_its_variables(monkeypatch):
 
 
 def test_metric_jet_lifts_operands_one_at_a_time():
-    # The peak of evaluating g_00 at p = 5 to order 10 on warm spaces, from
-    # the tape a context keeps: 10.0 KiB measured, every node holding only
-    # the codes it occupies, each register let go after the last depth
-    # that reads it.  (The fold before tapes took 8.5 KiB.)  Dense jets of
-    # each node's own variables, with the sum's seven terms lifted to all 7
-    # variables as the fold reached them, took 465 KiB, and every node over
-    # all 7 variables 1,070 KiB.  It may grow by a quarter of the fold's.
+    # The peak of evaluating g_00 at p = 5 to order 10 on warm spaces.  The
+    # Jet fold before tapes took 8.5 KiB, every node holding only the codes
+    # it occupies.  Dense jets of each node's own variables, with the sum's
+    # seven terms lifted to all 7 variables as the fold reached them, took
+    # 465 KiB, and every node over all 7 variables 1,070 KiB.  A replay of
+    # the tape a context keeps took 9.3 KiB, each register let go at the end
+    # of the last depth that reads it, and may grow by a quarter of the
+    # fold's.  A plain call plans its tape and holds it while it replays:
+    # 13.8 KiB measured with this test run alone (10.7 KiB within this
+    # file), the replay and a tape of 5.3 KiB.  It may grow by a quarter of
+    # the fold's and the tape's.
     pt, spec = _family_p5()
     e, env = spec.components[0][0], spec.env_at(pt)
     want = ex.eval_jet(e, env, spec.active_vars, 10)
     tape = ex.jet_tape(e, spec.active_vars, 10)
-    tracemalloc.start()
-    try:
-        got = ex.eval_jet(e, env, spec.active_vars, 10, tape)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got.coef.tobytes() == want.coef.tobytes()
-    assert peak <= 1.25 * 8.5 * 2 ** 10
+    for args, kib in (((), 8.5 + 5.3), ((tape,), 8.5)):
+        tracemalloc.start()
+        try:
+            got = ex.eval_jet(e, env, spec.active_vars, 10, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.coef.tobytes() == want.coef.tobytes()
+        assert peak <= 1.25 * kib * 2 ** 10
 
 
 def test_family_context_memory_is_bounded(monkeypatch):

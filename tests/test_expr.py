@@ -180,6 +180,19 @@ def test_a_kept_tape_replays_as_a_fresh_evaluation(e, active, order, first, seco
         assert got.space is want.space and got.coef.tobytes() == want.coef.tobytes()
 
 
+def test_a_tape_of_other_variables_or_order_is_refused():
+    # a kept tape decides the result, so one made for other variables or
+    # another order is refused rather than replayed
+    e = parse("sin(y)*z0", CHART)
+    tape = ex.jet_tape(e, ("y", "z0"), 3)
+    base = {"y": 0.3, "z0": 0.5}
+    assert eval_jet(e, base, ["y", "z0"], 3, tape).coef.tobytes() == \
+        eval_jet(e, base, ("y", "z0"), 3).coef.tobytes()
+    for active, order in ((("z0", "y"), 3), (("y",), 3), (("y", "z0"), 4)):
+        with pytest.raises(ValueError, match="does not evaluate in"):
+            eval_jet(e, base, active, order, tape)
+
+
 def test_roundtrip_handwritten():
     cases = [
         "exp(y) + exp(2*y)",

@@ -454,6 +454,14 @@ def test_a_code_set_of_every_multi_index_is_the_full_space():
         x + jet_space(("a", "b"), 3).variable("a", 0.5)
 
 
+def _as_read(ia, ib, io, idg, idg_o):
+    # a listing (`_listing`, its outputs made positions) as `_listed` keeps
+    # it for `_accumulate`: each off-diagonal pair as (s, r) then (r, s),
+    # then the diagonal ones, with their outputs
+    return (np.concatenate((ib, ia, idg)), np.concatenate((ia, ib, idg)), len(ia),
+            np.concatenate((io, idg_o)))
+
+
 def test_a_code_set_keeps_none_of_its_full_spaces_tables():
     # a code-set space is made from its full space after that space listed
     # its products and derivative shifts, and holds neither: it lists and
@@ -467,7 +475,9 @@ def test_a_code_set_keeps_none_of_its_full_spaces_tables():
     listing, reach = part._listed(2)
     want = part._listing(part._codes, 2)
     assert reach._codes.tolist() == _distinct(np.concatenate((want[2], want[4]))).tolist()
-    assert [len(t) for t in listing] == [len(t) for t in want] and list(part._mul_tables) == [2]
+    want = _as_read(*want[:2], reach._rank(want[2]), want[3], reach._rank(want[4]))
+    assert len(listing) == 4 and listing[2] == want[2] and list(part._mul_tables) == [2]
+    assert all(np.array_equal(listing[i], want[i]) for i in (0, 1, 3))
     assert sp.deriv_cols(part._codes) is part._shifts is not sp._shifts
 
 
@@ -484,11 +494,12 @@ def test_a_full_space_reaches_itself_without_a_sort():
                 listing, reach = sp._listed(q)
                 ia, ib, io, idg, idg_o = sp._listing(sp._codes, q)
                 codes = _distinct(np.concatenate((io, idg_o)))
-                want = ia, ib, codes.searchsorted(io), idg, codes.searchsorted(idg_o)
+                want = _as_read(ia, ib, codes.searchsorted(io), idg, codes.searchsorted(idg_o))
                 assert reach is sp or q < order
                 assert reach._codes.dtype == codes.dtype
                 assert reach._codes.tobytes() == codes.tobytes()
-                for got, w in zip(listing, want):
+                assert listing[2] == want[2]
+                for got, w in ((listing[i], want[i]) for i in (0, 1, 3)):
                     assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
 
 

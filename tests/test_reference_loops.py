@@ -1730,10 +1730,18 @@ def test_full_row_listing_is_the_table(n, order):
     # the listing of every code gives codes, the table ranks, and the kept
     # listing reaches every code: the full space
     coded = want[:2] + (sp._codes[want[2]], want[3], sp._codes[want[4]])
+    got = sp._listing(sp._codes, sp.order)
+    assert len(got) == len(coded)
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, coded))
+    # kept as `_accumulate` reads it: each off-diagonal pair as (s, r) then
+    # (r, s), then the diagonal ones, with their outputs
+    ia, ib, io, idg, idg_o = want
     listing, reach = sp._listed(sp.order)
-    for got, want in ((sp._listing(sp._codes, sp.order), coded), (listing, want)):
-        assert len(got) == len(want)
-        assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+    assert listing[2] == len(ia)
+    for g, w in zip((listing[0], listing[1], listing[3]), (np.concatenate((ib, ia, idg)),
+                                                          np.concatenate((ia, ib, idg)),
+                                                          np.concatenate((io, idg_o)))):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
     assert reach is sp
 
 
