@@ -105,7 +105,8 @@ MAX_SPACE_SIZE = 10 ** 8
 
 # `multiply_rows` takes its rows, and curvature's ordered sums and the
 # invariants their terms, in blocks of at most SPARSE_PAIR_COST ** 2 (65,536)
-# pairs or coefficients: a bound on their temporaries, which changes no result
+# product terms or coefficients: a bound on their temporaries, which changes
+# no result
 SPARSE_PAIR_COST = 256
 
 # every exp in the package, of jets and of floats, raises NonFiniteError from
@@ -363,7 +364,8 @@ class JetSpace:
             return np.zeros(a.shape[:-1] + (width,))
         if bins > width:
             out = (out + np.arange(0, bins, width)[:, None]).ravel()
-        w = a.take(left, -1) * b.take(right, -1)
+        w = a.take(left, -1)
+        w *= b.take(right, -1)
         np.add(w[..., off:2 * off], w[..., :off], out=w[..., off:2 * off])
         return np.bincount(out, weights=w[..., off:].ravel(),
                            minlength=bins).reshape(a.shape[:-1] + (width,))
@@ -388,13 +390,14 @@ class JetSpace:
         the (rows, len(out)) sums there: row r, put at `out` in a row of
         zeros of the space of that order, is `multiply` there of row r of a
         and of b, so put, bit for bit.  A non-finite operand raises
-        NonFiniteError.  Rows go in blocks of SPARSE_PAIR_COST ** 2 pairs.
+        NonFiniteError.  Rows go in blocks of SPARSE_PAIR_COST ** 2 product
+        terms (an off-diagonal pair is two).
         """
         if not (_finite(a) and _finite(b)):
             raise NonFiniteError("non-finite coefficients in the curvature jets")
         listing, reach = self.occupying(cols)._listed(order)
         sums = np.empty((len(a), reach.size))
-        step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(listing[3])))
+        step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(listing[0])))
         for r0 in range(0, len(a), step):
             rows = slice(r0, r0 + step)
             sums[rows] = self._accumulate(a[rows], b[rows], *listing, reach.size)
