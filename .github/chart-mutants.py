@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Require the chart-change tests to kill two one-line mutants of the level step.
+"""Require the tests to kill one-line mutants of the curvature engine.
 
     .github/chart-mutants.py [REV]
 
 For each mutant below the script extracts REV (default HEAD) with
 `git archive` into a temporary directory, replaces the mutant's anchor in
-src/jetgeo/curvature.py, which must occur there exactly once, and runs
-tests/test_charts.py on that copy.  It prints `killed: <mutant>` when the
+src/jetgeo/curvature.py, which must occur there exactly once, and runs the
+tests the mutant names on that copy.  It prints `killed: <mutant>` when the
 tests fail, `survived: <mutant>` when they pass and `error: <mutant>` when
 they do not run, and exits 1 unless every mutant is killed and every anchor
 occurs exactly once.
 
 M1 reads a moved index's canonical row without its sign, M2 adds the
-level step's Christoffel sum instead of subtracting it.  M2 survives every
-linear chart (there the sum carries over term by term), so the tests need
-their quadratic charts to kill it.
+level step's Christoffel sum instead of subtracting it; the chart-change
+tests must kill both.  M2 survives every linear chart (there the sum
+carries over term by term), so the tests need their quadratic charts to
+kill it.  M4 keys a stage product's kept term lists by the product's
+columns alone, without the operands' nonzero masks, so a point whose zeros
+move within the same columns runs on another point's lists; the test of
+points whose zeros differ must kill it.
 """
 import os
 import subprocess
@@ -23,9 +27,16 @@ import tempfile
 from pathlib import Path
 
 TARGET = Path("src/jetgeo/curvature.py")
+CHARTS = ["tests/test_charts.py"]
+# name: (anchor, mutant, the tests that must kill it)
 MUTANTS = {
-    "M1, no sign on the moved index": ("right[rep[ts]] * sign[ts, None]", "right[rep[ts]]"),
-    "M2, the Christoffel sum added": ("sign[ts, None], ord_out), -1)", "sign[ts, None], ord_out), 1)"),
+    "M1, no sign on the moved index": (
+        "right[rep[ts]] * sign[ts, None]", "right[rep[ts]]", CHARTS),
+    "M2, the Christoffel sum added": (
+        "sign[ts, None], ord_out), -1)", "sign[ts, None], ord_out), 1)", CHARTS),
+    "M4, term lists keyed by the columns alone": (
+        "(cols, live), list)", "(cols,), list)",
+        ["tests/test_curvature.py::test_term_lists_follow_the_zeros_of_each_point"]),
 }
 
 
@@ -36,7 +47,7 @@ def main(argv: list[str]) -> int:
     rev = argv[0] if argv else "HEAD"
     root = Path(__file__).resolve().parent.parent
     status = 0
-    for name, (anchor, mutant) in MUTANTS.items():
+    for name, (anchor, mutant, tests) in MUTANTS.items():
         with tempfile.TemporaryDirectory() as tmp:
             tree = subprocess.run(["git", "-C", str(root), "archive", rev], check=True,
                                   stdout=subprocess.PIPE).stdout
@@ -50,7 +61,7 @@ def main(argv: list[str]) -> int:
             path.write_text(text.replace(anchor, mutant))
             env = dict(os.environ, PYTHONPATH=str(Path(tmp) / "src"))
             run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                                  "tests/test_charts.py"], cwd=tmp, env=env,
+                                  *tests], cwd=tmp, env=env,
                                  stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
             summary = " ".join(run.stdout.strip().splitlines()[-1:])
             # pytest exits 1 when tests ran and some failed, and 0 when all passed

@@ -346,14 +346,25 @@ def _canonical_rows(idx: np.ndarray, dim: int) -> np.ndarray:
     return _decode(_distinct(idx[sign != 0] @ _digit_weights(dim, r)), dim, r)
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays are equal in shape and entries: integer and bool
+    arrays of one dtype by their bytes, which is cheaper for small ones
+    than an elementwise test, any others (Python int codes) entry by entry."""
+    if a is b:
+        return True
+    if a.shape != b.shape:
+        return False
+    if a.dtype == b.dtype and a.dtype.kind in "biu":
+        return a.tobytes() == b.tobytes()
+    return bool((a == b).all())
+
+
 def _plan(store: dict, slot, key: tuple, make):
     """The plan kept in `store` at `slot` if it was made for `key`, a tuple
     of the arrays it reads, each equal in shape and entries to the kept
-    one's (`np.array_equal`); else `make()`, kept there for `key` in its
-    place."""
+    one's (`_same`); else `make()`, kept there for `key` in its place."""
     kept = store.get(slot)
-    if kept is None or len(kept[0]) != len(key) or not all(
-            a is b or (a.shape == b.shape and (a == b).all()) for a, b in zip(kept[0], key)):
+    if kept is None or len(kept[0]) != len(key) or not all(map(_same, kept[0], key)):
         kept = store[slot] = key, make()
     return kept[1]
 
@@ -491,6 +502,21 @@ class CurvatureContext:
         slot (max_deriv, stage), if made for them, else `make()` (`_plan`)."""
         return _plan(self.spec.plans, (self.max_deriv, stage), key, make)
 
+    def _rows_product(self, store: dict, slot, cols: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      order: int):
+        """`multiply_rows` of a and b at the codes `cols` on the term lists
+        kept in `store` at `slot` for their nonzero masks (`_plan`).  The
+        first product of a pattern reads the listing, so a pattern met once
+        (a fresh spec, a special point) costs no more than that product; the
+        lists are made when it comes back (`JetSpace.row_terms`)."""
+        live = np.concatenate((a, b)) != 0.0
+        kept = _plan(store, slot, (cols, live), list)
+        if not kept:
+            kept.append(None)
+        elif kept[0] is None:
+            kept[0] = self._space.row_terms(cols, live[:len(a)], live[len(a):], order)
+        return self._space.multiply_rows(cols, a, b, order, kept[0])
+
     @cached_property
     def _gamma1_row(self) -> np.ndarray:
         """The row of `_gamma1` at each index tuple (a, b, c), -1 at none."""
@@ -587,22 +613,23 @@ class CurvatureContext:
             src, nil_a, nil_b = np.array(
                 [(r, *pair) for r, (i, j) in enumerate(self._g_rows.index[live].tolist())
                  for pair in dict.fromkeys([(i, j), (j, i)])], dtype=np.intp).reshape(-1, 3).T
-            return src, nil_a, nil_b, np.flatnonzero(pattern), []
+            return src, nil_a, nil_b, np.flatnonzero(pattern), {}, []
 
-        src, nil_a, nil_b, base, sweeps = self._planned(
+        src, nil_a, nil_b, base, terms, sweeps = self._planned(
             "inverse", (self._g_rows.index, live, pattern), plan)
         # S as rows keyed a * m + b; it starts from h0, at code 0
         seed = h0.flat[base]
         s_cols, s = np.zeros(1, dtype=np.intp), seed[:, None]
         at = 0  # the plan of the next sweep
-        for _ in range(order):
+        for sweep in range(order):
             if at == len(sweeps):
                 keys = sweeps[-1][0] if sweeps else base
                 sweeps.append(_sweep_plan(keys, src, nil_a, nil_b, pattern, base))
             (keys, left_row, right_row, t_row, n_t, tr, w_at, s_row, started, stale,
              sums) = sweeps[at]
             cols, (left, right) = _joint(nil, (s_cols, s))
-            t_cols, prods = space.multiply_rows(cols, left[left_row], right[right_row], order)
+            t_cols, prods = self._rows_product(terms, sweep, cols, left[left_row],
+                                               right[right_row], order)
             width = len(t_cols)
             t_sum, s_sum = _plan(sums, "sums", (t_cols,), lambda: (
                 _sum_plan(t_row, n_t, width), _sum_plan(s_row, len(keys), width, started)))
@@ -663,14 +690,14 @@ class CurvatureContext:
             cols = _union(ginv.cols, g1.cols)
             out = space.product_cols(cols, order)
             return (_decode(keys, self.dim, 3), at, h, cols, out,
-                    _sum_plan(keys.searchsorted(codes), len(keys), len(out)))
+                    _sum_plan(keys.searchsorted(codes), len(keys), len(out)), {})
 
-        index, at, h, cols, out, blocks = self._planned(
+        index, at, h, cols, out, blocks, terms = self._planned(
             "gamma2", (ginv.index, ginv.cols, g1.index, g1.cols), plan)
         left, right = _widen(ginv.cols, ginv.vals, cols), _widen(g1.cols, g1.vals, cols)
         acc = np.empty((len(index), len(out)))
-        _sum_replay(blocks, out, acc, lambda ts: space.multiply_rows(
-            cols, left[h[ts]], right[at[ts]], order))
+        _sum_replay(blocks, out, acc, lambda ts: self._rows_product(
+            terms, ts.start, cols, left[h[ts]], right[at[ts]], order))
         return _Jets(index, out, acc, space, order)
 
     # ------------------------------------------------------------ curvature
@@ -706,9 +733,9 @@ class CurvatureContext:
             out = self._space.product_cols(cols, order)
             step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(out)))
             return rows, cols, out, [self._riemann_block_plan(rows[c0:c0 + step], len(out))
-                                     for c0 in range(0, len(rows), step)]
+                                     for c0 in range(0, len(rows), step)], {}
 
-        rows, cols, out, blocks = self._planned(
+        rows, cols, out, blocks, _ = self._planned(
             ("level", 0), key + (() if idx is None else (idx,)), plan)
         factors = [_widen(c, v, cols) for c, v in cut]
         coefs = [np.zeros((0, len(out)))] + [
@@ -736,7 +763,7 @@ class CurvatureContext:
         a, b = row_of.reshape(2, -1)
         minus = (b >= 0).nonzero()[0]
         return (rows, deriv, hook, right, var, n, _sum_plan(row_of[at], n, width), a,
-                b[minus], _sum_plan(minus, len(a), width, a >= 0))
+                b[minus], _sum_plan(minus, len(a), width, a >= 0), {})
 
     def _riemann_block(self, plan: tuple, order: int, cols, factors, out):
         """R(i, j, k, l) = edge(i, j, k, l) - edge(j, i, k, l) at the block
@@ -746,7 +773,7 @@ class CurvatureContext:
         Gamma_iml.  `factors` holds Gamma_jk^m, g_ml and Gamma_iml at
         `cols`, the joint columns of the edge products, which are truncated
         at `order`."""
-        rows, deriv, hook, right, var, n, edge_sum, a, b, minus_sum = plan
+        rows, deriv, hook, right, var, n, edge_sum, a, b, minus_sum, terms = plan
         g2, g, g1 = factors
 
         def products(ts):
@@ -756,7 +783,7 @@ class CurvatureContext:
             other = np.empty_like(left)
             other[d] = g[r[d]]
             other[~d] = g1[r[~d]]
-            return self._space.multiply_rows(cols, left, other, order)
+            return self._rows_product(terms, ts.start, cols, left, other, order)
 
         edge = np.empty((n, len(out)))
         _sum_replay(edge_sum, out, edge, products)
@@ -800,15 +827,15 @@ class CurvatureContext:
             return _Jets(rows, np.zeros(0, dtype=np.intp), np.zeros((0, 0)), space, ord_out)
         g2 = self._gamma2
         key = (prev.index, prev.cols, prev.vals != 0.0, g2.index, g2.cols)
-        rows, tj, var, cols, out, hook, rep, sign, blocks = self._planned(
+        rows, tj, var, cols, out, hook, rep, sign, blocks, terms = self._planned(
             ("level", self.order - 2 - ord_out), key + (() if idx is None else (idx,)),
             lambda: self._nabla_plan(prev, idx, ord_out))
         d_cols, acc = prev.derivs(tj, var)
         if len(hook):
             left, right = _widen(*g2.cut(ord_out), cols), _widen(*prev.cut(ord_out), cols)
             acc = _widen(d_cols, acc, out)
-            _sum_replay(blocks, out, acc, lambda ts: space.multiply_rows(
-                cols, left[hook[ts]], right[rep[ts]] * sign[ts, None], ord_out), -1)
+            _sum_replay(blocks, out, acc, lambda ts: self._rows_product(
+                terms, ts.start, cols, left[hook[ts]], right[rep[ts]] * sign[ts, None], ord_out), -1)
         return _Jets(rows, out, acc, space, ord_out)
 
     def _nabla_plan(self, prev: _Jets, idx: np.ndarray | None, ord_out: int) -> tuple:
@@ -844,7 +871,9 @@ class CurvatureContext:
         moved, sign = _canonical(moved)
         rep = np.where(sign != 0, find(moved @ weights), -1)
         t = (rep >= 0).nonzero()[0]
-        comp, hook, rep, sign = comp[t], hook[t], rep[t], sign[t]
+        # narrow: the plan keeps them (a sign times a float64 row is float64)
+        comp, hook, rep = comp[t], hook[t].astype(np.int32), rep[t].astype(np.int32)
+        sign = sign[t].astype(np.int8)
 
         # rows to evaluate: those with a Christoffel term or a derivative
         # that is not identically zero.  Row t of prev depends on variable v
@@ -858,7 +887,7 @@ class CurvatureContext:
         cols = _union(self._gamma2.cut(ord_out)[0], prev.cut(ord_out)[0])
         out = _union(d_cols, self._space.product_cols(cols, ord_out)) if len(comp) else d_cols
         return (idx[rows], tj[rows], np.where(has_d[rows], var[rows], -1), cols, out, hook, rep,
-                sign, _sum_plan((live.cumsum() - 1)[comp], len(rows), len(out), has_d[rows]))
+                sign, _sum_plan((live.cumsum() - 1)[comp], len(rows), len(out), has_d[rows]), {})
 
     def _check_level(self, k: int) -> None:
         if k < 0:
@@ -911,8 +940,20 @@ class CurvatureContext:
 
     def support(self, k: int = 0) -> frozenset[tuple[int, ...]]:
         """Index tuples whose level-k jet is not identically zero here: the
-        canonical rows of the level and their images."""
-        return frozenset(map(tuple, _images(self._level(k).index).tolist()))
+        canonical rows of the level and their images.  The set is kept with
+        the level's plan, keyed by the level's rows, and immutable: contexts
+        that replay the plan share it."""
+        level = self._level(k)
+
+        def support():
+            return frozenset(map(tuple, _images(level.index).tolist()))
+
+        # the plan's last part holds what it keeps by pattern; an empty
+        # level after the first may have none (`_nabla_jets`)
+        kept = self.spec.plans.get((self.max_deriv, ("level", k)))
+        if kept is None:
+            return support()
+        return _plan(kept[1][-1], "support", (level.index,), support)
 
     def ricci(self) -> np.ndarray:
         return _contract(self.curvature(0), [((0, 3), self.ginv0)], (1, 2))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,6 +80,12 @@ class FamilyParams:
         if extra:
             raise ex.UnknownVariableError(sorted(extra)[0], 0)
 
+    @cached_property
+    def tapes(self) -> dict:
+        """The profile's `ex.jet_tape` in y by order, each made when
+        `profile_derivs` first needs it; kept on the parameters."""
+        return {}
+
 
 def family_coords(p: int) -> tuple[str, ...]:
     zs = tuple(f"z{i}" for i in range(p + 1))
@@ -112,8 +119,12 @@ def base_point(params: FamilyParams, y: float, z: Sequence[float] | None = None)
 
 
 def profile_derivs(params: FamilyParams, y: float, n: int) -> np.ndarray:
-    """[f(y), f'(y), ..., f^(n)(y)] through one jet evaluation."""
-    jet = ex.eval_jet(params.profile, {"y": float(y)}, ("y",), n)
+    """[f(y), f'(y), ..., f^(n)(y)] through one jet evaluation, a replay
+    of the tape of order n kept on `params`."""
+    tape = params.tapes.get(n)
+    if tape is None:
+        tape = params.tapes[n] = ex.jet_tape(params.profile, ("y",), n)
+    jet = ex.eval_jet(params.profile, {"y": float(y)}, ("y",), n, tape)
     return np.array([jet.extract((k,)) for k in range(n + 1)])
 
 

@@ -352,13 +352,15 @@ class JetSpace:
 
     @staticmethod
     def _accumulate(a, b, left, right, off: int, out, width: int) -> np.ndarray:
-        # off-diagonal pair (r, s) weighs a[r]*b[s] + a[s]*b[r], diagonal
-        # pair r weighs a[r]*b[r]; each of `width` bins sums its off-diagonal
-        # pairs, then its diagonal one (r + r is the code of one r), in
-        # listing order.  The `off` off-diagonal pairs are listed twice, as
-        # (s, r) and as (r, s), so one product gives every term.  (rows, n)
-        # operands take one listing, binned at an offset of r * width for row
-        # r (none for row 0, so one row bins as a (size,) operand does).
+        # the one product kernel, over a term list: off-diagonal pair (r, s)
+        # weighs a[r]*b[s] + a[s]*b[r], diagonal pair r weighs a[r]*b[r];
+        # each of `width` bins sums its off-diagonal pairs, then its diagonal
+        # one (r + r is the code of one r), in list order.  The `off`
+        # off-diagonal pairs are listed twice, as (s, r) and as (r, s), so
+        # one product gives every term.  A listing (`_listed`) is one term
+        # list, and `row_terms` cuts it to the pairs its operands weigh.
+        # (rows, n) operands take one list, binned at an offset of r * width
+        # for row r (none for row 0, so one row bins as a (size,) operand does).
         bins = width * (len(a) if a.ndim > 1 else 1)
         if not len(out):  # (an empty bincount is of integers)
             return np.zeros(a.shape[:-1] + (width,))
@@ -382,25 +384,82 @@ class JetSpace:
         """The space of the codes `multiply` reaches."""
         return self._listed(self.order)[1]
 
-    def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray, order: int):
+    @staticmethod
+    def _row_blocks(rows: int, terms: int):
+        # rows in blocks of SPARSE_PAIR_COST ** 2 product terms at most
+        step = max(1, SPARSE_PAIR_COST ** 2 // max(1, terms))
+        return [slice(r0, r0 + step) for r0 in range(0, rows, step)]
+
+    def row_terms(self, cols: np.ndarray, live_a: np.ndarray, live_b: np.ndarray, order: int):
+        """The term lists of `multiply_rows` at the ascending codes `cols`
+        and `order` for operands whose nonzeros are the (rows, len(cols))
+        masks live_a and live_b: per block of rows of the listing's product,
+        its rows and its term list, or None where the block reads the
+        listing.  Row r of a block keeps each pair of the listing that it
+        weighs with two nonzero factors (an off-diagonal pair where one of
+        its halves has them, a diagonal pair where its factor is nonzero), in
+        listing order, and the block's list is its rows' laid end to end, as
+        `_accumulate` reads it: int32 positions in the rows laid end to end
+        and in their bins, and the number of bins.  Every other pair weighs
+        +-0.0, and a bin, which starts at +0.0, keeps its bits when one is
+        added, so the lists give the listing's product to the bit for any
+        operands with these masks (or fewer nonzeros).  The pairs whose
+        factors some row of the block holds are found first, from the
+        columns; a block where they make more than half the listing's terms
+        reads the listing, which a list would barely shorten, and otherwise
+        only those pairs are tried row by row, so a list costs no more than
+        about one product."""
+        (left, right, off, out), reach = self.occupying(cols)._listed(order)
+        n, width = len(cols), reach.size
+        lists = []
+        for rows in self._row_blocks(len(live_a), len(left)):
+            la, lb = live_a[rows], live_b[rows]
+            ca, cb = la.any(axis=0), lb.any(axis=0)
+            pairs = np.flatnonzero((ca[left[:off]] & cb[right[:off]])
+                                   | (ca[left[off:2 * off]] & cb[right[off:2 * off]]))
+            diag = np.flatnonzero(ca[left[2 * off:]] & cb[right[2 * off:]]) + 2 * off
+            r, k = np.nonzero((la[:, left[pairs]] & lb[:, right[pairs]])
+                              | (la[:, left[pairs + off]] & lb[:, right[pairs + off]]))
+            rd, j = np.nonzero(la[:, left[diag]] & lb[:, right[diag]])
+            if 2 * (2 * len(k) + len(j)) > len(la) * len(left):
+                lists.append((rows, None))
+                continue
+            pairs, diag = pairs[k], diag[j]
+            at, row = np.concatenate((pairs, pairs + off, diag)), np.concatenate((r, r, rd))
+            lists.append((rows, ((left[at] + row * n).astype(np.int32),
+                                 (right[at] + row * n).astype(np.int32), len(pairs),
+                                 (out[np.concatenate((pairs, diag - off))]
+                                  + np.concatenate((r, rd)) * width).astype(np.int32),
+                                 len(la) * width)))
+        return lists
+
+    def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray, order: int,
+                      terms=None):
         """Products of (rows, len(cols)) operands at the ascending codes
         `cols`, truncated at `order`.
 
         Returns the ascending codes `out` the listing of `cols` reaches and
         the (rows, len(out)) sums there: row r, put at `out` in a row of
         zeros of the space of that order, is `multiply` there of row r of a
-        and of b, so put, bit for bit.  A non-finite operand raises
-        NonFiniteError.  Rows go in blocks of SPARSE_PAIR_COST ** 2 product
-        terms (an off-diagonal pair is two).
+        and of b, so put, bit for bit.  The product reads `terms`, the term
+        lists `row_terms` made for masks that hold a's and b's nonzeros, or
+        by default the whole listing, its rows in blocks of
+        SPARSE_PAIR_COST ** 2 product terms (an off-diagonal pair is two).
+        A non-finite operand raises NonFiniteError.
         """
         if not (_finite(a) and _finite(b)):
             raise NonFiniteError("non-finite coefficients in the curvature jets")
         listing, reach = self.occupying(cols)._listed(order)
+        if terms is None:
+            terms = [(rows, None) for rows in self._row_blocks(len(a), len(listing[0]))]
         sums = np.empty((len(a), reach.size))
-        step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(listing[0])))
-        for r0 in range(0, len(a), step):
-            rows = slice(r0, r0 + step)
-            sums[rows] = self._accumulate(a[rows], b[rows], *listing, reach.size)
+        for rows, kept in terms:
+            if kept is None:  # each row at its own bins
+                sums[rows] = self._accumulate(a[rows], b[rows], *listing, reach.size)
+            else:  # the rows laid end to end, as the list reads them
+                block = sums[rows]
+                block[...] = self._accumulate(a[rows].ravel(), b[rows].ravel(),
+                                              *kept).reshape(block.shape)
         return reach._codes, sums
 
     def product_cols(self, cols: np.ndarray, order: int) -> np.ndarray:

@@ -448,6 +448,60 @@ def test_a_second_identical_context_builds_no_listing(monkeypatch):
     assert all(a is b for a, b in zip(*shifts))
 
 
+def _stage_bits(ctx, k):
+    """The inverse, both Christoffel kinds and levels 0..k of a context
+    (rows, columns and values), as bytes."""
+    return [part for jets in (ctx._ginv, ctx._gamma1, ctx._gamma2, *map(ctx._level, range(k + 1)))
+            for part in (jets.index.tobytes(), jets.cols.tobytes(), jets.vals.tobytes())]
+
+
+def _zero_moving_cases():
+    # (name, spec maker, a point with more zeros, a general point, max_deriv)
+    for p in (0, 2, 3):
+        params = FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))
+        yield (f"family p={p}", lambda params=params: build_metric(params),
+               base_point(params, 0.0),
+               base_point(params, 0.2, [0.3 - 0.1 * i for i in range(p + 1)]), p + 3)
+    # g_yy's y-slope vanishes at y = 0 where g_xx's does not: the matrices
+    # keep their columns and the zeros move within them
+    yield ("slope zero at y = 0", lambda: metric_from_strings(
+        ("x", "y"), {(0, 0): "exp(x + y)", (1, 1): "exp(x)*(1 + y^2)"}, (0, 2)),
+           (0.1, 0.0), (0.1, 0.3), 4)
+
+
+ZERO_MOVING = list(_zero_moving_cases())
+
+
+@pytest.mark.parametrize("name,make,special,general,k", ZERO_MOVING,
+                         ids=[c[0] for c in ZERO_MOVING])
+def test_term_lists_follow_the_zeros_of_each_point(name, make, special, general, k):
+    # one spec at a point with more zeros (the family's base point, y = z
+    # = 0), at a general point and at the first point again, two contexts
+    # at each, so that the second runs on the term lists the first kept:
+    # every context's inverse, Christoffel symbols and levels equal a fresh
+    # spec's
+    spec = make()
+    for pt in (special, general, special):
+        want = _stage_bits(CurvatureContext(make(), pt, k), k)
+        for _ in range(2):
+            assert _stage_bits(CurvatureContext(spec, pt, k), k) == want
+
+
+def test_replayed_contexts_share_their_support():
+    # `support` is kept with its level's plan: contexts of one spec at two
+    # generic points give sets equal to a fresh spec's, and the second
+    # context's are the first's
+    params = FamilyParams(2, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    spec = build_metric(params)
+    points = [base_point(params, y, [0.2, -0.1, 0.3]) for y in (0.1, -0.2)]
+    first, second = (CurvatureContext(spec, pt, 5) for pt in points)
+    fresh = CurvatureContext(build_metric(params), points[1], 5)
+    for k in range(6):
+        want = frozenset(map(tuple, curvature._images(fresh._level(k).index).tolist()))
+        assert first.support(k) == fresh.support(k) == want
+        assert second.support(k) is first.support(k)
+
+
 def _traced_family_build(p: int, max_deriv: int) -> int:
     """The traced peak, in bytes, of a family context build on warm spaces."""
     params = FamilyParams(p, ex.parse("exp(y) + exp(2*y)", ("y",)))

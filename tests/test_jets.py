@@ -503,6 +503,29 @@ def test_a_full_space_reaches_itself_without_a_sort():
                     assert got.dtype == w.dtype and got.tobytes() == w.tobytes()
 
 
+def test_a_term_list_keeps_the_pairs_its_rows_weigh():
+    # over 1, x, ..., x^4 at order 4, listed as 6 off-diagonal pairs and 3
+    # diagonal ones: row 0 is 2x times 3, row 1 is 0 times -0.  Of pair
+    # (1, x) the half x * 1 has two nonzero factors and 1 * x has none, and
+    # the diagonal pairs of 1 and of x each have a zero factor, so row 0
+    # keeps that pair alone, as (x, 1) then (1, x), and row 1 keeps nothing
+    sp = jet_space(("x",), 4)
+    a = np.array([[0.0, 2.0, 0.0, 0.0, 0.0], [0.0] * 5])
+    b = np.array([[3.0, 0.0, 0.0, 0.0, 0.0], [-0.0] * 5])
+    [(rows, kept)] = sp.row_terms(sp._codes, a != 0, b != 0, 4)
+    left, right, off, out, bins = kept
+    assert rows == slice(0, SPARSE_PAIR_COST ** 2 // 15)
+    assert (left.tolist(), right.tolist(), off, out.tolist(), bins) == ([1, 0], [0, 1], 1, [1], 10)
+    assert all(x.dtype == np.int32 for x in (left, right, out))
+    codes, sums = sp.multiply_rows(sp._codes, a, b, 4, [(rows, kept)])
+    assert codes is sp._codes and sums.tolist() == [[0.0, 6.0, 0.0, 0.0, 0.0], [0.0] * 5]
+    assert sums.tobytes() == np.array([sp.multiply(x, y) for x, y in zip(a, b)]).tobytes()
+    # where the rows weigh more than half the listing's terms, the block
+    # reads the listing
+    full = np.ones((1, 5), dtype=bool)
+    assert sp.row_terms(sp._codes, full, full, 4) == [(slice(0, SPARSE_PAIR_COST ** 2 // 15), None)]
+
+
 def test_multiply_rows_lists_each_column_set_once(monkeypatch):
     # two column sets taken in turn, each time a new array of their codes,
     # are listed once each, and their derivative shifts made once each; the

@@ -1787,6 +1787,40 @@ def test_products_match_reference_routes(n, order, rows, seed):
         assert bits(sp.multiply(y, x)) == bits(ref_multiply(sp, y, x))
 
 
+MASKS = st.lists(st.tuples(st.sampled_from(DENSITIES), st.sampled_from(DENSITIES),
+                           st.sampled_from((0.0, 0.0, 0.1, 0.5))), min_size=1, max_size=6)
+
+
+@given(n=st.integers(0, 4), order=st.integers(0, 6), rows=MASKS, seed=st.integers(0, 2**32 - 1))
+@example(n=2, order=4, rows=[(0.0, 0.0, 0.0), (0.2, 0.0, 0.0), (0.05, 0.05, 0.0)], seed=3)
+@example(n=3, order=5, rows=[(0.05, 0.6, 0.0), (0.6, 0.05, 0.5), (0.0, 1.0, 0.1)], seed=4)
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_term_lists_give_the_listing_product(n, order, rows, seed):
+    # rows of random zero masks (all-zero rows among them, and pairs with
+    # one zero half, where one operand's row is sparse and the other's
+    # dense), at a random code set, each mask widened at random by zeros
+    # it calls live: the product on the term lists of those masks is the
+    # full pair table's (`ref_accumulate`) to the bit, -0.0 against +0.0
+    # included, whether a block keeps a list or reads the listing
+    sp = jet_space(tuple(f"v{i}" for i in range(n)), order)
+    rng = np.random.default_rng(seed)
+    a = np.array([_operand(sp, rng, da) for da, _, _ in rows])
+    b = np.array([_operand(sp, rng, db) for _, db, _ in rows])
+    wide = np.array([rng.random((2, sp.size)) < w for _, _, w in rows]).transpose(1, 0, 2)
+    cols = np.flatnonzero(((a != 0) | (b != 0) | wide.any(axis=0)).any(axis=0)
+                          | (rng.random(sp.size) < 0.2))
+    live_a, live_b = (a != 0) | wide[0], (b != 0) | wide[1]
+    codes = sp._codes[cols]
+    terms = sp.row_terms(codes, live_a[:, cols], live_b[:, cols], order)
+    out, sums = sp.multiply_rows(codes, a[:, cols], b[:, cols], order, terms)
+    got = np.zeros(a.shape)
+    got[:, sp._rank(out)] = sums
+    want = np.array([ref_accumulate(x, y, *ref_mul(sp)) for x, y in zip(a, b)])
+    assert got.tobytes() == want.tobytes()
+    for _, kept in terms:
+        assert kept is None or all(kept[i].dtype == np.int32 for i in (0, 1, 3))
+
+
 def test_non_finite_products_match_reference_routes():
     sp = jet_space(("a", "b", "c"), 6)
     rng = np.random.default_rng(4)
