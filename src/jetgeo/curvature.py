@@ -64,7 +64,12 @@ equal the key replays it; any other plans afresh and replaces the slot, so
 a special point (the family's base point, H²'s roundoff images of zero)
 never runs on another pattern's plan.  A Neumann sweep's columns follow the
 values, so its sums' blocks sit in its plan under their own key, and the
-number of sweeps, which the values decide, is never kept.
+number of sweeps, which the values decide, is never kept.  Each
+`multiply_rows` of the inverse, Γ², level 0 and the level steps reads the
+term lists its stage's plan keeps for it, one slot per sweep or per block
+of an ordered sum, keyed by its columns and its operands' nonzero masks
+(`_rows_product`, `JetSpace.row_terms`), so only pairs of nonzero factors
+are multiplied.
 """
 from __future__ import annotations
 
@@ -835,7 +840,8 @@ class CurvatureContext:
             left, right = _widen(*g2.cut(ord_out), cols), _widen(*prev.cut(ord_out), cols)
             acc = _widen(d_cols, acc, out)
             _sum_replay(blocks, out, acc, lambda ts: self._rows_product(
-                terms, ts.start, cols, left[hook[ts]], right[rep[ts]] * sign[ts, None], ord_out), -1)
+                terms, ts.start, cols, left[hook[ts]],
+                right[rep[ts]] * sign[ts, None], ord_out), -1)
         return _Jets(rows, out, acc, space, ord_out)
 
     def _nabla_plan(self, prev: _Jets, idx: np.ndarray | None, ord_out: int) -> tuple:

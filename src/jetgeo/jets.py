@@ -56,9 +56,13 @@ Column-compressed jets are keyed by code: (rows, len(cols)) coefficients at
 ascending codes `cols` that all rows share, of an order q <= K.  As the
 codes of degree <= q are a prefix, the space of order K serves every lower
 order.  `multiply_rows` multiplies many pairs of them from the listing of
-the code set `cols` at order q, bit for bit as `multiply` at order q; a
-non-finite operand raises NonFiniteError.  `deriv_cols` sends code m to
-m - code(e_v), times m_v, by the shifts kept on the code set `cols`.
+the code set `cols` at order q, bit for bit as `multiply` at order q, or
+from term lists cut from it (`row_terms`): each row's pairs of the listing
+that it weighs with two nonzero factors, which give the listing's product
+to the bit for any operands with those nonzeros, as the listing of a
+superset does; a non-finite operand raises NonFiniteError.  `deriv_cols`
+sends code m to m - code(e_v), times m_v, by the shifts kept on the code
+set `cols`.
 """
 from __future__ import annotations
 
@@ -403,34 +407,28 @@ class JetSpace:
         and in their bins, and the number of bins.  Every other pair weighs
         +-0.0, and a bin, which starts at +0.0, keeps its bits when one is
         added, so the lists give the listing's product to the bit for any
-        operands with these masks (or fewer nonzeros).  The pairs whose
-        factors some row of the block holds are found first, from the
-        columns; a block where they make more than half the listing's terms
-        reads the listing, which a list would barely shorten, and otherwise
-        only those pairs are tried row by row, so a list costs no more than
-        about one product."""
+        operands with these masks (or fewer nonzeros).  A block whose rows
+        keep more than a third of their terms reads the listing: a list
+        would save it little time for the memory it holds.  The masks are
+        read through the gathers of the listing's product, block by block,
+        so the lists cost about one product."""
         (left, right, off, out), reach = self.occupying(cols)._listed(order)
         n, width = len(cols), reach.size
         lists = []
         for rows in self._row_blocks(len(live_a), len(left)):
-            la, lb = live_a[rows], live_b[rows]
-            ca, cb = la.any(axis=0), lb.any(axis=0)
-            pairs = np.flatnonzero((ca[left[:off]] & cb[right[:off]])
-                                   | (ca[left[off:2 * off]] & cb[right[off:2 * off]]))
-            diag = np.flatnonzero(ca[left[2 * off:]] & cb[right[2 * off:]]) + 2 * off
-            r, k = np.nonzero((la[:, left[pairs]] & lb[:, right[pairs]])
-                              | (la[:, left[pairs + off]] & lb[:, right[pairs + off]]))
-            rd, j = np.nonzero(la[:, left[diag]] & lb[:, right[diag]])
-            if 2 * (2 * len(k) + len(j)) > len(la) * len(left):
+            kept = live_a[rows].take(left, -1) & live_b[rows].take(right, -1)
+            r, pair = np.nonzero(kept[:, :off] | kept[:, off:2 * off])
+            rd, diag = np.nonzero(kept[:, 2 * off:])
+            if 3 * (2 * len(pair) + len(diag)) > kept.size:
                 lists.append((rows, None))
                 continue
-            pairs, diag = pairs[k], diag[j]
-            at, row = np.concatenate((pairs, pairs + off, diag)), np.concatenate((r, r, rd))
-            lists.append((rows, ((left[at] + row * n).astype(np.int32),
-                                 (right[at] + row * n).astype(np.int32), len(pairs),
-                                 (out[np.concatenate((pairs, diag - off))]
+            at = np.concatenate((pair, pair + off, diag + 2 * off))
+            shift = np.concatenate((r, r, rd)) * n
+            lists.append((rows, ((left[at] + shift).astype(np.int32),
+                                 (right[at] + shift).astype(np.int32), len(pair),
+                                 (out[np.concatenate((pair, diag + off))]
                                   + np.concatenate((r, rd)) * width).astype(np.int32),
-                                 len(la) * width)))
+                                 len(kept) * width)))
         return lists
 
     def multiply_rows(self, cols: np.ndarray, a: np.ndarray, b: np.ndarray, order: int,

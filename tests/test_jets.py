@@ -520,8 +520,8 @@ def test_a_term_list_keeps_the_pairs_its_rows_weigh():
     codes, sums = sp.multiply_rows(sp._codes, a, b, 4, [(rows, kept)])
     assert codes is sp._codes and sums.tolist() == [[0.0, 6.0, 0.0, 0.0, 0.0], [0.0] * 5]
     assert sums.tobytes() == np.array([sp.multiply(x, y) for x, y in zip(a, b)]).tobytes()
-    # where the rows weigh more than half the listing's terms, the block
-    # reads the listing
+    # where the rows weigh more than a third of the listing's terms, the
+    # block reads the listing
     full = np.ones((1, 5), dtype=bool)
     assert sp.row_terms(sp._codes, full, full, 4) == [(slice(0, SPARSE_PAIR_COST ** 2 // 15), None)]
 
