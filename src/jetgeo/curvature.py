@@ -513,13 +513,21 @@ class CurvatureContext:
         kept in `store` at `slot` for their nonzero masks (`_plan`).  The
         first product of a pattern reads the listing, so a pattern met once
         (a fresh spec, a special point) costs no more than that product; the
-        lists are made when it comes back (`JetSpace.row_terms`)."""
+        lists are made when it comes back (`JetSpace.row_terms`).  Where
+        every block would read the listing, which gives the product for any
+        operands, the slot holds None and its products read no masks."""
+        if slot in store and store[slot] is None:
+            return self._space.multiply_rows(cols, a, b, order)
         live = np.concatenate((a, b)) != 0.0
         kept = _plan(store, slot, (cols, live), list)
         if not kept:
             kept.append(None)
         elif kept[0] is None:
-            kept[0] = self._space.row_terms(cols, live[:len(a)], live[len(a):], order)
+            terms = self._space.row_terms(cols, live[:len(a)], live[len(a):], order)
+            if all(block is None for _, block in terms):
+                store[slot] = None
+            else:
+                kept[0] = terms
         return self._space.multiply_rows(cols, a, b, order, kept[0])
 
     @cached_property
