@@ -307,7 +307,7 @@ class _Jets(Mapping):
 
     def derivs(self, rows: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The codes where a derivative can be nonzero, and there row rows[n]
-        differentiated by variable var[n] as `Jet.deriv` does, 0 where it is -1."""
+        differentiated by variable var[n] (`JetSpace.deriv_cols`), 0 where it is -1."""
         codes, pos, fac, padded = self._shifts
         return codes, padded[rows[:, None], pos[var]] * fac[var]
 

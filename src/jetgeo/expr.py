@@ -357,8 +357,9 @@ def _fold(e: Expr, leaf, add, mul, neg, call):
     """`e` in the one evaluation order of `eval_point`, `eval_jet` and
     `forward_source`, which supply the operations: a constant or variable is
     `leaf(node)`; a sum or product evaluates its operands left to right and
-    folds them left with `add` or `mul`; a power takes its base by squaring
-    as `Jet.pow` does (^0 is leaf(Const(1.0))); a negation is `neg(arg)`,
+    folds them left with `add` or `mul`; a power multiplies the squares of
+    its base for the set bits of its exponent, lowest first, with no product
+    by 1 (`jets._power`; ^0 is leaf(Const(1.0))); a negation is `neg(arg)`,
     and exp, sin or cos `call(name, arg)`."""
     def rec(node: Expr):
         kind = type(node)  # the node classes have no subclasses
@@ -449,20 +450,23 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
     *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 
     A node is a register and the space of its codes, or None for a float.
-    Each operation records a step with what `Jet` arithmetic would read:
-    the space at the union of a sum's or product's operands and their
-    positions there (`JetSpace.join`), a product's union space, whose
-    listing `multiply` reads, and the space it reaches.  An exp, sin or cos
-    of a jet is its coefficients (`_series_coefficients`) and a series step,
-    `Jet._series` over the jet's codes (`JetSpace.series_rows`), whose
-    Horner products that code set keeps (`JetSpace.horner`).  A
-    constant is a register filled before the replay.  Products that read
-    one listing at one depth (the most products on a path from a leaf) are
-    one step, one `multiply` of stacked rows, each row the one-row product
-    bit for bit, and so are series over one code set at one depth, each
-    Horner product one `multiply` of their rows.  A depth runs its products
-    and series, then its other steps in fold order.  Checks keep their fold
-    position, so the replay raises the one the fold would meet first."""
+    Each operation records a step with what its arithmetic reads: the
+    space at the union of a sum's or product's operands and their positions
+    there (`JetSpace.join`), a product's union space, whose listing
+    `multiply` reads, and the space it reaches.  A float summand is its
+    constant jet, at code 0 alone; a float factor scales the jet and adds
+    +0.0.  An exp, sin or cos of a jet is its coefficients
+    (`_series_coefficients`) and a series step, their Horner sum in powers
+    of the jet less its value over the jet's codes, with code 0 (a sum with
+    0.0) where they lack it (`JetSpace.series_rows`), whose Horner products
+    that code set keeps (`JetSpace.horner`).  A constant is a register
+    filled before the replay.  Products that read one listing at one depth
+    (the most products on a path from a leaf) are one step, one `multiply`
+    of stacked rows, each row the one-row product bit for bit, and so are
+    series over one code set at one depth, each Horner product one
+    `multiply` of their rows.  A depth runs its products and series, then
+    its other steps in fold order.  Checks keep their fold position, so the
+    replay raises the one the fold would meet first."""
     space = jet_space(tuple(active), order)
     const = space.occupying(np.zeros(1, dtype=np.int64))  # code 0 alone
     # per register: its value before the replay (a constant's, else None),
@@ -551,7 +555,7 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
         (ra, sa), (rb, sb) = a, b
         if sa is None and sb is None:
             return step(_ADD, (ra, rb)), None
-        # a float is its constant jet (`Jet.__add__`)
+        # a float summand is its constant jet, at code 0 alone
         u, at_a, at_b = joined(sa or const, sb or const)
         if at_a is _WHOLE and at_b is _WHOLE:
             return step(_ADD, (ra, rb)), u
@@ -579,8 +583,9 @@ def jet_tape(e: Expr, active: Sequence[str], order: int) -> JetTape:
         if not order:
             out = step(_CONST, (coeffs,)), const
         else:
-            # `Jet._series` over the codes of the jet, which hold code 0: its
-            # Horner products (`JetSpace.horner`), kept on that code set
+            # the series over the codes of the jet, which hold code 0 or get
+            # it by a sum with 0.0: its Horner products (`JetSpace.horner`),
+            # kept on that code set
             rj, sj = a if sa._zero else add(a, leaf(Const(0.0)))
             levels, reach = sj.horner()
             d = reads((rj, coeffs), 1)
@@ -625,8 +630,8 @@ def _replay(tape: JetTape, base: Mapping[str, float]) -> Jet:
                 for i, row in enumerate(rows):
                     regs[row[0]] = res[i]
             elif kind == _SERIES:
-                # `Jet._series` of each row: nil, the jet with no constant
-                # term, summed by `series_rows`, rows stacked
+                # the series of each row in powers of nil, the jet with no
+                # constant term, summed by `series_rows`, rows stacked
                 rows = s[2]
                 nil = np.array([regs[r[1]] for r in rows])
                 nil[:, 0] = 0.0
@@ -697,10 +702,11 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
     holds only the codes it occupies (`jets`), so its coefficients are
     those of its own variables (Taylor propagation restricted to a term's
     own variables: Griewank and Walther, *Evaluating Derivatives*, 2nd ed.,
-    SIAM 2008, ch. 13).  A constant or a frozen variable is a float; a
+    SIAM 2008, ch. 13).  A constant or a frozen variable is a float, and a
     float stays a float, as in `eval_point` (exp, sin and cos of a float
-    are `OPS`'), and a sum or product takes a float operand by `Jet`'s
-    scalar + or *, which leave the bits its constant jet would.  A product
+    are `OPS`').  A float summand is its constant jet; a float factor
+    scales the other operand and adds +0.0, which leaves the bits of a
+    product by its constant jet (whose bins start at +0.0).  A product
     over a set of codes is the pair table's to the bit (see `jets`), so
     every coefficient is the one of evaluating each node over all of
     `active`, up to the sign of a zero.
@@ -710,10 +716,11 @@ def eval_jet(e: Expr, base: Mapping[str, float], active: Sequence[str], order: i
     `tape`, one kept from an earlier call, or one made now.  A kept tape
     alone decides the expression, so it must be `e`'s; one made for other
     variables or another order raises ValueError.  The replay does the
-    numbers of `Jet` arithmetic in its order, bit for bit, with its checks:
-    an unknown variable raises UnknownVariableError, an exp argument >= 709
-    or a non-finite sin or cos argument, non-finite coefficients of an exp,
-    or a non-finite result NonFiniteError, the first the fold meets.
+    numbers of the fold, one jet a node, in its order, bit for bit, with its
+    checks: an unknown variable raises UnknownVariableError, an exp
+    argument >= 709 or a non-finite sin or cos argument, non-finite
+    coefficients of an exp, or a non-finite result NonFiniteError, the
+    first the fold meets.
     """
     if tape is None:
         tape = jet_tape(e, active, order)

@@ -1,10 +1,15 @@
 """Truncated multivariate Taylor arithmetic.
 
 A jet records every partial derivative of a smooth function at a base point up
-to a fixed total order K, stored as Taylor coefficients d^m f(base) / m!.  Sums,
-products and analytic primitives of jets are exact to the truncation order, so
-the curvature pipeline downstream obtains high-order derivatives without any
-finite differencing.
+to a fixed total order K, stored as Taylor coefficients d^m f(base) / m!.  A
+`Jet` is a value: a space and its coefficients.  The arithmetic is over
+coefficient arrays: sums over the union of two code sets (`JetSpace.join`),
+products (`multiply`, `multiply_rows`), the series of exp, sin and cos
+(`series_rows`) and derivatives (`deriv_cols`), each exact to the truncation
+order, so the curvature pipeline downstream obtains high-order derivatives
+without any finite differencing.  The public jet arithmetic is
+`expr.eval_jet`, which computes an expression's jet with them; the curvature
+stages compute many jets a step with them.
 
 A space names each multi-index m by its packed code alone, one sorted array
 with no Python object per multi-index: the digits |m|, m_1, ..., m_n read as
@@ -45,12 +50,12 @@ leaves out, and in every pair it lists beyond nonzero(a) x nonzero(b), a[r]
 or b[s], and a[s] or b[r], are zero; with finite operands such a pair weighs
 +-0.0, and adding +-0.0 to a bin changes no bit (the bins start at +0.0).
 So the listing of any superset of the operands' nonzeros gives the table's
-product to the bit, and a * b and b * a are bit-identical; a sum over a
-union adds +0.0 where a dense operand would hold +0.0.  (A non-finite
-coefficient breaks the first: the table forms inf * 0 = nan where a shorter
-listing forms nothing.  A listing that holds code 0, as every jet that
-`expr.eval_jet` makes does, still turns each non-finite coefficient a[r]
-into a non-finite output, through the pair (0, r).)
+product to the bit, the products of a and b and of b and a are bit-identical,
+and a sum over a union adds +0.0 where a dense operand would hold +0.0.  (A
+non-finite coefficient breaks the first: the table forms inf * 0 = nan where
+a shorter listing forms nothing.  A listing that holds code 0, as every jet
+that `expr.eval_jet` makes does, still turns each non-finite coefficient
+a[r] into a non-finite output, through the pair (0, r).)
 
 Column-compressed jets are keyed by code: (rows, len(cols)) coefficients at
 ascending codes `cols` that all rows share, of an order q <= K.  As the
@@ -86,7 +91,7 @@ __all__ = [
 
 
 class JetMismatchError(ValueError):
-    """Operands live over different variable lists or truncation orders."""
+    """A multi-index does not have one entry per variable of its jet."""
 
 
 class JetOrderError(ValueError):
@@ -145,9 +150,9 @@ def _trig(fn, v: float | np.ndarray) -> float | np.ndarray:
 
 def _series_coefficients(name: str, a0: float, order: int) -> list[float]:
     """The Taylor coefficients to `order` of exp, sin or cos (`name`) about
-    a0, the series `Jet._series` sums; the guards of `_exp` and `_trig`
-    raise NonFiniteError.  `Jet`'s primitives and `expr`'s tapes both take
-    them from here."""
+    a0: the series in powers of a jet less its value a0 that `expr`'s tapes
+    sum with `JetSpace.series_rows`.  The guards of `_exp` and `_trig` raise
+    NonFiniteError."""
     if name == "exp":
         coeffs = [_exp(a0)]
         for j in range(1, order + 1):
@@ -183,8 +188,8 @@ class JetSpace:
     """The multi-indices that jets over one variable tuple occupy.
 
     Use :func:`jet_space` for the full space of a (variables, order) pair,
-    and `occupying` for the space at a set of its codes.  Binary operations
-    accept jets whose spaces agree structurally (variables and order).
+    and `occupying` for the space at a set of its codes.  `join` takes a
+    space of the same variables and order.
 
     `_codes` holds the ascending codes (int64, or Python ints where
     (K + 1) ** (n + 1) would overflow it), `size` their number, `_grade`
@@ -264,10 +269,6 @@ class JetSpace:
         return space
 
     # ------------------------------------------------------------------ build
-    def zero(self) -> "Jet":
-        """The zero jet, which occupies no code."""
-        return Jet(self.occupying(np.zeros(0, dtype=self._dtype)), np.zeros(0))
-
     def constant(self, value: float) -> "Jet":
         """`value` as a jet, which occupies code 0 alone."""
         return Jet(self.occupying(np.zeros(1, dtype=self._dtype)), np.array([float(value)]))
@@ -546,8 +547,9 @@ class Jet:
     """Truncated Taylor expansion over a :class:`JetSpace`.
 
     `coef[i]` is d^m f(base) / m! at the multi-index m of the space's i-th
-    code, and every multi-index the space does not occupy holds 0.  Jets are
-    value objects; arithmetic never mutates operands.
+    code, and every multi-index the space does not occupy holds 0.  A jet is
+    a value with no arithmetic of its own: `expr.eval_jet` computes jets,
+    and the curvature stages compute them many at a time.
     """
 
     __slots__ = ("space", "coef")
@@ -576,78 +578,6 @@ class Jet:
         """The codes in `space` of the multi-indices of `coef` (`recode`)."""
         return self.space.codes_in(space)
 
-    def _check_mate(self, other: "Jet") -> None:
-        if (self.variables, self.order) != (other.variables, other.order):
-            raise JetMismatchError(
-                f"jet over {self.variables} order {self.order} combined with "
-                f"jet over {other.variables} order {other.order}"
-            )
-
-    def _mate(self, other: "Jet"):
-        """The space at the union of both operands' codes, and their
-        coefficients there."""
-        self._check_mate(other)
-        mine, theirs = self.space, other.space
-        if mine is theirs:
-            return mine, self.coef, other.coef
-        space, at_a, at_b = mine.join(theirs)
-        a, b = np.zeros((2, space.size))
-        a[at_a], b[at_b] = self.coef, other.coef
-        return space, a, b
-
-    # ------------------------------------------------------------- operations
-    # A scalar operand gives the bits of its constant jet: a sum adds it as
-    # that jet, and a product scales by it and adds +0.0, as that jet's
-    # product starts each bin at +0.0; both turn a -0.0 coefficient into
-    # +0.0 (finite operands)
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = self.space.constant(other)
-        space, a, b = self._mate(other)
-        return Jet(space, a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        space, a, b = self._mate(other)
-        return Jet(space, a - b)
-
-    def __neg__(self):
-        return Jet(self.space, -self.coef)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.space, self.coef * other + 0.0)
-        space, a, b = self._mate(other)
-        coef = space.multiply(a, b)
-        return Jet(space.product_space(), coef)
-
-    __rmul__ = __mul__
-
-    def truncated(self, order: int) -> "Jet":
-        """Drop coefficients above the given total order (a prefix slice)."""
-        if order > self.order:
-            raise JetOrderError(f"cannot raise order {self.order} to {order}")
-        if order == self.order:
-            return self
-        space, target = self.space, jet_space(self.variables, order)
-        n = space._codes.searchsorted(space.stop(order))
-        return Jet(target.occupying(space.recode(space._codes[:n], target)), self.coef[:n].copy())
-
-    def deriv(self, name: str) -> "Jet":
-        """Partial derivative; one order lower.  Zero for foreign variables."""
-        if self.order == 0:
-            raise JetOrderError("cannot differentiate an order-0 jet")
-        lower = jet_space(self.variables, self.order - 1)
-        if name not in self.space._var_pos:
-            return lower.zero()
-        space, v = self.space, self.space._var_pos[name]
-        codes, pos, fac = space.deriv_cols(space._codes)
-        coef = np.append(self.coef, 0.0)[pos[v]] * fac[v]
-        return Jet(lower.occupying(space.recode(codes, lower)), coef)
-
     def extract(self, m: Sequence[int]) -> float:
         """The partial derivative d^m f(base) (coefficient times m!)."""
         m = tuple(int(x) for x in m)
@@ -665,38 +595,6 @@ class Jet:
         for x in m:
             fact *= math.factorial(x)
         return float(self.coef[at] * fact)
-
-    # --------------------------------------------------- analytic primitives
-    def _series(self, coeffs: Sequence[float]) -> "Jet":
-        # Horner evaluation of sum_j coeffs[j] * (self - value)^j, over codes
-        # that hold code 0 (`JetSpace.series_rows`, one row).  The shifted
-        # jet is nilpotent past the truncation order, so this is exact
-        jet = self if self.space._zero else self + 0.0
-        if not self.order:
-            return jet.space.constant(coeffs[0])
-        nil = jet.coef[None].copy()
-        nil[0, 0] = 0.0
-        space, acc = jet.space.series_rows(nil, [coeffs])
-        return Jet(space, acc[0])
-
-    def exp(self) -> "Jet":
-        coeffs = _series_coefficients("exp", self.value(), self.order)
-        with np.errstate(over="ignore", invalid="ignore"):  # checked below
-            out = self._series(coeffs)
-        if not np.isfinite(out.coef).all():
-            raise NonFiniteError("non-finite coefficients in jet exp")
-        return out
-
-    def sin(self) -> "Jet":
-        return self._series(_series_coefficients("sin", self.value(), self.order))
-
-    def cos(self) -> "Jet":
-        return self._series(_series_coefficients("cos", self.value(), self.order))
-
-    def pow(self, exponent: int) -> "Jet":
-        if exponent < 0 or exponent != int(exponent):
-            raise ValueError(f"jet powers must be non-negative integers, got {exponent}")
-        return _power(self, int(exponent), Jet.__mul__) if exponent else self.space.constant(1.0)
 
     def __repr__(self):
         return f"Jet(vars={self.variables}, order={self.order}, value={self.value()!r})"

@@ -42,7 +42,7 @@ ctx.curvature(1)
 # still runs; it does not stand for the context's path.
 from jetgeo.jets import jet_space
 u = jet_space(("u", "v"), 3).variable("u", 0.5)
-u * u
+u.space.multiply(u.coef, u.coef)
 print(sorted({tracer.names[i] for i in tracer.name}))
 """
 

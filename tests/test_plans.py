@@ -7,7 +7,7 @@ from jetgeo import cli, curvature
 from jetgeo import expr as ex
 from jetgeo import family as fam
 from jetgeo.curvature import CurvatureContext, jacobi_operator, skew_curvature_operator
-from jetgeo.jets import Jet, JetSpace, NonFiniteError
+from jetgeo.jets import JetSpace, NonFiniteError
 from jetgeo.metric import metric_from_strings, save_metric
 
 SPHERE = (("theta", "phi"), ("1.0", "sin(theta)^2"))
@@ -151,8 +151,8 @@ def test_a_replay_plans_nothing(monkeypatch):
 def test_a_replayed_metric_stage_plans_nothing(monkeypatch):
     # a second generic point of one spec evaluates the metric entries on
     # the tapes the first kept: no tape is made, no code-set join is read
-    # and no listing is built, and no `Jet` arithmetic runs (its `_mate`
-    # joins operands); a fresh spec makes its tapes, reading the joins
+    # and no listing is built; a fresh spec makes its tapes, reading the
+    # joins
     params = _params(3)
     spec = fam.build_metric(params)
     second = tuple(-0.05 * (1 + n % 4) for n in range(spec.dim))
@@ -178,11 +178,10 @@ def test_a_replayed_metric_stage_plans_nothing(monkeypatch):
     monkeypatch.setattr(ex, "jet_tape", counted("jet_tape", ex.jet_tape))
     for name in ("join", "occupying", "_listing", "variable", "constant"):
         monkeypatch.setattr(JetSpace, name, counted(name, getattr(JetSpace, name)))
-    monkeypatch.setattr(Jet, "_mate", counted("_mate", Jet._mate))
     ctx = CurvatureContext(spec, second, 6)
     assert calls == []
     fresh = CurvatureContext(fam.build_metric(params), second, 6)
-    assert {"jet_tape", "join", "variable"} <= set(calls) and "_mate" not in calls
+    assert {"jet_tape", "join", "variable"} <= set(calls)
     assert _bits(ctx) == _bits(fresh)
 
 

@@ -30,9 +30,13 @@ def test_curvature_aliases_are_gone():
         assert not hasattr(jetgeo, name) and not hasattr(curvature, name), name
 
 
-def test_jet_scaled_alias_is_gone():
-    # `jet * factor` is the one scaling
-    assert not hasattr(jetgeo.Jet, "scaled")
+def test_jet_is_a_value():
+    # a jet is its space and coefficients: `eval_jet` on an expression is
+    # the public jet arithmetic, and a space builds no zero jet
+    removed = ("_check_mate", "_mate", "__add__", "__radd__", "__sub__", "__neg__", "__mul__",
+               "__rmul__", "truncated", "deriv", "_series", "exp", "sin", "cos", "pow", "scaled")
+    assert [name for name in removed if hasattr(jetgeo.Jet, name)] == []
+    assert not hasattr(jetgeo.JetSpace, "zero")
 
 
 def test_runtime_dependency_is_numpy_alone():

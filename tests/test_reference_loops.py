@@ -47,6 +47,7 @@ from jetgeo.curvature import (
 from jetgeo.invariants import WORK_LIMIT, CapsExceededError, ContractionSchema
 from jetgeo.jets import SPARSE_PAIR_COST, Jet, NonFiniteError, jet_space
 from jetgeo.metric import MetricSpec, metric_from_strings, two_sphere
+from ref_jets import RefJet, ref
 from test_expr import CHART as EXPR_CHART
 from test_expr import exprs
 from test_curvature import metric_jets
@@ -221,11 +222,11 @@ def ref_neumann_inverse(ctx):
     for (i, j), jet in metric_jets(ctx).items():
         if i > j:
             continue
-        c = dense(jet.truncated(order))
+        c = dense(ref(jet).truncated(order))
         c[0] = 0.0
         if not c.any():
             continue
-        nj = Jet(space, c)
+        nj = RefJet(space, c)
         nil[(i, j)] = nj
         if i != j:
             nil[(j, i)] = nj
@@ -233,7 +234,7 @@ def ref_neumann_inverse(ctx):
     for i in range(m):
         for j in range(m):
             if h0[i, j] != 0.0:
-                base[(i, j)] = Jet(space, dense(space.constant(h0[i, j])))
+                base[(i, j)] = RefJet(space, dense(space.constant(h0[i, j])))
     if not nil:
         return base
     s = dict(base)
@@ -263,7 +264,7 @@ def ref_neumann_inverse(ctx):
         mark = id(jet)
         if mark not in cleaned:
             coef = ref_flush(jet.coef, scale)
-            cleaned[mark] = Jet(jet.space, coef) if coef.any() else None
+            cleaned[mark] = RefJet(jet.space, coef) if coef.any() else None
         cj = cleaned[mark]
         if cj is not None:
             out[key] = cj
@@ -274,7 +275,7 @@ def ref_christoffel_second(ctx, ginv):
     ord1 = ctx.order - 1
     by_col = {}
     for (c, d), jet in sorted(ginv.items()):
-        by_col.setdefault(d, []).append((c, jet.truncated(ord1)))
+        by_col.setdefault(d, []).append((c, ref(jet).truncated(ord1)))
     acc = {}
     for (a, b, d), g1 in ctx._gamma1.items():
         for c, hj in by_col.get(d, ()):
@@ -290,7 +291,7 @@ def ref_fwd(ctx):
     # with lower pair (a, b), c ascending
     fwd = {}
     for (a, b, c), jet in sorted(ctx._gamma2.items()):
-        fwd.setdefault((a, b), []).append((c, jet))
+        fwd.setdefault((a, b), []).append((c, ref(jet)))
     return fwd
 
 
@@ -301,11 +302,11 @@ def ref_edge_value(ctx, fwd, g, i, j, k, l, ord0):
         if i in ctx.act_idx:
             gj = g.get((m_, l))
             if gj is not None:
-                term = gamma2.deriv(ctx.coords[i]) * gj.truncated(ord0)
+                term = gamma2.deriv(ctx.coords[i]) * ref(gj).truncated(ord0)
                 acc = term if acc is None else acc + term
         g1 = ctx._gamma1.get((i, m_, l))
         if g1 is not None:
-            term = gamma2.truncated(ord0) * g1.truncated(ord0)
+            term = gamma2.truncated(ord0) * ref(g1).truncated(ord0)
             acc = term if acc is None else acc + term
     return acc
 
@@ -676,23 +677,23 @@ def ref_multiply_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def ref_eval_jet(e: ex.Expr, base, active: Sequence[str], order: int) -> Jet:
+def ref_eval_jet(e: ex.Expr, base, active: Sequence[str], order: int) -> RefJet:
     """`expr.eval_jet` with every node a dense jet over all of `active`: a
     jet of its full space."""
     space = jet_space(tuple(active), order)
     act = set(space.variables)
 
-    def rec(node: ex.Expr) -> Jet:
+    def rec(node: ex.Expr) -> RefJet:
         if isinstance(node, ex.Const):
-            return Jet(space, dense(space.constant(float(node.value))))
+            return RefJet(space, dense(space.constant(float(node.value))))
         if isinstance(node, ex.Var):
             try:
                 v = float(base[node.name])
             except KeyError:
                 raise ex.UnknownVariableError(node.name, 0) from None
             if node.name in act:
-                return Jet(space, dense(space.variable(node.name, v)))
-            return Jet(space, dense(space.constant(v)))
+                return RefJet(space, dense(space.variable(node.name, v)))
+            return RefJet(space, dense(space.constant(v)))
         if isinstance(node, ex.Sum):
             acc = rec(node.terms[0])
             for t in node.terms[1:]:
@@ -723,7 +724,7 @@ def ref_eval_jet(e: ex.Expr, base, active: Sequence[str], order: int) -> Jet:
 
 
 def ref_fold_eval_jet(e: ex.Expr, base, active: Sequence[str], order: int) -> Jet:
-    """`expr.eval_jet` as it was before tapes: `expr._fold` over `Jet`
+    """`expr.eval_jet` as it was before tapes: `expr._fold` over `RefJet`
     arithmetic, each node a jet at the codes it occupies or a float for a
     constant or a frozen variable, each check raised where the fold meets it."""
     space = jet_space(tuple(active), order)
@@ -735,7 +736,7 @@ def ref_fold_eval_jet(e: ex.Expr, base, active: Sequence[str], order: int) -> Je
             v = float(base[node.name])
         except KeyError:
             raise ex.UnknownVariableError(node.name, 0) from None
-        return space.variable(node.name, v) if node.name in space.variables else v
+        return ref(space.variable(node.name, v)) if node.name in space.variables else v
 
     def call(name: str, arg):
         return getattr(arg, name)() if isinstance(arg, Jet) else ex.OPS[name](arg)
@@ -1873,9 +1874,9 @@ TAPE_POINTS = st.dictionaries(st.sampled_from(EXPR_CHART), TAPE_VALUES, min_size
          first={"y": -1.7, "z0": -1.7}, second={"y": -1.7, "z0": -1.7})
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_eval_jet_tape_matches_jet_fold(e, active, order, first, second):
-    # the tape, fresh and kept from another point, against the fold of
-    # `Jet` arithmetic it replaced: the same space and bytes, or the same
-    # error (class and message), the first the fold meets
+    # the tape, fresh and kept from another point, against the fold of one
+    # jet at a time it replaced (`RefJet`): the same space and bytes, or the
+    # same error (class and message), the first the fold meets
     tape = ex.jet_tape(e, active, order)
     jet_outcome(lambda: ex.eval_jet(e, first, active, order, tape))
     want = jet_outcome(lambda: ref_fold_eval_jet(e, second, active, order))
