@@ -19,10 +19,13 @@ carries over term by term), so the tests need their quadratic charts to
 kill it.  M4 keys a stage product's kept term lists by the product's
 columns alone, without the operands' nonzero masks, so a point whose zeros
 move within the same columns runs on another point's lists; the test of
-points whose zeros differ must kill it.  M5, in the expression tapes, has a
-stacked product read its first operand twice; the family's metric tapes,
-checked against the reference arithmetic of one jet at a time, must kill
-it.
+points whose zeros differ must kill it, on Γ² and the levels, the stages
+that read those lists.  M5, in the expression tapes, has a stacked product
+read its first operand twice; the family's metric tapes, checked against
+the reference arithmetic of one jet at a time, must kill it.  M6 keys a
+Neumann sweep's chain by S's columns alone, without S's nonzero mask, so a
+point whose inverse zeros move within the same columns replays another
+point's term lists; the same test's case of such a point must kill it.
 """
 import os
 import subprocess
@@ -44,6 +47,9 @@ MUTANTS = {
     "M5, a stacked tape product reads its first operand twice": (
         Path("src/jetgeo/expr.py"), "w[1, i, at_b] = regs[rb]", "w[1, i, at_b] = regs[ra]",
         ["tests/test_reference_loops.py::test_family_metric_tapes_match_jet_fold"]),
+    "M6, a sweep chain keyed by S's columns alone": (
+        CURVATURE, '"chain", (s_cols, s_live), lambda', '"chain", (s_cols,), lambda',
+        ["tests/test_curvature.py::test_term_lists_follow_the_zeros_of_each_point"]),
 }
 
 

@@ -65,7 +65,9 @@ the code set `cols` at order q, bit for bit as `multiply` at order q, or
 from term lists cut from it (`row_terms`): each row's pairs of the listing
 that it weighs with two nonzero factors, which give the listing's product
 to the bit for any operands with those nonzeros, as the listing of a
-superset does; a non-finite operand raises NonFiniteError.  `deriv_cols`
+superset does; a non-finite operand raises NonFiniteError.  A caller that
+keeps a listing (`listed`) multiplies on it with `multiply_listed`, the
+same product with no lookup and no check of its operands.  `deriv_cols`
 sends code m to m - code(e_v), times m_v, by the shifts kept on the code
 set `cols`.
 """
@@ -448,22 +450,40 @@ class JetSpace:
         """
         if not (_finite(a) and _finite(b)):
             raise NonFiniteError("non-finite coefficients in the curvature jets")
+        listing, out = self.listed(cols, order)
+        return out, self.multiply_listed(a, b, listing, len(out), terms)
+
+    def listed(self, cols: np.ndarray, order: int):
+        """The listing of the ascending codes `cols` at `order`, as
+        `multiply_listed` reads it, and the codes it reaches, those
+        `multiply_rows` returns: kept on the code set (`_listed`)."""
         listing, reach = self.occupying(cols)._listed(order)
+        return listing, reach._codes
+
+    @classmethod
+    def multiply_listed(cls, a: np.ndarray, b: np.ndarray, listing, width: int, terms=None):
+        """The sums of `multiply_rows`, with no check of the operands, on a
+        listing that `listed` gave for their codes, which reaches `width`
+        codes: by the blocks of rows of `terms`, each with its list or None
+        for the listing, by default the listing's blocks; one block is one
+        `_accumulate`."""
         if terms is None:
-            terms = [(rows, None) for rows in self._row_blocks(len(a), len(listing[0]))]
-        sums = np.empty((len(a), reach.size))
+            terms = [(rows, None) for rows in cls._row_blocks(len(a), len(listing[0]))]
+        if len(terms) == 1 and terms[0][1] is None:
+            return cls._accumulate(a, b, *listing, width)
+        sums = np.empty((len(a), width))
         for rows, kept in terms:
             if kept is None:  # each row at its own bins
-                sums[rows] = self._accumulate(a[rows], b[rows], *listing, reach.size)
+                sums[rows] = cls._accumulate(a[rows], b[rows], *listing, width)
             else:  # the rows laid end to end, as the list reads them
                 block = sums[rows]
-                block[...] = self._accumulate(a[rows].ravel(), b[rows].ravel(),
-                                              *kept).reshape(block.shape)
-        return reach._codes, sums
+                block[...] = cls._accumulate(a[rows].ravel(), b[rows].ravel(),
+                                             *kept).reshape(block.shape)
+        return sums
 
     def product_cols(self, cols: np.ndarray, order: int) -> np.ndarray:
         """The codes `multiply_rows` returns for operands at the codes `cols`."""
-        return self.occupying(cols)._listed(order)[1]._codes
+        return self.listed(cols, order)[1]
 
     def horner(self):
         """The products of `series_rows` over these codes, which hold code 0,

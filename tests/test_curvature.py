@@ -293,15 +293,16 @@ def test_level_steps_take_no_per_component_products(monkeypatch):
 
 
 def test_neumann_sweeps_take_one_product_each(monkeypatch):
-    # a sweep is one `multiply_rows` over all its term pairs: max_deriv + 1
-    # sweeps on S^2, whose inverse gains a degree every sweep, and two on
-    # the family, whose second sweep repeats the first to the bit
+    # a sweep replays its chain, whose product of all its term pairs is one
+    # `multiply_listed`: max_deriv + 1 sweeps on S^2, whose inverse gains a
+    # degree every sweep, and two on the family, whose second sweep repeats
+    # the first to the bit
     calls = [0]
-    orig = JetSpace.multiply_rows
+    orig = JetSpace.multiply_listed.__func__
 
-    def counted(self, *args):
+    def counted(cls, *args):
         calls[0] += 1
-        return orig(self, *args)
+        return orig(cls, *args)
 
     cases = [(two_sphere(), (0.8, 0.3), 6, 7)]
     for p in range(4):
@@ -309,13 +310,41 @@ def test_neumann_sweeps_take_one_product_each(monkeypatch):
         for pt in (base_point(params, 0.0),
                    base_point(params, 0.3, [0.5 - 0.2 * i for i in range(p + 1)])):
             cases.append((build_metric(params), pt, p + 3, 2))
-    monkeypatch.setattr(JetSpace, "multiply_rows", counted)
+    monkeypatch.setattr(JetSpace, "multiply_listed", classmethod(counted))
     for spec, pt, k, sweeps in cases:
         ctx = CurvatureContext(spec, pt, k)
         calls[0] = 0
         ginv = ctx._neumann_inverse()
         assert calls[0] == sweeps
         assert ginv.index.tobytes() == ctx._ginv.index.tobytes()
+        assert ginv.vals.tobytes() == ctx._ginv.vals.tobytes()
+
+
+def test_a_replayed_inverse_runs_its_chains_alone(monkeypatch):
+    # a third context of one spec and point replays the sweeps' chains and
+    # the term lists the second made: it plans nothing, and calls neither
+    # the helpers the chains replaced (the per-sweep `_sweep_plan` and
+    # `_joint`) nor `multiply_rows`
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    family = FamilyParams(2, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    cases = [(two_sphere(), (0.8, 0.3), 6),
+             (build_metric(family), base_point(family, 0.3, [0.5, 0.3, 0.1]), 5)]
+    for spec, pt, k in cases:
+        for _ in range(2):
+            ctx = CurvatureContext(spec, pt, k)
+        ctx = CurvatureContext(spec, pt, k)
+        with monkeypatch.context() as patch:
+            for owner, name in ((curvature, "_sweep_plan"), (curvature, "_joint"),
+                                (curvature, "_sweep_chain"), (curvature, "_sum_plan"),
+                                (JetSpace, "multiply_rows"), (JetSpace, "row_terms")):
+                if hasattr(owner, name):
+                    patch.setattr(owner, name, counted(name, getattr(owner, name)))
+            ginv = ctx._neumann_inverse()
+        assert calls == []
         assert ginv.vals.tobytes() == ctx._ginv.vals.tobytes()
 
 
@@ -467,6 +496,14 @@ def _zero_moving_cases():
     yield ("slope zero at y = 0", lambda: metric_from_strings(
         ("x", "y"), {(0, 0): "exp(x + y)", (1, 1): "exp(x)*(1 + y^2)"}, (0, 2)),
            (0.1, 0.0), (0.1, 0.3), 4)
+    # N keeps its zeros, and the inverse's move within its columns: at x = 0,
+    # 1/(1 + x + x^2) = (1 - x) / (1 - x^3) has exact zeros at x^2 and x^5,
+    # where 1/(1 + x) keeps the columns; elsewhere no coefficient is zero.
+    # The products of a sweep pair codes in x alone or in y alone, so their
+    # term lists are short
+    yield ("inverse zeros at x = 0", lambda: metric_from_strings(
+        ("x", "y", "z"), {(0, 0): "1 + x + x^2", (1, 1): "1 + y", (2, 2): "1 + x"}, (0, 3)),
+           (0.0, 0.2, 0.0), (0.3, 0.2, 0.0), 6)
 
 
 ZERO_MOVING = list(_zero_moving_cases())
@@ -572,6 +609,33 @@ def test_non_finite_product_in_a_sum_raises():
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
         _ordered_sum(out, np.empty((1, len(out))), np.zeros(1, dtype=np.intp),
                      lambda ts: space.multiply_rows(cols, a[ts], a[ts], 4))
+
+
+def test_non_finite_inverse_raises_in_its_sweeps():
+    # g_00 = 1 + exp(y) x has the inverse coefficients (-exp(y))^n in x^n:
+    # finite at y = 0.1, and past the largest float from x^3 on at y = 240,
+    # so a sweep's S is non-finite before the last sweep.  A fresh spec and
+    # one whose chains were planned and replayed at y = 0.1 raise alike, and
+    # the kept chains still give a fresh spec's inverse at y = 0.1 afterwards
+    def spec():
+        return metric_from_strings(("x", "y"), {(0, 0): "1 + exp(y)*x", (1, 1): "1 + y^2"},
+                                   (0, 2))
+
+    def raises(spec):
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
+            CurvatureContext(spec, (0.0, 240.0), 4)
+        assert str(err.value) == "non-finite coefficients in the curvature jets"
+
+    raises(spec())
+    kept = spec()
+    for _ in range(3):
+        CurvatureContext(kept, (0.0, 0.1), 4)
+    raises(kept)
+    raises(kept)
+    want = CurvatureContext(spec(), (0.0, 0.1), 4)._ginv
+    got = CurvatureContext(kept, (0.0, 0.1), 4)._ginv
+    assert [got.index.tobytes(), got.cols.tobytes(), got.vals.tobytes()] == \
+        [want.index.tobytes(), want.cols.tobytes(), want.vals.tobytes()]
 
 
 def test_stacked_skew_operator_raises_for_a_degenerate_plane():

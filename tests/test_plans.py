@@ -94,8 +94,8 @@ def test_a_pattern_change_plans_afresh(name, make, points, k):
 
 def test_plans_keep_one_slot_per_stage():
     # 60 generic points of one spec: the slots are the same ones throughout,
-    # one per stage of max_deriv 7, and the Neumann sweeps keep one plan
-    # each at most
+    # one per stage of max_deriv 7, and the Neumann inverse keeps one slot
+    # per sweep, 8 at most, each with one chain
     params = _params(4)
     spec = fam.build_metric(params)
     rng = np.random.default_rng(4)
@@ -110,7 +110,7 @@ def test_plans_keep_one_slot_per_stage():
         fam.alpha_via_jacobi(params, point, context=ctx)
         assert set(spec.plans) == stages
         sweeps = spec.plans[(7, "inverse")][1][-1]
-        assert len(sweeps) <= 8 and all(len(sweep[-1]) == 1 for sweep in sweeps)
+        assert len(sweeps) <= 8 and all(list(sweep) == ["chain"] for sweep in sweeps)
         assert len(spec.plans[(7, "metric")][1][-1]) == 1  # the columns' slot
 
 

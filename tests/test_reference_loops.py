@@ -1338,6 +1338,65 @@ def test_block_scaled_product_is_each_block_alone():
         assert not keys, (what, keys)
 
 
+def _replayed_inverse_cases():
+    # (name, spec maker, points visited in turn on one spec, max_deriv):
+    # the benchmark's eight general_metrics specs (bench/workloads.py) with
+    # fixed quadratics, each at one point; a metric with varying off-diagonal
+    # entries at two points; the family at a general point, at its base
+    # point, whose columns are fewer, and at the first again; H2 at x = 0,
+    # between two visits of x = -0.1, whose roundoff images of zero are
+    # exact zeros there
+    conformal_b = _conformal("x", "y", (0.18, 0.11, -0.04, -0.21, 0.27))
+    yield "S2", lambda: _diagonal(SPHERE), [(1.1, 0.4)], 6
+    yield "H2", lambda: _diagonal(H2), [(-0.1, 0.3)], 6
+    yield "conformal", lambda: _diagonal(CONFORMAL), [(0.2, -0.35)], 6
+    yield "conformal, second", lambda: _diagonal(conformal_b), [(-0.3, 0.25)], 6
+    yield "S2 x conformal", lambda: _diagonal(SPHERE, CONFORMAL_ST), [(0.9, -1.2, 0.3, 0.1)], 4
+    yield "H2 x conformal", lambda: _diagonal(H2, CONFORMAL_ST), [(-0.1, 0.3, -0.2, 0.4)], 4
+    yield "conformal x conformal", lambda: _diagonal(CONFORMAL, CONFORMAL_ST), \
+        [(0.2, -0.35, 0.3, 0.1)], 4
+    yield "block-scaled product", lambda: _diagonal(*BLOCK_SCALED), [(0.1, 0.2, 0.7, 0.4)], 4
+    # off-diagonal entries that vary in different rows: the one case here
+    # whose rows of t sum more than one product each
+    yield "off-diagonal, 4 coordinates", lambda: metric_from_strings(
+        ("a", "b", "c", "d"),
+        {(0, 0): "2 + a^2", (1, 1): "2 + b^2", (2, 2): "2 + c^2", (3, 3): "2.0",
+         (0, 2): "0.1*b", (1, 2): "0.1*a"},
+        (0, 4),
+    ), [(0.2, -0.3, 0.1, 0.0), (0.1, 0.2, -0.3, 0.4)], 2
+    for p in range(6):
+        params = fam.FamilyParams(p, ex.parse(PROFILES[0], ("y",)))
+        general = fam.base_point(params, 0.3, [0.5 - 0.2 * i for i in range(p + 1)])
+        yield f"family p={p}", lambda params=params: fam.build_metric(params), \
+            [general, fam.base_point(params, 0.0), general], p + 3
+    yield "H2, x = -0.1, 0, -0.1", lambda: _diagonal(H2), [(-0.1, 0.3), (0.0, 0.3), (-0.1, 0.3)], 6
+
+
+REPLAYED_INVERSE_CASES = list(_replayed_inverse_cases())
+
+
+@pytest.mark.parametrize("name,make,points,k_max", REPLAYED_INVERSE_CASES,
+                         ids=[c[0] for c in REPLAYED_INVERSE_CASES])
+def test_a_replayed_inverse_is_a_fresh_specs_and_the_loops(name, make, points, k_max):
+    # three contexts of one spec at each point in turn: the first at a
+    # point plans the sweeps' chains (or replays another point's where the
+    # patterns agree), the second makes their term lists and the third
+    # replays them; each inverse (rows, columns and values) is a fresh
+    # spec's to the byte, and the reference loops' (the block-scaled
+    # product's small block aside: `ref_neumann_inverse`'s global flush
+    # cuts it, see test_block_scaled_product_is_each_block_alone)
+    spec = make()
+    for pt in points:
+        fresh = CurvatureContext(make(), pt, k_max)._ginv
+        want = [fresh.index.tobytes(), fresh.cols.tobytes(), fresh.vals.tobytes()]
+        for _ in range(3):
+            ctx = CurvatureContext(spec, pt, k_max)
+            ginv = ctx._ginv
+            assert [ginv.index.tobytes(), ginv.cols.tobytes(), ginv.vals.tobytes()] == want
+        if name != "block-scaled product":
+            assert same_jets(ginv, ref_neumann_inverse(ctx))
+
+
 @pytest.mark.parametrize("bound", [SPARSE_PAIR_COST, 6])
 @pytest.mark.parametrize("sign", [1, -1])
 @pytest.mark.parametrize("seed", range(4))
