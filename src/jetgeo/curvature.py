@@ -67,13 +67,13 @@ Neumann sweep's columns follow the values, so the inverse keeps one slot
 per sweep, whose chain is keyed by S's columns and nonzero mask, and the
 number of sweeps, which the values decide, is never kept.  A sweep
 replays its chain: one gather of S, one product on the chain's term list,
-the ordered sum of t (none where each row of t takes one product, in
-order) and that of S, the cut of zero columns and the fixed-point test.
-Each `multiply_rows` of Γ², level 0 and the level steps reads the term
-lists its stage's plan keeps for it, one slot per block of an ordered sum,
-keyed by its columns and its operands' nonzero masks (`_rows_product`,
-`JetSpace.row_terms`), and each sweep's product the lists its chain keeps,
-so only pairs of nonzero factors are multiplied.
+the ordered sums of t and of S, the cut of zero columns and the
+fixed-point test.  Each `multiply_rows` of Γ², level 0 and the level steps
+reads the term lists its stage's plan keeps for it, one slot per block of
+an ordered sum, keyed by its columns and its operands' nonzero masks
+(`_rows_product`), and each sweep's product the lists its chain keeps; both
+make them by one rule (`_term_lists`, `JetSpace.row_terms`), so only pairs
+of nonzero factors are multiplied.
 """
 from __future__ import annotations
 
@@ -370,6 +370,28 @@ def _plan(store: dict, slot, key: tuple, make):
     return kept[1]
 
 
+def _term_lists(store: dict, slot, key, make):
+    """The term lists a product reads, kept in `store` at `slot` for the
+    operands' nonzero masks that `key()` gives (`_plan`): None, for the
+    listing, the first time a pattern comes, so a pattern met once (a fresh
+    spec, a special point) costs no more than that product, and `make()`'s
+    lists (`JetSpace.row_terms`) when it comes back.  Where every block of
+    them would read the listing, which gives the product for any operands,
+    the slot holds None for good and its products read no key."""
+    if slot in store and store[slot] is None:
+        return None
+    kept = _plan(store, slot, key(), list)
+    if not kept:
+        kept.append(None)
+    elif kept[0] is None:
+        terms = make()
+        if all(block is None for _, block in terms):
+            store[slot] = None
+        else:
+            kept[0] = terms
+    return kept[0]
+
+
 def _sum_plan(row: np.ndarray, n: int, width: int, started=None) -> list:
     """The blocks of `_ordered_sum` into n rows of `width` columns: per block
     its slice of the terms, the rows it writes, those of them that go on
@@ -456,9 +478,8 @@ def _sweep_chain(space, order: int, keys: np.ndarray, s_cols: np.ndarray, src: n
     the products' joint codes, the gather that puts their rows of N there
     from N laid end to end with a zero last, that code set's listing and
     the codes it reaches, and the blocks of both ordered sums there
-    (`_sum_plan`), none for t's where its rows take one product each, in
-    order.  Then the gather of S's rows, as N's, and a slot for the
-    products' term lists.  The keys only grow, and where they held at
+    (`_sum_plan`).  Then the gather of S's rows, as N's, and a store for
+    the products' term lists (`_term_lists`).  The keys only grow, and where they held at
     `last`, the sweep before's chain, the terms are its, as are the columns
     where the codes held too."""
     if last is not None and len(last[0][0]) == len(last[0][1]):
@@ -484,9 +505,8 @@ def _sweep_chain(space, order: int, keys: np.ndarray, s_cols: np.ndarray, src: n
     else:
         listing, t_cols = space.listed(cols, order)
         joint = (cols, _gather(cols, g_cols, left, n_nil), listing, t_cols,
-                 None if _same(t_row, np.arange(n_t)) else _sum_plan(t_row, n_t, len(t_cols)),
-                 _sum_plan(s_row, len(new), len(t_cols)))
-    return terms, joint, _gather(cols, s_cols, right, len(keys)), []
+                 _sum_plan(t_row, n_t, len(t_cols)), _sum_plan(s_row, len(new), len(t_cols)))
+    return terms, joint, _gather(cols, s_cols, right, len(keys)), {}
 
 
 class CurvatureContext:
@@ -545,25 +565,12 @@ class CurvatureContext:
     def _rows_product(self, store: dict, slot, cols: np.ndarray, a: np.ndarray, b: np.ndarray,
                       order: int):
         """`multiply_rows` of a and b at the codes `cols` on the term lists
-        kept in `store` at `slot` for their nonzero masks (`_plan`).  The
-        first product of a pattern reads the listing, so a pattern met once
-        (a fresh spec, a special point) costs no more than that product; the
-        lists are made when it comes back (`JetSpace.row_terms`).  Where
-        every block would read the listing, which gives the product for any
-        operands, the slot holds None and its products read no masks."""
-        if slot in store and store[slot] is None:
-            return self._space.multiply_rows(cols, a, b, order)
-        live = np.concatenate((a, b)) != 0.0
-        kept = _plan(store, slot, (cols, live), list)
-        if not kept:
-            kept.append(None)
-        elif kept[0] is None:
-            terms = self._space.row_terms(cols, live[:len(a)], live[len(a):], order)
-            if all(block is None for _, block in terms):
-                store[slot] = None
-            else:
-                kept[0] = terms
-        return self._space.multiply_rows(cols, a, b, order, kept[0])
+        kept in `store` at `slot` for their columns and nonzero masks
+        (`_term_lists`)."""
+        space = self._space
+        terms = _term_lists(store, slot, lambda: (cols, np.concatenate((a, b)) != 0.0),
+                            lambda: space.row_terms(cols, a != 0.0, b != 0.0, order))
+        return space.multiply_rows(cols, a, b, order, terms)
 
     @cached_property
     def _gamma1_row(self) -> np.ndarray:
@@ -636,10 +643,8 @@ class CurvatureContext:
         Each sweep replays the chain its plan holds (`_sweep_chain`): one
         gather of S's rows at the product's codes (N's rows are taken there
         once a context, again only where those codes move); one
-        `JetSpace.multiply_listed` on the chain's term lists (the listing,
-        then `JetSpace.row_terms`' cut of it once the pattern comes back);
-        the ordered sum of t (t is the product itself where each of its rows
-        takes one product, in order), the h0-weighted one of S from the seed
+        `JetSpace.multiply_listed` on the chain's term lists (`_term_lists`);
+        the ordered sum of t over b, the h0-weighted one of S from the seed
         (`_sum_replay`), the cut of S's zero columns and the fixed-point
         test.  The inverse's plan is keyed by N's rows, columns and nonzero
         mask and h0's pattern, and keeps a slot per sweep, whose chain is
@@ -693,23 +698,13 @@ class CurvatureContext:
             right = np.concatenate((s.ravel(), _ZERO)).take(s_at)
             if not np.isfinite(right).all():
                 raise NonFiniteError("non-finite coefficients in the curvature jets")
-            # the first product of a pattern reads the listing; its term
-            # lists are made when it comes back
-            if not terms:
-                terms.append(None)
-            elif terms[0] is None:
-                terms[0] = space.row_terms(cols, left != 0.0, right != 0.0, order)
+            # the chain's key holds the operands' nonzero masks
+            kept = _term_lists(terms, "terms", tuple, lambda: space.row_terms(
+                cols, left != 0.0, right != 0.0, order))
             width = len(t_cols)
-            prods = space.multiply_listed(left, right, listing, width, terms[0])
-            # t sums the products over b; where each of its rows takes one
-            # product, in order (as on any diagonal metric), the sum would add
-            # each to +0.0 alone, which changes no bit: a product's bins start
-            # at +0.0 and never hold -0.0
-            if t_sum is None:
-                t = prods
-            else:
-                t = np.empty((n_t, width))
-                _sum_replay(t_sum, t_cols, t, lambda ts: (t_cols, prods[ts]))
+            prods = space.multiply_listed(left, right, listing, width, kept)
+            t = np.empty((n_t, width))
+            _sum_replay(t_sum, t_cols, t, lambda ts: (t_cols, prods[ts]))
             # S from the seed's rows (code 0 is in `cols`, so in `t_cols`:
             # h0 goes to column 0), then less h0 t: plus t (-h0), which is
             # -(h0 t) to the bit
