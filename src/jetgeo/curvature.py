@@ -372,7 +372,7 @@ def _plan(store: dict, slot, key: tuple, make):
 
 def _term_lists(store: dict, slot, key, make):
     """The term lists a product reads, kept in `store` at `slot` for the
-    operands' nonzero masks that `key()` gives (`_plan`): None, for the
+    patterns of its operands that `key()` gives (`_plan`): None, for the
     listing, the first time a pattern comes, so a pattern met once (a fresh
     spec, a special point) costs no more than that product, and `make()`'s
     lists (`JetSpace.row_terms`) when it comes back.  Where every block of
@@ -479,9 +479,9 @@ def _sweep_chain(space, order: int, keys: np.ndarray, s_cols: np.ndarray, src: n
     from N laid end to end with a zero last, that code set's listing and
     the codes it reaches, and the blocks of both ordered sums there
     (`_sum_plan`).  Then the gather of S's rows, as N's, and a store for
-    the products' term lists (`_term_lists`).  The keys only grow, and where they held at
-    `last`, the sweep before's chain, the terms are its, as are the columns
-    where the codes held too."""
+    the products' term lists (`_term_lists`).  The keys only grow, and
+    where they held at `last`, the sweep before's chain, the terms are its,
+    as are the columns where the codes held too."""
     if last is not None and len(last[0][0]) == len(last[0][1]):
         terms = last[0]
     else:
