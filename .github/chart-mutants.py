@@ -12,20 +12,24 @@ tests fail, `survived: <mutant>` when they pass and `error: <mutant>` when
 they do not run, and exits 1 unless every mutant is killed and every anchor
 occurs exactly once.
 
-M1 reads a moved index's canonical row without its sign, M2 adds the
-level step's Christoffel sum instead of subtracting it; the chart-change
-tests must kill both.  M2 survives every linear chart (there the sum
-carries over term by term), so the tests need their quadratic charts to
-kill it.  M4 keys a stage product's kept term lists by the product's
-columns alone, without the operands' nonzero masks, so a point whose zeros
-move within the same columns runs on another point's lists; the test of
-points whose zeros differ must kill it, on Γ² and the levels, the stages
-that read those lists.  M5, in the expression tapes, has a stacked product
-read its first operand twice; the family's metric tapes, checked against
-the reference arithmetic of one jet at a time, must kill it.  M6 keys a
-Neumann sweep's chain by S's columns alone, without S's nonzero mask, so a
-point whose inverse zeros move within the same columns replays another
-point's term lists; the same test's case of such a point must kill it.
+M1 reads a moved index's canonical row without its sign (the level steps
+fold the sign into their gather of the level's rows), M2 adds the level
+step's Christoffel sum instead of subtracting it; the chart-change tests
+must kill both.  M2 survives every linear chart (there the sum carries over
+term by term), so the tests need their quadratic charts to kill it.  M4
+keys a level step's chain by its operands' rows and columns alone, without
+their nonzero masks, so a point whose zeros move within the same columns
+runs on another point's term lists; the test of points whose zeros differ
+must kill it.  M5, in the expression tapes, has a stacked product read its
+first operand twice; the family's metric tapes, checked against the
+reference arithmetic of one jet at a time, must kill it.  M6 keys a Neumann
+sweep's chain by S's columns alone, without S's nonzero mask, so a point
+whose inverse zeros move within the same columns replays another point's
+term lists; the same test's case of such a point must kill it.  M7, M8 and
+M9 each drop one nonzero mask from a chain's key: the inverse's from Γ²'s,
+Γ²'s from level 0's and Γ²'s from the level steps'; the test of points
+whose zeros differ, or of a pattern that changes at a special point, must
+kill each.
 """
 import os
 import subprocess
@@ -35,21 +39,30 @@ from pathlib import Path
 
 CURVATURE = Path("src/jetgeo/curvature.py")
 CHARTS = ["tests/test_charts.py"]
+ZEROS = "tests/test_curvature.py::test_term_lists_follow_the_zeros_of_each_point"
 # name: (file, anchor, mutant, the tests that must kill it)
 MUTANTS = {
     "M1, no sign on the moved index": (
-        CURVATURE, "right[rep[ts]] * sign[ts, None]", "right[rep[ts]]", CHARTS),
+        CURVATURE, "rep + (sign < 0) * n", "rep", CHARTS),
     "M2, the Christoffel sum added": (
-        CURVATURE, "sign[ts, None], ord_out), -1)", "sign[ts, None], ord_out), 1)", CHARTS),
-    "M4, term lists keyed by the columns alone": (
-        CURVATURE, "(cols, np.concatenate((a, b)) != 0.0)", "(cols,)",
-        ["tests/test_curvature.py::test_term_lists_follow_the_zeros_of_each_point"]),
+        CURVATURE, "src.take(right[ts]))), -1)", "src.take(right[ts]))), 1)", CHARTS),
+    "M4, a level step's chain keyed without its operands' masks": (
+        CURVATURE, "key = (prev.index, prev.cols, prev.live, g2.index, g2.cols, g2.live)",
+        "key = (prev.index, prev.cols, g2.index, g2.cols)", [ZEROS]),
     "M5, a stacked tape product reads its first operand twice": (
         Path("src/jetgeo/expr.py"), "w[1, i, at_b] = regs[rb]", "w[1, i, at_b] = regs[ra]",
         ["tests/test_reference_loops.py::test_family_metric_tapes_match_jet_fold"]),
     "M6, a sweep chain keyed by S's columns alone": (
-        CURVATURE, '"chain", (s_cols, s_live), lambda', '"chain", (s_cols,), lambda',
-        ["tests/test_curvature.py::test_term_lists_follow_the_zeros_of_each_point"]),
+        CURVATURE, '"chain", (s_cols, s_live), lambda', '"chain", (s_cols,), lambda', [ZEROS]),
+    "M7, Γ²'s chain keyed without the inverse's mask": (
+        CURVATURE, "(ginv.index, ginv.cols, ginv.live, g1.index", "(ginv.index, ginv.cols, g1.index",
+        [ZEROS]),
+    "M8, level 0's chain keyed without Γ²'s mask": (
+        CURVATURE, "key = (g2.index, g2.cols, g2.live, g.index", "key = (g2.index, g2.cols, g.index",
+        ["tests/test_plans.py::test_a_pattern_change_plans_afresh"]),
+    "M9, a level step's chain keyed without Γ²'s mask": (
+        CURVATURE, "prev.live, g2.index, g2.cols, g2.live)", "prev.live, g2.index, g2.cols)",
+        [ZEROS]),
 }
 
 

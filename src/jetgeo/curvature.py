@@ -260,7 +260,8 @@ def _digit_weights(dim: int, r: int) -> np.ndarray:
 class _Jets(Mapping):
     """Jets of truncation order `order` by index tuple, zero rows left out:
     row r of `index` is a key, and row r of `vals` its jet's coefficients at
-    `cols`, the ascending codes of `space` where some row is nonzero.  A
+    `cols`, the ascending codes of `space` where some row is nonzero, and
+    `live` the nonzero mask of `vals`, which the plans' keys read.  A
     non-finite coefficient raises NonFiniteError.  A key's jet, made when
     read, occupies `cols`, as codes of its own order."""
 
@@ -270,10 +271,11 @@ class _Jets(Mapping):
         live = vals != 0.0
         keep, used = live.any(axis=1), live.any(axis=0)
         if not keep.all():
-            index, vals = index[keep], vals[keep]
+            index, vals, live = index[keep], vals[keep], live[keep]
         if not used.all():
-            cols, vals = cols[used], vals[:, used]
-        self.index, self.cols, self.vals, self.space, self.order = index, cols, vals, space, order
+            cols, vals, live = cols[used], vals[:, used], live[:, used]
+        self.index, self.cols, self.vals, self.live = index, cols, vals, live
+        self.space, self.order = space, order
 
     @cached_property
     def _row(self) -> dict[tuple[int, ...], int]:
@@ -302,18 +304,10 @@ class _Jets(Mapping):
         n = self.cols.searchsorted(self.space.stop(order))
         return self.cols[:n], self.vals[:, :n]
 
-    @cached_property
-    def _shifts(self):
-        # `deriv_cols` at `cols`, kept on that code set, and `vals` with a
-        # zero column last, which its position len(cols) picks
-        codes, pos, fac = self.space.deriv_cols(self.cols)
-        return codes, pos, fac, np.column_stack((self.vals, np.zeros(len(self.vals))))
-
-    def derivs(self, rows: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The codes where a derivative can be nonzero, and there row rows[n]
-        differentiated by variable var[n] (`JetSpace.deriv_cols`), 0 where it is -1."""
-        codes, pos, fac, padded = self._shifts
-        return codes, padded[rows[:, None], pos[var]] * fac[var]
+    def flat(self, *more: np.ndarray) -> np.ndarray:
+        """`vals` laid end to end, then each of `more` so, and a zero last:
+        the source the chains' gathers read (`_gather`)."""
+        return np.concatenate((self.vals.ravel(), *(m.ravel() for m in more), _ZERO))
 
 
 def _widen(cols: np.ndarray, vals: np.ndarray, to: np.ndarray) -> np.ndarray:
@@ -450,17 +444,64 @@ def _ordered_sum(cols: np.ndarray, acc: np.ndarray, row: np.ndarray, terms, sign
     _sum_replay(_sum_plan(row, len(acc), len(cols), started), cols, acc, terms, sign)
 
 
+def _find(own: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The position in the ascending codes `own` of each of `codes`, or
+    len(own) where it is not there."""
+    if not len(own):
+        return np.zeros(len(codes), dtype=np.intp)
+    at = own.searchsorted(codes)
+    at[own.take(at, mode="clip") != codes] = len(own)
+    return at
+
+
+def _positions(at: np.ndarray, rows: np.ndarray, width: int, zero: int, start: int = 0):
+    """Positions in a source of the rows `rows` of a matrix `width` wide,
+    laid end to end there from `start`, at the columns `at` (a column per
+    row, or one row of columns for all), and `zero`, the place of a zero in
+    the source, where a column is `width`: int32, as the plans keep them,
+    while the source fits it."""
+    out = np.where(at == width, zero, (rows * width + start)[:, None] + at)
+    return out.astype(np.int32 if zero < 2 ** 31 else np.intp)
+
+
+def _gather(cols: np.ndarray, own: np.ndarray, rows: np.ndarray, zero: int,
+            start: int = 0) -> np.ndarray:
+    """The positions that put rows `rows` of a matrix at the ascending codes
+    `own`, laid end to end from `start` in a source, at the ascending codes
+    `cols`: a (len(rows), len(cols)) gather, `zero`, the place of a zero in
+    the source, where a code of `cols` is not in `own`.  Codes of `own` not
+    in `cols` are left out, so a gather at a prefix truncates."""
+    return _positions(_find(own, cols), rows, len(own), zero, start)
+
+
+def _shift_gather(space, cols: np.ndarray, own: np.ndarray, rows: np.ndarray, var: np.ndarray,
+                  zero: int) -> tuple[np.ndarray, np.ndarray]:
+    """The gather (as `_gather`'s) and the factor row that put at the
+    ascending codes `cols` rows `rows` of a matrix at the codes `own`, row
+    n differentiated by variable var[n] (`JetSpace.deriv_cols`; -1 for
+    none): the gathered coefficient of m + e_v times the factor, m_v, is
+    the derivative's at m, and 0.0 times 0.0 where m has no term."""
+    codes, pos, fac = space.deriv_cols(own)
+    at = _find(codes, cols)
+    # a last column for the codes of `cols` that no shift reaches
+    pos = np.concatenate((pos, np.full((len(pos), 1), len(own))), axis=1)[var][:, at]
+    fac = np.concatenate((fac, np.zeros((len(fac), 1))), axis=1)[var][:, at]
+    return _positions(pos, rows, len(own), zero), fac
+
+
+def _product(space, listed: tuple, store: dict, slot, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`JetSpace.multiply_listed` of the gathered operands a and b on the
+    listing `listed` = (codes, order, listing, width) keeps, with the term
+    lists kept in `store` at `slot` (`_term_lists`); the chain's key holds
+    the nonzero masks of the matrices a and b are gathered from, so the
+    slot needs none."""
+    cols, order, listing, width = listed
+    kept = _term_lists(store, slot, tuple, lambda: space.row_terms(
+        cols, a != 0.0, b != 0.0, order))
+    return space.multiply_listed(a, b, listing, width, kept)
+
+
 _ZERO = np.zeros(1)
-
-
-def _gather(cols: np.ndarray, own: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
-    """The positions that put rows `rows` of an (n, len(own)) matrix at the
-    ascending codes `own`, laid end to end with a zero last, at the codes
-    `cols`, a superset: a (len(rows), len(cols)) gather, the zero where a
-    code of `cols` is not in `own`; int32, as the plan keeps it."""
-    col = np.full(len(cols), -1)
-    col[cols.searchsorted(own)] = np.arange(len(own))
-    return np.where(col >= 0, rows[:, None] * len(own) + col, n * len(own)).astype(np.int32)
 
 
 def _sweep_chain(space, order: int, keys: np.ndarray, s_cols: np.ndarray, src: np.ndarray,
@@ -504,9 +545,9 @@ def _sweep_chain(space, order: int, keys: np.ndarray, s_cols: np.ndarray, src: n
         joint = last[1]
     else:
         listing, t_cols = space.listed(cols, order)
-        joint = (cols, _gather(cols, g_cols, left, n_nil), listing, t_cols,
+        joint = (cols, _gather(cols, g_cols, left, n_nil * len(g_cols)), listing, t_cols,
                  _sum_plan(t_row, n_t, len(t_cols)), _sum_plan(s_row, len(new), len(t_cols)))
-    return terms, joint, _gather(cols, s_cols, right, len(keys)), {}
+    return terms, joint, _gather(cols, s_cols, right, len(keys) * len(s_cols)), {}
 
 
 class CurvatureContext:
@@ -561,16 +602,6 @@ class CurvatureContext:
         """The plan of `stage` for the patterns `key`: the spec's, in its
         slot (max_deriv, stage), if made for them, else `make()` (`_plan`)."""
         return _plan(self.spec.plans, (self.max_deriv, stage), key, make)
-
-    def _rows_product(self, store: dict, slot, cols: np.ndarray, a: np.ndarray, b: np.ndarray,
-                      order: int):
-        """`multiply_rows` of a and b at the codes `cols` on the term lists
-        kept in `store` at `slot` for their columns and nonzero masks
-        (`_term_lists`)."""
-        space = self._space
-        terms = _term_lists(store, slot, lambda: (cols, np.concatenate((a, b)) != 0.0),
-                            lambda: space.row_terms(cols, a != 0.0, b != 0.0, order))
-        return space.multiply_rows(cols, a, b, order, terms)
 
     @cached_property
     def _gamma1_row(self) -> np.ndarray:
@@ -674,8 +705,9 @@ class CurvatureContext:
                  for pair in dict.fromkeys([(i, j), (j, i)])], dtype=np.intp).reshape(-1, 3).T
             return src, nil_a, nil_b, np.flatnonzero(pattern), []
 
+        # the metric jets' rows, columns and mask decide N's
         src, nil_a, nil_b, base, sweeps = self._planned(
-            "inverse", (self._g_rows.index, live, pattern, g_cols, nil != 0.0), plan)
+            "inverse", (self._g_rows.index, self._g_rows.cols, self._g_rows.live, pattern), plan)
         # N laid end to end with a zero last, as the chains' gathers read it
         n_nil, nil = len(nil), np.concatenate((nil.ravel(), _ZERO))
         # S as rows keyed a * m + b; it starts from h0, at code 0
@@ -693,16 +725,10 @@ class CurvatureContext:
              (cols, n_at, listing, t_cols, t_sum, s_sum), s_at, terms) = chain
             if n_at is not left_at:  # N's operand, taken again only where the columns moved
                 left_at, left = n_at, nil.take(n_at)
-            # S's operand, checked as `multiply_rows` checks its operands (N's
-            # are the metric jets', which `_Jets` checked)
+            # a non-finite S stays so to the last sweep, whose `_Jets` raises
             right = np.concatenate((s.ravel(), _ZERO)).take(s_at)
-            if not np.isfinite(right).all():
-                raise NonFiniteError("non-finite coefficients in the curvature jets")
-            # the chain's key holds the operands' nonzero masks
-            kept = _term_lists(terms, "terms", tuple, lambda: space.row_terms(
-                cols, left != 0.0, right != 0.0, order))
             width = len(t_cols)
-            prods = space.multiply_listed(left, right, listing, width, kept)
+            prods = _product(space, (cols, order, listing, width), terms, "terms", left, right)
             t = np.empty((n_t, width))
             _sum_replay(t_sum, t_cols, t, lambda ts: (t_cols, prods[ts]))
             # S from the seed's rows (code 0 is in `cols`, so in `t_cols`:
@@ -728,8 +754,10 @@ class CurvatureContext:
         return _Jets(index, s_cols, s, space, order)
 
     def _christoffel_first(self) -> _Jets:
-        """Gamma_abc as the sums of `christoffel_terms`, in their order."""
-        g_rows = self._g_rows
+        """Gamma_abc as the sums of `christoffel_terms`, in their order: per
+        term h d_v g_ij, one gather of g_ij's row at the shifts of v times
+        their factors (`_shift_gather`), then times h."""
+        g_rows, space = self._g_rows, self._space
 
         def plan():
             terms = [(key, self._g_row[pair], self._act_pos[v], h)
@@ -740,18 +768,22 @@ class CurvatureContext:
             keys = _distinct(codes)
             g, var = np.array([t[1:3] for t in terms], dtype=np.intp).reshape(-1, 2).T
             h = np.array([t[3] for t in terms])
-            return (_decode(keys, self.dim, 3), g, var, h,
-                    _sum_plan(keys.searchsorted(codes), len(keys), len(g_rows._shifts[0])))
+            cols = space.deriv_cols(g_rows.cols)[0]
+            return (_decode(keys, self.dim, 3), cols,
+                    *_shift_gather(space, cols, g_rows.cols, g, var, g_rows.vals.size), h[:, None],
+                    _sum_plan(keys.searchsorted(codes), len(keys), len(cols)))
 
-        index, g, var, h, blocks = self._planned("gamma1", (g_rows.index, g_rows.cols), plan)
-        cols = g_rows._shifts[0]
+        index, cols, at, fac, h, blocks = self._planned(
+            "gamma1", (g_rows.index, g_rows.cols), plan)
+        src = g_rows.flat()
         acc = np.empty((len(index), len(cols)))
-        _sum_replay(blocks, cols, acc, lambda ts: (
-            cols, g_rows.derivs(g[ts], var[ts])[1] * h[ts, None]))
-        return _Jets(index, cols, acc, self._space, self.order - 1)
+        _sum_replay(blocks, cols, acc, lambda ts: (cols, src.take(at[ts]) * fac[ts] * h[ts]))
+        return _Jets(index, cols, acc, space, self.order - 1)
 
     def _christoffel_second(self) -> _Jets:
-        """Gamma_ab^c = sum over d ascending of ginv^cd Gamma_abd."""
+        """Gamma_ab^c = sum over d ascending of ginv^cd Gamma_abd: per block
+        of the ordered sum, one gather of each factor's rows at the
+        product's codes and one product (`_product`)."""
         g1, ginv = self._gamma1, self._ginv
         space, order = self._space, self.order - 1
 
@@ -763,16 +795,18 @@ class CurvatureContext:
             codes = np.column_stack((g1.index[at, :2], ginv.index[h, 0])) @ weights
             keys = _distinct(codes)
             cols = _union(ginv.cols, g1.cols)
-            out = space.product_cols(cols, order)
-            return (_decode(keys, self.dim, 3), at, h, cols, out,
+            listing, out = space.listed(cols, order)
+            return (_decode(keys, self.dim, 3), out, (cols, order, listing, len(out)),
+                    _gather(cols, ginv.cols, h, ginv.vals.size),
+                    _gather(cols, g1.cols, at, g1.vals.size),
                     _sum_plan(keys.searchsorted(codes), len(keys), len(out)), {})
 
-        index, at, h, cols, out, blocks, terms = self._planned(
-            "gamma2", (ginv.index, ginv.cols, g1.index, g1.cols), plan)
-        left, right = _widen(ginv.cols, ginv.vals, cols), _widen(g1.cols, g1.vals, cols)
+        index, out, listed, left, right, blocks, terms = self._planned(
+            "gamma2", (ginv.index, ginv.cols, ginv.live, g1.index, g1.cols, g1.live), plan)
+        a, b = ginv.flat(), g1.flat()
         acc = np.empty((len(index), len(out)))
-        _sum_replay(blocks, out, acc, lambda ts: self._rows_product(
-            terms, ts.start, cols, left[h[ts]], right[at[ts]], order))
+        _sum_replay(blocks, out, acc, lambda ts: (out, _product(
+            space, listed, terms, ts.start, a.take(left[ts]), b.take(right[ts]))))
         return _Jets(index, out, acc, space, order)
 
     # ------------------------------------------------------------ curvature
@@ -796,32 +830,38 @@ class CurvatureContext:
         candidates (`_riemann_candidates`), zeros left out, by blocks
         (`_riemann_block`) of candidates and their swaps (j, i, k, l)."""
         order = self.order - 2
-        # the factors of the edge products at their joint columns: d_i
-        # Gamma_jk^m or Gamma_jk^m on the left, g_ml or Gamma_iml on the right
-        mats = (self._gamma2, self._g_rows, self._gamma1)
-        key = tuple(a for jets in mats for a in (jets.index, jets.cols))
-        cut = [jets.cut(order) for jets in mats]
+        # the factors of the edge products: d_i Gamma_jk^m or Gamma_jk^m on
+        # the left, g_ml or Gamma_iml on the right
+        mats = g2, g, g1 = self._gamma2, self._g_rows, self._gamma1
+        key = (g2.index, g2.cols, g2.live, g.index, g.cols, g.live, g1.index, g1.cols, g1.live)
 
         def plan():
             rows = self._riemann_candidates() if idx is None else idx
-            cols = _union(*(c for c, _ in cut), self._gamma2._shifts[0])
-            out = self._space.product_cols(cols, order)
+            cols = _union(*(jets.cut(order)[0] for jets in mats),
+                          self._space.deriv_cols(g2.cols)[0])
+            listing, out = self._space.listed(cols, order)
             step = max(1, SPARSE_PAIR_COST ** 2 // max(1, len(out)))
-            return rows, cols, out, [self._riemann_block_plan(rows[c0:c0 + step], len(out))
-                                     for c0 in range(0, len(rows), step)], {}
+            return rows, out, (cols, order, listing, len(out)), [
+                self._riemann_block_plan(rows[c0:c0 + step], cols, len(out))
+                for c0 in range(0, len(rows), step)], {}
 
-        rows, cols, out, blocks, _ = self._planned(
+        rows, out, listed, blocks, _ = self._planned(
             ("level", 0), key + (() if idx is None else (idx,)), plan)
-        factors = [_widen(c, v, cols) for c, v in cut]
+        # Gamma_jk^m's rows, then g's and Gamma_iml's, as the gathers read them
+        srcs = g2.flat(), g.flat(g1.vals)
         coefs = [np.zeros((0, len(out)))] + [
-            self._riemann_block(block, order, cols, factors, out) for block in blocks]
+            self._riemann_block(block, out, listed, srcs) for block in blocks]
         return _Jets(rows, out, np.concatenate(coefs), self._space, order)
 
-    def _riemann_block_plan(self, rows: np.ndarray, width: int) -> tuple:
+    def _riemann_block_plan(self, rows: np.ndarray, cols: np.ndarray, width: int) -> tuple:
         """The terms of `_riemann_block` at the candidates `rows` and their
         swaps (j, i, k, l), with the ordered sums' blocks at `width` columns:
         per hook m of (j, k), ascending, a derivative term where i is active
-        and g_ml can be nonzero, then a product term where Gamma_iml can."""
+        and g_ml can be nonzero, then a product term where Gamma_iml can;
+        and the factors' gathers at the edge products' codes `cols`: d_i
+        Gamma_jk^m by its shifts and factors (`_shift_gather`), Gamma_jk^m
+        with the factor 1.0, and g_ml or Gamma_iml from the two laid end to
+        end."""
         i, j, k, l = np.stack((rows, rows[:, [1, 0, 2, 3]])).reshape(-1, 4).T
         fwd_start, fwd_len = self._hooks[:2]
         at, hook = _expand(fwd_start[j * self.dim + k], fwd_len[j * self.dim + k])
@@ -831,37 +871,37 @@ class CurvatureContext:
                           self._gamma1_row[i, m_, l]), axis=1).ravel()
         t = (right >= 0).nonzero()[0]
         deriv, right, at, hook = t % 2 == 0, right[t], at[t // 2], hook[t // 2]
-        var = np.where(deriv, self._act_pos[i[t // 2]], -1)
         live = np.bincount(at, minlength=len(j)) > 0
         row_of = np.where(live, live.cumsum() - 1, -1)
         n = int(live.sum())
         a, b = row_of.reshape(2, -1)
         minus = (b >= 0).nonzero()[0]
-        return (rows, deriv, hook, right, var, n, _sum_plan(row_of[at], n, width), a,
-                b[minus], _sum_plan(minus, len(a), width, a >= 0), {})
+        g2, g, g1 = self._gamma2, self._g_rows, self._gamma1
+        zero = g.vals.size + g1.vals.size
+        left, fac = _shift_gather(self._space, cols, g2.cols, hook,
+                                  np.where(deriv, self._act_pos[i[t // 2]], -1), g2.vals.size)
+        left[~deriv] = _gather(cols, g2.cols, hook[~deriv], g2.vals.size)
+        fac[~deriv] = 1.0
+        other = _gather(cols, g.cols, right, zero)
+        other[~deriv] = _gather(cols, g1.cols, right[~deriv], zero, g.vals.size)
+        return (rows, left, fac, other, n, _sum_plan(row_of[at], n, width), a, b[minus],
+                _sum_plan(minus, len(a), width, a >= 0), {})
 
-    def _riemann_block(self, plan: tuple, order: int, cols, factors, out):
+    def _riemann_block(self, plan: tuple, out: np.ndarray, listed: tuple,
+                       srcs: tuple) -> np.ndarray:
         """R(i, j, k, l) = edge(i, j, k, l) - edge(j, i, k, l) at the block
         whose plan is `plan` (`_riemann_block_plan`): the candidates' jets at
-        the codes `out`, zero rows kept.  An edge sums over the hooks m of
-        (j, k), ascending, (d_i Gamma_jk^m) g_ml and then Gamma_jk^m
-        Gamma_iml.  `factors` holds Gamma_jk^m, g_ml and Gamma_iml at
-        `cols`, the joint columns of the edge products, which are truncated
-        at `order`."""
-        rows, deriv, hook, right, var, n, edge_sum, a, b, minus_sum, terms = plan
-        g2, g, g1 = factors
-
-        def products(ts):
-            d, h, r = deriv[ts], hook[ts], right[ts]
-            left = _widen(*self._gamma2.derivs(h, var[ts]), cols)
-            left[~d] = g2[h[~d]]
-            other = np.empty_like(left)
-            other[d] = g[r[d]]
-            other[~d] = g1[r[~d]]
-            return self._rows_product(terms, ts.start, cols, left, other, order)
-
+        the codes `out` that the listing `listed` reaches, zero rows kept.
+        An edge sums over the hooks m of (j, k), ascending, (d_i Gamma_jk^m)
+        g_ml and then Gamma_jk^m Gamma_iml: per block of the sum, one gather
+        of each factor from `srcs`, one multiply by the left's factor row and
+        one product (`_product`)."""
+        rows, left, fac, other, n, edge_sum, a, b, minus_sum, terms = plan
+        (lsrc, rsrc), space = srcs, self._space
         edge = np.empty((n, len(out)))
-        _sum_replay(edge_sum, out, edge, products)
+        _sum_replay(edge_sum, out, edge, lambda ts: (out, _product(
+            space, listed, terms, ts.start, lsrc.take(left[ts]) * fac[ts],
+            rsrc.take(other[ts]))))
         acc = np.zeros((len(rows), len(out)))
         acc[a >= 0] = edge[a[a >= 0]]
         _sum_replay(minus_sum, out, acc, lambda ts: (out, edge[b[ts]]), -1)
@@ -893,34 +933,41 @@ class CurvatureContext:
         index tuples, rows of `idx`, by default the candidates
         (`_nabla_candidates`), zeros left out: (nabla T)(i; m) = d_m T(i)
         - sum_s Gamma_{m i_s}^a T(i, a at s), all at once: the derivatives by
-        column shifts, then the Christoffel products subtracted in the order of
-        the sum (`_ordered_sum`).  T(i, a at s) is read at its canonical row
-        times its sign, and a term whose sign is 0 is left out (`_nabla_plan`)."""
+        one gather of shifts times a factor row, then the Christoffel
+        products subtracted in the order of the sum (`_sum_replay`), per
+        block one gather of each factor and one product (`_product`).
+        T(i, a at s) is read at its canonical row times its sign, folded into
+        the gather, and a term whose sign is 0 is left out (`_nabla_plan`)."""
         space = self._space
         if not prev:
             rows = np.zeros((0, prev.index.shape[1] + 1), dtype=np.intp) if idx is None else idx[:0]
             return _Jets(rows, np.zeros(0, dtype=np.intp), np.zeros((0, 0)), space, ord_out)
         g2 = self._gamma2
-        key = (prev.index, prev.cols, prev.vals != 0.0, g2.index, g2.cols)
-        rows, tj, var, cols, out, hook, rep, sign, blocks, terms = self._planned(
+        key = (prev.index, prev.cols, prev.live, g2.index, g2.cols, g2.live)
+        rows, out, start, fac, chain, terms = self._planned(
             ("level", self.order - 2 - ord_out), key + (() if idx is None else (idx,)),
             lambda: self._nabla_plan(prev, idx, ord_out))
-        d_cols, acc = prev.derivs(tj, var)
-        if len(hook):
-            left, right = _widen(*g2.cut(ord_out), cols), _widen(*prev.cut(ord_out), cols)
-            acc = _widen(d_cols, acc, out)
-            _sum_replay(blocks, out, acc, lambda ts: self._rows_product(
-                terms, ts.start, cols, left[hook[ts]],
-                right[rep[ts]] * sign[ts, None], ord_out), -1)
+        # prev's rows laid end to end, then their negatives, which the
+        # Christoffel terms of sign -1 read
+        src = prev.flat(-prev.vals)
+        acc = src.take(start) * fac
+        if chain is not None:
+            listed, p_out, left, right, blocks = chain
+            g2s = g2.flat()
+            _sum_replay(blocks, out, acc, lambda ts: (p_out, _product(
+                space, listed, terms, ts.start, g2s.take(left[ts]), src.take(right[ts]))), -1)
         return _Jets(rows, out, acc, space, ord_out)
 
     def _nabla_plan(self, prev: _Jets, idx: np.ndarray | None, ord_out: int) -> tuple:
         """The rows and terms of `_nabla_jets`, from the patterns alone: the
         rows of `idx` (or the candidates) with a Christoffel term or a
-        derivative that is not identically zero, the row of prev each
-        differentiates and by which variable (-1 for none), the products'
-        columns and those of the sum, its terms as (hook, row of prev, sign)
-        and the ordered sum's blocks."""
+        derivative that is not identically zero, the codes of the sum, the
+        gather and factor row of each row's derivative there
+        (`_shift_gather`); and where there are Christoffel terms, (hook, row
+        of prev, sign) in the order of the sum, the product's listing and
+        codes, the gathers of the hooks' rows of Gamma^2 and of prev's rows
+        at the product's codes, a row of sign -1 read among prev's
+        negatives, and the ordered sum's blocks."""
         if idx is None:
             idx = self._nabla_candidates(prev.index)
         r = prev.index.shape[1]
@@ -947,23 +994,32 @@ class CurvatureContext:
         moved, sign = _canonical(moved)
         rep = np.where(sign != 0, find(moved @ weights), -1)
         t = (rep >= 0).nonzero()[0]
-        # narrow: the plan keeps them (a sign times a float64 row is float64)
-        comp, hook, rep = comp[t], hook[t].astype(np.int32), rep[t].astype(np.int32)
-        sign = sign[t].astype(np.int8)
+        comp, hook, rep, sign = comp[t], hook[t], rep[t], sign[t]
 
         # rows to evaluate: those with a Christoffel term or a derivative
         # that is not identically zero.  Row t of prev depends on variable v
         # where its v-derivative has a nonzero coefficient: where a place
         # that the shift of v picks holds one
+        space, g2 = self._space, self._gamma2
+        d_cols, pos, _ = space.deriv_cols(prev.cols)
         live = np.bincount(comp, minlength=len(idx)) > 0
-        d_cols, pos, _, padded = prev._shifts
-        depends = (padded != 0)[:, pos[:-1]].any(axis=2)
-        live[has_d] |= depends[tj[has_d], var[has_d]]
+        depends = np.column_stack((prev.live, np.zeros(len(prev), dtype=bool)))[:, pos[:-1]]
+        live[has_d] |= depends.any(axis=2)[tj[has_d], var[has_d]]
         rows = live.nonzero()[0]
-        cols = _union(self._gamma2.cut(ord_out)[0], prev.cut(ord_out)[0])
-        out = _union(d_cols, self._space.product_cols(cols, ord_out)) if len(comp) else d_cols
-        return (idx[rows], tj[rows], np.where(has_d[rows], var[rows], -1), cols, out, hook, rep,
-                sign, _sum_plan((live.cumsum() - 1)[comp], len(rows), len(out), has_d[rows]), {})
+        # prev and its negatives laid end to end, with a zero last
+        n, zero = len(prev), 2 * prev.vals.size
+        chain, out = None, d_cols
+        if len(comp):
+            cols = _union(g2.cut(ord_out)[0], prev.cut(ord_out)[0])
+            listing, p_out = space.listed(cols, ord_out)
+            out = _union(d_cols, p_out)
+            chain = ((cols, ord_out, listing, len(p_out)), p_out,
+                     _gather(cols, g2.cols, hook, g2.vals.size),
+                     _gather(cols, prev.cols, rep + (sign < 0) * n, zero),
+                     _sum_plan((live.cumsum() - 1)[comp], len(rows), len(out), has_d[rows]))
+        return (idx[rows], out, *_shift_gather(space, out, prev.cols, tj[rows],
+                                               np.where(has_d[rows], var[rows], -1), zero),
+                chain, {})
 
     def _check_level(self, k: int) -> None:
         if k < 0:

@@ -259,17 +259,17 @@ def test_level_steps_take_no_per_component_products(monkeypatch):
     u = "(0.31*x^2 - 0.12*x*y + 0.07*y^2 + 0.22*x - 0.18*y)"
     conformal = f"exp(2.0*{u})"
     spec = metric_from_strings(("x", "y"), {(0, 0): conformal, (1, 1): conformal}, (0, 2))
-    calls = {"multiply": 0, "rows": 0}
+    calls = {"multiply": 0, "listed": 0}
     inside_eval = [False]
 
-    def counted(owner, attr, key):
+    def counted(owner, attr, key, wrap=lambda f: f):
         orig = getattr(owner, attr)
 
         def wrapper(*args):
             calls[key] += not inside_eval[0]
             return orig(*args)
 
-        monkeypatch.setattr(owner, attr, wrapper)
+        monkeypatch.setattr(owner, attr, wrap(wrapper))
 
     def eval_jet(*args):
         inside_eval[0] = True
@@ -281,15 +281,16 @@ def test_level_steps_take_no_per_component_products(monkeypatch):
     orig_eval_jet = ex.eval_jet
     monkeypatch.setattr(ex, "eval_jet", eval_jet)
     counted(JetSpace, "multiply", "multiply")
-    counted(JetSpace, "multiply_rows", "rows")
+    counted(JetSpace, "multiply_listed", "listed", lambda f: staticmethod(f))
     ctx = CurvatureContext(spec, (0.2, -0.35), 6)
     assert ctx._level(0)
-    assert calls["multiply"] == 0 and calls["rows"] > 0
-    # levels k >= 1: one batched call a level
-    calls["rows"] = 0
+    assert calls["multiply"] == 0 and calls["listed"] > 0
+    # levels k >= 1: one product a block of each level's ordered sum
     for k in range(1, 7):
+        calls["listed"] = 0
         assert ctx._level(k)
-    assert calls == {"multiply": 0, "rows": 6}
+        chain = spec.plans[(6, ("level", k))][1][4]
+        assert calls == {"multiply": 0, "listed": len(chain[-1])} and len(chain[-1]) == 1
 
 
 def test_neumann_sweeps_take_one_product_each(monkeypatch):
@@ -346,6 +347,40 @@ def test_a_replayed_inverse_runs_its_chains_alone(monkeypatch):
             ginv = ctx._neumann_inverse()
         assert calls == []
         assert ginv.vals.tobytes() == ctx._ginv.vals.tobytes()
+
+
+def test_a_replayed_context_runs_its_chains_alone(monkeypatch):
+    # a third context of one spec and point replays the chains of every
+    # stage product and the term lists the second made: its Christoffel
+    # symbols, level 0 and the level steps make no ordered-sum blocks, no
+    # term lists and no listing lookup, and take no `multiply_rows`; its
+    # jets are a fresh spec's
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    family = FamilyParams(2, ex.parse("exp(y) + exp(2*y)", ("y",)))
+    cases = [(two_sphere, (0.8, 0.3), 6),
+             (lambda: metric_from_strings(("x", "y", "z"), {
+                 (0, 0): "1 + x^2", (0, 1): "0.3*y", (1, 1): "2 + z*x", (2, 2): "exp(y)"}, (0, 3)),
+              (0.1, 0.2, 0.3), 3),
+             (lambda: build_metric(family), base_point(family, 0.3, [0.5, 0.3, 0.1]), 5)]
+    for make, pt, k in cases:
+        spec = make()
+        for _ in range(2):
+            _stage_bits(CurvatureContext(spec, pt, k), k)
+        ctx = CurvatureContext(spec, pt, k)
+        with monkeypatch.context() as patch:
+            for owner, name in ((curvature, "_sum_plan"), (JetSpace, "row_terms"),
+                                (JetSpace, "listed"), (JetSpace, "multiply_rows")):
+                patch.setattr(owner, name, counted(name, getattr(owner, name)))
+            with np.errstate(all="ignore"):
+                ctx._gamma1 = ctx._christoffel_first()
+                ctx._gamma2 = ctx._christoffel_second()
+            got = _stage_bits(ctx, k)
+        assert calls == []
+        assert got == _stage_bits(CurvatureContext(make(), pt, k), k)
 
 
 def _family_p5():
@@ -470,7 +505,7 @@ def test_a_second_identical_context_builds_no_listing(monkeypatch):
     for _ in range(2):
         ctx = CurvatureContext(spec, pt, 5)
         views.append([ctx.curvature(k).values.tobytes() for k in range(6)])
-        shifts.append([ctx._level(k)._shifts[1] for k in range(5)])
+        shifts.append([ctx._space.deriv_cols(ctx._level(k).cols)[1] for k in range(5)])
         counts.append(len(listed))
         listed.clear()
     assert counts[0] > 0 and counts[1] == 0 and views[0] == views[1]
@@ -504,6 +539,11 @@ def _zero_moving_cases():
     yield ("inverse zeros at x = 0", lambda: metric_from_strings(
         ("x", "y", "z"), {(0, 0): "1 + x + x^2", (1, 1): "1 + y", (2, 2): "1 + x"}, (0, 3)),
            (0.0, 0.2, 0.0), (0.3, 0.2, 0.0), 6)
+    # at y = 0 the Christoffel symbols' jets have exact zeros (1/(1 + y^2) is
+    # even there); level 2 has the same rows, columns and zeros at both
+    # points, so only Gamma^2's mask tells level 3's term lists apart
+    yield ("Christoffel zeros at y = 0", lambda: metric_from_strings(
+        ("x", "y"), {(0, 0): "1 + y^2", (1, 1): "exp(y)"}, (0, 2)), (0.0, 0.0), (1.0, -1.0), 3)
 
 
 ZERO_MOVING = list(_zero_moving_cases())
@@ -636,6 +676,37 @@ def test_non_finite_inverse_raises_in_its_sweeps():
     got = CurvatureContext(kept, (0.0, 0.1), 4)._ginv
     assert [got.index.tobytes(), got.cols.tobytes(), got.vals.tobytes()] == \
         [want.index.tobytes(), want.cols.tobytes(), want.vals.tobytes()]
+
+
+@pytest.mark.parametrize("y,level", [(706.0, 0), (700.0, 4)])
+def test_non_finite_levels_raise_from_finite_jets(y, level):
+    # g_yy = 1 + exp(y) x^10 at x = 0, max_deriv 8: the metric, inverse and
+    # Christoffel jets are finite (exp(706) is 4.5e306), and each covariant
+    # derivative multiplies the top coefficient by up to 10, so level 0
+    # passes the largest float at y = 706 and level 4 at y = 700.  The
+    # operands of the chains are never checked: the level's `_Jets` raises,
+    # at a fresh spec and on chains planned and replayed at y = 0.1, which
+    # then still give a fresh spec's levels there
+    def spec():
+        return metric_from_strings(("x", "y"), {(0, 0): "1.0", (1, 1): "1 + exp(y)*x^10"},
+                                   (0, 2))
+
+    def raises(spec):
+        ctx = CurvatureContext(spec, (0.0, y), 8)
+        for k in range(level):
+            ctx._level(k)
+        with pytest.raises(NonFiniteError) as err:
+            ctx._level(level)
+        assert str(err.value) == "non-finite coefficients in the curvature jets"
+
+    raises(spec())
+    kept = spec()
+    for _ in range(3):
+        CurvatureContext(kept, (0.0, 0.1), 8)._level(8)
+    raises(kept)
+    raises(kept)
+    want = CurvatureContext(spec(), (0.0, 0.1), 8)
+    assert _stage_bits(CurvatureContext(kept, (0.0, 0.1), 8), 8) == _stage_bits(want, 8)
 
 
 def test_stacked_skew_operator_raises_for_a_degenerate_plane():
