@@ -68,12 +68,19 @@ per sweep, whose chain is keyed by S's columns and nonzero mask, and the
 number of sweeps, which the values decide, is never kept.  A sweep
 replays its chain: one gather of S, one product on the chain's term list,
 the ordered sums of t and of S, the cut of zero columns and the
-fixed-point test.  Each `multiply_rows` of Γ², level 0 and the level steps
-reads the term lists its stage's plan keeps for it, one slot per block of
-an ordered sum, keyed by its columns and its operands' nonzero masks
-(`_rows_product`), and each sweep's product the lists its chain keeps; both
-make them by one rule (`_term_lists`, `JetSpace.row_terms`), so only pairs
-of nonzero factors are multiplied.
+fixed-point test.  Every other stage product (Γ², level 0, the level
+steps) replays a chain as well: its plan, keyed also by the operands'
+nonzero masks (`_Jets.live`), keeps per ordered-sum block the int32 gathers
+of both operands at the product's codes from their matrices laid end to
+end with a zero last (`_gather`); a derivative operand (d_i Γ² in level 0,
+a level step's start, Γ₁'s terms) is one gather of shifts and a factor row
+(`_shift_gather`), and a level step folds the canonical sign into its
+gather, which reads the level and its negatives.  A replayed block is one
+take per operand, one `JetSpace.multiply_listed` on the listing the plan
+keeps and the term lists of its slot (`_product`, `_term_lists`,
+`JetSpace.row_terms`), so only pairs of nonzero factors are multiplied, and
+then `_sum_replay`.  No operand is checked: each comes from a `_Jets`,
+which raised on a non-finite value, and each result passes through one.
 """
 from __future__ import annotations
 

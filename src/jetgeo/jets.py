@@ -67,9 +67,9 @@ that it weighs with two nonzero factors, which give the listing's product
 to the bit for any operands with those nonzeros, as the listing of a
 superset does; a non-finite operand raises NonFiniteError.  A caller that
 keeps a listing (`listed`) multiplies on it with `multiply_listed`, the
-same product with no lookup and no check of its operands.  `deriv_cols`
-sends code m to m - code(e_v), times m_v, by the shifts kept on the code
-set `cols`.
+same product with no lookup and no check of its operands: every stage
+product of `curvature` replays that way.  `deriv_cols` sends code m to
+m - code(e_v), times m_v, by the shifts kept on the code set `cols`.
 """
 from __future__ import annotations
 
@@ -480,10 +480,6 @@ class JetSpace:
                 block[...] = cls._accumulate(a[rows].ravel(), b[rows].ravel(),
                                              *kept).reshape(block.shape)
         return sums
-
-    def product_cols(self, cols: np.ndarray, order: int) -> np.ndarray:
-        """The codes `multiply_rows` returns for operands at the codes `cols`."""
-        return self.listed(cols, order)[1]
 
     def horner(self):
         """The products of `series_rows` over these codes, which hold code 0,

@@ -645,7 +645,7 @@ def test_non_finite_product_in_a_sum_raises():
     space = jet_space(("a", "b"), 4)
     cols = space._codes[:2]  # ranks 0 and 1
     a = np.array([[1.0, math.inf]])
-    out = space.product_cols(cols, 4)
+    out = space.listed(cols, 4)[1]
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
         _ordered_sum(out, np.empty((1, len(out))), np.zeros(1, dtype=np.intp),
                      lambda ts: space.multiply_rows(cols, a[ts], a[ts], 4))
