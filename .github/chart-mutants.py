@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Require the tests to kill one-line mutants of the curvature engine and its
-expression tapes.
+"""Require the tests to kill one-line mutants of the curvature engine, its
+expression tapes and the invariant catalog.
 
     .github/chart-mutants.py [REV]
 
@@ -29,7 +29,11 @@ term lists; the same test's case of such a point must kill it.  M7, M8 and
 M9 each drop one nonzero mask from a chain's key: the inverse's from Γ²'s,
 Γ²'s from level 0's and Γ²'s from the level steps'; the test of points
 whose zeros differ, or of a pattern that changes at a special point, must
-kill each.
+kill each.  M10 has the invariant catalog's orbit filter skip a factor
+list's first relabelling after the identity, the swap where two levels
+repeat, so it keeps matchings that are not their orbit's least; the
+catalog's canonicalizing loop and the pinned lines of the check's schemas
+must kill it.
 """
 import os
 import subprocess
@@ -63,6 +67,11 @@ MUTANTS = {
     "M9, a level step's chain keyed without Γ²'s mask": (
         CURVATURE, "prev.live, g2.index, g2.cols, g2.live)", "prev.live, g2.index, g2.cols)",
         [ZEROS]),
+    "M10, the orbit filter skips a relabelling": (
+        Path("src/jetgeo/invariants.py"), "for new in np.array(_relabellings(factors))[1:]:",
+        "for new in np.array(_relabellings(factors))[2:]:",
+        ["tests/test_reference_loops.py::test_catalog_matches_the_canonicalizing_loop",
+         "tests/test_reference_loops.py::test_check_schema_lines_are_pinned"]),
 }
 
 

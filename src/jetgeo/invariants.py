@@ -12,18 +12,24 @@ through `to_line`/`from_line` are exact.
 Two schemas that differ only by reordering factors of equal level describe
 the same invariant.  `_relabellings` tabulates, once per factor list, the
 slot maps of the factor orders that sort its levels; `canonical_key`,
-`catalog` and `random_schemas` all take the least relabelled pairing.
-`catalog` lists each slot count's matchings once, in lexicographic order,
-and keeps those that are the least of their orbit, so they stay sorted.
+`catalog` and `random_schemas` all take the least relabelled pairing.  One
+pairing finds it in `_least_relabelling`.  `catalog` lists each slot
+count's matchings once, as one array in lexicographic order, keeps the rows
+that `_orbit_least` finds least of their orbit, with one comparison of all
+rows per relabelling, so they stay sorted, and makes their schemas in bulk
+(`_bulk_schemas`), each with the pairing and join plan the constructor
+would give it.  `ContractionSchema(...)` stays the one constructor that
+checks its input.
 """
 from __future__ import annotations
 
 import functools
+import inspect
 import math
 import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, permutations
-from operator import index
+from operator import index, itemgetter
 from random import Random
 from typing import Iterable, Sequence
 
@@ -191,15 +197,70 @@ def _factor_lists(max_factors: int, max_deriv: int) -> Iterable[tuple[int, ...]]
     yield from rec((), 0)
 
 
-def _matchings(n_slots: int) -> list[tuple[tuple[int, int], ...]]:
-    """Perfect matchings of an even n_slots points, in lexicographic order,
-    a < b: slot 0 with each i, then each matching of the rest."""
-    out = [()]
-    for n in range(2, n_slots + 1, 2):
-        rest, out = out, []
-        for i in range(1, n):
-            left = [s for s in range(1, n) if s != i]
-            out.extend(((0, i),) + tuple((left[a], left[b]) for a, b in tail) for tail in rest)
+def _matching_rows(n_max: int) -> dict[int, np.ndarray]:
+    """Each even slot count's perfect matchings up to n_max, in
+    lexicographic order, one pair row a0, b0, a1, b1, ... (a < b) each: slot
+    0 with each i, then each matching of the rest, renumbered onto the slots
+    left."""
+    out = {0: np.zeros((1, 0), np.intp)}
+    for n in range(2, n_max + 1, 2):
+        rest = out[n - 2]
+        i = np.arange(1, n)[:, None]
+        left = np.arange(1, n - 1) + (np.arange(1, n - 1) >= i)  # slots 1..n-1 but i
+        rows = np.empty((n - 1, len(rest), n), np.intp)
+        rows[:, :, 0] = 0
+        rows[:, :, 1] = i
+        rows[:, :, 2:] = left[:, rest]
+        out[n] = rows.reshape(-1, n)
+    return out
+
+
+def _orbit_least(factors: tuple[int, ...], rows: np.ndarray) -> np.ndarray:
+    """A mask of the matchings of `rows` (pair rows a0, b0, a1, b1, ...; the
+    `factors` sorted) that are the least of their orbit, as
+    `_least_relabelling` finds it: one lexicographic comparison of all rows
+    per relabelling.  Each row is compared as each slot's partner, where the
+    order is that of the sorted pair lists: two matchings first differ at
+    the smallest slot whose partner differs, and that slot opens a pair in
+    both."""
+    partner = np.empty_like(rows)
+    r = np.arange(len(rows))
+    partner[r[:, None], rows[:, 0::2]] = rows[:, 1::2]
+    partner[r[:, None], rows[:, 1::2]] = rows[:, 0::2]
+    keep = np.ones(len(rows), dtype=bool)
+    # the first relabelling of sorted factors is the identity
+    for new in np.array(_relabellings(factors))[1:]:
+        moved = np.empty_like(partner)
+        moved[:, new] = new[partner]
+        first = (moved != partner).argmax(axis=1)  # where they differ, else 0
+        keep &= moved[r, first] >= partner[r, first]
+    return keep
+
+
+def _bulk_schemas(factors: tuple[int, ...], rows: np.ndarray) -> list[ContractionSchema]:
+    """The schemas of `factors` whose pairings are the pair rows `rows`
+    (a < b, ascending), each with the pairing and join plan the constructor
+    gives it, made without the constructor's checks, which such rows pass.
+    A pairing's closing pairs are cut from it by one getter per closing
+    pattern, the factor each of its pairs closes with."""
+    n = rows.shape[1]
+    a, b = rows[:, 0::2], rows[:, 1::2]
+    close = np.array(_owners(factors))[b]
+    cuts: dict[tuple[int, ...], tuple] = {}
+    out = []
+    pairings = [tuple(zip(it, it)) for it in map(iter, rows.tolist())]
+    for pairing, key, codes in zip(pairings, map(tuple, close.tolist()), (a * n + b).tolist()):
+        cut = cuts.get(key)
+        if cut is None:
+            ends = list(accumulate((key.count(f) for f in range(len(factors))), initial=0))
+            # a stable order: each factor's pairs stay in pairing order
+            cut = cuts[key] = (itemgetter(*sorted(range(len(key)), key=key.__getitem__)),
+                               [slice(lo, hi) for lo, hi in zip(ends, ends[1:])])
+        ordered = cut[0](pairing)  # a tuple: a schema has at least two pairs
+        schema = object.__new__(ContractionSchema)
+        schema.__dict__.update(factors=factors, pairing=pairing, _join_plan=(
+            tuple(map(ordered.__getitem__, cut[1])), tuple(codes)))
+        out.append(schema)
     return out
 
 
@@ -209,6 +270,22 @@ class CatalogResult:
     skipped: tuple[tuple[int, ...], ...]  # factor lists past the matching limit
 
 
+def _built_once(fn):
+    """`functools.cache` keyed by argument values, however a call spells
+    them: by position, by keyword or left to their defaults."""
+    cached = functools.cache(fn)
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def once(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    once.cache_info, once.cache_clear = cached.cache_info, cached.cache_clear
+    return once
+
+
 def _check_caps(max_factors: int, max_deriv: int) -> None:
     if max_factors < 1 or max_factors > MAX_FACTORS:
         raise CapsExceededError(f"max_factors must be in 1..{MAX_FACTORS}")
@@ -216,41 +293,48 @@ def _check_caps(max_factors: int, max_deriv: int) -> None:
         raise CapsExceededError(f"max_deriv must be in 0..{MAX_DERIV}")
 
 
-@functools.cache
+@_built_once
 def catalog(
     max_factors: int, max_deriv: int, exhaustive_limit: int = 1000
 ) -> CatalogResult:
     """All canonical schemas over factor lists whose matching count stays
     within `exhaustive_limit`; larger factor lists are reported as skipped.
-    Sorted by factor count, factors, then pairing.  Built once per process
-    for each argument list; the result is immutable."""
+    Sorted by factor count, factors, then pairing.  Each slot count's
+    matchings are listed once, as one array in lexicographic order; a factor
+    list with a repeated level keeps each orbit's least (`_orbit_least`), so
+    the result is sorted as built.  Built once per process for each argument
+    list, however it is spelled; the result is immutable."""
     _check_caps(max_factors, max_deriv)
     if exhaustive_limit < 1 or exhaustive_limit > MAX_EXHAUSTIVE_LIMIT:
         raise CapsExceededError(f"exhaustive_limit must be in 1..{MAX_EXHAUSTIVE_LIMIT}")
-    matchings = functools.cache(_matchings)  # each slot count's, once per call
-    out: list[ContractionSchema] = []
+    lists: list[tuple[int, ...]] = []
     skipped: list[tuple[int, ...]] = []
     for factors in _factor_lists(max_factors, max_deriv):
         n = _slots(factors)
         if matching_count(n) > exhaustive_limit:
             skipped.append(factors)
         elif n % 2 == 0:
-            pairings = matchings(n)
-            if len(_relabellings(factors)) > 1:
-                pairings = [p for p in pairings if _least_relabelling(factors, p) == p]
-            out.extend(ContractionSchema(factors, p) for p in pairings)
-    out.sort(key=lambda s: (len(s.factors), s.factors))  # stable: pairings stay sorted
+            lists.append(factors)
+    lists.sort(key=lambda f: (len(f), f))
+    matchings = _matching_rows(max(map(_slots, lists), default=0))
+    out: list[ContractionSchema] = []
+    for factors in lists:
+        rows = matchings[_slots(factors)]
+        if len(_relabellings(factors)) > 1:
+            rows = rows[_orbit_least(factors, rows)]
+        out.extend(_bulk_schemas(factors, rows))
     return CatalogResult(tuple(out), tuple(skipped))
 
 
-@functools.cache
+@_built_once
 def random_schemas(
     count: int, max_factors: int, max_deriv: int, seed: int
 ) -> tuple[ContractionSchema, ...]:
     """Deterministic sample of distinct canonical schemas (may return fewer
     than `count` when the space is small).  Drawn once per process for each
-    argument list; the result is immutable.  After `_REPEAT_RUN` repeats in
-    a row it stops if it holds the whole pool, when `catalog` can list it."""
+    argument list, however it is spelled; the result is immutable.  After
+    `_REPEAT_RUN` repeats in a row it stops if it holds the whole pool, when
+    `catalog` can list it."""
     _check_caps(max_factors, max_deriv)
     rng = Random(seed)
     pool = [f for f in _factor_lists(max_factors, max_deriv) if _slots(f) % 2 == 0]

@@ -540,6 +540,22 @@ def test_malformed_spec_exits_2(capsys, tmp_path, sphere_path, edit, needle, com
     assert err == f"jetgeo: input error: bad spec file {path}: {needle}\n"
 
 
+def test_a_first_check_loads_no_numpy_subpackage_but_random(tmp_path):
+    # the check's draws need numpy.random; any other subpackage is import
+    # time a cold check pays, as numpy.ma is for the first np.unique
+    code = ("import sys\n"
+            "from jetgeo import cli\n"
+            "before = set(sys.modules)\n"
+            "code = cli.main(['check', '--family', 'p=0,f=exp(y)', '--out', sys.argv[1]])\n"
+            "new = {'.'.join(m.split('.')[:2]) for m in set(sys.modules) - before\n"
+            "       if m.startswith('numpy.')}\n"
+            "print(code, sorted(new))\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-c", code, str(tmp_path / "check.txt")], cwd=ROOT,
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.stdout == "0 ['numpy.random']\n", res.stderr
+
+
 def test_unbounded_quadrature_is_one_stderr_line():
     # the direct route's pending intervals double with each depth here; in a
     # 3 GB address space they ran out of memory (an internal MemoryError)

@@ -161,6 +161,17 @@ def test_random_schemas_drawn_once_per_argument_list():
     assert isinstance(a, tuple)
 
 
+def test_catalog_and_random_schemas_built_once_however_spelled():
+    # one build per argument list, whether an argument is given by position,
+    # by keyword or left to its default
+    cats = [catalog(3, 2), catalog(3, 2, 1000), catalog(3, 2, exhaustive_limit=1000),
+            catalog(max_factors=3, max_deriv=2)]
+    assert all(c is cats[0] for c in cats)
+    draws = [random_schemas(100, 3, 2, 42), random_schemas(100, 3, 2, seed=42),
+             random_schemas(count=100, max_factors=3, max_deriv=2, seed=42)]
+    assert all(d is draws[0] for d in draws)
+
+
 def test_random_schemas_small_space_returns_fewer():
     got = random_schemas(50, 1, 0, seed=0)
     assert 0 < len(got) <= 3  # only the three level-0 single-factor schemas

@@ -1600,6 +1600,20 @@ def test_catalog_matches_the_canonicalizing_loop(max_factors, max_deriv):
             ref_catalog(max_factors, max_deriv, limit), limit
 
 
+@pytest.mark.parametrize("factors", [
+    f for f in inv._factor_lists(inv.MAX_FACTORS, inv.MAX_DERIV)
+    if inv._slots(f) % 2 == 0 and inv.matching_count(inv._slots(f)) <= inv.MAX_EXHAUSTIVE_LIMIT])
+def test_orbit_filter_keeps_what_the_single_pairing_rule_keeps(factors):
+    # the catalog's array filter over every matching it can list, against the
+    # least relabelling of one pairing that canonical_key and random_schemas take
+    n = inv._slots(factors)
+    rows = inv._matching_rows(n)[n]
+    pairings = [tuple(zip(row[0::2], row[1::2])) for row in rows.tolist()]
+    assert pairings == list(ref_all_matchings(list(range(n))))
+    keep = [inv._least_relabelling(factors, p) == p for p in pairings]
+    assert inv._orbit_least(factors, rows).tolist() == keep
+
+
 @pytest.mark.parametrize("args", [(100, 3, 2, 42), (200, 3, 2, 20260817), (200, 3, 2, 0),
                                   (50, 1, 0, 0), (100, 1, 0, 1), (300, 2, 1, 5)])
 def test_random_schemas_match_the_drawing_loop(args):
@@ -1646,14 +1660,23 @@ def test_check_schema_lines_are_pinned():
 
 def test_join_plans_follow_the_pairing():
     # each pair closes with the factor that owns its larger slot, and its
-    # code is a * n_slots + b
-    for schema in inv.catalog(3, 2).schemas + tuple(inv.NAMED_SCHEMAS.values()):
+    # code is a * n_slots + b, however the schema was made: by the catalog or
+    # the draws in bulk, by the constructor, or from a line
+    made = set(chain.from_iterable(
+        inv.catalog(f, d).schemas for f in range(1, 4) for d in range(3)))
+    made.update(inv.random_schemas(100, 3, 2, 42))
+    lines = [ContractionSchema.from_line(s.to_line()) for s in made]
+    for schema in chain(made, inv.NAMED_SCHEMAS.values(), lines):
         owner = [f for f, k in enumerate(schema.factors) for _ in range(4 + k)]
         closing = [[] for _ in schema.factors]
         for a, b in schema.pairing:
             closing[owner[b]].append((a, b))
         codes = tuple(a * len(owner) + b for a, b in schema.pairing)
         assert schema._join_plan == (tuple(map(tuple, closing)), codes), schema
+    for schema in made:
+        built = ContractionSchema(schema.factors, schema.pairing)
+        assert schema == built and hash(schema) == hash(built), schema
+        assert schema._join_plan == built._join_plan, schema
 
 
 # ------------------------------------------------------------------ invariants
