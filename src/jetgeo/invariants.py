@@ -320,9 +320,7 @@ def catalog(
     out: list[ContractionSchema] = []
     for factors in lists:
         rows = matchings[_slots(factors)]
-        if len(_relabellings(factors)) > 1:
-            rows = rows[_orbit_least(factors, rows)]
-        out.extend(_bulk_schemas(factors, rows))
+        out.extend(_bulk_schemas(factors, rows[_orbit_least(factors, rows)]))
     return CatalogResult(tuple(out), tuple(skipped))
 
 

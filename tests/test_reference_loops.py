@@ -1660,20 +1660,21 @@ def test_check_schema_lines_are_pinned():
 
 def test_join_plans_follow_the_pairing():
     # each pair closes with the factor that owns its larger slot, and its
-    # code is a * n_slots + b, however the schema was made: by the catalog or
-    # the draws in bulk, by the constructor, or from a line
-    made = set(chain.from_iterable(
+    # code is a * n_slots + b, however the schema was made: in bulk by the
+    # catalog, by the constructor (the draws and the named schemas), or from
+    # a line
+    listed = list(chain.from_iterable(
         inv.catalog(f, d).schemas for f in range(1, 4) for d in range(3)))
-    made.update(inv.random_schemas(100, 3, 2, 42))
-    lines = [ContractionSchema.from_line(s.to_line()) for s in made]
-    for schema in chain(made, inv.NAMED_SCHEMAS.values(), lines):
+    drawn = inv.random_schemas(100, 3, 2, 42)
+    lines = [ContractionSchema.from_line(s.to_line()) for s in chain(listed, drawn)]
+    for schema in chain(listed, drawn, inv.NAMED_SCHEMAS.values(), lines):
         owner = [f for f, k in enumerate(schema.factors) for _ in range(4 + k)]
         closing = [[] for _ in schema.factors]
         for a, b in schema.pairing:
             closing[owner[b]].append((a, b))
         codes = tuple(a * len(owner) + b for a, b in schema.pairing)
         assert schema._join_plan == (tuple(map(tuple, closing)), codes), schema
-    for schema in made:
+    for schema in listed:
         built = ContractionSchema(schema.factors, schema.pairing)
         assert schema == built and hash(schema) == hash(built), schema
         assert schema._join_plan == built._join_plan, schema
