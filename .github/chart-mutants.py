@@ -16,7 +16,11 @@ M1 reads a moved index's canonical row without its sign (the level steps
 fold the sign into their gather of the level's rows), M2 adds the level
 step's Christoffel sum instead of subtracting it; the chart-change tests
 must kill both.  M2 survives every linear chart (there the sum carries over
-term by term), so the tests need their quadratic charts to kill it.  M4
+term by term), so the tests need their quadratic charts to kill it.  M3
+cuts `_plan`'s key test to "no plan kept yet", so a context replays a plan
+made for other patterns; the test of a pattern change on one spec, and
+the command line's test of repeated inputs in one process, which replay
+the metrics the process kept, must kill it.  M4
 keys a level step's chain by its operands' rows and columns alone, without
 their nonzero masks, so a point whose zeros move within the same columns
 runs on another point's term lists; the test of points whose zeros differ
@@ -50,6 +54,11 @@ MUTANTS = {
         CURVATURE, "rep + (sign < 0) * n", "rep", CHARTS),
     "M2, the Christoffel sum added": (
         CURVATURE, "src.take(right[ts]))), -1)", "src.take(right[ts]))), 1)", CHARTS),
+    "M3, a kept plan replayed whatever the patterns": (
+        CURVATURE, "kept is None or len(kept[0]) != len(key) or not all(map(_same, kept[0], key))",
+        "kept is None",
+        ["tests/test_plans.py::test_a_pattern_change_plans_afresh",
+         "tests/test_cli.py::test_repeated_inputs_in_one_process_print_what_fresh_ones_print"]),
     "M4, a level step's chain keyed without its operands' masks": (
         CURVATURE, "key = (prev.index, prev.cols, prev.live, g2.index, g2.cols, g2.live)",
         "key = (prev.index, prev.cols, g2.index, g2.cols)", [ZEROS]),

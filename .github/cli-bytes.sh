@@ -5,10 +5,15 @@
 #
 # BASE_DIR is another checkout of the repository, for instance the commit a
 # change starts from.  Each command below runs twice, once with
-# BASE_DIR/src and once with this checkout's src on PYTHONPATH.  For each
-# command the script prints `same` when stdout, stderr and the exit code
-# agree, and a unified diff of whichever differ when they do not.  It exits
-# 1 if any command differs and 0 if none does.
+# BASE_DIR/src and once with this checkout's src on PYTHONPATH, each time in
+# a process of its own.  Then the whole list runs once more on each tree, in
+# one interpreter that calls `jetgeo.cli.main` for each command in turn, as
+# in-process callers do: there a command whose metric input came before may
+# replay what the process kept for it, so its bytes show that a replay
+# prints what a fresh build prints.  For each command of either pass the
+# script prints `same` when stdout, stderr and the exit code agree, and a
+# unified diff of whichever differ when they do not.  It exits 1 if any
+# command differs and 0 if none does.
 #
 # The commands are README's three examples and 16 more: `check` on the
 # family at p = 0..3 and at a general point, and on an S^2, an H^2 and a
@@ -110,23 +115,54 @@ run() {  # SRC OUT ARGS...: the command's stdout, stderr and exit code
   echo "exit code $?" > "$out.code"
 }
 
+run_all() {  # SRC OUT: every command in one interpreter, OUT.N.* per command as run gives
+  PYTHONPATH=$1 "$python" - "$2" "$tmp/commands" <<'PY'
+import contextlib, io, sys
+from jetgeo.cli import main
+out, listing = sys.argv[1:]
+with open(listing, encoding="utf-8") as fh:
+    commands = fh.read().splitlines()
+for n, cmd in enumerate(commands):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(cmd.split())  # split into words, as the loop below does
+        except SystemExit as err:
+            code = err.code
+    for part, text in (("stdout", stdout.getvalue()), ("stderr", stderr.getvalue()),
+                       ("code", f"exit code {code}\n")):
+        with open(f"{out}.{n}.{part}", "w", encoding="utf-8") as fh:
+            fh.write(text)
+PY
+}
+
 status=0
+compare() {  # WHAT BASE_OUT HEAD_OUT
+  local out=""
+  for part in stdout stderr code; do
+    out+=$(diff -u --label "base $part" --label "change $part" "$2.$part" "$3.$part")
+  done
+  if [ -z "$out" ]; then
+    echo "same: $1"
+  else
+    echo "differs: $1"
+    echo "$out"
+    status=1
+  fi
+}
+
 for n in "${!commands[@]}"; do
   cmd=${commands[$n]}
   # split into words on purpose: no argument holds a space
   run "$base" "$tmp/base.$n" $cmd
   run "$head" "$tmp/head.$n" $cmd
-  out=""
-  for part in stdout stderr code; do
-    out+=$(diff -u --label "base $part" --label "change $part" \
-      "$tmp/base.$n.$part" "$tmp/head.$n.$part")
-  done
-  if [ -z "$out" ]; then
-    echo "same: jetgeo $cmd"
-  else
-    echo "differs: jetgeo $cmd"
-    echo "$out"
-    status=1
-  fi
+  compare "jetgeo $cmd" "$tmp/base.$n" "$tmp/head.$n"
+done
+
+printf '%s\n' "${commands[@]}" > "$tmp/commands"
+run_all "$base" "$tmp/base-all"
+run_all "$head" "$tmp/head-all"
+for n in "${!commands[@]}"; do
+  compare "one process: jetgeo ${commands[$n]}" "$tmp/base-all.$n" "$tmp/head-all.$n"
 done
 exit $status

@@ -10,12 +10,20 @@ Exit codes: 0 success, 1 failed check, 2 bad input, 3 numeric failure.
 Output is deterministic for a fixed argument list (seeded sampling, repr
 floats, sorted listings); CSV bodies are LF-terminated with a header row
 restated in a `# schema:` comment.
+
+A process that calls `main` more than once keeps the metrics of its last
+`KEPT_INPUTS` metric inputs, least recently used first out: a `--family`
+text, or the bytes of a `--spec` file, which is read on every call.  A
+command whose input is kept replays the plans, profile tapes and compiled
+geodesic force kept on its metric, which prints what a fresh build prints,
+byte for byte.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import functools
+import io
 import json
 import math
 import re
@@ -37,7 +45,7 @@ from .curvature import (
     skew_curvature_operator,
 )
 from .jets import JetOrderError, JetSpaceSizeError, NonFiniteError
-from .metric import MetricSpec, SignatureError, SingularMetricError, load_metric
+from .metric import MetricSpec, SignatureError, SingularMetricError, metric_from_dict
 
 __all__ = ["main", "build_parser"]
 
@@ -95,15 +103,34 @@ def _parse_family(text: str) -> fam.FamilyParams:
         raise CliInputError(str(err)) from None
 
 
+# What a kept metric holds grows with the family's p: 42-301 KiB after one
+# command at p = 0..8, and 3.7 MB at p = 11, the largest family a command
+# accepts, with every depth 0-8 planned.  So 8 kept inputs hold at most
+# about 30 MB.
+KEPT_INPUTS = 8
+
+
+@functools.lru_cache(maxsize=KEPT_INPUTS)
+def _family_metric(text: str) -> tuple[fam.FamilyParams, MetricSpec]:
+    # keyed by the --family text: equal profiles may print differently (-0.0)
+    params = _parse_family(text)
+    return params, fam.build_metric(params)
+
+
+@functools.lru_cache(maxsize=KEPT_INPUTS)
+def _spec_metric(data: bytes) -> MetricSpec:
+    # read as load_metric reads a file: UTF-8 text with universal newlines
+    return metric_from_dict(json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")))
+
+
 def _load_metric(args: argparse.Namespace) -> LoadedMetric:
     if args.family is not None:
-        params = _parse_family(args.family)
-        spec = fam.build_metric(params)
+        params, spec = _family_metric(args.family)
         label = f"family p={params.p} f={ex.to_text(params.profile)}"
         return LoadedMetric(spec, params, label)
     path = Path(args.spec)
     try:
-        spec = load_metric(path)
+        spec = _spec_metric(path.read_bytes())  # read afresh: the file may have changed
     except FileNotFoundError:
         raise CliInputError(f"spec file not found: {path}") from None
     except OSError as err:

@@ -24,6 +24,11 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def forget_kept_inputs():
+    cli._family_metric.cache_clear()
+    cli._spec_metric.cache_clear()
+
+
 @pytest.fixture
 def sphere_path(tmp_path):
     path = tmp_path / "sphere.json"
@@ -166,13 +171,16 @@ def test_check_family_all_pass(capsys):
 
 
 def test_check_builds_the_family_metric_once(capsys, monkeypatch):
-    # the frame read-outs take the metric from the check's context
+    # the frame read-outs take the metric from the check's context, and a
+    # second check of the same input takes the one the process kept
+    forget_kept_inputs()
     calls = []
     build = fam.build_metric
     monkeypatch.setattr(fam, "build_metric", lambda params: calls.append(params) or build(params))
-    code, out, _ = run(capsys, ["check", "--family", "p=1, f=exp(y)", "--seed", "42"])
-    assert code == 0 and out.splitlines()[-1] == "RESULT: PASS"
-    assert len(calls) == 1
+    for _ in range(2):
+        code, out, _ = run(capsys, ["check", "--family", "p=1, f=exp(y)", "--seed", "42"])
+        assert code == 0 and out.splitlines()[-1] == "RESULT: PASS"
+        assert len(calls) == 1
 
 
 def test_check_builds_its_context_to_the_deepest_level_it_reads(capsys, monkeypatch,
@@ -250,6 +258,101 @@ def test_check_degenerate_profile_fails_precondition(capsys):
     assert any(l.startswith("frame_model: FAIL-PRECONDITION") for l in lines)
     # the structural identities still hold for this profile
     assert any(l.startswith("symmetry: PASS") for l in lines)
+
+
+# ------------------------------------------------------------- one process
+H2 = {"dim": 2, "coords": ["x", "y"], "signature": [0, 2],
+      "components": [{"i": 0, "j": 0, "expr": "1.0"}, {"i": 1, "j": 1, "expr": "exp(2*x)"}]}
+
+
+def test_repeated_inputs_in_one_process_print_what_fresh_ones_print(capsys, tmp_path):
+    # each command, run in one process that keeps its metric inputs, against
+    # the same command run after the kept inputs are forgotten: the patterns
+    # move between the points, and each twin input prints its own text
+    p3, p2 = "p=3,f=exp(y)+exp(2*y)", "p=2,f=exp(y)+exp(2*y)"
+    h2, twin, edited = (str(tmp_path / name) for name in ("h2.json", "twin.json", "edited.json"))
+    edited_text = json.dumps(H2).replace("exp(2*x)", "exp(x)")
+    steps = [
+        ["check", "--family", p3, "--seed", "42"],
+        ["check", "--family", p3, "--seed", "42", "--point=" + ",".join(["0.1,0.2,0.3"] * 4)],
+        ["check", "--family", p3, "--seed", "42", "--point=0.1,-0.3,0.1" + ",0" * 9],
+        ["check", "--family", p3, "--seed", "42"],
+        ["curvature", "--family", p2, "--point", "0.1,0.2,0.3,0.3,0.3,0.1,0.1,0.1,0.1,0.1",
+         "--k", "3"],
+        ["curvature", "--family", p2, "--point", "0" + ",0" * 9, "--k", "3"],
+        ["alpha", "--family", p2, "--grid", "y=-0.5:0.5:3"],
+        ["curvature", "--family", "p=0,f=-0.0*y+exp(y)", "--point", "0,0.1,0,0,0,0"],
+        ["curvature", "--family", "p=0,f=0.0*y+exp(y)", "--point", "0,0.1,0,0,0,0"],
+        (edited, json.dumps(H2)),
+        ["curvature", "--spec", edited, "--point=0.3,0.2"],
+        (edited, edited_text),
+        ["curvature", "--spec", edited, "--point=0.3,0.2"],
+        (h2, json.dumps(H2)),
+        (twin, json.dumps(H2)),
+        ["curvature", "--spec", twin, "--point=0.3,0.2", "--k", "1"],
+        ["curvature", "--family", "p=0,f=exp(", "--point", "0,0,0,0,0,0"],
+        ["curvature", "--family", "p=0,f=exp(", "--point", "0,0,0,0,0,0"],
+        ["curvature", "--spec", h2, "--point=-0.1,0.2", "--k", "3"],
+        ["curvature", "--spec", h2, "--point=0,0.2", "--k", "3"],
+    ]
+    results = {}
+    for kept in (True, False):
+        forget_kept_inputs()
+        results[kept] = []
+        for step in steps:
+            if isinstance(step, tuple):
+                Path(step[0]).write_text(step[1])
+                continue
+            if not kept:
+                forget_kept_inputs()
+            results[kept].append(run(capsys, step))
+            for table in (cli._family_metric, cli._spec_metric):
+                assert table.cache_info().currsize <= cli.KEPT_INPUTS
+        if kept:  # p3 three times and p2 twice; twin and h2 hold edited's first bytes
+            assert cli._family_metric.cache_info().hits == 5
+            assert cli._spec_metric.cache_info().hits == 3
+    assert results[True] == results[False]
+    labels = [out.splitlines()[1] for code, out, _ in results[True] if code == 0]
+    assert labels[7:] == ["# metric: family p=0 f=-0.0*y + exp(y)",
+                          "# metric: family p=0 f=0.0*y + exp(y)",
+                          f"# metric: spec {edited}", f"# metric: spec {edited}",
+                          f"# metric: spec {twin}", f"# metric: spec {h2}", f"# metric: spec {h2}"]
+    assert results[True][9] != results[True][10]  # the edited file's two metrics
+    assert all(code == 2 and out == "" and err.count("\n") == 1
+               for code, out, err in results[True][12:14])
+
+
+@pytest.mark.parametrize("encode,needle", [
+    (lambda text: b"\xef\xbb\xbf" + text.encode(), "Unexpected UTF-8 BOM"),
+    (lambda text: text.encode("utf-16"), "'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["utf-8-bom", "utf-16"])
+def test_a_spec_file_is_utf8_text_on_every_call(capsys, tmp_path, encode, needle):
+    # the bytes are decoded as the file's text is read, universal newlines
+    # included: a BOM or UTF-16 is bad input on every call, and CRLF is not
+    path, plain = tmp_path / "spec.json", tmp_path / "plain.json"
+    text = json.dumps(H2, indent=2)
+    plain.write_bytes(text.encode())
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    argv = ["curvature", "--point=0.3,0.2", "--spec"]
+    code, out, err = run(capsys, argv + [str(plain)])
+    assert run(capsys, argv + [str(path)]) == (code, out.replace(str(plain), str(path)), err)
+    path.write_bytes(encode(text))
+    for _ in range(2):
+        code, out, err = run(capsys, argv + [str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"jetgeo: input error: bad spec file {path}: {needle}")
+        assert err.count("\n") == 1
+
+
+def test_the_oldest_kept_input_is_built_again_once_the_bound_is_passed():
+    forget_kept_inputs()
+    texts = [f"p=0,f=exp(y)+{n}.0" for n in range(cli.KEPT_INPUTS + 1)]
+    first = {text: cli._family_metric(text)[1] for text in texts[:-1]}
+    assert cli._family_metric(texts[0])[1] is first[texts[0]]  # now texts[1] is the oldest
+    cli._family_metric(texts[-1])
+    assert cli._family_metric.cache_info().currsize == cli.KEPT_INPUTS
+    assert cli._family_metric(texts[0])[1] is first[texts[0]]
+    assert cli._family_metric(texts[1])[1] is not first[texts[1]]
 
 
 # ------------------------------------------------------------------- errors
