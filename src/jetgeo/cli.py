@@ -103,10 +103,9 @@ def _parse_family(text: str) -> fam.FamilyParams:
         raise CliInputError(str(err)) from None
 
 
-# What a kept metric holds grows with the family's p: 42-301 KiB after one
+# Inputs kept per table.  A kept family metric holds 42-301 KiB after one
 # command at p = 0..8, and 3.7 MB at p = 11, the largest family a command
-# accepts, with every depth 0-8 planned.  So 8 kept inputs hold at most
-# about 30 MB.
+# accepts, with every depth 0-8 planned: 8 of them hold at most about 30 MB.
 KEPT_INPUTS = 8
 
 
